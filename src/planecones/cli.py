@@ -39,8 +39,30 @@ def _load_config() -> dict:
             data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"unreadable config file {path}: {exc}") from exc
-    allowed = {"max_order", "multiplier"}
-    return {k: int(v) for k, v in data.items() if k in allowed}
+    if not isinstance(data, dict):
+        raise DomainError(f"config file {path} must hold a JSON object")
+    config = {}
+    for key, least in (("max_order", 0), ("multiplier", 1)):
+        if key not in data:
+            continue
+        value = data[key]
+        if type(value) is not int or value < least:
+            raise DomainError(
+                f"config file {path}: {key} must be an integer >= {least}, got {value!r}"
+            )
+        config[key] = value
+    return config
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for counts that may be zero (``--max-order``, ``--approx``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _qn_str(x: Optional[QuadraticNumber]) -> Optional[str]:
@@ -428,13 +450,13 @@ def _add_common(parser: argparse.ArgumentParser, defaults: dict) -> None:
     parser.add_argument(
         "--max-order",
         dest="max_order",
-        type=int,
+        type=_nonnegative_int,
         default=defaults.get("max_order", DEFAULT_MAX_ORDER),
         help="interval-descent order budget",
     )
     parser.add_argument(
         "--approx",
-        type=int,
+        type=_nonnegative_int,
         default=None,
         metavar="N",
         help="add non-authoritative N-digit decimal columns",

@@ -211,13 +211,30 @@ def parents(g: ExceptionalSlope) -> tuple[ExceptionalSlope, ExceptionalSlope]:
 
 
 def interval_contains(a: ExceptionalSlope, x, closed: bool) -> bool:
-    """Exact membership of ``x`` in the interval of ``a`` (or its closure)."""
-    left, right = a.interval()
-    cl = qn_compare_cross(x, left)
-    cr = qn_compare_cross(x, right)
+    """Exact membership of ``x`` in the interval of ``a`` (or its closure).
+
+    A quadratic ``x`` is compared with the two endpoints.  For a rational
+    ``x`` no endpoint is built: with ``u = 3 - 2|x - a|`` and ``r`` the rank
+    of ``a``, ``|x - a| < x_a`` holds exactly when ``u > 0`` and
+    ``u^2 > 9 - 4/r^2`` (and ``<=`` when both hold non-strictly), because
+    ``2 x_a = 3 - sqrt(9 - 4/r^2)``.
+    """
+    if isinstance(x, QuadraticNumber):
+        if not x.is_rational:
+            left, right = a.interval()
+            cl = qn_compare_cross(x, left)
+            cr = qn_compare_cross(x, right)
+            if closed:
+                return cl >= 0 and cr <= 0
+            return cl > 0 and cr < 0
+        x = x.a
+    elif not isinstance(x, (int, Fraction)):
+        raise TypeError(f"cannot interpret {x!r} as a quadratic number")
+    u = 3 - 2 * abs(x - a.slope)
+    bound = 9 - Fraction(4, a.rank * a.rank)
     if closed:
-        return cl >= 0 and cr <= 0
-    return cl > 0 and cr < 0
+        return u >= 0 and u * u >= bound
+    return u > 0 and u * u > bound
 
 
 def find_interval(x, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:

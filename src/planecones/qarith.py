@@ -24,6 +24,8 @@ RationalLike = Union[Fraction, int]
 
 TRIAL_DIVISION_BOUND = 10_000
 
+_ZERO = Fraction(0)
+
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
@@ -129,9 +131,11 @@ class QuadraticNumber:
 
     Square factors of ``d`` are folded into ``b`` on construction, and
     ``d in {0, 1}`` collapses into the rational part, so rational values are
-    always stored with ``d == 0``.  Instances are immutable after
-    construction and totally ordered; comparison across different radicands
-    is exact.
+    always stored with ``d == 0``.  Every stored ``d`` is a fixed point of
+    :func:`squarefree_decompose`, so arithmetic on instances reuses the
+    operands' radicand without factoring it again.  Instances are immutable
+    after construction and totally ordered; comparison across different
+    radicands is exact.
     """
 
     __slots__ = ("a", "b", "d")
@@ -155,6 +159,23 @@ class QuadraticNumber:
         self.d = d
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _reduced(cls, a: Fraction, b: Fraction, d: int) -> "QuadraticNumber":
+        """Build from the radicand of an existing instance without factoring it again.
+
+        ``d`` must be 0 or the stored radicand of some instance, hence a
+        fixed point of :func:`squarefree_decompose`; ``a`` and ``b`` must be
+        :class:`Fraction` values.  A zero ``b`` still folds into the
+        rational form, so the result equals ``QuadraticNumber(a, b, d)``.
+        """
+        self = object.__new__(cls)
+        if b == 0 or d == 0:
+            b, d = _ZERO, 0
+        self.a = a
+        self.b = b
+        self.d = d
+        return self
 
     @classmethod
     def from_rational(cls, x: RationalLike) -> "QuadraticNumber":
@@ -186,14 +207,12 @@ class QuadraticNumber:
     def compare(self, other) -> int:
         """Exact three-way comparison, cross-radicand included."""
         other = _coerce(other)
-        if self.d == 0 or other.d == 0 or self.d == other.d:
-            if self.d == other.d:
-                diff = QuadraticNumber(self.a - other.a, self.b - other.b, self.d)
-            elif self.d == 0:
-                diff = QuadraticNumber(self.a - other.a, -other.b, other.d)
-            else:
-                diff = QuadraticNumber(self.a - other.a, self.b, self.d)
-            return diff.sign()
+        if self.d == other.d:
+            return _sign_one_radical(self.a - other.a, self.b - other.b, self.d)
+        if self.d == 0:
+            return _sign_one_radical(self.a - other.a, -other.b, other.d)
+        if other.d == 0:
+            return _sign_one_radical(self.a - other.a, self.b, self.d)
         return _sign_two_radicals(self.a - other.a, self.b, self.d, -other.b, other.d)
 
     def floor(self) -> int:
@@ -210,6 +229,7 @@ class QuadraticNumber:
 
     def bounds(self, digits: int) -> tuple[Fraction, Fraction]:
         """Rational enclosure ``lo <= self <= hi`` of width < ``2*|b| * 10**-digits``."""
+        _check_digits(digits)
         if self.d == 0:
             return self.a, self.a
         scale = 10 ** digits
@@ -224,11 +244,11 @@ class QuadraticNumber:
     def __add__(self, other) -> "QuadraticNumber":
         other = _coerce(other)
         if self.d == other.d:
-            return QuadraticNumber(self.a + other.a, self.b + other.b, self.d)
+            return QuadraticNumber._reduced(self.a + other.a, self.b + other.b, self.d)
         if self.d == 0:
-            return QuadraticNumber(self.a + other.a, other.b, other.d)
+            return QuadraticNumber._reduced(self.a + other.a, other.b, other.d)
         if other.d == 0:
-            return QuadraticNumber(self.a + other.a, self.b, self.d)
+            return QuadraticNumber._reduced(self.a + other.a, self.b, self.d)
         raise DomainError("cannot add quadratic numbers from different fields")
 
     __radd__ = __add__
@@ -240,7 +260,7 @@ class QuadraticNumber:
         return _coerce(other) + (-self)
 
     def __neg__(self) -> "QuadraticNumber":
-        return QuadraticNumber(-self.a, -self.b, self.d)
+        return QuadraticNumber._reduced(-self.a, -self.b, self.d)
 
     def __abs__(self) -> "QuadraticNumber":
         return -self if self.sign() < 0 else self
@@ -248,15 +268,15 @@ class QuadraticNumber:
     def __mul__(self, other) -> "QuadraticNumber":
         other = _coerce(other)
         if self.d == other.d:
-            return QuadraticNumber(
+            return QuadraticNumber._reduced(
                 self.a * other.a + self.b * other.b * self.d,
                 self.a * other.b + self.b * other.a,
                 self.d,
             )
         if self.d == 0:
-            return QuadraticNumber(self.a * other.a, self.a * other.b, other.d)
+            return QuadraticNumber._reduced(self.a * other.a, self.a * other.b, other.d)
         if other.d == 0:
-            return QuadraticNumber(self.a * other.a, self.b * other.a, self.d)
+            return QuadraticNumber._reduced(self.a * other.a, self.b * other.a, self.d)
         raise DomainError("cannot multiply quadratic numbers from different fields")
 
     __rmul__ = __mul__
@@ -266,9 +286,9 @@ class QuadraticNumber:
         if other.sign() == 0:
             raise DomainError("division by zero")
         if other.d == 0:
-            return QuadraticNumber(self.a / other.a, self.b / other.a, self.d)
+            return QuadraticNumber._reduced(self.a / other.a, self.b / other.a, self.d)
         norm = other.a * other.a - other.b * other.b * other.d
-        conj = QuadraticNumber(other.a, -other.b, other.d)
+        conj = QuadraticNumber._reduced(other.a, -other.b, other.d)
         return (self * conj) / norm
 
     def __rtruediv__(self, other) -> "QuadraticNumber":
@@ -301,6 +321,7 @@ class QuadraticNumber:
 
     def decimal(self, digits: int = 12) -> str:
         """Non-authoritative decimal rendering for display."""
+        _check_digits(digits)
         lo, hi = self.bounds(digits + 2)
         mid = (lo + hi) / 2
         # format from a scaled integer to avoid float rounding
@@ -309,6 +330,11 @@ class QuadraticNumber:
         scaled = abs(scaled)
         whole, frac = divmod(scaled, 10 ** digits)
         return f"{sign}{whole}.{str(frac).zfill(digits)}"
+
+
+def _check_digits(digits: int) -> None:
+    if digits < 0:
+        raise DomainError(f"digit count must be nonnegative, got {digits}")
 
 
 def _coerce(x) -> QuadraticNumber:
@@ -336,7 +362,7 @@ def sqrt_exact(x: RationalLike) -> QuadraticNumber:
     coeff = Fraction(s, x.denominator)
     if d == 1:
         return QuadraticNumber(coeff)
-    return QuadraticNumber(0, coeff, d)
+    return QuadraticNumber._reduced(_ZERO, coeff, d)
 
 
 def qn_sign(x: QuadraticNumber) -> int:

@@ -3,6 +3,8 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
+
 from planecones.cli import main
 from planecones.exceptional import delta_curve
 from planecones.qarith import parse_rational
@@ -275,3 +277,48 @@ class TestConfig:
         monkeypatch.setenv("PLANECONES_CONFIG", str(config))
         code, _, err = run(capsys, "cone", "--rmd", "3,2/3,17/9")
         assert code == 1 and "config" in err
+
+    @pytest.mark.parametrize(
+        "content, key",
+        [
+            ('{"max_order": "abc"}', "max_order"),
+            ('{"max_order": -5}', "max_order"),
+            ('{"max_order": 2.5}', "max_order"),
+            ('{"multiplier": 0}', "multiplier"),
+            ("[1, 2]", "JSON object"),
+        ],
+    )
+    def test_invalid_config_values_rejected(self, tmp_path, capsys, monkeypatch, content, key):
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        monkeypatch.setenv("PLANECONES_CONFIG", str(config))
+        code, out, err = run(capsys, "cone", "--rmd", "3,2/3,17/9")
+        assert code == 1 and out == ""
+        assert err.startswith("error: config file") and key in err
+        assert err.count("\n") == 1
+
+
+class TestArgumentBoundaries:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cone", "--rmd", "3,2/3,17/9", "--approx", "-3"),
+            ("cone", "--rmd", "3,2/3,17/9", "--max-order", "-5"),
+            ("curve", "--lo", "0", "--hi", "1", "--approx", "-1"),
+            ("slope", "--rational", "2/5", "--max-order", "x"),
+        ],
+    )
+    def test_rejected_by_argument_parsing(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument" in captured.err and "Traceback" not in captured.err
+
+    def test_zero_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "cone", "--rmd", "3,2/3,17/9", "--approx", "0")
+        assert code == 0
+        assert json.loads(out)["mu0"]["approx_plus"] == "0.0"
+        code, out, _ = run(capsys, "slope", "--rational", "2", "--max-order", "0")
+        assert code == 0 and json.loads(out)["order"] == 0

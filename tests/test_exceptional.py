@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,61 @@ class TestIntervals:
             a_left, a_right = a.interval()
             b_left, b_right = b.interval()
             assert qn_compare_cross(a_right, b_left) <= 0
+
+
+def endpoint_contains(a, x, closed):
+    """Membership by comparison with both exact endpoints (the reference)."""
+    left, right = a.interval()
+    cl = qn_compare_cross(x, left)
+    cr = qn_compare_cross(x, right)
+    if closed:
+        return cl >= 0 and cr <= 0
+    return cl > 0 and cr < 0
+
+
+class TestRationalMembership:
+    """The rational membership test agrees with the endpoint comparison."""
+
+    @pytest.fixture(scope="class")
+    def slopes(self):
+        return enumerate_slopes(-2, 2, 8)
+
+    @staticmethod
+    def probes(a, rng):
+        big = 10 ** 30
+        points = [a.slope]
+        points += [
+            a.slope + F(rng.randrange(-2000, 2001), rng.randrange(1, 500))
+            / rng.choice((1, 10, 1000))
+            for _ in range(3)
+        ]
+        for end in a.interval():
+            lo, hi = end.bounds(25)
+            points += [lo - F(1, big), hi + F(1, big), *end.bounds(2), *end.bounds(12)]
+        return points
+
+    def test_agrees_with_endpoints_order_eight(self, slopes):
+        assert len(slopes) == 4 * 2 ** 8 + 1
+        rng = random.Random(20140106)
+        outcomes = set()
+        for a in slopes:
+            for x in self.probes(a, rng):
+                for closed in (True, False):
+                    expected = endpoint_contains(a, QuadraticNumber(x), closed)
+                    assert interval_contains(a, x, closed) is expected, (a.slope, x, closed)
+                    assert interval_contains(a, QuadraticNumber(x), closed) is expected
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_integer_input(self):
+        for n in range(-3, 4):
+            for closed in (True, False):
+                assert interval_contains(from_integer(n), n, closed)
+                assert not interval_contains(from_integer(n), n + 1, closed)
+
+    def test_non_number_rejected(self):
+        with pytest.raises(TypeError):
+            interval_contains(from_integer(0), 0.25, closed=True)
 
 
 class TestFindInterval:

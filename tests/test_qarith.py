@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from planecones.errors import DomainError
 from planecones.qarith import (
+    TRIAL_DIVISION_BOUND,
     QuadraticNumber,
     format_rational,
     parse_rational,
@@ -164,6 +165,70 @@ class TestSerialization:
     def test_canonical_form_examples(self):
         assert str(sqrt_exact(Fraction(181, 9))) == "(0 + 1/3*sqrt(181))"
         assert str(qn(Fraction(5, 2))) == "(5/2 + 0*sqrt(0))"
+
+
+# 10007 and 10009 are primes above TRIAL_DIVISION_BOUND, so the square factor
+# of HIDDEN_SQUARE is invisible to trial division and stays in the radicand.
+HIDDEN_SQUARE = 10007 ** 2 * 10009
+radicands = st.sampled_from([2, 3, 5, 8, 12, 181, 221, 4 * 10007, HIDDEN_SQUARE])
+
+
+class TestReducedRadicand:
+    """Arithmetic reuses its operands' radicand instead of factoring it again.
+
+    That is sound only while every stored radicand is a fixed point of
+    ``squarefree_decompose``; these checks pin that invariant and that each
+    result is the same as a full public construction.
+    """
+
+    @staticmethod
+    def assert_canonical(q):
+        assert q.d == 0 or squarefree_decompose(q.d) == (1, q.d)
+        assert repr(q) == repr(QuadraticNumber(q.a, q.b, q.d))
+
+    def test_hidden_square_is_a_fixed_point(self):
+        assert 10007 > TRIAL_DIVISION_BOUND
+        assert squarefree_decompose(HIDDEN_SQUARE) == (1, HIDDEN_SQUARE)
+        root = sqrt_exact(Fraction(HIDDEN_SQUARE, 9))
+        assert (root.b, root.d) == (Fraction(1, 3), HIDDEN_SQUARE)
+        self.assert_canonical(root)
+        self.assert_canonical(root + 1)
+        assert (root * root).rational_value() == Fraction(HIDDEN_SQUARE, 9)
+
+    @given(rationals, rationals, rationals, rationals, radicands, rationals)
+    def test_same_field_operations(self, a1, b1, a2, b2, d, c):
+        x = qn(a1, b1, d)
+        y = qn(a2, b2, d)
+        results = [x + y, x - y, x * y, -x, x + c, c - x, x * c, c * x]
+        if y.sign() != 0:
+            results.append(x / y)
+        if c != 0:
+            results.append(x / c)
+        if x.sign() != 0:
+            results.append(c / x)
+        for q in results:
+            self.assert_canonical(q)
+
+    @given(small_nonneg, rationals)
+    def test_sqrt_exact_results(self, x, c):
+        root = sqrt_exact(x)
+        self.assert_canonical(root)
+        self.assert_canonical(root * root)
+        self.assert_canonical((c - root) / 2)
+
+
+class TestDigitCount:
+    def test_negative_digits_rejected(self):
+        for x in (sqrt_exact(2), qn(Fraction(1, 3))):
+            with pytest.raises(DomainError):
+                x.bounds(-1)
+            with pytest.raises(DomainError):
+                x.decimal(-3)
+
+    def test_zero_digits_allowed(self):
+        lo, hi = sqrt_exact(2).bounds(0)
+        assert lo <= 1 < 2 <= hi
+        assert sqrt_exact(2).decimal(0) == "1.0"
 
 
 def test_decimal_rendering():

@@ -46,7 +46,6 @@ from .cone import (
     orthogonal_invariants,
     resolution_multiplicities,
     secondary_edge,
-    triad_select,
 )
 from .errors import ConsistencyError, DescentError, DomainError, RankZeroError
 from .exceptional import (
@@ -68,7 +67,6 @@ from .exceptional import (
 )
 from .qarith import (
     QuadraticNumber,
-    Rational,
     format_rational,
     parse_rational,
     qn_compare_cross,

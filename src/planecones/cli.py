@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import cfrac, cone, exceptional
 from .chern import ChernCharacter, character_from_json, character_to_json
-from .errors import DescentError, DomainError
+from .errors import ConsistencyError, DescentError, DomainError
 from .exceptional import DEFAULT_MAX_ORDER, DyadicRational
 from .qarith import QuadraticNumber, format_rational, parse_rational
 
@@ -27,7 +27,9 @@ CONFIG_ENV = "PLANECONES_CONFIG"
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
-EXIT_CLASSIFICATION_ONLY = 2
+# 2 is argparse's status for a usage error
+EXIT_INTERNAL = 3
+EXIT_CLASSIFICATION_ONLY = 4
 
 
 def _load_config() -> dict:
@@ -54,15 +56,19 @@ def _load_config() -> dict:
     return config
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type for counts that may be zero (``--max-order``, ``--approx``)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(least: int):
+    """argparse type for an integer flag bounded below, as in the config file."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return parse
 
 
 def _qn_str(x: Optional[QuadraticNumber]) -> Optional[str]:
@@ -317,8 +323,9 @@ def _cmd_cfrac(args) -> int:
         "palindrome": even == even[::-1],
     }
     if args.period:
+        # normalized = shift - mu if negated else mu - shift
         _, word = cfrac.slope_to_lr(
-            exceptional.from_slope_value(normalized) if normalized != s.slope else s
+            exceptional.affine_image(s, negated, shift if negated else -shift)
         )
         try:
             period = cfrac.period_structure(word)
@@ -429,7 +436,7 @@ def _cmd_batch(args) -> int:
                     }
                 else:
                     record = report_to_dict(report, args.approx)
-            except (DomainError, DescentError, ValueError) as exc:
+            except (DomainError, DescentError, ConsistencyError, ValueError) as exc:
                 record = {"line": number, "error": str(exc)}
             print(json.dumps(record))
     finally:
@@ -450,13 +457,13 @@ def _add_common(parser: argparse.ArgumentParser, defaults: dict) -> None:
     parser.add_argument(
         "--max-order",
         dest="max_order",
-        type=_nonnegative_int,
+        type=_int_at_least(0),
         default=defaults.get("max_order", DEFAULT_MAX_ORDER),
         help="interval-descent order budget",
     )
     parser.add_argument(
         "--approx",
-        type=_nonnegative_int,
+        type=_int_at_least(0),
         default=None,
         metavar="N",
         help="add non-authoritative N-digit decimal columns",
@@ -479,7 +486,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p_cone = sub.add_parser("cone", help="full cone report for a character")
     _add_character_flags(p_cone)
     p_cone.add_argument(
-        "--multiplier", type=int, default=defaults.get("multiplier", 1),
+        "--multiplier", type=_int_at_least(1), default=defaults.get("multiplier", 1),
         help="rank multiplier for the primary orthogonal character",
     )
     _add_common(p_cone, defaults)
@@ -501,7 +508,6 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p_cfrac.add_argument("--dyadic")
     p_cfrac.add_argument("--rational")
     p_cfrac.add_argument("--lr")
-    p_cfrac.add_argument("--odd", action="store_true", help="odd expansion is always included")
     p_cfrac.add_argument("--period", action="store_true", help="include the period structure")
     _add_common(p_cfrac, defaults)
     p_cfrac.set_defaults(func=_cmd_cfrac)
@@ -524,7 +530,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p_batch = sub.add_parser("batch", help="one JSON character per line, one report per line")
     p_batch.add_argument("input", help="path to a JSONL file, or - for standard input")
     p_batch.add_argument(
-        "--multiplier", type=int, default=defaults.get("multiplier", 1)
+        "--multiplier", type=_int_at_least(1), default=defaults.get("multiplier", 1)
     )
     _add_common(p_batch, defaults)
     p_batch.set_defaults(func=_cmd_batch)
@@ -545,6 +551,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (DomainError, DescentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except ConsistencyError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,14 +1,17 @@
 """End-to-end pipeline: classification, orthogonal invariants, resolutions,
 Kronecker data and the extremal rays of the effective cone.
 
-The pipeline for a positive-rank character with a rank-two Picard group:
-intersect its orthogonal-parabola with the half-height line, locate the
-enclosing interval in the tree of exceptional slopes, branch on the sign of
-the pairing with that slope's bundle to pick the orthogonal invariants and
-the resolving triple of exceptional bundles, then read off multiplicities,
-the induced Kronecker-module fibration and the numerical wall.  The
-secondary edge comes from the dual pipeline for rank >= 3 and from known
-divisor classes in low rank.
+Everything in the primary half of the cone follows from the corresponding
+exceptional slope gamma, whose interval encloses the point ``mu0+`` where
+the orthogonal parabola meets the half-height line.  One private analysis
+per character classifies it, takes ``sqrt(5 + 8 delta)`` once for both
+``mu0+-``, descends once to gamma, picks the orthogonal invariants by the
+sign of the pairing with gamma's bundle, and reads the resolving triad off
+the dyadic addresses of gamma and its parents (no further descent); the
+multiplicities and the Kronecker-module fibration follow.  ``cone_report``
+runs it on the character and on its Serre dual, which gives the secondary
+edge for rank >= 3; known divisor classes give it in low rank.  The public
+stage functions are views of the same analysis.
 """
 
 from __future__ import annotations
@@ -147,7 +150,6 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
     Integrality gates first (integer rank and first Chern class, integer
     Euler characteristic), then position relative to the boundary curve.
     """
-    reasons: list[str] = []
     if x.ch0.denominator != 1:
         return Classification(Kind.INVALID, ("rank is not an integer",))
     if x.ch1.denominator != 1:
@@ -173,24 +175,85 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
     delta = x.discriminant()
     boundary = delta_curve(mu, max_order)
     if delta > boundary:
-        reasons.append("discriminant exceeds the boundary curve")
-        return Classification(Kind.PICARD_RANK_2, tuple(reasons))
+        return Classification(Kind.PICARD_RANK_2, ("discriminant exceeds the boundary curve",))
     if delta == boundary:
-        reasons.append("discriminant sits exactly on the boundary curve")
-        return Classification(Kind.HEIGHT_ZERO, tuple(reasons))
+        return Classification(
+            Kind.HEIGHT_ZERO, ("discriminant sits exactly on the boundary curve",)
+        )
     enclosing = find_interval(mu, max_order)
     if (
         mu == enclosing.slope
         and delta == enclosing.discriminant
         and (x.ch0 / enclosing.rank).denominator == 1
-        and x.ch0 > 0
     ):
-        reasons.append(
-            f"positive multiple of the exceptional character of slope {mu}"
+        return Classification(
+            Kind.EXCEPTIONAL,
+            (f"positive multiple of the exceptional character of slope {mu}",),
         )
-        return Classification(Kind.EXCEPTIONAL, tuple(reasons))
-    reasons.append("discriminant below the boundary curve and not an exceptional multiple")
-    return Classification(Kind.INVALID, tuple(reasons))
+    return Classification(
+        Kind.INVALID, ("discriminant below the boundary curve and not an exceptional multiple",)
+    )
+
+
+# -- the analysis -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    """Every fact the primary half of the cone derives from one character.
+
+    Fields after ``classification`` are set for Picard rank two only, the
+    last two for positive rank only.
+    """
+
+    classification: Classification
+    mu0_plus: Optional[QuadraticNumber] = None
+    mu0_minus: Optional[QuadraticNumber] = None
+    invariants: Optional[OrthogonalInvariants] = None
+    resolution: Optional[ResolutionData] = None
+    kronecker: Optional[KroneckerData] = None
+
+
+def _analyze(x: ChernCharacter, max_order: int) -> _Analysis:
+    cls = classify(x, max_order)
+    if cls.kind is Kind.RANK_ZERO_PICARD_RANK_2:
+        # the orthogonal locus is the vertical line mu = -chi/d
+        mu0_plus, mu0_minus = QuadraticNumber(-x.euler_chi() / x.ch1), None
+    elif cls.kind is Kind.PICARD_RANK_2:
+        radicand = 5 + 8 * x.discriminant()
+        if radicand < 0:
+            raise ConsistencyError("negative discriminant radicand under valid classification")
+        root = sqrt_exact(radicand)
+        base = QuadraticNumber(-3 - 2 * x.slope())
+        mu0_plus, mu0_minus = (base + root) / 2, (base - root) / 2
+    else:
+        return _Analysis(cls)
+    gamma = find_interval(mu0_plus, max_order)
+    pairing = euler_pairing(x, gamma.character())
+    case = (
+        CaseSign.POSITIVE if pairing > 0 else CaseSign.NEGATIVE if pairing < 0 else CaseSign.ZERO
+    )
+    inv = _invariants(x, gamma, case)
+    if x.ch0 == 0:
+        return _Analysis(cls, mu0_plus, mu0_minus, inv)
+    res = _resolution(x, gamma, case, pairing)
+    return _Analysis(cls, mu0_plus, mu0_minus, inv, res, _kronecker(x, res))
+
+
+def _intersecting(x: ChernCharacter, max_order: int) -> _Analysis:
+    side = _analyze(x, max_order)
+    if side.invariants is None:
+        raise DomainError(
+            f"no intersection slope for {side.classification.kind.value} characters"
+        )
+    return side
+
+
+def _resolved(x: ChernCharacter, max_order: int) -> _Analysis:
+    side = _analyze(x, max_order)
+    if side.resolution is None:
+        raise DomainError("resolutions are computed for positive-rank Picard-rank-2 characters")
+    return side
 
 
 # -- the corresponding slope ---------------------------------------------------
@@ -204,53 +267,20 @@ def intersection_slope_zero(x: ChernCharacter,
     rank-zero locus is the vertical line ``mu = -chi/d`` so the intersection
     is that rational itself.
     """
-    kind = classify(x, max_order).kind
-    if kind not in (Kind.PICARD_RANK_2, Kind.RANK_ZERO_PICARD_RANK_2):
-        raise DomainError(f"no intersection slope for {kind.value} characters")
-    if x.ch0 == 0:
-        return QuadraticNumber(-x.euler_chi() / x.ch1)
-    radicand = 5 + 8 * x.discriminant()
-    if radicand < 0:
-        raise ConsistencyError("negative discriminant radicand under valid classification")
-    return (QuadraticNumber(-3 - 2 * x.slope()) + sqrt_exact(radicand)) / 2
-
-
-def _mu0_pair(x: ChernCharacter) -> tuple[QuadraticNumber, Optional[QuadraticNumber]]:
-    if x.ch0 == 0:
-        return QuadraticNumber(-x.euler_chi() / x.ch1), None
-    root = sqrt_exact(5 + 8 * x.discriminant())
-    base = QuadraticNumber(-3 - 2 * x.slope())
-    return (base + root) / 2, (base - root) / 2
+    return _intersecting(x, max_order).mu0_plus
 
 
 def corresponding_slope(x: ChernCharacter,
                         max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
     """The unique exceptional slope whose interval encloses the intersection."""
-    return find_interval(intersection_slope_zero(x, max_order), max_order)
+    return _intersecting(x, max_order).invariants.corresponding_slope
 
 
 # -- orthogonal invariants -----------------------------------------------------
 
 
-def orthogonal_invariants(x: ChernCharacter,
-                          max_order: int = DEFAULT_MAX_ORDER) -> OrthogonalInvariants:
-    """The point spanning the primary extremal ray, by sign of the pairing.
-
-    Positive pairing intersects the orthogonal parabola with the left arc
-    over the corresponding slope; negative pairing with the right arc (the
-    left arc translated by -3); zero pairing returns the exceptional point
-    itself.  Both intersections are translates of one quadratic, so the
-    solve is linear and the solution rational.
-    """
-    gamma = corresponding_slope(x, max_order)
-    pairing = euler_pairing(x, gamma.character())
-    if pairing > 0:
-        case = CaseSign.POSITIVE
-    elif pairing < 0:
-        case = CaseSign.NEGATIVE
-    else:
-        case = CaseSign.ZERO
-
+def _invariants(x: ChernCharacter, gamma: ExceptionalSlope,
+                case: CaseSign) -> OrthogonalInvariants:
     if case is CaseSign.ZERO:
         point = SlopeDisc(gamma.slope, gamma.discriminant)
     else:
@@ -269,6 +299,19 @@ def orthogonal_invariants(x: ChernCharacter,
 
     on_curve = case is not CaseSign.POSITIVE or point.mu <= gamma.slope
     return OrthogonalInvariants(point, case, on_curve, gamma)
+
+
+def orthogonal_invariants(x: ChernCharacter,
+                          max_order: int = DEFAULT_MAX_ORDER) -> OrthogonalInvariants:
+    """The point spanning the primary extremal ray, by sign of the pairing.
+
+    Positive pairing intersects the orthogonal parabola with the left arc
+    over the corresponding slope; negative pairing with the right arc (the
+    left arc translated by -3); zero pairing returns the exceptional point
+    itself.  Both intersections are translates of one quadratic, so the
+    solve is linear and the solution rational.
+    """
+    return _intersecting(x, max_order).invariants
 
 
 def minimal_orthogonal_rank(point: SlopeDisc) -> int:
@@ -305,14 +348,49 @@ def _bundle_name(slope: Fraction) -> str:
     return f"E({slope})"
 
 
-def _exc_char(slope: Fraction) -> ChernCharacter:
-    return exceptional.from_slope_value(slope).character()
+def _resolution(x: ChernCharacter, gamma: ExceptionalSlope, case: CaseSign,
+                pairing: Fraction) -> ResolutionData:
+    # The triad bundles have slopes -s or -s - 3 for s among gamma and its
+    # parents, so each is read off an address already in hand.
+    left, right = exceptional.parents(gamma)
+    image = exceptional.affine_image
+    if case is CaseSign.POSITIVE:
+        m1 = -euler_pairing(x, left.character())
+        m2 = -euler_pairing(x, exceptional.dot(left, gamma).character())
+        m3 = pairing
+        slopes = (image(left, True, -3), image(right, True, 0), image(gamma, True, 0))
+        coefficients = (-m1, m2, m3)
+        a, b, c = (_bundle_name(s.slope) for s in slopes)
+        shape = f"0 -> {a}^{m1} -> {b}^{m2} (+) {c}^{m3} -> U -> 0"
+    elif case is CaseSign.NEGATIVE:
+        m1 = euler_pairing(x, exceptional.dot(gamma, right).character())
+        m2 = euler_pairing(x, right.character())
+        m3 = -pairing
+        slopes = (image(gamma, True, -3), image(left, True, -3), image(right, True, 0))
+        coefficients = (-m3, -m1, m2)
+        a, b, c = (_bundle_name(s.slope) for s in slopes)
+        shape = f"triangle W -> U -> {a}^{m3}[1], with 0 -> {b}^{m1} -> {c}^{m2} -> W -> 0"
+    else:
+        m1 = -euler_pairing(x, left.character())
+        m2 = euler_pairing(x, right.character())
+        m3 = None
+        slopes = (image(left, True, -3), image(right, True, 0))
+        coefficients = (-m1, m2)
+        a, b = (_bundle_name(s.slope) for s in slopes)
+        shape = f"0 -> {a}^{m1} -> {b}^{m2} -> U -> 0"
 
-
-def triad_select(x: ChernCharacter,
-                 max_order: int = DEFAULT_MAX_ORDER) -> ResolutionData:
-    """Resolution data with the case-dependent triple of exceptional bundles."""
-    return resolution_multiplicities(x, max_order)
+    for m in (m1, m2, m3):
+        if m is not None and (m.denominator != 1 or m < 0):
+            raise ConsistencyError(f"multiplicity {m} is not a nonnegative integer for {x}")
+    chars = tuple(s.character() for s in slopes)
+    recon = ChernCharacter.of(0, 0, 0)
+    for char, k in zip(chars, coefficients):
+        recon = recon + char.scale(k)
+    if recon != x:
+        raise ConsistencyError(f"resolution of {x} rebuilds {recon}")
+    return ResolutionData(
+        case, slopes, chars, int(m1), int(m2), None if m3 is None else int(m3), shape,
+    )
 
 
 def resolution_multiplicities(x: ChernCharacter,
@@ -324,76 +402,10 @@ def resolution_multiplicities(x: ChernCharacter,
     signed combination of the resolving characters must reproduce the input,
     both of which are verified before returning.
     """
-    cls = classify(x, max_order)
-    if cls.kind is not Kind.PICARD_RANK_2 or x.ch0 <= 0:
-        raise DomainError("resolutions are computed for positive-rank Picard-rank-2 characters")
-    inv = orthogonal_invariants(x, max_order)
-    gamma = inv.corresponding_slope
-    left, right = exceptional.parents(gamma)
-    case = inv.case_sign
-
-    if case is CaseSign.POSITIVE:
-        left_child = exceptional.dot(left, gamma)
-        m1 = -euler_pairing(x, left.character())
-        m2 = -euler_pairing(x, left_child.character())
-        m3 = euler_pairing(x, gamma.character())
-        slopes = (-left.slope - 3, -right.slope, -gamma.slope)
-        chars = tuple(_exc_char(s) for s in slopes)
-        recon = (
-            chars[0].scale(-m1) + chars[1].scale(m2) + chars[2].scale(m3)
-        )
-        shape = (
-            f"0 -> {_bundle_name(slopes[0])}^{m1} -> "
-            f"{_bundle_name(slopes[1])}^{m2} (+) {_bundle_name(slopes[2])}^{m3} -> U -> 0"
-        )
-    elif case is CaseSign.NEGATIVE:
-        right_child = exceptional.dot(gamma, right)
-        m1 = euler_pairing(x, right_child.character())
-        m2 = euler_pairing(x, right.character())
-        m3 = -euler_pairing(x, gamma.character())
-        slopes = (-gamma.slope - 3, -left.slope - 3, -right.slope)
-        chars = tuple(_exc_char(s) for s in slopes)
-        recon = (
-            chars[1].scale(-m1) + chars[2].scale(m2) + chars[0].scale(-m3)
-        )
-        shape = (
-            f"triangle W -> U -> {_bundle_name(slopes[0])}^{m3}[1], "
-            f"with 0 -> {_bundle_name(slopes[1])}^{m1} -> {_bundle_name(slopes[2])}^{m2} -> W -> 0"
-        )
-    else:
-        m1 = -euler_pairing(x, left.character())
-        m2 = euler_pairing(x, right.character())
-        m3 = None
-        slopes = (-left.slope - 3, -right.slope)
-        chars = tuple(_exc_char(s) for s in slopes)
-        recon = chars[0].scale(-m1) + chars[1].scale(m2)
-        shape = (
-            f"0 -> {_bundle_name(slopes[0])}^{m1} -> {_bundle_name(slopes[1])}^{m2} -> U -> 0"
-        )
-
-    ms = [m for m in (m1, m2, m3) if m is not None]
-    for m in ms:
-        if m.denominator != 1 or m < 0:
-            raise ConsistencyError(f"multiplicity {m} is not a nonnegative integer for {x}")
-    if recon != x:
-        raise ConsistencyError(f"resolution of {x} rebuilds {recon}")
-    triad_slopes = tuple(exceptional.from_slope_value(s) for s in slopes)
-    return ResolutionData(
-        case, triad_slopes, chars, int(m1), int(m2),
-        None if m3 is None else int(m3), shape,
-    )
+    return _resolved(x, max_order).resolution
 
 
-def kronecker_data(x: ChernCharacter,
-                   max_order: int = DEFAULT_MAX_ORDER) -> KroneckerData:
-    """Invariants of the induced fibration over a space of Kronecker modules.
-
-    The module pair is the two-term complex of the resolution; the arrow
-    count is the hom space between its bundles.  The moduli dimension must
-    exceed the expected Kronecker dimension exactly when the pairing case is
-    nonzero, and match it when the fibration is birational.
-    """
-    res = resolution_multiplicities(x, max_order)
+def _kronecker(x: ChernCharacter, res: ResolutionData) -> KroneckerData:
     if res.case_sign is CaseSign.NEGATIVE:
         source, target = res.triad[1], res.triad[2]
     else:
@@ -411,14 +423,24 @@ def kronecker_data(x: ChernCharacter,
     dim = moduli_dimension(x)
     if fibration is Fibration.BIRATIONAL:
         if dim != edim:
-            raise ConsistencyError(
-                f"birational fibration but dim {dim} != expected {edim}"
-            )
+            raise ConsistencyError(f"birational fibration but dim {dim} != expected {edim}")
     elif dim <= edim:
         raise ConsistencyError(
             f"fibration with positive-dimensional fibers needs dim {dim} > expected {edim}"
         )
     return KroneckerData(n, (b, a), edim, fibration)
+
+
+def kronecker_data(x: ChernCharacter,
+                   max_order: int = DEFAULT_MAX_ORDER) -> KroneckerData:
+    """Invariants of the induced fibration over a space of Kronecker modules.
+
+    The module pair is the two-term complex of the resolution; the arrow
+    count is the hom space between its bundles.  The moduli dimension must
+    exceed the expected Kronecker dimension exactly when the pairing case is
+    nonzero, and match it when the fibration is birational.
+    """
+    return _resolved(x, max_order).kronecker
 
 
 def bridgeland_wall(inv: OrthogonalInvariants) -> Wall:
@@ -450,30 +472,24 @@ def _basis_coords(x: ChernCharacter, ray: ChernCharacter) -> tuple[Fraction, Fra
     return c0, c1
 
 
-def _primary_edge(x: ChernCharacter, multiplier: int, max_order: int) -> PrimaryEdge:
-    inv = orthogonal_invariants(x, max_order)
+def _primary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
+                  max_order: int) -> PrimaryEdge:
+    inv = side.invariants
     ray = orthogonal_character(inv, multiplier, max_order)
     if euler_pairing(x, ray) != 0:
         raise ConsistencyError("primary ray is not orthogonal to the input")
     if half_plane(x, ray) is not HalfPlane.PRIMARY:
         raise ConsistencyError("primary ray fell outside the primary half-plane")
     if inv.case_sign is CaseSign.POSITIVE:
-        opposite = _exc_char(-inv.corresponding_slope.slope)
+        opposite = exceptional.affine_image(inv.corresponding_slope, True, 0).character()
         if euler_pairing(ray, opposite) != 0:
             raise ConsistencyError("positive-case double orthogonality failed")
-    coords = _basis_coords(x, ray) if x.ch0 > 0 else None
-    if x.ch0 > 0:
-        res = resolution_multiplicities(x, max_order)
-        kron = kronecker_data(x, max_order)
-    else:
-        res = None
-        kron = None
     return PrimaryEdge(
         invariants=inv,
         extremal_character=ray,
-        basis_coords=coords,
-        resolution=res,
-        kronecker=kron,
+        basis_coords=_basis_coords(x, ray) if x.ch0 > 0 else None,
+        resolution=side.resolution,
+        kronecker=side.kronecker,
         wall=bridgeland_wall(inv),
         movable_edge_coincides=inv.case_sign is not CaseSign.ZERO,
     )
@@ -490,84 +506,50 @@ def secondary_edge(x: ChernCharacter, multiplier: int = 1,
     r = x.ch0
     if r >= 3:
         xd = x.serre_dual()
-        dual = _primary_edge(xd, multiplier, max_order)
-        inv_d = dual.invariants
-        point = SlopeDisc(-inv_d.point.mu, inv_d.point.delta)
-        slope = exceptional.from_dyadic(-inv_d.corresponding_slope.dyadic)
-        positive = ChernCharacter.from_rmd(
-            minimal_orthogonal_rank(point) * multiplier, point.mu, point.delta
-        )
-        ray = -positive
-        return SecondaryEdge(
-            mode=SecondaryMode.SERRE_DUAL,
-            invariants=point,
-            corresponding_slope=slope,
-            extremal_character=ray,
-            basis_coords=_basis_coords(x, ray),
-            descriptor="h2-cohomology jumping divisor, from the dual pipeline",
-            dual_primary=dual,
-        )
-    if r == 2:
+        dual = _primary_edge(xd, _intersecting(xd, max_order), multiplier, max_order)
+        point = SlopeDisc(-dual.invariants.point.mu, dual.invariants.point.delta)
+        rank = minimal_orthogonal_rank(point) * multiplier
+        slope = exceptional.affine_image(dual.invariants.corresponding_slope, True, 0)
+        mode = SecondaryMode.SERRE_DUAL
+        descriptor = "h2-cohomology jumping divisor, from the dual pipeline"
+    elif r == 2:
         mu = -Fraction(3, 2) - x.slope()
-        delta = hilbert_poly(x.slope() + mu) - x.discriminant()
-        point = SlopeDisc(mu, delta)
-        positive = ChernCharacter.from_rmd(minimal_orthogonal_rank(point), mu, delta)
-        ray = -positive
-        return SecondaryEdge(
-            mode=SecondaryMode.RANK2_SINGULAR_LOCUS,
-            invariants=point,
-            corresponding_slope=None,
-            extremal_character=ray,
-            basis_coords=_basis_coords(x, ray),
-            descriptor="divisor of singular (non-locally-free) sheaves",
-            dual_primary=None,
-        )
-    if r == 1:
-        return SecondaryEdge(
-            mode=SecondaryMode.RANK1_HILBERT_CHOW,
-            invariants=None,
-            corresponding_slope=None,
-            extremal_character=None,
-            basis_coords=None,
-            descriptor="exceptional divisor of the Hilbert-Chow morphism",
-            dual_primary=None,
-        )
-    return SecondaryEdge(
-        mode=SecondaryMode.RANK0_SUPPORT_MAP,
-        invariants=None,
-        corresponding_slope=None,
-        extremal_character=None,
-        basis_coords=None,
-        descriptor="pullback of O(1) under the support morphism",
-        dual_primary=None,
-    )
+        point = SlopeDisc(mu, hilbert_poly(x.slope() + mu) - x.discriminant())
+        rank = minimal_orthogonal_rank(point)
+        slope = dual = None
+        mode = SecondaryMode.RANK2_SINGULAR_LOCUS
+        descriptor = "divisor of singular (non-locally-free) sheaves"
+    else:
+        if r == 1:
+            mode = SecondaryMode.RANK1_HILBERT_CHOW
+            descriptor = "exceptional divisor of the Hilbert-Chow morphism"
+        else:
+            mode = SecondaryMode.RANK0_SUPPORT_MAP
+            descriptor = "pullback of O(1) under the support morphism"
+        return SecondaryEdge(mode, None, None, None, None, descriptor, None)
+    ray = -ChernCharacter.from_rmd(rank, point.mu, point.delta)
+    return SecondaryEdge(mode, point, slope, ray, _basis_coords(x, ray), descriptor, dual)
 
 
 def cone_report(x: ChernCharacter, multiplier: int = 1,
                 max_order: int = DEFAULT_MAX_ORDER) -> ConeReport:
     """Full report for a character; classification-only when no rays exist."""
-    cls = classify(x, max_order)
-    dim: Optional[int] = None
-    natural = None
-    if cls.kind in (Kind.PICARD_RANK_2, Kind.HEIGHT_ZERO) and x.ch0 > 0:
-        dim = moduli_dimension(x)
-        natural = natural_classes(x)
-    elif cls.kind is Kind.EXCEPTIONAL:
-        dim = 0
-        natural = natural_classes(x)
-
+    side = _analyze(x, max_order)
+    cls = side.classification
     if cls.kind is Kind.INVALID:
         return ConeReport(x, cls, None, None, None, None, None, None, None)
-    if cls.kind in (Kind.EXCEPTIONAL, Kind.HEIGHT_ZERO):
-        note = (
-            "moduli space is a single point"
-            if cls.kind is Kind.EXCEPTIONAL
-            else "moduli space has Picard rank one"
-        )
-        return ConeReport(x, cls, dim, natural, None, None, None, None, note)
+    # every kind left but the rank-zero one has positive rank
+    positive = x.ch0 > 0
+    natural = natural_classes(x) if positive else None
+    if cls.kind is Kind.EXCEPTIONAL:
+        return ConeReport(x, cls, 0, natural, None, None, None, None,
+                          "moduli space is a single point")
+    dim = moduli_dimension(x) if positive else None
+    if cls.kind is Kind.HEIGHT_ZERO:
+        return ConeReport(x, cls, dim, natural, None, None, None, None,
+                          "moduli space has Picard rank one")
 
-    mu0_plus, mu0_minus = _mu0_pair(x)
-    primary = _primary_edge(x, multiplier, max_order)
+    primary = _primary_edge(x, side, multiplier, max_order)
     secondary = secondary_edge(x, multiplier, max_order)
     if secondary.extremal_character is not None:
         if euler_pairing(x, secondary.extremal_character) != 0:
@@ -580,4 +562,5 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
             "invariants lie off the boundary curve: stable orthogonal slopes "
             "below mu+ exist but span non-effective rays"
         )
-    return ConeReport(x, cls, dim, natural, mu0_plus, mu0_minus, primary, secondary, note)
+    return ConeReport(x, cls, dim, natural, side.mu0_plus, side.mu0_minus,
+                      primary, secondary, note)

@@ -162,6 +162,18 @@ def from_integer(n: int) -> ExceptionalSlope:
     return ExceptionalSlope(Fraction(n), DyadicRational(n, 0))
 
 
+def affine_image(g: ExceptionalSlope, negate: bool, shift: int) -> ExceptionalSlope:
+    """The exceptional slope ``shift + (-g if negate else g)``, read off g's address.
+
+    The tree is symmetric under both maps: negating a dyadic address negates
+    its slope, and adding ``n * 2**q`` to the numerator of ``p / 2**q``
+    translates the slope by ``n``.  No descent and no tree walk is made.
+    """
+    d = g.dyadic
+    p, slope = (-d.p, -g.slope) if negate else (d.p, g.slope)
+    return ExceptionalSlope(slope + shift, DyadicRational(p + (shift << d.q), d.q))
+
+
 def from_slope_value(mu: RationalLike, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
     """Resolve a rational known to be an exceptional slope; raise if it is not."""
     mu = Fraction(mu)

@@ -18,8 +18,6 @@ from typing import Union
 
 from .errors import DomainError
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int]
 
 TRIAL_DIVISION_BOUND = 10_000
@@ -176,10 +174,6 @@ class QuadraticNumber:
         self.b = b
         self.d = d
         return self
-
-    @classmethod
-    def from_rational(cls, x: RationalLike) -> "QuadraticNumber":
-        return cls(Fraction(x))
 
     @classmethod
     def parse(cls, text: str) -> "QuadraticNumber":

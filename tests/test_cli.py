@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from planecones import cone
 from planecones.cli import main
+from planecones.errors import ConsistencyError
 from planecones.exceptional import delta_curve
 from planecones.qarith import parse_rational
 
@@ -57,7 +59,7 @@ class TestConeCommand:
 
     def test_classification_only_exit_code(self, capsys):
         code, out, _ = run(capsys, "cone", "--rmd", "1,0,1")
-        assert code == 2
+        assert code == 4
         assert json.loads(out)["classification"]["kind"] == "HEIGHT_ZERO"
 
     def test_invalid_character_exit_code(self, capsys):
@@ -158,6 +160,15 @@ class TestCfracCommand:
         assert data["negated"] is True
         assert data["normalized_slope"] == "2/5"
 
+    @pytest.mark.parametrize("rational", ["22/5", "3/5", "-13/5", "-3/5"])
+    def test_period_of_normalized_slope(self, capsys, rational):
+        _, out, _ = run(capsys, "cfrac", "--rational", "2/5", "--period")
+        reference = json.loads(out)
+        _, out, _ = run(capsys, "cfrac", f"--rational={rational}", "--period")
+        data = json.loads(out)
+        for key in ("period_block", "period_exponent", "tail", "beta_is_half"):
+            assert data[key] == reference[key]
+
 
 class TestCurveCommand:
     def test_csv_round_trip(self, capsys):
@@ -253,6 +264,34 @@ class TestBatchCommand:
         code, _, err = run(capsys, "batch", str(tmp_path / "missing.jsonl"))
         assert code == 1 and "error" in err
 
+    def test_internal_error_record_continues(self, tmp_path, capsys, monkeypatch):
+        report = cone.cone_report
+
+        def failing(x, *args):
+            if x.ch0 == 3:
+                raise ConsistencyError("resolution rebuilds the wrong character")
+            return report(x, *args)
+
+        monkeypatch.setattr(cone, "cone_report", failing)
+        path = tmp_path / "batch.jsonl"
+        path.write_text("\n".join(json.dumps(line) for line in self.LINES[:2]) + "\n")
+        code, out, err = run(capsys, "batch", str(path))
+        assert code == 0 and err == ""
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0] == {"line": 1, "error": "resolution rebuilds the wrong character"}
+        assert records[1]["classification"]["kind"] == "PICARD_RANK_2"
+
+
+class TestInternalError:
+    def test_cone_exits_with_internal_status(self, capsys, monkeypatch):
+        def failing(*args):
+            raise ConsistencyError("secondary ray is not orthogonal to the input")
+
+        monkeypatch.setattr(cone, "cone_report", failing)
+        code, out, err = run(capsys, "cone", "--rmd", "3,2/3,17/9")
+        assert code == 3 and out == ""
+        assert err == "error: internal check failed: secondary ray is not orthogonal to the input\n"
+
 
 class TestConfig:
     def test_config_file_sets_defaults(self, tmp_path, capsys, monkeypatch):
@@ -306,6 +345,9 @@ class TestArgumentBoundaries:
             ("cone", "--rmd", "3,2/3,17/9", "--max-order", "-5"),
             ("curve", "--lo", "0", "--hi", "1", "--approx", "-1"),
             ("slope", "--rational", "2/5", "--max-order", "x"),
+            ("cone", "--chern", "1,0,0", "--multiplier", "-5"),
+            ("cone", "--rmd", "3,2/3,17/9", "--multiplier", "0"),
+            ("batch", "-", "--multiplier", "0"),
         ],
     )
     def test_rejected_by_argument_parsing(self, capsys, argv):

@@ -25,7 +25,6 @@ from planecones.cone import (
     orthogonal_invariants,
     resolution_multiplicities,
     secondary_edge,
-    triad_select,
 )
 from planecones.errors import DomainError
 from planecones.exceptional import from_slope_value
@@ -246,9 +245,6 @@ class TestResolution:
         e3 = ChernCharacter.from_rmd(1, -3, 0)
         rebuilt = e2.scale(-3) + e1.scale(7) + e3.scale(-1)
         assert rebuilt == NEGATIVE_CASE == ChernCharacter.of(3, 2, -7)
-
-    def test_triad_select_is_resolution_view(self):
-        assert triad_select(GOLDEN) == resolution_multiplicities(GOLDEN)
 
     def test_gating(self):
         with pytest.raises(DomainError):

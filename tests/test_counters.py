@@ -4,6 +4,11 @@ Each square root taken by ``sqrt_exact`` factors its radicand once; every
 other ``QuadraticNumber`` operation reuses the radicand of its operands.  A
 report that factors more often than it takes square roots is re-factoring
 reduced radicands on its hot path.
+
+A report analyses the character and its Serre dual once each: one
+classification and one descent to the corresponding slope per side, one
+``sqrt(5 + 8 delta)`` per side, and no descent at all for slopes whose
+dyadic address is already known.
 """
 
 from fractions import Fraction
@@ -21,11 +26,16 @@ ORDER_FOUR = character_from_json({"r": 2677938, "c1": 7598734, "chi": -17278349}
 
 @pytest.fixture
 def counts(monkeypatch):
-    tally = {"squarefree_decompose": 0, "sqrt_exact": 0}
+    tally = {name: 0 for name in (
+        "squarefree_decompose", "sqrt_exact", "classify", "find_interval", "from_slope_value",
+    )}
+    radicands = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             tally[name] += 1
+            if name == "sqrt_exact":
+                radicands.append(args[0])
             return fn(*args, **kwargs)
         return wrapper
 
@@ -33,15 +43,36 @@ def counts(monkeypatch):
         qarith, "squarefree_decompose",
         counted("squarefree_decompose", qarith.squarefree_decompose),
     )
-    sqrt = counted("sqrt_exact", qarith.sqrt_exact)
-    for module in (qarith, exceptional, cone, planecones):
-        monkeypatch.setattr(module, "sqrt_exact", sqrt)
+    for name, home in (("sqrt_exact", qarith), ("classify", cone),
+                       ("find_interval", exceptional), ("from_slope_value", exceptional)):
+        wrapper = counted(name, getattr(home, name))
+        for module in (qarith, exceptional, cone, planecones):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    tally["radicands"] = radicands
     return tally
 
 
-@pytest.mark.parametrize("x, order", [(GOLDEN, 0), (ORDER_FOUR, 4)], ids=["golden", "order4"])
+CASES = pytest.mark.parametrize(
+    "x, order", [(GOLDEN, 0), (ORDER_FOUR, 4)], ids=["golden", "order4"]
+)
+
+
+@CASES
 def test_one_factoring_per_square_root(counts, x, order):
     report = cone.cone_report(x)
     assert report.primary.invariants.corresponding_slope.order == order
     assert counts["sqrt_exact"] >= 1
     assert counts["squarefree_decompose"] <= counts["sqrt_exact"]
+
+
+@CASES
+def test_one_analysis_per_side(counts, x, order):
+    exceptional.delta_curve.cache_clear()
+    report = cone.cone_report(x)
+    assert report.primary.invariants.corresponding_slope.order == order
+    assert counts["classify"] <= 2
+    assert counts["from_slope_value"] == 0
+    assert counts["find_interval"] <= 6
+    radicand = 5 + 8 * x.discriminant()
+    assert 1 <= counts["radicands"].count(radicand) <= 2

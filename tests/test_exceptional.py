@@ -7,6 +7,7 @@ from planecones.chern import ChernCharacter
 from planecones.errors import DescentError, DomainError
 from planecones.exceptional import (
     DyadicRational,
+    affine_image,
     delta_curve,
     delta_curve_at,
     dot,
@@ -223,6 +224,23 @@ class TestRationalMembership:
     def test_non_number_rejected(self):
         with pytest.raises(TypeError):
             interval_contains(from_integer(0), 0.25, closed=True)
+
+
+class TestAffineImage:
+    """Negation and integer translation read off the address, against descent."""
+
+    def test_matches_descent(self):
+        descended = {}  # the images overlap: descend once per distinct value
+        checked = 0
+        for g in enumerate_slopes(-4, 4, 8):
+            for negate in (False, True):
+                for shift in range(-3, 4):
+                    value = shift + (-g.slope if negate else g.slope)
+                    if value not in descended:
+                        descended[value] = from_slope_value(value)
+                    assert affine_image(g, negate, shift) == descended[value]
+                    checked += 1
+        assert checked == 2049 * 14 and len(descended) == 14 * 256 + 1
 
 
 class TestFindInterval:

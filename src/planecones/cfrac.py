@@ -1,11 +1,14 @@
 """Left-right words and {1,2} continued-fraction expansions of exceptional slopes.
 
 Every slope strictly between 0 and 1/2 in the tree has two continued-fraction
-expansions built from ones and twos; the even-length one is a palindrome and
-obeys the concatenation rule ``child_even = right_odd + "2" + left_even`` over
-the parent pair.  Slopes are equally addressed by finite words over {L, R}
-(the choices of the bracketing descent), and eventually-constant infinite
-words name exactly the interval endpoints.  ``cf_eval`` is the brute-force
+expansions built from ones and twos: its own regular continued fraction,
+computed here by Euclid's algorithm, and the parity-converted partner.  The
+even-length one is a palindrome and obeys the concatenation rule
+``child_even = right_odd + "2" + left_even`` over the parent pair; that rule
+is checked (by ``period_structure`` and the acceptance tests), not used to
+compute.  Slopes are equally addressed by finite words over {L, R} (the
+choices of the bracketing descent), and eventually-constant infinite words
+name exactly the interval endpoints.  ``cf_eval`` is the brute-force
 evaluator that serves as the independent oracle for all of this.
 """
 
@@ -65,39 +68,25 @@ def parity_convert(word: str) -> str:
     return "".join(str(a) for a in digits)
 
 
-_EVEN_MEMO: dict[Fraction, str] = {}
-
-
 def even_expansion(slope) -> str:
     """Even-length expansion of an exceptional slope in [0, 1/2].
 
     Callers normalize arbitrary slopes into this window by integer
-    translation and negation first.  Computed by recursion over the parent
-    pair; the base cases are the window's endpoints.
+    translation and negation first.  The expansion is the slope's regular
+    continued fraction, found by Euclid's algorithm and parity-converted
+    when its length is odd.
     """
     if isinstance(slope, ExceptionalSlope):
-        g = slope
+        mu = slope.slope
     else:
-        g = exceptional.from_slope_value(Fraction(slope))
-    mu = g.slope
+        mu = exceptional.from_slope_value(Fraction(slope)).slope
     if not 0 <= mu <= Fraction(1, 2):
         raise DomainError(f"slope {mu} outside [0, 1/2]; normalize first")
-    return _even_expansion(g)
-
-
-def _even_expansion(g: ExceptionalSlope) -> str:
-    mu = g.slope
-    cached = _EVEN_MEMO.get(mu)
-    if cached is not None:
-        return cached
-    if mu == 0:
-        word = ""
-    elif mu == Fraction(1, 2):
-        word = "11"
-    else:
-        left, right = exceptional.parents(g)
-        word = parity_convert(_even_expansion(right)) + "2" + _even_expansion(left)
-    return _EVEN_MEMO.setdefault(mu, word)
+    word, n, m = "", mu.numerator, mu.denominator
+    while n:
+        word += str(m // n)
+        m, n = n, m % n
+    return parity_convert(word) if len(word) % 2 else word
 
 
 def odd_expansion(slope) -> str:
@@ -133,27 +122,16 @@ def word_to_dyadic(word: Word) -> DyadicRational:
 
 
 def dyadic_to_word(d: DyadicRational) -> tuple[int, Word]:
-    """Integer translation ``n`` and the word addressing ``d - n`` in [0, 1)."""
-    n = d.value.__floor__()
-    f = d.value - n
-    if f == 0:
+    """Integer translation ``n`` and the word addressing ``d - n`` in [0, 1).
+
+    A word of length ``q`` read in binary (R = 1, L = 0) as ``B`` addresses
+    ``p / 2**q`` with ``p = 2 B - (2**q - 1)``; so the word spells ``B``.
+    """
+    n = d.p >> d.q
+    if d.q == 0:
         return n, ""
-    fd = DyadicRational.from_fraction(f)
-    p, q = fd.p, fd.q
-    letters = []
-    while q > 1:
-        up = (p + 1) // 2
-        if up % 2 == 1:
-            letters.append("L")
-            p = up
-        else:
-            letters.append("R")
-            p = (p - 1) // 2
-        q -= 1
-    if p != 1:
-        raise ConsistencyError(f"word walk left residue {p}/2 for {d}")
-    letters.append("R")
-    return n, "".join(reversed(letters))
+    bits = (d.p - (n << d.q) + (1 << d.q) - 1) >> 1
+    return n, format(bits, f"0{d.q}b").replace("0", "L").replace("1", "R")
 
 
 def lr_to_slope(word: Word) -> ExceptionalSlope:
@@ -230,8 +208,7 @@ def period_structure(word: Word) -> PeriodStructure:
     validated against the expansion before it is returned.
     """
     _check_word(word)
-    g = lr_to_slope(word)
-    expansion = _even_expansion(g)
+    expansion = even_expansion(lr_to_slope(word))
     if word.endswith("L"):
         if set(expansion) != {"2"}:
             raise DomainError("period decomposition needs a word ending in R")
@@ -241,14 +218,13 @@ def period_structure(word: Word) -> PeriodStructure:
     head = word[:-n]
     if not head or not head.endswith("L"):
         raise DomainError("period decomposition needs a word of shape head+L+R^n")
-    beta_word = head[:-1]
-    beta = lr_to_slope(beta_word)
+    beta = lr_to_slope(head[:-1])
     if beta.slope == Fraction(1, 2):
         result = PeriodStructure("2", len(expansion), "", True)
         return _validated(result, expansion)
     alpha, _ = exceptional.parents(beta)
-    block = parity_convert(_even_expansion(beta)) + "2"
-    tail = _even_expansion(alpha)
+    block = parity_convert(even_expansion(beta)) + "2"
+    tail = even_expansion(alpha)
     result = PeriodStructure(block, n + 1, tail, False)
     result = _validated(result, expansion)
     if smallest_period(expansion) != len(block):

@@ -501,10 +501,11 @@ def secondary_edge(x: ChernCharacter, multiplier: int = 1,
 
     Rank 2 uses the divisor of singular sheaves (a negative-rank orthogonal
     class of tensor slope -3/2); ranks 1 and 0 carry named divisor classes
-    with no canonical character, so only descriptors are emitted.
+    with no canonical character, so only descriptors are emitted.  Raises
+    ``DomainError`` wherever ``cone_report`` has no secondary edge.
     """
     r = x.ch0
-    if r >= 3:
+    if r >= 3:  # the dual analysis gates: Serre duality preserves the classification
         xd = x.serre_dual()
         dual = _primary_edge(xd, _intersecting(xd, max_order), multiplier, max_order)
         point = SlopeDisc(-dual.invariants.point.mu, dual.invariants.point.delta)
@@ -512,6 +513,8 @@ def secondary_edge(x: ChernCharacter, multiplier: int = 1,
         slope = exceptional.affine_image(dual.invariants.corresponding_slope, True, 0)
         mode = SecondaryMode.SERRE_DUAL
         descriptor = "h2-cohomology jumping divisor, from the dual pipeline"
+    elif classify(x, max_order).kind not in (Kind.PICARD_RANK_2, Kind.RANK_ZERO_PICARD_RANK_2):
+        raise DomainError("secondary edges exist for Picard-rank-2 characters only")
     elif r == 2:
         mu = -Fraction(3, 2) - x.slope()
         point = SlopeDisc(mu, hilbert_poly(x.slope() + mu) - x.discriminant())
@@ -519,13 +522,13 @@ def secondary_edge(x: ChernCharacter, multiplier: int = 1,
         slope = dual = None
         mode = SecondaryMode.RANK2_SINGULAR_LOCUS
         descriptor = "divisor of singular (non-locally-free) sheaves"
+    elif r == 1:
+        mode = SecondaryMode.RANK1_HILBERT_CHOW
+        descriptor = "exceptional divisor of the Hilbert-Chow morphism"
     else:
-        if r == 1:
-            mode = SecondaryMode.RANK1_HILBERT_CHOW
-            descriptor = "exceptional divisor of the Hilbert-Chow morphism"
-        else:
-            mode = SecondaryMode.RANK0_SUPPORT_MAP
-            descriptor = "pullback of O(1) under the support morphism"
+        mode = SecondaryMode.RANK0_SUPPORT_MAP
+        descriptor = "pullback of O(1) under the support morphism"
+    if r < 2:
         return SecondaryEdge(mode, None, None, None, None, descriptor, None)
     ray = -ChernCharacter.from_rmd(rank, point.mu, point.delta)
     return SecondaryEdge(mode, point, slope, ray, _basis_coords(x, ray), descriptor, dual)

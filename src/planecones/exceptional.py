@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .chern import ChernCharacter, hilbert_poly
 from .errors import ConsistencyError, DescentError, DomainError
-from .qarith import QuadraticNumber, RationalLike, qn_compare_cross, sqrt_exact
+from .qarith import QuadraticNumber, RationalLike, _sign_one_radical, qn_compare_cross, sqrt_exact
 
 DEFAULT_MAX_ORDER = 64
 
@@ -92,21 +92,38 @@ _EPSILON_MEMO: dict[tuple[int, int], Fraction] = {}
 
 
 def epsilon(d: DyadicRational) -> Fraction:
-    """Slope addressed by the dyadic ``d``.
+    """Slope addressed by the dyadic ``d``: a memo lookup, else a ``d.q``-step walk.
 
-    Memoized; the table is only ever extended with recomputable pure values,
-    so concurrent readers and writers cannot observe an inconsistent state.
+    The memo is only ever extended with recomputable pure values, so
+    concurrent readers and writers cannot observe an inconsistent state.
     """
     if d.q == 0:
         return Fraction(d.p)
-    key = (d.p, d.q)
-    cached = _EPSILON_MEMO.get(key)
+    cached = _EPSILON_MEMO.get((d.p, d.q))
     if cached is not None:
         return cached
-    left = epsilon(DyadicRational.make(d.p - 1, d.q))
-    right = epsilon(DyadicRational.make(d.p + 1, d.q))
-    value = slope_dot(left, right)
-    return _EPSILON_MEMO.setdefault(key, value)
+    return _walk(d)[1]
+
+
+def _walk(d: DyadicRational) -> tuple["ExceptionalSlope", Fraction, "ExceptionalSlope"]:
+    """``(left parent, slope, right parent)`` of ``d = p / 2**q`` with ``q >= 1``.
+
+    Descends from the integer bracket: the bracket at level ``k`` is
+    ``[b, b + 1] / 2**k`` with ``b = p >> (q - k)``, and the slope at its
+    midpoint is the mediant of its end slopes, read from or written to the memo.
+    """
+    p, q = d.p, d.q
+    b = p >> q
+    left, right = Fraction(b), Fraction(b + 1)
+    for k in range(1, q + 1):
+        mid = _EPSILON_MEMO.get((2 * b + 1, k))
+        if mid is None:
+            mid = _EPSILON_MEMO.setdefault((2 * b + 1, k), slope_dot(left, right))
+        if k < q:
+            b = p >> (q - k)
+            left, right = (mid, right) if b & 1 else (left, mid)
+    make = DyadicRational.make
+    return ExceptionalSlope(left, make(b, q - 1)), mid, ExceptionalSlope(right, make(b + 1, q - 1))
 
 
 @dataclass(frozen=True)
@@ -216,37 +233,38 @@ def parents(g: ExceptionalSlope) -> tuple[ExceptionalSlope, ExceptionalSlope]:
     d = g.dyadic
     if d.q == 0:
         return from_integer(d.p - 1), from_integer(d.p + 1)
-    return (
-        from_dyadic(DyadicRational.make(d.p - 1, d.q)),
-        from_dyadic(DyadicRational.make(d.p + 1, d.q)),
-    )
+    left, _, right = _walk(d)
+    return left, right
 
 
 def interval_contains(a: ExceptionalSlope, x, closed: bool) -> bool:
     """Exact membership of ``x`` in the interval of ``a`` (or its closure).
 
-    A quadratic ``x`` is compared with the two endpoints.  For a rational
-    ``x`` no endpoint is built: with ``u = 3 - 2|x - a|`` and ``r`` the rank
-    of ``a``, ``|x - a| < x_a`` holds exactly when ``u > 0`` and
-    ``u^2 > 9 - 4/r^2`` (and ``<=`` when both hold non-strictly), because
-    ``2 x_a = 3 - sqrt(9 - 4/r^2)``.
+    No endpoint is built, for rational and quadratic ``x`` alike: with
+    ``u = 3 - 2|x - a|`` and ``r`` the rank of ``a``, ``|x - a| < x_a``
+    holds exactly when ``u > 0`` and ``u^2 > 9 - 4/r^2`` (and ``<=`` when
+    both hold non-strictly), because ``2 x_a = 3 - sqrt(9 - 4/r^2)``.  The
+    signs of ``x - a``, ``u`` and ``u^2 - 9 + 4/r^2`` lie in the field of
+    ``x``, so each takes at most one squaring.
     """
     if isinstance(x, QuadraticNumber):
-        if not x.is_rational:
-            left, right = a.interval()
-            cl = qn_compare_cross(x, left)
-            cr = qn_compare_cross(x, right)
-            if closed:
-                return cl >= 0 and cr <= 0
-            return cl > 0 and cr < 0
-        x = x.a
-    elif not isinstance(x, (int, Fraction)):
+        xa, xb, d = x.a, x.b, x.d
+    elif isinstance(x, (int, Fraction)):
+        xa, xb, d = x, 0, 0
+    else:
         raise TypeError(f"cannot interpret {x!r} as a quadratic number")
-    u = 3 - 2 * abs(x - a.slope)
-    bound = 9 - Fraction(4, a.rank * a.rank)
-    if closed:
-        return u >= 0 and u * u >= bound
-    return u > 0 and u * u > bound
+    # |x - a| = ta + tb sqrt(d); u = ua + ub sqrt(d); u^2 - 9 + 4/r^2 = va + vb sqrt(d)
+    ta, tb = xa - a.slope, xb
+    if _sign_one_radical(ta, tb, d) < 0:
+        ta, tb = -ta, -tb
+    ua, ub = 3 - 2 * ta, -2 * tb
+    if _sign_one_radical(ua, ub, d) <= 0:  # u <= 0 fails even the closed test
+        return False
+    va, vb = ua * ua - 9 + Fraction(4, a.rank * a.rank), 0
+    if d:  # the radical parts, absent for a rational x
+        va, vb = va + ub * ub * d, 2 * ua * ub
+    sv = _sign_one_radical(va, vb, d)
+    return sv >= 0 if closed else sv > 0
 
 
 def find_interval(x, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:

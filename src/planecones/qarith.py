@@ -29,12 +29,12 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def squarefree_decompose(n: int, bound: int = TRIAL_DIVISION_BOUND) -> tuple[int, int]:
+def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = s*s * d`` with ``d`` squarefree up to trial division.
 
-    Primes up to ``bound`` are divided out; the leftover cofactor is tested
-    for being a perfect square so radicands built from large squares still
-    collapse.  A composite leftover with a hidden square factor stays
+    Primes up to ``TRIAL_DIVISION_BOUND`` are divided out; the leftover
+    cofactor is tested for being a perfect square so radicands built from
+    large squares still collapse.  A composite leftover with a hidden square factor stays
     unreduced.  That only affects how canonical the representation is;
     comparisons stay exact either way because they never assume the
     radicand is squarefree.
@@ -45,7 +45,7 @@ def squarefree_decompose(n: int, bound: int = TRIAL_DIVISION_BOUND) -> tuple[int
         return 1, n
     s, d = 1, 1
     p = 2
-    while p <= bound and p * p <= n:
+    while p <= TRIAL_DIVISION_BOUND and p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -143,11 +144,14 @@ class TestWords:
         assert word_to_dyadic("RL").value == F(1, 4)
         assert word_to_dyadic("RLLLRR").value == F(7, 64)
 
-    def test_dyadic_round_trip_order_eight(self):
-        for q in range(1, 9):
-            for p in range(1, 1 << q, 2):
-                d = word_to_dyadic(dyadic_to_word(from_dyadic_pq(p, q))[1])
-                assert d.value == F(p, 1 << q)
+    def test_dyadic_round_trip_order_twelve(self):
+        for q in range(0, 13):
+            for p in range(-3 << q, 3 << q):
+                if q and p % 2 == 0:
+                    continue
+                shift, word = dyadic_to_word(from_dyadic_pq(p, q))
+                assert len(word) == q and not word.startswith("L")
+                assert shift + word_to_dyadic(word).value == F(p, 1 << q)
 
     def test_lr_to_slope_examples(self):
         assert lr_to_slope("RL").slope == F(2, 5)
@@ -155,9 +159,7 @@ class TestWords:
         assert lr_to_slope("RLLLRR").slope == F(19760, 51641)
 
     def test_action_matches_dyadic_walk(self):
-        rng = random.Random(11)
-        for _ in range(60):
-            word = "R" + "".join(rng.choice("LR") for _ in range(rng.randint(0, 7)))
+        for word in ("".join(w) for k in range(13) for w in product("LR", repeat=k)):
             by_action = lr_to_slope(word)
             by_dyadic = from_dyadic(word_to_dyadic(word))
             assert by_action.slope == by_dyadic.slope
@@ -244,6 +246,11 @@ class TestPeriodStructure:
     def test_l_ending_words_rejected(self):
         with pytest.raises(DomainError):
             period_structure("RLL")
+
+    def test_words_outside_window_rejected(self):
+        for word in ("RR", "RRL", "LR"):
+            with pytest.raises(DomainError):
+                period_structure(word)
 
     def test_reproduces_expansion_order_eight(self):
         for s in enumerate_slopes(0, F(1, 2), 8):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from planecones import cone
+from planecones import cone, exceptional
 from planecones.cli import main
 from planecones.errors import ConsistencyError
 from planecones.exceptional import delta_curve
@@ -123,6 +123,14 @@ class TestSlopeCommand:
     def test_exactly_one_input_flag(self, capsys):
         code, _, err = run(capsys, "slope", "--dyadic", "1/8", "--rational", "2/5")
         assert code == 1 and "exactly one" in err
+
+    def test_deep_dyadic_on_a_cold_memo(self, capsys, monkeypatch):
+        monkeypatch.setattr(exceptional, "_EPSILON_MEMO", {})
+        code, out, err = run(capsys, "slope", "--dyadic", "1/2^1500")
+        assert code == 0 and not err
+        assert out.count("\n") == 1
+        data = json.loads(out)
+        assert data["order"] == 1500 and data["lr_word"] == "R" + "L" * 1499
 
     def test_interval_round_trips(self, capsys):
         from planecones.qarith import QuadraticNumber

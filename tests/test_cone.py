@@ -330,6 +330,19 @@ class TestSecondary:
         assert sec.extremal_character is None
         assert "support" in sec.descriptor
 
+    @pytest.mark.parametrize("x", [
+        ChernCharacter.of(-2, 1, 3),
+        ChernCharacter.of(F(5, 2), 0, 0),
+        ChernCharacter.of(1, F(1, 2), 0),
+        ChernCharacter.of(1, 0, 0),
+        ChernCharacter.of(3, 0, 0),
+        ChernCharacter.of(0, 2, 1),
+    ], ids=str)
+    def test_no_edge_where_the_report_has_none(self, x):
+        assert cone_report(x).secondary is None
+        with pytest.raises(DomainError):
+            secondary_edge(x)
+
 
 class TestConeReport:
     def test_golden_report(self):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from planecones import exceptional
 from planecones.chern import ChernCharacter
 from planecones.errors import DescentError, DomainError
 from planecones.exceptional import (
@@ -110,6 +111,14 @@ class TestEpsilon:
                 assert epsilon(shifted) == epsilon(d) + 1
                 assert epsilon(dy(-p, q)) == -epsilon(d)
 
+    def test_cold_walk_order_two_thousand(self, monkeypatch):
+        monkeypatch.setattr(exceptional, "_EPSILON_MEMO", {})
+        g = from_dyadic(DyadicRational(1, 2000))
+        left, right = parents(g)
+        assert (left.dyadic, right.dyadic) == (dy(0, 0), dy(1, 1999))
+        assert left.slope == 0 and right.slope == epsilon(dy(1, 1999))
+        assert slope_dot(left.slope, right.slope) == g.slope
+
 
 class TestParents:
     def test_mediant_example(self):
@@ -182,7 +191,7 @@ def endpoint_contains(a, x, closed):
 
 
 class TestRationalMembership:
-    """The rational membership test agrees with the endpoint comparison."""
+    """Membership without endpoints agrees with the endpoint comparison."""
 
     @pytest.fixture(scope="class")
     def slopes(self):
@@ -214,6 +223,30 @@ class TestRationalMembership:
                     assert interval_contains(a, QuadraticNumber(x), closed) is expected
                     outcomes.add(expected)
         assert outcomes == {True, False}
+
+    def test_quadratic_agrees_with_endpoints(self, grid):
+        # mu0+- of the grid, every exact endpoint, and same-field points
+        # 10^-25 to either side of it, against every slope within distance 1
+        slopes = enumerate_slopes(-4, 2, 3)
+        points = []
+        for x in grid[::8]:
+            base = QuadraticNumber(-3 - 2 * x.slope())
+            root = sqrt_exact(5 + 8 * x.discriminant())
+            points += [(base + root) / 2, (base - root) / 2]
+        eps = F(1, 10 ** 25)
+        for a in slopes:
+            for end in a.interval():
+                points += [end, end - eps, end + eps]
+        outcomes = []
+        for x in points:
+            for a in slopes:
+                if abs(x - QuadraticNumber(a.slope)) > 1:
+                    continue
+                for closed in (True, False):
+                    expected = endpoint_contains(a, x, closed)
+                    assert interval_contains(a, x, closed) is expected, (a.slope, x, closed)
+                    outcomes.append(expected)
+        assert (len(outcomes), outcomes.count(True)) == (12_882, 576)
 
     def test_integer_input(self):
         for n in range(-3, 4):

@@ -255,11 +255,17 @@ def _parse_dyadic(text: str) -> DyadicRational:
     text = text.strip()
     if "^" in text:
         mantissa, _, exponent = text.partition("/2^")
-        if not exponent:
-            raise DomainError(f"bad dyadic literal {text!r}")
-        return DyadicRational.make(int(mantissa), int(exponent))
+        try:
+            return DyadicRational.make(int(mantissa), int(exponent))
+        except ValueError:
+            raise DomainError(f"bad dyadic literal {text!r}") from None
     value = parse_rational(text)
     return DyadicRational.from_fraction(value)
+
+
+def _check_order(order: int, max_order: int) -> None:
+    if order > max_order:
+        raise DomainError(f"slope of order {order} exceeds the max_order budget {max_order}")
 
 
 def _slope_from_args(args) -> exceptional.ExceptionalSlope:
@@ -269,10 +275,14 @@ def _slope_from_args(args) -> exceptional.ExceptionalSlope:
     if len(chosen) != 1:
         raise DomainError("provide exactly one of --dyadic, --rational, --lr")
     if args.dyadic is not None:
-        return exceptional.from_dyadic(_parse_dyadic(args.dyadic))
+        address = _parse_dyadic(args.dyadic)
+        _check_order(address.order, args.max_order)
+        return exceptional.from_dyadic(address)
     if args.rational is not None:
         return exceptional.from_slope_value(parse_rational(args.rational), args.max_order)
-    return cfrac.lr_to_slope(args.lr.strip())
+    word = args.lr.strip()
+    _check_order(len(word), args.max_order)  # a word of length q names a slope of order q
+    return cfrac.lr_to_slope(word)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -310,12 +320,14 @@ def _cmd_slope(args) -> int:
 
 def _cmd_cfrac(args) -> int:
     s = _slope_from_args(args)
-    normalized, shift, negated = cfrac.normalize_slope(s.slope)
+    _, shift, negated = cfrac.normalize_slope(s.slope)
+    # normalized = shift - mu if negated else mu - shift
+    normalized = exceptional.affine_image(s, negated, shift if negated else -shift)
     even = cfrac.even_expansion(normalized)
     odd = cfrac.parity_convert(even) if even else None
     out = {
         "slope": format_rational(s.slope),
-        "normalized_slope": format_rational(normalized),
+        "normalized_slope": format_rational(normalized.slope),
         "translation": shift,
         "negated": negated,
         "even": even,
@@ -323,10 +335,7 @@ def _cmd_cfrac(args) -> int:
         "palindrome": even == even[::-1],
     }
     if args.period:
-        # normalized = shift - mu if negated else mu - shift
-        _, word = cfrac.slope_to_lr(
-            exceptional.affine_image(s, negated, shift if negated else -shift)
-        )
+        _, word = cfrac.slope_to_lr(normalized)
         try:
             period = cfrac.period_structure(word)
             out["period_block"] = period.block
@@ -517,7 +526,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p_curve.add_argument("--hi", required=True)
     p_curve.add_argument("--samples", type=int, default=33)
     p_curve.add_argument(
-        "--interval-order", dest="interval_order", type=int, default=4,
+        "--interval-order", dest="interval_order", type=_int_at_least(0), default=4,
         help="enumerate intervals up to this order",
     )
     p_curve.add_argument(

@@ -8,10 +8,10 @@ per character classifies it, takes ``sqrt(5 + 8 delta)`` once for both
 ``mu0+-``, descends once to gamma, picks the orthogonal invariants by the
 sign of the pairing with gamma's bundle, and reads the resolving triad off
 the dyadic addresses of gamma and its parents (no further descent); the
-multiplicities and the Kronecker-module fibration follow.  ``cone_report``
-runs it on the character and on its Serre dual, which gives the secondary
-edge for rank >= 3; known divisor classes give it in low rank.  The public
-stage functions are views of the same analysis.
+multiplicities and the Kronecker-module fibration follow.  For rank >= 3 the
+same steps on the Serre dual (same classification, ``mu0+ = -mu0-``) give
+the secondary edge, so a report classifies once and takes one root; known
+divisor classes give it in low rank.  Public stage functions are views of it.
 """
 
 from __future__ import annotations
@@ -228,6 +228,12 @@ def _analyze(x: ChernCharacter, max_order: int) -> _Analysis:
         mu0_plus, mu0_minus = (base + root) / 2, (base - root) / 2
     else:
         return _Analysis(cls)
+    return _side(x, cls, mu0_plus, mu0_minus, max_order)
+
+
+def _side(x: ChernCharacter, cls: Classification, mu0_plus: QuadraticNumber,
+          mu0_minus: Optional[QuadraticNumber], max_order: int) -> _Analysis:
+    """Descent to gamma, then invariants, resolution and Kronecker data."""
     gamma = find_interval(mu0_plus, max_order)
     pairing = euler_pairing(x, gamma.character())
     case = (
@@ -495,26 +501,18 @@ def _primary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
     )
 
 
-def secondary_edge(x: ChernCharacter, multiplier: int = 1,
-                   max_order: int = DEFAULT_MAX_ORDER) -> SecondaryEdge:
-    """Second extremal ray: dual pipeline for rank >= 3, known classes below.
-
-    Rank 2 uses the divisor of singular sheaves (a negative-rank orthogonal
-    class of tensor slope -3/2); ranks 1 and 0 carry named divisor classes
-    with no canonical character, so only descriptors are emitted.  Raises
-    ``DomainError`` wherever ``cone_report`` has no secondary edge.
-    """
+def _secondary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
+                    max_order: int) -> SecondaryEdge:
     r = x.ch0
-    if r >= 3:  # the dual analysis gates: Serre duality preserves the classification
+    if r >= 3:  # Serre duality keeps the classification and maps mu0+ to -mu0-
         xd = x.serre_dual()
-        dual = _primary_edge(xd, _intersecting(xd, max_order), multiplier, max_order)
+        dual_side = _side(xd, side.classification, -side.mu0_minus, -side.mu0_plus, max_order)
+        dual = _primary_edge(xd, dual_side, multiplier, max_order)
         point = SlopeDisc(-dual.invariants.point.mu, dual.invariants.point.delta)
         rank = minimal_orthogonal_rank(point) * multiplier
         slope = exceptional.affine_image(dual.invariants.corresponding_slope, True, 0)
         mode = SecondaryMode.SERRE_DUAL
         descriptor = "h2-cohomology jumping divisor, from the dual pipeline"
-    elif classify(x, max_order).kind not in (Kind.PICARD_RANK_2, Kind.RANK_ZERO_PICARD_RANK_2):
-        raise DomainError("secondary edges exist for Picard-rank-2 characters only")
     elif r == 2:
         mu = -Fraction(3, 2) - x.slope()
         point = SlopeDisc(mu, hilbert_poly(x.slope() + mu) - x.discriminant())
@@ -532,6 +530,18 @@ def secondary_edge(x: ChernCharacter, multiplier: int = 1,
         return SecondaryEdge(mode, None, None, None, None, descriptor, None)
     ray = -ChernCharacter.from_rmd(rank, point.mu, point.delta)
     return SecondaryEdge(mode, point, slope, ray, _basis_coords(x, ray), descriptor, dual)
+
+
+def secondary_edge(x: ChernCharacter, multiplier: int = 1,
+                   max_order: int = DEFAULT_MAX_ORDER) -> SecondaryEdge:
+    """Second extremal ray: dual pipeline for rank >= 3, known classes below.
+
+    Rank 2 uses the divisor of singular sheaves (a negative-rank orthogonal
+    class of tensor slope -3/2); ranks 1 and 0 carry named divisor classes
+    with no canonical character, so only descriptors are emitted.  Raises
+    ``DomainError`` wherever ``cone_report`` has no secondary edge.
+    """
+    return _secondary_edge(x, _intersecting(x, max_order), multiplier, max_order)
 
 
 def cone_report(x: ChernCharacter, multiplier: int = 1,
@@ -553,7 +563,7 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
                           "moduli space has Picard rank one")
 
     primary = _primary_edge(x, side, multiplier, max_order)
-    secondary = secondary_edge(x, multiplier, max_order)
+    secondary = _secondary_edge(x, side, multiplier, max_order)
     if secondary.extremal_character is not None:
         if euler_pairing(x, secondary.extremal_character) != 0:
             raise ConsistencyError("secondary ray is not orthogonal to the input")

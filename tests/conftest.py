@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from planecones import Kind, classify
-from planecones.chern import ChernCharacter, hilbert_poly
+from planecones.chern import ChernCharacter, character_from_json, hilbert_poly
 from planecones.exceptional import delta_curve, enumerate_slopes
 
 settings.register_profile(
@@ -74,3 +74,6 @@ CASE_1_PRIME_FAMILY = [
     ChernCharacter.from_rmd(2, 1, Fraction(11, 2)),
     ChernCharacter.from_rmd(2, -1, Fraction(11, 2)),
 ]
+
+# mu0+ lies inside the interval of the order-4 slope 47/34 (address 17/2^4).
+ORDER_FOUR = character_from_json({"r": 2677938, "c1": 7598734, "chi": -17278349})

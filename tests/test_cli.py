@@ -126,11 +126,26 @@ class TestSlopeCommand:
 
     def test_deep_dyadic_on_a_cold_memo(self, capsys, monkeypatch):
         monkeypatch.setattr(exceptional, "_EPSILON_MEMO", {})
-        code, out, err = run(capsys, "slope", "--dyadic", "1/2^1500")
+        code, out, err = run(capsys, "slope", "--dyadic", "1/2^1500", "--max-order", "1500")
         assert code == 0 and not err
         assert out.count("\n") == 1
         data = json.loads(out)
         assert data["order"] == 1500 and data["lr_word"] == "R" + "L" * 1499
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("slope", "--dyadic", "1/2^x"),
+            ("slope", "--dyadic", "x/2^3"),
+            ("slope", "--dyadic", "1/2^300", "--max-order", "5"),
+            ("slope", "--lr", "RLLLRR", "--max-order", "5"),
+            ("cfrac", "--lr", "RLLLRR", "--max-order", "5"),
+        ],
+    )
+    def test_bad_or_too_deep_address_is_a_one_line_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_interval_round_trips(self, capsys):
         from planecones.qarith import QuadraticNumber
@@ -167,6 +182,19 @@ class TestCfracCommand:
         data = json.loads(out)
         assert data["negated"] is True
         assert data["normalized_slope"] == "2/5"
+
+    def test_known_address_makes_no_descent(self, capsys, monkeypatch):
+        calls = []
+        descend = exceptional.from_slope_value
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return descend(*args, **kwargs)
+
+        monkeypatch.setattr(exceptional, "from_slope_value", counted)
+        code, out, _ = run(capsys, "cfrac", "--dyadic", "17/2^4", "--period")
+        assert code == 0 and json.loads(out)["slope"] == "47/34"
+        assert calls == []
 
     @pytest.mark.parametrize("rational", ["22/5", "3/5", "-13/5", "-3/5"])
     def test_period_of_normalized_slope(self, capsys, rational):
@@ -356,6 +384,7 @@ class TestArgumentBoundaries:
             ("cone", "--chern", "1,0,0", "--multiplier", "-5"),
             ("cone", "--rmd", "3,2/3,17/9", "--multiplier", "0"),
             ("batch", "-", "--multiplier", "0"),
+            ("curve", "--lo", "0", "--hi", "1", "--interval-order", "-3"),
         ],
     )
     def test_rejected_by_argument_parsing(self, capsys, argv):

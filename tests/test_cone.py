@@ -30,6 +30,8 @@ from planecones.errors import DomainError
 from planecones.exceptional import from_slope_value
 from planecones.qarith import QuadraticNumber, qn_compare_cross, sqrt_exact
 
+from conftest import ORDER_FOUR
+
 F = Fraction
 
 GOLDEN = ChernCharacter.from_rmd(3, F(2, 3), F(17, 9))
@@ -441,6 +443,21 @@ class TestNonPrimitiveAndDualCases:
             assert hilbert_poly(x.slope() + gamma.slope) - x.discriminant() == gamma.discriminant
             seen += 1
         assert seen >= 50
+
+
+class TestSerreDuality:
+    """``x -> x.serre_dual()`` keeps the classification and swaps the two halves."""
+
+    def test_halves_swap(self, grid):
+        cases = [x for x in grid if x.ch0 >= 3] + [ORDER_FOUR]
+        assert len(cases) >= 500
+        for x in cases:
+            xd = x.serre_dual()
+            assert classify(xd) == classify(x)
+            # cone_report(xd) runs the full pipeline on the dual: the reference
+            report, dual = cone_report(x), cone_report(xd)
+            assert report.secondary.dual_primary == dual.primary
+            assert dual.secondary.dual_primary == report.primary
 
 
 class TestGridSanity:

@@ -5,10 +5,11 @@ other ``QuadraticNumber`` operation reuses the radicand of its operands.  A
 report that factors more often than it takes square roots is re-factoring
 reduced radicands on its hot path.
 
-A report analyses the character and its Serre dual once each: one
-classification and one descent to the corresponding slope per side, one
-``sqrt(5 + 8 delta)`` per side, and no descent at all for slopes whose
-dyadic address is already known.
+A report makes one classification and takes one root ``sqrt(5 + 8 delta)``:
+the Serre dual shares both, since it has the same classification and its
+``mu0+`` is the character's ``-mu0-``.  Each side of the cone makes one
+descent to its corresponding slope, and no slope whose dyadic address is
+already known goes back through a descent.
 """
 
 from fractions import Fraction
@@ -17,11 +18,11 @@ import pytest
 
 import planecones
 from planecones import cone, exceptional, qarith
-from planecones.chern import ChernCharacter, character_from_json
+from planecones.chern import ChernCharacter
+
+from conftest import ORDER_FOUR
 
 GOLDEN = ChernCharacter.from_rmd(3, Fraction(2, 3), Fraction(17, 9))
-# mu0+ lies inside the interval of the order-4 slope 47/34 (address 17/2^4).
-ORDER_FOUR = character_from_json({"r": 2677938, "c1": 7598734, "chi": -17278349})
 
 
 @pytest.fixture
@@ -71,8 +72,8 @@ def test_one_analysis_per_side(counts, x, order):
     exceptional.delta_curve.cache_clear()
     report = cone.cone_report(x)
     assert report.primary.invariants.corresponding_slope.order == order
-    assert counts["classify"] <= 2
+    assert counts["classify"] == 1
     assert counts["from_slope_value"] == 0
-    assert counts["find_interval"] <= 6
+    assert counts["find_interval"] <= 5
     radicand = 5 + 8 * x.discriminant()
-    assert 1 <= counts["radicands"].count(radicand) <= 2
+    assert counts["radicands"].count(radicand) == 1

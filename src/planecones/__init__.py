@@ -53,7 +53,6 @@ from .exceptional import (
     DyadicRational,
     ExceptionalSlope,
     delta_curve,
-    delta_curve_at,
     dot,
     enumerate_slopes,
     epsilon,
@@ -70,7 +69,6 @@ from .qarith import (
     format_rational,
     parse_rational,
     qn_compare_cross,
-    qn_sign,
     sqrt_exact,
 )
 

@@ -6,10 +6,11 @@ computed here by Euclid's algorithm, and the parity-converted partner.  The
 even-length one is a palindrome and obeys the concatenation rule
 ``child_even = right_odd + "2" + left_even`` over the parent pair; that rule
 is checked (by ``period_structure`` and the acceptance tests), not used to
-compute.  Slopes are equally addressed by finite words over {L, R} (the
-choices of the bracketing descent), and eventually-constant infinite words
-name exactly the interval endpoints.  ``cf_eval`` is the brute-force
-evaluator that serves as the independent oracle for all of this.
+compute.  A finite word over {L, R} (the choices of the bracketing descent)
+is another spelling of a slope's dyadic address: ``word_to_dyadic`` reads it
+in binary and the slope takes one memoized tree walk.  Eventually-constant
+infinite words name exactly the interval endpoints.  ``cf_eval`` is the
+brute-force evaluator that serves as the independent oracle for all of this.
 """
 
 from __future__ import annotations
@@ -112,13 +113,10 @@ def normalize_slope(mu: RationalLike) -> tuple[Fraction, int, bool]:
 
 
 def word_to_dyadic(word: Word) -> DyadicRational:
-    """Dyadic address of ``0 . word`` under the tree action."""
+    """Dyadic address of ``0 . word``; the inverse of ``dyadic_to_word``."""
     _check_word(word)
-    p, q = 0, 0
-    for ch in word:
-        p = 2 * p - 1 if ch == "L" else 2 * p + 1
-        q += 1
-    return DyadicRational.make(p, q)
+    bits = int(word.replace("L", "0").replace("R", "1") or "0", 2)
+    return DyadicRational(2 * bits - (1 << len(word)) + 1, len(word))
 
 
 def dyadic_to_word(d: DyadicRational) -> tuple[int, Word]:
@@ -135,23 +133,8 @@ def dyadic_to_word(d: DyadicRational) -> tuple[int, Word]:
 
 
 def lr_to_slope(word: Word) -> ExceptionalSlope:
-    """Slope ``0 . word``, computed by iterating the tree action.
-
-    The state is the bracket (left parent, current, right parent); each
-    letter replaces the current slope by its mediant with one parent.
-    """
-    _check_word(word)
-    left = exceptional.from_integer(-1)
-    current = exceptional.from_integer(0)
-    right = exceptional.from_integer(1)
-    for ch in word:
-        if ch == "L":
-            new = exceptional.dot(left, current)
-            left, current, right = left, new, current
-        else:
-            new = exceptional.dot(current, right)
-            left, current, right = current, new, right
-    return current
+    """Slope ``0 . word``: the word's dyadic address, walked once through the tree."""
+    return exceptional.from_dyadic(word_to_dyadic(word))
 
 
 def slope_to_lr(g: ExceptionalSlope) -> tuple[int, Word]:

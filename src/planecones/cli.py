@@ -462,7 +462,7 @@ def _add_character_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rmd", help="character as r,mu,delta (exact rationals)")
 
 
-def _add_common(parser: argparse.ArgumentParser, defaults: dict) -> None:
+def _add_max_order(parser: argparse.ArgumentParser, defaults: dict) -> None:
     parser.add_argument(
         "--max-order",
         dest="max_order",
@@ -470,6 +470,9 @@ def _add_common(parser: argparse.ArgumentParser, defaults: dict) -> None:
         default=defaults.get("max_order", DEFAULT_MAX_ORDER),
         help="interval-descent order budget",
     )
+
+
+def _add_approx(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--approx",
         type=_int_at_least(0),
@@ -477,6 +480,9 @@ def _add_common(parser: argparse.ArgumentParser, defaults: dict) -> None:
         metavar="N",
         help="add non-authoritative N-digit decimal columns",
     )
+
+
+def _add_json_or_text(parser: argparse.ArgumentParser) -> None:
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument(
         "--json", dest="format", action="store_const", const="json", default="json"
@@ -498,19 +504,23 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
         "--multiplier", type=_int_at_least(1), default=defaults.get("multiplier", 1),
         help="rank multiplier for the primary orthogonal character",
     )
-    _add_common(p_cone, defaults)
+    _add_max_order(p_cone, defaults)
+    _add_approx(p_cone)
+    _add_json_or_text(p_cone)
     p_cone.set_defaults(func=_cmd_cone)
 
     p_classify = sub.add_parser("classify", help="classification only")
     _add_character_flags(p_classify)
-    _add_common(p_classify, defaults)
+    _add_max_order(p_classify, defaults)
+    _add_json_or_text(p_classify)
     p_classify.set_defaults(func=_cmd_classify)
 
     p_slope = sub.add_parser("slope", help="exceptional-slope lookup")
     p_slope.add_argument("--dyadic", help="dyadic address, p/2^q or p/q with q a power of two")
     p_slope.add_argument("--rational", help="slope value p/q (must be exceptional)")
     p_slope.add_argument("--lr", help="left-right word over {L,R}")
-    _add_common(p_slope, defaults)
+    _add_max_order(p_slope, defaults)
+    _add_json_or_text(p_slope)
     p_slope.set_defaults(func=_cmd_slope)
 
     p_cfrac = sub.add_parser("cfrac", help="continued-fraction expansions")
@@ -518,7 +528,8 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p_cfrac.add_argument("--rational")
     p_cfrac.add_argument("--lr")
     p_cfrac.add_argument("--period", action="store_true", help="include the period structure")
-    _add_common(p_cfrac, defaults)
+    _add_max_order(p_cfrac, defaults)
+    _add_json_or_text(p_cfrac)
     p_cfrac.set_defaults(func=_cmd_cfrac)
 
     p_curve = sub.add_parser("curve", help="boundary-curve samples and interval table")
@@ -533,7 +544,8 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
         "--format", dest="output_format", choices=("csv", "json"), default="json"
     )
     _add_character_flags(p_curve)
-    _add_common(p_curve, defaults)
+    _add_max_order(p_curve, defaults)
+    _add_approx(p_curve)
     p_curve.set_defaults(func=_cmd_curve)
 
     p_batch = sub.add_parser("batch", help="one JSON character per line, one report per line")
@@ -541,7 +553,8 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p_batch.add_argument(
         "--multiplier", type=_int_at_least(1), default=defaults.get("multiplier", 1)
     )
-    _add_common(p_batch, defaults)
+    _add_max_order(p_batch, defaults)
+    _add_approx(p_batch)
     p_batch.set_defaults(func=_cmd_batch)
 
     return parser

@@ -38,9 +38,9 @@ class DyadicRational:
 
     @staticmethod
     def make(p: int, q: int) -> "DyadicRational":
-        while q > 0 and p % 2 == 0:
-            p //= 2
-            q -= 1
+        if q > 0:  # strip the factors of two in one shift; zero reduces to 0/2^0
+            k = min(q, (p & -p).bit_length() - 1) if p else q
+            p, q = p >> k, q - k
         return DyadicRational(p, q)
 
     @staticmethod
@@ -200,16 +200,14 @@ def from_slope_value(mu: RationalLike, max_order: int = DEFAULT_MAX_ORDER) -> Ex
     return found
 
 
-def dot(alpha: ExceptionalSlope, beta: ExceptionalSlope,
-        max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
-    """Mediant of two exceptional slopes.
+def dot(alpha: ExceptionalSlope, beta: ExceptionalSlope) -> ExceptionalSlope:
+    """Mediant of two tree neighbours ``alpha < beta``.
 
-    For a consecutive pair in the dyadic tree (including the integer
-    convention ``n = (n-1).(n+1)``) the address is the dyadic midpoint; any
-    other pair is accepted and resolved by descent, which raises if the
-    resulting rational is not exceptional.
+    Neighbours are consecutive addresses at the finer of their two levels,
+    or integers two apart (the convention ``n = (n-1).(n+1)``); the mediant
+    sits at the dyadic midpoint of their addresses.  Any other pair raises
+    ``DomainError``.
     """
-    value = slope_dot(alpha.slope, beta.slope)
     da, db = alpha.dyadic, beta.dyadic
     level = max(da.q, db.q)
     pa = da.p << (level - da.q)
@@ -219,8 +217,9 @@ def dot(alpha: ExceptionalSlope, beta: ExceptionalSlope,
     elif level == 0 and pb - pa == 2:
         child = DyadicRational(pa + 1, 0)
     else:
-        return from_slope_value(value, max_order)
+        raise DomainError(f"{alpha} and {beta} are not neighbours in the slope tree")
     result = from_dyadic(child)
+    value = slope_dot(alpha.slope, beta.slope)
     if result.slope != value:
         raise ConsistencyError(
             f"mediant mismatch at {child}: tree gives {result.slope}, formula {value}"
@@ -306,14 +305,6 @@ def delta_curve(mu: Fraction, max_order: int = DEFAULT_MAX_ORDER) -> Fraction:
     mu = Fraction(mu)
     a = find_interval(mu, max_order)
     return hilbert_poly(-abs(mu - a.slope)) - a.discriminant
-
-
-def delta_curve_at(x: QuadraticNumber, max_order: int = DEFAULT_MAX_ORDER) -> QuadraticNumber:
-    """Boundary value at a quadratic point, computed symbolically."""
-    a = find_interval(x, max_order)
-    t = abs(x - QuadraticNumber(a.slope))
-    u = -t
-    return (u * u + 3 * u + 2) / 2 - a.discriminant
 
 
 def enumerate_slopes(lo: RationalLike, hi: RationalLike,

@@ -310,9 +310,6 @@ class QuadraticNumber:
     def __repr__(self) -> str:
         return f"QuadraticNumber({self.a!r}, {self.b!r}, {self.d})"
 
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
     def decimal(self, digits: int = 12) -> str:
         """Non-authoritative decimal rendering for display."""
         _check_digits(digits)
@@ -357,10 +354,6 @@ def sqrt_exact(x: RationalLike) -> QuadraticNumber:
     if d == 1:
         return QuadraticNumber(coeff)
     return QuadraticNumber._reduced(_ZERO, coeff, d)
-
-
-def qn_sign(x: QuadraticNumber) -> int:
-    return _coerce(x).sign()
 
 
 def qn_compare_cross(x, y) -> int:

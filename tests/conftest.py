@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, settings
 
 from planecones import Kind, classify
 from planecones.chern import ChernCharacter, character_from_json, hilbert_poly
-from planecones.exceptional import delta_curve, enumerate_slopes
+from planecones.exceptional import delta_curve, enumerate_slopes, find_interval
+from planecones.qarith import QuadraticNumber
 
 settings.register_profile(
     "ci",
@@ -35,6 +36,13 @@ def picard_rank2_grid() -> list[ChernCharacter]:
 @pytest.fixture(scope="session")
 def grid() -> list[ChernCharacter]:
     return picard_rank2_grid()
+
+
+def delta_curve_at(x: QuadraticNumber) -> QuadraticNumber:
+    """Boundary value at a quadratic point, computed symbolically."""
+    a = find_interval(x)
+    u = -abs(x - QuadraticNumber(a.slope))
+    return (u * u + 3 * u + 2) / 2 - a.discriminant
 
 
 def stable_orthogonal_slopes_below(x: ChernCharacter, mu_plus: Fraction,

@@ -9,7 +9,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import CASE_1_PRIME_FAMILY, stable_orthogonal_slopes_below
+from conftest import CASE_1_PRIME_FAMILY, delta_curve_at, stable_orthogonal_slopes_below
 
 from planecones.cfrac import (
     cf_eval,
@@ -36,7 +36,6 @@ from planecones.cone import (
 from planecones.exceptional import (
     DEFAULT_MAX_ORDER,
     delta_curve,
-    delta_curve_at,
     enumerate_slopes,
     epsilon,
     parents,

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -23,10 +22,10 @@ from planecones.cfrac import (
 from planecones.errors import DomainError
 from planecones.exceptional import (
     enumerate_slopes,
-    from_dyadic,
     from_integer,
     from_slope_value,
     interval_contains,
+    slope_dot,
 )
 from planecones.qarith import QuadraticNumber, qn_compare_cross
 
@@ -159,10 +158,17 @@ class TestWords:
         assert lr_to_slope("RLLLRR").slope == F(19760, 51641)
 
     def test_action_matches_dyadic_walk(self):
-        for word in ("".join(w) for k in range(13) for w in product("LR", repeat=k)):
-            by_action = lr_to_slope(word)
-            by_dyadic = from_dyadic(word_to_dyadic(word))
-            assert by_action.slope == by_dyadic.slope
+        # Oracle: the tree action, letter by letter, on (left, slope, right)
+        # with ``slope_dot`` alone, and the address ``p / 2**q`` with p -> 2p -+ 1.
+        level = {"": (F(-1), F(0), F(1), 0)}
+        for q in range(13):
+            children = {}
+            for word, (left, mid, right, p) in level.items():
+                g = lr_to_slope(word)
+                assert (g.slope, g.dyadic.p, g.dyadic.q) == (mid, p, q)
+                children[word + "L"] = (left, slope_dot(left, mid), mid, 2 * p - 1)
+                children[word + "R"] = (mid, slope_dot(mid, right), right, 2 * p + 1)
+            level = children
 
     def test_slope_to_lr_translations(self):
         shift, word = slope_to_lr(from_slope_value(F(22, 5)))

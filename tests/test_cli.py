@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,15 @@ class TestSlopeCommand:
         assert out.count("\n") == 1
         data = json.loads(out)
         assert data["order"] == 1500 and data["lr_word"] == "R" + "L" * 1499
+
+    def test_zero_mantissa_reduces_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "slope", "--dyadic", "0/2^20000000")
+        elapsed = time.perf_counter() - start
+        assert code == 0 and not err
+        data = json.loads(out)
+        assert data["slope"] == "0" and data["order"] == 0
+        assert elapsed < 0.5
 
     @pytest.mark.parametrize(
         "argv",
@@ -385,6 +395,14 @@ class TestArgumentBoundaries:
             ("cone", "--rmd", "3,2/3,17/9", "--multiplier", "0"),
             ("batch", "-", "--multiplier", "0"),
             ("curve", "--lo", "0", "--hi", "1", "--interval-order", "-3"),
+            # each subcommand takes only the flags it reads
+            ("classify", "--rmd", "3,2/3,17/9", "--approx", "3"),
+            ("slope", "--dyadic", "1/2", "--approx", "3"),
+            ("cfrac", "--dyadic", "1/2", "--approx", "3"),
+            ("curve", "--lo", "0", "--hi", "1/2", "--samples", "3", "--text"),
+            ("curve", "--lo", "0", "--hi", "1/2", "--samples", "3", "--json"),
+            ("batch", "-", "--text"),
+            ("batch", "-", "--json"),
         ],
     )
     def test_rejected_by_argument_parsing(self, capsys, argv):
@@ -393,7 +411,9 @@ class TestArgumentBoundaries:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: argument" in captured.err and "Traceback" not in captured.err
+        assert "Traceback" not in captured.err
+        assert ("error: argument" in captured.err
+                or "error: unrecognized arguments" in captured.err)
 
     def test_zero_is_accepted(self, capsys):
         code, out, _ = run(capsys, "cone", "--rmd", "3,2/3,17/9", "--approx", "0")

@@ -10,6 +10,9 @@ the Serre dual shares both, since it has the same classification and its
 ``mu0+`` is the character's ``-mu0-``.  Each side of the cone makes one
 descent to its corresponding slope, and no slope whose dyadic address is
 already known goes back through a descent.
+
+An LR word is a spelling of a dyadic address, so the slope it names takes
+one memoized walk: one mediant per letter on a cold memo, none on a warm one.
 """
 
 from fractions import Fraction
@@ -17,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 import planecones
-from planecones import cone, exceptional, qarith
+from planecones import cfrac, cone, exceptional, qarith
 from planecones.chern import ChernCharacter
 
 from conftest import ORDER_FOUR
@@ -77,3 +80,21 @@ def test_one_analysis_per_side(counts, x, order):
     assert counts["find_interval"] <= 5
     radicand = 5 + 8 * x.discriminant()
     assert counts["radicands"].count(radicand) == 1
+
+
+@pytest.mark.parametrize("word", ["RLLLRR", "LRLRLRLRLR"])
+def test_one_walk_per_word(monkeypatch, word):
+    calls = []
+    slope_dot = exceptional.slope_dot
+
+    def counted(*args):
+        calls.append(args)
+        return slope_dot(*args)
+
+    monkeypatch.setattr(exceptional, "_EPSILON_MEMO", {})
+    monkeypatch.setattr(exceptional, "slope_dot", counted)
+    cold = cfrac.lr_to_slope(word)
+    assert len(calls) == len(word)
+    calls.clear()
+    assert cfrac.lr_to_slope(word) == cold
+    assert calls == []

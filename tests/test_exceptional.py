@@ -10,7 +10,6 @@ from planecones.exceptional import (
     DyadicRational,
     affine_image,
     delta_curve,
-    delta_curve_at,
     dot,
     enumerate_slopes,
     epsilon,
@@ -23,6 +22,8 @@ from planecones.exceptional import (
     slope_dot,
 )
 from planecones.qarith import QuadraticNumber, qn_compare_cross, sqrt_exact
+
+from conftest import delta_curve_at
 
 F = Fraction
 
@@ -37,6 +38,18 @@ class TestDyadic:
         assert (d.p, d.q) == (3, 2)
         assert d.value == F(3, 4)
         assert d.order == 2
+
+    def test_make_matches_halving_loop(self):
+        def halving(p, q):
+            while q > 0 and p % 2 == 0:
+                p //= 2
+                q -= 1
+            return p, q
+
+        for p in range(-64, 65):
+            for q in range(0, 13):
+                d = dy(p, q)
+                assert (d.p, d.q) == halving(p, q)
 
     def test_unreduced_rejected(self):
         with pytest.raises(DomainError):
@@ -71,11 +84,19 @@ class TestDot:
         assert result.slope == F(2, 5)
         assert result.dyadic == dy(1, 2)
 
-    def test_non_adjacent_falls_back_to_descent(self):
-        # 0 and 2/5 are not tree neighbours, yet their mediant is exceptional
+    def test_neighbours_of_different_order(self):
+        # 0 (address 0) and 2/5 (address 1/2^2) are neighbours one level apart
         value = slope_dot(0, F(2, 5))
         resolved = dot(from_integer(0), from_slope_value(F(2, 5)))
         assert resolved.slope == value == F(5, 13)
+        assert resolved.dyadic == dy(1, 3)
+
+    def test_non_neighbours_rejected(self):
+        # 0 and the slope at 3/2^3 are not neighbours, nor is a reversed pair
+        with pytest.raises(DomainError):
+            dot(from_integer(0), from_dyadic(dy(3, 3)))
+        with pytest.raises(DomainError):
+            dot(from_dyadic(dy(1, 1)), from_integer(0))
 
 
 class TestEpsilon:

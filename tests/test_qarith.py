@@ -11,7 +11,6 @@ from planecones.qarith import (
     format_rational,
     parse_rational,
     qn_compare_cross,
-    qn_sign,
     sqrt_exact,
     squarefree_decompose,
 )
@@ -65,16 +64,16 @@ class TestSquarefree:
 
 class TestSign:
     def test_zero(self):
-        assert qn_sign(qn(0)) == 0
+        assert qn(0).sign() == 0
 
     def test_sqrt5_below_three(self):
-        assert qn_sign(qn(-3, 1, 5)) == -1
+        assert qn(-3, 1, 5).sign() == -1
 
     def test_sqrt181_above_thirteen_is_positive(self):
-        assert qn_sign(qn(-13, 1, 181)) == 1
+        assert qn(-13, 1, 181).sign() == 1
 
     def test_exact_cancellation(self):
-        assert qn_sign(qn(-7) + sqrt_exact(49)) == 0
+        assert (qn(-7) + sqrt_exact(49)).sign() == 0
 
 
 class TestCompare:
@@ -109,8 +108,10 @@ class TestCompare:
     def test_ordering_dunders(self):
         values = [qn(0, 1, 2), qn(1), qn(0, 1, 3), Fraction(7, 5)]
         ordered = sorted(values[:3] + [QuadraticNumber(values[3])])
-        floats = [float(v) for v in ordered]
-        assert floats == sorted(floats)
+        # disjoint enclosures in increasing order certify the order exactly
+        enclosures = [v.bounds(20) for v in ordered]
+        for (_, hi), (lo, _) in zip(enclosures, enclosures[1:]):
+            assert hi < lo
 
 
 class TestArithmetic:

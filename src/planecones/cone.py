@@ -338,8 +338,16 @@ def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
         expected = exceptional.discriminant_of_slope(point.mu)
         if point.delta != expected:
             raise ConsistencyError("zero-pairing invariants drifted off the exceptional point")
-    elif point.delta < delta_curve(point.mu, max_order):
-        raise ConsistencyError(f"orthogonal invariants {point} below the boundary curve")
+    else:
+        # endpoints are irrational, so a rational mu in gamma's closed
+        # interval lies in no other and gamma's arc is the boundary there
+        gamma = inv.corresponding_slope
+        if exceptional.interval_contains(gamma, point.mu, closed=True):
+            boundary = exceptional.arc_value(gamma, point.mu)
+        else:
+            boundary = delta_curve(point.mu, max_order)
+        if point.delta < boundary:
+            raise ConsistencyError(f"orthogonal invariants {point} below the boundary curve")
     return result
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .chern import ChernCharacter, hilbert_poly
 from .errors import ConsistencyError, DescentError, DomainError
-from .qarith import QuadraticNumber, RationalLike, _sign_one_radical, qn_compare_cross, sqrt_exact
+from .qarith import QuadraticNumber, RationalLike, _sign_int_radical, qn_compare_cross, sqrt_exact
 
 DEFAULT_MAX_ORDER = 64
 
@@ -244,7 +244,8 @@ def interval_contains(a: ExceptionalSlope, x, closed: bool) -> bool:
     holds exactly when ``u > 0`` and ``u^2 > 9 - 4/r^2`` (and ``<=`` when
     both hold non-strictly), because ``2 x_a = 3 - sqrt(9 - 4/r^2)``.  The
     signs of ``x - a``, ``u`` and ``u^2 - 9 + 4/r^2`` lie in the field of
-    ``x``, so each takes at most one squaring.
+    ``x``; cleared of denominators, each is the sign of an integer
+    ``A + B*sqrt(d)``.
     """
     if isinstance(x, QuadraticNumber):
         xa, xb, d = x.a, x.b, x.d
@@ -252,17 +253,23 @@ def interval_contains(a: ExceptionalSlope, x, closed: bool) -> bool:
         xa, xb, d = x, 0, 0
     else:
         raise TypeError(f"cannot interpret {x!r} as a quadratic number")
-    # |x - a| = ta + tb sqrt(d); u = ua + ub sqrt(d); u^2 - 9 + 4/r^2 = va + vb sqrt(d)
-    ta, tb = xa - a.slope, xb
-    if _sign_one_radical(ta, tb, d) < 0:
-        ta, tb = -ta, -tb
-    ua, ub = 3 - 2 * ta, -2 * tb
-    if _sign_one_radical(ua, ub, d) <= 0:  # u <= 0 fails even the closed test
+    # Over N = D*r, with D the common denominator of x's parts:
+    # |x - a| = (t + w sqrt(d))/N, u = (ua + ub sqrt(d))/N and, as N/r = D,
+    # N^2 (u^2 - 9 + 4/r^2) = va + vb sqrt(d).
+    r = a.rank
+    D = xa.denominator * xb.denominator
+    N = D * r
+    t = xa.numerator * xb.denominator * r - a.slope.numerator * D
+    w = xb.numerator * xa.denominator * r
+    if _sign_int_radical(t, w, d) < 0:
+        t, w = -t, -w
+    ua, ub = 3 * N - 2 * t, -2 * w
+    if _sign_int_radical(ua, ub, d) <= 0:  # u <= 0 fails even the closed test
         return False
-    va, vb = ua * ua - 9 + Fraction(4, a.rank * a.rank), 0
+    va, vb = ua * ua - 9 * N * N + 4 * D * D, 0
     if d:  # the radical parts, absent for a rational x
         va, vb = va + ub * ub * d, 2 * ua * ub
-    sv = _sign_one_radical(va, vb, d)
+    sv = _sign_int_radical(va, vb, d)
     return sv >= 0 if closed else sv > 0
 
 
@@ -299,12 +306,23 @@ def find_interval(x, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
     )
 
 
-@lru_cache(maxsize=None)
+# Distinct slopes whose boundary value is kept; a long batch evicts the oldest.
+_DELTA_CURVE_CACHE_SIZE = 4096
+
+
+def arc_value(a: ExceptionalSlope, mu: Fraction) -> Fraction:
+    """The boundary curve's arc over ``a``'s interval, evaluated at ``mu``.
+
+    Equals ``delta_curve(mu)`` whenever ``mu`` lies in the closed interval of ``a``.
+    """
+    return hilbert_poly(-abs(mu - a.slope)) - a.discriminant
+
+
+@lru_cache(maxsize=_DELTA_CURVE_CACHE_SIZE)
 def delta_curve(mu: Fraction, max_order: int = DEFAULT_MAX_ORDER) -> Fraction:
     """Exact value of the classification boundary at a rational slope."""
     mu = Fraction(mu)
-    a = find_interval(mu, max_order)
-    return hilbert_poly(-abs(mu - a.slope)) - a.discriminant
+    return arc_value(find_interval(mu, max_order), mu)
 
 
 def enumerate_slopes(lo: RationalLike, hi: RationalLike,

@@ -2,10 +2,15 @@
 
 Rationals are plain :class:`fractions.Fraction` values (always reduced,
 positive denominator).  :class:`QuadraticNumber` represents ``a + b*sqrt(d)``
-exactly.  Every sign and comparison is decided by sign-tracked squarings of
-rationals, never by floating point: interval-membership tests downstream
-branch on these comparisons, and a wrong branch silently corrupts entire
-reports.
+exactly.  Every sign and comparison is decided exactly, never by floating
+point: interval-membership tests downstream branch on these comparisons, and
+a wrong branch silently corrupts entire reports.  The sign of ``a + b*sqrt(d)``
+is cleared of denominators to integers ``A + B*sqrt(d)`` and decided first
+from a certified integer enclosure of ``sqrt(d)`` (``isqrt`` at 64, then 128
+bits); only when the enclosure cannot separate ``|A|`` from ``|B|*sqrt(d)``
+is the exact squaring ``A*A - B*B*d`` formed.  Radicands lose their small
+square factors by batch gcd against a product tree of the primes up to
+``TRIAL_DIVISION_BOUND``.
 """
 
 from __future__ import annotations
@@ -29,32 +34,76 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write ``n = s*s * d`` with ``d`` squarefree up to trial division.
+def _primes_up_to(n: int) -> list[int]:
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if sieve[p]]
 
-    Primes up to ``TRIAL_DIVISION_BOUND`` are divided out; the leftover
-    cofactor is tested for being a perfect square so radicands built from
-    large squares still collapse.  A composite leftover with a hidden square factor stays
-    unreduced.  That only affects how canonical the representation is;
-    comparisons stay exact either way because they never assume the
-    radicand is squarefree.
+
+def _product_tree(leaves: list[int]) -> list[list[int]]:
+    """Levels of a binary product tree, leaves first and the full product last."""
+    levels = [leaves]
+    while len(levels[-1]) > 1:
+        row = levels[-1]
+        levels.append([math.prod(row[i:i + 2]) for i in range(0, len(row), 2)])
+    return levels
+
+
+_SMALL_PRIMES = _primes_up_to(TRIAL_DIVISION_BOUND)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+_PRIME_TREE = _product_tree(_SMALL_PRIMES)
+
+
+def _small_prime_divisors(n: int) -> list[int]:
+    """The primes up to ``TRIAL_DIVISION_BOUND`` that divide ``n``.
+
+    One gcd with the product of all of them gives their product ``g``; it is
+    split down the product tree, one gcd per node, since the gcd of ``g``
+    with a node is the product of the gcds with its two children.
+    """
+    found = []
+    stack = [(len(_PRIME_TREE) - 1, 0, math.gcd(n, _PRIME_TREE[-1][0]))]
+    while stack:
+        level, i, g = stack.pop()
+        if g == 1:
+            continue
+        if g in _SMALL_PRIME_SET:
+            found.append(g)
+            continue
+        children = _PRIME_TREE[level - 1]
+        left = math.gcd(g, children[2 * i])
+        stack.append((level - 1, 2 * i + 1, g // left))
+        stack.append((level - 1, 2 * i, left))
+    return found
+
+
+def squarefree_decompose(n: int) -> tuple[int, int]:
+    """Write ``n = s*s * d`` with ``d`` squarefree up to ``TRIAL_DIVISION_BOUND``.
+
+    Every prime up to the bound that divides ``n`` is divided out; the
+    primes are found by batch gcd with their product tree, not by trial
+    division.  The leftover cofactor is tested for being a perfect square so
+    radicands built from large squares still collapse.  A composite leftover
+    with a hidden square factor stays unreduced.  That only affects how
+    canonical the representation is; comparisons stay exact either way
+    because they never assume the radicand is squarefree.
     """
     if n < 0:
         raise DomainError("negative radicand")
     if n in (0, 1):
         return 1, n
     s, d = 1, 1
-    p = 2
-    while p <= TRIAL_DIVISION_BOUND and p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
+    for p in _small_prime_divisors(n):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        if e % 2:
+            d *= p
     if n > 1:
         r = math.isqrt(n)
         if r * r == n:
@@ -64,19 +113,49 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, d
 
 
-def _sign_one_radical(a: Fraction, b: Fraction, d: int) -> int:
-    """Exact sign of ``a + b*sqrt(d)`` with ``d >= 0``."""
-    if b == 0 or d == 0:
-        return _sign(a)
-    if a == 0:
-        return _sign(b)
-    sa, sb = _sign(a), _sign(b)
+# Bits of the certified enclosures of sqrt(d) tried before exact squaring.
+_FILTER_BITS = (64, 128)
+
+
+def _sign_int_radical(A: int, B: int, d: int) -> int:
+    """Exact sign of ``A + B*sqrt(d)`` for integers ``A``, ``B`` and ``d >= 0``.
+
+    When the signs of ``A`` and ``B`` differ, ``|A|`` is compared with
+    ``|B|*sqrt(d)`` first through ``s = isqrt(d << 2k)``, which certifies
+    ``s <= sqrt(d)*2**k < s + 1``, at ``k = 64`` and then ``k = 128``; only
+    when both enclosures straddle ``|A|`` is ``A*A - B*B*d`` formed.
+    """
+    if B == 0 or d == 0:
+        return (A > 0) - (A < 0)
+    sb = 1 if B > 0 else -1
+    if A == 0:
+        return sb
+    sa = 1 if A > 0 else -1
     if sa == sb:
         return sa
-    t = a * a - b * b * d
+    A, B = abs(A), abs(B)
+    for k in _FILTER_BITS:
+        lo = B * math.isqrt(d << 2 * k)
+        a = A << k
+        if a < lo:
+            return sb
+        if a >= lo + B:
+            return sa
+    t = A * A - B * B * d
     if t == 0:
         return 0
     return sa if t > 0 else sb
+
+
+def _sign_one_radical(a: Fraction, b: Fraction, d: int) -> int:
+    """Exact sign of ``a + b*sqrt(d)`` with ``d >= 0``.
+
+    Over the positive common denominator of ``a`` and ``b`` this is the sign
+    of an integer expression, decided by :func:`_sign_int_radical`.
+    """
+    if b == 0 or d == 0:
+        return _sign(a)
+    return _sign_int_radical(a.numerator * b.denominator, b.numerator * a.denominator, d)
 
 
 def _sign_two_radicals(a: Fraction, b: Fraction, m: int, c: Fraction, n: int) -> int:
@@ -210,16 +289,19 @@ class QuadraticNumber:
         return _sign_two_radicals(self.a - other.a, self.b, self.d, -other.b, other.d)
 
     def floor(self) -> int:
-        """Largest integer ``n`` with ``n <= self``, decided exactly."""
+        """Largest integer ``n`` with ``n <= self``, decided exactly.
+
+        Over the common denominator ``D`` the value is ``(A + B*sqrt(d))/D``.
+        A stored radicand ``d > 1`` is never a perfect square, so neither is
+        ``B*B*d``, and ``t = isqrt(B*B*d)`` gives ``t < |B|*sqrt(d) < t + 1``.
+        """
+        a, b = self.a, self.b
         if self.d == 0:
-            return math.floor(self.a)
-        lo, _ = self.bounds(20)
-        n = math.floor(lo)
-        while self.compare(Fraction(n + 1)) >= 0:
-            n += 1
-        while self.compare(Fraction(n)) < 0:
-            n -= 1
-        return n
+            return math.floor(a)
+        D = a.denominator * b.denominator
+        A, B = a.numerator * b.denominator, b.numerator * a.denominator
+        t = math.isqrt(B * B * self.d)
+        return (A + t) // D if B > 0 else (A - t - 1) // D
 
     def bounds(self, digits: int) -> tuple[Fraction, Fraction]:
         """Rational enclosure ``lo <= self <= hi`` of width < ``2*|b| * 10**-digits``."""

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, settings
 from planecones import Kind, classify
 from planecones.chern import ChernCharacter, character_from_json, hilbert_poly
 from planecones.exceptional import delta_curve, enumerate_slopes, find_interval
-from planecones.qarith import QuadraticNumber
+from planecones.qarith import TRIAL_DIVISION_BOUND, QuadraticNumber
 
 settings.register_profile(
     "ci",
@@ -36,6 +36,47 @@ def picard_rank2_grid() -> list[ChernCharacter]:
 @pytest.fixture(scope="session")
 def grid() -> list[ChernCharacter]:
     return picard_rank2_grid()
+
+
+def trial_division_decompose(n: int) -> tuple[int, int]:
+    """``n = s*s * d`` by trial division up to ``TRIAL_DIVISION_BOUND``.
+
+    The oracle for the batch-gcd ``squarefree_decompose``: odd trial
+    divisors up to the bound (or up to the square root of what is left),
+    then a perfect-square test on the cofactor.
+    """
+    if n in (0, 1):
+        return 1, n
+    s, d = 1, 1
+    p = 2
+    while p <= TRIAL_DIVISION_BOUND and p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e % 2:
+                d *= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        r = math.isqrt(n)
+        if r * r == n:
+            s *= r
+        else:
+            d *= n
+    return s, d
+
+
+def exact_radical_sign(A: int, B: int, d: int) -> int:
+    """Sign of ``A + B*sqrt(d)`` by one exact squaring, with no enclosure."""
+    sa, sb = (A > 0) - (A < 0), (B > 0) - (B < 0)
+    if sb == 0 or d == 0:
+        return sa
+    if sa == 0 or sa == sb:
+        return sb
+    t = A * A - B * B * d
+    return 0 if t == 0 else sa if t > 0 else sb
 
 
 def delta_curve_at(x: QuadraticNumber) -> QuadraticNumber:

@@ -84,6 +84,21 @@ class TestConeCommand:
         assert "dimension: 26" in out
 
 
+    def test_huge_square_radicand(self, capsys):
+        # 5 + 8 delta = 5 (10^30 + 1)^2: mu0+ has a 31-digit coefficient on sqrt(5)
+        ch2 = -625 * 10 ** 57 - 1250 * 10 ** 27
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cone", "--chern", f"1,0,{ch2}")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and not err
+        data = json.loads(out)
+        assert data["classification"]["kind"] == "PICARD_RANK_2"
+        assert data["mu0"]["plus"] == f"(-3/2 + {F(10 ** 30 + 1, 2)}*sqrt(5))"
+        # mu0+ = 1118033988749894848204586834365.2561..., within (3 - sqrt 5)/2 of that integer
+        gamma = data["primary"]["invariants"]["corresponding_slope"]
+        assert (gamma["slope"], gamma["order"]) == ("1118033988749894848204586834365", 0)
+
+
 class TestClassifyCommand:
     def test_exceptional(self, capsys):
         code, out, _ = run(capsys, "classify", "--rmd", "5,2/5,12/25")

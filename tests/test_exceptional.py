@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from planecones import exceptional
+from planecones import exceptional, qarith
 from planecones.chern import ChernCharacter
 from planecones.errors import DescentError, DomainError
 from planecones.exceptional import (
     DyadicRational,
     affine_image,
+    arc_value,
     delta_curve,
     dot,
     enumerate_slopes,
@@ -21,9 +22,9 @@ from planecones.exceptional import (
     parents,
     slope_dot,
 )
-from planecones.qarith import QuadraticNumber, qn_compare_cross, sqrt_exact
+from planecones.qarith import QuadraticNumber, _sign_int_radical, qn_compare_cross, sqrt_exact
 
-from conftest import delta_curve_at
+from conftest import delta_curve_at, exact_radical_sign
 
 F = Fraction
 
@@ -280,6 +281,55 @@ class TestRationalMembership:
             interval_contains(from_integer(0), 0.25, closed=True)
 
 
+class TestFilteredSign:
+    """Signs decided from isqrt enclosures agree with one exact squaring."""
+
+    @staticmethod
+    def cleared(x, end):
+        """Integers ``A, B, d`` with ``x - end`` a positive multiple of ``A + B sqrt(d)``."""
+        a, b = x - end.a, -end.b
+        return a.numerator * b.denominator, b.numerator * a.denominator, end.d
+
+    def test_probes_around_endpoints_order_six(self, monkeypatch):
+        # the probes 10^-30 outside an endpoint's enclosure need 128 bits, and
+        # most points 10^-50 outside one reach the exact fallback
+        rng = random.Random(20140106)
+        cases = []
+        for a in enumerate_slopes(-1, 1, 6):
+            for x in TestRationalMembership.probes(a, rng):
+                for end in a.interval():
+                    cases.append(self.cleared(x, end))
+            for end in a.interval():
+                lo, hi = end.bounds(45)
+                for x in (lo - F(1, 10 ** 50), hi + F(1, 10 ** 50)):
+                    cases.append(self.cleared(x, end))
+        assert len(cases) == 129 * (2 * 16 + 2 * 2)
+        expected = [exact_radical_sign(*case) for case in cases]
+        assert [_sign_int_radical(*case) for case in cases] == expected
+        for bits in ((), (64,), (128,)):
+            monkeypatch.setattr(qarith, "_FILTER_BITS", bits)
+            assert [_sign_int_radical(*case) for case in cases] == expected
+
+    def test_exact_zeros_reach_the_fallback(self):
+        # A + B sqrt(k^2) = 0 sits on the boundary of every enclosure
+        rng = random.Random(1997)
+        for _ in range(500):
+            k, B = rng.randrange(1, 10 ** 20), rng.randrange(1, 10 ** 20)
+            for sign in (1, -1):
+                A = -sign * B * k
+                assert _sign_int_radical(A, sign * B, k * k) == 0
+                for off in (-1, 1):
+                    assert _sign_int_radical(A + off, sign * B, k * k) == exact_radical_sign(
+                        A + off, sign * B, k * k
+                    )
+
+    def test_sign_of_quadratic_numbers(self):
+        for end in from_dyadic(dy(17, 4)).interval():
+            for shift in (0, F(1, 10 ** 40), -F(1, 10 ** 40)):
+                x = end + shift
+                assert x.sign() == exact_radical_sign(*self.cleared(F(0), -x))
+
+
 class TestAffineImage:
     """Negation and integer translation read off the address, against descent."""
 
@@ -343,6 +393,26 @@ class TestDeltaCurve:
         for mu in (F(1, 8), F(2, 5), F(3, 7)):
             assert delta_curve(mu + 1) == delta_curve(mu)
             assert delta_curve(-mu) == delta_curve(mu)
+
+    def test_arc_of_enclosing_slope(self):
+        rng = random.Random(2014)
+        checked = 0
+        for a in enumerate_slopes(0, 1, 6):
+            for x in TestRationalMembership.probes(a, rng):
+                if interval_contains(a, x, closed=True):
+                    assert arc_value(a, x) == delta_curve(x)
+                    assert find_interval(x) == a
+                    checked += 1
+        assert checked > 65 * 4
+
+    def test_cache_is_bounded(self):
+        info = delta_curve.cache_info()
+        assert info.maxsize is not None
+        delta_curve.cache_clear()
+        for n in range(info.maxsize + 100):
+            delta_curve(F(n, 2))
+        assert delta_curve.cache_info().currsize <= info.maxsize
+        assert delta_curve(F(1, 2)) == F(5, 8)
 
     def test_endpoints_symbolically_half_order_six(self):
         for s in enumerate_slopes(0, 1, 6):

@@ -1,9 +1,13 @@
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from planecones import qarith
 from planecones.errors import DomainError
 from planecones.qarith import (
     TRIAL_DIVISION_BOUND,
@@ -15,8 +19,15 @@ from planecones.qarith import (
     squarefree_decompose,
 )
 
+from conftest import trial_division_decompose
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 small_nonneg = st.fractions(min_value=0, max_value=50, max_denominator=40)
+
+# 10007 and 10009 are primes above TRIAL_DIVISION_BOUND, so the square factor
+# of HIDDEN_SQUARE is invisible to trial division and stays in the radicand.
+HIDDEN_SQUARE = 10007 ** 2 * 10009
+radicands = st.sampled_from([2, 3, 5, 8, 12, 181, 221, 4 * 10007, HIDDEN_SQUARE])
 
 
 def qn(a, b=0, d=0):
@@ -60,6 +71,51 @@ class TestSquarefree:
         p = 1_000_003  # prime beyond the trial-division bound
         s, d = squarefree_decompose(p * p)
         assert (s, d) == (p, 1)
+
+
+class TestBatchGcdFactoring:
+    """The product-tree ``squarefree_decompose`` against the trial-division oracle."""
+
+    PRIMES_NEAR_BOUND = [9941, 9949, 9967, 9973, 10007, 10009, 10037, 10039]
+
+    def test_small_primes_are_the_primes_up_to_the_bound(self):
+        primes = qarith._SMALL_PRIMES
+        assert len(primes) == 1229 and primes[-1] == 9973
+        assert qarith._PRIME_TREE[-1] == [math.prod(primes)]
+
+    @given(st.integers(min_value=0, max_value=10 ** 60))
+    def test_matches_trial_division(self, n):
+        assert squarefree_decompose(n) == trial_division_decompose(n)
+
+    @given(
+        st.lists(st.sampled_from([2, 3, 5, 7, 97, 9967, 9973, 10007, 10009]), max_size=10),
+        st.integers(min_value=1, max_value=10 ** 30),
+        st.integers(min_value=1, max_value=10 ** 8),
+    )
+    def test_matches_trial_division_on_smooth_numbers(self, factors, cofactor, root):
+        n = math.prod(factors) * cofactor * root * root
+        assert squarefree_decompose(n) == trial_division_decompose(n)
+
+    def test_interval_radicands(self):
+        # 9 r^2 - 4 is the radicand of every interval halfwidth of rank r
+        for r in range(1, 3000):
+            n = 9 * r * r - 4
+            assert squarefree_decompose(n) == trial_division_decompose(n), r
+
+    @pytest.mark.parametrize("n, expected", [
+        (HIDDEN_SQUARE, (1, HIDDEN_SQUARE)),
+        (9973 ** 3, (9973, 9973)),
+        (2 * 9973, (1, 2 * 9973)),
+        (9973 ** 2 * 10007 ** 2, (9973 * 10007, 1)),
+        (2 ** 61 * 3 ** 7, (2 ** 30 * 3 ** 3, 6)),
+    ])
+    def test_fixed_cases(self, n, expected):
+        assert squarefree_decompose(n) == expected == trial_division_decompose(n)
+
+    def test_primes_either_side_of_the_bound(self):
+        for p in self.PRIMES_NEAR_BOUND:
+            for n in (p, p * p, p ** 3, 4 * p, p * 10007, p * 9973):
+                assert squarefree_decompose(n) == trial_division_decompose(n), n
 
 
 class TestSign:
@@ -143,6 +199,29 @@ class TestArithmetic:
         assert qn(3).floor() == 3
         assert ((qn(-13) + sqrt_exact(181)) / 6).floor() == 0
 
+    def test_floor_of_large_coefficient_is_immediate(self):
+        b = 10 ** 24 + 1
+        start = time.perf_counter()
+        n = QuadraticNumber(0, b, 5).floor()
+        assert time.perf_counter() - start < 0.05
+        assert n == math.isqrt(5 * b * b)
+        assert QuadraticNumber(0, -b, 5).floor() == -n - 1
+
+    @given(st.fractions(), st.fractions(), radicands)
+    def test_floor_agrees_with_compare(self, a, b, d):
+        x = qn(a, b, d)
+        n = x.floor()
+        assert x.compare(n) >= 0 and x.compare(n + 1) < 0
+
+    def test_floor_agrees_with_compare_large(self):
+        rng = random.Random(20140106)
+        for _ in range(2000):
+            a = Fraction(rng.randrange(-10 ** 30, 10 ** 30), rng.randrange(1, 10 ** 6))
+            b = Fraction(rng.randrange(-10 ** 30, 10 ** 30), rng.randrange(1, 10 ** 6))
+            x = qn(a, b, rng.randrange(2, 10 ** 12))
+            n = x.floor()
+            assert x.compare(n) >= 0 and x.compare(n + 1) < 0, x
+
 
 class TestSerialization:
     @given(rationals, rationals, st.integers(min_value=0, max_value=300))
@@ -166,12 +245,6 @@ class TestSerialization:
     def test_canonical_form_examples(self):
         assert str(sqrt_exact(Fraction(181, 9))) == "(0 + 1/3*sqrt(181))"
         assert str(qn(Fraction(5, 2))) == "(5/2 + 0*sqrt(0))"
-
-
-# 10007 and 10009 are primes above TRIAL_DIVISION_BOUND, so the square factor
-# of HIDDEN_SQUARE is invisible to trial division and stays in the radicand.
-HIDDEN_SQUARE = 10007 ** 2 * 10009
-radicands = st.sampled_from([2, 3, 5, 8, 12, 181, 221, 4 * 10007, HIDDEN_SQUARE])
 
 
 class TestReducedRadicand:

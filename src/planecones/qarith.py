@@ -5,10 +5,9 @@ positive denominator).  :class:`QuadraticNumber` represents ``a + b*sqrt(d)``
 exactly.  Every sign and comparison is decided exactly, never by floating
 point: interval-membership tests downstream branch on these comparisons, and
 a wrong branch silently corrupts entire reports.  The sign of ``a + b*sqrt(d)``
-is cleared of denominators to integers ``A + B*sqrt(d)`` and decided first
-from a certified integer enclosure of ``sqrt(d)`` (``isqrt`` at 64, then 128
-bits); only when the enclosure cannot separate ``|A|`` from ``|B|*sqrt(d)``
-is the exact squaring ``A*A - B*B*d`` formed.  Radicands lose their small
+is cleared of denominators to integers ``A + B*sqrt(d)``; when the signs of
+``A`` and ``B`` differ it is decided by one exact integer squaring
+``A*A - B*B*d``, with no ``Fraction`` products.  Radicands lose their small
 square factors by batch gcd against a product tree of the primes up to
 ``TRIAL_DIVISION_BOUND``.
 """
@@ -113,17 +112,11 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, d
 
 
-# Bits of the certified enclosures of sqrt(d) tried before exact squaring.
-_FILTER_BITS = (64, 128)
-
-
 def _sign_int_radical(A: int, B: int, d: int) -> int:
     """Exact sign of ``A + B*sqrt(d)`` for integers ``A``, ``B`` and ``d >= 0``.
 
-    When the signs of ``A`` and ``B`` differ, ``|A|`` is compared with
-    ``|B|*sqrt(d)`` first through ``s = isqrt(d << 2k)``, which certifies
-    ``s <= sqrt(d)*2**k < s + 1``, at ``k = 64`` and then ``k = 128``; only
-    when both enclosures straddle ``|A|`` is ``A*A - B*B*d`` formed.
+    When the signs of ``A`` and ``B`` agree, that is the sign; otherwise
+    ``|A|`` is compared with ``|B|*sqrt(d)`` through ``A*A - B*B*d``.
     """
     if B == 0 or d == 0:
         return (A > 0) - (A < 0)
@@ -133,14 +126,6 @@ def _sign_int_radical(A: int, B: int, d: int) -> int:
     sa = 1 if A > 0 else -1
     if sa == sb:
         return sa
-    A, B = abs(A), abs(B)
-    for k in _FILTER_BITS:
-        lo = B * math.isqrt(d << 2 * k)
-        a = A << k
-        if a < lo:
-            return sb
-        if a >= lo + B:
-            return sa
     t = A * A - B * B * d
     if t == 0:
         return 0

@@ -68,15 +68,27 @@ def trial_division_decompose(n: int) -> tuple[int, int]:
     return s, d
 
 
-def exact_radical_sign(A: int, B: int, d: int) -> int:
-    """Sign of ``A + B*sqrt(d)`` by one exact squaring, with no enclosure."""
-    sa, sb = (A > 0) - (A < 0), (B > 0) - (B < 0)
-    if sb == 0 or d == 0:
-        return sa
-    if sa == 0 or sa == sb:
-        return sb
-    t = A * A - B * B * d
-    return 0 if t == 0 else sa if t > 0 else sb
+def enclosure_radical_sign(A: int, B: int, d: int) -> int:
+    """Sign of ``A + B*sqrt(d)`` from integer enclosures of ``sqrt(d)``, never squaring.
+
+    The oracle for ``_sign_int_radical``: a square ``d`` is the rational
+    case; otherwise the value is not zero, and ``s = isqrt(d << 2k)``, which
+    certifies ``s <= sqrt(d)*2**k < s + 1``, separates it from zero once
+    ``k`` is large enough.
+    """
+    root = math.isqrt(d)
+    if root * root == d:
+        v = A + B * root
+        return (v > 0) - (v < 0)
+    k = 64
+    while True:
+        s = math.isqrt(d << 2 * k)
+        lo, hi = (A << k) + B * s, (A << k) + B * (s + 1)
+        if min(lo, hi) > 0:
+            return 1
+        if max(lo, hi) < 0:
+            return -1
+        k *= 2
 
 
 def delta_curve_at(x: QuadraticNumber) -> QuadraticNumber:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from planecones.chern import (
     ChernCharacter,
     HalfPlane,
+    SlopeDisc,
     euler_pairing,
     half_plane,
     hilbert_poly,
@@ -21,13 +23,14 @@ from planecones.cone import (
     corresponding_slope,
     intersection_slope_zero,
     kronecker_data,
+    minimal_orthogonal_rank,
     orthogonal_character,
     orthogonal_invariants,
     resolution_multiplicities,
     secondary_edge,
 )
-from planecones.errors import DomainError
-from planecones.exceptional import from_slope_value
+from planecones.errors import ConsistencyError, DomainError
+from planecones.exceptional import arc_value, delta_curve, from_slope_value, interval_contains
 from planecones.qarith import QuadraticNumber, qn_compare_cross, sqrt_exact
 
 from conftest import ORDER_FOUR
@@ -217,6 +220,23 @@ class TestOrthogonalCharacter:
         assert orthogonal_character(inv, 7).ch0 == 7
         with pytest.raises(DomainError):
             orthogonal_character(inv, 0)
+
+    @pytest.mark.parametrize("mu, in_gamma", [(F(1, 4), True), (F(1), False)])
+    def test_point_below_the_boundary_rejected(self, mu, in_gamma):
+        # gamma = 0: its closed interval holds 1/4, whose boundary is gamma's
+        # arc, but not 1, whose boundary comes from a descent
+        inv = orthogonal_invariants(GOLDEN)
+        gamma = inv.corresponding_slope
+        assert gamma.slope == 0
+        assert interval_contains(gamma, mu, closed=True) is in_gamma
+        boundary = delta_curve(mu)
+        if in_gamma:
+            assert arc_value(gamma, mu) == boundary
+        on_curve = replace(inv, point=SlopeDisc(mu, boundary))
+        assert orthogonal_character(on_curve).ch0 == minimal_orthogonal_rank(on_curve.point)
+        below = replace(inv, point=SlopeDisc(mu, boundary - F(1, 10 ** 6)))
+        with pytest.raises(ConsistencyError, match="below the boundary curve"):
+            orthogonal_character(below)
 
 
 class TestResolution:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from planecones import exceptional, qarith
+from planecones import exceptional
 from planecones.chern import ChernCharacter
 from planecones.errors import DescentError, DomainError
 from planecones.exceptional import (
@@ -24,7 +24,7 @@ from planecones.exceptional import (
 )
 from planecones.qarith import QuadraticNumber, _sign_int_radical, qn_compare_cross, sqrt_exact
 
-from conftest import delta_curve_at, exact_radical_sign
+from conftest import delta_curve_at, enclosure_radical_sign
 
 F = Fraction
 
@@ -281,8 +281,8 @@ class TestRationalMembership:
             interval_contains(from_integer(0), 0.25, closed=True)
 
 
-class TestFilteredSign:
-    """Signs decided from isqrt enclosures agree with one exact squaring."""
+class TestRadicalSign:
+    """The integer sign of ``A + B sqrt(d)`` agrees with an enclosure oracle."""
 
     @staticmethod
     def cleared(x, end):
@@ -290,9 +290,9 @@ class TestFilteredSign:
         a, b = x - end.a, -end.b
         return a.numerator * b.denominator, b.numerator * a.denominator, end.d
 
-    def test_probes_around_endpoints_order_six(self, monkeypatch):
-        # the probes 10^-30 outside an endpoint's enclosure need 128 bits, and
-        # most points 10^-50 outside one reach the exact fallback
+    def test_probes_around_endpoints_order_six(self):
+        # the probes 10^-30 outside an endpoint's enclosure take the oracle
+        # to 128 bits of sqrt(d), and most points 10^-50 outside one to 256
         rng = random.Random(20140106)
         cases = []
         for a in enumerate_slopes(-1, 1, 6):
@@ -304,14 +304,12 @@ class TestFilteredSign:
                 for x in (lo - F(1, 10 ** 50), hi + F(1, 10 ** 50)):
                     cases.append(self.cleared(x, end))
         assert len(cases) == 129 * (2 * 16 + 2 * 2)
-        expected = [exact_radical_sign(*case) for case in cases]
+        expected = [enclosure_radical_sign(*case) for case in cases]
         assert [_sign_int_radical(*case) for case in cases] == expected
-        for bits in ((), (64,), (128,)):
-            monkeypatch.setattr(qarith, "_FILTER_BITS", bits)
-            assert [_sign_int_radical(*case) for case in cases] == expected
+        assert 0 < expected.count(1) < len(cases)
 
-    def test_exact_zeros_reach_the_fallback(self):
-        # A + B sqrt(k^2) = 0 sits on the boundary of every enclosure
+    def test_exact_zeros(self):
+        # A + B sqrt(k^2) = 0 needs the exact test; so do its neighbours A +- 1
         rng = random.Random(1997)
         for _ in range(500):
             k, B = rng.randrange(1, 10 ** 20), rng.randrange(1, 10 ** 20)
@@ -319,7 +317,7 @@ class TestFilteredSign:
                 A = -sign * B * k
                 assert _sign_int_radical(A, sign * B, k * k) == 0
                 for off in (-1, 1):
-                    assert _sign_int_radical(A + off, sign * B, k * k) == exact_radical_sign(
+                    assert _sign_int_radical(A + off, sign * B, k * k) == enclosure_radical_sign(
                         A + off, sign * B, k * k
                     )
 
@@ -327,7 +325,7 @@ class TestFilteredSign:
         for end in from_dyadic(dy(17, 4)).interval():
             for shift in (0, F(1, 10 ** 40), -F(1, 10 ** 40)):
                 x = end + shift
-                assert x.sign() == exact_radical_sign(*self.cleared(F(0), -x))
+                assert x.sign() == enclosure_radical_sign(*self.cleared(F(0), -x))
 
 
 class TestAffineImage:

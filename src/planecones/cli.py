@@ -56,8 +56,11 @@ def _load_config() -> dict:
     return config
 
 
-def _int_at_least(least: int):
-    """argparse type for an integer flag bounded below, as in the config file."""
+def _int_at_least(least: int, most: int = 0):
+    """argparse type for an integer flag bounded below, as in the config file.
+
+    A positive ``most`` bounds it above too.
+    """
 
     def parse(text: str) -> int:
         try:
@@ -66,6 +69,8 @@ def _int_at_least(least: int):
             raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
         if value < least:
             raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        if most and value > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
         return value
 
     return parse
@@ -364,15 +369,11 @@ def _cmd_curve(args) -> int:
             rows.append((mu, value, None))
         except DescentError as exc:
             rows.append((mu, None, str(exc)))
-    intervals = [
-        {
-            "slope": format_rational(s.slope),
-            "order": s.order,
-            "left": str(s.interval()[0]),
-            "right": str(s.interval()[1]),
-        }
-        for s in exceptional.enumerate_slopes(lo, hi, args.interval_order)
-    ]
+    intervals = []
+    for s in exceptional.enumerate_slopes(lo, hi, args.interval_order):
+        left, right = s.interval()
+        intervals.append({"slope": format_rational(s.slope), "order": s.order,
+                          "left": str(left), "right": str(right)})
     overlay = None
     if getattr(args, "chern", None) or getattr(args, "rmd", None):
         x = _character_from_args(args)
@@ -475,7 +476,9 @@ def _add_max_order(parser: argparse.ArgumentParser, defaults: dict) -> None:
 def _add_approx(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--approx",
-        type=_int_at_least(0),
+        # decimal() prints the digits as one int, so at most Python's
+        # int-to-string limit (0, no limit, before Python 3.10.7)
+        type=_int_at_least(0, getattr(sys, "get_int_max_str_digits", lambda: 0)()),
         default=None,
         metavar="N",
         help="add non-authoritative N-digit decimal columns",

@@ -18,7 +18,9 @@ from functools import lru_cache
 
 from .chern import ChernCharacter, hilbert_poly
 from .errors import ConsistencyError, DescentError, DomainError
-from .qarith import QuadraticNumber, RationalLike, _sign_int_radical, qn_compare_cross, sqrt_exact
+from .qarith import (
+    QuadraticNumber, RationalLike, _sign_int_radical, floor_of_form, integer_form, sqrt_exact,
+)
 
 DEFAULT_MAX_ORDER = 64
 
@@ -105,6 +107,14 @@ def epsilon(d: DyadicRational) -> Fraction:
     return _walk(d)[1]
 
 
+def _mediant(p: int, q: int, left: Fraction, right: Fraction) -> Fraction:
+    """Memoized slope at the odd address ``p / 2**q``, between bracket ends ``left``, ``right``."""
+    mid = _EPSILON_MEMO.get((p, q))
+    if mid is None:
+        mid = _EPSILON_MEMO.setdefault((p, q), slope_dot(left, right))
+    return mid
+
+
 def _walk(d: DyadicRational) -> tuple["ExceptionalSlope", Fraction, "ExceptionalSlope"]:
     """``(left parent, slope, right parent)`` of ``d = p / 2**q`` with ``q >= 1``.
 
@@ -116,9 +126,7 @@ def _walk(d: DyadicRational) -> tuple["ExceptionalSlope", Fraction, "Exceptional
     b = p >> q
     left, right = Fraction(b), Fraction(b + 1)
     for k in range(1, q + 1):
-        mid = _EPSILON_MEMO.get((2 * b + 1, k))
-        if mid is None:
-            mid = _EPSILON_MEMO.setdefault((2 * b + 1, k), slope_dot(left, right))
+        mid = _mediant(2 * b + 1, k, left, right)
         if k < q:
             b = p >> (q - k)
             left, right = (mid, right) if b & 1 else (left, mid)
@@ -164,7 +172,11 @@ class ExceptionalSlope:
         return str(self.slope)
 
 
-@lru_cache(maxsize=None)
+# Distinct ranks whose halfwidth is kept: every rank of order <= 10 fits.
+_INTERVAL_HALFWIDTH_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_INTERVAL_HALFWIDTH_CACHE_SIZE)
 def _interval_halfwidth(rank: int) -> QuadraticNumber:
     # x = (3 - sqrt(5 + 8*delta))/2 with 5 + 8*delta = (9 r^2 - 4)/r^2
     delta = (1 - Fraction(1, rank * rank)) / 2
@@ -244,32 +256,22 @@ def interval_contains(a: ExceptionalSlope, x, closed: bool) -> bool:
     holds exactly when ``u > 0`` and ``u^2 > 9 - 4/r^2`` (and ``<=`` when
     both hold non-strictly), because ``2 x_a = 3 - sqrt(9 - 4/r^2)``.  The
     signs of ``x - a``, ``u`` and ``u^2 - 9 + 4/r^2`` lie in the field of
-    ``x``; cleared of denominators, each is the sign of an integer
-    ``A + B*sqrt(d)``.
+    ``x``; over the integer form ``x = (A + B*sqrt(d))/D``, each is the sign
+    of an integer ``A' + B'*sqrt(d)``.
     """
-    if isinstance(x, QuadraticNumber):
-        xa, xb, d = x.a, x.b, x.d
-    elif isinstance(x, (int, Fraction)):
-        xa, xb, d = x, 0, 0
-    else:
-        raise TypeError(f"cannot interpret {x!r} as a quadratic number")
-    # Over N = D*r, with D the common denominator of x's parts:
-    # |x - a| = (t + w sqrt(d))/N, u = (ua + ub sqrt(d))/N and, as N/r = D,
-    # N^2 (u^2 - 9 + 4/r^2) = va + vb sqrt(d).
+    A, B, d, D = integer_form(x)
+    # Over N = D*r: |x - a| = (t + w sqrt(d))/N, u = (ua + ub sqrt(d))/N
+    # and, as N/r = D, N^2 (u^2 - 9 + 4/r^2) = va + vb sqrt(d).
     r = a.rank
-    D = xa.denominator * xb.denominator
     N = D * r
-    t = xa.numerator * xb.denominator * r - a.slope.numerator * D
-    w = xb.numerator * xa.denominator * r
+    t = A * r - a.slope.numerator * D
+    w = B * r
     if _sign_int_radical(t, w, d) < 0:
         t, w = -t, -w
     ua, ub = 3 * N - 2 * t, -2 * w
     if _sign_int_radical(ua, ub, d) <= 0:  # u <= 0 fails even the closed test
         return False
-    va, vb = ua * ua - 9 * N * N + 4 * D * D, 0
-    if d:  # the radical parts, absent for a rational x
-        va, vb = va + ub * ub * d, 2 * ua * ub
-    sv = _sign_int_radical(va, vb, d)
+    sv = _sign_int_radical(ua * ua + ub * ub * d - 9 * N * N + 4 * D * D, 2 * ua * ub, d)
     return sv >= 0 if closed else sv > 0
 
 
@@ -280,26 +282,32 @@ def find_interval(x, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
     repeatedly probe the mediant of the current dyadic bracket, narrowing to
     the left or right gap.  An input equal to an interval endpoint resolves
     to that interval's slope (closures are tested at every probe).
+    ``x`` is cleared once to its integer form, which gives its floor and, at
+    a missed probe, the integer sign of ``x - mediant``; each mediant comes
+    from the slope memo, so a probe builds no :class:`QuadraticNumber`.
     Termination within ``max_order`` holds for every rational and for the
     quadratic irrationals arising from characters; genuine Cantor-set points
     would descend forever and trip the budget instead.
     """
-    if isinstance(x, (int, Fraction)):
-        x = QuadraticNumber(Fraction(x))
-    n = x.floor()
+    A, B, d, D = integer_form(x)
+    n = floor_of_form(A, B, d, D)
     for m in (n, n + 1):
         candidate = from_integer(m)
         if interval_contains(candidate, x, closed=True):
             return candidate
     p, q = n, 0
+    left, right = Fraction(n), Fraction(n + 1)
     while q < max_order:
-        child = from_dyadic(DyadicRational(2 * p + 1, q + 1))
+        p, q = 2 * p + 1, q + 1
+        mid = _mediant(p, q, left, right)
+        child = ExceptionalSlope(mid, DyadicRational(p, q))
         if interval_contains(child, x, closed=True):
             return child
-        if qn_compare_cross(x, QuadraticNumber(child.slope)) < 0:
-            p, q = 2 * p, q + 1
+        # narrow to [p - 1, p] or [p, p + 1] over 2**q; p keeps the left end
+        if _sign_int_radical(A * mid.denominator - mid.numerator * D, B * mid.denominator, d) < 0:
+            p, right = p - 1, mid
         else:
-            p, q = 2 * p + 1, q + 1
+            left = mid
     raise DescentError(
         f"no enclosing interval of order <= {max_order}: "
         f"input is a Cantor-set point or the budget is too small"

@@ -4,12 +4,14 @@ Rationals are plain :class:`fractions.Fraction` values (always reduced,
 positive denominator).  :class:`QuadraticNumber` represents ``a + b*sqrt(d)``
 exactly.  Every sign and comparison is decided exactly, never by floating
 point: interval-membership tests downstream branch on these comparisons, and
-a wrong branch silently corrupts entire reports.  The sign of ``a + b*sqrt(d)``
-is cleared of denominators to integers ``A + B*sqrt(d)``; when the signs of
-``A`` and ``B`` differ it is decided by one exact integer squaring
-``A*A - B*B*d``, with no ``Fraction`` products.  Radicands lose their small
-square factors by batch gcd against a product tree of the primes up to
-``TRIAL_DIVISION_BOUND``.
+a wrong branch silently corrupts entire reports.  Every sign, comparison and
+floor starts from one integer form, :func:`integer_form`, which writes a
+rational or quadratic number as ``(A + B*sqrt(d))/D``.  The sign of
+``A + B*sqrt(d)`` takes at most one exact integer squaring
+``A*A - B*B*d``; a comparison across two radicands is the sign of
+``A + B*sqrt(m) + C*sqrt(n)``, which takes at most two, with no ``Fraction``
+products.  Radicands lose their small square factors by batch gcd against a
+product tree of the primes up to ``TRIAL_DIVISION_BOUND``.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ RationalLike = Union[Fraction, int]
 TRIAL_DIVISION_BOUND = 10_000
 
 _ZERO = Fraction(0)
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _primes_up_to(n: int) -> list[int]:
@@ -132,54 +130,49 @@ def _sign_int_radical(A: int, B: int, d: int) -> int:
     return sa if t > 0 else sb
 
 
-def _sign_one_radical(a: Fraction, b: Fraction, d: int) -> int:
-    """Exact sign of ``a + b*sqrt(d)`` with ``d >= 0``.
+def _sign_int_two_radicals(A: int, B: int, m: int, C: int, n: int) -> int:
+    """Exact sign of ``A + B*sqrt(m) + C*sqrt(n)`` for integers, ``m, n >= 0``.
 
-    Over the positive common denominator of ``a`` and ``b`` this is the sign
-    of an integer expression, decided by :func:`_sign_int_radical`.
+    At most two sign-tracked squarings, both by :func:`_sign_int_radical`:
+    ``B*sqrt(m) + C*sqrt(n)`` has the sign of ``B*m + C*sqrt(m*n)``, and
+    when ``A`` has the other sign, ``A*A`` is compared with the square
+    ``B*B*m + C*C*n + 2*B*C*sqrt(m*n)``.  Neither squarefreeness nor
+    independence of the two radicals is assumed.
     """
-    if b == 0 or d == 0:
-        return _sign(a)
-    return _sign_int_radical(a.numerator * b.denominator, b.numerator * a.denominator, d)
+    s = _sign_int_radical(B * m, C, m * n) if m else _sign_int_radical(0, C, n)
+    sa = (A > 0) - (A < 0)
+    if sa == 0 or s == 0 or s == sa:
+        return sa or s
+    su = _sign_int_radical(A * A - B * B * m - C * C * n, -2 * B * C, m * n)
+    return sa if su > 0 else s if su < 0 else 0
 
 
-def _sign_two_radicals(a: Fraction, b: Fraction, m: int, c: Fraction, n: int) -> int:
-    """Exact sign of ``a + b*sqrt(m) + c*sqrt(n)``.
+def integer_form(x) -> tuple[int, int, int, int]:
+    """Integers ``(A, B, d, D)`` with ``x = (A + B*sqrt(d))/D`` and ``D > 0``.
 
-    At most two sign-tracked squarings.  Correct for arbitrary nonnegative
-    ``m``, ``n``; neither squarefreeness nor independence of the two
-    radicals is assumed.
+    ``d`` is the stored radicand of a :class:`QuadraticNumber` and 0 for a
+    rational, whose form ``(p, 0, 0, q)`` is read without building a
+    :class:`QuadraticNumber`.  Every exact sign and floor starts here.
     """
-    s = _sign_one_radical_pair(b, m, c, n)
-    if a == 0:
-        return s
-    sa = _sign(a)
-    if s == 0 or s == sa:
-        return sa
-    # opposite signs: compare a^2 with (b*sqrt(m) + c*sqrt(n))^2
-    t = a * a - b * b * m - c * c * n
-    u = 2 * b * c
-    su = _sign_one_radical(t, -u, m * n)
-    if su > 0:
-        return sa
-    if su < 0:
-        return s
-    return 0
+    if isinstance(x, QuadraticNumber):
+        a, b = x.a, x.b
+        return (a.numerator * b.denominator, b.numerator * a.denominator, x.d,
+                a.denominator * b.denominator)
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, 0, x.denominator
+    raise TypeError(f"cannot interpret {x!r} as a quadratic number")
 
 
-def _sign_one_radical_pair(b: Fraction, m: int, c: Fraction, n: int) -> int:
-    """Exact sign of ``b*sqrt(m) + c*sqrt(n)``."""
-    if b == 0 or m == 0:
-        return _sign(c) if n else 0
-    if c == 0 or n == 0:
-        return _sign(b)
-    sb, sc = _sign(b), _sign(c)
-    if sb == sc:
-        return sb
-    t = b * b * m - c * c * n
-    if t == 0:
-        return 0
-    return sb if t > 0 else sc
+def floor_of_form(A: int, B: int, d: int, D: int) -> int:
+    """Largest integer ``n <= (A + B*sqrt(d))/D`` for an :func:`integer_form`.
+
+    A stored radicand ``d > 1`` is never a perfect square, so neither is
+    ``B*B*d``, and ``t = isqrt(B*B*d)`` gives ``t < |B|*sqrt(d) < t + 1``.
+    """
+    if B == 0:
+        return A // D
+    t = math.isqrt(B * B * d)
+    return (A + t) // D if B > 0 else (A - t - 1) // D
 
 
 _PARSE_RE = re.compile(
@@ -260,33 +253,23 @@ class QuadraticNumber:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}; needs at most one squaring."""
-        return _sign_one_radical(self.a, self.b, self.d)
+        return _sign_int_radical(*integer_form(self)[:3])
 
     def compare(self, other) -> int:
-        """Exact three-way comparison, cross-radicand included."""
-        other = _coerce(other)
-        if self.d == other.d:
-            return _sign_one_radical(self.a - other.a, self.b - other.b, self.d)
-        if self.d == 0:
-            return _sign_one_radical(self.a - other.a, -other.b, other.d)
-        if other.d == 0:
-            return _sign_one_radical(self.a - other.a, self.b, self.d)
-        return _sign_two_radicals(self.a - other.a, self.b, self.d, -other.b, other.d)
+        """Exact three-way comparison, cross-radicand included.
+
+        With ``self = (A + B*sqrt(m))/D`` and ``other = (C + E*sqrt(n))/F``,
+        this is the sign of ``(A*F - C*D) + B*F*sqrt(m) - E*D*sqrt(n)``.
+        """
+        A, B, m, D = integer_form(self)
+        C, E, n, F = integer_form(other)
+        if m == n:
+            return _sign_int_radical(A * F - C * D, B * F - E * D, m)
+        return _sign_int_two_radicals(A * F - C * D, B * F, m, -E * D, n)
 
     def floor(self) -> int:
-        """Largest integer ``n`` with ``n <= self``, decided exactly.
-
-        Over the common denominator ``D`` the value is ``(A + B*sqrt(d))/D``.
-        A stored radicand ``d > 1`` is never a perfect square, so neither is
-        ``B*B*d``, and ``t = isqrt(B*B*d)`` gives ``t < |B|*sqrt(d) < t + 1``.
-        """
-        a, b = self.a, self.b
-        if self.d == 0:
-            return math.floor(a)
-        D = a.denominator * b.denominator
-        A, B = a.numerator * b.denominator, b.numerator * a.denominator
-        t = math.isqrt(B * B * self.d)
-        return (A + t) // D if B > 0 else (A - t - 1) // D
+        """Largest integer ``n`` with ``n <= self``, decided exactly by one ``isqrt``."""
+        return floor_of_form(*integer_form(self))
 
     def bounds(self, digits: int) -> tuple[Fraction, Fraction]:
         """Rational enclosure ``lo <= self <= hi`` of width < ``2*|b| * 10**-digits``."""

@@ -6,8 +6,18 @@ from hypothesis import HealthCheck, settings
 
 from planecones import Kind, classify
 from planecones.chern import ChernCharacter, character_from_json, hilbert_poly
-from planecones.exceptional import delta_curve, enumerate_slopes, find_interval
-from planecones.qarith import TRIAL_DIVISION_BOUND, QuadraticNumber
+from planecones.errors import DescentError
+from planecones.exceptional import (
+    DEFAULT_MAX_ORDER,
+    DyadicRational,
+    delta_curve,
+    enumerate_slopes,
+    find_interval,
+    from_dyadic,
+    from_integer,
+    interval_contains,
+)
+from planecones.qarith import TRIAL_DIVISION_BOUND, QuadraticNumber, qn_compare_cross
 
 settings.register_profile(
     "ci",
@@ -89,6 +99,69 @@ def enclosure_radical_sign(A: int, B: int, d: int) -> int:
         if max(lo, hi) < 0:
             return -1
         k *= 2
+
+
+def _fraction_sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _fraction_one_radical_sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Sign of ``a + b*sqrt(d)`` by squaring ``Fraction``s."""
+    sa, sb = _fraction_sign(a), _fraction_sign(b)
+    if sb == 0 or d == 0:
+        return sa
+    if sa == 0 or sa == sb:
+        return sb
+    t = a * a - b * b * d
+    return 0 if t == 0 else (sa if t > 0 else sb)
+
+
+def fraction_two_radical_sign(a: Fraction, b: Fraction, m: int, c: Fraction, n: int) -> int:
+    """Sign of ``a + b*sqrt(m) + c*sqrt(n)`` by squaring ``Fraction``s.
+
+    The oracle for the integer two-radical sign: the ``Fraction`` routine that
+    cross-radicand comparison used before signs were cleared to integers.
+    """
+    if b == 0 or m == 0:
+        s = _fraction_sign(c) if n else 0
+    elif c == 0 or n == 0:
+        s = _fraction_sign(b)
+    elif _fraction_sign(b) == _fraction_sign(c):
+        s = _fraction_sign(b)
+    else:
+        t = b * b * m - c * c * n
+        s = 0 if t == 0 else (_fraction_sign(b) if t > 0 else _fraction_sign(c))
+    if a == 0:
+        return s
+    sa = _fraction_sign(a)
+    if s == 0 or s == sa:
+        return sa
+    su = _fraction_one_radical_sign(a * a - b * b * m - c * c * n, -2 * b * c, m * n)
+    return sa if su > 0 else (s if su < 0 else 0)
+
+
+def reference_find_interval(x, max_order: int = DEFAULT_MAX_ORDER):
+    """The bracketing descent as one ``from_dyadic`` and one comparison per probe.
+
+    The reference for ``find_interval``, which reads each mediant off the
+    memo and takes the left/right sign from ``x``'s integer form instead.
+    """
+    if isinstance(x, (int, Fraction)):
+        x = QuadraticNumber(Fraction(x))
+    n = x.floor()
+    for m in (n, n + 1):
+        if interval_contains(from_integer(m), x, closed=True):
+            return from_integer(m)
+    p, q = n, 0
+    while q < max_order:
+        child = from_dyadic(DyadicRational(2 * p + 1, q + 1))
+        if interval_contains(child, x, closed=True):
+            return child
+        if qn_compare_cross(x, QuadraticNumber(child.slope)) < 0:
+            p, q = 2 * p, q + 1
+        else:
+            p, q = 2 * p + 1, q + 1
+    raise DescentError(f"no enclosing interval of order <= {max_order}")
 
 
 def delta_curve_at(x: QuadraticNumber) -> QuadraticNumber:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -13,6 +14,12 @@ from planecones.exceptional import delta_curve
 from planecones.qarith import parse_rational
 
 F = Fraction
+
+# the most fractional digits QuadraticNumber.decimal can print: Python's
+# int-to-string limit, which is absent (0) before Python 3.10.7
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(INT_DIGITS == 0, reason="no int-to-string digit limit")
+TOO_MANY_DIGITS = str(INT_DIGITS + 1)
 
 
 def run(capsys, *argv):
@@ -405,6 +412,11 @@ class TestArgumentBoundaries:
             ("cone", "--rmd", "3,2/3,17/9", "--approx", "-3"),
             ("cone", "--rmd", "3,2/3,17/9", "--max-order", "-5"),
             ("curve", "--lo", "0", "--hi", "1", "--approx", "-1"),
+            pytest.param(("cone", "--rmd", "3,2/3,17/9", "--approx", TOO_MANY_DIGITS),
+                         marks=needs_digit_limit),
+            pytest.param(("curve", "--lo", "0", "--hi", "1", "--samples", "3", "--format", "csv",
+                          "--approx", TOO_MANY_DIGITS), marks=needs_digit_limit),
+            pytest.param(("batch", "-", "--approx", TOO_MANY_DIGITS), marks=needs_digit_limit),
             ("slope", "--rational", "2/5", "--max-order", "x"),
             ("cone", "--chern", "1,0,0", "--multiplier", "-5"),
             ("cone", "--rmd", "3,2/3,17/9", "--multiplier", "0"),
@@ -429,6 +441,16 @@ class TestArgumentBoundaries:
         assert "Traceback" not in captured.err
         assert ("error: argument" in captured.err
                 or "error: unrecognized arguments" in captured.err)
+
+    @needs_digit_limit
+    def test_approx_at_the_digit_limit_renders(self, capsys):
+        limit = str(INT_DIGITS)
+        code, out, _ = run(capsys, "cone", "--rmd", "3,2/3,17/9", "--approx", limit)
+        assert code == 0
+        assert len(json.loads(out)["mu0"]["approx_plus"].split(".")[1]) == INT_DIGITS
+        code, out, _ = run(capsys, "curve", "--lo", "0", "--hi", "1", "--samples", "3",
+                           "--format", "csv", "--approx", limit)
+        assert code == 0 and len(out.splitlines()) == 4
 
     def test_zero_is_accepted(self, capsys):
         code, out, _ = run(capsys, "cone", "--rmd", "3,2/3,17/9", "--approx", "0")

@@ -101,3 +101,42 @@ def test_one_walk_per_word(monkeypatch, word):
     calls.clear()
     assert cfrac.lr_to_slope(word) == cold
     assert calls == []
+
+
+MU0_PLUS_ORDER_FOUR = cone.intersection_slope_zero(ORDER_FOUR)
+
+
+@pytest.mark.parametrize(
+    "x", [MU0_PLUS_ORDER_FOUR, Fraction(33, 86)], ids=["order4_mu0_plus", "rational"]
+)
+def test_one_membership_call_per_probe(monkeypatch, x):
+    """A descent probe is one ``interval_contains`` call and builds nothing else.
+
+    The mediants come from the slope memo (emptied here, so every one is
+    computed), not from ``from_dyadic``, and the side is an integer sign on
+    ``x``'s integer form, so no ``QuadraticNumber`` is made.
+    """
+    probes, built, looked_up = [], [], []
+    contains, init = exceptional.interval_contains, qarith.QuadraticNumber.__init__
+    from_dyadic = exceptional.from_dyadic
+
+    def counted_contains(a, y, closed):
+        probes.append(a)
+        return contains(a, y, closed)
+
+    def counted_init(qn, *args, **kwargs):
+        built.append(args)
+        init(qn, *args, **kwargs)
+
+    monkeypatch.setattr(exceptional, "_EPSILON_MEMO", {})
+    monkeypatch.setattr(exceptional, "interval_contains", counted_contains)
+    monkeypatch.setattr(exceptional, "from_dyadic", lambda d: looked_up.append(d) or from_dyadic(d))
+    monkeypatch.setattr(qarith.QuadraticNumber, "__init__", counted_init)
+    found = exceptional.find_interval(x)
+    assert found.order >= 3
+    assert built == [] and looked_up == []
+    # the two integers around x, then one mediant per level down to found
+    assert len(probes) == 2 + found.order
+    assert len({a.dyadic for a in probes}) == len(probes)
+    assert [a.order for a in probes[2:]] == list(range(1, found.order + 1))
+    assert probes[-1] == found

@@ -24,7 +24,7 @@ from planecones.exceptional import (
 )
 from planecones.qarith import QuadraticNumber, _sign_int_radical, qn_compare_cross, sqrt_exact
 
-from conftest import delta_curve_at, enclosure_radical_sign
+from conftest import ORDER_FOUR, delta_curve_at, enclosure_radical_sign, reference_find_interval
 
 F = Fraction
 
@@ -380,6 +380,51 @@ class TestFindInterval:
             find_interval(deep, max_order=5)
 
 
+def descent_outcome(descend, x, max_order=exceptional.DEFAULT_MAX_ORDER):
+    try:
+        return descend(x, max_order)
+    except DescentError:
+        return DescentError
+
+
+class TestDescentAgainstReference:
+    """The descent on the integer form of ``x`` against the per-probe reference.
+
+    The reference builds each probe by ``from_dyadic`` and chooses a side by
+    comparing ``QuadraticNumber``s; both must reach the same slope or both
+    exhaust the budget.
+    """
+
+    @staticmethod
+    def assert_same(points, max_order=exceptional.DEFAULT_MAX_ORDER):
+        for x in points:
+            expected = descent_outcome(reference_find_interval, x, max_order)
+            assert descent_outcome(find_interval, x, max_order) == expected, x
+
+    def test_mu0_of_the_grid(self, grid):
+        points = []
+        for x in grid:
+            root = sqrt_exact(5 + 8 * x.discriminant())
+            base = QuadraticNumber(-3 - 2 * x.slope())
+            points += [(base + root) / 2, (base - root) / 2]
+        assert len(points) == 2 * len(grid)
+        self.assert_same(points)
+
+    def test_mu0_of_order_four(self):
+        root = sqrt_exact(5 + 8 * ORDER_FOUR.discriminant())
+        base = QuadraticNumber(-3 - 2 * ORDER_FOUR.slope())
+        mu0_plus = (base + root) / 2
+        assert find_interval(mu0_plus).order == 4
+        self.assert_same([mu0_plus, (base - root) / 2])
+        self.assert_same([mu0_plus], max_order=3)
+
+    def test_rationals_of_order_eight(self):
+        slopes = [s.slope for s in enumerate_slopes(-1, 1, 8)]
+        gaps = [(a + b) / 2 for a, b in zip(slopes, slopes[1:])]
+        farey = {F(p, q) for q in range(1, 25) for p in range(-q, q + 1)}
+        self.assert_same(slopes + gaps + sorted(farey), max_order=8)
+
+
 class TestDeltaCurve:
     def test_at_zero(self):
         assert delta_curve(F(0)) == 1
@@ -402,6 +447,16 @@ class TestDeltaCurve:
                     assert find_interval(x) == a
                     checked += 1
         assert checked > 65 * 4
+
+    def test_halfwidth_cache_is_bounded(self):
+        halfwidth = exceptional._interval_halfwidth
+        info = halfwidth.cache_info()
+        assert info.maxsize is not None
+        halfwidth.cache_clear()
+        for rank in range(1, info.maxsize + 100):
+            halfwidth(rank)
+        assert halfwidth.cache_info().currsize <= info.maxsize
+        assert from_dyadic(dy(1, 1)).interval_halfwidth() == (3 - sqrt_exact(8)) / 2
 
     def test_cache_is_bounded(self):
         info = delta_curve.cache_info()

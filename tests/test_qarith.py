@@ -12,6 +12,7 @@ from planecones.errors import DomainError
 from planecones.qarith import (
     TRIAL_DIVISION_BOUND,
     QuadraticNumber,
+    _sign_int_two_radicals,
     format_rational,
     parse_rational,
     qn_compare_cross,
@@ -19,7 +20,7 @@ from planecones.qarith import (
     squarefree_decompose,
 )
 
-from conftest import trial_division_decompose
+from conftest import fraction_two_radical_sign, trial_division_decompose
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 small_nonneg = st.fractions(min_value=0, max_value=50, max_denominator=40)
@@ -28,6 +29,13 @@ small_nonneg = st.fractions(min_value=0, max_value=50, max_denominator=40)
 # of HIDDEN_SQUARE is invisible to trial division and stays in the radicand.
 HIDDEN_SQUARE = 10007 ** 2 * 10009
 radicands = st.sampled_from([2, 3, 5, 8, 12, 181, 221, 4 * 10007, HIDDEN_SQUARE])
+# squares, square multiples and the unreduced HIDDEN_SQUARE next to its root
+raw_radicands = st.sampled_from([0, 1, 2, 4, 8, 9, 18, 50, 181, 10009, HIDDEN_SQUARE])
+hundred_digits = st.integers(min_value=-10 ** 100, max_value=10 ** 100)
+wide_rationals = st.one_of(
+    rationals,
+    st.builds(Fraction, hundred_digits, st.integers(min_value=1, max_value=10 ** 100)),
+)
 
 
 def qn(a, b=0, d=0):
@@ -168,6 +176,45 @@ class TestCompare:
         enclosures = [v.bounds(20) for v in ordered]
         for (_, hi), (lo, _) in zip(enclosures, enclosures[1:]):
             assert hi < lo
+
+
+class TestCrossRadicandSign:
+    """Integer signs of ``A + B*sqrt(m) + C*sqrt(n)`` against ``Fraction`` squaring."""
+
+    @given(wide_rationals, wide_rationals, raw_radicands, wide_rationals, raw_radicands)
+    def test_integer_sign_matches_fraction_oracle(self, a, b, m, c, n):
+        D = a.denominator * b.denominator * c.denominator
+        A, B, C = (int(v * D) for v in (a, b, c))
+        assert _sign_int_two_radicals(A, B, m, C, n) == fraction_two_radical_sign(a, b, m, c, n)
+
+    @given(wide_rationals, wide_rationals, radicands, wide_rationals, wide_rationals, radicands)
+    def test_compare_matches_fraction_oracle(self, a1, b1, d1, a2, b2, d2):
+        x, y = qn(a1, b1, d1), qn(a2, b2, d2)
+        expected = fraction_two_radical_sign(x.a - y.a, x.b, x.d, -y.b, y.d)
+        assert x.compare(y) == expected
+        assert y.compare(x) == -expected
+        assert x.compare(y.a) == fraction_two_radical_sign(x.a - y.a, x.b, x.d, 0, 0)
+
+    @given(hundred_digits, st.integers(min_value=1, max_value=10 ** 6), raw_radicands,
+           st.integers(min_value=-1, max_value=1))
+    def test_exact_zeros_between_unreduced_radicands(self, B, k, m, A):
+        # B*sqrt(k*k*m) - B*k*sqrt(m) is zero, so only A decides the sign
+        assert _sign_int_two_radicals(A, B, k * k * m, -B * k, m) == (A > 0) - (A < 0)
+        assert _sign_int_two_radicals(A, -B * k, m, B, k * k * m) == (A > 0) - (A < 0)
+
+    def test_sqrt8_minus_twice_sqrt2(self):
+        assert _sign_int_two_radicals(0, 1, 8, -2, 2) == 0
+        assert _sign_int_two_radicals(-5, 2, 4, 1, 1) == 0  # square radicands
+        assert _sign_int_two_radicals(1, 1, 8, -2, 2) == 1
+
+    def test_compare_across_a_hidden_square(self):
+        hidden = QuadraticNumber(0, 1, HIDDEN_SQUARE)
+        root = QuadraticNumber(0, 10007, 10009)
+        assert (hidden.d, root.d) == (HIDDEN_SQUARE, 10009)
+        assert hidden.compare(root) == 0 and hidden == root
+        tiny = Fraction(1, 10 ** 100)
+        assert hidden.compare(root + tiny) == -1
+        assert (hidden + tiny).compare(root) == 1
 
 
 class TestArithmetic:

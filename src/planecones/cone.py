@@ -180,11 +180,12 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
         return Classification(
             Kind.HEIGHT_ZERO, ("discriminant sits exactly on the boundary curve",)
         )
-    enclosing = find_interval(mu, max_order)
+    # an exceptional multiple has the discriminant of its slope and a rank
+    # divisible by the slope's denominator; only then descend to check the slope
     if (
-        mu == enclosing.slope
-        and delta == enclosing.discriminant
-        and (x.ch0 / enclosing.rank).denominator == 1
+        delta == exceptional.discriminant_of_slope(mu)
+        and x.ch0.numerator % mu.denominator == 0
+        and find_interval(mu, max_order).slope == mu
     ):
         return Classification(
             Kind.EXCEPTIONAL,

@@ -2,11 +2,12 @@
 
 Rationals are plain :class:`fractions.Fraction` values (always reduced,
 positive denominator).  :class:`QuadraticNumber` represents ``a + b*sqrt(d)``
-exactly.  Every sign and comparison is decided exactly, never by floating
-point: interval-membership tests downstream branch on these comparisons, and
-a wrong branch silently corrupts entire reports.  Every sign, comparison and
-floor starts from one integer form, :func:`integer_form`, which writes a
-rational or quadratic number as ``(A + B*sqrt(d))/D``.  The sign of
+exactly and stores it as integers ``(A + B*sqrt(d))/D``, so each operator is
+one integer formula and nothing is cleared again.  Every sign and comparison
+is decided exactly, never by floating point: interval-membership tests
+downstream branch on these comparisons, and a wrong branch silently corrupts
+entire reports.  Every sign, comparison and floor reads that integer form,
+:func:`integer_form`, which a rational gives as ``(p, 0, 0, q)``.  The sign of
 ``A + B*sqrt(d)`` takes at most one exact integer squaring
 ``A*A - B*B*d``; a comparison across two radicands is the sign of
 ``A + B*sqrt(m) + C*sqrt(n)``, which takes at most two, with no ``Fraction``
@@ -27,8 +28,6 @@ from .errors import DomainError
 RationalLike = Union[Fraction, int]
 
 TRIAL_DIVISION_BOUND = 10_000
-
-_ZERO = Fraction(0)
 
 
 def _primes_up_to(n: int) -> list[int]:
@@ -150,17 +149,23 @@ def _sign_int_two_radicals(A: int, B: int, m: int, C: int, n: int) -> int:
 def integer_form(x) -> tuple[int, int, int, int]:
     """Integers ``(A, B, d, D)`` with ``x = (A + B*sqrt(d))/D`` and ``D > 0``.
 
-    ``d`` is the stored radicand of a :class:`QuadraticNumber` and 0 for a
-    rational, whose form ``(p, 0, 0, q)`` is read without building a
-    :class:`QuadraticNumber`.  Every exact sign and floor starts here.
+    A :class:`QuadraticNumber` stores exactly this form, so it is read, not
+    computed; ``d`` is 0 for a rational, whose form ``(p, 0, 0, q)`` is read
+    without building a :class:`QuadraticNumber`.  Every exact sign and floor
+    starts here.
     """
     if isinstance(x, QuadraticNumber):
-        a, b = x.a, x.b
-        return (a.numerator * b.denominator, b.numerator * a.denominator, x.d,
-                a.denominator * b.denominator)
+        return x.A, x.B, x.d, x.D
     if isinstance(x, (int, Fraction)):
         return x.numerator, 0, 0, x.denominator
     raise TypeError(f"cannot interpret {x!r} as a quadratic number")
+
+
+def _common_radicand(d: int, n: int, verb: str) -> int:
+    """The radicand shared by two integer forms; 0 means both are rational."""
+    if d and n and d != n:
+        raise DomainError(f"cannot {verb} quadratic numbers from different fields")
+    return d or n
 
 
 def floor_of_form(A: int, B: int, d: int, D: int) -> int:
@@ -182,55 +187,58 @@ _PARSE_RE = re.compile(
 
 @total_ordering
 class QuadraticNumber:
-    """Exact value ``a + b*sqrt(d)`` with rational ``a``, ``b``, integer ``d >= 0``.
+    """Exact value ``a + b*sqrt(d)``, stored as its integer form ``(A + B*sqrt(d))/D``.
 
-    Square factors of ``d`` are folded into ``b`` on construction, and
-    ``d in {0, 1}`` collapses into the rational part, so rational values are
-    always stored with ``d == 0``.  Every stored ``d`` is a fixed point of
-    :func:`squarefree_decompose`, so arithmetic on instances reuses the
-    operands' radicand without factoring it again.  Instances are immutable
-    after construction and totally ordered; comparison across different
-    radicands is exact.
+    ``D > 0`` and ``gcd(A, B, D) == 1``; a rational has ``B == d == 0``.  The
+    constructor takes rational ``a``, ``b`` and an integer ``d >= 0``, folds
+    the square factors of ``d`` into ``b`` and ``d in {0, 1}`` into the
+    rational part; ``a`` and ``b`` read back as :class:`Fraction` values.
+    Every stored ``d`` is a fixed point of :func:`squarefree_decompose`, so
+    each operator is one integer formula that reuses its operands' radicand.
+    Instances are immutable and totally ordered, exactly across radicands.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("A", "B", "d", "D")
 
     def __init__(self, a: RationalLike, b: RationalLike = 0, d: int = 0):
         a = Fraction(a)
         b = Fraction(b)
         if d < 0:
             raise DomainError("negative radicand")
-        if b == 0 or d == 0:
-            b, d = Fraction(0), 0
-        elif d == 1:
-            a, b, d = a + b, Fraction(0), 0
-        else:
+        if b and d > 1:
             s, d = squarefree_decompose(d)
             b *= s
-            if d == 1:
-                a, b, d = a + b, Fraction(0), 0
-        self.a = a
-        self.b = b
-        self.d = d
+        self._store(a.numerator * b.denominator, b.numerator * a.denominator, d,
+                    a.denominator * b.denominator)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _reduced(cls, a: Fraction, b: Fraction, d: int) -> "QuadraticNumber":
-        """Build from the radicand of an existing instance without factoring it again.
+    def _from_form(cls, A: int, B: int, d: int, D: int) -> "QuadraticNumber":
+        """``(A + B*sqrt(d))/D`` for integers, ``D != 0``, without factoring ``d``.
 
-        ``d`` must be 0 or the stored radicand of some instance, hence a
-        fixed point of :func:`squarefree_decompose`; ``a`` and ``b`` must be
-        :class:`Fraction` values.  A zero ``b`` still folds into the
-        rational form, so the result equals ``QuadraticNumber(a, b, d)``.
+        ``d`` must be 0, 1 or a fixed point of :func:`squarefree_decompose`,
+        such as the stored radicand of an instance.
         """
         self = object.__new__(cls)
-        if b == 0 or d == 0:
-            b, d = _ZERO, 0
-        self.a = a
-        self.b = b
-        self.d = d
+        self._store(A, B, d, D)
         return self
+
+    def _store(self, A: int, B: int, d: int, D: int) -> None:
+        """Fix the sign of ``D``, divide out the gcd and fold ``B`` when ``d <= 1``."""
+        if d == 1:
+            A += B
+        if B == 0 or d <= 1:
+            B, d = 0, 0
+        if D < 0:
+            A, B, D = -A, -B, -D
+        g = math.gcd(A, B, D)
+        if g > 1:
+            A, B, D = A // g, B // g, D // g
+        self.A = A
+        self.B = B
+        self.d = d
+        self.D = D
 
     @classmethod
     def parse(cls, text: str) -> "QuadraticNumber":
@@ -243,6 +251,14 @@ class QuadraticNumber:
     # -- basic queries ------------------------------------------------
 
     @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.D)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.D)
+
+    @property
     def is_rational(self) -> bool:
         return self.d == 0
 
@@ -253,7 +269,7 @@ class QuadraticNumber:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}; needs at most one squaring."""
-        return _sign_int_radical(*integer_form(self)[:3])
+        return _sign_int_radical(self.A, self.B, self.d)
 
     def compare(self, other) -> int:
         """Exact three-way comparison, cross-radicand included.
@@ -261,7 +277,7 @@ class QuadraticNumber:
         With ``self = (A + B*sqrt(m))/D`` and ``other = (C + E*sqrt(n))/F``,
         this is the sign of ``(A*F - C*D) + B*F*sqrt(m) - E*D*sqrt(n)``.
         """
-        A, B, m, D = integer_form(self)
+        A, B, m, D = self.A, self.B, self.d, self.D
         C, E, n, F = integer_form(other)
         if m == n:
             return _sign_int_radical(A * F - C * D, B * F - E * D, m)
@@ -269,31 +285,27 @@ class QuadraticNumber:
 
     def floor(self) -> int:
         """Largest integer ``n`` with ``n <= self``, decided exactly by one ``isqrt``."""
-        return floor_of_form(*integer_form(self))
+        return floor_of_form(self.A, self.B, self.d, self.D)
 
     def bounds(self, digits: int) -> tuple[Fraction, Fraction]:
         """Rational enclosure ``lo <= self <= hi`` of width < ``2*|b| * 10**-digits``."""
         _check_digits(digits)
-        if self.d == 0:
-            return self.a, self.a
+        A, B, d, D = self.A, self.B, self.d, self.D
+        if B == 0:
+            return Fraction(A, D), Fraction(A, D)
         scale = 10 ** digits
-        s = math.isqrt(self.d * scale * scale)
-        root_lo, root_hi = Fraction(s, scale), Fraction(s + 1, scale)
-        if self.b >= 0:
-            return self.a + self.b * root_lo, self.a + self.b * root_hi
-        return self.a + self.b * root_hi, self.a + self.b * root_lo
+        s = math.isqrt(d * scale * scale)
+        lo = Fraction(A * scale + B * s, D * scale)
+        hi = Fraction(A * scale + B * (s + 1), D * scale)
+        return (lo, hi) if B > 0 else (hi, lo)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "QuadraticNumber":
-        other = _coerce(other)
-        if self.d == other.d:
-            return QuadraticNumber._reduced(self.a + other.a, self.b + other.b, self.d)
-        if self.d == 0:
-            return QuadraticNumber._reduced(self.a + other.a, other.b, other.d)
-        if other.d == 0:
-            return QuadraticNumber._reduced(self.a + other.a, self.b, self.d)
-        raise DomainError("cannot add quadratic numbers from different fields")
+        A, B, d, D = self.A, self.B, self.d, self.D
+        C, E, n, F = integer_form(other)
+        d = _common_radicand(d, n, "add")
+        return QuadraticNumber._from_form(A * F + C * D, B * F + E * D, d, D * F)
 
     __radd__ = __add__
 
@@ -304,36 +316,28 @@ class QuadraticNumber:
         return _coerce(other) + (-self)
 
     def __neg__(self) -> "QuadraticNumber":
-        return QuadraticNumber._reduced(-self.a, -self.b, self.d)
+        return QuadraticNumber._from_form(-self.A, -self.B, self.d, self.D)
 
     def __abs__(self) -> "QuadraticNumber":
         return -self if self.sign() < 0 else self
 
     def __mul__(self, other) -> "QuadraticNumber":
-        other = _coerce(other)
-        if self.d == other.d:
-            return QuadraticNumber._reduced(
-                self.a * other.a + self.b * other.b * self.d,
-                self.a * other.b + self.b * other.a,
-                self.d,
-            )
-        if self.d == 0:
-            return QuadraticNumber._reduced(self.a * other.a, self.a * other.b, other.d)
-        if other.d == 0:
-            return QuadraticNumber._reduced(self.a * other.a, self.b * other.a, self.d)
-        raise DomainError("cannot multiply quadratic numbers from different fields")
+        A, B, d, D = self.A, self.B, self.d, self.D
+        C, E, n, F = integer_form(other)
+        d = _common_radicand(d, n, "multiply")
+        return QuadraticNumber._from_form(A * C + B * E * d, A * E + B * C, d, D * F)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QuadraticNumber":
-        other = _coerce(other)
-        if other.sign() == 0:
+        """Times the conjugate over the norm, which is 0 only for a zero divisor."""
+        A, B, d, D = self.A, self.B, self.d, self.D
+        C, E, n, F = integer_form(other)
+        d = _common_radicand(d, n, "divide")
+        norm = C * C - E * E * d
+        if norm == 0:
             raise DomainError("division by zero")
-        if other.d == 0:
-            return QuadraticNumber._reduced(self.a / other.a, self.b / other.a, self.d)
-        norm = other.a * other.a - other.b * other.b * other.d
-        conj = QuadraticNumber._reduced(other.a, -other.b, other.d)
-        return (self * conj) / norm
+        return QuadraticNumber._from_form(F * (A * C - B * E * d), F * (B * C - A * E), d, D * norm)
 
     def __rtruediv__(self, other) -> "QuadraticNumber":
         return _coerce(other) / self
@@ -381,9 +385,7 @@ def _check_digits(digits: int) -> None:
 def _coerce(x) -> QuadraticNumber:
     if isinstance(x, QuadraticNumber):
         return x
-    if isinstance(x, (int, Fraction)):
-        return QuadraticNumber(Fraction(x))
-    raise TypeError(f"cannot interpret {x!r} as a quadratic number")
+    return QuadraticNumber._from_form(*integer_form(x))
 
 
 def sqrt_exact(x: RationalLike) -> QuadraticNumber:
@@ -396,14 +398,8 @@ def sqrt_exact(x: RationalLike) -> QuadraticNumber:
     x = Fraction(x)
     if x < 0:
         raise DomainError("square root of a negative rational")
-    if x == 0:
-        return QuadraticNumber(0)
-    n = x.numerator * x.denominator
-    s, d = squarefree_decompose(n)
-    coeff = Fraction(s, x.denominator)
-    if d == 1:
-        return QuadraticNumber(coeff)
-    return QuadraticNumber._reduced(_ZERO, coeff, d)
+    s, d = squarefree_decompose(x.numerator * x.denominator)
+    return QuadraticNumber._from_form(0, s, d, x.denominator)
 
 
 def qn_compare_cross(x, y) -> int:
@@ -413,7 +409,7 @@ def qn_compare_cross(x, y) -> int:
 
 def format_rational(x: RationalLike) -> str:
     """Render ``p/q`` (or plain ``p`` when the denominator is 1)."""
-    return str(Fraction(x))
+    return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
 def parse_rational(text: str) -> Fraction:

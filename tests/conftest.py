@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, settings
 
 from planecones import Kind, classify
 from planecones.chern import ChernCharacter, character_from_json, hilbert_poly
-from planecones.errors import DescentError
+from planecones.errors import DescentError, DomainError
 from planecones.exceptional import (
     DEFAULT_MAX_ORDER,
     DyadicRational,
@@ -138,6 +138,106 @@ def fraction_two_radical_sign(a: Fraction, b: Fraction, m: int, c: Fraction, n: 
         return sa
     su = _fraction_one_radical_sign(a * a - b * b * m - c * c * n, -2 * b * c, m * n)
     return sa if su > 0 else (s if su < 0 else 0)
+
+
+class FractionQuadratic:
+    """``a + b*sqrt(d)`` with ``Fraction`` coefficients, as ``QuadraticNumber`` once stored it.
+
+    The oracle for the integer form: the same reduced radicand (factored by
+    trial division), the operators written over ``Fraction``s with a case per
+    rational operand and division through the conjugate, and the same
+    ``repr``, ``bounds`` and ``decimal``.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b=0, d=0):
+        """Trusts ``d`` to be 0 or reduced, as arithmetic on reduced operands does."""
+        a, b = Fraction(a), Fraction(b)
+        if b == 0 or d == 0:
+            b, d = Fraction(0), 0
+        self.a, self.b, self.d = a, b, d
+
+    @classmethod
+    def build(cls, a, b=0, d=0):
+        """The public constructor: square factors of ``d`` fold into ``b``."""
+        b = Fraction(b)
+        if b != 0 and d > 1:
+            s, d = trial_division_decompose(d)
+            b *= s
+        return cls(Fraction(a) + b, 0, 0) if d == 1 else cls(a, b, d)
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, FractionQuadratic) else FractionQuadratic(x)
+
+    def sign(self) -> int:
+        return _fraction_one_radical_sign(self.a, self.b, self.d)
+
+    def __add__(self, other):
+        other = FractionQuadratic.of(other)
+        if self.d and other.d and self.d != other.d:
+            raise DomainError("cannot add quadratic numbers from different fields")
+        if self.d == other.d:
+            return FractionQuadratic(self.a + other.a, self.b + other.b, self.d)
+        if self.d == 0:
+            return FractionQuadratic(self.a + other.a, other.b, other.d)
+        return FractionQuadratic(self.a + other.a, self.b, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionQuadratic(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        return self + (-FractionQuadratic.of(other))
+
+    def __rsub__(self, other):
+        return FractionQuadratic.of(other) + (-self)
+
+    def __mul__(self, other):
+        other = FractionQuadratic.of(other)
+        if self.d and other.d and self.d != other.d:
+            raise DomainError("cannot multiply quadratic numbers from different fields")
+        if self.d == other.d:
+            return FractionQuadratic(self.a * other.a + self.b * other.b * self.d,
+                                     self.a * other.b + self.b * other.a, self.d)
+        if self.d == 0:
+            return FractionQuadratic(self.a * other.a, self.a * other.b, other.d)
+        return FractionQuadratic(self.a * other.a, self.b * other.a, self.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = FractionQuadratic.of(other)
+        if other.sign() == 0:
+            raise DomainError("division by zero")
+        if other.d == 0:
+            return FractionQuadratic(self.a / other.a, self.b / other.a, self.d)
+        norm = other.a * other.a - other.b * other.b * other.d
+        return (self * FractionQuadratic(other.a, -other.b, other.d)) / norm
+
+    def __rtruediv__(self, other):
+        return FractionQuadratic.of(other) / self
+
+    def __repr__(self) -> str:
+        return f"QuadraticNumber({self.a!r}, {self.b!r}, {self.d})"
+
+    def bounds(self, digits: int):
+        if self.d == 0:
+            return self.a, self.a
+        scale = 10 ** digits
+        s = math.isqrt(self.d * scale * scale)
+        root_lo, root_hi = Fraction(s, scale), Fraction(s + 1, scale)
+        if self.b >= 0:
+            return self.a + self.b * root_lo, self.a + self.b * root_hi
+        return self.a + self.b * root_hi, self.a + self.b * root_lo
+
+    def decimal(self, digits: int) -> str:
+        lo, hi = self.bounds(digits + 2)
+        scaled = round((lo + hi) / 2 * 10 ** digits)
+        whole, frac = divmod(abs(scaled), 10 ** digits)
+        return f"{'-' if scaled < 0 else ''}{whole}.{str(frac).zfill(digits)}"
 
 
 def reference_find_interval(x, max_order: int = DEFAULT_MAX_ORDER):

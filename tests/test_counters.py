@@ -21,7 +21,8 @@ import pytest
 
 import planecones
 from planecones import cfrac, cone, exceptional, qarith
-from planecones.chern import ChernCharacter
+from planecones.chern import ChernCharacter, character_from_json
+from planecones.cone import Kind
 
 from conftest import ORDER_FOUR
 
@@ -83,6 +84,20 @@ def test_one_analysis_per_side(counts, x, order, descents):
     assert counts["find_interval"] == descents
     radicand = 5 + 8 * x.discriminant()
     assert counts["radicands"].count(radicand) == 1
+
+
+# Below the boundary curve only a character with its slope's exceptional
+# discriminant and a rank divisible by the slope's denominator can be
+# exceptional, so only such a character descends a second time.
+@pytest.mark.parametrize(
+    "r, c1, chi, kind, descents",
+    [(1, 0, 2, Kind.INVALID, 1), (2, 2, 6, Kind.EXCEPTIONAL, 2)],
+    ids=["invalid", "exceptional"],
+)
+def test_classify_descends_again_only_for_a_candidate(counts, r, c1, chi, kind, descents):
+    exceptional.delta_curve.cache_clear()
+    assert cone.classify(character_from_json({"r": r, "c1": c1, "chi": chi})).kind is kind
+    assert counts["find_interval"] == descents
 
 
 @pytest.mark.parametrize("word", ["RLLLRR", "LRLRLRLRLR"])

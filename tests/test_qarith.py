@@ -20,7 +20,7 @@ from planecones.qarith import (
     squarefree_decompose,
 )
 
-from conftest import fraction_two_radical_sign, trial_division_decompose
+from conftest import FractionQuadratic, fraction_two_radical_sign, trial_division_decompose
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 small_nonneg = st.fractions(min_value=0, max_value=50, max_denominator=40)
@@ -217,6 +217,56 @@ class TestCrossRadicandSign:
         assert (hidden + tiny).compare(root) == 1
 
 
+class TestAgainstFractionOracle:
+    """The integer form against ``Fraction`` arithmetic on ``a + b*sqrt(d)``.
+
+    Every operator, in both operand orders and with rational and quadratic
+    divisors, must give the ``repr``, ``bounds`` and ``decimal`` of the
+    ``Fraction`` representation it replaced, and store a normalized form.
+    """
+
+    @staticmethod
+    def results(x, y, c):
+        out = [x + y, y + x, x - y, y - x, x * y, y * x, -x,
+               x + c, c + x, x - c, c - x, x * c, c * x]
+        if y.sign() != 0:
+            out.append(x / y)
+        if x.sign() != 0:
+            out += [y / x, c / x]
+        if c != 0:
+            out.append(x / c)
+        return out
+
+    @given(wide_rationals, wide_rationals, wide_rationals, wide_rationals, radicands,
+           wide_rationals, st.integers(min_value=0, max_value=40))
+    def test_operations_match(self, a1, b1, a2, b2, d, c, k):
+        x, y = qn(a1, b1, d), qn(a2, b2, d)
+        ox, oy = FractionQuadratic.build(a1, b1, d), FractionQuadratic.build(a2, b2, d)
+        for q, o in zip(self.results(x, y, c), self.results(ox, oy, c), strict=True):
+            assert q.D > 0 and math.gcd(q.A, q.B, q.D) == 1
+            assert q.B != 0 or q.d == 0
+            assert repr(q) == repr(o)
+            assert q.bounds(k) == o.bounds(k)
+            assert q.decimal(k) == o.decimal(k)
+
+    @given(wide_rationals, wide_rationals, radicands, radicands)
+    def test_mixed_fields_rejected(self, a, b, d1, d2):
+        x, y = qn(a, 1, d1), qn(b, 1, d2)
+        if x.d == y.d:
+            return
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+            for p, q in ((x, y), (y, x)):
+                with pytest.raises(DomainError):
+                    getattr(p, op)(q)
+
+    def test_division_by_an_exact_zero(self):
+        zero = sqrt_exact(8) - 2 * sqrt_exact(2)
+        assert zero.is_rational and zero.sign() == 0
+        for x in (sqrt_exact(2), qn(1), qn(Fraction(3, 7), 5, 2)):
+            with pytest.raises(DomainError):
+                x / zero
+
+
 class TestArithmetic:
     def test_mixed_field_addition_rejected(self):
         with pytest.raises(DomainError):
@@ -280,6 +330,7 @@ class TestSerialization:
     def test_rational_strings(self):
         assert format_rational(Fraction(-13, 6)) == "-13/6"
         assert format_rational(Fraction(7)) == "7"
+        assert format_rational(-12) == "-12"
         assert parse_rational("-13/6") == Fraction(-13, 6)
         assert parse_rational("7") == 7
 

@@ -1,11 +1,27 @@
 """Chern characters on the projective plane and their numerical invariants.
 
-A character is the exact triple ``(ch0, ch1, ch2)``.  For positive rank it is
-equivalently recorded as ``(r, mu, delta)`` with slope ``mu = ch1/ch0`` and
-discriminant ``delta = mu^2/2 - ch2/ch0``.  The Euler characteristic is the
-single linear form ``ch0 + (3/2) ch1 + ch2`` so rank-zero characters need no
-special casing; the Riemann-Roch form ``r (P(mu) - delta)`` is a derived
-identity, not a second implementation.
+A character is stored in the lattice basis ``(r, c1, chi)``: rank, first
+Chern class and Euler characteristic ``chi = ch0 + (3/2) ch1 + ch2``.  Every
+sheaf has integral ``(r, c1, chi)``; the constructors store an integral field
+as a plain ``int``, and integer arithmetic keeps it one.  A
+:class:`~fractions.Fraction` field survives only for non-integral input,
+which classification rejects.  Every operation is one closed form in the
+lattice basis, so an integral character never builds a ``Fraction``:
+
+* Euler pairing ``(x, z) = chi(x tensor z) = r_x chi_z + r_z chi_x - r_x r_z + c_x c_z``;
+* ``tensor = (r_x r_z, r_x c_z + r_z c_x, (x, z))``;
+* ``dual = (r, -c, chi - 3c)`` and ``serre_dual = (r, -c - 3r, chi)``;
+* ``twist(n) = (r, c + r n, chi + c n + r n(n + 3)/2)``, the tensor with O(n);
+* ``+``, ``-``, negation and ``scale`` componentwise;
+* ``discriminant = (c^2 + 3rc + 2r^2 - 2r chi) / (2r^2)``;
+* ``moduli_dimension = c^2 + 3rc + r^2 - 2r chi + 1``;
+* natural classes ``(r, 0, r - chi)`` and ``(0, r, -c)``.
+
+The Chern-character view ``(ch0, ch1, ch2)`` and, for positive rank, the
+``(r, mu, delta)`` view with slope ``mu = c1/r`` are read off as ``Fraction``
+values; ``ChernCharacter(ch0, ch1, ch2)``, ``of`` and ``from_rmd`` take them.
+A quotient of lattice fields is always taken as ``Fraction(a, b)``, never
+``a / b``, which is a float for two ints.
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, RankZeroError
-from .qarith import RationalLike, format_rational, parse_rational
+from .qarith import RationalLike, parse_rational
 
 
 def hilbert_poly(m: RationalLike) -> Fraction:
@@ -32,15 +48,29 @@ class SlopeDisc:
     delta: Fraction
 
 
-@dataclass(frozen=True)
+def _integral(v: Fraction):
+    """A rational lattice field: an ``int`` when integral, else the ``Fraction``."""
+    return v.numerator if v.denominator == 1 else v
+
+
 class ChernCharacter:
-    ch0: Fraction
-    ch1: Fraction
-    ch2: Fraction
+    """An immutable character ``(r, c1, chi)`` in the lattice basis.
+
+    ``ChernCharacter(ch0, ch1, ch2)`` takes the Chern-character view; the
+    lattice fields are read as ``r``, ``c1`` and ``chi``.
+    """
+
+    __slots__ = ("r", "c1", "chi")
+
+    def __init__(self, ch0: RationalLike, ch1: RationalLike, ch2: RationalLike):
+        ch0, ch1, ch2 = Fraction(ch0), Fraction(ch1), Fraction(ch2)
+        _set_r(self, _integral(ch0))
+        _set_c1(self, _integral(ch1))
+        _set_chi(self, _integral(ch0 + Fraction(3, 2) * ch1 + ch2))
 
     @staticmethod
     def of(ch0: RationalLike, ch1: RationalLike, ch2: RationalLike) -> "ChernCharacter":
-        return ChernCharacter(Fraction(ch0), Fraction(ch1), Fraction(ch2))
+        return ChernCharacter(ch0, ch1, ch2)
 
     @staticmethod
     def from_rmd(r: RationalLike, mu: RationalLike, delta: RationalLike) -> "ChernCharacter":
@@ -48,83 +78,132 @@ class ChernCharacter:
         r, mu, delta = Fraction(r), Fraction(mu), Fraction(delta)
         if r == 0:
             raise DomainError("rank zero admits no (slope, discriminant) description")
-        return ChernCharacter(r, r * mu, r * (mu * mu / 2 - delta))
+        # chi = r (P(mu) - delta), Riemann-Roch
+        return _lattice(_integral(r), _integral(r * mu), _integral(r * (hilbert_poly(mu) - delta)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ChernCharacter is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return _lattice, (self.r, self.c1, self.chi)
+
+    # -- the Chern-character view -----------------------------------------
+
+    @property
+    def ch0(self) -> Fraction:
+        return Fraction(self.r)
+
+    @property
+    def ch1(self) -> Fraction:
+        return Fraction(self.c1)
+
+    @property
+    def ch2(self) -> Fraction:
+        return Fraction(2 * (self.chi - self.r) - 3 * self.c1, 2)
 
     # -- invariants -----------------------------------------------------
 
     def slope(self) -> Fraction:
-        if self.ch0 == 0:
+        if self.r == 0:
             raise RankZeroError("slope of a rank-zero character")
-        return self.ch1 / self.ch0
+        return Fraction(self.c1, self.r)
 
     def discriminant(self) -> Fraction:
-        if self.ch0 == 0:
+        r, c = self.r, self.c1
+        if r == 0:
             raise RankZeroError("discriminant of a rank-zero character")
-        mu = self.slope()
-        return mu * mu / 2 - self.ch2 / self.ch0
+        return Fraction(c * (c + 3 * r) + 2 * r * (r - self.chi), 2 * r * r)
 
     def slope_disc(self) -> SlopeDisc:
         return SlopeDisc(self.slope(), self.discriminant())
 
     def euler_chi(self) -> Fraction:
-        return self.ch0 + Fraction(3, 2) * self.ch1 + self.ch2
+        return Fraction(self.chi)
 
     # -- K-theory operations ---------------------------------------------
 
     def tensor(self, other: "ChernCharacter") -> "ChernCharacter":
         """Multiplicative product; slope and discriminant are additive."""
-        return ChernCharacter(
-            self.ch0 * other.ch0,
-            self.ch0 * other.ch1 + other.ch0 * self.ch1,
-            self.ch0 * other.ch2 + self.ch1 * other.ch1 + other.ch0 * self.ch2,
+        return _lattice(
+            self.r * other.r, self.r * other.c1 + other.r * self.c1, euler_pairing(self, other)
         )
 
     def dual(self) -> "ChernCharacter":
-        return ChernCharacter(self.ch0, -self.ch1, self.ch2)
+        return _lattice(self.r, -self.c1, self.chi - 3 * self.c1)
 
     def twist(self, n: int) -> "ChernCharacter":
         """Tensor with O(n)."""
-        return self.tensor(line_bundle(n))
+        if type(n) is not int:
+            raise DomainError(f"twist by O(n) needs an integer n, got {n!r}")
+        r, c = self.r, self.c1
+        return _lattice(r, c + r * n, self.chi + c * n + r * (n * (n + 3) // 2))
 
     def serre_dual(self) -> "ChernCharacter":
         """Dual twisted by O(-3); fixes delta and sends mu to -mu - 3."""
-        return self.dual().twist(-3)
+        return _lattice(self.r, -self.c1 - 3 * self.r, self.chi)
 
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other: "ChernCharacter") -> "ChernCharacter":
-        return ChernCharacter(self.ch0 + other.ch0, self.ch1 + other.ch1, self.ch2 + other.ch2)
+        return _lattice(self.r + other.r, self.c1 + other.c1, self.chi + other.chi)
 
     def __sub__(self, other: "ChernCharacter") -> "ChernCharacter":
-        return self + (-other)
+        return _lattice(self.r - other.r, self.c1 - other.c1, self.chi - other.chi)
 
     def __neg__(self) -> "ChernCharacter":
-        return ChernCharacter(-self.ch0, -self.ch1, -self.ch2)
+        return _lattice(-self.r, -self.c1, -self.chi)
 
     def scale(self, k: RationalLike) -> "ChernCharacter":
-        k = Fraction(k)
-        return ChernCharacter(k * self.ch0, k * self.ch1, k * self.ch2)
+        if type(k) is not int:
+            k = Fraction(k)
+        return _lattice(k * self.r, k * self.c1, k * self.chi)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChernCharacter):
+            return NotImplemented
+        return self.r == other.r and self.c1 == other.c1 and self.chi == other.chi
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.c1, self.chi))
+
+    def __repr__(self) -> str:
+        return f"ChernCharacter(r={self.r}, c1={self.c1}, chi={self.chi})"
 
     def __str__(self) -> str:
-        return f"({self.ch0}, {self.ch1}, {self.ch2})"
+        return f"({self.r}, {self.c1}, {self.ch2})"
+
+
+_set_r = ChernCharacter.r.__set__
+_set_c1 = ChernCharacter.c1.__set__
+_set_chi = ChernCharacter.chi.__set__
+_new = object.__new__
+
+
+def _lattice(r, c1, chi) -> ChernCharacter:
+    """The character ``(r, c1, chi)``, trusting each field to be an int or a Fraction."""
+    x = _new(ChernCharacter)
+    _set_r(x, r)
+    _set_c1(x, c1)
+    _set_chi(x, chi)
+    return x
 
 
 def line_bundle(n: RationalLike) -> ChernCharacter:
     """Character of O(n)."""
     n = Fraction(n)
-    return ChernCharacter(Fraction(1), n, n * n / 2)
+    return _lattice(1, _integral(n), _integral(hilbert_poly(n)))
 
 
-def euler_pairing(x: ChernCharacter, z: ChernCharacter) -> Fraction:
-    """Symmetric Euler pairing (x, z) = chi(x tensor z).
+def euler_pairing(x: ChernCharacter, z: ChernCharacter):
+    """Symmetric Euler pairing ``(x, z) = chi(x tensor z)``, an int for integral characters.
 
     For nonzero ranks this equals
     ``r(x) r(z) (P(mu(x) + mu(z)) - delta(x) - delta(z))``.
     """
-    return x.tensor(z).euler_chi()
+    return x.r * z.chi + z.r * x.chi - x.r * z.r + x.c1 * z.c1
 
 
-def euler_chi_pair(x: ChernCharacter, z: ChernCharacter) -> Fraction:
+def euler_chi_pair(x: ChernCharacter, z: ChernCharacter):
     """Sheaf-pair Euler characteristic chi(X, Z) = chi(X^v tensor Z)."""
     return euler_pairing(x.dual(), z)
 
@@ -142,18 +221,19 @@ def half_plane(x: ChernCharacter, z: ChernCharacter) -> HalfPlane:
     """
     if euler_pairing(x, z) != 0:
         raise DomainError("class is not orthogonal to the character")
-    if z.ch0 > 0:
+    if z.r > 0:
         return HalfPlane.PRIMARY
-    if z.ch0 < 0:
+    if z.r < 0:
         return HalfPlane.SECONDARY
     return HalfPlane.ON_BOUNDARY
 
 
 def moduli_dimension(x: ChernCharacter) -> int:
     """Dimension ``r^2 (2 delta - 1) + 1`` of a positive-dimensional moduli space."""
-    if x.ch0 <= 0:
+    r, c = x.r, x.c1
+    if r <= 0:
         raise DomainError("dimension formula needs positive rank")
-    value = x.ch0 * x.ch0 * (2 * x.discriminant() - 1) + 1
+    value = c * (c + 3 * r) + r * (r - 2 * x.chi) + 1
     if value.denominator != 1:
         raise ConsistencyError(f"non-integer moduli dimension {value} for {x}")
     return int(value)
@@ -165,12 +245,10 @@ def natural_classes(x: ChernCharacter) -> tuple[ChernCharacter, ChernCharacter]:
     The first has rank ``r(x)``; the second is the rank-zero class giving
     the morphism to the Donaldson-Uhlenbeck-Yau compactification.
     """
-    if x.ch0 <= 0:
+    r = x.r
+    if r <= 0:
         raise DomainError("natural classes need positive rank")
-    chi = x.euler_chi()
-    zeta0 = ChernCharacter(x.ch0, Fraction(0), -chi)
-    zeta1 = ChernCharacter(Fraction(0), x.ch0, -Fraction(3, 2) * x.ch0 - x.ch1)
-    return zeta0, zeta1
+    return _lattice(r, 0, r - x.chi), _lattice(0, r, -x.c1)
 
 
 # -- serialization ---------------------------------------------------------
@@ -178,21 +256,22 @@ def natural_classes(x: ChernCharacter) -> tuple[ChernCharacter, ChernCharacter]:
 
 def character_to_json(x: ChernCharacter) -> dict:
     """Canonical JSON object carrying both the chern and (r, mu, delta) views."""
-    out = {
-        "ch0": format_rational(x.ch0),
-        "ch1": format_rational(x.ch1),
-        "ch2": format_rational(x.ch2),
-        "r": format_rational(x.ch0),
-    }
-    if x.ch0 != 0:
-        out["mu"] = format_rational(x.slope())
-        out["delta"] = format_rational(x.discriminant())
+    r = str(x.r)
+    out = {"ch0": r, "ch1": str(x.c1), "ch2": str(x.ch2), "r": r}
+    if x.r != 0:
+        out["mu"] = str(x.slope())
+        out["delta"] = str(x.discriminant())
     else:
         out["mu"] = None
         out["delta"] = None
-    out["c1"] = format_rational(x.ch1)
-    out["chi"] = format_rational(x.euler_chi())
+    out["c1"] = out["ch1"]
+    out["chi"] = str(x.chi)
     return out
+
+
+def _field(value):
+    """A lattice field from JSON: a JSON integer as is, anything else parsed as a rational."""
+    return value if type(value) is int else _integral(parse_rational(str(value)))
 
 
 def character_from_json(data: dict) -> ChernCharacter:
@@ -212,10 +291,7 @@ def character_from_json(data: dict) -> ChernCharacter:
             parse_rational(str(data["delta"])),
         )
     if {"r", "c1", "chi"} <= data.keys():
-        r = parse_rational(str(data["r"]))
-        c1 = parse_rational(str(data["c1"]))
-        chi = parse_rational(str(data["chi"]))
-        return ChernCharacter(r, c1, chi - r - Fraction(3, 2) * c1)
+        return _lattice(_field(data["r"]), _field(data["c1"]), _field(data["chi"]))
     raise DomainError(
         "character object needs keys {ch0, ch1, ch2}, {r, mu, delta} or {r, c1, chi}"
     )

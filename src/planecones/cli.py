@@ -377,15 +377,17 @@ def _cmd_curve(args) -> int:
     overlay = None
     if getattr(args, "chern", None) or getattr(args, "rmd", None):
         x = _character_from_args(args)
-        if x.ch0 != 0:
+        if x.r != 0:
             overlay = {
                 "vertex_mu": format_rational(-Fraction(3, 2) - x.slope()),
                 "vertex_delta": format_rational(-Fraction(1, 8) - x.discriminant()),
                 "translation_mu": format_rational(-x.slope()),
                 "translation_delta": format_rational(-x.discriminant()),
             }
+        elif x.c1 != 0:
+            overlay = {"line_mu": format_rational(Fraction(-x.chi, x.c1))}
         else:
-            overlay = {"line_mu": format_rational(-x.euler_chi() / x.ch1)}
+            raise DomainError("the parabola overlay needs a nonzero rank or first Chern class")
 
     if args.output_format == "csv":
         buf = io.StringIO()

@@ -150,17 +150,17 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
     Integrality gates first (integer rank and first Chern class, integer
     Euler characteristic), then position relative to the boundary curve.
     """
-    if x.ch0.denominator != 1:
+    if x.r.denominator != 1:
         return Classification(Kind.INVALID, ("rank is not an integer",))
-    if x.ch1.denominator != 1:
+    if x.c1.denominator != 1:
         return Classification(Kind.INVALID, ("first Chern class is not an integer",))
-    if x.euler_chi().denominator != 1:
+    if x.chi.denominator != 1:
         return Classification(Kind.INVALID, ("Euler characteristic is not an integer",))
-    if x.ch0 < 0:
+    if x.r < 0:
         return Classification(Kind.INVALID, ("negative rank",))
 
-    if x.ch0 == 0:
-        d = x.ch1
+    if x.r == 0:
+        d = x.c1
         if d < 3:
             return Classification(
                 Kind.INVALID,
@@ -173,19 +173,19 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
 
     mu = x.slope()
     delta = x.discriminant()
-    boundary = delta_curve(mu, max_order)
+    enclosing, boundary = exceptional.boundary_at(mu, max_order)
     if delta > boundary:
         return Classification(Kind.PICARD_RANK_2, ("discriminant exceeds the boundary curve",))
     if delta == boundary:
         return Classification(
             Kind.HEIGHT_ZERO, ("discriminant sits exactly on the boundary curve",)
         )
-    # an exceptional multiple has the discriminant of its slope and a rank
-    # divisible by the slope's denominator; only then descend to check the slope
+    # an exceptional multiple has the discriminant of its slope, a rank
+    # divisible by the slope's denominator, and its slope encloses itself
     if (
         delta == exceptional.discriminant_of_slope(mu)
-        and x.ch0.numerator % mu.denominator == 0
-        and find_interval(mu, max_order).slope == mu
+        and x.r % mu.denominator == 0
+        and enclosing.slope == mu
     ):
         return Classification(
             Kind.EXCEPTIONAL,
@@ -219,7 +219,7 @@ def _analyze(x: ChernCharacter, max_order: int) -> _Analysis:
     cls = classify(x, max_order)
     if cls.kind is Kind.RANK_ZERO_PICARD_RANK_2:
         # the orthogonal locus is the vertical line mu = -chi/d
-        mu0_plus, mu0_minus = QuadraticNumber(-x.euler_chi() / x.ch1), None
+        mu0_plus, mu0_minus = QuadraticNumber(Fraction(-x.chi, x.c1)), None
     elif cls.kind is Kind.PICARD_RANK_2:
         radicand = 5 + 8 * x.discriminant()
         if radicand < 0:
@@ -241,7 +241,7 @@ def _side(x: ChernCharacter, cls: Classification, mu0_plus: QuadraticNumber,
         CaseSign.POSITIVE if pairing > 0 else CaseSign.NEGATIVE if pairing < 0 else CaseSign.ZERO
     )
     inv = _invariants(x, gamma, case)
-    if x.ch0 == 0:
+    if x.r == 0:
         return _Analysis(cls, mu0_plus, mu0_minus, inv)
     res = _resolution(x, gamma, case, pairing)
     return _Analysis(cls, mu0_plus, mu0_minus, inv, res, _kronecker(x, res))
@@ -293,7 +293,7 @@ def _invariants(x: ChernCharacter, gamma: ExceptionalSlope,
     else:
         ref_slope = -gamma.slope if case is CaseSign.POSITIVE else -gamma.slope - 3
         ref_delta = gamma.discriminant
-        if x.ch0 != 0:
+        if x.r != 0:
             a, b = x.slope(), ref_slope
             if a == b:
                 raise ConsistencyError("coincident parabolas in the invariant solve")
@@ -301,7 +301,7 @@ def _invariants(x: ChernCharacter, gamma: ExceptionalSlope,
             mu = (2 * delta_diff / (a - b) - a - b - 3) / 2
             point = SlopeDisc(mu, hilbert_poly(a + mu) - x.discriminant())
         else:
-            mu = -x.euler_chi() / x.ch1
+            mu = Fraction(-x.chi, x.c1)
             point = SlopeDisc(mu, hilbert_poly(ref_slope + mu) - ref_delta)
 
     on_curve = case is not CaseSign.POSITIVE or point.mu <= gamma.slope
@@ -364,7 +364,7 @@ def _bundle_name(slope: Fraction) -> str:
 
 
 def _resolution(x: ChernCharacter, gamma: ExceptionalSlope, case: CaseSign,
-                pairing: Fraction) -> ResolutionData:
+                pairing: int) -> ResolutionData:
     # The triad bundles have slopes -s or -s - 3 for s among gamma and its
     # parents, so each is read off an address already in hand.
     left, right = exceptional.parents(gamma)
@@ -398,8 +398,8 @@ def _resolution(x: ChernCharacter, gamma: ExceptionalSlope, case: CaseSign,
         if m is not None and (m.denominator != 1 or m < 0):
             raise ConsistencyError(f"multiplicity {m} is not a nonnegative integer for {x}")
     chars = tuple(s.character() for s in slopes)
-    recon = ChernCharacter.of(0, 0, 0)
-    for char, k in zip(chars, coefficients):
+    recon = chars[0].scale(coefficients[0])
+    for char, k in zip(chars[1:], coefficients[1:]):
         recon = recon + char.scale(k)
     if recon != x:
         raise ConsistencyError(f"resolution of {x} rebuilds {recon}")
@@ -477,14 +477,16 @@ def bridgeland_wall(inv: OrthogonalInvariants) -> Wall:
 
 
 def _basis_coords(x: ChernCharacter, ray: ChernCharacter) -> tuple[Fraction, Fraction]:
-    """Coordinates of an orthogonal class in the natural-class basis."""
-    zeta0, zeta1 = natural_classes(x)
-    c0 = ray.ch0 / zeta0.ch0
-    c1 = ray.ch1 / zeta1.ch1
-    rebuilt = zeta0.scale(c0) + zeta1.scale(c1)
-    if rebuilt != ray:
+    """Coordinates of an orthogonal class in the natural-class basis.
+
+    With ``zeta0 = (r, 0, r - chi)`` and ``zeta1 = (0, r, -c)`` the ray
+    ``(R, C, X)`` has coordinates ``(R/r, C/r)``; the rebuilt Euler
+    characteristic ``(R (r - chi) - C c)/r`` must equal ``X``.
+    """
+    r, c, chi = x.r, x.c1, x.chi
+    if ray.r * (r - chi) - ray.c1 * c != ray.chi * r:
         raise ConsistencyError(f"{ray} does not lie in the orthogonal plane of {x}")
-    return c0, c1
+    return Fraction(ray.r, r), Fraction(ray.c1, r)
 
 
 def _primary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
@@ -502,7 +504,7 @@ def _primary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
     return PrimaryEdge(
         invariants=inv,
         extremal_character=ray,
-        basis_coords=_basis_coords(x, ray) if x.ch0 > 0 else None,
+        basis_coords=_basis_coords(x, ray) if x.r > 0 else None,
         resolution=side.resolution,
         kronecker=side.kronecker,
         wall=bridgeland_wall(inv),
@@ -512,7 +514,7 @@ def _primary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
 
 def _secondary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
                     max_order: int) -> SecondaryEdge:
-    r = x.ch0
+    r = x.r
     if r >= 3:  # Serre duality keeps the classification and maps mu0+ to -mu0-
         xd = x.serre_dual()
         dual_side = _side(xd, side.classification, -side.mu0_minus, -side.mu0_plus, max_order)
@@ -561,7 +563,7 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
     if cls.kind is Kind.INVALID:
         return ConeReport(x, cls, None, None, None, None, None, None, None)
     # every kind left but the rank-zero one has positive rank
-    positive = x.ch0 > 0
+    positive = x.r > 0
     natural = natural_classes(x) if positive else None
     if cls.kind is Kind.EXCEPTIONAL:
         return ConeReport(x, cls, 0, natural, None, None, None, None,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .chern import ChernCharacter, hilbert_poly
+from .chern import ChernCharacter, _lattice, hilbert_poly
 from .errors import ConsistencyError, DescentError, DomainError
 from .qarith import (
     QuadraticNumber, RationalLike, _sign_int_radical, floor_of_form, integer_form, sqrt_exact,
@@ -154,11 +154,12 @@ class ExceptionalSlope:
         return discriminant_of_slope(self.slope)
 
     def character(self) -> ChernCharacter:
-        r = self.rank
-        mu = self.slope
-        return ChernCharacter(
-            Fraction(r), r * mu, r * (mu * mu / 2 - self.discriminant)
-        )
+        """The bundle's character ``(r, c, (c^2 + 3cr + r^2 + 1) / 2r)`` for slope ``c/r``."""
+        c, r = self.slope.numerator, self.slope.denominator
+        chi, rest = divmod(c * (c + 3 * r) + r * r + 1, 2 * r)
+        if rest:
+            raise ConsistencyError(f"exceptional slope {self.slope} has non-integral chi")
+        return _lattice(r, c, chi)
 
     def interval_halfwidth(self) -> QuadraticNumber:
         return _interval_halfwidth(self.rank)
@@ -314,7 +315,8 @@ def find_interval(x, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
     )
 
 
-# Distinct slopes whose boundary value is kept; a long batch evicts the oldest.
+# Distinct slopes whose enclosing slope and boundary value are kept; a long
+# batch evicts the oldest.
 _DELTA_CURVE_CACHE_SIZE = 4096
 
 
@@ -327,10 +329,26 @@ def arc_value(a: ExceptionalSlope, mu: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=_DELTA_CURVE_CACHE_SIZE)
+def boundary_at(mu: Fraction,
+                max_order: int = DEFAULT_MAX_ORDER) -> tuple[ExceptionalSlope, Fraction]:
+    """The slope whose closed interval holds the rational ``mu``, and the boundary there.
+
+    One descent per slope: the enclosing slope is kept beside the boundary
+    value, so a caller that needs both (classification) never descends again.
+    """
+    mu = Fraction(mu)
+    a = find_interval(mu, max_order)
+    return a, arc_value(a, mu)
+
+
 def delta_curve(mu: Fraction, max_order: int = DEFAULT_MAX_ORDER) -> Fraction:
     """Exact value of the classification boundary at a rational slope."""
-    mu = Fraction(mu)
-    return arc_value(find_interval(mu, max_order), mu)
+    return boundary_at(mu, max_order)[1]
+
+
+# delta_curve reads boundary_at's cache, so it reports and clears that cache
+delta_curve.cache_info = boundary_at.cache_info
+delta_curve.cache_clear = boundary_at.cache_clear
 
 
 def enumerate_slopes(lo: RationalLike, hi: RationalLike,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -238,6 +239,55 @@ class FractionQuadratic:
         scaled = round((lo + hi) / 2 * 10 ** digits)
         whole, frac = divmod(abs(scaled), 10 ** digits)
         return f"{'-' if scaled < 0 else ''}{whole}.{str(frac).zfill(digits)}"
+
+
+@dataclass(frozen=True)
+class FractionCharacter:
+    """``(ch0, ch1, ch2)`` as ``Fraction``s, as ``ChernCharacter`` once stored it.
+
+    The oracle for the lattice kernel: the Euler pairing is the Euler
+    characteristic ``ch0 + (3/2) ch1 + ch2`` of the tensor product, a twist is
+    the tensor with ``O(n) = (1, n, n^2/2)`` and the Serre dual the dual
+    twisted by ``O(-3)``, all over ``Fraction``s.
+    """
+
+    ch0: Fraction
+    ch1: Fraction
+    ch2: Fraction
+
+    @staticmethod
+    def of(x: ChernCharacter) -> "FractionCharacter":
+        return FractionCharacter(x.ch0, x.ch1, x.ch2)
+
+    def tensor(self, other: "FractionCharacter") -> "FractionCharacter":
+        return FractionCharacter(
+            self.ch0 * other.ch0,
+            self.ch0 * other.ch1 + other.ch0 * self.ch1,
+            self.ch0 * other.ch2 + self.ch1 * other.ch1 + other.ch0 * self.ch2,
+        )
+
+    def euler_chi(self) -> Fraction:
+        return self.ch0 + Fraction(3, 2) * self.ch1 + self.ch2
+
+    def pairing(self, other: "FractionCharacter") -> Fraction:
+        return self.tensor(other).euler_chi()
+
+    def dual(self) -> "FractionCharacter":
+        return FractionCharacter(self.ch0, -self.ch1, self.ch2)
+
+    def twist(self, n: int) -> "FractionCharacter":
+        n = Fraction(n)
+        return self.tensor(FractionCharacter(Fraction(1), n, n * n / 2))
+
+    def serre_dual(self) -> "FractionCharacter":
+        return self.dual().twist(-3)
+
+    def slope(self) -> Fraction:
+        return self.ch1 / self.ch0
+
+    def discriminant(self) -> Fraction:
+        mu = self.slope()
+        return mu * mu / 2 - self.ch2 / self.ch0
 
 
 def reference_find_interval(x, max_order: int = DEFAULT_MAX_ORDER):

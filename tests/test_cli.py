@@ -274,6 +274,21 @@ class TestCurveCommand:
         assert data["parabola"]["vertex_mu"] == "-13/6"
         assert data["parabola"]["vertex_delta"] == "-145/72"
 
+    def test_rank_zero_overlay_is_the_line_mu(self, capsys):
+        code, out, _ = run(
+            capsys, "curve", "--lo", "0", "--hi", "1", "--samples", "2", "--chern", "0,3,2",
+        )
+        assert code == 0
+        # chi = 3/2 * 3 + 2, and the line is mu = -chi/c1
+        assert json.loads(out)["parabola"] == {"line_mu": "-13/6"}
+
+    def test_zero_class_overlay_is_a_one_line_error(self, capsys):
+        code, out, err = run(
+            capsys, "curve", "--lo", "0", "--hi", "1", "--samples", "2", "--chern", "0,0,1",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_sample_endpoints(self, capsys):
         _, out, _ = run(capsys, "curve", "--lo", "0", "--hi", "1/2", "--samples", "2")
         data = json.loads(out)

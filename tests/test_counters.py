@@ -86,15 +86,14 @@ def test_one_analysis_per_side(counts, x, order, descents):
     assert counts["radicands"].count(radicand) == 1
 
 
-# Below the boundary curve only a character with its slope's exceptional
-# discriminant and a rank divisible by the slope's denominator can be
-# exceptional, so only such a character descends a second time.
+# The boundary value and the enclosing slope come from one cached descent, so
+# an exceptional character is recognised without descending a second time.
 @pytest.mark.parametrize(
     "r, c1, chi, kind, descents",
-    [(1, 0, 2, Kind.INVALID, 1), (2, 2, 6, Kind.EXCEPTIONAL, 2)],
+    [(1, 0, 2, Kind.INVALID, 1), (2, 2, 6, Kind.EXCEPTIONAL, 1)],
     ids=["invalid", "exceptional"],
 )
-def test_classify_descends_again_only_for_a_candidate(counts, r, c1, chi, kind, descents):
+def test_classify_descends_once(counts, r, c1, chi, kind, descents):
     exceptional.delta_curve.cache_clear()
     assert cone.classify(character_from_json({"r": r, "c1": c1, "chi": chi})).kind is kind
     assert counts["find_interval"] == descents

@@ -62,7 +62,6 @@ from .exceptional import (
     from_slope_value,
     interval_contains,
     parents,
-    slope_dot,
 )
 from .qarith import (
     QuadraticNumber,

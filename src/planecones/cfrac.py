@@ -8,8 +8,9 @@ even-length one is a palindrome and obeys the concatenation rule
 is checked (by ``period_structure`` and the acceptance tests), not used to
 compute.  A finite word over {L, R} (the choices of the bracketing descent)
 is another spelling of a slope's dyadic address: ``word_to_dyadic`` reads it
-in binary and the slope takes one memoized tree walk.  Eventually-constant
-infinite words name exactly the interval endpoints.  ``cf_eval`` is the
+in binary and the slope takes one tree walk, one integer mutation of the
+bundle's character per letter.  Eventually-constant infinite words name
+exactly the interval endpoints.  ``cf_eval`` is the
 brute-force evaluator that serves as the independent oracle for all of this.
 """
 
@@ -32,10 +33,7 @@ def _check_word(word: Word) -> None:
 
 
 def _digits(word) -> list[int]:
-    if isinstance(word, str):
-        digits = [int(ch) for ch in word]
-    else:
-        digits = [int(a) for a in word]
+    digits = [int(a) for a in word]  # the characters of a string, or the items
     if any(a <= 0 for a in digits):
         raise DomainError("continued-fraction digits must be positive")
     return digits
@@ -77,10 +75,9 @@ def even_expansion(slope) -> str:
     continued fraction, found by Euclid's algorithm and parity-converted
     when its length is odd.
     """
-    if isinstance(slope, ExceptionalSlope):
-        mu = slope.slope
-    else:
-        mu = exceptional.from_slope_value(Fraction(slope)).slope
+    if not isinstance(slope, ExceptionalSlope):
+        slope = exceptional.from_slope_value(Fraction(slope))
+    mu = slope.slope
     if not 0 <= mu <= Fraction(1, 2):
         raise DomainError(f"slope {mu} outside [0, 1/2]; normalize first")
     word, n, m = "", mu.numerator, mu.denominator

@@ -9,6 +9,7 @@ deterministic: fixed field order, no ambient state.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -21,7 +22,7 @@ from . import cfrac, cone, exceptional
 from .chern import ChernCharacter, character_from_json, character_to_json
 from .errors import ConsistencyError, DescentError, DomainError
 from .exceptional import DEFAULT_MAX_ORDER, DyadicRational
-from .qarith import QuadraticNumber, format_rational, parse_rational
+from .qarith import QuadraticNumber, format_rational, int_digit_limit, parse_rational
 
 CONFIG_ENV = "PLANECONES_CONFIG"
 
@@ -76,6 +77,21 @@ def _int_at_least(least: int, most: int = 0):
     return parse
 
 
+def _check_printable(field: str, *numbers) -> None:
+    """Raise ``DomainError`` if ``field`` would print an integer past Python's digit limit.
+
+    ``numbers`` are ints, ``Fraction``s and ``QuadraticNumber``s (by the
+    ``a``, ``b`` and ``d`` that ``str`` writes); none is written to be measured.
+    """
+    limit = int_digit_limit()
+    for x in numbers if limit else ():
+        for y in (x.a, x.b, x.d) if isinstance(x, QuadraticNumber) else (x,):
+            for n in (abs(y.numerator), y.denominator):
+                if n >= 10 ** limit:
+                    raise DomainError(f"{field} has a {n.bit_length():,}-bit integer, past "
+                                      f"Python's limit of {limit:,} digits for printing one")
+
+
 def _qn_str(x: Optional[QuadraticNumber]) -> Optional[str]:
     return None if x is None else str(x)
 
@@ -97,24 +113,19 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _text_lines(value, prefix: str) -> list[str]:
-    lines = []
+    """``key: value`` per dict entry and ``- value`` per list item, nesting two deeper."""
+    if not isinstance(value, (dict, list)):
+        return [f"{prefix}{value}"]
     if isinstance(value, dict):
-        for key, sub in value.items():
-            child = f"{prefix}{key}"
-            if isinstance(sub, (dict, list)):
-                lines.append(f"{child}:")
-                lines.extend(_text_lines(sub, prefix + "  "))
-            else:
-                lines.append(f"{child}: {sub}")
-    elif isinstance(value, list):
-        for sub in value:
-            if isinstance(sub, (dict, list)):
-                lines.append(f"{prefix}-")
-                lines.extend(_text_lines(sub, prefix + "  "))
-            else:
-                lines.append(f"{prefix}- {sub}")
+        labelled = [(f"{key}:", sub) for key, sub in value.items()]
     else:
-        lines.append(f"{prefix}{value}")
+        labelled = [("-", sub) for sub in value]
+    lines = []
+    for label, sub in labelled:
+        if isinstance(sub, (dict, list)):
+            lines += [f"{prefix}{label}", *_text_lines(sub, prefix + "  ")]
+        else:
+            lines.append(f"{prefix}{label} {sub}")
     return lines
 
 
@@ -242,8 +253,7 @@ def _parse_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 3:
         raise DomainError(f"expected three comma-separated rationals, got {text!r}")
-    a, b, c = (parse_rational(p) for p in parts)
-    return a, b, c
+    return tuple(parse_rational(p) for p in parts)
 
 
 def _character_from_args(args) -> ChernCharacter:
@@ -319,15 +329,23 @@ def _cmd_classify(args) -> int:
 
 def _cmd_slope(args) -> int:
     s = _slope_from_args(args)
+    # every integer _slope_dict prints, in its field order; lr_translation is the
+    # floor of the slope, so it fits when the slope does
+    for field, value in (("slope", s.slope), ("rank", s.rank),
+                         ("discriminant", s.discriminant), ("dyadic", s.dyadic.p)):
+        _check_printable(field, value)
+    _check_printable("interval", *s.interval())
     _emit(_slope_dict(s), args.format)
     return EXIT_OK
 
 
 def _cmd_cfrac(args) -> int:
     s = _slope_from_args(args)
+    _check_printable("slope", s.slope)
     _, shift, negated = cfrac.normalize_slope(s.slope)
     # normalized = shift - mu if negated else mu - shift
     normalized = exceptional.affine_image(s, negated, shift if negated else -shift)
+    _check_printable("normalized_slope", normalized.slope)
     even = cfrac.even_expansion(normalized)
     odd = cfrac.parity_convert(even) if even else None
     out = {
@@ -422,17 +440,13 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    if args.input == "-":
-        stream = sys.stdin
-        close = False
-    else:
-        try:
-            stream = open(args.input, "r", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        close = True
-    try:
+    try:  # standard input is read, never closed
+        source = (contextlib.nullcontext(sys.stdin) if args.input == "-"
+                  else open(args.input, "r", encoding="utf-8"))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    with source as stream:
         for number, line in enumerate(stream, start=1):
             line = line.strip()
             if not line:
@@ -451,9 +465,6 @@ def _cmd_batch(args) -> int:
             except (DomainError, DescentError, ConsistencyError, ValueError) as exc:
                 record = {"line": number, "error": str(exc)}
             print(json.dumps(record))
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -480,7 +491,7 @@ def _add_approx(parser: argparse.ArgumentParser) -> None:
         "--approx",
         # decimal() prints the digits as one int, so at most Python's
         # int-to-string limit (0, no limit, before Python 3.10.7)
-        type=_int_at_least(0, getattr(sys, "get_int_max_str_digits", lambda: 0)()),
+        type=_int_at_least(0, int_digit_limit()),
         default=None,
         metavar="N",
         help="add non-authoritative N-digit decimal columns",
@@ -520,22 +531,18 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     _add_json_or_text(p_classify)
     p_classify.set_defaults(func=_cmd_classify)
 
-    p_slope = sub.add_parser("slope", help="exceptional-slope lookup")
-    p_slope.add_argument("--dyadic", help="dyadic address, p/2^q or p/q with q a power of two")
-    p_slope.add_argument("--rational", help="slope value p/q (must be exceptional)")
-    p_slope.add_argument("--lr", help="left-right word over {L,R}")
-    _add_max_order(p_slope, defaults)
-    _add_json_or_text(p_slope)
-    p_slope.set_defaults(func=_cmd_slope)
-
-    p_cfrac = sub.add_parser("cfrac", help="continued-fraction expansions")
-    p_cfrac.add_argument("--dyadic")
-    p_cfrac.add_argument("--rational")
-    p_cfrac.add_argument("--lr")
-    p_cfrac.add_argument("--period", action="store_true", help="include the period structure")
-    _add_max_order(p_cfrac, defaults)
-    _add_json_or_text(p_cfrac)
-    p_cfrac.set_defaults(func=_cmd_cfrac)
+    for name, func, about in (("slope", _cmd_slope, "exceptional-slope lookup"),
+                              ("cfrac", _cmd_cfrac, "continued-fraction expansions")):
+        p_slope = sub.add_parser(name, help=about)
+        p_slope.add_argument("--dyadic", help="dyadic address, p/2^q or p/q with q a power of two")
+        p_slope.add_argument("--rational", help="slope value p/q (must be exceptional)")
+        p_slope.add_argument("--lr", help="left-right word over {L,R}")
+        if name == "cfrac":
+            p_slope.add_argument("--period", action="store_true",
+                                 help="include the period structure")
+        _add_max_order(p_slope, defaults)
+        _add_json_or_text(p_slope)
+        p_slope.set_defaults(func=func)
 
     p_curve = sub.add_parser("curve", help="boundary-curve samples and interval table")
     p_curve.add_argument("--lo", required=True)

@@ -180,12 +180,12 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
         return Classification(
             Kind.HEIGHT_ZERO, ("discriminant sits exactly on the boundary curve",)
         )
-    # an exceptional multiple has the discriminant of its slope, a rank
-    # divisible by the slope's denominator, and its slope encloses itself
+    # an exceptional multiple has the slope and discriminant of its enclosing
+    # exceptional slope, and a rank divisible by that slope's rank
     if (
-        delta == exceptional.discriminant_of_slope(mu)
-        and x.r % mu.denominator == 0
-        and enclosing.slope == mu
+        x.c1 * enclosing.r == enclosing.c1 * x.r
+        and delta == enclosing.discriminant
+        and x.r % enclosing.r == 0
     ):
         return Classification(
             Kind.EXCEPTIONAL,
@@ -335,9 +335,8 @@ def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
     point = inv.point
     r = minimal_orthogonal_rank(point) * multiplier
     result = ChernCharacter.from_rmd(r, point.mu, point.delta)
-    if inv.case_sign is CaseSign.ZERO:
-        expected = exceptional.discriminant_of_slope(point.mu)
-        if point.delta != expected:
+    if inv.case_sign is CaseSign.ZERO:  # the ray is gamma's bundle, times the multiplier
+        if result != inv.corresponding_slope.character().scale(multiplier):
             raise ConsistencyError("zero-pairing invariants drifted off the exceptional point")
     else:
         # endpoints are irrational, so a rational mu in gamma's closed
@@ -355,35 +354,37 @@ def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
 # -- resolutions ----------------------------------------------------------------
 
 
-def _bundle_name(slope: Fraction) -> str:
-    if slope.denominator == 1:
-        return "O" if slope == 0 else f"O({slope})"
-    if slope.denominator == 2:
-        return f"T({slope - Fraction(3, 2)})"
-    return f"E({slope})"
+def _bundle_name(s: ExceptionalSlope) -> str:
+    if s.r == 1:
+        return "O" if s.c1 == 0 else f"O({s.c1})"
+    if s.r == 2:
+        return f"T({(s.c1 - 3) // 2})"
+    return f"E({s})"
 
 
 def _resolution(x: ChernCharacter, gamma: ExceptionalSlope, case: CaseSign,
                 pairing: int) -> ResolutionData:
     # The triad bundles have slopes -s or -s - 3 for s among gamma and its
-    # parents, so each is read off an address already in hand.
+    # parents, so each is read off an address already in hand.  Gamma's
+    # children are the mutations 3 r(left) gamma - right of (left, gamma) and
+    # 3 r(right) gamma - left of (gamma, right): their pairings are linear.
     left, right = exceptional.parents(gamma)
     image = exceptional.affine_image
     if case is CaseSign.POSITIVE:
         m1 = -euler_pairing(x, left.character())
-        m2 = -euler_pairing(x, exceptional.dot(left, gamma).character())
+        m2 = euler_pairing(x, right.character()) - 3 * left.r * pairing
         m3 = pairing
         slopes = (image(left, True, -3), image(right, True, 0), image(gamma, True, 0))
         coefficients = (-m1, m2, m3)
-        a, b, c = (_bundle_name(s.slope) for s in slopes)
+        a, b, c = (_bundle_name(s) for s in slopes)
         shape = f"0 -> {a}^{m1} -> {b}^{m2} (+) {c}^{m3} -> U -> 0"
     elif case is CaseSign.NEGATIVE:
-        m1 = euler_pairing(x, exceptional.dot(gamma, right).character())
+        m1 = 3 * right.r * pairing - euler_pairing(x, left.character())
         m2 = euler_pairing(x, right.character())
         m3 = -pairing
         slopes = (image(gamma, True, -3), image(left, True, -3), image(right, True, 0))
         coefficients = (-m3, -m1, m2)
-        a, b, c = (_bundle_name(s.slope) for s in slopes)
+        a, b, c = (_bundle_name(s) for s in slopes)
         shape = f"triangle W -> U -> {a}^{m3}[1], with 0 -> {b}^{m1} -> {c}^{m2} -> W -> 0"
     else:
         m1 = -euler_pairing(x, left.character())
@@ -391,21 +392,19 @@ def _resolution(x: ChernCharacter, gamma: ExceptionalSlope, case: CaseSign,
         m3 = None
         slopes = (image(left, True, -3), image(right, True, 0))
         coefficients = (-m1, m2)
-        a, b = (_bundle_name(s.slope) for s in slopes)
+        a, b = (_bundle_name(s) for s in slopes)
         shape = f"0 -> {a}^{m1} -> {b}^{m2} -> U -> 0"
 
     for m in (m1, m2, m3):
-        if m is not None and (m.denominator != 1 or m < 0):
-            raise ConsistencyError(f"multiplicity {m} is not a nonnegative integer for {x}")
+        if m is not None and m < 0:
+            raise ConsistencyError(f"multiplicity {m} is negative for {x}")
     chars = tuple(s.character() for s in slopes)
     recon = chars[0].scale(coefficients[0])
     for char, k in zip(chars[1:], coefficients[1:]):
         recon = recon + char.scale(k)
     if recon != x:
         raise ConsistencyError(f"resolution of {x} rebuilds {recon}")
-    return ResolutionData(
-        case, slopes, chars, int(m1), int(m2), None if m3 is None else int(m3), shape,
-    )
+    return ResolutionData(case, slopes, chars, m1, m2, m3, shape)
 
 
 def resolution_multiplicities(x: ChernCharacter,
@@ -426,9 +425,8 @@ def _kronecker(x: ChernCharacter, res: ResolutionData) -> KroneckerData:
     else:
         source, target = res.triad[0], res.triad[1]
     n = euler_chi_pair(source, target)
-    if n.denominator != 1 or n <= 0:
-        raise ConsistencyError(f"hom count {n} is not a positive integer")
-    n = int(n)
+    if n <= 0:
+        raise ConsistencyError(f"hom count {n} is not positive")
     b, a = res.m1, res.m2
     edim = a * b * n - a * a - b * b + 1
     fibration = (

@@ -1,12 +1,15 @@
-"""The tree of exceptional slopes, their intervals, and the fractal boundary curve.
+"""The tree of exceptional slopes, their bundles and intervals, and the fractal boundary curve.
 
 Exceptional slopes are addressed by dyadic rationals through an
 order-preserving correspondence: integers map to themselves and the slope at
-the dyadic midpoint of two neighbours is their mediant under the ``dot``
-operation.  Each slope ``a`` owns an open interval of halfwidth
-``x_a = (3 - sqrt(5 + 8 delta_a)) / 2``; the boundary curve of stable
-characters is a pair of parabolic arcs over every interval, and locating the
-interval containing a given number is a bracketing descent through the tree.
+the dyadic midpoint of two neighbours is their mediant.  Each slope carries
+its exceptional bundle's lattice character ``(r, c1, chi)``, the one source of
+its slope ``c1/r``, rank and discriminant ``(r^2 - 1)/(2 r^2)``.  A walk
+down the tree is one mutation per level on these integers (``_mutation``),
+and nothing is kept between walks.  Each slope ``a`` owns an open interval
+of halfwidth ``x_a = (3 - sqrt(5 + 8 delta_a)) / 2``; the boundary curve of
+stable characters is a pair of parabolic arcs over every interval, and
+locating the interval containing a given number is a bracketing descent.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .chern import ChernCharacter, _lattice, hilbert_poly
+from .chern import ChernCharacter, _lattice, euler_chi_pair, hilbert_poly
 from .errors import ConsistencyError, DescentError, DomainError
 from .qarith import (
     QuadraticNumber, RationalLike, _sign_int_radical, floor_of_form, integer_form, sqrt_exact,
@@ -61,85 +64,22 @@ class DyadicRational:
     def order(self) -> int:
         return self.q
 
-    def __neg__(self) -> "DyadicRational":
-        return DyadicRational(-self.p, self.q)
-
     def __str__(self) -> str:
         return str(self.p) if self.q == 0 else f"{self.p}/2^{self.q}"
 
 
-def rank_of_slope(mu: Fraction) -> int:
-    """Smallest positive integer r with r*mu integral."""
-    return mu.denominator
-
-
-def discriminant_of_slope(mu: Fraction) -> Fraction:
-    """Discriminant of the exceptional bundle of slope mu: (1 - 1/r^2)/2."""
-    r = rank_of_slope(mu)
-    return (1 - Fraction(1, r * r)) / 2
-
-
-def slope_dot(alpha: RationalLike, beta: RationalLike) -> Fraction:
-    """Mediant slope ``(a+b)/2 + (delta_b - delta_a)/(3 + a - b)``."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    denom = 3 + alpha - beta
-    if denom == 0:
-        raise DomainError("mediant undefined: slopes differ by exactly 3")
-    da = discriminant_of_slope(alpha)
-    db = discriminant_of_slope(beta)
-    return (alpha + beta) / 2 + (db - da) / denom
-
-
-_EPSILON_MEMO: dict[tuple[int, int], Fraction] = {}
-
-
-def epsilon(d: DyadicRational) -> Fraction:
-    """Slope addressed by the dyadic ``d``: a memo lookup, else a ``d.q``-step walk.
-
-    The memo is only ever extended with recomputable pure values, so
-    concurrent readers and writers cannot observe an inconsistent state.
-    """
-    if d.q == 0:
-        return Fraction(d.p)
-    cached = _EPSILON_MEMO.get((d.p, d.q))
-    if cached is not None:
-        return cached
-    return _walk(d)[1]
-
-
-def _mediant(p: int, q: int, left: Fraction, right: Fraction) -> Fraction:
-    """Memoized slope at the odd address ``p / 2**q``, between bracket ends ``left``, ``right``."""
-    mid = _EPSILON_MEMO.get((p, q))
-    if mid is None:
-        mid = _EPSILON_MEMO.setdefault((p, q), slope_dot(left, right))
-    return mid
-
-
-def _walk(d: DyadicRational) -> tuple["ExceptionalSlope", Fraction, "ExceptionalSlope"]:
-    """``(left parent, slope, right parent)`` of ``d = p / 2**q`` with ``q >= 1``.
-
-    Descends from the integer bracket: the bracket at level ``k`` is
-    ``[b, b + 1] / 2**k`` with ``b = p >> (q - k)``, and the slope at its
-    midpoint is the mediant of its end slopes, read from or written to the memo.
-    """
-    p, q = d.p, d.q
-    b = p >> q
-    left, right = Fraction(b), Fraction(b + 1)
-    for k in range(1, q + 1):
-        mid = _mediant(2 * b + 1, k, left, right)
-        if k < q:
-            b = p >> (q - k)
-            left, right = (mid, right) if b & 1 else (left, mid)
-    make = DyadicRational.make
-    return ExceptionalSlope(left, make(b, q - 1)), mid, ExceptionalSlope(right, make(b + 1, q - 1))
-
-
 @dataclass(frozen=True)
 class ExceptionalSlope:
-    """An exceptional slope together with its dyadic address."""
+    """An exceptional bundle, by its lattice character ``(r, c1, chi)``, and its dyadic address."""
 
-    slope: Fraction
+    r: int
+    c1: int
+    chi: int
     dyadic: DyadicRational
+
+    @property
+    def slope(self) -> Fraction:
+        return Fraction(self.c1, self.r)
 
     @property
     def order(self) -> int:
@@ -147,22 +87,18 @@ class ExceptionalSlope:
 
     @property
     def rank(self) -> int:
-        return rank_of_slope(self.slope)
+        return self.r
 
     @property
     def discriminant(self) -> Fraction:
-        return discriminant_of_slope(self.slope)
+        r = self.r
+        return Fraction(r * r - 1, 2 * r * r)
 
     def character(self) -> ChernCharacter:
-        """The bundle's character ``(r, c, (c^2 + 3cr + r^2 + 1) / 2r)`` for slope ``c/r``."""
-        c, r = self.slope.numerator, self.slope.denominator
-        chi, rest = divmod(c * (c + 3 * r) + r * r + 1, 2 * r)
-        if rest:
-            raise ConsistencyError(f"exceptional slope {self.slope} has non-integral chi")
-        return _lattice(r, c, chi)
+        return _lattice(self.r, self.c1, self.chi)
 
     def interval_halfwidth(self) -> QuadraticNumber:
-        return _interval_halfwidth(self.rank)
+        return _interval_halfwidth(self.r)
 
     def interval(self) -> tuple[QuadraticNumber, QuadraticNumber]:
         """Exact endpoints ``(slope - x, slope + x)`` of the owned interval."""
@@ -170,7 +106,53 @@ class ExceptionalSlope:
         return QuadraticNumber(self.slope) - w, QuadraticNumber(self.slope) + w
 
     def __str__(self) -> str:
-        return str(self.slope)
+        return str(self.c1) if self.r == 1 else f"{self.c1}/{self.r}"
+
+
+def _line(n: int) -> tuple[int, int, int]:
+    """The lattice character ``(1, n, (n + 1)(n + 2)/2)`` of O(n)."""
+    return 1, n, (n + 1) * (n + 2) // 2
+
+
+def _mutation(left: tuple, right: tuple, g: tuple) -> tuple[int, int, int]:
+    """The character ``3 r(coarse) v(fin) - v(g)`` at the midpoint of ``[left, right]``.
+
+    ``fin`` is the end that is the last mediant, of the larger rank (the left
+    end of ``[b, b + 1]``, where both are line bundles), ``coarse`` the other
+    end and ``g`` the end dropped the step before (``O(b - 1)`` at first).
+    On ranks this is the Markov move ``3xy - z``.
+    """
+    fin, coarse = (left, right) if left[0] >= right[0] else (right, left)
+    s = 3 * coarse[0]
+    return s * fin[0] - g[0], s * fin[1] - g[1], s * fin[2] - g[2]
+
+
+def epsilon(d: DyadicRational) -> Fraction:
+    """Slope addressed by the dyadic ``d``."""
+    return from_dyadic(d).slope
+
+
+def _walk(d: DyadicRational) -> tuple[ExceptionalSlope, ExceptionalSlope, ExceptionalSlope]:
+    """``(left parent, slope, right parent)`` of ``d = p / 2**q`` with ``q >= 1``.
+
+    Descends from the integer bracket: the bracket at level ``k`` is
+    ``[b, b + 1] / 2**k`` with ``b = p >> (q - k)``, and its midpoint is one
+    mutation; the end it replaces becomes ``g``.
+    """
+    p, q = d.p, d.q
+    b = p >> q
+    left, right, g = _line(b), _line(b + 1), _line(b - 1)
+    for k in range(1, q + 1):
+        mid = _mutation(left, right, g)
+        if k < q:
+            if (p >> (q - k)) & 1:
+                left, g = mid, left
+            else:
+                right, g = mid, right
+    b = p >> 1
+    make = DyadicRational.make
+    return (ExceptionalSlope(*left, make(b, q - 1)), ExceptionalSlope(*mid, d),
+            ExceptionalSlope(*right, make(b + 1, q - 1)))
 
 
 # Distinct ranks whose halfwidth is kept: every rank of order <= 10 fits.
@@ -185,11 +167,12 @@ def _interval_halfwidth(rank: int) -> QuadraticNumber:
 
 
 def from_dyadic(d: DyadicRational) -> ExceptionalSlope:
-    return ExceptionalSlope(epsilon(d), d)
+    """The exceptional slope at the address ``d``: a walk of ``d.q`` mutations."""
+    return from_integer(d.p) if d.q == 0 else _walk(d)[1]
 
 
 def from_integer(n: int) -> ExceptionalSlope:
-    return ExceptionalSlope(Fraction(n), DyadicRational(n, 0))
+    return ExceptionalSlope(*_line(n), DyadicRational(n, 0))
 
 
 def affine_image(g: ExceptionalSlope, negate: bool, shift: int) -> ExceptionalSlope:
@@ -197,18 +180,22 @@ def affine_image(g: ExceptionalSlope, negate: bool, shift: int) -> ExceptionalSl
 
     The tree is symmetric under both maps: negating a dyadic address negates
     its slope, and adding ``n * 2**q`` to the numerator of ``p / 2**q``
-    translates the slope by ``n``.  No descent and no tree walk is made.
+    translates the slope by ``n``.  The bundle follows by the dual and the
+    twist by ``O(shift)``.  No descent and no tree walk is made.
     """
-    d = g.dyadic
-    p, slope = (-d.p, -g.slope) if negate else (d.p, g.slope)
-    return ExceptionalSlope(slope + shift, DyadicRational(p + (shift << d.q), d.q))
+    d, x = g.dyadic, g.character()
+    p = d.p
+    if negate:
+        p, x = -p, x.dual()
+    x = x.twist(shift)
+    return ExceptionalSlope(x.r, x.c1, x.chi, DyadicRational(p + (shift << d.q), d.q))
 
 
 def from_slope_value(mu: RationalLike, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
     """Resolve a rational known to be an exceptional slope; raise if it is not."""
     mu = Fraction(mu)
     found = find_interval(mu, max_order)
-    if found.slope != mu:
+    if (found.c1, found.r) != (mu.numerator, mu.denominator):
         raise DomainError(f"{mu} is not an exceptional slope of order <= {max_order}")
     return found
 
@@ -219,7 +206,9 @@ def dot(alpha: ExceptionalSlope, beta: ExceptionalSlope) -> ExceptionalSlope:
     Neighbours are consecutive addresses at the finer of their two levels,
     or integers two apart (the convention ``n = (n-1).(n+1)``); the mediant
     sits at the dyadic midpoint of their addresses.  Any other pair raises
-    ``DomainError``.
+    ``DomainError``.  The walked mediant ``v`` must be exceptional and form
+    exceptional pairs with both: ``chi(v, v) = 1`` and
+    ``chi(beta, v) = chi(v, alpha) = 0``.
     """
     da, db = alpha.dyadic, beta.dyadic
     level = max(da.q, db.q)
@@ -232,11 +221,11 @@ def dot(alpha: ExceptionalSlope, beta: ExceptionalSlope) -> ExceptionalSlope:
     else:
         raise DomainError(f"{alpha} and {beta} are not neighbours in the slope tree")
     result = from_dyadic(child)
-    value = slope_dot(alpha.slope, beta.slope)
-    if result.slope != value:
-        raise ConsistencyError(
-            f"mediant mismatch at {child}: tree gives {result.slope}, formula {value}"
-        )
+    v, a, b = result.character(), alpha.character(), beta.character()
+    pairs = (euler_chi_pair(v, v), euler_chi_pair(b, v), euler_chi_pair(v, a))
+    if pairs != (1, 0, 0):
+        raise ConsistencyError(f"mediant {v!r} at {child} between {a!r} and {b!r} has "
+                               f"(chi(v, v), chi(right, v), chi(v, left)) = {pairs}")
     return result
 
 
@@ -263,9 +252,9 @@ def interval_contains(a: ExceptionalSlope, x, closed: bool) -> bool:
     A, B, d, D = integer_form(x)
     # Over N = D*r: |x - a| = (t + w sqrt(d))/N, u = (ua + ub sqrt(d))/N
     # and, as N/r = D, N^2 (u^2 - 9 + 4/r^2) = va + vb sqrt(d).
-    r = a.rank
+    r = a.r
     N = D * r
-    t = A * r - a.slope.numerator * D
+    t = A * r - a.c1 * D
     w = B * r
     if _sign_int_radical(t, w, d) < 0:
         t, w = -t, -w
@@ -284,8 +273,9 @@ def find_interval(x, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
     the left or right gap.  An input equal to an interval endpoint resolves
     to that interval's slope (closures are tested at every probe).
     ``x`` is cleared once to its integer form, which gives its floor and, at
-    a missed probe, the integer sign of ``x - mediant``; each mediant comes
-    from the slope memo, so a probe builds no :class:`QuadraticNumber`.
+    a missed probe, the integer sign of ``x - c1/r`` from the mediant's
+    character, one mutation of the bracket's ends; so a probe builds no
+    :class:`QuadraticNumber` and no ``Fraction``.
     Termination within ``max_order`` holds for every rational and for the
     quadratic irrationals arising from characters; genuine Cantor-set points
     would descend forever and trip the budget instead.
@@ -297,23 +287,23 @@ def find_interval(x, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
         if interval_contains(candidate, x, closed=True):
             return candidate
     p, q = n, 0
-    left, right = Fraction(n), Fraction(n + 1)
+    left, right, g = _line(n), _line(n + 1), _line(n - 1)
     while q < max_order:
         p, q = 2 * p + 1, q + 1
-        mid = _mediant(p, q, left, right)
-        child = ExceptionalSlope(mid, DyadicRational(p, q))
+        mid = _mutation(left, right, g)
+        child = ExceptionalSlope(*mid, DyadicRational(p, q))
         if interval_contains(child, x, closed=True):
             return child
         # narrow to [p - 1, p] or [p, p + 1] over 2**q; p keeps the left end
-        if _sign_int_radical(A * mid.denominator - mid.numerator * D, B * mid.denominator, d) < 0:
-            p, right = p - 1, mid
+        r, c = mid[0], mid[1]
+        if _sign_int_radical(A * r - c * D, B * r, d) < 0:
+            p, right, g = p - 1, mid, right
         else:
-            left = mid
+            left, g = mid, left
     raise DescentError(
         f"no enclosing interval of order <= {max_order}: "
         f"input is a Cantor-set point or the budget is too small"
     )
-
 
 # Distinct slopes whose enclosing slope and boundary value are kept; a long
 # batch evicts the oldest.
@@ -358,15 +348,11 @@ def enumerate_slopes(lo: RationalLike, hi: RationalLike,
     if lo >= hi:
         raise DomainError("empty slope range")
     found = []
-    d_lo, d_hi = math.floor(lo), math.ceil(hi)
-    for n in range(d_lo, d_hi + 1):
-        if lo <= n <= hi:
-            found.append(from_integer(n))
-    for q in range(1, max_order + 1):
-        step = 1 << q
-        for p in range(d_lo * step + 1, d_hi * step, 2):
-            s = from_dyadic(DyadicRational(p, q))
-            if lo <= s.slope <= hi:
-                found.append(s)
+    for q in range(max_order + 1):
+        for p in range(math.floor(lo) << q, (math.ceil(hi) << q) + 1):
+            if q == 0 or p & 1:
+                s = from_dyadic(DyadicRational(p, q))
+                if lo <= s.slope <= hi:
+                    found.append(s)
     found.sort(key=lambda s: s.slope)
     return found

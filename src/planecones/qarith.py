@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import total_ordering
 from typing import Union
@@ -412,8 +413,18 @@ def format_rational(x: RationalLike) -> str:
     return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
+def int_digit_limit() -> int:
+    """Python's limit on the digits of an int read or written as text; 0 is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+
+
 def parse_rational(text: str) -> Fraction:
+    quoted = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text):,} characters)"
+    limit, longest = int_digit_limit(), max(map(len, re.findall(r"[0-9]+", text)), default=0)
+    if 0 < limit < longest:
+        raise DomainError(f"not a rational literal: {quoted} has {longest:,} digits in a row, "
+                          f"past Python's limit of {limit:,} for reading an integer")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational literal: {text!r}") from exc
+        raise DomainError(f"not a rational literal: {quoted}") from exc

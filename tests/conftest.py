@@ -290,11 +290,53 @@ class FractionCharacter:
         return mu * mu / 2 - self.ch2 / self.ch0
 
 
+def slope_dot(alpha, beta) -> Fraction:
+    """Mediant slope ``(a+b)/2 + (delta_b - delta_a)/(3 + a - b)`` over ``Fraction``s.
+
+    With ``fraction_walk``, the oracle for the integer mutation walk: the
+    formula the slope tree used before each slope carried its bundle.
+    """
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    denom = 3 + alpha - beta
+    if denom == 0:
+        raise DomainError("mediant undefined: slopes differ by exactly 3")
+    da = (1 - Fraction(1, alpha.denominator ** 2)) / 2
+    db = (1 - Fraction(1, beta.denominator ** 2)) / 2
+    return (alpha + beta) / 2 + (db - da) / denom
+
+
+def fraction_walk(p: int, q: int, memo: dict) -> tuple[Fraction, Fraction, Fraction]:
+    """``(left parent, slope, right parent)`` of ``p / 2**q`` (``q >= 1``) by ``slope_dot``.
+
+    Descends from the integer bracket ``[b, b + 1]``, taking the mediant of
+    the bracket's end slopes at each level; each mediant is read from or
+    written to ``memo`` under its address ``(2b + 1, k)``.
+    """
+    b = p >> q
+    left, right = Fraction(b), Fraction(b + 1)
+    for k in range(1, q + 1):
+        mid = memo.get((2 * b + 1, k))
+        if mid is None:
+            mid = memo[2 * b + 1, k] = slope_dot(left, right)
+        if k < q:
+            b = p >> (q - k)
+            left, right = (mid, right) if b & 1 else (left, mid)
+    return left, mid, right
+
+
+def fraction_character(mu: Fraction) -> ChernCharacter:
+    """The exceptional character ``(r, c, (c^2 + 3cr + r^2 + 1)/2r)`` of the slope ``c/r``."""
+    c, r = mu.numerator, mu.denominator
+    chi, rest = divmod(c * (c + 3 * r) + r * r + 1, 2 * r)
+    assert rest == 0, f"{mu} is not an exceptional slope"
+    return character_from_json({"r": r, "c1": c, "chi": chi})
+
+
 def reference_find_interval(x, max_order: int = DEFAULT_MAX_ORDER):
     """The bracketing descent as one ``from_dyadic`` and one comparison per probe.
 
-    The reference for ``find_interval``, which reads each mediant off the
-    memo and takes the left/right sign from ``x``'s integer form instead.
+    The reference for ``find_interval``, which takes each mediant by one
+    mutation of its bracket and the left/right sign from ``x``'s integer form.
     """
     if isinstance(x, (int, Fraction)):
         x = QuadraticNumber(Fraction(x))

@@ -25,9 +25,10 @@ from planecones.exceptional import (
     from_integer,
     from_slope_value,
     interval_contains,
-    slope_dot,
 )
 from planecones.qarith import QuadraticNumber, qn_compare_cross
+
+from conftest import slope_dot
 
 F = Fraction
 

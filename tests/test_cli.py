@@ -147,8 +147,7 @@ class TestSlopeCommand:
         code, _, err = run(capsys, "slope", "--dyadic", "1/8", "--rational", "2/5")
         assert code == 1 and "exactly one" in err
 
-    def test_deep_dyadic_on_a_cold_memo(self, capsys, monkeypatch):
-        monkeypatch.setattr(exceptional, "_EPSILON_MEMO", {})
+    def test_deep_dyadic_address(self, capsys):
         code, out, err = run(capsys, "slope", "--dyadic", "1/2^1500", "--max-order", "1500")
         assert code == 0 and not err
         assert out.count("\n") == 1
@@ -178,6 +177,37 @@ class TestSlopeCommand:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    # the slopes at these addresses have 9,324 and 47,202 digits; the last
+    # has a 2,156-digit rank, so only its discriminant is past a 4,300 limit
+    @pytest.mark.skipif(not 0 < INT_DIGITS < 4311, reason="needs a digit limit below 4,311")
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("slope", "--dyadic", "16624043/2^24"), "slope"),
+            (("cfrac", "--lr", "LR" * 12), "slope"),
+            (("slope", "--lr", "RRLLRLRLRRLLRLRLRRR"), "discriminant"),
+        ],
+        ids=["slope_dyadic", "cfrac_lr", "slope_discriminant"],
+    )
+    def test_past_the_digit_limit_is_a_one_line_error(self, capsys, argv, field):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith(f"error: {field} has a ") and "-bit integer" in err
+        assert err.count("\n") == 1
+        assert f"limit of {INT_DIGITS:,} digits for printing" in err
+
+    def test_below_the_digit_limit_prints(self, capsys):
+        code, out, _ = run(capsys, "cfrac", "--lr", "RRLLRLRLRRLLRLRLRRR")
+        assert code == 0 and len(json.loads(out)["slope"]) > 4000
+
+    @needs_digit_limit
+    def test_over_long_literal_is_truncated(self, capsys):
+        code, out, err = run(capsys, "slope", "--rational", "7" * (INT_DIGITS + 700))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and len(err) < 300
+        assert f"{INT_DIGITS + 700:,} digits in a row" in err
+        assert f"limit of {INT_DIGITS:,} for reading" in err
 
     def test_interval_round_trips(self, capsys):
         from planecones.qarith import QuadraticNumber

@@ -12,7 +12,7 @@ descent to its corresponding slope, and no slope whose dyadic address is
 already known goes back through a descent.
 
 An LR word is a spelling of a dyadic address, so the slope it names takes
-one memoized walk: one mediant per letter on a cold memo, none on a warm one.
+one walk: one mutation per letter, on every call, since no walk is kept.
 """
 
 from fractions import Fraction
@@ -102,19 +102,18 @@ def test_classify_descends_once(counts, r, c1, chi, kind, descents):
 @pytest.mark.parametrize("word", ["RLLLRR", "LRLRLRLRLR"])
 def test_one_walk_per_word(monkeypatch, word):
     calls = []
-    slope_dot = exceptional.slope_dot
+    mutation = exceptional._mutation
 
     def counted(*args):
         calls.append(args)
-        return slope_dot(*args)
+        return mutation(*args)
 
-    monkeypatch.setattr(exceptional, "_EPSILON_MEMO", {})
-    monkeypatch.setattr(exceptional, "slope_dot", counted)
-    cold = cfrac.lr_to_slope(word)
+    monkeypatch.setattr(exceptional, "_mutation", counted)
+    first = cfrac.lr_to_slope(word)
     assert len(calls) == len(word)
     calls.clear()
-    assert cfrac.lr_to_slope(word) == cold
-    assert calls == []
+    assert cfrac.lr_to_slope(word) == first
+    assert len(calls) == len(word)
 
 
 MU0_PLUS_ORDER_FOUR = cone.intersection_slope_zero(ORDER_FOUR)
@@ -126,9 +125,9 @@ MU0_PLUS_ORDER_FOUR = cone.intersection_slope_zero(ORDER_FOUR)
 def test_one_membership_call_per_probe(monkeypatch, x):
     """A descent probe is one ``interval_contains`` call and builds nothing else.
 
-    The mediants come from the slope memo (emptied here, so every one is
-    computed), not from ``from_dyadic``, and the side is an integer sign on
-    ``x``'s integer form, so no ``QuadraticNumber`` is made.
+    Each mediant is one mutation of the bracket's characters, not a
+    ``from_dyadic`` walk, and the side is an integer sign on ``x``'s integer
+    form, so no ``QuadraticNumber`` is made.
     """
     probes, built, looked_up = [], [], []
     contains, init = exceptional.interval_contains, qarith.QuadraticNumber.__init__
@@ -142,7 +141,6 @@ def test_one_membership_call_per_probe(monkeypatch, x):
         built.append(args)
         init(qn, *args, **kwargs)
 
-    monkeypatch.setattr(exceptional, "_EPSILON_MEMO", {})
     monkeypatch.setattr(exceptional, "interval_contains", counted_contains)
     monkeypatch.setattr(exceptional, "from_dyadic", lambda d: looked_up.append(d) or from_dyadic(d))
     monkeypatch.setattr(qarith.QuadraticNumber, "__init__", counted_init)

@@ -1,11 +1,12 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from planecones import exceptional
-from planecones.chern import ChernCharacter
-from planecones.errors import DescentError, DomainError
+from planecones.chern import ChernCharacter, euler_chi_pair
+from planecones.errors import ConsistencyError, DescentError, DomainError
 from planecones.exceptional import (
     DyadicRational,
     affine_image,
@@ -20,11 +21,18 @@ from planecones.exceptional import (
     from_slope_value,
     interval_contains,
     parents,
-    slope_dot,
 )
 from planecones.qarith import QuadraticNumber, _sign_int_radical, qn_compare_cross, sqrt_exact
 
-from conftest import ORDER_FOUR, delta_curve_at, enclosure_radical_sign, reference_find_interval
+from conftest import (
+    ORDER_FOUR,
+    delta_curve_at,
+    enclosure_radical_sign,
+    fraction_character,
+    fraction_walk,
+    reference_find_interval,
+    slope_dot,
+)
 
 F = Fraction
 
@@ -133,13 +141,65 @@ class TestEpsilon:
                 assert epsilon(shifted) == epsilon(d) + 1
                 assert epsilon(dy(-p, q)) == -epsilon(d)
 
-    def test_cold_walk_order_two_thousand(self, monkeypatch):
-        monkeypatch.setattr(exceptional, "_EPSILON_MEMO", {})
+    def test_cold_walk_order_two_thousand(self):
         g = from_dyadic(DyadicRational(1, 2000))
         left, right = parents(g)
         assert (left.dyadic, right.dyadic) == (dy(0, 0), dy(1, 1999))
         assert left.slope == 0 and right.slope == epsilon(dy(1, 1999))
         assert slope_dot(left.slope, right.slope) == g.slope
+
+
+class TestMutationWalk:
+    """The integer mutation walk against the ``Fraction`` walk by ``slope_dot``."""
+
+    def test_matches_fraction_walk_order_twelve(self):
+        for n in range(-3, 4):
+            assert from_integer(n).slope == n
+            assert from_integer(n).character() == fraction_character(F(n))
+        memo, count = {}, 0
+        for q in range(1, 13):
+            for p in range(1 - (3 << q), 3 << q, 2):
+                left, g, right = exceptional._walk(dy(p, q))
+                expected = fraction_walk(p, q, memo)
+                assert (left.slope, g.slope, right.slope) == expected, (p, q)
+                assert g.rank == expected[1].denominator
+                assert g.character() == fraction_character(expected[1])
+                assert left.character() == fraction_character(expected[0])
+                assert right.character() == fraction_character(expected[2])
+                assert (left.dyadic, right.dyadic) == (dy(p >> 1, q - 1), dy((p >> 1) + 1, q - 1))
+                count += 1
+        assert count == 24_570
+
+    def test_exceptional_pairs_order_ten(self):
+        # chi(v, v) = 1 and chi(right, v) = chi(v, left) = 0, as dot checks
+        for q in range(1, 11):
+            for p in range(1 - (2 << q), 2 << q, 2):
+                left, g, right = (s.character() for s in exceptional._walk(dy(p, q)))
+                assert euler_chi_pair(g, g) == 1
+                assert euler_chi_pair(right, g) == euler_chi_pair(g, left) == 0
+
+    def test_children_are_mutations_order_ten(self):
+        # the child of (left, g) is 3 r(left) g - right; of (g, right), 3 r(right) g - left
+        slopes = enumerate_slopes(-2, 2, 10)
+        assert len(slopes) == 4097
+        for g in slopes:
+            left, right = parents(g)
+            v = g.character()
+            assert dot(left, g).character() == v.scale(3 * left.r) - right.character()
+            assert dot(g, right).character() == v.scale(3 * right.r) - left.character()
+
+    def test_corrupted_child_is_inconsistent(self, monkeypatch):
+        walked = from_dyadic
+        for field in ("r", "c1", "chi"):
+            def corrupted(d, field=field):
+                child = walked(d)
+                return dataclasses.replace(child, **{field: getattr(child, field) + 1})
+
+            monkeypatch.setattr(exceptional, "from_dyadic", corrupted)
+            with pytest.raises(ConsistencyError):
+                dot(from_integer(0), from_dyadic(dy(1, 1)))
+        monkeypatch.undo()
+        assert dot(from_integer(0), from_dyadic(dy(1, 1))).slope == F(2, 5)
 
 
 class TestParents:
@@ -533,3 +593,27 @@ class TestCharacter:
 def test_from_slope_value_rejects_non_exceptional():
     with pytest.raises(DomainError):
         from_slope_value(F(1, 3))
+
+
+def test_cold_walks_keep_nothing():
+    """2,000 distinct walks of order 32-39 grow no module-level container.
+
+    No walk is kept, so memory stays bounded over a long batch; the two
+    ``lru_cache``s are the module's only stores, each under its cap.
+    """
+    def containers():
+        return {name: len(value) for name, value in vars(exceptional).items()
+                if not name.startswith("__") and isinstance(value, (dict, list, set))}
+
+    caches = (exceptional._interval_halfwidth, exceptional.boundary_at)
+    before, cached = containers(), [c.cache_info().currsize for c in caches]
+    addresses = {dy(2 * i + 1, 32 + i % 8) for i in range(2000)}
+    assert len(addresses) == 2000 and min(d.q for d in addresses) >= 32
+    for d in addresses:
+        left, right = parents(from_dyadic(d))
+        assert left.slope < right.slope
+    assert containers() == before
+    assert [c.cache_info().currsize for c in caches] == cached
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize

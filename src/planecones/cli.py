@@ -87,9 +87,27 @@ def _check_printable(field: str, *numbers) -> None:
     for x in numbers if limit else ():
         for y in (x.a, x.b, x.d) if isinstance(x, QuadraticNumber) else (x,):
             for n in (abs(y.numerator), y.denominator):
-                if n >= 10 ** limit:
+                # 2**(3 * limit) < 10**limit: a shorter n needs no power of ten
+                if n.bit_length() > 3 * limit and n >= 10 ** limit:
                     raise DomainError(f"{field} has a {n.bit_length():,}-bit integer, past "
                                       f"Python's limit of {limit:,} digits for printing one")
+
+
+def _check_character_printable(x: ChernCharacter) -> None:
+    """Measure the fields ``character_to_json`` prints for ``x``."""
+    fields = [("r", x.r), ("c1", x.c1), ("chi", x.chi), ("ch2", x.ch2)]
+    if x.r != 0:
+        fields += [("mu", x.slope()), ("delta", x.discriminant())]
+    for field, value in fields:
+        _check_printable(field, value)
+
+
+def _check_report_printable(report: cone.ConeReport) -> None:
+    """Measure the input's printed fields and ``mu0+-`` before a report is rendered."""
+    _check_character_printable(report.input)
+    for field, value in (("mu0+", report.mu0_plus), ("mu0-", report.mu0_minus)):
+        if value is not None:
+            _check_printable(field, value)
 
 
 def _qn_str(x: Optional[QuadraticNumber]) -> Optional[str]:
@@ -306,6 +324,7 @@ def _slope_from_args(args) -> exceptional.ExceptionalSlope:
 def _cmd_cone(args) -> int:
     x = _character_from_args(args)
     report = cone.cone_report(x, args.multiplier, args.max_order)
+    _check_report_printable(report)
     _emit(report_to_dict(report, args.approx), args.format)
     if report.classification.kind is cone.Kind.INVALID:
         return EXIT_BAD_INPUT
@@ -316,6 +335,7 @@ def _cmd_cone(args) -> int:
 
 def _cmd_classify(args) -> int:
     x = _character_from_args(args)
+    _check_character_printable(x)
     cls = cone.classify(x, args.max_order)
     _emit(
         {
@@ -461,6 +481,7 @@ def _cmd_batch(args) -> int:
                         "error": "; ".join(report.classification.reasons),
                     }
                 else:
+                    _check_report_printable(report)
                     record = report_to_dict(report, args.approx)
             except (DomainError, DescentError, ConsistencyError, ValueError) as exc:
                 record = {"line": number, "error": str(exc)}

@@ -1,17 +1,18 @@
 """End-to-end pipeline: classification, orthogonal invariants, resolutions,
 Kronecker data and the extremal rays of the effective cone.
 
-Everything in the primary half of the cone follows from the corresponding
-exceptional slope gamma, whose interval encloses the point ``mu0+`` where
-the orthogonal parabola meets the half-height line.  One private analysis
-per character classifies it, takes ``sqrt(5 + 8 delta)`` once for both
-``mu0+-``, descends once to gamma, picks the orthogonal invariants by the
-sign of the pairing with gamma's bundle, and reads the resolving triad off
-the dyadic addresses of gamma and its parents (no further descent); the
-multiplicities and the Kronecker-module fibration follow.  For rank >= 3 the
-same steps on the Serre dual (same classification, ``mu0+ = -mu0-``) give
-the secondary edge, so a report classifies once and takes one root; known
-divisor classes give it in low rank.  Public stage functions are views of it.
+One private analysis per character classifies it, takes ``sqrt(5 + 8 delta)``
+once for both ``mu0+-`` and descends once to the corresponding exceptional
+slope gamma, whose interval encloses ``mu0+``.  The primary ray is a lattice
+vector: gamma's bundle when the character pairs to zero with it, else the
+primitive class orthogonal to the character and to ``E_{-gamma}`` (positive
+pairing) or ``E_{-gamma-3}`` (negative), one integer cross product
+(``_ray``); the invariants ``(mu+, delta+)`` are its slope and discriminant.
+The resolving triad is read off the addresses of gamma and its parents, and
+the multiplicities and Kronecker data follow.  For rank >= 3 the same steps
+on the Serre dual (``mu0+ = -mu0-``) give the secondary ray, the negated dual
+of the dual's primary ray; rank 2 takes one more cross product.  Public stage
+functions are views of the analysis.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from .chern import (
     ChernCharacter,
     HalfPlane,
     SlopeDisc,
+    _lattice,
     euler_chi_pair,
     euler_pairing,
     half_plane,
-    hilbert_poly,
     moduli_dimension,
     natural_classes,
 )
@@ -73,10 +74,15 @@ class Classification:
 
 @dataclass(frozen=True)
 class OrthogonalInvariants:
-    point: SlopeDisc
+    ray: ChernCharacter  # the primitive primary ray, of positive rank
     case_sign: CaseSign
     on_delta_curve: bool
     corresponding_slope: ExceptionalSlope
+
+    @property
+    def point(self) -> SlopeDisc:
+        """The invariants ``(mu+, delta+)``: the ray's slope and discriminant."""
+        return self.ray.slope_disc()
 
 
 @dataclass(frozen=True)
@@ -286,45 +292,44 @@ def corresponding_slope(x: ChernCharacter,
 # -- orthogonal invariants -----------------------------------------------------
 
 
+def _ray(x: ChernCharacter, z: ChernCharacter) -> ChernCharacter:
+    """The primitive class of positive rank orthogonal to both ``x`` and ``z``.
+
+    It spans the line of ``f_x x f_z``, with ``f = (chi - r, c1, r)`` the
+    pairing covector on ``(r, c1, chi)``; its rank ``c1(x) r(z) - r(x) c1(z)``
+    is zero exactly when the two slopes agree.
+    """
+    a0, a1, a2 = x.chi - x.r, x.c1, x.r
+    b0, b1, b2 = z.chi - z.r, z.c1, z.r
+    r = a1 * b2 - a2 * b1
+    if r == 0:
+        raise ConsistencyError(f"the classes orthogonal to {x} and {z} have rank zero")
+    c, chi = a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    g = math.gcd(r, c, chi) if r > 0 else -math.gcd(r, c, chi)
+    return _lattice(r // g, c // g, chi // g)
+
+
 def _invariants(x: ChernCharacter, gamma: ExceptionalSlope,
                 case: CaseSign) -> OrthogonalInvariants:
     if case is CaseSign.ZERO:
-        point = SlopeDisc(gamma.slope, gamma.discriminant)
+        ray = gamma.character()
     else:
-        ref_slope = -gamma.slope if case is CaseSign.POSITIVE else -gamma.slope - 3
-        ref_delta = gamma.discriminant
-        if x.r != 0:
-            a, b = x.slope(), ref_slope
-            if a == b:
-                raise ConsistencyError("coincident parabolas in the invariant solve")
-            delta_diff = x.discriminant() - ref_delta
-            mu = (2 * delta_diff / (a - b) - a - b - 3) / 2
-            point = SlopeDisc(mu, hilbert_poly(a + mu) - x.discriminant())
-        else:
-            mu = Fraction(-x.chi, x.c1)
-            point = SlopeDisc(mu, hilbert_poly(ref_slope + mu) - ref_delta)
-
-    on_curve = case is not CaseSign.POSITIVE or point.mu <= gamma.slope
-    return OrthogonalInvariants(point, case, on_curve, gamma)
+        shift = 0 if case is CaseSign.POSITIVE else -3
+        ray = _ray(x, exceptional.affine_image(gamma, True, shift).character())
+    # mu+ <= gamma's slope, cross-multiplied by the two positive ranks
+    on_curve = case is not CaseSign.POSITIVE or ray.c1 * gamma.r <= gamma.c1 * ray.r
+    return OrthogonalInvariants(ray, case, on_curve, gamma)
 
 
 def orthogonal_invariants(x: ChernCharacter,
                           max_order: int = DEFAULT_MAX_ORDER) -> OrthogonalInvariants:
-    """The point spanning the primary extremal ray, by sign of the pairing.
+    """The primitive primary ray and its invariants, by sign of the pairing with E_gamma.
 
-    Positive pairing intersects the orthogonal parabola with the left arc
-    over the corresponding slope; negative pairing with the right arc (the
-    left arc translated by -3); zero pairing returns the exceptional point
-    itself.  Both intersections are translates of one quadratic, so the
-    solve is linear and the solution rational.
+    Positive pairing gives the class orthogonal also to ``E_{-gamma}`` (the
+    left arc over gamma), negative to ``E_{-gamma-3}`` (the right arc), zero
+    the bundle ``E_gamma`` itself.
     """
     return _intersecting(x, max_order).invariants
-
-
-def minimal_orthogonal_rank(point: SlopeDisc) -> int:
-    """Least positive rank making both c1 and chi integral at this point."""
-    chi_per_rank = hilbert_poly(point.mu) - point.delta
-    return math.lcm(point.mu.denominator, chi_per_rank.denominator)
 
 
 def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
@@ -332,23 +337,17 @@ def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
     """Integral character on the primary ray, at the minimal rank times a multiplier."""
     if multiplier < 1:
         raise DomainError("multiplier must be a positive integer")
-    point = inv.point
-    r = minimal_orthogonal_rank(point) * multiplier
-    result = ChernCharacter.from_rmd(r, point.mu, point.delta)
-    if inv.case_sign is CaseSign.ZERO:  # the ray is gamma's bundle, times the multiplier
-        if result != inv.corresponding_slope.character().scale(multiplier):
-            raise ConsistencyError("zero-pairing invariants drifted off the exceptional point")
-    else:
+    if inv.case_sign is not CaseSign.ZERO:
         # endpoints are irrational, so a rational mu in gamma's closed
         # interval lies in no other and gamma's arc is the boundary there
-        gamma = inv.corresponding_slope
+        point, gamma = inv.point, inv.corresponding_slope
         if exceptional.interval_contains(gamma, point.mu, closed=True):
             boundary = exceptional.arc_value(gamma, point.mu)
         else:
             boundary = delta_curve(point.mu, max_order)
         if point.delta < boundary:
             raise ConsistencyError(f"orthogonal invariants {point} below the boundary curve")
-    return result
+    return inv.ray.scale(multiplier)
 
 
 # -- resolutions ----------------------------------------------------------------
@@ -517,15 +516,13 @@ def _secondary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
         xd = x.serre_dual()
         dual_side = _side(xd, side.classification, -side.mu0_minus, -side.mu0_plus, max_order)
         dual = _primary_edge(xd, dual_side, multiplier, max_order)
-        point = SlopeDisc(-dual.invariants.point.mu, dual.invariants.point.delta)
-        rank = minimal_orthogonal_rank(point) * multiplier
+        ray = -dual.extremal_character.dual()
         slope = exceptional.affine_image(dual.invariants.corresponding_slope, True, 0)
         mode = SecondaryMode.SERRE_DUAL
         descriptor = "h2-cohomology jumping divisor, from the dual pipeline"
     elif r == 2:
-        mu = -Fraction(3, 2) - x.slope()
-        point = SlopeDisc(mu, hilbert_poly(x.slope() + mu) - x.discriminant())
-        rank = minimal_orthogonal_rank(point)
+        # tensor slope -3/2 with x: orthogonal to the rank-zero class (0, 2r, 3r + 2c)
+        ray = -_ray(x, _lattice(0, 2 * r, 3 * r + 2 * x.c1))
         slope = dual = None
         mode = SecondaryMode.RANK2_SINGULAR_LOCUS
         descriptor = "divisor of singular (non-locally-free) sheaves"
@@ -537,8 +534,8 @@ def _secondary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
         descriptor = "pullback of O(1) under the support morphism"
     if r < 2:
         return SecondaryEdge(mode, None, None, None, None, descriptor, None)
-    ray = -ChernCharacter.from_rmd(rank, point.mu, point.delta)
-    return SecondaryEdge(mode, point, slope, ray, _basis_coords(x, ray), descriptor, dual)
+    return SecondaryEdge(mode, ray.slope_disc(), slope, ray, _basis_coords(x, ray), descriptor,
+                         dual)
 
 
 def secondary_edge(x: ChernCharacter, multiplier: int = 1,
@@ -548,7 +545,8 @@ def secondary_edge(x: ChernCharacter, multiplier: int = 1,
     Rank 2 uses the divisor of singular sheaves (a negative-rank orthogonal
     class of tensor slope -3/2); ranks 1 and 0 carry named divisor classes
     with no canonical character, so only descriptors are emitted.  Raises
-    ``DomainError`` wherever ``cone_report`` has no secondary edge.
+    ``DomainError`` wherever ``cone_report`` has no secondary edge.  ``multiplier``
+    scales the rank >= 3 ray (the Serre dual's); the rank-2 class stays primitive.
     """
     return _secondary_edge(x, _intersecting(x, max_order), multiplier, max_order)
 

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from planecones import Kind, classify
-from planecones.chern import ChernCharacter, character_from_json, hilbert_poly
+from planecones import CaseSign, Kind, classify
+from planecones.chern import (
+    ChernCharacter, SlopeDisc, character_from_json, euler_pairing, hilbert_poly,
+)
 from planecones.errors import DescentError, DomainError
 from planecones.exceptional import (
     DEFAULT_MAX_ORDER,
@@ -361,6 +363,66 @@ def delta_curve_at(x: QuadraticNumber) -> QuadraticNumber:
     a = find_interval(x)
     u = -abs(x - QuadraticNumber(a.slope))
     return (u * u + 3 * u + 2) / 2 - a.discriminant
+
+
+def minimal_orthogonal_rank(point: SlopeDisc) -> int:
+    """Least positive rank making both c1 and chi integral at this point."""
+    chi_per_rank = hilbert_poly(point.mu) - point.delta
+    return math.lcm(point.mu.denominator, chi_per_rank.denominator)
+
+
+def ray_at(point: SlopeDisc, multiplier: int = 1) -> ChernCharacter:
+    """The character at ``point`` of the minimal rank times ``multiplier``."""
+    rank = minimal_orthogonal_rank(point) * multiplier
+    return ChernCharacter.from_rmd(rank, point.mu, point.delta)
+
+
+def fraction_primary(x: ChernCharacter, gamma, multiplier: int = 1):
+    """``(case_sign, point, on_delta_curve, ray)`` of the primary edge over ``Fraction``s.
+
+    The oracle for the cross-product rays: the invariant point where the
+    orthogonal parabola of ``x`` meets the arc of ``E_{-gamma}`` (positive
+    pairing) or ``E_{-gamma-3}`` (negative), two parabolas that are
+    translates of one quadratic, so the solve is linear; the rank-zero
+    orthogonal locus is the vertical line ``mu = -chi/d``.  The ray is
+    ``from_rmd`` at the least rank making the point integral.
+    """
+    pairing = euler_pairing(x, gamma.character())
+    if pairing == 0:
+        point = SlopeDisc(gamma.slope, gamma.discriminant)
+        return CaseSign.ZERO, point, True, ray_at(point, multiplier)
+    case = CaseSign.POSITIVE if pairing > 0 else CaseSign.NEGATIVE
+    ref_slope = -gamma.slope if case is CaseSign.POSITIVE else -gamma.slope - 3
+    ref_delta = gamma.discriminant
+    if x.r != 0:
+        a, b = x.slope(), ref_slope
+        mu = (2 * (x.discriminant() - ref_delta) / (a - b) - a - b - 3) / 2
+        point = SlopeDisc(mu, hilbert_poly(a + mu) - x.discriminant())
+    else:
+        mu = Fraction(-x.chi, x.c1)
+        point = SlopeDisc(mu, hilbert_poly(ref_slope + mu) - ref_delta)
+    on_curve = case is CaseSign.NEGATIVE or point.mu <= gamma.slope
+    return case, point, on_curve, ray_at(point, multiplier)
+
+
+def fraction_secondary(x: ChernCharacter, dual_gamma, multiplier: int = 1):
+    """``(point, ray)`` of the secondary edge over ``Fraction``s, ``(None, None)`` below rank 2.
+
+    Rank >= 3 negates the Serre dual's primary point to ``(-mu, delta)``
+    and takes the ray there at the minimal rank times ``multiplier``;
+    ``dual_gamma`` is the dual's corresponding slope.  Rank 2 takes the
+    orthogonal point of tensor slope ``-3/2`` at its minimal rank.
+    """
+    if x.r >= 3:
+        _, dual, _, _ = fraction_primary(x.serre_dual(), dual_gamma)
+        point = SlopeDisc(-dual.mu, dual.delta)
+    elif x.r == 2:
+        mu = -Fraction(3, 2) - x.slope()
+        point = SlopeDisc(mu, hilbert_poly(x.slope() + mu) - x.discriminant())
+        multiplier = 1
+    else:
+        return None, None
+    return point, -ray_at(point, multiplier)
 
 
 def stable_orthogonal_slopes_below(x: ChernCharacter, mu_plus: Fraction,

@@ -395,6 +395,40 @@ class TestBatchCommand:
         assert records[1]["classification"]["kind"] == "PICARD_RANK_2"
 
 
+def _ones_character(digits: int) -> str:
+    """``--chern`` for ``(r, c1, chi) = (R, 1, 0)``, ``R`` the integer of ``digits`` ones."""
+    r = int("1" * digits)
+    return f"{r},1,{-(2 * r + 3)}/2"  # ch2 = chi - r - (3/2) c1
+
+
+# At 3,000 digits the input's discriminant, over 2 R^2, has 6,000 digits; at
+# 2,100 the input fits and only mu0+, with a radicand of about 8,200 digits, does not.
+@pytest.mark.skipif(not 4200 <= INT_DIGITS < 6000, reason="needs a digit limit in [4,200, 6,000)")
+class TestReportPastTheDigitLimit:
+    @pytest.mark.parametrize(
+        "command, digits, field",
+        [("cone", 3000, "delta"), ("cone", 2100, "mu0+"), ("classify", 3000, "delta")],
+        ids=["cone_input", "cone_mu0", "classify_input"],
+    )
+    def test_one_line_error(self, capsys, command, digits, field):
+        code, out, err = run(capsys, command, "--chern", _ones_character(digits))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith(f"error: {field} has a ") and err.count("\n") == 1
+        assert f"limit of {INT_DIGITS:,} digits for printing" in err
+
+    def test_batch_record_names_the_field(self, tmp_path, capsys):
+        path = tmp_path / "batch.jsonl"
+        lines = [{"r": int("1" * digits), "c1": 1, "chi": 0} for digits in (3000, 2100)]
+        path.write_text("\n".join(map(json.dumps, lines + [TestBatchCommand.LINES[0]])) + "\n")
+        code, out, err = run(capsys, "batch", str(path))
+        assert code == 0 and err == ""
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [record.get("line") for record in records] == [1, 2, None]
+        assert records[0]["error"].startswith("delta has a ")
+        assert records[1]["error"].startswith("mu0+ has a ")
+        assert records[2]["dimension"] == 26
+
+
 class TestInternalError:
     def test_cone_exits_with_internal_status(self, capsys, monkeypatch):
         def failing(*args):

@@ -23,7 +23,6 @@ from planecones.cone import (
     corresponding_slope,
     intersection_slope_zero,
     kronecker_data,
-    minimal_orthogonal_rank,
     orthogonal_character,
     orthogonal_invariants,
     resolution_multiplicities,
@@ -33,7 +32,7 @@ from planecones.errors import ConsistencyError, DomainError
 from planecones.exceptional import arc_value, delta_curve, from_slope_value, interval_contains
 from planecones.qarith import QuadraticNumber, qn_compare_cross, sqrt_exact
 
-from conftest import ORDER_FOUR
+from conftest import ORDER_FOUR, ray_at
 
 F = Fraction
 
@@ -232,9 +231,10 @@ class TestOrthogonalCharacter:
         boundary = delta_curve(mu)
         if in_gamma:
             assert arc_value(gamma, mu) == boundary
-        on_curve = replace(inv, point=SlopeDisc(mu, boundary))
-        assert orthogonal_character(on_curve).ch0 == minimal_orthogonal_rank(on_curve.point)
-        below = replace(inv, point=SlopeDisc(mu, boundary - F(1, 10 ** 6)))
+        # the off-curve point is injected as its ray, at the point's minimal rank
+        on = ray_at(SlopeDisc(mu, boundary))
+        assert orthogonal_character(replace(inv, ray=on)) == on
+        below = replace(inv, ray=ray_at(SlopeDisc(mu, boundary - F(1, 10 ** 6))))
         with pytest.raises(ConsistencyError, match="below the boundary curve"):
             orthogonal_character(below)
 

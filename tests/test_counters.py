@@ -86,6 +86,18 @@ def test_one_analysis_per_side(counts, x, order, descents):
     assert counts["radicands"].count(radicand) == 1
 
 
+@CASES
+def test_rays_are_lattice_vectors(monkeypatch, x, order, descents):
+    """No ray is rebuilt from a slope and a discriminant."""
+    calls = []
+    from_rmd = ChernCharacter.from_rmd
+    monkeypatch.setattr(ChernCharacter, "from_rmd",
+                        staticmethod(lambda *args: calls.append(args) or from_rmd(*args)))
+    report = cone.cone_report(x)
+    assert report.primary.invariants.corresponding_slope.order == order
+    assert calls == []
+
+
 # The boundary value and the enclosing slope come from one cached descent, so
 # an exceptional character is recognised without descending a second time.
 @pytest.mark.parametrize(

@@ -5,8 +5,9 @@ integer form.  Each is checked against ``FractionCharacter``, the
 tensor-based ``Fraction`` formulas it replaced, on integral characters with
 fields up to 10^30, on characters with half-integral ``ch2`` and on
 non-integral input.  Reports of characters that large are checked under the
-theory's symmetries: twisting by ``O(n)`` and Serre duality.  And no report
-over the golden box holds a ``float`` anywhere.
+theory's symmetries: twisting by ``O(n)`` and Serre duality.  The extremal
+rays, integer cross products, are checked against the ``Fraction`` solve they
+replaced.  And no report over the golden box holds a ``float`` anywhere.
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ from planecones.errors import ConsistencyError, DomainError
 from planecones.exceptional import DyadicRational, enumerate_slopes, epsilon
 from planecones.qarith import QuadraticNumber, format_rational
 
-from conftest import FractionCharacter
+from conftest import FractionCharacter, fraction_primary, fraction_secondary
 
 F = Fraction
 BIG = 10 ** 30
@@ -249,6 +250,42 @@ class TestSerreDuality:
     def test_rays_swap_near_the_boundary(self, x):
         _assume_near_boundary(x)
         _assert_rays_swap(x)
+
+
+# -- rays against the Fraction solve --------------------------------------------
+
+
+def _assert_rays_match_the_fraction_solve(x, seen):
+    for multiplier in (1, 3):
+        report = cone.cone_report(x, multiplier)
+        if report.primary is None:
+            return
+        inv, sec = report.primary.invariants, report.secondary
+        case, point, on_curve, ray = fraction_primary(x, inv.corresponding_slope, multiplier)
+        assert (inv.case_sign, inv.point, inv.on_delta_curve) == (case, point, on_curve), x
+        assert report.primary.extremal_character == ray, x
+        dual_gamma = sec.dual_primary and sec.dual_primary.invariants.corresponding_slope
+        expected = fraction_secondary(x, dual_gamma, multiplier)
+        assert (sec.invariants, sec.extremal_character) == expected, x
+        seen.add((min(x.r, 3), case))
+
+
+def test_rays_match_the_fraction_solve_on_the_box():
+    """Every character with 0 <= r <= 8, |c1| <= 10 and |chi| <= 8."""
+    seen = set()
+    for r in range(9):
+        for c1 in range(-10, 11):
+            for chi in range(-8, 9):
+                _assert_rays_match_the_fraction_solve(lattice(r, c1, chi), seen)
+    # every rank branch of the secondary edge meets every pairing case
+    assert seen == {(r, case) for r in range(4) for case in cone.CaseSign}
+
+
+@settings(max_examples=40)
+@given(near_boundary)
+def test_rays_match_the_fraction_solve_near_the_boundary(x):
+    _assume_near_boundary(x)
+    _assert_rays_match_the_fraction_solve(x, set())
 
 
 # -- no float anywhere in a report ----------------------------------------------

@@ -31,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, RankZeroError
-from .qarith import RationalLike, parse_rational
+from .qarith import RationalLike, parse_rational, ratio_str
 
 
 def hilbert_poly(m: RationalLike) -> Fraction:
@@ -46,6 +46,15 @@ class SlopeDisc:
 
     mu: Fraction
     delta: Fraction
+
+
+def discriminant_form(r, c1, chi) -> tuple:
+    """Numerator and denominator ``(c1^2 + 3 r c1 + 2 r^2 - 2 r chi, 2 r^2)`` of the discriminant.
+
+    Unreduced, and homogeneous of degree two, so any multiple of a class gives
+    the same quotient.
+    """
+    return c1 * (c1 + 3 * r) + 2 * r * (r - chi), 2 * r * r
 
 
 def _integral(v: Fraction):
@@ -109,10 +118,9 @@ class ChernCharacter:
         return Fraction(self.c1, self.r)
 
     def discriminant(self) -> Fraction:
-        r, c = self.r, self.c1
-        if r == 0:
+        if self.r == 0:
             raise RankZeroError("discriminant of a rank-zero character")
-        return Fraction(c * (c + 3 * r) + 2 * r * (r - self.chi), 2 * r * r)
+        return Fraction(*discriminant_form(self.r, self.c1, self.chi))
 
     def slope_disc(self) -> SlopeDisc:
         return SlopeDisc(self.slope(), self.discriminant())
@@ -254,8 +262,31 @@ def natural_classes(x: ChernCharacter) -> tuple[ChernCharacter, ChernCharacter]:
 # -- serialization ---------------------------------------------------------
 
 
+def slope_disc_text(x: ChernCharacter) -> tuple[str, str]:
+    """``(mu, delta)`` of an integral character of nonzero rank, written from its integers."""
+    r, c = x.r, x.c1
+    return ratio_str(c, r), ratio_str(*discriminant_form(r, c, x.chi))
+
+
 def character_to_json(x: ChernCharacter) -> dict:
-    """Canonical JSON object carrying both the chern and (r, mu, delta) views."""
+    """Canonical JSON object carrying both the chern and (r, mu, delta) views.
+
+    An integral character is written straight from ``(r, c1, chi)``:
+    ``ch2 = (2 (chi - r) - 3 c1)/2``, ``mu = c1/r`` and the discriminant's
+    integer form, each by :func:`ratio_str`.
+    """
+    r, c, chi = x.r, x.c1, x.chi
+    if type(r) is int and type(c) is int and type(chi) is int:
+        rs, cs = str(r), str(c)
+        out = {"ch0": rs, "ch1": cs, "ch2": ratio_str(2 * (chi - r) - 3 * c, 2), "r": rs}
+        if r:
+            out["mu"], out["delta"] = slope_disc_text(x)
+        else:
+            out["mu"] = None
+            out["delta"] = None
+        out["c1"] = cs
+        out["chi"] = str(chi)
+        return out
     r = str(x.r)
     out = {"ch0": r, "ch1": str(x.c1), "ch2": str(x.ch2), "r": r}
     if x.r != 0:

@@ -1,9 +1,13 @@
 """Command-line front end: cone, classify, slope, cfrac, curve and batch.
 
 All machine output is exact: rationals render as ``p/q`` strings and
-quadratic irrationals as ``(a + b*sqrt(d))``.  Decimal columns only appear
-under ``--approx`` and are labeled non-authoritative.  Output is
-deterministic: fixed field order, no ambient state.
+quadratic irrationals as ``(a + b*sqrt(d))``.  A report is written from the
+integers it was computed as, each quotient by ``ratio_str``, after every
+integer it prints has been measured against Python's int-to-string digit
+limit (``_check_report_printable``); ``slope`` and ``cfrac`` stop their walk
+at the first rank past that limit.  Decimal columns only appear under
+``--approx`` and are labeled non-authoritative.  Output is deterministic:
+fixed field order, no ambient state.
 """
 
 from __future__ import annotations
@@ -13,16 +17,19 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from . import cfrac, cone, exceptional
-from .chern import ChernCharacter, character_from_json, character_to_json
+from .chern import ChernCharacter, character_from_json, character_to_json, slope_disc_text
 from .errors import ConsistencyError, DescentError, DomainError
 from .exceptional import DEFAULT_MAX_ORDER, DyadicRational
-from .qarith import QuadraticNumber, format_rational, int_digit_limit, parse_rational
+from .qarith import (
+    QuadraticNumber, format_rational, int_digit_limit, parse_rational, ratio_str,
+)
 
 CONFIG_ENV = "PLANECONES_CONFIG"
 
@@ -77,37 +84,117 @@ def _int_at_least(least: int, most: int = 0):
     return parse
 
 
-def _check_printable(field: str, *numbers) -> None:
-    """Raise ``DomainError`` if ``field`` would print an integer past Python's digit limit.
+def _check_ratio(field: str, n: int, d: int = 1) -> None:
+    """Raise ``DomainError`` if ``ratio_str(n, d)`` would print an integer past Python's limit.
 
-    ``numbers`` are ints, ``Fraction``s and ``QuadraticNumber``s (by the
-    ``a``, ``b`` and ``d`` that ``str`` writes); none is written to be measured.
+    Nothing is written to be measured: bit lengths come first, since
+    ``2**(3 * limit) < 10**limit``, and only a longer ``n`` or ``d`` is
+    reduced and compared with ``10**limit``.
     """
     limit = int_digit_limit()
-    for x in numbers if limit else ():
-        for y in (x.a, x.b, x.d) if isinstance(x, QuadraticNumber) else (x,):
-            for n in (abs(y.numerator), y.denominator):
-                # 2**(3 * limit) < 10**limit: a shorter n needs no power of ten
-                if n.bit_length() > 3 * limit and n >= 10 ** limit:
-                    raise DomainError(f"{field} has a {n.bit_length():,}-bit integer, past "
-                                      f"Python's limit of {limit:,} digits for printing one")
+    if not limit or max(abs(n), abs(d)).bit_length() <= 3 * limit:
+        return
+    g = math.gcd(n, d)
+    for m in (abs(n) // g, abs(d) // g):
+        if m.bit_length() > 3 * limit and m >= 10 ** limit:
+            raise DomainError(f"{field} has a {m.bit_length():,}-bit integer, past "
+                              f"Python's limit of {limit:,} digits for printing one")
 
 
-def _check_character_printable(x: ChernCharacter) -> None:
+def _check_printable(field: str, *numbers) -> None:
+    """Measure ints, ``Fraction``s and ``QuadraticNumber``s by the integers ``str`` writes.
+
+    A ``QuadraticNumber`` writes ``A/D``, ``B/D`` and ``d`` of its stored form.
+    """
+    for x in numbers:
+        if isinstance(x, QuadraticNumber):
+            _check_ratio(field, x.A, x.D)
+            _check_ratio(field, x.B, x.D)
+            _check_ratio(field, x.d)
+        else:
+            _check_ratio(field, x.numerator, x.denominator)
+
+
+def _check_character_printable(x: ChernCharacter, prefix: str = "") -> None:
     """Measure the fields ``character_to_json`` prints for ``x``."""
-    fields = [("r", x.r), ("c1", x.c1), ("chi", x.chi), ("ch2", x.ch2)]
-    if x.r != 0:
+    r, c, chi = x.r, x.c1, x.chi
+    limit = int_digit_limit()
+    # each field of an integral character is below 2**(2b + 3), b the bits of the largest
+    if not limit or (type(r) is int and type(c) is int and type(chi) is int
+                     and max(abs(r), abs(c), abs(chi)).bit_length() * 2 + 3 <= 3 * limit):
+        return
+    fields = [("r", r), ("c1", c), ("chi", chi), ("ch2", x.ch2)]
+    if r != 0:
         fields += [("mu", x.slope()), ("delta", x.discriminant())]
     for field, value in fields:
-        _check_printable(field, value)
+        _check_printable(prefix + field, value)
+
+
+def _check_slope_printable(s: exceptional.ExceptionalSlope, prefix: str = "") -> None:
+    """Measure the fields ``_slope_dict`` prints for ``s``, in its order.
+
+    ``lr_translation`` is the floor of the slope, so it fits when the slope
+    does; the interval is built only once the rank is known to fit.
+    """
+    r = s.r
+    _check_ratio(prefix + "slope", s.c1, r)
+    _check_ratio(prefix + "rank", r)
+    _check_ratio(prefix + "discriminant", r * r - 1, 2 * r * r)
+    _check_ratio(prefix + "dyadic", s.dyadic.p)
+    _check_printable(prefix + "interval", *s.interval())
+
+
+def _check_edge_printable(edge: cone.PrimaryEdge, prefix: str) -> None:
+    """Measure the fields ``_primary_dict`` prints for ``edge``.
+
+    The invariants are the extremal character's slope and discriminant,
+    and the triad's slopes and the bundles in the shape are read off the
+    triad characters, so those are measured once.
+    """
+    _check_slope_printable(edge.invariants.corresponding_slope,
+                           prefix + "invariants.corresponding_slope.")
+    _check_character_printable(edge.extremal_character, prefix + "extremal_character.")
+    if edge.basis_coords is not None:
+        _check_printable(prefix + "extremal_ray_coordinates", *edge.basis_coords)
+    res = edge.resolution
+    if res is not None:
+        for z in res.triad:
+            _check_character_printable(z, prefix + "resolution.triad_characters.")
+        _check_printable(prefix + "resolution.multiplicities",
+                         *(m for m in (res.m1, res.m2, res.m3) if m is not None))
+    kron = edge.kronecker
+    if kron is not None:
+        _check_printable(prefix + "kronecker", kron.hom_count, *kron.dim_vector,
+                         kron.expected_dimension)
+    wall = edge.wall
+    _check_printable(prefix + "wall", wall.center_s, wall.radius, wall.radius_squared)
 
 
 def _check_report_printable(report: cone.ConeReport) -> None:
-    """Measure the input's printed fields and ``mu0+-`` before a report is rendered."""
+    """Measure every integer ``report_to_dict`` prints, before it renders any.
+
+    Bit lengths come first: an integer of at most ``3 * limit`` bits fits,
+    so only a longer one is reduced and compared with ``10**limit``.
+    """
     _check_character_printable(report.input)
-    for field, value in (("mu0+", report.mu0_plus), ("mu0-", report.mu0_minus)):
+    for field, value in (("mu0+", report.mu0_plus), ("mu0-", report.mu0_minus),
+                         ("dimension", report.dimension)):
         if value is not None:
             _check_printable(field, value)
+    if report.natural is not None:
+        for name, z in zip(("zeta0", "zeta1"), report.natural):
+            _check_character_printable(z, f"natural_classes.{name}.")
+    if report.primary is not None:
+        _check_edge_printable(report.primary, "primary.")
+    sec = report.secondary
+    if sec is not None:
+        if sec.corresponding_slope is not None:
+            _check_slope_printable(sec.corresponding_slope, "secondary.corresponding_slope.")
+        if sec.extremal_character is not None:
+            _check_character_printable(sec.extremal_character, "secondary.extremal_character.")
+            _check_printable("secondary.extremal_ray_coordinates", *sec.basis_coords)
+        if sec.dual_primary is not None:
+            _check_edge_printable(sec.dual_primary, "secondary.serre_dual_pipeline.")
 
 
 def _qn_str(x: Optional[QuadraticNumber]) -> Optional[str]:
@@ -151,12 +238,13 @@ def _text_lines(value, prefix: str) -> list[str]:
 
 
 def _slope_dict(s: exceptional.ExceptionalSlope) -> dict:
+    r = s.r
     left, right = s.interval()
     shift, word = cfrac.slope_to_lr(s)
     return {
-        "slope": format_rational(s.slope),
-        "rank": s.rank,
-        "discriminant": format_rational(s.discriminant),
+        "slope": ratio_str(s.c1, r),
+        "rank": r,
+        "discriminant": ratio_str(r * r - 1, 2 * r * r),
         "order": s.order,
         "dyadic": str(s.dyadic),
         "lr_word": word,
@@ -166,9 +254,10 @@ def _slope_dict(s: exceptional.ExceptionalSlope) -> dict:
 
 
 def _invariants_dict(inv: cone.OrthogonalInvariants, digits: Optional[int]) -> dict:
+    mu, delta = slope_disc_text(inv.ray)
     out = {
-        "mu": format_rational(inv.point.mu),
-        "delta": format_rational(inv.point.delta),
+        "mu": mu,
+        "delta": delta,
         "case_sign": inv.case_sign.value,
         "on_delta_curve": inv.on_delta_curve,
         "corresponding_slope": _slope_dict(inv.corresponding_slope),
@@ -190,7 +279,7 @@ def _primary_dict(edge: cone.PrimaryEdge, digits: Optional[int]) -> dict:
         res = edge.resolution
         out["resolution"] = {
             "case_sign": res.case_sign.value,
-            "triad": [format_rational(s.slope) for s in res.triad_slopes],
+            "triad": [ratio_str(s.c1, s.r) for s in res.triad_slopes],
             "triad_characters": [character_to_json(c) for c in res.triad],
             "multiplicities": [m for m in (res.m1, res.m2, res.m3) if m is not None],
             "shape": res.shape,
@@ -244,9 +333,8 @@ def report_to_dict(report: cone.ConeReport, digits: Optional[int] = None) -> dic
     if report.secondary is not None:
         sec = report.secondary
         sec_out: dict = {"mode": sec.mode.value, "descriptor": sec.descriptor}
-        if sec.invariants is not None:
-            sec_out["mu"] = format_rational(sec.invariants.mu)
-            sec_out["delta"] = format_rational(sec.invariants.delta)
+        if sec.extremal_character is not None:
+            sec_out["mu"], sec_out["delta"] = slope_disc_text(sec.extremal_character)
         if sec.corresponding_slope is not None:
             sec_out["corresponding_slope"] = _slope_dict(sec.corresponding_slope)
         if sec.extremal_character is not None:
@@ -307,15 +395,15 @@ def _slope_from_args(args) -> exceptional.ExceptionalSlope:
     ]
     if len(chosen) != 1:
         raise DomainError("provide exactly one of --dyadic, --rational, --lr")
-    if args.dyadic is not None:
-        address = _parse_dyadic(args.dyadic)
-        _check_order(address.order, args.max_order)
-        return exceptional.from_dyadic(address)
     if args.rational is not None:
         return exceptional.from_slope_value(parse_rational(args.rational), args.max_order)
-    word = args.lr.strip()
-    _check_order(len(word), args.max_order)  # a word of length q names a slope of order q
-    return cfrac.lr_to_slope(word)
+    if args.dyadic is not None:
+        address = _parse_dyadic(args.dyadic)
+    else:
+        address = cfrac.word_to_dyadic(args.lr.strip())
+    _check_order(address.order, args.max_order)  # a word of length q is an address of order q
+    # a walk stops at a rank past the digit limit, which the slope could not print
+    return exceptional.from_dyadic(address, int_digit_limit())
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -349,12 +437,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_slope(args) -> int:
     s = _slope_from_args(args)
-    # every integer _slope_dict prints, in its field order; lr_translation is the
-    # floor of the slope, so it fits when the slope does
-    for field, value in (("slope", s.slope), ("rank", s.rank),
-                         ("discriminant", s.discriminant), ("dyadic", s.dyadic.p)):
-        _check_printable(field, value)
-    _check_printable("interval", *s.interval())
+    _check_slope_printable(s)
     _emit(_slope_dict(s), args.format)
     return EXIT_OK
 

@@ -11,8 +11,11 @@ pairing) or ``E_{-gamma-3}`` (negative), one integer cross product
 The resolving triad is read off the addresses of gamma and its parents, and
 the multiplicities and Kronecker data follow.  For rank >= 3 the same steps
 on the Serre dual (``mu0+ = -mu0-``) give the secondary ray, the negated dual
-of the dual's primary ray; rank 2 takes one more cross product.  Public stage
-functions are views of the analysis.
+of the dual's primary ray; rank 2 takes one more cross product.  The wall
+and the check that each invariant point lies on or above gamma's arc are
+integer expressions in the ray (``bridgeland_wall``, ``_below_arc``), and a
+report holds no text built from its integers: the resolution's ``shape`` is
+written when it is read.  Public stage functions are views of the analysis.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .chern import (
     HalfPlane,
     SlopeDisc,
     _lattice,
+    discriminant_form,
     euler_chi_pair,
     euler_pairing,
     half_plane,
@@ -93,7 +97,20 @@ class ResolutionData:
     m1: int
     m2: int
     m3: Optional[int]
-    shape: str
+
+    @property
+    def shape(self) -> str:
+        """The resolution written out; only rendering writes its integers."""
+        names = [_bundle_name(s) for s in self.triad_slopes]
+        m1, m2, m3 = self.m1, self.m2, self.m3
+        if self.case_sign is CaseSign.POSITIVE:
+            a, b, c = names
+            return f"0 -> {a}^{m1} -> {b}^{m2} (+) {c}^{m3} -> U -> 0"
+        if self.case_sign is CaseSign.NEGATIVE:
+            a, b, c = names
+            return f"triangle W -> U -> {a}^{m3}[1], with 0 -> {b}^{m1} -> {c}^{m2} -> W -> 0"
+        a, b = names
+        return f"0 -> {a}^{m1} -> {b}^{m2} -> U -> 0"
 
 
 @dataclass(frozen=True)
@@ -126,12 +143,17 @@ class PrimaryEdge:
 @dataclass(frozen=True)
 class SecondaryEdge:
     mode: SecondaryMode
-    invariants: Optional[SlopeDisc]
     corresponding_slope: Optional[ExceptionalSlope]
     extremal_character: Optional[ChernCharacter]
     basis_coords: Optional[tuple[Fraction, Fraction]]
     descriptor: str
     dual_primary: Optional[PrimaryEdge]  # full pipeline on the Serre dual
+
+    @property
+    def invariants(self) -> Optional[SlopeDisc]:
+        """The ray's slope and discriminant, where there is a ray."""
+        ray = self.extremal_character
+        return None if ray is None else ray.slope_disc()
 
 
 @dataclass(frozen=True)
@@ -340,14 +362,31 @@ def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
     if inv.case_sign is not CaseSign.ZERO:
         # endpoints are irrational, so a rational mu in gamma's closed
         # interval lies in no other and gamma's arc is the boundary there
-        point, gamma = inv.point, inv.corresponding_slope
-        if exceptional.interval_contains(gamma, point.mu, closed=True):
-            boundary = exceptional.arc_value(gamma, point.mu)
+        ray, gamma = inv.ray, inv.corresponding_slope
+        if exceptional._locate(gamma, ray.c1, 0, 0, ray.r)[1] >= 0:
+            below = _below_arc(ray, gamma)
         else:
-            boundary = delta_curve(point.mu, max_order)
-        if point.delta < boundary:
-            raise ConsistencyError(f"orthogonal invariants {point} below the boundary curve")
+            point = inv.point
+            below = point.delta < delta_curve(point.mu, max_order)
+        if below:
+            raise ConsistencyError(f"orthogonal invariants {inv.point} below the boundary curve")
     return inv.ray.scale(multiplier)
+
+
+def _below_arc(ray: ChernCharacter, gamma: ExceptionalSlope) -> bool:
+    """Whether the ray's ``(mu, delta)`` lies strictly below gamma's arc.
+
+    The arc is ``P(-|mu - a|) - delta_a`` over gamma's slope ``a``, with
+    ``P(m) = (m^2 + 3m + 2)/2``.  For the ray ``(r, c, chi)`` and
+    ``u = |c r_a - c_a r|``, so that ``|mu - a| = u/(r r_a)``, both sides
+    over ``2 r^2 r_a^2`` give ``r_a^2 (c^2 + 3rc + 2r^2 - 2r chi)`` against
+    ``u^2 - 3u r r_a + 2 r^2 r_a^2 - r^2 (r_a^2 - 1)``.
+    """
+    r, c, ra = ray.r, ray.c1, gamma.r
+    u = abs(c * ra - gamma.c1 * r)
+    rra = r * ra
+    return (ra * ra * discriminant_form(r, c, ray.chi)[0]
+            < u * u - 3 * u * rra + 2 * rra * rra - r * r * (ra * ra - 1))
 
 
 # -- resolutions ----------------------------------------------------------------
@@ -375,24 +414,18 @@ def _resolution(x: ChernCharacter, gamma: ExceptionalSlope, case: CaseSign,
         m3 = pairing
         slopes = (image(left, True, -3), image(right, True, 0), image(gamma, True, 0))
         coefficients = (-m1, m2, m3)
-        a, b, c = (_bundle_name(s) for s in slopes)
-        shape = f"0 -> {a}^{m1} -> {b}^{m2} (+) {c}^{m3} -> U -> 0"
     elif case is CaseSign.NEGATIVE:
         m1 = 3 * right.r * pairing - euler_pairing(x, left.character())
         m2 = euler_pairing(x, right.character())
         m3 = -pairing
         slopes = (image(gamma, True, -3), image(left, True, -3), image(right, True, 0))
         coefficients = (-m3, -m1, m2)
-        a, b, c = (_bundle_name(s) for s in slopes)
-        shape = f"triangle W -> U -> {a}^{m3}[1], with 0 -> {b}^{m1} -> {c}^{m2} -> W -> 0"
     else:
         m1 = -euler_pairing(x, left.character())
         m2 = euler_pairing(x, right.character())
         m3 = None
         slopes = (image(left, True, -3), image(right, True, 0))
         coefficients = (-m1, m2)
-        a, b = (_bundle_name(s) for s in slopes)
-        shape = f"0 -> {a}^{m1} -> {b}^{m2} -> U -> 0"
 
     for m in (m1, m2, m3):
         if m is not None and m < 0:
@@ -403,7 +436,7 @@ def _resolution(x: ChernCharacter, gamma: ExceptionalSlope, case: CaseSign,
         recon = recon + char.scale(k)
     if recon != x:
         raise ConsistencyError(f"resolution of {x} rebuilds {recon}")
-    return ResolutionData(case, slopes, chars, m1, m2, m3, shape)
+    return ResolutionData(case, slopes, chars, m1, m2, m3)
 
 
 def resolution_multiplicities(x: ChernCharacter,
@@ -456,17 +489,24 @@ def kronecker_data(x: ChernCharacter,
 
 
 def bridgeland_wall(inv: OrthogonalInvariants) -> Wall:
-    """Numerical wall in the stability half-plane picked out by the invariants."""
-    point = inv.point
-    center = -point.mu - Fraction(3, 2)
-    radius_sq = 2 * point.delta + Fraction(1, 4)
-    if radius_sq < 0:
+    """Numerical wall in the stability half-plane picked out by the invariants.
+
+    The center ``-mu - 3/2`` and the squared radius ``2 delta + 1/4`` are
+    read off the primitive ray ``(r, c, chi)`` as ``(-2c - 3r)/(2r)`` and
+    ``((2c + 3r)^2 - 8 r chi)/(4 r^2)``.
+    """
+    ray = inv.ray
+    r, c = ray.r, ray.c1
+    s = 2 * c + 3 * r
+    n = s * s - 8 * r * ray.chi
+    if n < 0:
         raise DomainError("negative squared radius")
+    radius_sq = Fraction(n, 4 * r * r)
     return Wall(
-        center_s=center,
+        center_s=Fraction(-s, 2 * r),
         radius=sqrt_exact(radius_sq),
         radius_squared=radius_sq,
-        exceeds_collapse_bound=radius_sq > Fraction(5, 4),
+        exceeds_collapse_bound=n > 5 * r * r,
     )
 
 
@@ -533,9 +573,8 @@ def _secondary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
         mode = SecondaryMode.RANK0_SUPPORT_MAP
         descriptor = "pullback of O(1) under the support morphism"
     if r < 2:
-        return SecondaryEdge(mode, None, None, None, None, descriptor, None)
-    return SecondaryEdge(mode, ray.slope_disc(), slope, ray, _basis_coords(x, ray), descriptor,
-                         dual)
+        return SecondaryEdge(mode, None, None, None, descriptor, None)
+    return SecondaryEdge(mode, slope, ray, _basis_coords(x, ray), descriptor, dual)
 
 
 def secondary_edge(x: ChernCharacter, multiplier: int = 1,

@@ -6,10 +6,12 @@ the dyadic midpoint of two neighbours is their mediant.  Each slope carries
 its exceptional bundle's lattice character ``(r, c1, chi)``, the one source of
 its slope ``c1/r``, rank and discriminant ``(r^2 - 1)/(2 r^2)``.  A walk
 down the tree is one mutation per level on these integers (``_mutation``),
-and nothing is kept between walks.  Each slope ``a`` owns an open interval
-of halfwidth ``x_a = (3 - sqrt(5 + 8 delta_a)) / 2``; the boundary curve of
-stable characters is a pair of parabolic arcs over every interval, and
-locating the interval containing a given number is a bracketing descent.
+and nothing is kept between walks; a walk can be bounded by the digits of
+its ranks.  Each slope ``a`` owns an open interval of halfwidth
+``x_a = (3 - sqrt(5 + 8 delta_a)) / 2``, whose endpoints are integer forms
+read off the halfwidth's; the boundary curve of stable characters is a pair
+of parabolic arcs over every interval, and locating the interval containing
+a given number is a bracketing descent.
 """
 
 from __future__ import annotations
@@ -101,9 +103,15 @@ class ExceptionalSlope:
         return _interval_halfwidth(self.r)
 
     def interval(self) -> tuple[QuadraticNumber, QuadraticNumber]:
-        """Exact endpoints ``(slope - x, slope + x)`` of the owned interval."""
-        w = self.interval_halfwidth()
-        return QuadraticNumber(self.slope) - w, QuadraticNumber(self.slope) + w
+        """Exact endpoints ``(slope - x, slope + x)`` of the owned interval.
+
+        With the halfwidth's form ``x = (A + B sqrt(d))/D`` and the slope
+        ``c/r``, they are ``(c D -+ r A -+ r B sqrt(d))/(r D)``.
+        """
+        A, B, d, D = integer_form(self.interval_halfwidth())
+        r, cD = self.r, self.c1 * D
+        make = QuadraticNumber._from_form
+        return make(cD - r * A, -r * B, d, r * D), make(cD + r * A, r * B, d, r * D)
 
     def __str__(self) -> str:
         return str(self.c1) if self.r == 1 else f"{self.c1}/{self.r}"
@@ -132,18 +140,27 @@ def epsilon(d: DyadicRational) -> Fraction:
     return from_dyadic(d).slope
 
 
-def _walk(d: DyadicRational) -> tuple[ExceptionalSlope, ExceptionalSlope, ExceptionalSlope]:
+def _walk(d: DyadicRational,
+          max_rank_digits: int = 0) -> tuple[ExceptionalSlope, ExceptionalSlope, ExceptionalSlope]:
     """``(left parent, slope, right parent)`` of ``d = p / 2**q`` with ``q >= 1``.
 
     Descends from the integer bracket: the bracket at level ``k`` is
     ``[b, b + 1] / 2**k`` with ``b = p >> (q - k)``, and its midpoint is one
-    mutation; the end it replaces becomes ``g``.
+    mutation; the end it replaces becomes ``g``.  Each mutation's rank
+    exceeds both ends of its bracket, so ranks grow along the walk; a
+    positive ``max_rank_digits`` stops it with ``DomainError`` at the first
+    rank of more digits than that.
     """
     p, q = d.p, d.q
     b = p >> q
     left, right, g = _line(b), _line(b + 1), _line(b - 1)
+    cap = 10 ** max_rank_digits if max_rank_digits > 0 else 0
     for k in range(1, q + 1):
         mid = _mutation(left, right, g)
+        if cap and mid[0] >= cap:
+            raise DomainError(f"slope has a {mid[0].bit_length():,}-bit integer in its walk "
+                              f"at order {k} of {q}, past the limit of {max_rank_digits:,} "
+                              f"digits for printing one")
         if k < q:
             if (p >> (q - k)) & 1:
                 left, g = mid, left
@@ -161,14 +178,19 @@ _INTERVAL_HALFWIDTH_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=_INTERVAL_HALFWIDTH_CACHE_SIZE)
 def _interval_halfwidth(rank: int) -> QuadraticNumber:
-    # x = (3 - sqrt(5 + 8*delta))/2 with 5 + 8*delta = (9 r^2 - 4)/r^2
-    delta = (1 - Fraction(1, rank * rank)) / 2
-    return (QuadraticNumber(3) - sqrt_exact(5 + 8 * delta)) / 2
+    # x = (3 - sqrt(5 + 8*delta))/2 with 5 + 8*delta = (9 r^2 - 4)/r^2, whose
+    # root is s sqrt(d)/q: x = (3q - s sqrt(d))/(2q)
+    _, s, d, q = integer_form(sqrt_exact(Fraction(9 * rank * rank - 4, rank * rank)))
+    return QuadraticNumber._from_form(3 * q, -s, d, 2 * q)
 
 
-def from_dyadic(d: DyadicRational) -> ExceptionalSlope:
-    """The exceptional slope at the address ``d``: a walk of ``d.q`` mutations."""
-    return from_integer(d.p) if d.q == 0 else _walk(d)[1]
+def from_dyadic(d: DyadicRational, max_rank_digits: int = 0) -> ExceptionalSlope:
+    """The exceptional slope at the address ``d``: a walk of ``d.q`` mutations.
+
+    A positive ``max_rank_digits`` refuses, with ``DomainError`` and before
+    the walk ends, a slope whose rank the walk shows to have more digits.
+    """
+    return from_integer(d.p) if d.q == 0 else _walk(d, max_rank_digits)[1]
 
 
 def from_integer(n: int) -> ExceptionalSlope:
@@ -247,22 +269,32 @@ def interval_contains(a: ExceptionalSlope, x, closed: bool) -> bool:
     both hold non-strictly), because ``2 x_a = 3 - sqrt(9 - 4/r^2)``.  The
     signs of ``x - a``, ``u`` and ``u^2 - 9 + 4/r^2`` lie in the field of
     ``x``; over the integer form ``x = (A + B*sqrt(d))/D``, each is the sign
-    of an integer ``A' + B'*sqrt(d)``.
+    of an integer ``A' + B'*sqrt(d)`` (:func:`_locate`).
     """
-    A, B, d, D = integer_form(x)
+    inside = _locate(a, *integer_form(x))[1]
+    return inside >= 0 if closed else inside > 0
+
+
+def _locate(a: ExceptionalSlope, A: int, B: int, d: int, D: int) -> tuple[int, int]:
+    """``(side, inside)`` for ``x = (A + B*sqrt(d))/D``, ``D > 0``, against ``a``'s interval.
+
+    ``side`` is the sign of ``x - a``; ``inside`` is 1 in the open
+    interval, 0 at an endpoint and -1 outside.  The form need not be
+    reduced: every sign taken is that of a homogeneous expression in it.
+    """
     # Over N = D*r: |x - a| = (t + w sqrt(d))/N, u = (ua + ub sqrt(d))/N
     # and, as N/r = D, N^2 (u^2 - 9 + 4/r^2) = va + vb sqrt(d).
     r = a.r
     N = D * r
     t = A * r - a.c1 * D
     w = B * r
-    if _sign_int_radical(t, w, d) < 0:
+    side = _sign_int_radical(t, w, d)
+    if side < 0:
         t, w = -t, -w
     ua, ub = 3 * N - 2 * t, -2 * w
     if _sign_int_radical(ua, ub, d) <= 0:  # u <= 0 fails even the closed test
-        return False
-    sv = _sign_int_radical(ua * ua + ub * ub * d - 9 * N * N + 4 * D * D, 2 * ua * ub, d)
-    return sv >= 0 if closed else sv > 0
+        return side, -1
+    return side, _sign_int_radical(ua * ua + ub * ub * d - 9 * N * N + 4 * D * D, 2 * ua * ub, d)
 
 
 def find_interval(x, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
@@ -272,9 +304,10 @@ def find_interval(x, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
     repeatedly probe the mediant of the current dyadic bracket, narrowing to
     the left or right gap.  An input equal to an interval endpoint resolves
     to that interval's slope (closures are tested at every probe).
-    ``x`` is cleared once to its integer form, which gives its floor and, at
-    a missed probe, the integer sign of ``x - c1/r`` from the mediant's
-    character, one mutation of the bracket's ends; so a probe builds no
+    ``x`` is cleared once to its integer form, which gives its floor; each
+    probe is one :func:`_locate` on the mediant's character, one mutation of
+    the bracket's ends, and the sign of ``x - c1/r`` it decides on the way
+    picks the side of a missed probe.  So a probe builds no
     :class:`QuadraticNumber` and no ``Fraction``.
     Termination within ``max_order`` holds for every rational and for the
     quadratic irrationals arising from characters; genuine Cantor-set points
@@ -284,7 +317,7 @@ def find_interval(x, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
     n = floor_of_form(A, B, d, D)
     for m in (n, n + 1):
         candidate = from_integer(m)
-        if interval_contains(candidate, x, closed=True):
+        if _locate(candidate, A, B, d, D)[1] >= 0:
             return candidate
     p, q = n, 0
     left, right, g = _line(n), _line(n + 1), _line(n - 1)
@@ -292,11 +325,11 @@ def find_interval(x, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
         p, q = 2 * p + 1, q + 1
         mid = _mutation(left, right, g)
         child = ExceptionalSlope(*mid, DyadicRational(p, q))
-        if interval_contains(child, x, closed=True):
+        side, inside = _locate(child, A, B, d, D)
+        if inside >= 0:
             return child
         # narrow to [p - 1, p] or [p, p + 1] over 2**q; p keeps the left end
-        r, c = mid[0], mid[1]
-        if _sign_int_radical(A * r - c * D, B * r, d) < 0:
+        if side < 0:
             p, right, g = p - 1, mid, right
         else:
             left, g = mid, left

@@ -12,7 +12,9 @@ entire reports.  Every sign, comparison and floor reads that integer form,
 ``A*A - B*B*d``; a comparison across two radicands is the sign of
 ``A + B*sqrt(m) + C*sqrt(n)``, which takes at most two, with no ``Fraction``
 products.  Radicands lose their small square factors by batch gcd against a
-product tree of the primes up to ``TRIAL_DIVISION_BOUND``.
+product tree of the primes up to ``TRIAL_DIVISION_BOUND``.  Output is
+written from integers: :func:`ratio_str` writes ``n/d`` as ``str(Fraction(n, d))``
+does, with one gcd and no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -360,7 +362,7 @@ class QuadraticNumber:
     # -- rendering ------------------------------------------------------
 
     def __str__(self) -> str:
-        return f"({self.a} + {self.b}*sqrt({self.d}))"
+        return f"({ratio_str(self.A, self.D)} + {ratio_str(self.B, self.D)}*sqrt({self.d}))"
 
     def __repr__(self) -> str:
         return f"QuadraticNumber({self.a!r}, {self.b!r}, {self.d})"
@@ -406,6 +408,18 @@ def sqrt_exact(x: RationalLike) -> QuadraticNumber:
 def qn_compare_cross(x, y) -> int:
     """Exact ordering of two quadratic numbers from possibly different fields."""
     return _coerce(x).compare(y)
+
+
+def ratio_str(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ints ``n`` and ``d != 0``: one ``gcd``, no ``Fraction``."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    elif d == 0:
+        raise ZeroDivisionError(f"ratio_str({n}, 0)")
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def format_rational(x: RationalLike) -> str:

@@ -13,6 +13,7 @@ from planecones.errors import DescentError, DomainError
 from planecones.exceptional import (
     DEFAULT_MAX_ORDER,
     DyadicRational,
+    arc_value,
     delta_curve,
     enumerate_slopes,
     find_interval,
@@ -20,7 +21,7 @@ from planecones.exceptional import (
     from_integer,
     interval_contains,
 )
-from planecones.qarith import TRIAL_DIVISION_BOUND, QuadraticNumber, qn_compare_cross
+from planecones.qarith import TRIAL_DIVISION_BOUND, QuadraticNumber, qn_compare_cross, sqrt_exact
 
 settings.register_profile(
     "ci",
@@ -363,6 +364,51 @@ def delta_curve_at(x: QuadraticNumber) -> QuadraticNumber:
     a = find_interval(x)
     u = -abs(x - QuadraticNumber(a.slope))
     return (u * u + 3 * u + 2) / 2 - a.discriminant
+
+
+def fraction_qn_str(q: QuadraticNumber) -> str:
+    """``str`` of a ``QuadraticNumber`` through its ``Fraction`` coefficients ``a`` and ``b``.
+
+    The oracle for writing the stored integer form with ``ratio_str``.
+    """
+    return f"({q.a} + {q.b}*sqrt({q.d}))"
+
+
+def fraction_character_to_json(x: ChernCharacter) -> dict:
+    """``character_to_json`` over ``Fraction``s: ``ch2``, ``mu`` and ``delta`` from the Chern view.
+
+    The oracle for writing an integral character straight from ``(r, c1, chi)``.
+    """
+    ch2 = Fraction(x.chi) - x.r - Fraction(3, 2) * x.c1
+    out = {"ch0": str(x.r), "ch1": str(x.c1), "ch2": str(ch2), "r": str(x.r)}
+    if x.r != 0:
+        view = FractionCharacter(Fraction(x.r), Fraction(x.c1), ch2)
+        out["mu"] = str(view.slope())
+        out["delta"] = str(view.discriminant())
+    else:
+        out["mu"] = None
+        out["delta"] = None
+    out["c1"] = out["ch1"]
+    out["chi"] = str(x.chi)
+    return out
+
+
+def quadratic_interval(s) -> tuple[QuadraticNumber, QuadraticNumber]:
+    """``QuadraticNumber(slope) -+ halfwidth``, with the halfwidth ``(3 - sqrt(5 + 8 delta))/2``.
+
+    The oracle for the integer forms of ``interval()`` and of the cached halfwidth.
+    """
+    w = (QuadraticNumber(3) - sqrt_exact(5 + 8 * s.discriminant)) / 2
+    return QuadraticNumber(s.slope) - w, QuadraticNumber(s.slope) + w
+
+
+def arc_below(ray: ChernCharacter, gamma) -> bool:
+    """Whether the ray's ``(mu, delta)`` lies below gamma's arc, by ``arc_value`` over ``Fraction``s.
+
+    The oracle for the integer boundary check of ``orthogonal_character``.
+    """
+    point = ray.slope_disc()
+    return point.delta < arc_value(gamma, point.mu)
 
 
 def minimal_orthogonal_rank(point: SlopeDisc) -> int:

@@ -20,6 +20,8 @@ from planecones.chern import (
 )
 from planecones.errors import ConsistencyError, DomainError, RankZeroError
 
+from conftest import fraction_character_to_json
+
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 characters = st.builds(ChernCharacter, rationals, rationals, rationals)
 positive_rank = st.builds(
@@ -238,6 +240,18 @@ class TestJson:
         assert data["ch0"] == "3" and data["mu"] == "2/3" and data["delta"] == "17/9"
         assert data["chi"] == "1"
         assert character_from_json(data) == GOLDEN
+
+    def test_integer_path_matches_fraction_oracle_box(self):
+        # r <= 8 with rank zero, plus negative ranks
+        for r in range(-3, 9):
+            for c1 in range(-10, 11):
+                for chi in range(-8, 9):
+                    x = character_from_json({"r": r, "c1": c1, "chi": chi})
+                    assert character_to_json(x) == fraction_character_to_json(x), x
+
+    @given(characters)
+    def test_matches_fraction_oracle_with_non_integral_fields(self, x):
+        assert character_to_json(x) == fraction_character_to_json(x)
 
     def test_rank_zero_view(self):
         x = ChernCharacter.of(0, 4, Fraction(-5))

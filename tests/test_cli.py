@@ -197,6 +197,19 @@ class TestSlopeCommand:
         assert err.count("\n") == 1
         assert f"limit of {INT_DIGITS:,} digits for printing" in err
 
+    # LR x 17 names an order-34 slope with a 19-million-bit rank, which an
+    # unbounded walk takes about half a minute to reach
+    @pytest.mark.skipif(not 0 < INT_DIGITS <= 100_000, reason="needs a digit limit")
+    @pytest.mark.parametrize("command", ["slope", "cfrac"])
+    def test_walk_stops_at_the_digit_limit(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--lr", "LR" * 17)
+        elapsed = time.perf_counter() - start
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("error: slope has a ") and err.count("\n") == 1
+        assert f"limit of {INT_DIGITS:,} digits for printing" in err
+        assert elapsed < 2
+
     def test_below_the_digit_limit_prints(self, capsys):
         code, out, _ = run(capsys, "cfrac", "--lr", "RRLLRLRLRRLLRLRLRRR")
         assert code == 0 and len(json.loads(out)["slope"]) > 4000
@@ -415,6 +428,21 @@ class TestReportPastTheDigitLimit:
         assert code == 1 and out == "" and "Traceback" not in err
         assert err.startswith(f"error: {field} has a ") and err.count("\n") == 1
         assert f"limit of {INT_DIGITS:,} digits for printing" in err
+
+    # 5 + 8 delta = 5 (10^1500 + 1)^2 keeps mu0+ short, but the primary ray
+    # (r, c1, chi) has 1,500, 3,000 and 4,500 digits
+    @pytest.mark.skipif(INT_DIGITS >= 4500, reason="the ray's 4,500-digit chi fits")
+    def test_derived_field_is_a_one_line_error(self, capsys, tmp_path):
+        ch2 = -(625 * 10 ** 2997 + 1250 * 10 ** 1497)
+        code, out, err = run(capsys, "cone", "--chern", f"1,0,{ch2}")
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err == (f"error: primary.extremal_character.chi has a 14,947-bit integer, past "
+                       f"Python's limit of {INT_DIGITS:,} digits for printing one\n")
+        path = tmp_path / "batch.jsonl"
+        path.write_text(json.dumps({"ch0": 1, "ch1": 0, "ch2": str(ch2)}) + "\n")
+        code, out, err = run(capsys, "batch", str(path))
+        assert code == 0 and err == ""
+        assert json.loads(out)["error"].startswith("primary.extremal_character.chi has a ")
 
     def test_batch_record_names_the_field(self, tmp_path, capsys):
         path = tmp_path / "batch.jsonl"

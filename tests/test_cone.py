@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from planecones.chern import (
     ChernCharacter,
     HalfPlane,
     SlopeDisc,
+    character_from_json,
     euler_pairing,
     half_plane,
     hilbert_poly,
@@ -17,6 +19,7 @@ from planecones.cone import (
     Fibration,
     Kind,
     SecondaryMode,
+    _below_arc,
     bridgeland_wall,
     classify,
     cone_report,
@@ -29,10 +32,12 @@ from planecones.cone import (
     secondary_edge,
 )
 from planecones.errors import ConsistencyError, DomainError
-from planecones.exceptional import arc_value, delta_curve, from_slope_value, interval_contains
+from planecones.exceptional import (
+    arc_value, delta_curve, enumerate_slopes, from_slope_value, interval_contains,
+)
 from planecones.qarith import QuadraticNumber, qn_compare_cross, sqrt_exact
 
-from conftest import ORDER_FOUR, ray_at
+from conftest import ORDER_FOUR, arc_below, ray_at
 
 F = Fraction
 
@@ -220,6 +225,25 @@ class TestOrthogonalCharacter:
         with pytest.raises(DomainError):
             orthogonal_character(inv, 0)
 
+    def test_integer_arc_check_matches_arc_value(self):
+        # every ray of rank <= 12 with its slope in the closed interval of a
+        # slope of order <= 3 in [-1, 1], a few Euler characteristics either
+        # side of the arc; the on-arc rays are not below it
+        seen = set()
+        for gamma in enumerate_slopes(-1, 1, 3):
+            for r in range(1, 13):
+                for c in range(r * (gamma.c1 // gamma.r - 2), r * (gamma.c1 // gamma.r + 3)):
+                    mu = F(c, r)
+                    if not interval_contains(gamma, mu, closed=True):
+                        continue
+                    on_arc = r * (hilbert_poly(mu) - arc_value(gamma, mu))
+                    for chi in range(math.floor(on_arc) - 2, math.ceil(on_arc) + 3):
+                        ray = character_from_json({"r": r, "c1": c, "chi": chi})
+                        below = _below_arc(ray, gamma)
+                        assert below == arc_below(ray, gamma), (ray, gamma)
+                        seen.add((below, chi == on_arc))
+        assert seen == {(True, False), (False, False), (False, True)}
+
     @pytest.mark.parametrize("mu, in_gamma", [(F(1, 4), True), (F(1), False)])
     def test_point_below_the_boundary_rejected(self, mu, in_gamma):
         # gamma = 0: its closed interval holds 1/4, whose boundary is gamma's
@@ -308,11 +332,15 @@ class TestWall:
         assert wall.radius_squared == 2 * F(12, 25) + F(1, 4)
 
     def test_bound_tracks_discriminant(self, grid):
-        for x in grid[:120]:
+        # the wall is read off the ray's integers; the point's Fractions are the oracle
+        for x in grid:
             inv = orthogonal_invariants(x)
             wall = bridgeland_wall(inv)
+            radius_sq = 2 * inv.point.delta + F(1, 4)
             assert wall.center_s == -inv.point.mu - F(3, 2)
-            assert wall.radius_squared == 2 * inv.point.delta + F(1, 4)
+            assert wall.radius_squared == radius_sq
+            assert str(wall.radius) == str(sqrt_exact(radius_sq))
+            assert wall.exceeds_collapse_bound == (radius_sq > F(5, 4))
             if inv.point.delta > F(1, 2):
                 assert wall.exceeds_collapse_bound
 

@@ -20,8 +20,9 @@ from fractions import Fraction
 import pytest
 
 import planecones
-from planecones import cfrac, cone, exceptional, qarith
+from planecones import cfrac, chern, cone, exceptional, qarith
 from planecones.chern import ChernCharacter, character_from_json
+from planecones.cli import report_to_dict
 from planecones.cone import Kind
 
 from conftest import ORDER_FOUR
@@ -98,6 +99,26 @@ def test_rays_are_lattice_vectors(monkeypatch, x, order, descents):
     assert calls == []
 
 
+@CASES
+def test_rendering_is_written_from_integers(monkeypatch, x, order, descents):
+    """``report_to_dict`` constructs no ``QuadraticNumber`` and evaluates no Hilbert polynomial."""
+    report = cone.cone_report(x)
+    assert report.primary.invariants.corresponding_slope.order == order
+    built, evaluated = [], []
+    init, hilbert = qarith.QuadraticNumber.__init__, chern.hilbert_poly
+
+    def counted_init(qn, *args, **kwargs):
+        built.append(args)
+        init(qn, *args, **kwargs)
+
+    monkeypatch.setattr(qarith.QuadraticNumber, "__init__", counted_init)
+    for module in (chern, exceptional, cone, planecones):
+        if getattr(module, "hilbert_poly", None) is hilbert:
+            monkeypatch.setattr(module, "hilbert_poly", lambda m: evaluated.append(m) or hilbert(m))
+    report_to_dict(report)
+    assert built == [] and evaluated == []
+
+
 # The boundary value and the enclosing slope come from one cached descent, so
 # an exceptional character is recognised without descending a second time.
 @pytest.mark.parametrize(
@@ -135,25 +156,26 @@ MU0_PLUS_ORDER_FOUR = cone.intersection_slope_zero(ORDER_FOUR)
     "x", [MU0_PLUS_ORDER_FOUR, Fraction(33, 86)], ids=["order4_mu0_plus", "rational"]
 )
 def test_one_membership_call_per_probe(monkeypatch, x):
-    """A descent probe is one ``interval_contains`` call and builds nothing else.
+    """A descent probe is one ``_locate`` call and builds nothing else.
 
     Each mediant is one mutation of the bracket's characters, not a
-    ``from_dyadic`` walk, and the side is an integer sign on ``x``'s integer
-    form, so no ``QuadraticNumber`` is made.
+    ``from_dyadic`` walk, and the side of a missed probe is the sign of
+    ``x - c1/r`` that ``_locate`` returns beside the membership, so no
+    ``QuadraticNumber`` is made.
     """
     probes, built, looked_up = [], [], []
-    contains, init = exceptional.interval_contains, qarith.QuadraticNumber.__init__
+    locate, init = exceptional._locate, qarith.QuadraticNumber.__init__
     from_dyadic = exceptional.from_dyadic
 
-    def counted_contains(a, y, closed):
+    def counted_locate(a, *form):
         probes.append(a)
-        return contains(a, y, closed)
+        return locate(a, *form)
 
     def counted_init(qn, *args, **kwargs):
         built.append(args)
         init(qn, *args, **kwargs)
 
-    monkeypatch.setattr(exceptional, "interval_contains", counted_contains)
+    monkeypatch.setattr(exceptional, "_locate", counted_locate)
     monkeypatch.setattr(exceptional, "from_dyadic", lambda d: looked_up.append(d) or from_dyadic(d))
     monkeypatch.setattr(qarith.QuadraticNumber, "__init__", counted_init)
     found = exceptional.find_interval(x)

@@ -30,6 +30,7 @@ from conftest import (
     enclosure_radical_sign,
     fraction_character,
     fraction_walk,
+    quadratic_interval,
     reference_find_interval,
     slope_dot,
 )
@@ -149,6 +150,30 @@ class TestEpsilon:
         assert slope_dot(left.slope, right.slope) == g.slope
 
 
+class TestRankBound:
+    """A bounded walk refuses exactly the ranks of more digits than the bound."""
+
+    @pytest.mark.parametrize("p, q", [(1, 6), (5, 8), (171, 10), (-3, 9)])
+    def test_bound_is_the_rank_digit_count(self, p, q):
+        d = dy(p, q)
+        digits = len(str(from_dyadic(d).r))
+        assert from_dyadic(d, digits) == from_dyadic(d)
+        with pytest.raises(DomainError, match=f"limit of {digits - 1:,} digits"):
+            from_dyadic(d, digits - 1)
+
+    def test_walk_stops_at_the_first_rank_past_the_bound(self):
+        # along the alternating word to 341/2^10 the ranks have 21, 35 and 56
+        # digits at orders 8, 9 and 10
+        d = dy(341, 10)
+        for bound, order in ((20, 8), (34, 9), (35, 10)):
+            with pytest.raises(DomainError, match=f"at order {order} of 10"):
+                from_dyadic(d, bound)
+
+    def test_integers_and_unbounded_calls_never_refuse(self):
+        assert from_dyadic(dy(7, 0), 1).r == 1
+        assert from_dyadic(dy(1, 40)).r.bit_length() > 0
+
+
 class TestMutationWalk:
     """The integer mutation walk against the ``Fraction`` walk by ``slope_dot``."""
 
@@ -253,6 +278,12 @@ class TestIntervals:
         endpoint = (QuadraticNumber(3) - sqrt_exact(5)) / 2
         assert not interval_contains(zero, endpoint, closed=False)
         assert interval_contains(zero, endpoint, closed=True)
+
+    def test_endpoints_match_quadratic_arithmetic_order_ten(self):
+        for s in enumerate_slopes(-2, 2, 10):
+            ends = s.interval()
+            assert [str(e) for e in ends] == [str(e) for e in quadratic_interval(s)], s
+            assert [e.floor() for e in ends] == [e.floor() for e in quadratic_interval(s)], s
 
     def test_disjoint_up_to_order_six(self):
         slopes = enumerate_slopes(0, 1, 6)

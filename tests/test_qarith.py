@@ -16,11 +16,14 @@ from planecones.qarith import (
     format_rational,
     parse_rational,
     qn_compare_cross,
+    ratio_str,
     sqrt_exact,
     squarefree_decompose,
 )
 
-from conftest import FractionQuadratic, fraction_two_radical_sign, trial_division_decompose
+from conftest import (
+    FractionQuadratic, fraction_qn_str, fraction_two_radical_sign, trial_division_decompose,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 small_nonneg = st.fractions(min_value=0, max_value=50, max_denominator=40)
@@ -343,6 +346,29 @@ class TestSerialization:
     def test_canonical_form_examples(self):
         assert str(sqrt_exact(Fraction(181, 9))) == "(0 + 1/3*sqrt(181))"
         assert str(qn(Fraction(5, 2))) == "(5/2 + 0*sqrt(0))"
+
+    @given(wide_rationals, wide_rationals, raw_radicands)
+    def test_str_matches_fraction_coefficients(self, a, b, d):
+        x = qn(a, b, d)
+        assert str(x) == fraction_qn_str(x)
+
+
+some_integers = st.one_of(st.integers(min_value=-60, max_value=60), hundred_digits)
+
+
+class TestRatioStr:
+    @given(some_integers, some_integers.filter(bool))
+    def test_matches_fraction_str(self, n, d):
+        assert ratio_str(n, d) == str(Fraction(n, d))
+
+    @pytest.mark.parametrize("n, d", [(0, 7), (0, -7), (6, -4), (-6, -4), (5, -1), (-9, 3),
+                                      (10 ** 40, -(10 ** 39))])
+    def test_zero_and_negative_denominators(self, n, d):
+        assert ratio_str(n, d) == str(Fraction(n, d))
+
+    def test_zero_denominator_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            ratio_str(1, 0)
 
 
 class TestReducedRadicand:

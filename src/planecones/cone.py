@@ -2,20 +2,22 @@
 Kronecker data and the extremal rays of the effective cone.
 
 One private analysis per character classifies it, takes ``sqrt(5 + 8 delta)``
-once for both ``mu0+-`` and descends once to the corresponding exceptional
-slope gamma, whose interval encloses ``mu0+``.  The primary ray is a lattice
-vector: gamma's bundle when the character pairs to zero with it, else the
-primitive class orthogonal to the character and to ``E_{-gamma}`` (positive
-pairing) or ``E_{-gamma-3}`` (negative), one integer cross product
+once for both ``mu0+-`` (``sqrt_ratio`` on the character's integers) and
+descends once to the corresponding exceptional slope gamma, whose interval
+encloses ``mu0+``; the descent hands back gamma's parents too.  The primary ray
+is a lattice vector: gamma's bundle when the character pairs to zero with it,
+else the primitive class orthogonal to the character and to ``E_{-gamma}``
+(positive pairing) or ``E_{-gamma-3}`` (negative), one integer cross product
 (``_ray``); the invariants ``(mu+, delta+)`` are its slope and discriminant.
-The resolving triad is read off the addresses of gamma and its parents, and
-the multiplicities and Kronecker data follow.  For rank >= 3 the same steps
-on the Serre dual (``mu0+ = -mu0-``) give the secondary ray, the negated dual
-of the dual's primary ray; rank 2 takes one more cross product.  The wall
-and the check that each invariant point lies on or above gamma's arc are
-integer expressions in the ray (``bridgeland_wall``, ``_below_arc``), and a
-report holds no text built from its integers: the resolution's ``shape`` is
-written when it is read.  Public stage functions are views of the analysis.
+The resolving triad is read off the addresses of gamma and its parents by
+``affine_image``, with no walk, and the multiplicities and Kronecker data
+follow.  For rank >= 3 the same steps on the Serre dual (``mu0+ = -mu0-``) give
+the secondary ray, the negated dual of the dual's primary ray; rank 2 takes one
+more cross product.  The wall and the check that each invariant point lies on
+or above gamma's arc are integer expressions in the ray (``bridgeland_wall``,
+``_below_arc``), and a report holds no text built from its integers: the
+resolution's ``shape`` is written when it is read.  Public stage functions are
+views of the analysis.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .chern import (
     natural_classes,
 )
 from .errors import ConsistencyError, DomainError
-from .exceptional import DEFAULT_MAX_ORDER, ExceptionalSlope, delta_curve, find_interval
-from .qarith import QuadraticNumber, sqrt_exact
+from .exceptional import DEFAULT_MAX_ORDER, ExceptionalSlope, delta_curve
+from .qarith import QuadraticNumber, integer_form, sqrt_ratio
 
 
 class Kind(Enum):
@@ -249,12 +251,16 @@ def _analyze(x: ChernCharacter, max_order: int) -> _Analysis:
         # the orthogonal locus is the vertical line mu = -chi/d
         mu0_plus, mu0_minus = QuadraticNumber(Fraction(-x.chi, x.c1)), None
     elif cls.kind is Kind.PICARD_RANK_2:
-        radicand = 5 + 8 * x.discriminant()
+        # 5 + 8 delta = (5 r^2 + 4 F)/r^2 for delta = F/(2 r^2); with its root
+        # (A + B sqrt(d))/D, mu0+- = (-(3r + 2c) D +- r A +- r B sqrt(d))/(2 r D)
+        r, c = x.r, x.c1
+        radicand = 5 * r * r + 4 * discriminant_form(r, c, x.chi)[0]
         if radicand < 0:
             raise ConsistencyError("negative discriminant radicand under valid classification")
-        root = sqrt_exact(radicand)
-        base = QuadraticNumber(-3 - 2 * x.slope())
-        mu0_plus, mu0_minus = (base + root) / 2, (base - root) / 2
+        A, B, d, D = integer_form(sqrt_ratio(radicand, r * r))
+        base, rA, rB, N = -(3 * r + 2 * c) * D, r * A, r * B, 2 * r * D
+        make = QuadraticNumber._from_form
+        mu0_plus, mu0_minus = make(base + rA, rB, d, N), make(base - rA, -rB, d, N)
     else:
         return _Analysis(cls)
     return _side(x, cls, mu0_plus, mu0_minus, max_order)
@@ -262,8 +268,8 @@ def _analyze(x: ChernCharacter, max_order: int) -> _Analysis:
 
 def _side(x: ChernCharacter, cls: Classification, mu0_plus: QuadraticNumber,
           mu0_minus: Optional[QuadraticNumber], max_order: int) -> _Analysis:
-    """Descent to gamma, then invariants, resolution and Kronecker data."""
-    gamma = find_interval(mu0_plus, max_order)
+    """Descent to gamma and its parents, then invariants, resolution and Kronecker data."""
+    left, gamma, right = exceptional._descend(mu0_plus, max_order)
     pairing = euler_pairing(x, gamma.character())
     case = (
         CaseSign.POSITIVE if pairing > 0 else CaseSign.NEGATIVE if pairing < 0 else CaseSign.ZERO
@@ -271,7 +277,7 @@ def _side(x: ChernCharacter, cls: Classification, mu0_plus: QuadraticNumber,
     inv = _invariants(x, gamma, case)
     if x.r == 0:
         return _Analysis(cls, mu0_plus, mu0_minus, inv)
-    res = _resolution(x, gamma, case, pairing)
+    res = _resolution(x, left, gamma, right, case, pairing)
     return _Analysis(cls, mu0_plus, mu0_minus, inv, res, _kronecker(x, res))
 
 
@@ -400,13 +406,13 @@ def _bundle_name(s: ExceptionalSlope) -> str:
     return f"E({s})"
 
 
-def _resolution(x: ChernCharacter, gamma: ExceptionalSlope, case: CaseSign,
-                pairing: int) -> ResolutionData:
+def _resolution(x: ChernCharacter, left: ExceptionalSlope, gamma: ExceptionalSlope,
+                right: ExceptionalSlope, case: CaseSign, pairing: int) -> ResolutionData:
     # The triad bundles have slopes -s or -s - 3 for s among gamma and its
-    # parents, so each is read off an address already in hand.  Gamma's
-    # children are the mutations 3 r(left) gamma - right of (left, gamma) and
-    # 3 r(right) gamma - left of (gamma, right): their pairings are linear.
-    left, right = exceptional.parents(gamma)
+    # parents, which the descent to gamma hands back, so each is read off an
+    # address already in hand.  Gamma's children are the mutations
+    # 3 r(left) gamma - right of (left, gamma) and 3 r(right) gamma - left of
+    # (gamma, right): their pairings are linear.
     image = exceptional.affine_image
     if case is CaseSign.POSITIVE:
         m1 = -euler_pairing(x, left.character())
@@ -501,11 +507,10 @@ def bridgeland_wall(inv: OrthogonalInvariants) -> Wall:
     n = s * s - 8 * r * ray.chi
     if n < 0:
         raise DomainError("negative squared radius")
-    radius_sq = Fraction(n, 4 * r * r)
     return Wall(
         center_s=Fraction(-s, 2 * r),
-        radius=sqrt_exact(radius_sq),
-        radius_squared=radius_sq,
+        radius=sqrt_ratio(n, 4 * r * r),
+        radius_squared=Fraction(n, 4 * r * r),
         exceeds_collapse_bound=n > 5 * r * r,
     )
 

@@ -7,11 +7,15 @@ its exceptional bundle's lattice character ``(r, c1, chi)``, the one source of
 its slope ``c1/r``, rank and discriminant ``(r^2 - 1)/(2 r^2)``.  A walk
 down the tree is one mutation per level on these integers (``_mutation``),
 and nothing is kept between walks; a walk can be bounded by the digits of
-its ranks.  Each slope ``a`` owns an open interval of halfwidth
+its ranks.  Negation and integer translation map the tree to itself, and
+``affine_image`` reads them off an address in one closed integer formula.
+Each slope ``a`` owns an open interval of halfwidth
 ``x_a = (3 - sqrt(5 + 8 delta_a)) / 2``, whose endpoints are integer forms
 read off the halfwidth's; the boundary curve of stable characters is a pair
 of parabolic arcs over every interval, and locating the interval containing
-a given number is a bracketing descent.
+a given number is a bracketing descent, which hands back the slope's two
+parents beside it (``_descend``).  Slopes built by a walk, a descent or an
+affine image come from the trusted constructors ``_slope`` and ``_dyadic``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from functools import lru_cache
 from .chern import ChernCharacter, _lattice, euler_chi_pair, hilbert_poly
 from .errors import ConsistencyError, DescentError, DomainError
 from .qarith import (
-    QuadraticNumber, RationalLike, _sign_int_radical, floor_of_form, integer_form, sqrt_exact,
+    QuadraticNumber, RationalLike, _sign_int_radical, floor_of_form, integer_form, sqrt_ratio,
 )
 
 DEFAULT_MAX_ORDER = 64
@@ -45,10 +49,9 @@ class DyadicRational:
 
     @staticmethod
     def make(p: int, q: int) -> "DyadicRational":
-        if q > 0:  # strip the factors of two in one shift; zero reduces to 0/2^0
-            k = min(q, (p & -p).bit_length() - 1) if p else q
-            p, q = p >> k, q - k
-        return DyadicRational(p, q)
+        if q < 0:
+            raise DomainError("negative dyadic exponent")
+        return _reduced(p, q)
 
     @staticmethod
     def from_fraction(x: RationalLike) -> "DyadicRational":
@@ -117,6 +120,38 @@ class ExceptionalSlope:
         return str(self.c1) if self.r == 1 else f"{self.c1}/{self.r}"
 
 
+# Trusted constructors set the frozen fields as the dataclass does, so an
+# instance keeps its compact attribute storage (no ``__dict__`` is built).
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _dyadic(p: int, q: int) -> DyadicRational:
+    """``p / 2**q``, trusted to be in lowest terms: the walk's addresses skip the check."""
+    d = _new(DyadicRational)
+    _set(d, "p", p)
+    _set(d, "q", q)
+    return d
+
+
+def _reduced(p: int, q: int) -> DyadicRational:
+    """``p / 2**q`` for ``q >= 0``, brought to lowest terms."""
+    if q > 0:  # strip the factors of two in one shift; zero reduces to 0/2^0
+        k = min(q, (p & -p).bit_length() - 1) if p else q
+        p, q = p >> k, q - k
+    return _dyadic(p, q)
+
+
+def _slope(r: int, c1: int, chi: int, dyadic: DyadicRational) -> ExceptionalSlope:
+    """The slope of the bundle ``(r, c1, chi)`` at ``dyadic``, trusted as a walk's result."""
+    s = _new(ExceptionalSlope)
+    _set(s, "r", r)
+    _set(s, "c1", c1)
+    _set(s, "chi", chi)
+    _set(s, "dyadic", dyadic)
+    return s
+
+
 def _line(n: int) -> tuple[int, int, int]:
     """The lattice character ``(1, n, (n + 1)(n + 2)/2)`` of O(n)."""
     return 1, n, (n + 1) * (n + 2) // 2
@@ -166,10 +201,18 @@ def _walk(d: DyadicRational,
                 left, g = mid, left
             else:
                 right, g = mid, right
+    return _with_parents(left, _slope(*mid, d), right, p, q)
+
+
+def _with_parents(left: tuple, child: ExceptionalSlope, right: tuple,
+                  p: int, q: int) -> tuple[ExceptionalSlope, ExceptionalSlope, ExceptionalSlope]:
+    """``child`` at ``p / 2**q`` between the ends of its bracket, as slopes.
+
+    The bracket is ``[p >> 1, (p >> 1) + 1] / 2**(q - 1)`` for odd ``p``;
+    ``left`` and ``right`` are its ends' characters.
+    """
     b = p >> 1
-    make = DyadicRational.make
-    return (ExceptionalSlope(*left, make(b, q - 1)), ExceptionalSlope(*mid, d),
-            ExceptionalSlope(*right, make(b + 1, q - 1)))
+    return _slope(*left, _reduced(b, q - 1)), child, _slope(*right, _reduced(b + 1, q - 1))
 
 
 # Distinct ranks whose halfwidth is kept: every rank of order <= 10 fits.
@@ -180,7 +223,7 @@ _INTERVAL_HALFWIDTH_CACHE_SIZE = 1024
 def _interval_halfwidth(rank: int) -> QuadraticNumber:
     # x = (3 - sqrt(5 + 8*delta))/2 with 5 + 8*delta = (9 r^2 - 4)/r^2, whose
     # root is s sqrt(d)/q: x = (3q - s sqrt(d))/(2q)
-    _, s, d, q = integer_form(sqrt_exact(Fraction(9 * rank * rank - 4, rank * rank)))
+    _, s, d, q = integer_form(sqrt_ratio(9 * rank * rank - 4, rank * rank))
     return QuadraticNumber._from_form(3 * q, -s, d, 2 * q)
 
 
@@ -194,7 +237,7 @@ def from_dyadic(d: DyadicRational, max_rank_digits: int = 0) -> ExceptionalSlope
 
 
 def from_integer(n: int) -> ExceptionalSlope:
-    return ExceptionalSlope(*_line(n), DyadicRational(n, 0))
+    return _slope(*_line(n), _dyadic(n, 0))
 
 
 def affine_image(g: ExceptionalSlope, negate: bool, shift: int) -> ExceptionalSlope:
@@ -202,15 +245,18 @@ def affine_image(g: ExceptionalSlope, negate: bool, shift: int) -> ExceptionalSl
 
     The tree is symmetric under both maps: negating a dyadic address negates
     its slope, and adding ``n * 2**q`` to the numerator of ``p / 2**q``
-    translates the slope by ``n``.  The bundle follows by the dual and the
-    twist by ``O(shift)``.  No descent and no tree walk is made.
+    translates the slope by ``n``.  The bundle follows by the dual
+    ``(r, -c, chi - 3c)`` and the twist by ``O(n)``,
+    ``(r, c + r n, chi + c n + r n(n + 3)/2)``: one closed integer formula.
+    An odd numerator stays odd, so the address needs no reduction.  No
+    descent and no tree walk is made.
     """
-    d, x = g.dyadic, g.character()
-    p = d.p
+    r, c, chi, d = g.r, g.c1, g.chi, g.dyadic
+    p, q = d.p, d.q
     if negate:
-        p, x = -p, x.dual()
-    x = x.twist(shift)
-    return ExceptionalSlope(x.r, x.c1, x.chi, DyadicRational(p + (shift << d.q), d.q))
+        p, c, chi = -p, -c, chi - 3 * c
+    n = shift
+    return _slope(r, c + r * n, chi + c * n + r * (n * (n + 3) // 2), _dyadic(p + (n << q), q))
 
 
 def from_slope_value(mu: RationalLike, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
@@ -313,21 +359,32 @@ def find_interval(x, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
     quadratic irrationals arising from characters; genuine Cantor-set points
     would descend forever and trip the budget instead.
     """
+    return _descend(x, max_order)[1]
+
+
+def _descend(x, max_order: int) -> tuple[ExceptionalSlope, ExceptionalSlope, ExceptionalSlope]:
+    """``(left parent, slope, right parent)`` of :func:`find_interval`'s slope.
+
+    The parents are the ends of the bracket the hit was found in, which the
+    descent holds already: ``(p >> 1)/2**(q - 1)`` and one step right of it
+    for a mediant ``p/2**q``, and ``n - 1``, ``n + 1`` for an integer ``n``,
+    as :func:`parents` gives them.  So a caller that needs both never walks.
+    """
     A, B, d, D = integer_form(x)
     n = floor_of_form(A, B, d, D)
     for m in (n, n + 1):
         candidate = from_integer(m)
         if _locate(candidate, A, B, d, D)[1] >= 0:
-            return candidate
+            return from_integer(m - 1), candidate, from_integer(m + 1)
     p, q = n, 0
     left, right, g = _line(n), _line(n + 1), _line(n - 1)
     while q < max_order:
         p, q = 2 * p + 1, q + 1
         mid = _mutation(left, right, g)
-        child = ExceptionalSlope(*mid, DyadicRational(p, q))
+        child = _slope(*mid, _dyadic(p, q))
         side, inside = _locate(child, A, B, d, D)
         if inside >= 0:
-            return child
+            return _with_parents(left, child, right, p, q)
         # narrow to [p - 1, p] or [p, p + 1] over 2**q; p keeps the left end
         if side < 0:
             p, right, g = p - 1, mid, right

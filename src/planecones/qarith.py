@@ -12,9 +12,12 @@ entire reports.  Every sign, comparison and floor reads that integer form,
 ``A*A - B*B*d``; a comparison across two radicands is the sign of
 ``A + B*sqrt(m) + C*sqrt(n)``, which takes at most two, with no ``Fraction``
 products.  Radicands lose their small square factors by batch gcd against a
-product tree of the primes up to ``TRIAL_DIVISION_BOUND``.  Output is
-written from integers: :func:`ratio_str` writes ``n/d`` as ``str(Fraction(n, d))``
-does, with one gcd and no ``Fraction``.
+product tree of the primes up to ``TRIAL_DIVISION_BOUND``; a perfect square
+exits at once, and numbers below ``2**16`` are split by a one-byte
+least-prime-factor table.  :func:`sqrt_ratio` takes the root of ``p/q``
+from two ints with one gcd and no ``Fraction``.  Output is written from
+integers: :func:`ratio_str` writes ``n/d`` as ``str(Fraction(n, d))`` does,
+with one gcd and no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -51,26 +54,48 @@ def _product_tree(leaves: list[int]) -> list[list[int]]:
     return levels
 
 
+def _least_prime_factors(limit: int) -> bytearray:
+    """Least prime factor of every composite below ``limit``; 0 for 0, 1 and the primes.
+
+    A composite below ``limit <= 2**16`` has a prime factor at most
+    ``sqrt(limit) <= 256``, so one byte holds it.  The primes are written
+    largest first, one slice each from its square, so the least is kept.
+    """
+    table = bytearray(limit)
+    for p in reversed(_primes_up_to(math.isqrt(limit - 1))):
+        table[p * p::p] = bytes((p,)) * len(range(p * p, limit, p))
+    return table
+
+
 _SMALL_PRIMES = _primes_up_to(TRIAL_DIVISION_BOUND)
-_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 _PRIME_TREE = _product_tree(_SMALL_PRIMES)
+_SPF_LIMIT = 1 << 16
+_SPF = _least_prime_factors(_SPF_LIMIT)
 
 
 def _small_prime_divisors(n: int) -> list[int]:
-    """The primes up to ``TRIAL_DIVISION_BOUND`` that divide ``n``.
+    """The primes up to ``TRIAL_DIVISION_BOUND`` that divide ``n``, all of them for ``n < 2**16``.
 
     One gcd with the product of all of them gives their product ``g``; it is
     split down the product tree, one gcd per node, since the gcd of ``g``
-    with a node is the product of the gcds with its two children.
+    with a node is the product of the gcds with its two children.  A node
+    below ``2**16`` is split by the least-prime-factor table instead, and so
+    is ``n`` itself when it is that small: its prime factors above the bound
+    occur once, as the cofactor would.
     """
     found = []
-    stack = [(len(_PRIME_TREE) - 1, 0, math.gcd(n, _PRIME_TREE[-1][0]))]
+    top = n if n < _SPF_LIMIT else math.gcd(n, _PRIME_TREE[-1][0])
+    stack = [(len(_PRIME_TREE) - 1, 0, top)]
     while stack:
         level, i, g = stack.pop()
-        if g == 1:
-            continue
-        if g in _SMALL_PRIME_SET:
-            found.append(g)
+        if g < _SPF_LIMIT:
+            while g > 1:
+                p = _SPF[g]
+                if not p:  # g is prime
+                    found.append(g)
+                    break
+                found.append(p)
+                g //= p
             continue
         children = _PRIME_TREE[level - 1]
         left = math.gcd(g, children[2 * i])
@@ -82,18 +107,22 @@ def _small_prime_divisors(n: int) -> list[int]:
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = s*s * d`` with ``d`` squarefree up to ``TRIAL_DIVISION_BOUND``.
 
-    Every prime up to the bound that divides ``n`` is divided out; the
-    primes are found by batch gcd with their product tree, not by trial
-    division.  The leftover cofactor is tested for being a perfect square so
-    radicands built from large squares still collapse.  A composite leftover
-    with a hidden square factor stays unreduced.  That only affects how
-    canonical the representation is; comparisons stay exact either way
-    because they never assume the radicand is squarefree.
+    A perfect square gives ``(isqrt(n), 1)`` at once.  Otherwise every
+    prime up to the bound that divides ``n`` is divided out; the primes are
+    found by batch gcd with their product tree and a least-prime-factor
+    table, not by trial division.  The leftover cofactor is tested for being
+    a perfect square so radicands built from large squares still collapse.
+    A composite leftover with a hidden square factor stays unreduced.  That
+    only affects how canonical the representation is; comparisons stay exact
+    either way because they never assume the radicand is squarefree.
     """
     if n < 0:
         raise DomainError("negative radicand")
     if n in (0, 1):
         return 1, n
+    s = math.isqrt(n)
+    if s * s == n:
+        return s, 1
     s, d = 1, 1
     for p in _small_prime_divisors(n):
         e = 0
@@ -396,13 +425,29 @@ def sqrt_exact(x: RationalLike) -> QuadraticNumber:
 
     Perfect squares come back rational (radicand 0); otherwise the result is
     ``(s/q) * sqrt(d)`` with ``d`` the reduced radicand of ``p*q`` for
-    ``x = p/q``.
+    ``x = p/q`` in lowest terms.
     """
     x = Fraction(x)
-    if x < 0:
+    return sqrt_ratio(x.numerator, x.denominator)
+
+
+def sqrt_ratio(p: int, q: int) -> QuadraticNumber:
+    """``sqrt_exact(Fraction(p, q))`` for ints ``p`` and ``q != 0``, with no ``Fraction``.
+
+    One gcd brings ``p/q`` to lowest terms with ``q > 0``, and ``p*q`` is
+    factored, so the radicand is the one ``sqrt_exact`` takes.
+    """
+    g = math.gcd(p, q)
+    if q < 0:
+        g = -g
+    elif q == 0:
+        raise ZeroDivisionError(f"sqrt_ratio({p}, 0)")
+    if g != 1:
+        p, q = p // g, q // g
+    if p < 0:
         raise DomainError("square root of a negative rational")
-    s, d = squarefree_decompose(x.numerator * x.denominator)
-    return QuadraticNumber._from_form(0, s, d, x.denominator)
+    s, d = squarefree_decompose(p * q)
+    return QuadraticNumber._from_form(0, s, d, q)
 
 
 def qn_compare_cross(x, y) -> int:

@@ -82,6 +82,24 @@ def trial_division_decompose(n: int) -> tuple[int, int]:
     return s, d
 
 
+def fraction_sqrt(x) -> QuadraticNumber:
+    """The ``Fraction`` square root, as ``sqrt_exact`` took it before ``sqrt_ratio``.
+
+    The oracle for ``sqrt_ratio``: ``x`` is reduced by ``Fraction`` and
+    ``p*q`` of its lowest terms is factored by trial division.
+    """
+    x = Fraction(x)
+    if x < 0:
+        raise DomainError("square root of a negative rational")
+    s, d = trial_division_decompose(x.numerator * x.denominator)
+    return QuadraticNumber._from_form(0, s, d, x.denominator)
+
+
+def least_prime_factor(n: int) -> int:
+    """The least prime factor of a composite ``n`` by trial division; 0 for 0, 1 and primes."""
+    return next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), 0) if n > 3 else 0
+
+
 def enclosure_radical_sign(A: int, B: int, d: int) -> int:
     """Sign of ``A + B*sqrt(d)`` from integer enclosures of ``sqrt(d)``, never squaring.
 

@@ -522,3 +522,34 @@ class TestGridSanity:
             if inv.case_sign is CaseSign.POSITIVE:
                 left, _ = inv.corresponding_slope.interval()
                 assert qn_compare_cross(QuadraticNumber(inv.point.mu), left) > 0
+
+
+def test_ten_thousand_reports_keep_every_store_bounded():
+    """10**4 reports on distinct slopes evict from ``boundary_at`` and grow nothing else.
+
+    The ranks are the prime 10007, so the slopes ``c1/10007`` for
+    ``0 <= c1 < 10**4`` are pairwise distinct, and ``chi`` puts the
+    discriminant near 5, well above the boundary curve: each is a full
+    Picard-rank-2 report, and each classification misses the cache.
+    """
+    import sys
+
+    from planecones import exceptional
+
+    def containers():
+        return {(name, attr): len(value)
+                for name, module in sys.modules.items() if name.startswith("planecones")
+                for attr, value in vars(module).items()
+                if not attr.startswith("__") and isinstance(value, (dict, list, set, bytearray))}
+
+    boundary, halfwidth = exceptional.boundary_at, exceptional._interval_halfwidth
+    boundary.cache_clear()
+    before = containers()
+    r = 10007
+    for c1 in range(10 ** 4):
+        chi = (c1 * c1 + 3 * r * c1) // (2 * r) - 4 * r
+        assert cone_report(character_from_json({"r": r, "c1": c1, "chi": chi})).primary
+    info = boundary.cache_info()
+    assert info.misses >= 10 ** 4 and info.currsize == info.maxsize == 4096
+    assert halfwidth.cache_info().currsize <= halfwidth.cache_info().maxsize
+    assert containers() == before

@@ -1,15 +1,16 @@
 """Deterministic work counters for a full cone report (no timing).
 
-Each square root taken by ``sqrt_exact`` factors its radicand once; every
-other ``QuadraticNumber`` operation reuses the radicand of its operands.  A
-report that factors more often than it takes square roots is re-factoring
-reduced radicands on its hot path.
+Each square root taken by ``sqrt_ratio`` (which ``sqrt_exact`` calls)
+factors its radicand once; every other ``QuadraticNumber`` operation reuses
+the radicand of its operands.  A report that factors more often than it
+takes square roots is re-factoring reduced radicands on its hot path.
 
 A report makes one classification and takes one root ``sqrt(5 + 8 delta)``:
 the Serre dual shares both, since it has the same classification and its
 ``mu0+`` is the character's ``-mu0-``.  Each side of the cone makes one
-descent to its corresponding slope, and no slope whose dyadic address is
-already known goes back through a descent.
+descent to its corresponding slope, which hands back gamma's parents too,
+and no slope whose dyadic address is already known goes back through a
+descent or a walk.
 
 An LR word is a spelling of a dyadic address, so the slope it names takes
 one walk: one mutation per letter, on every call, since no walk is kept.
@@ -33,15 +34,15 @@ GOLDEN = ChernCharacter.from_rmd(3, Fraction(2, 3), Fraction(17, 9))
 @pytest.fixture
 def counts(monkeypatch):
     tally = {name: 0 for name in (
-        "squarefree_decompose", "sqrt_exact", "classify", "find_interval", "from_slope_value",
+        "squarefree_decompose", "sqrt_ratio", "classify", "_descend", "from_slope_value",
     )}
     radicands = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             tally[name] += 1
-            if name == "sqrt_exact":
-                radicands.append(args[0])
+            if name == "sqrt_ratio":
+                radicands.append(Fraction(*args))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -49,8 +50,8 @@ def counts(monkeypatch):
         qarith, "squarefree_decompose",
         counted("squarefree_decompose", qarith.squarefree_decompose),
     )
-    for name, home in (("sqrt_exact", qarith), ("classify", cone),
-                       ("find_interval", exceptional), ("from_slope_value", exceptional)):
+    for name, home in (("sqrt_ratio", qarith), ("classify", cone),
+                       ("_descend", exceptional), ("from_slope_value", exceptional)):
         wrapper = counted(name, getattr(home, name))
         for module in (qarith, exceptional, cone, planecones):
             if hasattr(module, name):
@@ -71,8 +72,8 @@ CASES = pytest.mark.parametrize(
 def test_one_factoring_per_square_root(counts, x, order, descents):
     report = cone.cone_report(x)
     assert report.primary.invariants.corresponding_slope.order == order
-    assert counts["sqrt_exact"] >= 1
-    assert counts["squarefree_decompose"] <= counts["sqrt_exact"]
+    assert counts["sqrt_ratio"] >= 1
+    assert counts["squarefree_decompose"] <= counts["sqrt_ratio"]
 
 
 @CASES
@@ -82,7 +83,7 @@ def test_one_analysis_per_side(counts, x, order, descents):
     assert report.primary.invariants.corresponding_slope.order == order
     assert counts["classify"] == 1
     assert counts["from_slope_value"] == 0
-    assert counts["find_interval"] == descents
+    assert counts["_descend"] == descents
     radicand = 5 + 8 * x.discriminant()
     assert counts["radicands"].count(radicand) == 1
 
@@ -129,7 +130,20 @@ def test_rendering_is_written_from_integers(monkeypatch, x, order, descents):
 def test_classify_descends_once(counts, r, c1, chi, kind, descents):
     exceptional.delta_curve.cache_clear()
     assert cone.classify(character_from_json({"r": r, "c1": c1, "chi": chi})).kind is kind
-    assert counts["find_interval"] == descents
+    assert counts["_descend"] == descents
+
+
+@CASES
+def test_no_walk_in_a_report(monkeypatch, x, order, descents):
+    """Gamma's parents come back from its descent; no report walks the tree."""
+    walks, looked_up = [], []
+    walk, parents = exceptional._walk, exceptional.parents
+    monkeypatch.setattr(exceptional, "_walk", lambda *args: walks.append(args) or walk(*args))
+    monkeypatch.setattr(exceptional, "parents", lambda g: looked_up.append(g) or parents(g))
+    exceptional.delta_curve.cache_clear()
+    report = cone.cone_report(x)
+    assert report.primary.invariants.corresponding_slope.order == order
+    assert walks == [] and looked_up == []
 
 
 @pytest.mark.parametrize("word", ["RLLLRR", "LRLRLRLRLR"])

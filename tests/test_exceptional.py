@@ -435,6 +435,35 @@ class TestAffineImage:
                     checked += 1
         assert checked == 2049 * 14 and len(descended) == 14 * 256 + 1
 
+    def test_closed_form_matches_dual_and_twist(self):
+        checked = 0
+        for g in enumerate_slopes(-3, 3, 8):
+            d = g.dyadic
+            for negate in (False, True):
+                x = g.character().dual() if negate else g.character()
+                p = -d.p if negate else d.p
+                for shift in range(-4, 5):
+                    image = affine_image(g, negate, shift)
+                    assert image.character() == x.twist(shift)
+                    assert image.dyadic == DyadicRational(p + shift * 2 ** d.q, d.q)
+                    assert image.slope == shift + (-g.slope if negate else g.slope)
+                    checked += 1
+        assert checked == (6 * 256 + 1) * 18
+
+
+class TestDescentParents:
+    """The parents ``_descend`` hands back against a walk to gamma's address."""
+
+    def test_matches_parents_order_ten(self):
+        checked = 0
+        for g in enumerate_slopes(-2, 2, 10):
+            expected = parents(g)
+            for x in (g.slope, *g.interval()):
+                left, gamma, right = exceptional._descend(x, exceptional.DEFAULT_MAX_ORDER)
+                assert gamma == g and (left, right) == expected, (g, x)
+                checked += 1
+        assert checked == (4 * 1024 + 1) * 3
+
 
 class TestFindInterval:
     def test_rational_center(self):

@@ -18,11 +18,17 @@ from planecones.qarith import (
     qn_compare_cross,
     ratio_str,
     sqrt_exact,
+    sqrt_ratio,
     squarefree_decompose,
 )
 
 from conftest import (
-    FractionQuadratic, fraction_qn_str, fraction_two_radical_sign, trial_division_decompose,
+    FractionQuadratic,
+    fraction_qn_str,
+    fraction_sqrt,
+    fraction_two_radical_sign,
+    least_prime_factor,
+    trial_division_decompose,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
@@ -70,6 +76,60 @@ class TestSqrtExact:
     @given(small_nonneg, small_nonneg)
     def test_scaling_by_squares(self, p, q):
         assert qn_compare_cross(sqrt_exact(p * p * q), sqrt_exact(q) * p) == 0
+
+
+def sqrt_outcome(root, *args):
+    try:
+        q = root(*args)
+    except (DomainError, ZeroDivisionError) as exc:
+        return type(exc)
+    return q.A, q.B, q.d, q.D
+
+
+# numerators and denominators with square factors, shared factors and the
+# hidden square factor 10007**2 of HIDDEN_SQUARE, which no trial divisor sees,
+# or any integer of up to 40 digits
+ratio_parts = st.one_of(
+    st.builds(
+        lambda k, m, c: k * m * c * c,
+        st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+        st.sampled_from([1, 2, 3, 12, 10007, 10009, HIDDEN_SQUARE, 10007 * 10009]),
+        st.sampled_from([1, 2, 6, 97, 9973, 10007]),
+    ),
+    st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+)
+
+
+class TestSqrtRatio:
+    """``sqrt_ratio(p, q)`` against the ``Fraction`` square root it replaces."""
+
+    @given(ratio_parts, ratio_parts)
+    def test_matches_fraction_root(self, p, q):
+        if q == 0:
+            with pytest.raises(ZeroDivisionError):
+                sqrt_ratio(p, q)
+            return
+        root = sqrt_outcome(sqrt_ratio, p, q)
+        assert root == sqrt_outcome(fraction_sqrt, Fraction(p, q))
+        assert root == sqrt_outcome(sqrt_exact, Fraction(p, q))
+
+    @pytest.mark.parametrize("p, q, form", [
+        (HIDDEN_SQUARE, 1, (0, 1, HIDDEN_SQUARE, 1)),
+        (4 * HIDDEN_SQUARE, 9 * 10009, (2 * 10007, 0, 0, 3)),  # the gcd exposes the square
+        (-4, -9, (2, 0, 0, 3)),
+        (0, -5, (0, 0, 0, 1)),
+        (181, 36, (0, 1, 181, 6)),
+    ])
+    def test_fixed_cases(self, p, q, form):
+        assert sqrt_outcome(sqrt_ratio, p, q) == form == sqrt_outcome(fraction_sqrt, Fraction(p, q))
+
+    def test_zero_denominator_and_negative_ratio_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            sqrt_ratio(1, 0)
+        with pytest.raises(DomainError):
+            sqrt_ratio(-1, 4)
+        with pytest.raises(DomainError):
+            sqrt_ratio(1, -4)
 
 
 class TestSquarefree:
@@ -127,6 +187,24 @@ class TestBatchGcdFactoring:
         for p in self.PRIMES_NEAR_BOUND:
             for n in (p, p * p, p ** 3, 4 * p, p * 10007, p * 9973):
                 assert squarefree_decompose(n) == trial_division_decompose(n), n
+
+    def test_every_integer_across_the_table_edge(self):
+        # below 2**16 the least-prime-factor table factors n itself; above it
+        # the batch gcd runs and splits its nodes below 2**16 by the table
+        assert qarith._SPF_LIMIT == 1 << 16
+        for n in range(1 << 17):
+            assert squarefree_decompose(n) == trial_division_decompose(n), n
+
+    def test_least_prime_factor_table(self):
+        table = qarith._SPF
+        assert len(table) == qarith._SPF_LIMIT
+        assert all(table[n] == least_prime_factor(n) for n in range(len(table)))
+        assert max(table) == 251  # the largest prime below 2**8
+
+    def test_perfect_squares_exit_at_once(self, monkeypatch):
+        monkeypatch.setattr(qarith, "_small_prime_divisors", lambda n: pytest.fail(f"split {n}"))
+        for root in (2, 97, 9973 * 10007, 3 ** 40, 10 ** 30 + 57):
+            assert squarefree_decompose(root * root) == (root, 1)
 
 
 class TestSign:

@@ -9,7 +9,8 @@ is checked (by ``period_structure`` and the acceptance tests), not used to
 compute.  A finite word over {L, R} (the choices of the bracketing descent)
 is another spelling of a slope's dyadic address: ``word_to_dyadic`` reads it
 in binary and the slope takes one tree walk, one integer mutation of the
-bundle's character per letter.  Eventually-constant infinite words name
+bundle's character per letter; the same walk gives the slope's parents, which
+Cantor enclosures and period blocks read.  Eventually-constant infinite words name
 exactly the interval endpoints.  ``cf_eval`` is the
 brute-force evaluator that serves as the independent oracle for all of this.
 """
@@ -198,11 +199,10 @@ def period_structure(word: Word) -> PeriodStructure:
     head = word[:-n]
     if not head or not head.endswith("L"):
         raise DomainError("period decomposition needs a word of shape head+L+R^n")
-    beta = lr_to_slope(head[:-1])
+    alpha, beta, _ = exceptional.slope_and_parents(word_to_dyadic(head[:-1]))
     if beta.slope == Fraction(1, 2):
         result = PeriodStructure("2", len(expansion), "", True)
         return _validated(result, expansion)
-    alpha, _ = exceptional.parents(beta)
     block = parity_convert(even_expansion(beta)) + "2"
     tail = even_expansion(alpha)
     result = PeriodStructure(block, n + 1, tail, False)
@@ -237,8 +237,7 @@ def cantor_approx(prefix: Word, depth: int) -> tuple[Fraction, Fraction]:
     _check_word(prefix)
     if depth < 0:
         raise DomainError("negative depth")
-    g = lr_to_slope(prefix[:depth])
-    left, right = exceptional.parents(g)
+    left, _, right = exceptional.slope_and_parents(word_to_dyadic(prefix[:depth]))
     return left.slope, right.slope
 
 

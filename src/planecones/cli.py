@@ -5,9 +5,12 @@ quadratic irrationals as ``(a + b*sqrt(d))``.  A report is written from the
 integers it was computed as, each quotient by ``ratio_str``, after every
 integer it prints has been measured against Python's int-to-string digit
 limit (``_check_report_printable``); ``slope`` and ``cfrac`` stop their walk
-at the first rank past that limit.  Decimal columns only appear under
-``--approx`` and are labeled non-authoritative.  Output is deterministic:
-fixed field order, no ambient state.
+at the first rank past that limit.  A slope's fields and a triad character
+depend on nothing but the slope or the character, so each is rendered once
+into a bounded cache and every report gets its own copy of the cached dict.
+Decimal columns only appear under ``--approx`` and are labeled
+non-authoritative.  Output is deterministic: fixed field order, no ambient
+state.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from . import cfrac, cone, exceptional
@@ -237,7 +241,20 @@ def _text_lines(value, prefix: str) -> list[str]:
 # -- report rendering ---------------------------------------------------------
 
 
+# Distinct slopes and triad characters whose rendering is kept, as many as
+# the gammas whose triad the cone keeps.
+_RENDER_CACHE_SIZE = 1024
+
+
 def _slope_dict(s: exceptional.ExceptionalSlope) -> dict:
+    """``s`` rendered once per slope; each call gets its own copy, ``interval`` too."""
+    out = _slope_fields(s).copy()
+    out["interval"] = out["interval"].copy()
+    return out
+
+
+@lru_cache(maxsize=_RENDER_CACHE_SIZE)
+def _slope_fields(s: exceptional.ExceptionalSlope) -> dict:
     r = s.r
     left, right = s.interval()
     shift, word = cfrac.slope_to_lr(s)
@@ -251,6 +268,14 @@ def _slope_dict(s: exceptional.ExceptionalSlope) -> dict:
         "lr_translation": shift,
         "interval": {"left": str(left), "right": str(right)},
     }
+
+
+_triad_character_fields = lru_cache(maxsize=_RENDER_CACHE_SIZE)(character_to_json)
+
+
+def _triad_character_dict(z: ChernCharacter) -> dict:
+    """A triad character rendered once per character; each call gets its own copy."""
+    return _triad_character_fields(z).copy()
 
 
 def _invariants_dict(inv: cone.OrthogonalInvariants, digits: Optional[int]) -> dict:
@@ -280,7 +305,7 @@ def _primary_dict(edge: cone.PrimaryEdge, digits: Optional[int]) -> dict:
         out["resolution"] = {
             "case_sign": res.case_sign.value,
             "triad": [ratio_str(s.c1, s.r) for s in res.triad_slopes],
-            "triad_characters": [character_to_json(c) for c in res.triad],
+            "triad_characters": [_triad_character_dict(c) for c in res.triad],
             "multiplicities": [m for m in (res.m1, res.m2, res.m3) if m is not None],
             "shape": res.shape,
         }

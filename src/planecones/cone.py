@@ -4,20 +4,25 @@ Kronecker data and the extremal rays of the effective cone.
 One private analysis per character classifies it, takes ``sqrt(5 + 8 delta)``
 once for both ``mu0+-`` (``sqrt_ratio`` on the character's integers) and
 descends once to the corresponding exceptional slope gamma, whose interval
-encloses ``mu0+``; the descent hands back gamma's parents too.  The primary ray
-is a lattice vector: gamma's bundle when the character pairs to zero with it,
-else the primitive class orthogonal to the character and to ``E_{-gamma}``
-(positive pairing) or ``E_{-gamma-3}`` (negative), one integer cross product
-(``_ray``); the invariants ``(mu+, delta+)`` are its slope and discriminant.
-The resolving triad is read off the addresses of gamma and its parents by
-``affine_image``, with no walk, and the multiplicities and Kronecker data
-follow.  For rank >= 3 the same steps on the Serre dual (``mu0+ = -mu0-``) give
-the secondary ray, the negated dual of the dual's primary ray; rank 2 takes one
-more cross product.  The wall and the check that each invariant point lies on
-or above gamma's arc are integer expressions in the ray (``bridgeland_wall``,
-``_below_arc``), and a report holds no text built from its integers: the
-resolution's ``shape`` is written when it is read.  Public stage functions are
-views of the analysis.
+encloses ``mu0+``; the descent hands back gamma's parents too.  Classification
+descends only when ``delta <= 1``: the boundary curve never rises above 1, so a
+larger discriminant, read off the character's integers, is Picard rank two at
+once.  The primary ray is a lattice vector: gamma's bundle when the character
+pairs to zero with it, else the primitive class orthogonal to the character and
+to ``E_{-gamma}`` (positive pairing) or ``E_{-gamma-3}`` (negative), one
+integer cross product (``_ray``); the invariants ``(mu+, delta+)`` are its
+slope and discriminant.  The resolving triad is read off the addresses of gamma
+and its parents by ``affine_image``, with no walk; it and the Kronecker arrow
+count depend on gamma alone, so ``_triad`` works them out once per gamma in a
+bounded cache, and each report runs only the checks that involve its character
+(multiplicities, rebuild, dimension, orthogonality, half-plane, double
+orthogonality and boundary).  For rank >= 3 the same steps on the Serre dual
+(``mu0+ = -mu0-``) give the secondary ray, the negated dual of the dual's
+primary ray; rank 2 takes one more cross product.  The wall and the check that
+each invariant point lies on or above gamma's arc are integer expressions in
+the ray (``bridgeland_wall``, ``_below_arc``), and a report holds no text built
+from its integers: the resolution's ``shape`` is written when it is read.
+Public stage functions are views of the analysis.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from . import exceptional
@@ -174,6 +180,9 @@ class ConeReport:
 # -- classification ----------------------------------------------------------
 
 
+_ABOVE_BOUNDARY = Classification(Kind.PICARD_RANK_2, ("discriminant exceeds the boundary curve",))
+
+
 def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classification:
     """Decide which kind of moduli space the character admits.
 
@@ -201,11 +210,15 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
             (f"pure one-dimensional sheaves of degree {d}",),
         )
 
+    # delta = F/(2r^2), and the boundary curve never rises above 1: each arc
+    # P(-|mu - a|) - delta_a is at most P(0) = 1, so delta > 1 needs no descent
+    if discriminant_form(x.r, x.c1, x.chi)[0] > 2 * x.r * x.r:
+        return _ABOVE_BOUNDARY
     mu = x.slope()
     delta = x.discriminant()
     enclosing, boundary = exceptional.boundary_at(mu, max_order)
     if delta > boundary:
-        return Classification(Kind.PICARD_RANK_2, ("discriminant exceeds the boundary curve",))
+        return _ABOVE_BOUNDARY
     if delta == boundary:
         return Classification(
             Kind.HEIGHT_ZERO, ("discriminant sits exactly on the boundary curve",)
@@ -230,11 +243,48 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
 
 
 @dataclass(frozen=True)
+class _Triad:
+    """What the resolution owes to gamma alone, whatever the character.
+
+    ``alpha``, ``gamma`` and ``beta`` are the characters of gamma and its
+    parents ``alpha < gamma < beta``; ``images`` are ``E_{-alpha-3}``,
+    ``E_{-beta}``, ``E_{-gamma}`` and ``E_{-gamma-3}``, and ``image_chars``
+    their characters.  ``hom_count`` is the Kronecker arrow count
+    ``N = chi(E_{-alpha-3}, E_{-beta})``, the same pair in every case.
+    """
+
+    alpha: ChernCharacter
+    gamma: ChernCharacter
+    beta: ChernCharacter
+    images: tuple[ExceptionalSlope, ...]
+    image_chars: tuple[ChernCharacter, ...]
+    hom_count: int
+
+
+# Distinct gammas whose triad is kept, as many as the halfwidth cache's ranks.
+_TRIAD_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_TRIAD_CACHE_SIZE)
+def _triad(left: ExceptionalSlope, gamma: ExceptionalSlope,
+           right: ExceptionalSlope) -> _Triad:
+    """The triad of ``gamma`` between its parents, worked out once per gamma."""
+    image = exceptional.affine_image
+    images = (image(left, True, -3), image(right, True, 0),
+              image(gamma, True, 0), image(gamma, True, -3))
+    chars = tuple(s.character() for s in images)
+    n = euler_chi_pair(chars[0], chars[1])
+    if n <= 0:
+        raise ConsistencyError(f"hom count {n} is not positive")
+    return _Triad(left.character(), gamma.character(), right.character(), images, chars, n)
+
+
+@dataclass(frozen=True)
 class _Analysis:
     """Every fact the primary half of the cone derives from one character.
 
-    Fields after ``classification`` are set for Picard rank two only, the
-    last two for positive rank only.
+    Fields after ``classification`` are set for Picard rank two only,
+    ``resolution`` and ``kronecker`` for positive rank only.
     """
 
     classification: Classification
@@ -243,6 +293,7 @@ class _Analysis:
     invariants: Optional[OrthogonalInvariants] = None
     resolution: Optional[ResolutionData] = None
     kronecker: Optional[KroneckerData] = None
+    triad: Optional[_Triad] = None
 
 
 def _analyze(x: ChernCharacter, max_order: int) -> _Analysis:
@@ -270,15 +321,17 @@ def _side(x: ChernCharacter, cls: Classification, mu0_plus: QuadraticNumber,
           mu0_minus: Optional[QuadraticNumber], max_order: int) -> _Analysis:
     """Descent to gamma and its parents, then invariants, resolution and Kronecker data."""
     left, gamma, right = exceptional._descend(mu0_plus, max_order)
-    pairing = euler_pairing(x, gamma.character())
+    triad = _triad(left, gamma, right)
+    pairing = euler_pairing(x, triad.gamma)
     case = (
         CaseSign.POSITIVE if pairing > 0 else CaseSign.NEGATIVE if pairing < 0 else CaseSign.ZERO
     )
-    inv = _invariants(x, gamma, case)
+    inv = _invariants(x, gamma, triad, case)
     if x.r == 0:
-        return _Analysis(cls, mu0_plus, mu0_minus, inv)
-    res = _resolution(x, left, gamma, right, case, pairing)
-    return _Analysis(cls, mu0_plus, mu0_minus, inv, res, _kronecker(x, res))
+        return _Analysis(cls, mu0_plus, mu0_minus, inv, triad=triad)
+    res = _resolution(x, triad, case, pairing)
+    return _Analysis(cls, mu0_plus, mu0_minus, inv, res,
+                     _kronecker(x, res, triad.hom_count), triad)
 
 
 def _intersecting(x: ChernCharacter, max_order: int) -> _Analysis:
@@ -337,13 +390,12 @@ def _ray(x: ChernCharacter, z: ChernCharacter) -> ChernCharacter:
     return _lattice(r // g, c // g, chi // g)
 
 
-def _invariants(x: ChernCharacter, gamma: ExceptionalSlope,
+def _invariants(x: ChernCharacter, gamma: ExceptionalSlope, triad: _Triad,
                 case: CaseSign) -> OrthogonalInvariants:
     if case is CaseSign.ZERO:
-        ray = gamma.character()
-    else:
-        shift = 0 if case is CaseSign.POSITIVE else -3
-        ray = _ray(x, exceptional.affine_image(gamma, True, shift).character())
+        ray = triad.gamma
+    else:  # orthogonal also to E_{-gamma} or E_{-gamma-3}
+        ray = _ray(x, triad.image_chars[2 if case is CaseSign.POSITIVE else 3])
     # mu+ <= gamma's slope, cross-multiplied by the two positive ranks
     on_curve = case is not CaseSign.POSITIVE or ray.c1 * gamma.r <= gamma.c1 * ray.r
     return OrthogonalInvariants(ray, case, on_curve, gamma)
@@ -369,7 +421,7 @@ def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
         # endpoints are irrational, so a rational mu in gamma's closed
         # interval lies in no other and gamma's arc is the boundary there
         ray, gamma = inv.ray, inv.corresponding_slope
-        if exceptional._locate(gamma, ray.c1, 0, 0, ray.r)[1] >= 0:
+        if exceptional._locate(gamma.r, gamma.c1, ray.c1, 0, 0, ray.r)[1] >= 0:
             below = _below_arc(ray, gamma)
         else:
             point = inv.point
@@ -406,37 +458,37 @@ def _bundle_name(s: ExceptionalSlope) -> str:
     return f"E({s})"
 
 
-def _resolution(x: ChernCharacter, left: ExceptionalSlope, gamma: ExceptionalSlope,
-                right: ExceptionalSlope, case: CaseSign, pairing: int) -> ResolutionData:
+def _resolution(x: ChernCharacter, triad: _Triad, case: CaseSign,
+                pairing: int) -> ResolutionData:
     # The triad bundles have slopes -s or -s - 3 for s among gamma and its
-    # parents, which the descent to gamma hands back, so each is read off an
-    # address already in hand.  Gamma's children are the mutations
-    # 3 r(left) gamma - right of (left, gamma) and 3 r(right) gamma - left of
-    # (gamma, right): their pairings are linear.
-    image = exceptional.affine_image
+    # parents alpha < beta, kept in gamma's triad.  Gamma's children are the
+    # mutations 3 r(alpha) gamma - beta of (alpha, gamma) and
+    # 3 r(beta) gamma - alpha of (gamma, beta): their pairings are linear.
+    alpha, beta = triad.alpha, triad.beta
     if case is CaseSign.POSITIVE:
-        m1 = -euler_pairing(x, left.character())
-        m2 = euler_pairing(x, right.character()) - 3 * left.r * pairing
+        m1 = -euler_pairing(x, alpha)
+        m2 = euler_pairing(x, beta) - 3 * alpha.r * pairing
         m3 = pairing
-        slopes = (image(left, True, -3), image(right, True, 0), image(gamma, True, 0))
+        slopes, chars = triad.images[:3], triad.image_chars[:3]
         coefficients = (-m1, m2, m3)
     elif case is CaseSign.NEGATIVE:
-        m1 = 3 * right.r * pairing - euler_pairing(x, left.character())
-        m2 = euler_pairing(x, right.character())
+        m1 = 3 * beta.r * pairing - euler_pairing(x, alpha)
+        m2 = euler_pairing(x, beta)
         m3 = -pairing
-        slopes = (image(gamma, True, -3), image(left, True, -3), image(right, True, 0))
+        images, image_chars = triad.images, triad.image_chars
+        slopes = (images[3], images[0], images[1])
+        chars = (image_chars[3], image_chars[0], image_chars[1])
         coefficients = (-m3, -m1, m2)
     else:
-        m1 = -euler_pairing(x, left.character())
-        m2 = euler_pairing(x, right.character())
+        m1 = -euler_pairing(x, alpha)
+        m2 = euler_pairing(x, beta)
         m3 = None
-        slopes = (image(left, True, -3), image(right, True, 0))
+        slopes, chars = triad.images[:2], triad.image_chars[:2]
         coefficients = (-m1, m2)
 
     for m in (m1, m2, m3):
         if m is not None and m < 0:
             raise ConsistencyError(f"multiplicity {m} is negative for {x}")
-    chars = tuple(s.character() for s in slopes)
     recon = chars[0].scale(coefficients[0])
     for char, k in zip(chars[1:], coefficients[1:]):
         recon = recon + char.scale(k)
@@ -457,14 +509,8 @@ def resolution_multiplicities(x: ChernCharacter,
     return _resolved(x, max_order).resolution
 
 
-def _kronecker(x: ChernCharacter, res: ResolutionData) -> KroneckerData:
-    if res.case_sign is CaseSign.NEGATIVE:
-        source, target = res.triad[1], res.triad[2]
-    else:
-        source, target = res.triad[0], res.triad[1]
-    n = euler_chi_pair(source, target)
-    if n <= 0:
-        raise ConsistencyError(f"hom count {n} is not positive")
+def _kronecker(x: ChernCharacter, res: ResolutionData, n: int) -> KroneckerData:
+    """Kronecker data of the resolution's two-term complex, with gamma's arrow count ``n``."""
     b, a = res.m1, res.m2
     edim = a * b * n - a * a - b * b + 1
     fibration = (
@@ -539,9 +585,8 @@ def _primary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
         raise ConsistencyError("primary ray is not orthogonal to the input")
     if half_plane(x, ray) is not HalfPlane.PRIMARY:
         raise ConsistencyError("primary ray fell outside the primary half-plane")
-    if inv.case_sign is CaseSign.POSITIVE:
-        opposite = exceptional.affine_image(inv.corresponding_slope, True, 0).character()
-        if euler_pairing(ray, opposite) != 0:
+    if inv.case_sign is CaseSign.POSITIVE:  # orthogonal also to E_{-gamma}
+        if euler_pairing(ray, side.triad.image_chars[2]) != 0:
             raise ConsistencyError("positive-case double orthogonality failed")
     return PrimaryEdge(
         invariants=inv,
@@ -562,7 +607,7 @@ def _secondary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
         dual_side = _side(xd, side.classification, -side.mu0_minus, -side.mu0_plus, max_order)
         dual = _primary_edge(xd, dual_side, multiplier, max_order)
         ray = -dual.extremal_character.dual()
-        slope = exceptional.affine_image(dual.invariants.corresponding_slope, True, 0)
+        slope = dual_side.triad.images[2]  # -gamma of the dual
         mode = SecondaryMode.SERRE_DUAL
         descriptor = "h2-cohomology jumping divisor, from the dual pipeline"
     elif r == 2:

@@ -14,8 +14,12 @@ Each slope ``a`` owns an open interval of halfwidth
 read off the halfwidth's; the boundary curve of stable characters is a pair
 of parabolic arcs over every interval, and locating the interval containing
 a given number is a bracketing descent, which hands back the slope's two
-parents beside it (``_descend``).  Slopes built by a walk, a descent or an
-affine image come from the trusted constructors ``_slope`` and ``_dyadic``.
+parents beside it (``_descend``).  A probe tests membership on the
+candidate's ``(r, c1)`` integers (``_locate``), so a descent builds slope
+objects for its hit and the hit's parents only; a walk likewise gives a
+slope with both parents (``slope_and_parents``, of which ``parents`` is a
+view).  Slopes built by a walk, a descent or an affine image come from the
+trusted constructors ``_slope`` and ``_dyadic``.
 """
 
 from __future__ import annotations
@@ -297,12 +301,22 @@ def dot(alpha: ExceptionalSlope, beta: ExceptionalSlope) -> ExceptionalSlope:
     return result
 
 
+def slope_and_parents(d: DyadicRational) -> tuple[ExceptionalSlope, ExceptionalSlope,
+                                                   ExceptionalSlope]:
+    """``(left parent, slope, right parent)`` at the address ``d``, from one walk.
+
+    The parents are the neighbouring slopes one dyadic level up, the ends of
+    the bracket the walk's last mutation splits; an integer ``n`` has
+    ``(n - 1, n + 1)`` and takes no walk.
+    """
+    if d.q == 0:
+        return from_integer(d.p - 1), from_integer(d.p), from_integer(d.p + 1)
+    return _walk(d)
+
+
 def parents(g: ExceptionalSlope) -> tuple[ExceptionalSlope, ExceptionalSlope]:
     """Neighbouring slopes one dyadic level up; integers use ``(n-1, n+1)``."""
-    d = g.dyadic
-    if d.q == 0:
-        return from_integer(d.p - 1), from_integer(d.p + 1)
-    left, _, right = _walk(d)
+    left, _, right = slope_and_parents(g.dyadic)
     return left, right
 
 
@@ -317,22 +331,23 @@ def interval_contains(a: ExceptionalSlope, x, closed: bool) -> bool:
     ``x``; over the integer form ``x = (A + B*sqrt(d))/D``, each is the sign
     of an integer ``A' + B'*sqrt(d)`` (:func:`_locate`).
     """
-    inside = _locate(a, *integer_form(x))[1]
+    inside = _locate(a.r, a.c1, *integer_form(x))[1]
     return inside >= 0 if closed else inside > 0
 
 
-def _locate(a: ExceptionalSlope, A: int, B: int, d: int, D: int) -> tuple[int, int]:
-    """``(side, inside)`` for ``x = (A + B*sqrt(d))/D``, ``D > 0``, against ``a``'s interval.
+def _locate(r: int, c1: int, A: int, B: int, d: int, D: int) -> tuple[int, int]:
+    """``(side, inside)`` for ``x = (A + B*sqrt(d))/D``, ``D > 0``, against an interval.
 
-    ``side`` is the sign of ``x - a``; ``inside`` is 1 in the open
+    The interval is that of the exceptional slope ``a = c1/r`` of rank
+    ``r``, read from the bundle's integers, so a probe needs no slope
+    object.  ``side`` is the sign of ``x - a``; ``inside`` is 1 in the open
     interval, 0 at an endpoint and -1 outside.  The form need not be
     reduced: every sign taken is that of a homogeneous expression in it.
     """
     # Over N = D*r: |x - a| = (t + w sqrt(d))/N, u = (ua + ub sqrt(d))/N
     # and, as N/r = D, N^2 (u^2 - 9 + 4/r^2) = va + vb sqrt(d).
-    r = a.r
     N = D * r
-    t = A * r - a.c1 * D
+    t = A * r - c1 * D
     w = B * r
     side = _sign_int_radical(t, w, d)
     if side < 0:
@@ -369,22 +384,22 @@ def _descend(x, max_order: int) -> tuple[ExceptionalSlope, ExceptionalSlope, Exc
     descent holds already: ``(p >> 1)/2**(q - 1)`` and one step right of it
     for a mediant ``p/2**q``, and ``n - 1``, ``n + 1`` for an integer ``n``,
     as :func:`parents` gives them.  So a caller that needs both never walks.
+    A probe reads the candidate's ``(r, c1)`` integers; slope objects are
+    built for the hit and its parents only.
     """
     A, B, d, D = integer_form(x)
     n = floor_of_form(A, B, d, D)
     for m in (n, n + 1):
-        candidate = from_integer(m)
-        if _locate(candidate, A, B, d, D)[1] >= 0:
-            return from_integer(m - 1), candidate, from_integer(m + 1)
+        if _locate(1, m, A, B, d, D)[1] >= 0:
+            return from_integer(m - 1), from_integer(m), from_integer(m + 1)
     p, q = n, 0
     left, right, g = _line(n), _line(n + 1), _line(n - 1)
     while q < max_order:
         p, q = 2 * p + 1, q + 1
         mid = _mutation(left, right, g)
-        child = _slope(*mid, _dyadic(p, q))
-        side, inside = _locate(child, A, B, d, D)
+        side, inside = _locate(mid[0], mid[1], A, B, d, D)
         if inside >= 0:
-            return _with_parents(left, child, right, p, q)
+            return _with_parents(left, _slope(*mid, _dyadic(p, q)), right, p, q)
         # narrow to [p - 1, p] or [p, p + 1] over 2**q; p keeps the left end
         if side < 0:
             p, right, g = p - 1, mid, right

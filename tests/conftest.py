@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from planecones import CaseSign, Kind, classify
+from planecones.cone import Classification
 from planecones.chern import (
     ChernCharacter, SlopeDisc, character_from_json, euler_pairing, hilbert_poly,
 )
@@ -14,6 +15,7 @@ from planecones.exceptional import (
     DEFAULT_MAX_ORDER,
     DyadicRational,
     arc_value,
+    boundary_at,
     delta_curve,
     enumerate_slopes,
     find_interval,
@@ -375,6 +377,38 @@ def reference_find_interval(x, max_order: int = DEFAULT_MAX_ORDER):
         else:
             p, q = 2 * p + 1, q + 1
     raise DescentError(f"no enclosing interval of order <= {max_order}")
+
+
+def boundary_classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classification:
+    """``classify`` by the boundary value at every slope, with no shortcut above delta = 1.
+
+    The reference for ``classify``, which decides ``delta > 1`` from the
+    discriminant form's integers before any descent.
+    """
+    for field, what in ((x.r, "rank"), (x.c1, "first Chern class"),
+                        (x.chi, "Euler characteristic")):
+        if Fraction(field).denominator != 1:
+            return Classification(Kind.INVALID, (f"{what} is not an integer",))
+    if x.r < 0:
+        return Classification(Kind.INVALID, ("negative rank",))
+    if x.r == 0:
+        if x.c1 < 3:
+            return Classification(
+                Kind.INVALID, (f"rank zero needs first Chern class d >= 3, got {x.c1}",))
+        return Classification(Kind.RANK_ZERO_PICARD_RANK_2,
+                              (f"pure one-dimensional sheaves of degree {x.c1}",))
+    mu, delta = x.slope(), x.discriminant()
+    enclosing, boundary = boundary_at(mu, max_order)
+    if delta > boundary:
+        return Classification(Kind.PICARD_RANK_2, ("discriminant exceeds the boundary curve",))
+    if delta == boundary:
+        return Classification(Kind.HEIGHT_ZERO,
+                              ("discriminant sits exactly on the boundary curve",))
+    if mu == enclosing.slope and delta == enclosing.discriminant and x.r % enclosing.r == 0:
+        return Classification(Kind.EXCEPTIONAL,
+                              (f"positive multiple of the exceptional character of slope {mu}",))
+    return Classification(
+        Kind.INVALID, ("discriminant below the boundary curve and not an exceptional multiple",))
 
 
 def delta_curve_at(x: QuadraticNumber) -> QuadraticNumber:

@@ -112,6 +112,13 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out)["classification"]["kind"] == "EXCEPTIONAL"
 
+    def test_above_the_curve_needs_no_descent_budget(self, capsys):
+        # delta = 1812/841 > 1 lies above the whole boundary curve, so no
+        # descent is made and an order budget of 2 does not matter
+        code, out, err = run(capsys, "classify", "--chern", "29,12,-60", "--max-order", "2")
+        assert code == 0 and not err
+        assert json.loads(out)["classification"]["kind"] == "PICARD_RANK_2"
+
 
 class TestSlopeCommand:
     def test_dyadic_plain_fraction(self, capsys):

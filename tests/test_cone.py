@@ -524,17 +524,31 @@ class TestGridSanity:
                 assert qn_compare_cross(QuadraticNumber(inv.point.mu), left) > 0
 
 
+def _planecones_caches() -> list:
+    """Every ``lru_cache`` bound at the top level of a ``planecones`` module."""
+    import sys
+
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("planecones"):
+            for value in vars(module).values():
+                if hasattr(value, "cache_parameters"):  # not an alias such as delta_curve
+                    found[id(value)] = value
+    return list(found.values())
+
+
 def test_ten_thousand_reports_keep_every_store_bounded():
     """10**4 reports on distinct slopes evict from ``boundary_at`` and grow nothing else.
 
     The ranks are the prime 10007, so the slopes ``c1/10007`` for
     ``0 <= c1 < 10**4`` are pairwise distinct, and ``chi`` puts the
     discriminant near 5, well above the boundary curve: each is a full
-    Picard-rank-2 report, and each classification misses the cache.
+    Picard-rank-2 report, rendered too, and classifies without a descent,
+    so the boundary at each slope is evaluated beside it and misses the cache.
     """
     import sys
 
-    from planecones import exceptional
+    from planecones import cli, cone, exceptional
 
     def containers():
         return {(name, attr): len(value)
@@ -542,14 +556,147 @@ def test_ten_thousand_reports_keep_every_store_bounded():
                 for attr, value in vars(module).items()
                 if not attr.startswith("__") and isinstance(value, (dict, list, set, bytearray))}
 
-    boundary, halfwidth = exceptional.boundary_at, exceptional._interval_halfwidth
+    boundary = exceptional.boundary_at
+    caches = _planecones_caches()
+    for cache in (exceptional._interval_halfwidth, cone._triad, cli._slope_fields,
+                  cli._triad_character_fields):
+        assert cache in caches
     boundary.cache_clear()
     before = containers()
     r = 10007
     for c1 in range(10 ** 4):
         chi = (c1 * c1 + 3 * r * c1) // (2 * r) - 4 * r
-        assert cone_report(character_from_json({"r": r, "c1": c1, "chi": chi})).primary
+        report = cone_report(character_from_json({"r": r, "c1": c1, "chi": chi}))
+        assert report.primary
+        cli.report_to_dict(report)
+        exceptional.delta_curve(Fraction(c1, r))
     info = boundary.cache_info()
     assert info.misses >= 10 ** 4 and info.currsize == info.maxsize == 4096
-    assert halfwidth.cache_info().currsize <= halfwidth.cache_info().maxsize
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize
     assert containers() == before
+
+
+def test_triad_and_render_caches_evict():
+    """Filled past their bound with distinct addresses, the per-slope caches evict the oldest."""
+    from planecones import cli, cone, exceptional
+    from planecones.exceptional import DyadicRational
+
+    caches = (cone._triad, cli._slope_fields, cli._triad_character_fields)
+    for cache in caches:
+        cache.cache_clear()
+        assert cache.cache_info().maxsize == 1024
+    # 1,124 distinct addresses of order 11 in (0, 1.1)
+    triples = [exceptional.slope_and_parents(DyadicRational(p, 11)) for p in range(1, 2249, 2)]
+
+    def fill(left, gamma, right):
+        triad = cone._triad(left, gamma, right)
+        cli._slope_dict(gamma)
+        cli._triad_character_dict(triad.image_chars[2])
+
+    for triple in triples:
+        fill(*triple)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses == len(triples) and info.currsize == info.maxsize
+    fill(*triples[-1])  # the newest entries are kept
+    fill(*triples[0])  # the oldest are gone
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.hits == 1 and info.misses == len(triples) + 1
+
+
+def test_classify_matches_the_boundary_at_every_slope():
+    """The shortcut above delta = 1 gives the descent's answer, exceptions included."""
+    import random
+
+    from conftest import boundary_classify
+
+    def outcome(classifier, x):
+        try:
+            return classifier(x)
+        except Exception as exc:  # both paths must fail alike
+            return type(exc)
+
+    # the grid box, rank zero too
+    box = [character_from_json({"r": r, "c1": c1, "chi": chi})
+           for r in range(7) for c1 in range(-8, 9) for chi in range(-6, 7)]
+    rng = random.Random(15)
+    above = []
+    while len(above) < 2000:
+        r = rng.randint(1, 10 ** rng.randint(1, 30))
+        c1 = rng.randint(-3 * r, 3 * r)
+        # delta > 1 exactly when chi < c1 (c1 + 3r) / (2r)
+        top = -(-c1 * (c1 + 3 * r) // (2 * r)) - 1
+        chi = top - rng.choice((0, 1, rng.randint(0, r), rng.randint(0, 10 * r)))
+        above.append(character_from_json({"r": r, "c1": c1, "chi": chi}))
+        # at or just below delta = 1 both paths descend
+        if len(above) % 10 == 0:
+            box.append(character_from_json({"r": r, "c1": c1, "chi": top + rng.randint(1, 3)}))
+    for x in above:
+        assert x.discriminant() > 1
+        assert classify(x) == boundary_classify(x) and classify(x).kind is Kind.PICARD_RANK_2
+    for x in box:
+        assert outcome(classify, x) == outcome(boundary_classify, x)
+
+
+def test_triad_record_matches_the_affine_images():
+    """``_triad`` against ``affine_image(...).character()`` and ``euler_chi_pair``."""
+    from planecones import cone, exceptional
+    from planecones.chern import euler_chi_pair
+
+    image = exceptional.affine_image
+    slopes = enumerate_slopes(-3, 3, 8)
+    assert len(slopes) == 6 * 2 ** 8 + 1
+    for g in slopes:
+        left, gamma, right = exceptional.slope_and_parents(g.dyadic)
+        assert gamma == g
+        triad = cone._triad(left, gamma, right)
+        images = (image(left, True, -3), image(right, True, 0),
+                  image(gamma, True, 0), image(gamma, True, -3))
+        assert triad.images == images
+        assert triad.image_chars == tuple(s.character() for s in images)
+        assert (triad.alpha, triad.gamma, triad.beta) == tuple(
+            s.character() for s in (left, gamma, right))
+        assert triad.hom_count == euler_chi_pair(images[0].character(), images[1].character()) > 0
+
+
+def test_reports_from_cold_caches_match_warm_ones():
+    """Every ``grid`` report, with each cache cleared first, renders as with warm caches."""
+    import json
+
+    from planecones import cli
+
+    box = [character_from_json({"r": r, "c1": c1, "chi": chi})
+           for r in range(1, 7) for c1 in range(-8, 9) for chi in range(-6, 7)]
+    caches = _planecones_caches()
+
+    def rendered(x):
+        return json.dumps(cli.report_to_dict(cone_report(x)))
+
+    for x in box:
+        rendered(x)
+    warm = [rendered(x) for x in box]
+    cold = []
+    for x in box:
+        for cache in caches:
+            cache.cache_clear()
+        cold.append(rendered(x))
+    assert cold == warm
+
+
+def test_a_report_dict_shares_nothing_with_the_caches():
+    import json
+
+    from planecones import cli
+
+    for x in (GOLDEN, NEGATIVE_CASE):
+        first = cli.report_to_dict(cone_report(x))
+        expected = json.dumps(first)
+        for edge in (first["primary"], first["secondary"]["serre_dual_pipeline"]):
+            edge["invariants"]["corresponding_slope"]["interval"]["left"] = "0"
+            edge["invariants"]["corresponding_slope"]["rank"] = 0
+            edge["resolution"]["triad_characters"][0]["chi"] = "0"
+        first["secondary"]["corresponding_slope"]["interval"]["right"] = "0"
+        assert json.dumps(cli.report_to_dict(cone_report(x))) == expected

@@ -7,10 +7,12 @@ takes square roots is re-factoring reduced radicands on its hot path.
 
 A report makes one classification and takes one root ``sqrt(5 + 8 delta)``:
 the Serre dual shares both, since it has the same classification and its
-``mu0+`` is the character's ``-mu0-``.  Each side of the cone makes one
-descent to its corresponding slope, which hands back gamma's parents too,
-and no slope whose dyadic address is already known goes back through a
-descent or a walk.
+``mu0+`` is the character's ``-mu0-``.  Classification descends only when
+``delta <= 1``, since the boundary curve never rises above 1.  Each side of
+the cone makes one descent to its corresponding slope, which hands back
+gamma's parents too, and no slope whose dyadic address is already known goes
+back through a descent or a walk.  A descent builds slope objects for its
+hit and the hit's parents only.
 
 An LR word is a spelling of a dyadic address, so the slope it names takes
 one walk: one mutation per letter, on every call, since no walk is kept.
@@ -60,11 +62,12 @@ def counts(monkeypatch):
     return tally
 
 
-# Descents per report: classify's boundary value, then mu0+ on each side.  The
-# boundary at an invariant point is gamma's arc when gamma's interval holds the
-# point; the worked example's primary point lies off the curve and descends.
+# Descents per report: mu0+ on each side, since both characters have delta > 1
+# and classify without one.  The boundary at an invariant point is gamma's arc
+# when gamma's interval holds the point; the worked example's primary point
+# lies off the curve and descends.
 CASES = pytest.mark.parametrize(
-    "x, order, descents", [(GOLDEN, 0, 4), (ORDER_FOUR, 4, 3)], ids=["golden", "order4"]
+    "x, order, descents", [(GOLDEN, 0, 3), (ORDER_FOUR, 4, 2)], ids=["golden", "order4"]
 )
 
 
@@ -163,27 +166,50 @@ def test_one_walk_per_word(monkeypatch, word):
     assert len(calls) == len(word)
 
 
+@pytest.mark.parametrize("call, walks", [
+    (lambda: cfrac.cantor_approx("LRLRLR", 6), 1),
+    (lambda: cfrac.period_structure("RLLRR"), 2),
+], ids=["cantor_approx", "period_structure"])
+def test_parents_come_from_the_walk_to_the_slope(monkeypatch, call, walks):
+    """A slope and its parents take one walk: ``parents`` is a view of it."""
+    calls = []
+    walk = exceptional._walk
+    monkeypatch.setattr(exceptional, "_walk", lambda *args: calls.append(args) or walk(*args))
+    call()
+    assert len(calls) == walks
+
+
 MU0_PLUS_ORDER_FOUR = cone.intersection_slope_zero(ORDER_FOUR)
+
+
+@pytest.fixture
+def built_slopes(monkeypatch):
+    """Every ``ExceptionalSlope`` the trusted constructor makes."""
+    made = []
+    slope = exceptional._slope
+    monkeypatch.setattr(exceptional, "_slope", lambda *args: made.append(slope(*args)) or made[-1])
+    return made
 
 
 @pytest.mark.parametrize(
     "x", [MU0_PLUS_ORDER_FOUR, Fraction(33, 86)], ids=["order4_mu0_plus", "rational"]
 )
-def test_one_membership_call_per_probe(monkeypatch, x):
-    """A descent probe is one ``_locate`` call and builds nothing else.
+def test_one_membership_call_per_probe(monkeypatch, built_slopes, x):
+    """A descent probe is one ``_locate`` call on integers and builds nothing else.
 
     Each mediant is one mutation of the bracket's characters, not a
-    ``from_dyadic`` walk, and the side of a missed probe is the sign of
-    ``x - c1/r`` that ``_locate`` returns beside the membership, so no
-    ``QuadraticNumber`` is made.
+    ``from_dyadic`` walk, and ``_locate`` reads its rank and ``c1``; the side
+    of a missed probe is the sign of ``x - c1/r`` that ``_locate`` returns
+    beside the membership, so no ``QuadraticNumber`` is made.  Slope objects
+    are built for the hit and its two parents only.
     """
     probes, built, looked_up = [], [], []
     locate, init = exceptional._locate, qarith.QuadraticNumber.__init__
     from_dyadic = exceptional.from_dyadic
 
-    def counted_locate(a, *form):
-        probes.append(a)
-        return locate(a, *form)
+    def counted_locate(r, c1, *form):
+        probes.append((r, c1))
+        return locate(r, c1, *form)
 
     def counted_init(qn, *args, **kwargs):
         built.append(args)
@@ -192,11 +218,24 @@ def test_one_membership_call_per_probe(monkeypatch, x):
     monkeypatch.setattr(exceptional, "_locate", counted_locate)
     monkeypatch.setattr(exceptional, "from_dyadic", lambda d: looked_up.append(d) or from_dyadic(d))
     monkeypatch.setattr(qarith.QuadraticNumber, "__init__", counted_init)
-    found = exceptional.find_interval(x)
+    left, found, right = exceptional._descend(x, exceptional.DEFAULT_MAX_ORDER)
     assert found.order >= 3
     assert built == [] and looked_up == []
-    # the two integers around x, then one mediant per level down to found
+    assert sorted(built_slopes, key=lambda s: s.slope) == [left, found, right]
+    # the two integers around x, then one mediant per level down to found,
+    # each of larger rank than the last
     assert len(probes) == 2 + found.order
-    assert len({a.dyadic for a in probes}) == len(probes)
-    assert [a.order for a in probes[2:]] == list(range(1, found.order + 1))
-    assert probes[-1] == found
+    assert [r for r, _ in probes[:2]] == [1, 1]
+    ranks = [r for r, _ in probes[2:]]
+    assert ranks == sorted(set(ranks))
+    assert probes[-1] == (found.r, found.c1)
+    assert (left, right) == exceptional.parents(found)
+
+
+def test_integer_hit_builds_the_hit_and_its_parents(monkeypatch, built_slopes):
+    probes = []
+    locate = exceptional._locate
+    monkeypatch.setattr(exceptional, "_locate", lambda *args: probes.append(args) or locate(*args))
+    triple = exceptional._descend(Fraction(6, 5), exceptional.DEFAULT_MAX_ORDER)
+    assert [s.slope for s in triple] == [0, 1, 2]
+    assert len(probes) == 1 and built_slopes == list(triple)

@@ -26,12 +26,12 @@ A quotient of lattice fields is always taken as ``Fraction(a, b)``, never
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, RankZeroError
 from .qarith import RationalLike, parse_rational, ratio_str
+from .record import Record
 
 
 def hilbert_poly(m: RationalLike) -> Fraction:
@@ -40,10 +40,10 @@ def hilbert_poly(m: RationalLike) -> Fraction:
     return (m * m + 3 * m + 2) / 2
 
 
-@dataclass(frozen=True)
-class SlopeDisc:
+class SlopeDisc(Record):
     """A point (mu, delta) of the slope-discriminant plane."""
 
+    __slots__ = ("mu", "delta")
     mu: Fraction
     delta: Fraction
 
@@ -62,7 +62,7 @@ def _integral(v: Fraction):
     return v.numerator if v.denominator == 1 else v
 
 
-class ChernCharacter:
+class ChernCharacter(Record):
     """An immutable character ``(r, c1, chi)`` in the lattice basis.
 
     ``ChernCharacter(ch0, ch1, ch2)`` takes the Chern-character view; the
@@ -73,9 +73,8 @@ class ChernCharacter:
 
     def __init__(self, ch0: RationalLike, ch1: RationalLike, ch2: RationalLike):
         ch0, ch1, ch2 = Fraction(ch0), Fraction(ch1), Fraction(ch2)
-        _set_r(self, _integral(ch0))
-        _set_c1(self, _integral(ch1))
-        _set_chi(self, _integral(ch0 + Fraction(3, 2) * ch1 + ch2))
+        Record.__init__(self, _integral(ch0), _integral(ch1),
+                        _integral(ch0 + Fraction(3, 2) * ch1 + ch2))
 
     @staticmethod
     def of(ch0: RationalLike, ch1: RationalLike, ch2: RationalLike) -> "ChernCharacter":
@@ -89,9 +88,6 @@ class ChernCharacter:
             raise DomainError("rank zero admits no (slope, discriminant) description")
         # chi = r (P(mu) - delta), Riemann-Roch
         return _lattice(_integral(r), _integral(r * mu), _integral(r * (hilbert_poly(mu) - delta)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ChernCharacter is immutable; cannot set {name!r}")
 
     def __reduce__(self):
         return _lattice, (self.r, self.c1, self.chi)
@@ -165,17 +161,6 @@ class ChernCharacter:
         if type(k) is not int:
             k = Fraction(k)
         return _lattice(k * self.r, k * self.c1, k * self.chi)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChernCharacter):
-            return NotImplemented
-        return self.r == other.r and self.c1 == other.c1 and self.chi == other.chi
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.c1, self.chi))
-
-    def __repr__(self) -> str:
-        return f"ChernCharacter(r={self.r}, c1={self.c1}, chi={self.chi})"
 
     def __str__(self) -> str:
         return f"({self.r}, {self.c1}, {self.ch2})"

@@ -15,9 +15,7 @@ state.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import csv
 import io
 import json
 import math
@@ -51,7 +49,7 @@ def _load_config() -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise DomainError(f"unreadable config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"config file {path} must hold a JSON object")
@@ -73,6 +71,7 @@ def _int_at_least(least: int, most: int = 0):
 
     A positive ``most`` bounds it above too.
     """
+    import argparse
 
     def parse(text: str) -> int:
         try:
@@ -536,6 +535,8 @@ def _cmd_curve(args) -> int:
             raise DomainError("the parabola overlay needs a nonzero rank or first Chern class")
 
     if args.output_format == "csv":
+        import csv  # here, not at the top: only this command writes CSV
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         header = ["mu", "delta"] + (["approx_delta"] if args.approx is not None else [])
@@ -568,18 +569,18 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    try:  # standard input is read, never closed
-        source = (contextlib.nullcontext(sys.stdin) if args.input == "-"
-                  else open(args.input, "r", encoding="utf-8"))
+    try:  # standard input is read, never closed; each line is decoded on its own
+        source = (contextlib.nullcontext(sys.stdin.buffer) if args.input == "-"
+                  else open(args.input, "rb"))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     with source as stream:
         for number, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 data = json.loads(line)
                 x = character_from_json(data)
                 report = cone.cone_report(x, args.multiplier, args.max_order)
@@ -591,7 +592,8 @@ def _cmd_batch(args) -> int:
                 else:
                     _check_report_printable(report)
                     record = report_to_dict(report, args.approx)
-            except (DomainError, DescentError, ConsistencyError, ValueError) as exc:
+            except (UnicodeDecodeError, RecursionError, DomainError, DescentError,
+                    ConsistencyError, ValueError) as exc:
                 record = {"line": number, "error": str(exc)}
             print(json.dumps(record))
     return EXIT_OK
@@ -636,6 +638,8 @@ def _add_json_or_text(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
+    import argparse  # here, not at the top: importing cli to render reports skips it
+
     defaults = defaults or {}
     parser = argparse.ArgumentParser(
         prog="planecones",

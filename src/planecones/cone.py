@@ -28,7 +28,6 @@ Public stage functions are views of the analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -50,6 +49,7 @@ from .chern import (
 from .errors import ConsistencyError, DomainError
 from .exceptional import DEFAULT_MAX_ORDER, ExceptionalSlope, delta_curve
 from .qarith import QuadraticNumber, integer_form, sqrt_ratio
+from .record import Record
 
 
 class Kind(Enum):
@@ -78,14 +78,14 @@ class SecondaryMode(Enum):
     RANK0_SUPPORT_MAP = "RANK0_SUPPORT_MAP"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
+    __slots__ = ("kind", "reasons")
     kind: Kind
     reasons: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class OrthogonalInvariants:
+class OrthogonalInvariants(Record):
+    __slots__ = ("ray", "case_sign", "on_delta_curve", "corresponding_slope")
     ray: ChernCharacter  # the primitive primary ray, of positive rank
     case_sign: CaseSign
     on_delta_curve: bool
@@ -97,8 +97,8 @@ class OrthogonalInvariants:
         return self.ray.slope_disc()
 
 
-@dataclass(frozen=True)
-class ResolutionData:
+class ResolutionData(Record):
+    __slots__ = ("case_sign", "triad_slopes", "triad", "m1", "m2", "m3")
     case_sign: CaseSign
     triad_slopes: tuple[ExceptionalSlope, ...]
     triad: tuple[ChernCharacter, ...]
@@ -121,24 +121,25 @@ class ResolutionData:
         return f"0 -> {a}^{m1} -> {b}^{m2} -> U -> 0"
 
 
-@dataclass(frozen=True)
-class KroneckerData:
+class KroneckerData(Record):
+    __slots__ = ("hom_count", "dim_vector", "expected_dimension", "fibration")
     hom_count: int
     dim_vector: tuple[int, int]
     expected_dimension: int
     fibration: Fibration
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(Record):
+    __slots__ = ("center_s", "radius", "radius_squared", "exceeds_collapse_bound")
     center_s: Fraction
     radius: QuadraticNumber
     radius_squared: Fraction
     exceeds_collapse_bound: bool  # radius > sqrt(5)/2, automatic when delta+ > 1/2
 
 
-@dataclass(frozen=True)
-class PrimaryEdge:
+class PrimaryEdge(Record):
+    __slots__ = ("invariants", "extremal_character", "basis_coords", "resolution", "kronecker",
+                 "wall", "movable_edge_coincides")
     invariants: OrthogonalInvariants
     extremal_character: ChernCharacter
     basis_coords: Optional[tuple[Fraction, Fraction]]
@@ -148,8 +149,9 @@ class PrimaryEdge:
     movable_edge_coincides: bool
 
 
-@dataclass(frozen=True)
-class SecondaryEdge:
+class SecondaryEdge(Record):
+    __slots__ = ("mode", "corresponding_slope", "extremal_character", "basis_coords",
+                 "descriptor", "dual_primary")
     mode: SecondaryMode
     corresponding_slope: Optional[ExceptionalSlope]
     extremal_character: Optional[ChernCharacter]
@@ -164,8 +166,9 @@ class SecondaryEdge:
         return None if ray is None else ray.slope_disc()
 
 
-@dataclass(frozen=True)
-class ConeReport:
+class ConeReport(Record):
+    __slots__ = ("input", "classification", "dimension", "natural", "mu0_plus", "mu0_minus",
+                 "primary", "secondary", "note")
     input: ChernCharacter
     classification: Classification
     dimension: Optional[int]
@@ -242,8 +245,7 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
 # -- the analysis -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Triad:
+class _Triad(Record):
     """What the resolution owes to gamma alone, whatever the character.
 
     ``alpha``, ``gamma`` and ``beta`` are the characters of gamma and its
@@ -253,6 +255,7 @@ class _Triad:
     ``N = chi(E_{-alpha-3}, E_{-beta})``, the same pair in every case.
     """
 
+    __slots__ = ("alpha", "gamma", "beta", "images", "image_chars", "hom_count")
     alpha: ChernCharacter
     gamma: ChernCharacter
     beta: ChernCharacter
@@ -279,21 +282,27 @@ def _triad(left: ExceptionalSlope, gamma: ExceptionalSlope,
     return _Triad(left.character(), gamma.character(), right.character(), images, chars, n)
 
 
-@dataclass(frozen=True)
-class _Analysis:
+class _Analysis(Record):
     """Every fact the primary half of the cone derives from one character.
 
     Fields after ``classification`` are set for Picard rank two only,
     ``resolution`` and ``kronecker`` for positive rank only.
     """
 
+    __slots__ = ("classification", "mu0_plus", "mu0_minus", "invariants", "resolution",
+                 "kronecker", "triad")
     classification: Classification
-    mu0_plus: Optional[QuadraticNumber] = None
-    mu0_minus: Optional[QuadraticNumber] = None
-    invariants: Optional[OrthogonalInvariants] = None
-    resolution: Optional[ResolutionData] = None
-    kronecker: Optional[KroneckerData] = None
-    triad: Optional[_Triad] = None
+    mu0_plus: Optional[QuadraticNumber]
+    mu0_minus: Optional[QuadraticNumber]
+    invariants: Optional[OrthogonalInvariants]
+    resolution: Optional[ResolutionData]
+    kronecker: Optional[KroneckerData]
+    triad: Optional[_Triad]
+
+    def __init__(self, classification, mu0_plus=None, mu0_minus=None, invariants=None,
+                 resolution=None, kronecker=None, triad=None):
+        Record.__init__(self, classification, mu0_plus, mu0_minus, invariants, resolution,
+                        kronecker, triad)
 
 
 def _analyze(x: ChernCharacter, max_order: int) -> _Analysis:
@@ -553,12 +562,8 @@ def bridgeland_wall(inv: OrthogonalInvariants) -> Wall:
     n = s * s - 8 * r * ray.chi
     if n < 0:
         raise DomainError("negative squared radius")
-    return Wall(
-        center_s=Fraction(-s, 2 * r),
-        radius=sqrt_ratio(n, 4 * r * r),
-        radius_squared=Fraction(n, 4 * r * r),
-        exceeds_collapse_bound=n > 5 * r * r,
-    )
+    return Wall(Fraction(-s, 2 * r), sqrt_ratio(n, 4 * r * r), Fraction(n, 4 * r * r),
+                n > 5 * r * r)
 
 
 # -- cone assembly ---------------------------------------------------------------
@@ -588,15 +593,8 @@ def _primary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
     if inv.case_sign is CaseSign.POSITIVE:  # orthogonal also to E_{-gamma}
         if euler_pairing(ray, side.triad.image_chars[2]) != 0:
             raise ConsistencyError("positive-case double orthogonality failed")
-    return PrimaryEdge(
-        invariants=inv,
-        extremal_character=ray,
-        basis_coords=_basis_coords(x, ray) if x.r > 0 else None,
-        resolution=side.resolution,
-        kronecker=side.kronecker,
-        wall=bridgeland_wall(inv),
-        movable_edge_coincides=inv.case_sign is not CaseSign.ZERO,
-    )
+    return PrimaryEdge(inv, ray, _basis_coords(x, ray) if x.r > 0 else None, side.resolution,
+                       side.kronecker, bridgeland_wall(inv), inv.case_sign is not CaseSign.ZERO)
 
 
 def _secondary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,

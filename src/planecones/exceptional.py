@@ -25,7 +25,6 @@ trusted constructors ``_slope`` and ``_dyadic``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,22 +33,24 @@ from .errors import ConsistencyError, DescentError, DomainError
 from .qarith import (
     QuadraticNumber, RationalLike, _sign_int_radical, floor_of_form, integer_form, sqrt_ratio,
 )
+from .record import Record
 
 DEFAULT_MAX_ORDER = 64
 
 
-@dataclass(frozen=True)
-class DyadicRational:
+class DyadicRational(Record):
     """``p / 2**q`` in lowest terms: ``p`` odd unless ``q == 0``."""
 
+    __slots__ = ("p", "q")
     p: int
     q: int
 
-    def __post_init__(self):
-        if self.q < 0:
+    def __init__(self, p: int, q: int):
+        if q < 0:
             raise DomainError("negative dyadic exponent")
-        if self.q > 0 and self.p % 2 == 0:
-            raise DomainError(f"unreduced dyadic {self.p}/2^{self.q}")
+        if q > 0 and p % 2 == 0:
+            raise DomainError(f"unreduced dyadic {p}/2^{q}")
+        Record.__init__(self, p, q)
 
     @staticmethod
     def make(p: int, q: int) -> "DyadicRational":
@@ -77,10 +78,11 @@ class DyadicRational:
         return str(self.p) if self.q == 0 else f"{self.p}/2^{self.q}"
 
 
-@dataclass(frozen=True)
-class ExceptionalSlope:
+class ExceptionalSlope(Record):
     """An exceptional bundle, by its lattice character ``(r, c1, chi)``, and its dyadic address."""
 
+    __slots__ = ("r", "c1", "chi", "dyadic")
+    _key = ("r", "c1", "chi")  # the bundle fixes its address: a cache key skips a nested call
     r: int
     c1: int
     chi: int
@@ -124,8 +126,8 @@ class ExceptionalSlope:
         return str(self.c1) if self.r == 1 else f"{self.c1}/{self.r}"
 
 
-# Trusted constructors set the frozen fields as the dataclass does, so an
-# instance keeps its compact attribute storage (no ``__dict__`` is built).
+# Trusted constructors set the slots directly, past the records' immutability
+# and ``DyadicRational``'s check.
 _new = object.__new__
 _set = object.__setattr__
 

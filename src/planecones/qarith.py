@@ -483,6 +483,12 @@ def parse_rational(text: str) -> Fraction:
     if 0 < limit < longest:
         raise DomainError(f"not a rational literal: {quoted} has {longest:,} digits in a row, "
                           f"past Python's limit of {limit:,} for reading an integer")
+    # an exponent e adds |e| digits to the integer Fraction builds; read it off first
+    power = re.fullmatch(r"([^eE]*)[eE]([-+]?\d+(?:_\d+)*)\s*", text)
+    if limit and power and (len(power[2]) > limit  # too long to read, so past the limit
+                            or sum(map(str.isdigit, power[1])) + abs(int(power[2])) > limit):
+        raise DomainError(f"not a rational literal: {quoted} has more digits with its exponent "
+                          f"than Python's limit of {limit:,} for reading an integer")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -24,6 +24,7 @@ from planecones.exceptional import (
     interval_contains,
 )
 from planecones.qarith import TRIAL_DIVISION_BOUND, QuadraticNumber, qn_compare_cross, sqrt_exact
+from planecones.record import Record
 
 settings.register_profile(
     "ci",
@@ -33,6 +34,20 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+def record_fields(record) -> tuple[str, ...]:
+    """The field names of a planecones record, in construction order; none for other values."""
+    return record.__slots__ if isinstance(record, Record) else ()
+
+
+def replace(record, **changes):
+    """A new record with the named fields changed, as ``dataclasses.replace`` gives.
+
+    For records built positionally from their fields: all but ``ChernCharacter``.
+    """
+    assert changes.keys() <= set(record_fields(record)), changes.keys()
+    return type(record)(*(changes.get(name, getattr(record, name)) for name in record.__slots__))
 
 
 def picard_rank2_grid() -> list[ChernCharacter]:

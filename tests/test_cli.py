@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import planecones
 from planecones import cone, exceptional
 from planecones.cli import main
 from planecones.errors import ConsistencyError
@@ -90,6 +93,15 @@ class TestConeCommand:
         assert code == 0
         assert "dimension: 26" in out
 
+
+    @needs_digit_limit
+    def test_huge_exponent_is_a_quick_one_line_error(self, capsys):
+        # 10^100000000 would take minutes to build: the exponent is read off first
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cone", "--chern", "1e100000000,0,0")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert f"limit of {INT_DIGITS:,} for reading" in err
 
     def test_huge_square_radicand(self, capsys):
         # 5 + 8 delta = 5 (10^30 + 1)^2: mu0+ has a 31-digit coefficient on sqrt(5)
@@ -387,6 +399,21 @@ class TestBatchCommand:
         assert "error" in records[0] and records[0]["line"] == 1
         assert records[1]["classification"]["kind"] == "PICARD_RANK_2"
 
+    # a line that is not UTF-8, and JSON nested past the recursion limit
+    @pytest.mark.parametrize("bad, message", [(b"\xff", "can't decode byte 0xff"),
+                                              (b"[" * 10 ** 5, "maximum recursion depth")],
+                             ids=["invalid_utf8", "deep_nesting"])
+    def test_undecodable_line_is_one_record(self, tmp_path, capsys, bad, message):
+        path = tmp_path / "batch.jsonl"
+        good = json.dumps(self.LINES[0]).encode()
+        path.write_bytes(b"\n".join([good, bad, good]) + b"\n")
+        code, out, err = run(capsys, "batch", str(path))
+        assert code == 0 and err == ""
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 3
+        assert records[0] == records[2] and records[0]["dimension"] == 26
+        assert records[1]["line"] == 2 and message in records[1]["error"]
+
     def test_empty_input(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -499,6 +526,17 @@ class TestConfig:
         code, _, err = run(capsys, "cone", "--rmd", "3,2/3,17/9")
         assert code == 1 and "config" in err
 
+    @pytest.mark.parametrize("content", [b"\xff", b"[" * 10 ** 5],
+                             ids=["invalid_utf8", "deep_nesting"])
+    def test_undecodable_config_is_one_line(self, tmp_path, capsys, monkeypatch, content):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        monkeypatch.setenv("PLANECONES_CONFIG", str(config))
+        code, out, err = run(capsys, "cone", "--rmd", "3,2/3,17/9")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: unreadable config file {config}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "content, key",
         [
@@ -572,3 +610,25 @@ class TestArgumentBoundaries:
         assert json.loads(out)["mu0"]["approx_plus"] == "0.0"
         code, out, _ = run(capsys, "slope", "--rational", "2", "--max-order", "0")
         assert code == 0 and json.loads(out)["order"] == 0
+
+
+# what only a command that parses flags or writes CSV needs, and the dataclass
+# machinery the result types no longer use
+CLI_ONLY_MODULES = ["argparse", "csv", "dataclasses", "inspect"]
+FOOTPRINT = f"""
+import sys
+import planecones.cli, planecones.cone
+print(sorted(set(sys.modules) & {set(CLI_ONLY_MODULES)}))
+sys.exit(planecones.cli.main(["cone", "--rmd", "3,2/3,17/9"]))
+"""
+
+
+def test_import_loads_no_cli_only_module():
+    # -S: no site hooks, so sys.modules holds only what the import pulls in
+    src = os.path.dirname(os.path.dirname(planecones.__file__))
+    done = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded, report = done.stdout.split("\n", 1)
+    assert loaded == "[]"
+    assert json.loads(report)["dimension"] == 26

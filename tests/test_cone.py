@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -37,7 +36,7 @@ from planecones.exceptional import (
 )
 from planecones.qarith import QuadraticNumber, qn_compare_cross, sqrt_exact
 
-from conftest import ORDER_FOUR, arc_below, ray_at
+from conftest import ORDER_FOUR, arc_below, ray_at, replace
 
 F = Fraction
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -32,6 +31,7 @@ from conftest import (
     fraction_walk,
     quadratic_interval,
     reference_find_interval,
+    replace,
     slope_dot,
 )
 
@@ -218,7 +218,7 @@ class TestMutationWalk:
         for field in ("r", "c1", "chi"):
             def corrupted(d, field=field):
                 child = walked(d)
-                return dataclasses.replace(child, **{field: getattr(child, field) + 1})
+                return replace(child, **{field: getattr(child, field) + 1})
 
             monkeypatch.setattr(exceptional, "from_dyadic", corrupted)
             with pytest.raises(ConsistencyError):

@@ -10,7 +10,6 @@ rays, integer cross products, are checked against the ``Fraction`` solve they
 replaced.  And no report over the golden box holds a ``float`` anywhere.
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -34,7 +33,7 @@ from planecones.errors import ConsistencyError, DomainError
 from planecones.exceptional import DyadicRational, enumerate_slopes, epsilon
 from planecones.qarith import QuadraticNumber, format_rational
 
-from conftest import FractionCharacter, fraction_primary, fraction_secondary
+from conftest import FractionCharacter, fraction_primary, fraction_secondary, record_fields
 
 F = Fraction
 BIG = 10 ** 30
@@ -303,9 +302,9 @@ def _walk(value, path, characters):
         assert type(value.a) is type(value.b) is Fraction, path
     elif isinstance(value, Fraction):
         assert type(value.numerator) is type(value.denominator) is int, path
-    elif dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            _walk(getattr(value, field.name), f"{path}.{field.name}", characters)
+    elif record_fields(value):
+        for name in record_fields(value):
+            _walk(getattr(value, name), f"{path}.{name}", characters)
     elif isinstance(value, (tuple, list)):
         for i, item in enumerate(value):
             _walk(item, f"{path}[{i}]", characters)

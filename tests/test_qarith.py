@@ -421,6 +421,21 @@ class TestSerialization:
         with pytest.raises(DomainError):
             QuadraticNumber.parse("sqrt(5)")
 
+    @pytest.mark.skipif(not qarith.int_digit_limit(), reason="no int-to-string digit limit")
+    def test_exponent_counts_toward_the_digit_limit(self):
+        limit = qarith.int_digit_limit()
+        # the mantissa's digits plus |exponent| may reach the limit, not pass it
+        assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+        assert parse_rational(f"-25E-{limit - 2}") == Fraction(-25, 10 ** (limit - 2))
+        assert parse_rational("2.5e-3") == Fraction(1, 400)
+        past = [f"1.5e{limit - 1}", f"1e-{limit}", "1e1_000_000", "0e100000000",
+                "1e" + "1_" * limit + "1"]
+        for text in past:
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=f"limit of {limit:,} for reading"):
+                parse_rational(text)
+            assert time.perf_counter() - start < 0.1, text
+
     def test_canonical_form_examples(self):
         assert str(sqrt_exact(Fraction(181, 9))) == "(0 + 1/3*sqrt(181))"
         assert str(qn(Fraction(5, 2))) == "(5/2 + 0*sqrt(0))"

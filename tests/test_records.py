@@ -1,0 +1,115 @@
+"""The result types are immutable slots records with value semantics.
+
+Every record a report, a descent or the analysis builds is checked for what
+callers rely on: positional construction, equality and hashing by value,
+a ``repr`` naming each field, refused assignment and deletion, and a
+``pickle`` round trip.  A record holding a ``QuadraticNumber``, which is
+unhashable, is unhashable too.
+"""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from planecones import cone
+from planecones.chern import ChernCharacter, SlopeDisc
+from planecones.exceptional import DEFAULT_MAX_ORDER, DyadicRational
+from planecones.record import Record
+
+from conftest import record_fields, replace
+
+GOLDEN = ChernCharacter.from_rmd(3, Fraction(2, 3), Fraction(17, 9))
+
+
+def _records() -> dict:
+    """One record of each type, from the golden character's report and analysis."""
+    report = cone.cone_report(GOLDEN)
+    primary = report.primary
+    inv = primary.invariants
+    side = cone._analyze(GOLDEN, DEFAULT_MAX_ORDER)
+    return {
+        "SlopeDisc": inv.point,
+        "DyadicRational": report.secondary.corresponding_slope.dyadic,
+        "ExceptionalSlope": report.secondary.corresponding_slope,
+        "Classification": report.classification,
+        "OrthogonalInvariants": inv,
+        "ResolutionData": primary.resolution,
+        "KroneckerData": primary.kronecker,
+        "Wall": primary.wall,
+        "PrimaryEdge": primary,
+        "SecondaryEdge": report.secondary,
+        "ConeReport": report,
+        "_Triad": side.triad,
+        "_Analysis": side,
+    }
+
+
+RECORDS = list(_records())
+HOLDS_A_QUADRATIC_NUMBER = {"Wall", "PrimaryEdge", "SecondaryEdge", "ConeReport", "_Analysis"}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_semantics(name):
+    record = _records()[name]
+    cls = type(record)
+    assert cls.__name__ == name and isinstance(record, Record)
+    fields = record_fields(record)
+    assert fields == tuple(cls.__annotations__)  # the slots are the annotated fields
+    assert not hasattr(record, "__dict__")
+
+    twin = cls(*(getattr(record, field) for field in fields))
+    assert twin is not record and twin == record and not twin != record
+    assert repr(twin) == repr(record)
+    assert repr(record).startswith(f"{name}({fields[0]}={getattr(record, fields[0])!r}, ")
+    if name in HOLDS_A_QUADRATIC_NUMBER:
+        with pytest.raises(TypeError, match="QuadraticNumber"):
+            hash(record)
+    else:
+        assert hash(twin) == hash(record)
+
+    for field in fields:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert cls(*(getattr(record, field) for field in fields)) == record  # nothing changed
+
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and copy == record and copy is not record
+    assert all(getattr(copy, field) == getattr(record, field) for field in fields)
+
+    # a record differs from one with a field changed, and from its fields' tuple
+    other = cls.__new__(cls)
+    Record.__init__(other, object(), *(getattr(record, field) for field in fields[1:]))
+    assert other != record and record != tuple(getattr(record, f) for f in fields)
+
+
+def test_positional_construction_checks_the_field_count():
+    with pytest.raises(TypeError, match="SlopeDisc takes 2 fields, got 1"):
+        SlopeDisc(Fraction(1))
+    with pytest.raises(TypeError):
+        DyadicRational(1, 2, 3)
+
+
+def test_analysis_defaults_and_dyadic_check():
+    cls = cone.Classification(cone.Kind.INVALID, ("negative rank",))
+    side = cone._Analysis(cls)
+    assert side == cone._Analysis(cls, None, None, None, None, None, None)
+    assert pickle.loads(pickle.dumps(side)) == side
+    assert DyadicRational(3, 2) == DyadicRational(3, 2) != DyadicRational(1, 2)
+    for p, q in ((4, 1), (1, -1)):
+        with pytest.raises(ValueError):
+            DyadicRational(p, q)
+
+
+def test_equal_slopes_share_a_triad():
+    # ExceptionalSlope and DyadicRational are the keys of the triad cache
+    left, gamma, right = (replace(s) for s in cone.exceptional.slope_and_parents(
+        DyadicRational(5, 3)))
+    cone._triad.cache_clear()
+    first = cone._triad(left, gamma, right)
+    again = cone._triad(*(replace(s) for s in (left, gamma, right)))
+    assert again is first and cone._triad.cache_info().hits == 1

@@ -8,10 +8,11 @@ even-length one is a palindrome and obeys the concatenation rule
 is checked (by ``period_structure`` and the acceptance tests), not used to
 compute.  A finite word over {L, R} (the choices of the bracketing descent)
 is another spelling of a slope's dyadic address: ``word_to_dyadic`` reads it
-in binary and the slope takes one tree walk, one integer mutation of the
-bundle's character per letter; the same walk gives the slope's parents, which
-Cantor enclosures and period blocks read.  Eventually-constant infinite words name
-exactly the interval endpoints.  ``cf_eval`` is the
+in binary and the slope takes one tree walk, which mutates the bundle's
+character once per letter where the letters alternate and jumps each run of
+equal letters in one closed-form step; the same walk gives the slope's
+parents, which Cantor enclosures and period blocks read.  Eventually-constant
+infinite words name exactly the interval endpoints.  ``cf_eval`` is the
 brute-force evaluator that serves as the independent oracle for all of this.
 """
 
@@ -172,7 +173,7 @@ def smallest_period(word: str) -> int:
     """Least p > 0 with word[i] == word[i+p] for all valid i."""
     k = len(word)
     for p in range(1, k + 1):
-        if all(word[i] == word[i + p] for i in range(k - p)):
+        if word[p:] == word[:k - p]:
             return p
     return k
 

@@ -5,9 +5,11 @@ order-preserving correspondence: integers map to themselves and the slope at
 the dyadic midpoint of two neighbours is their mediant.  Each slope carries
 its exceptional bundle's lattice character ``(r, c1, chi)``, the one source of
 its slope ``c1/r``, rank and discriminant ``(r^2 - 1)/(2 r^2)``.  A walk
-down the tree is one mutation per level on these integers (``_mutation``),
-and nothing is kept between walks; a walk can be bounded by the digits of
-its ranks.  Negation and integer translation map the tree to itself, and
+down the tree mutates these integers (``_mutation``), one level at a time
+where its address bits alternate; a run of equal bits, along which one end
+of the bracket stays fixed, is one closed-form jump (``_jump``).  Nothing
+is kept between walks, and a walk can be bounded by the digits of its
+ranks.  Negation and integer translation map the tree to itself, and
 ``affine_image`` reads them off an address in one closed integer formula.
 Each slope ``a`` owns an open interval of halfwidth
 ``x_a = (3 - sqrt(5 + 8 delta_a)) / 2``, whose endpoints are integer forms
@@ -186,28 +188,92 @@ def _walk(d: DyadicRational,
     """``(left parent, slope, right parent)`` of ``d = p / 2**q`` with ``q >= 1``.
 
     Descends from the integer bracket: the bracket at level ``k`` is
-    ``[b, b + 1] / 2**k`` with ``b = p >> (q - k)``, and its midpoint is one
-    mutation; the end it replaces becomes ``g``.  Each mutation's rank
-    exceeds both ends of its bracket, so ranks grow along the walk; a
-    positive ``max_rank_digits`` stops it with ``DomainError`` at the first
-    rank of more digits than that.
+    ``[b, b + 1] / 2**k`` with ``b = p >> (q - k)``, and its midpoint is the
+    mutation ``3 r(coarse) v(fin) - v(g)`` of :func:`_mutation`, taken
+    inline: ``fin`` is the end the last step put in, ``coarse`` the other
+    and ``g`` the end it replaced.  Bit ``q - k`` of ``p`` puts the midpoint
+    in as the left (1) or the right (0) end.  Along a run of equal bits the
+    coarse end stays, so the run's midpoints obey
+    ``v' = 3 r(coarse) v - v_prev``: the walk jumps the rest of a run in one
+    step (``_jump``), its length read off the bits of ``p``.  An alternating
+    address takes one step per level.
+
+    Each mutation's rank exceeds both ends of its bracket, so ranks grow
+    along the walk; a positive ``max_rank_digits`` stops it with
+    ``DomainError`` at the first rank of more digits than that.  A jump is
+    checked on its last rank; past the cap, the walk steps through that run
+    level by level to the first rank past it.  A run that a lower bound on
+    its growth already carries past the cap is stepped without the jump, so
+    the work stays bounded by the cap, not by the run's length.
     """
     p, q = d.p, d.q
     b = p >> q
-    left, right, g = _line(b), _line(b + 1), _line(b - 1)
+    left, right = _line(b), _line(b + 1)
+    # the first midpoint is 3 O(b) - O(b - 1), as n = (n - 1).(n + 1)
+    fin, g, s = left, _line(b - 1), 3
     cap = 10 ** max_rank_digits if max_rank_digits > 0 else 0
-    for k in range(1, q + 1):
-        mid = _mutation(left, right, g)
+    jumps = True
+    k, bit = 1, (p >> (q - 1)) & 1
+    while True:
+        mid = (s * fin[0] - g[0], s * fin[1] - g[1], s * fin[2] - g[2])
         if cap and mid[0] >= cap:
             raise DomainError(f"slope has a {mid[0].bit_length():,}-bit integer in its walk "
                               f"at order {k} of {q}, past the limit of {max_rank_digits:,} "
                               f"digits for printing one")
-        if k < q:
-            if (p >> (q - k)) & 1:
-                left, g = mid, left
+        if k == q:
+            break
+        if bit:
+            left, g, s = mid, left, 3 * right[0]
+        else:
+            right, g, s = mid, right, 3 * left[0]
+        fin, k = mid, k + 1
+        after = (p >> (q - k)) & 1
+        if after == bit and k < q and jumps:
+            # the run of ``bit`` from level k on spans n levels, and level
+            # k + n is the run's last, stepped inline
+            width = q - k
+            mask = (1 << width) - 1
+            rest = (p >> 1) & mask
+            n = width - (rest ^ mask if bit else rest).bit_length()
+            # each level of a run multiplies the rank by more than s - 1, so
+            # a run that this lower bound already carries past the cap is not
+            # jumped, and a jump builds no integer of many more bits than the cap
+            past = cap and (fin[0].bit_length() - 1 + n * ((s - 1).bit_length() - 1)
+                            >= cap.bit_length())
+            ahead = None if past else _jump(fin, g, s, n)
+            if past or cap and ahead[0][0] >= cap:
+                jumps = False  # step this run to its first rank past the cap
             else:
-                right, g = mid, right
+                fin, g = ahead
+                if bit:
+                    left = fin
+                else:
+                    right = fin
+                k, after = k + n, bit ^ 1
+        bit = after
     return _with_parents(left, _slope(*mid, d), right, p, q)
+
+
+def _jump(fin: tuple, g: tuple, s: int, n: int) -> tuple[tuple, tuple]:
+    """``(v_{n+1}, v_n)`` of ``v_{j+1} = s v_j - v_{j-1}`` from ``(v_1, v_0) = (fin, g)``, n >= 1.
+
+    That is ``[[s, -1], [1, 0]]**n`` applied to the pair, on each of the
+    three components.  The power is ``[[U_n, -U_{n-1}], [U_{n-1}, -U_{n-2}]]``
+    with ``U_{m+1} = s U_m - U_{m-1}``, ``U_0 = 1``, ``U_{-1} = 0``, and
+    ``(U_m, U_{m-1})`` doubles by ``U_{2m} = U_m^2 - U_{m-1}^2``,
+    ``U_{2m-1} = U_{m-1} (2 U_m - s U_{m-1})`` and
+    ``U_{2m+1} = U_m (s U_m - 2 U_{m-1})``: one step per bit of ``n`` after
+    the first.
+    """
+    x, y = s, 1
+    for digit in bin(n)[3:]:
+        if digit == "1":
+            x, y = x * (s * x - 2 * y), (x - y) * (x + y)
+        else:
+            x, y = (x - y) * (x + y), y * (2 * x - s * y)
+    z = s * y - x
+    return ((x * fin[0] - y * g[0], x * fin[1] - y * g[1], x * fin[2] - y * g[2]),
+            (y * fin[0] - z * g[0], y * fin[1] - z * g[1], y * fin[2] - z * g[2]))
 
 
 def _with_parents(left: tuple, child: ExceptionalSlope, right: tuple,
@@ -234,7 +300,7 @@ def _interval_halfwidth(rank: int) -> QuadraticNumber:
 
 
 def from_dyadic(d: DyadicRational, max_rank_digits: int = 0) -> ExceptionalSlope:
-    """The exceptional slope at the address ``d``: a walk of ``d.q`` mutations.
+    """The exceptional slope at the address ``d``: a walk of ``d.q`` levels.
 
     A positive ``max_rank_digits`` refuses, with ``DomainError`` and before
     the walk ends, a slope whose rank the walk shows to have more digits.

@@ -14,6 +14,7 @@ from planecones.errors import DescentError, DomainError
 from planecones.exceptional import (
     DEFAULT_MAX_ORDER,
     DyadicRational,
+    ExceptionalSlope,
     arc_value,
     boundary_at,
     delta_curve,
@@ -360,6 +361,42 @@ def fraction_walk(p: int, q: int, memo: dict) -> tuple[Fraction, Fraction, Fract
             b = p >> (q - k)
             left, right = (mid, right) if b & 1 else (left, mid)
     return left, mid, right
+
+
+def stepwise_walk(d: DyadicRational, max_rank_digits: int = 0):
+    """``(left parent, slope, right parent)`` of ``d = p / 2**q`` (``q >= 1``), one mutation a level.
+
+    The oracle for the walk that jumps a run of equal address bits in one
+    step: the bracket at level ``k`` is ``[b, b + 1] / 2**k`` with
+    ``b = p >> (q - k)``, its midpoint is ``3 r(coarse) v(fin) - v(g)``
+    (``fin`` the end of the larger rank, the left one of ``[b, b + 1]``;
+    ``g`` the end dropped the step before, ``O(b - 1)`` at first), and a
+    positive ``max_rank_digits`` stops it at the first rank of more digits.
+    """
+    def line(n):
+        return 1, n, (n + 1) * (n + 2) // 2
+
+    p, q = d.p, d.q
+    b = p >> q
+    left, right, g = line(b), line(b + 1), line(b - 1)
+    cap = 10 ** max_rank_digits if max_rank_digits > 0 else 0
+    for k in range(1, q + 1):
+        fin, coarse = (left, right) if left[0] >= right[0] else (right, left)
+        s = 3 * coarse[0]
+        mid = s * fin[0] - g[0], s * fin[1] - g[1], s * fin[2] - g[2]
+        if cap and mid[0] >= cap:
+            raise DomainError(f"slope has a {mid[0].bit_length():,}-bit integer in its walk "
+                              f"at order {k} of {q}, past the limit of {max_rank_digits:,} "
+                              f"digits for printing one")
+        if k < q:
+            if (p >> (q - k)) & 1:
+                left, g = mid, left
+            else:
+                right, g = mid, right
+    half = p >> 1
+    return (ExceptionalSlope(*left, DyadicRational.make(half, q - 1)),
+            ExceptionalSlope(*mid, d),
+            ExceptionalSlope(*right, DyadicRational.make(half + 1, q - 1)))
 
 
 def fraction_character(mu: Fraction) -> ChernCharacter:

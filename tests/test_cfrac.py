@@ -287,6 +287,22 @@ class TestSmallPeriods:
                 if all(word[i] == word[i + q] for i in range(k - q)) and p + q <= k:
                     assert q % p == 0
 
+    def test_matches_the_definition_up_to_length_twelve(self):
+        # the least p > 0 with word[i] == word[i + p] wherever both exist,
+        # against the slice comparison, on all 8,191 words over {1, 2}
+        def by_definition(word):
+            k = len(word)
+            return next((p for p in range(1, k + 1)
+                         if all(word[i] == word[i + p] for i in range(k - p))), k)
+
+        words = [""]
+        for length in range(1, 13):
+            words += [format(n, f"0{length}b").translate({48: "1", 49: "2"})
+                      for n in range(1 << length)]
+        assert len(words) == 8191
+        for word in words:
+            assert smallest_period(word) == by_definition(word), word
+
 
 class TestCantor:
     def test_right_run_brackets_left_endpoint_of_one(self):

@@ -229,6 +229,18 @@ class TestSlopeCommand:
         assert f"limit of {INT_DIGITS:,} digits for printing" in err
         assert elapsed < 2
 
+    # 1/2^N is one run of N - 1 equal bits; the walk refuses at the first
+    # rank past the limit without building the run's last rank
+    @pytest.mark.skipif(not 0 < INT_DIGITS <= 100_000, reason="needs a digit limit")
+    def test_long_run_stops_at_the_digit_limit(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "slope", "--dyadic", "1/2^10000000", "--max-order", "10000000")
+        elapsed = time.perf_counter() - start
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("error: slope has a ") and err.count("\n") == 1
+        assert " of 10000000, past the limit of " in err
+        assert elapsed < 0.5
+
     def test_below_the_digit_limit_prints(self, capsys):
         code, out, _ = run(capsys, "cfrac", "--lr", "RRLLRLRLRRLLRLRLRRR")
         assert code == 0 and len(json.loads(out)["slope"]) > 4000

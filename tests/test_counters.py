@@ -15,7 +15,9 @@ back through a descent or a walk.  A descent builds slope objects for its
 hit and the hit's parents only.
 
 An LR word is a spelling of a dyadic address, so the slope it names takes
-one walk: one mutation per letter, on every call, since no walk is kept.
+one walk, on every call, since no walk is kept.  The walk steps once per
+level of an alternating word, and jumps each run of equal letters in one
+step, whose matrix power takes one product per bit of the run's length.
 """
 
 from fractions import Fraction
@@ -149,21 +151,47 @@ def test_no_walk_in_a_report(monkeypatch, x, order, descents):
     assert walks == [] and looked_up == []
 
 
+def walk_work(call) -> tuple[int, int]:
+    """``(steps, products)`` the tree walks of ``call`` take.
+
+    A step is one inline mutation in ``_walk`` or one call of ``_jump``; a
+    jump of ``n`` levels stands for ``n`` inline steps and takes
+    ``n.bit_length() - 1`` doubling products.
+    """
+    levels, runs = [], []
+    walk, jump = exceptional._walk, exceptional._jump
+
+    def counted_walk(d, *args):
+        levels.append(d.q)
+        return walk(d, *args)
+
+    def counted_jump(fin, g, s, n):
+        runs.append(n)
+        return jump(fin, g, s, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exceptional, "_walk", counted_walk)
+        patch.setattr(exceptional, "_jump", counted_jump)
+        call()
+    return sum(levels) - sum(runs) + len(runs), sum(n.bit_length() - 1 for n in runs)
+
+
 @pytest.mark.parametrize("word", ["RLLLRR", "LRLRLRLRLR"])
-def test_one_walk_per_word(monkeypatch, word):
-    calls = []
-    mutation = exceptional._mutation
+def test_one_walk_per_word(word):
+    """A step per letter where the letters alternate, fewer where they run, on every call."""
+    slopes = []
+    first = walk_work(lambda: slopes.append(cfrac.lr_to_slope(word)))
+    assert walk_work(lambda: slopes.append(cfrac.lr_to_slope(word))) == first
+    assert slopes[0] == slopes[1]
+    if all(a != b for a, b in zip(word, word[1:])):
+        assert first == (len(word), 0)
+    else:
+        assert first[0] < len(word)
 
-    def counted(*args):
-        calls.append(args)
-        return mutation(*args)
 
-    monkeypatch.setattr(exceptional, "_mutation", counted)
-    first = cfrac.lr_to_slope(word)
-    assert len(calls) == len(word)
-    calls.clear()
-    assert cfrac.lr_to_slope(word) == first
-    assert len(calls) == len(word)
+def test_one_run_of_order_512_is_a_few_products():
+    steps, products = walk_work(lambda: exceptional.from_dyadic(exceptional.DyadicRational(1, 512)))
+    assert steps + products <= 20
 
 
 @pytest.mark.parametrize("call, walks", [

@@ -1,9 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from planecones import exceptional
+from planecones import cfrac, exceptional
 from planecones.chern import ChernCharacter, euler_chi_pair
 from planecones.errors import ConsistencyError, DescentError, DomainError
 from planecones.exceptional import (
@@ -21,7 +22,9 @@ from planecones.exceptional import (
     interval_contains,
     parents,
 )
-from planecones.qarith import QuadraticNumber, _sign_int_radical, qn_compare_cross, sqrt_exact
+from planecones.qarith import (
+    QuadraticNumber, _sign_int_radical, integer_form, qn_compare_cross, sqrt_exact,
+)
 
 from conftest import (
     ORDER_FOUR,
@@ -33,6 +36,7 @@ from conftest import (
     reference_find_interval,
     replace,
     slope_dot,
+    stepwise_walk,
 )
 
 F = Fraction
@@ -227,6 +231,90 @@ class TestMutationWalk:
         assert dot(from_integer(0), from_dyadic(dy(1, 1))).slope == F(2, 5)
 
 
+def walked(d, max_rank_digits=0):
+    """The walk's three slopes with their addresses; the slopes compare by bundle only."""
+    return [(s.r, s.c1, s.chi, s.dyadic) for s in exceptional._walk(d, max_rank_digits)]
+
+
+def stepped(d, max_rank_digits=0):
+    return [(s.r, s.c1, s.chi, s.dyadic) for s in stepwise_walk(d, max_rank_digits)]
+
+
+def jumped_orders(d):
+    """The levels a walk to ``d`` jumps: ``k`` is one when bits ``q - k + 1`` and ``q - k`` agree."""
+    p, q = d.p, d.q
+    return {k for k in range(2, q) if (p >> (q - k + 1)) & 1 == (p >> (q - k)) & 1}
+
+
+def first_refusal(walk, d, bound):
+    """The ``DomainError`` text of a walk bounded by ``bound`` digits; ``None`` if it ends."""
+    try:
+        walk(d, bound)
+    except DomainError as error:
+        return str(error)
+    return None
+
+
+class TestRunJumps:
+    """The walk that jumps each run of equal address bits against the stepwise oracle."""
+
+    def test_every_address_of_order_twelve(self):
+        count = 0
+        for q in range(1, 13):
+            for p in range(1 - (3 << q), 3 << q, 2):
+                assert walked(dy(p, q)) == stepped(dy(p, q)), (p, q)
+                count += 1
+        assert count == 24_570
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 7, 64, 513, 4096])
+    def test_next_to_an_integer(self, q):
+        # n + 2^-q and n - 2^-q: one run of q - 1 equal bits
+        for n in (-3, 0, 2):
+            for d in (dy((n << q) + 1, q), dy((n << q) - 1, q)):
+                assert walked(d) == stepped(d)
+
+    @pytest.mark.parametrize("a, q", [
+        (1, 3), (1, 4096), (2, 700), (5, 6), (5, 2000), (64, 66), (64, 200),
+    ])
+    def test_two_runs(self, a, q):
+        # n + 2^-a + 2^-q: runs of a - 1 and q - a - 1 equal bits
+        for n in (-1, 1):
+            d = dy((n << q) + (1 << (q - a)) + 1, q)
+            assert walked(d) == stepped(d)
+
+    @pytest.mark.parametrize("a, b, c", [
+        (1, 1, 1), (3, 2, 5), (0, 9, 4), (6, 1, 0), (1, 4094, 1), (4000, 3, 2), (40, 60, 2),
+    ])
+    def test_words_of_three_runs(self, a, b, c):
+        d = cfrac.word_to_dyadic("L" * a + "R" * b + "L" * c)
+        assert walked(d) == stepped(d)
+
+    @pytest.mark.parametrize("d", [dy(1, 2000), dy((1 << 30) + 1, 70)], ids=str)
+    def test_refusal_inside_a_jumped_run(self, d):
+        # each bound whose first rank past it lies in a jumped run: the walk
+        # steps that run level by level and refuses at the oracle's order
+        jumped, checked = jumped_orders(d), 0
+        for bound in range(1, len(str(stepwise_walk(d)[1].r))):
+            expected = first_refusal(stepwise_walk, d, bound)
+            if int(expected.split("at order ")[1].split()[0]) in jumped:
+                assert first_refusal(exceptional._walk, d, bound) == expected
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("k", [8, 9])
+    @pytest.mark.parametrize("letter", "LR")
+    def test_long_run_after_a_large_rank_refuses_at_once(self, k, letter):
+        # (LR)^8 and (LR)^9 leave ends of hundreds to thousands of digits,
+        # so each level of the run after them adds as many: a jump of the
+        # whole run would build a rank of about 10^8 digits
+        d = cfrac.word_to_dyadic("LR" * k + letter * 100_000)
+        start = time.perf_counter()
+        refusal = first_refusal(exceptional._walk, d, 4300)
+        elapsed = time.perf_counter() - start
+        assert refusal == first_refusal(stepwise_walk, d, 4300) is not None
+        assert elapsed < 0.5
+
+
 class TestParents:
     def test_mediant_example(self):
         left, right = parents(from_slope_value(F(2, 5)))
@@ -263,6 +351,16 @@ class TestIntervals:
         x = from_slope_value(F(2, 5)).interval_halfwidth()
         assert qn_compare_cross(x, (QuadraticNumber(15) - sqrt_exact(221)) / 10) == 0
         assert 5 + 8 * from_slope_value(F(2, 5)).discriminant == F(221, 25)
+
+    @pytest.mark.xfail(strict=True, reason="sqrt_ratio factors p*q, so the square of a prime "
+                       "above the trial-division bound in the rank stays in the radicand")
+    def test_halfwidth_radicand_is_reduced(self):
+        # at 9/2^6 the rank is r = 294685 = 5 * 58937, and the halfwidth's
+        # root sqrt(9 r^2 - 4)/r has the squarefree radicand 9 r^2 - 4; today
+        # the form keeps 58937^2 * 781553243021
+        s = from_dyadic(dy(9, 6))
+        assert s.r == 294685 and 9 * s.r * s.r - 4 == 781553243021
+        assert integer_form(s.interval_halfwidth())[2] == 781553243021
 
     def test_contains_center(self):
         two = from_integer(2)

@@ -2,8 +2,13 @@
 
 Every slope strictly between 0 and 1/2 in the tree has two continued-fraction
 expansions built from ones and twos: its own regular continued fraction,
-computed here by Euclid's algorithm, and the parity-converted partner.  The
-even-length one is a palindrome and obeys the concatenation rule
+computed here by Euclid's algorithm on the bundle's integers ``(c1, r)``, and
+the parity-converted partner, which differs in the last one or two digits.
+Both are flipped on the list of quotients and written as text once.  A
+rational handed in for its expansion is found in the tree by exact
+comparison with each mediant down the walk from its integer bracket
+(``exceptional.from_slope_value``), with no interval descent.  The
+even-length expansion is a palindrome and obeys the concatenation rule
 ``child_even = right_odd + "2" + left_even`` over the parent pair; that rule
 is checked (by ``period_structure`` and the acceptance tests), not used to
 compute.  A finite word over {L, R} (the choices of the bracketing descent)
@@ -53,9 +58,12 @@ def cf_eval(word) -> Fraction:
     return value
 
 
-def parity_convert(word: str) -> str:
-    """The other expansion of the same rational; length parity flips."""
-    digits = _digits(word)
+# writes a list of quotients 0-9 as their digits in one pass over its bytes
+_DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _flip(digits: list[int]) -> None:
+    """Turn a list of quotients into the other expansion of its rational, in place."""
     if not digits:
         raise DomainError("cannot convert the empty expansion")
     if digits[-1] == 1:
@@ -66,7 +74,51 @@ def parity_convert(word: str) -> str:
     else:
         digits[-1] -= 1
         digits.append(1)
-    return "".join(str(a) for a in digits)
+
+
+def parity_convert(word: str) -> str:
+    """The other expansion of the same rational; length parity flips."""
+    digits = _digits(word)
+    _flip(digits)
+    return "".join(map(str, digits))
+
+
+def _expansion(slope: ExceptionalSlope, odd: bool) -> str:
+    """The odd- or even-length expansion of a slope in [0, 1/2], from its ``(c1, r)``.
+
+    Euclid's algorithm on the integers gives the regular continued
+    fraction's quotients, whose list is flipped when its length has the
+    other parity; no ``Fraction`` is built.  Each quotient of an exceptional
+    slope is 1 or 2, so a step takes one or two subtractions.  A larger
+    quotient takes one ``divmod``, and the expansion is then the text of
+    the quotients, parity-converted as text, read back a character a digit.
+    """
+    n, m = slope.c1, slope.r
+    if n < 0 or 2 * n > m:
+        raise DomainError(f"slope {slope.slope} outside [0, 1/2]; normalize first")
+    digits = []
+    append = digits.append
+    small = True  # every quotient is 1 or 2
+    while n:
+        m -= n
+        if m < n:
+            append(1)
+        else:
+            m -= n
+            if m < n:
+                append(2)
+            else:
+                q, m = divmod(m, n)
+                append(q + 2)
+                small = False
+        m, n = n, m
+    if not small:
+        word = "".join(map(str, digits))
+        even = parity_convert(word) if len(word) % 2 else word
+        return parity_convert(even) if odd else even
+    if len(digits) % 2 != odd:
+        _flip(digits)
+    return bytes(digits).translate(_DIGIT_TEXT).decode()
 
 
 def even_expansion(slope) -> str:
@@ -74,24 +126,21 @@ def even_expansion(slope) -> str:
 
     Callers normalize arbitrary slopes into this window by integer
     translation and negation first.  The expansion is the slope's regular
-    continued fraction, found by Euclid's algorithm and parity-converted
-    when its length is odd.
+    continued fraction, found by Euclid's algorithm on its bundle's
+    integers and parity-converted when its length is odd.  A rational is
+    first found in the tree by exact lookup (``from_slope_value``), which
+    refuses one that is not an exceptional slope.
     """
     if not isinstance(slope, ExceptionalSlope):
-        slope = exceptional.from_slope_value(Fraction(slope))
-    mu = slope.slope
-    if not 0 <= mu <= Fraction(1, 2):
-        raise DomainError(f"slope {mu} outside [0, 1/2]; normalize first")
-    word, n, m = "", mu.numerator, mu.denominator
-    while n:
-        word += str(m // n)
-        m, n = n, m % n
-    return parity_convert(word) if len(word) % 2 else word
+        slope = exceptional.from_slope_value(slope)
+    return _expansion(slope, False)
 
 
 def odd_expansion(slope) -> str:
     """Odd-length expansion; undefined for slope 0 (the empty expansion)."""
-    return parity_convert(even_expansion(slope))
+    if not isinstance(slope, ExceptionalSlope):
+        slope = exceptional.from_slope_value(slope)
+    return _expansion(slope, True)
 
 
 def normalize_slope(mu: RationalLike) -> tuple[Fraction, int, bool]:
@@ -114,8 +163,13 @@ def normalize_slope(mu: RationalLike) -> tuple[Fraction, int, bool]:
 def word_to_dyadic(word: Word) -> DyadicRational:
     """Dyadic address of ``0 . word``; the inverse of ``dyadic_to_word``."""
     _check_word(word)
+    return _address(word)
+
+
+def _address(word: Word) -> DyadicRational:
+    """:func:`word_to_dyadic` of a word already checked: ``2 B - 2**q + 1`` is odd."""
     bits = int(word.replace("L", "0").replace("R", "1") or "0", 2)
-    return DyadicRational(2 * bits - (1 << len(word)) + 1, len(word))
+    return exceptional._dyadic(2 * bits - (1 << len(word)) + 1, len(word))
 
 
 def dyadic_to_word(d: DyadicRational) -> tuple[int, Word]:
@@ -189,8 +243,7 @@ def period_structure(word: Word) -> PeriodStructure:
     in L with that shape, RL, is handled the same way.  The decomposition is
     validated against the expansion before it is returned.
     """
-    _check_word(word)
-    expansion = even_expansion(lr_to_slope(word))
+    expansion = _expansion(lr_to_slope(word), False)  # the one check of the word
     if word.endswith("L"):
         if set(expansion) != {"2"}:
             raise DomainError("period decomposition needs a word ending in R")
@@ -200,12 +253,12 @@ def period_structure(word: Word) -> PeriodStructure:
     head = word[:-n]
     if not head or not head.endswith("L"):
         raise DomainError("period decomposition needs a word of shape head+L+R^n")
-    alpha, beta, _ = exceptional.slope_and_parents(word_to_dyadic(head[:-1]))
-    if beta.slope == Fraction(1, 2):
+    alpha, beta, _ = exceptional.slope_and_parents(_address(head[:-1]))
+    if beta.c1 == 1 and beta.r == 2:  # beta is 1/2
         result = PeriodStructure("2", len(expansion), "", True)
         return _validated(result, expansion)
-    block = parity_convert(even_expansion(beta)) + "2"
-    tail = even_expansion(alpha)
+    block = _expansion(beta, True) + "2"
+    tail = _expansion(alpha, False)
     result = PeriodStructure(block, n + 1, tail, False)
     result = _validated(result, expansion)
     if smallest_period(expansion) != len(block):

@@ -443,17 +443,13 @@ def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
 def _below_arc(ray: ChernCharacter, gamma: ExceptionalSlope) -> bool:
     """Whether the ray's ``(mu, delta)`` lies strictly below gamma's arc.
 
-    The arc is ``P(-|mu - a|) - delta_a`` over gamma's slope ``a``, with
-    ``P(m) = (m^2 + 3m + 2)/2``.  For the ray ``(r, c, chi)`` and
-    ``u = |c r_a - c_a r|``, so that ``|mu - a| = u/(r r_a)``, both sides
-    over ``2 r^2 r_a^2`` give ``r_a^2 (c^2 + 3rc + 2r^2 - 2r chi)`` against
-    ``u^2 - 3u r r_a + 2 r^2 r_a^2 - r^2 (r_a^2 - 1)``.
+    Both sides over ``2 r^2 r_a^2``, for the ray ``(r, c, chi)`` and gamma's
+    rank ``r_a``: the discriminant gives ``r_a^2 (c^2 + 3rc + 2r^2 - 2r chi)``
+    and the arc :func:`exceptional._arc_form`, the integer numerator that
+    ``arc_value`` divides once.  No ``Fraction`` is built.
     """
     r, c, ra = ray.r, ray.c1, gamma.r
-    u = abs(c * ra - gamma.c1 * r)
-    rra = r * ra
-    return (ra * ra * discriminant_form(r, c, ray.chi)[0]
-            < u * u - 3 * u * rra + 2 * rra * rra - r * r * (ra * ra - 1))
+    return ra * ra * discriminant_form(r, c, ray.chi)[0] < exceptional._arc_form(gamma, r, c)
 
 
 # -- resolutions ----------------------------------------------------------------

@@ -20,7 +20,10 @@ parents beside it (``_descend``).  A probe tests membership on the
 candidate's ``(r, c1)`` integers (``_locate``), so a descent builds slope
 objects for its hit and the hit's parents only; a walk likewise gives a
 slope with both parents (``slope_and_parents``, of which ``parents`` is a
-view).  Slopes built by a walk, a descent or an affine image come from the
+view).  A rational is looked up, not located: ``from_slope_value`` compares
+it with each mediant down its walk by one cross-multiplication, and no
+probe tests membership.  An arc's value at a rational is one integer
+numerator (``_arc_form``) over one denominator.  Slopes built by a walk, a descent or an affine image come from the
 trusted constructors ``_slope`` and ``_dyadic``.
 """
 
@@ -30,7 +33,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .chern import ChernCharacter, _lattice, euler_chi_pair, hilbert_poly
+from .chern import ChernCharacter, _lattice, euler_chi_pair
 from .errors import ConsistencyError, DescentError, DomainError
 from .qarith import (
     QuadraticNumber, RationalLike, _sign_int_radical, floor_of_form, integer_form, sqrt_ratio,
@@ -332,12 +335,43 @@ def affine_image(g: ExceptionalSlope, negate: bool, shift: int) -> ExceptionalSl
 
 
 def from_slope_value(mu: RationalLike, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
-    """Resolve a rational known to be an exceptional slope; raise if it is not."""
+    """Resolve a rational known to be an exceptional slope; raise if it is not.
+
+    Exact lookup, with no interval descent: from the integer bracket around
+    ``mu = a/b`` the walk takes each level's mutation inline, as ``_walk``
+    does, and compares ``mu`` with the mediant ``c1/r`` by one
+    cross-multiplication, ``a r - c1 b``, whose sign also picks the half
+    bracket to go on in.  An exceptional slope's rank is its reduced
+    denominator (``c1^2 = -1 mod r``) and ranks grow along a walk, so the
+    walk refuses, with ``DomainError``, at the first mediant of rank
+    ``>= b`` that is not ``mu``, or past ``max_order`` levels.  No probe
+    tests interval membership.
+    """
     mu = Fraction(mu)
-    found = find_interval(mu, max_order)
-    if (found.c1, found.r) != (mu.numerator, mu.denominator):
-        raise DomainError(f"{mu} is not an exceptional slope of order <= {max_order}")
-    return found
+    a, b = mu.numerator, mu.denominator
+    n = a // b
+    if b == 1:
+        return from_integer(n)
+    left, right = _line(n), _line(n + 1)
+    # the first midpoint is 3 O(n) - O(n - 1), as in ``_walk``
+    fin, g, s = left, _line(n - 1), 3
+    p, q = n, 0
+    while q < max_order:
+        p, q = 2 * p + 1, q + 1
+        mid = (s * fin[0] - g[0], s * fin[1] - g[1], s * fin[2] - g[2])
+        r = mid[0]
+        side = a * r - mid[1] * b
+        if side == 0:
+            return _slope(*mid, _dyadic(p, q))
+        if r >= b:
+            break
+        # narrow to [p - 1, p] or [p, p + 1] over 2**q; p keeps the left end
+        if side < 0:
+            p, right, g, s = p - 1, mid, right, 3 * left[0]
+        else:
+            left, g, s = mid, left, 3 * right[0]
+        fin = mid
+    raise DomainError(f"{mu} is not an exceptional slope of order <= {max_order}")
 
 
 def dot(alpha: ExceptionalSlope, beta: ExceptionalSlope) -> ExceptionalSlope:
@@ -483,12 +517,31 @@ def _descend(x, max_order: int) -> tuple[ExceptionalSlope, ExceptionalSlope, Exc
 _DELTA_CURVE_CACHE_SIZE = 4096
 
 
+def _arc_form(a: ExceptionalSlope, r: int, c: int) -> int:
+    """The boundary arc over ``a``'s interval at ``c/r``, ``r > 0``, times ``2 (r r_a)^2``.
+
+    The arc is ``P(-|mu - a|) - delta_a`` with ``P(m) = (m^2 + 3m + 2)/2``
+    and ``delta_a = (r_a^2 - 1)/(2 r_a^2)``.  With ``u = |c r_a - c_a r|``,
+    so that ``|mu - a| = u/(r r_a)``, it is
+    ``(u^2 - 3u r r_a + 2 (r r_a)^2 - r^2 (r_a^2 - 1)) / (2 (r r_a)^2)``:
+    this returns the numerator, one integer expression in ``a``'s bundle.
+    """
+    ra = a.r
+    u = abs(c * ra - a.c1 * r)
+    rra = r * ra
+    return u * u - 3 * u * rra + 2 * rra * rra - r * r * (ra * ra - 1)
+
+
 def arc_value(a: ExceptionalSlope, mu: Fraction) -> Fraction:
     """The boundary curve's arc over ``a``'s interval, evaluated at ``mu``.
 
-    Equals ``delta_curve(mu)`` whenever ``mu`` lies in the closed interval of ``a``.
+    Equals ``delta_curve(mu)`` whenever ``mu`` lies in the closed interval of
+    ``a``.  It is :func:`_arc_form` over ``2 (r r_a)^2`` for ``mu = c/r``:
+    one ``Fraction``, built at the end.
     """
-    return hilbert_poly(-abs(mu - a.slope)) - a.discriminant
+    r, c = mu.denominator, mu.numerator
+    rra = r * a.r
+    return Fraction(_arc_form(a, r, c), 2 * rra * rra)
 
 
 @lru_cache(maxsize=_DELTA_CURVE_CACHE_SIZE)

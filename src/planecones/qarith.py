@@ -227,7 +227,8 @@ class QuadraticNumber:
     rational part; ``a`` and ``b`` read back as :class:`Fraction` values.
     Every stored ``d`` is a fixed point of :func:`squarefree_decompose`, so
     each operator is one integer formula that reuses its operands' radicand.
-    Instances are immutable and totally ordered, exactly across radicands.
+    Instances are immutable and totally ordered, exactly across radicands,
+    and hash as equal values do.
     """
 
     __slots__ = ("A", "B", "d", "D")
@@ -386,7 +387,18 @@ class QuadraticNumber:
             return NotImplemented
         return self.compare(other) < 0
 
-    __hash__ = None  # intentionally unhashable: equality is value-based across fields
+    def __hash__(self) -> int:
+        """Agrees with ``==`` across every stored form of one value.
+
+        A rational hashes as the equal ``Fraction`` (and so as an equal
+        ``int``).  An irrational hashes on ``(a, b^2 d, sign of b)``, which
+        does not change when a square hidden in ``d`` (a prime past the
+        trial-division bound) moves into ``b``.
+        """
+        A, B, D = self.A, self.B, self.D
+        if not B:
+            return hash(Fraction(A, D))
+        return hash((Fraction(A, D), Fraction(B * B * self.d, D * D), B > 0))
 
     # -- rendering ------------------------------------------------------
 

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from planecones import CaseSign, Kind, classify
+from planecones.cfrac import PeriodStructure, _validated, lr_to_slope, smallest_period, word_to_dyadic
 from planecones.cone import Classification
 from planecones.chern import (
     ChernCharacter, SlopeDisc, character_from_json, euler_pairing, hilbert_poly,
 )
-from planecones.errors import DescentError, DomainError
+from planecones.errors import ConsistencyError, DescentError, DomainError
 from planecones.exceptional import (
     DEFAULT_MAX_ORDER,
     DyadicRational,
     ExceptionalSlope,
-    arc_value,
     boundary_at,
     delta_curve,
     enumerate_slopes,
@@ -23,6 +23,7 @@ from planecones.exceptional import (
     from_dyadic,
     from_integer,
     interval_contains,
+    slope_and_parents,
 )
 from planecones.qarith import TRIAL_DIVISION_BOUND, QuadraticNumber, qn_compare_cross, sqrt_exact
 from planecones.record import Record
@@ -68,6 +69,12 @@ def picard_rank2_grid() -> list[ChernCharacter]:
 @pytest.fixture(scope="session")
 def grid() -> list[ChernCharacter]:
     return picard_rank2_grid()
+
+
+@pytest.fixture(scope="session")
+def slopes_to_order_12() -> list[ExceptionalSlope]:
+    """Every exceptional slope of order <= 12 in [-3, 3], walked from its address."""
+    return enumerate_slopes(-3, 3, 12)
 
 
 def trial_division_decompose(n: int) -> tuple[int, int]:
@@ -506,13 +513,102 @@ def quadratic_interval(s) -> tuple[QuadraticNumber, QuadraticNumber]:
     return QuadraticNumber(s.slope) - w, QuadraticNumber(s.slope) + w
 
 
+def fraction_arc_value(a: ExceptionalSlope, mu) -> Fraction:
+    """The arc ``P(-|mu - a|) - delta_a`` over ``a``'s interval, by ``hilbert_poly`` on ``Fraction``s.
+
+    The oracle for ``arc_value``, which writes the arc as one integer
+    numerator over ``2 (r r_a)^2``.
+    """
+    return hilbert_poly(-abs(Fraction(mu) - a.slope)) - a.discriminant
+
+
 def arc_below(ray: ChernCharacter, gamma) -> bool:
-    """Whether the ray's ``(mu, delta)`` lies below gamma's arc, by ``arc_value`` over ``Fraction``s.
+    """Whether the ray's ``(mu, delta)`` lies below gamma's arc, over ``Fraction``s.
 
     The oracle for the integer boundary check of ``orthogonal_character``.
     """
     point = ray.slope_disc()
-    return point.delta < arc_value(gamma, point.mu)
+    return point.delta < fraction_arc_value(gamma, point.mu)
+
+
+def descent_from_slope_value(mu, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
+    """``from_slope_value`` by an interval descent to ``mu``, then a comparison of the hit.
+
+    The oracle for the exact lookup, which compares ``mu`` with each
+    mediant and refuses once the ranks pass ``mu``'s denominator.  The
+    descent raises ``DescentError`` where the budget does not reach the
+    enclosing interval; the lookup refuses those with ``DomainError``.
+    """
+    mu = Fraction(mu)
+    found = find_interval(mu, max_order)
+    if (found.c1, found.r) != (mu.numerator, mu.denominator):
+        raise DomainError(f"{mu} is not an exceptional slope of order <= {max_order}")
+    return found
+
+
+def charwise_parity_convert(word: str) -> str:
+    """The other expansion of the same rational, on a list of ints read off the characters."""
+    digits = [int(a) for a in word]
+    if any(a <= 0 for a in digits):
+        raise DomainError("continued-fraction digits must be positive")
+    if not digits:
+        raise DomainError("cannot convert the empty expansion")
+    if digits[-1] == 1:
+        if len(digits) == 1:
+            raise DomainError("[0;1] has no positive-digit partner expansion")
+        digits.pop()
+        digits[-1] += 1
+    else:
+        digits[-1] -= 1
+        digits.append(1)
+    return "".join(str(a) for a in digits)
+
+
+def charwise_even_expansion(slope) -> str:
+    """The even expansion by a descent, a ``Fraction`` and Euclid one character at a time.
+
+    The oracle for ``even_expansion``, which looks a rational up exactly and
+    runs Euclid on the bundle's integers into a list of quotients.
+    """
+    if not isinstance(slope, ExceptionalSlope):
+        slope = descent_from_slope_value(Fraction(slope))
+    mu = slope.slope
+    if not 0 <= mu <= Fraction(1, 2):
+        raise DomainError(f"slope {mu} outside [0, 1/2]; normalize first")
+    word, n, m = "", mu.numerator, mu.denominator
+    while n:
+        word += str(m // n)
+        m, n = n, m % n
+    return charwise_parity_convert(word) if len(word) % 2 else word
+
+
+def charwise_period_structure(word: str) -> PeriodStructure:
+    """``period_structure`` over the character-wise expansions and a ``Fraction`` test of beta.
+
+    The oracle for the period decomposition written from the digit lists.
+    """
+    if any(ch not in "LR" for ch in word):
+        raise DomainError(f"not an LR word: {word!r}")
+    expansion = charwise_even_expansion(lr_to_slope(word))
+    if word.endswith("L"):
+        if set(expansion) != {"2"}:
+            raise DomainError("period decomposition needs a word ending in R")
+        return _validated(PeriodStructure("2", len(expansion), "", True), expansion)
+    n = len(word) - len(word.rstrip("R"))
+    head = word[:-n]
+    if not head or not head.endswith("L"):
+        raise DomainError("period decomposition needs a word of shape head+L+R^n")
+    alpha, beta, _ = slope_and_parents(word_to_dyadic(head[:-1]))
+    if beta.slope == Fraction(1, 2):
+        return _validated(PeriodStructure("2", len(expansion), "", True), expansion)
+    block = charwise_parity_convert(charwise_even_expansion(beta)) + "2"
+    tail = charwise_even_expansion(alpha)
+    result = _validated(PeriodStructure(block, n + 1, tail, False), expansion)
+    if smallest_period(expansion) != len(block):
+        raise ConsistencyError(
+            f"block length {len(block)} is not the smallest period of {expansion}"
+        )
+    return result
 
 
 def minimal_orthogonal_rank(point: SlopeDisc) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,8 +20,10 @@ from planecones.cfrac import (
     smallest_period,
     word_to_dyadic,
 )
-from planecones.errors import DomainError
+from planecones.errors import ConsistencyError, DomainError
 from planecones.exceptional import (
+    DyadicRational,
+    ExceptionalSlope,
     enumerate_slopes,
     from_integer,
     from_slope_value,
@@ -28,7 +31,12 @@ from planecones.exceptional import (
 )
 from planecones.qarith import QuadraticNumber, qn_compare_cross
 
-from conftest import slope_dot
+from conftest import (
+    charwise_even_expansion,
+    charwise_parity_convert,
+    charwise_period_structure,
+    slope_dot,
+)
 
 F = Fraction
 
@@ -110,6 +118,55 @@ class TestExpansion:
     def test_non_exceptional_rejected(self):
         with pytest.raises(DomainError):
             even_expansion(F(1, 3))
+
+    def test_digit_lists_against_the_charwise_oracle(self, slopes_to_order_12):
+        """Every slope of order <= 12 in [0, 1/2], as a slope and as a ``Fraction``.
+
+        Each expansion matches the character-wise oracle, has quotients 1
+        and 2 only and evaluates back to the slope; the odd one by
+        ``cf_eval`` up to order 10, past which the oracle match stands.
+        """
+        half = [s for s in slopes_to_order_12 if 0 <= s.c1 and 2 * s.c1 <= s.r]
+        assert len(half) == 2 ** 11 + 1
+        for s in half:
+            even = even_expansion(s)
+            assert even == even_expansion(s.slope) == charwise_even_expansion(s.slope)
+            assert set(even) <= {"1", "2"} and cf_eval(even) == s.slope
+            if not s.c1:
+                assert even == ""
+                continue
+            odd = odd_expansion(s)
+            assert odd == odd_expansion(s.slope) == charwise_parity_convert(even)
+            assert set(odd) <= {"1", "2"} and len(odd) % 2 == 1
+            if s.order <= 10:
+                assert cf_eval(odd) == s.slope
+
+    def test_quotients_past_nine_are_written_whole(self):
+        # no exceptional slope in [0, 1/2] has one; the text is str of each quotient
+        assert parity_convert([3, 12]) == charwise_parity_convert([3, 12]) == "3111"
+        assert parity_convert([2, 10, 1]) == charwise_parity_convert([2, 10, 1]) == "211"
+        assert parity_convert("11119") == charwise_parity_convert("11119") == "111181"
+
+    @pytest.mark.parametrize("r, c1", [(7, 3), (41, 3), (103, 10), (1000, 7)])
+    def test_records_with_quotients_past_two(self, r, c1):
+        """Records that are no exceptional slopes keep the character-wise text.
+
+        Past 9 a quotient's text does not read back, and its "0" makes the
+        odd expansion fail, as it did character by character.
+        """
+        def outcome(expand):
+            try:
+                return expand()
+            except DomainError as exc:
+                return str(exc)
+
+        record = ExceptionalSlope(r, c1, 0, DyadicRational(1, 1))
+        even = even_expansion(record)
+        assert even == charwise_even_expansion(record)
+        assert outcome(lambda: odd_expansion(record)) == outcome(
+            lambda: charwise_parity_convert(even))
+        if r == 7:
+            assert even == "23" and cf_eval(even) == F(3, 7)
 
     def test_recursion_against_oracle_order_eight(self):
         for s in enumerate_slopes(0, F(1, 2), 8):
@@ -249,6 +306,22 @@ class TestPeriodStructure:
         expansion = even_expansion(lr_to_slope("RLLR"))
         assert ps.block * ps.exponent + ps.tail == expansion
         assert smallest_period(expansion) == len(ps.block)
+
+    def test_every_short_word_against_the_charwise_oracle(self):
+        """Every word of length <= 12, and a few that are not words: same result or same error."""
+        def outcome(decompose, word):
+            try:
+                return decompose(word)
+            except (DomainError, ConsistencyError) as exc:
+                return type(exc), str(exc)
+
+        words = ["".join(w) for n in range(13) for w in itertools.product("LR", repeat=n)]
+        found = 0
+        for word in words + ["RLX", "rl", "R L"]:
+            result = outcome(period_structure, word)
+            assert result == outcome(charwise_period_structure, word), word
+            found += not isinstance(result[0], type)
+        assert len(words) == 2 ** 13 - 1 and found == 2 ** 10
 
     def test_l_ending_words_rejected(self):
         with pytest.raises(DomainError):

@@ -162,6 +162,16 @@ class TestSlopeCommand:
         code, _, err = run(capsys, "slope", "--rational", "1/3")
         assert code == 1 and "not an exceptional slope" in err
 
+    def test_rational_past_the_order_budget_is_not_exceptional_there(self, capsys):
+        # 13/34 has order 4: the lookup refuses it at budget 3 as it refuses
+        # any rational that is not a slope of order <= 3 (an interval descent
+        # ran out of budget here and said so instead), exit 1
+        code, out, err = run(capsys, "slope", "--rational", "13/34", "--max-order", "3")
+        assert code == 1 and out == ""
+        assert err == "error: 13/34 is not an exceptional slope of order <= 3\n"
+        code, out, _ = run(capsys, "slope", "--rational", "13/34", "--max-order", "4")
+        assert code == 0 and json.loads(out)["order"] == 4
+
     def test_exactly_one_input_flag(self, capsys):
         code, _, err = run(capsys, "slope", "--dyadic", "1/8", "--rational", "2/5")
         assert code == 1 and "exactly one" in err

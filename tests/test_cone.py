@@ -243,6 +243,21 @@ class TestOrthogonalCharacter:
                         seen.add((below, chi == on_arc))
         assert seen == {(True, False), (False, False), (False, True)}
 
+    def test_below_arc_agrees_with_arc_value(self):
+        # for each slope of order <= 4 in [-2, 2], at points in and out of its
+        # interval: the ray on the arc at its least rank, and one unit of chi
+        # either side of it (more chi is a smaller discriminant)
+        for gamma in enumerate_slopes(-2, 2, 4):
+            for step in (F(0), F(1, 7), F(-2, 9), F(5, 3)):
+                mu = gamma.slope + step
+                chi_per_rank = hilbert_poly(mu) - arc_value(gamma, mu)
+                r = math.lcm(mu.denominator, chi_per_rank.denominator)
+                on = int(r * chi_per_rank)
+                for chi, below in ((on, False), (on - 1, False), (on + 1, True)):
+                    ray = character_from_json({"r": r, "c1": int(r * mu), "chi": chi})
+                    assert (ray.discriminant() < arc_value(gamma, ray.slope())) is below
+                    assert _below_arc(ray, gamma) is below, (ray, gamma)
+
     @pytest.mark.parametrize("mu, in_gamma", [(F(1, 4), True), (F(1), False)])
     def test_point_below_the_boundary_rejected(self, mu, in_gamma):
         # gamma = 0: its closed interval holds 1/4, whose boundary is gamma's

@@ -14,12 +14,16 @@ gamma's parents too, and no slope whose dyadic address is already known goes
 back through a descent or a walk.  A descent builds slope objects for its
 hit and the hit's parents only.
 
+A rational handed in as a slope is looked up by exact comparison with the
+mediants down its walk, so it makes no descent and no membership probe.
+
 An LR word is a spelling of a dyadic address, so the slope it names takes
 one walk, on every call, since no walk is kept.  The walk steps once per
 level of an alternating word, and jumps each run of equal letters in one
 step, whose matrix power takes one product per bit of the run's length.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -27,7 +31,7 @@ import pytest
 import planecones
 from planecones import cfrac, chern, cone, exceptional, qarith
 from planecones.chern import ChernCharacter, character_from_json
-from planecones.cli import report_to_dict
+from planecones.cli import main, report_to_dict
 from planecones.cone import Kind
 
 from conftest import ORDER_FOUR
@@ -267,3 +271,17 @@ def test_integer_hit_builds_the_hit_and_its_parents(monkeypatch, built_slopes):
     triple = exceptional._descend(Fraction(6, 5), exceptional.DEFAULT_MAX_ORDER)
     assert [s.slope for s in triple] == [0, 1, 2]
     assert len(probes) == 1 and built_slopes == list(triple)
+
+
+def test_a_rational_is_looked_up_without_a_descent(monkeypatch, capsys):
+    """``from_slope_value`` compares with mediants: no ``_locate`` probe and no ``_descend``."""
+    probes, descents = [], []
+    locate, descend = exceptional._locate, exceptional._descend
+    monkeypatch.setattr(exceptional, "_locate", lambda *args: probes.append(args) or locate(*args))
+    monkeypatch.setattr(exceptional, "_descend",
+                        lambda *args: descents.append(args) or descend(*args))
+    assert cfrac.even_expansion(Fraction(75, 194)) == "21122112"
+    assert exceptional.from_slope_value(Fraction(13, 34)).order == 4
+    assert main(["cfrac", "--rational", "75/194", "--period"]) == 0
+    assert json.loads(capsys.readouterr().out)["period_block"] == "2112"
+    assert probes == [] and descents == []

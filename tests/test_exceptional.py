@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from planecones import cfrac, exceptional
 from planecones.chern import ChernCharacter, euler_chi_pair
@@ -29,7 +31,9 @@ from planecones.qarith import (
 from conftest import (
     ORDER_FOUR,
     delta_curve_at,
+    descent_from_slope_value,
     enclosure_radical_sign,
+    fraction_arc_value,
     fraction_character,
     fraction_walk,
     quadratic_interval,
@@ -751,6 +755,76 @@ class TestCharacter:
 def test_from_slope_value_rejects_non_exceptional():
     with pytest.raises(DomainError):
         from_slope_value(F(1, 3))
+
+
+# every rational a/b with b < 120 and |a/b| <= 3
+SMALL_RATIONALS = sorted({F(a, b) for b in range(1, 120) for a in range(-3 * b, 3 * b + 1)})
+# The rationals among them whose descent at budget 3 reached no enclosing
+# interval and raised DescentError: the lookup refuses them with the text of
+# every other refusal.  The slopes over 34 and 89 have order 4 and 5.
+PAST_BUDGET_THREE = {sign * F(x) for sign in (1, -1) for x in (
+    "13/34", "21/34", "47/34", "55/34", "81/34", "89/34",
+    "34/89", "55/89", "123/89", "144/89", "212/89", "233/89",
+    "44/115", "71/115", "159/115", "186/115", "274/115", "301/115",
+)}
+
+
+def lookup_outcome(lookup, mu, max_order):
+    try:
+        s = lookup(mu, max_order)
+    except (DomainError, DescentError) as exc:
+        return type(exc), str(exc)
+    return s.r, s.c1, s.chi, s.dyadic
+
+
+class TestExactLookup:
+    """``from_slope_value`` by comparison with mediants, against the descent it replaced."""
+
+    @pytest.mark.parametrize("max_order", [3, 8, 64])
+    def test_small_rationals_against_the_descent(self, max_order):
+        changed = set()
+        for mu in SMALL_RATIONALS:
+            got = lookup_outcome(from_slope_value, mu, max_order)
+            expected = lookup_outcome(descent_from_slope_value, mu, max_order)
+            if got != expected:
+                assert expected[0] is DescentError, mu
+                assert got == (DomainError,
+                               f"{mu} is not an exceptional slope of order <= {max_order}")
+                changed.add(mu)
+        assert changed == (PAST_BUDGET_THREE if max_order == 3 else set())
+
+    def test_every_slope_of_order_twelve(self, slopes_to_order_12):
+        assert len(slopes_to_order_12) == 6 * 2 ** 12 + 1
+        for s in slopes_to_order_12:
+            found = from_slope_value(s.slope, 12)
+            assert (found, found.dyadic) == (s, s.dyadic)
+            if s.order:
+                with pytest.raises(DomainError, match="not an exceptional slope of order <= "):
+                    from_slope_value(s.slope, s.order - 1)
+
+    def test_refusal_keeps_its_text(self):
+        for mu, max_order in ((F(1, 3), 64), (F(13, 34), 3), (F(7, 2), 0), (F(5, 13), -1)):
+            with pytest.raises(DomainError) as info:
+                from_slope_value(mu, max_order)
+            assert str(info.value) == f"{mu} is not an exceptional slope of order <= {max_order}"
+        assert from_slope_value(3, 0) == from_integer(3)
+
+
+ARC_SLOPES = enumerate_slopes(-3, 3, 8)
+
+
+class TestArcValue:
+    @given(st.sampled_from(ARC_SLOPES),
+           st.one_of(st.fractions(min_value=-6, max_value=6, max_denominator=10 ** 6),
+                     st.sampled_from(ARC_SLOPES).map(lambda s: s.slope)))
+    def test_integer_arc_is_the_hilbert_arc(self, a, mu):
+        assert arc_value(a, mu) == fraction_arc_value(a, mu)
+
+    def test_peak_and_symmetry(self):
+        for a in ARC_SLOPES[::37]:
+            assert arc_value(a, a.slope) == 1 - a.discriminant
+            mu = a.slope + F(1, 3)
+            assert arc_value(a, mu) == arc_value(a, a.slope - F(1, 3)) == fraction_arc_value(a, mu)
 
 
 def test_cold_walks_keep_nothing():

@@ -259,6 +259,28 @@ class TestCompare:
             assert hi < lo
 
 
+class TestHash:
+    """Equal values hash equal, whichever stored form each takes."""
+
+    def test_hidden_square_twins(self):
+        hidden, folded = qn(0, 1, HIDDEN_SQUARE), qn(0, 10007, 10009)
+        assert (hidden.B, hidden.d) != (folded.B, folded.d)
+        assert hidden == folded and hash(hidden) == hash(folded)
+        assert len({hidden, folded}) == 1
+
+    @given(rationals, rationals, raw_radicands, st.sampled_from([1, 2, 3, 10007]))
+    def test_equal_values_hash_equal(self, a, b, d, s):
+        # the square s^2 folded into b by hand, or left in the radicand (where
+        # 10007^2 stays hidden from trial division)
+        x, y = qn(a, b * s, d), qn(a, b, d * s * s)
+        assert x == y and hash(x) == hash(y)
+        if x.is_rational:
+            value = x.rational_value()
+            assert x == value and hash(x) == hash(value)
+            if value.denominator == 1:
+                assert x == int(value) and hash(x) == hash(int(value))
+
+
 class TestCrossRadicandSign:
     """Integer signs of ``A + B*sqrt(m) + C*sqrt(n)`` against ``Fraction`` squaring."""
 

@@ -3,8 +3,8 @@
 Every record a report, a descent or the analysis builds is checked for what
 callers rely on: positional construction, equality and hashing by value,
 a ``repr`` naming each field, refused assignment and deletion, and a
-``pickle`` round trip.  A record holding a ``QuadraticNumber``, which is
-unhashable, is unhashable too.
+``pickle`` round trip.  A record holding a ``QuadraticNumber`` hashes too,
+since ``QuadraticNumber`` hashes as equal values do.
 """
 
 import pickle
@@ -46,7 +46,6 @@ def _records() -> dict:
 
 
 RECORDS = list(_records())
-HOLDS_A_QUADRATIC_NUMBER = {"Wall", "PrimaryEdge", "SecondaryEdge", "ConeReport", "_Analysis"}
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -62,11 +61,7 @@ def test_record_semantics(name):
     assert twin is not record and twin == record and not twin != record
     assert repr(twin) == repr(record)
     assert repr(record).startswith(f"{name}({fields[0]}={getattr(record, fields[0])!r}, ")
-    if name in HOLDS_A_QUADRATIC_NUMBER:
-        with pytest.raises(TypeError, match="QuadraticNumber"):
-            hash(record)
-    else:
-        assert hash(twin) == hash(record)
+    assert hash(twin) == hash(record)  # equal twins hash equal
 
     for field in fields:
         with pytest.raises(AttributeError, match="immutable"):

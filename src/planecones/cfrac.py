@@ -89,33 +89,25 @@ def _expansion(slope: ExceptionalSlope, odd: bool) -> str:
     Euclid's algorithm on the integers gives the regular continued
     fraction's quotients, whose list is flipped when its length has the
     other parity; no ``Fraction`` is built.  Each quotient of an exceptional
-    slope is 1 or 2, so a step takes one or two subtractions.  A larger
-    quotient takes one ``divmod``, and the expansion is then the text of
-    the quotients, parity-converted as text, read back a character a digit.
+    slope is 1 or 2, so a step takes one or two subtractions; a record
+    whose slope has a larger quotient is no exceptional slope.
     """
     n, m = slope.c1, slope.r
     if n < 0 or 2 * n > m:
         raise DomainError(f"slope {slope.slope} outside [0, 1/2]; normalize first")
     digits = []
     append = digits.append
-    small = True  # every quotient is 1 or 2
     while n:
         m -= n
         if m < n:
             append(1)
         else:
             m -= n
-            if m < n:
-                append(2)
-            else:
-                q, m = divmod(m, n)
-                append(q + 2)
-                small = False
+            if m >= n:
+                raise ConsistencyError(f"(r, c1) = ({slope.r}, {slope.c1}) has a continued-"
+                                       "fraction quotient above 2: no exceptional slope")
+            append(2)
         m, n = n, m
-    if not small:
-        word = "".join(map(str, digits))
-        even = parity_convert(word) if len(word) % 2 else word
-        return parity_convert(even) if odd else even
     if len(digits) % 2 != odd:
         _flip(digits)
     return bytes(digits).translate(_DIGIT_TEXT).decode()

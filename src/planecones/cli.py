@@ -2,15 +2,17 @@
 
 All machine output is exact: rationals render as ``p/q`` strings and
 quadratic irrationals as ``(a + b*sqrt(d))``.  A report is written from the
-integers it was computed as, each quotient by ``ratio_str``, after every
-integer it prints has been measured against Python's int-to-string digit
-limit (``_check_report_printable``); ``slope`` and ``cfrac`` stop their walk
-at the first rank past that limit.  A slope's fields and a triad character
+integers it was computed as, each quotient by ``ratio_str``.  The renderer
+measures every integer as it writes it: a string past Python's
+int-to-string digit limit, or a JSON int of that size, becomes a
+``DomainError`` naming the field by its path, and nothing is printed until
+the whole output is rendered.  ``slope`` and ``cfrac`` stop their walk at
+the first rank past that limit.  A slope's fields and a triad character
 depend on nothing but the slope or the character, so each is rendered once
-into a bounded cache and every report gets its own copy of the cached dict.
-Decimal columns only appear under ``--approx`` and are labeled
-non-authoritative.  Output is deterministic: fixed field order, no ambient
-state.
+per digit limit into a bounded cache and every report gets its own copy of
+the cached dict.  Decimal columns only appear under ``--approx`` and are
+labeled non-authoritative.  Output is deterministic: fixed field order, no
+ambient state.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from functools import lru_cache
 from typing import Optional
 
 from . import cfrac, cone, exceptional
-from .chern import ChernCharacter, character_from_json, character_to_json, slope_disc_text
+from .chern import ChernCharacter, character_from_json, character_to_json
 from .errors import ConsistencyError, DescentError, DomainError
 from .exceptional import DEFAULT_MAX_ORDER, DyadicRational
 from .qarith import (
-    QuadraticNumber, format_rational, int_digit_limit, parse_rational, ratio_str,
+    QuadraticNumber, int_digit_limit, parse_rational, ratio_str,
 )
 
 CONFIG_ENV = "PLANECONES_CONFIG"
@@ -87,123 +89,6 @@ def _int_at_least(least: int, most: int = 0):
     return parse
 
 
-def _check_ratio(field: str, n: int, d: int = 1) -> None:
-    """Raise ``DomainError`` if ``ratio_str(n, d)`` would print an integer past Python's limit.
-
-    Nothing is written to be measured: bit lengths come first, since
-    ``2**(3 * limit) < 10**limit``, and only a longer ``n`` or ``d`` is
-    reduced and compared with ``10**limit``.
-    """
-    limit = int_digit_limit()
-    if not limit or max(abs(n), abs(d)).bit_length() <= 3 * limit:
-        return
-    g = math.gcd(n, d)
-    for m in (abs(n) // g, abs(d) // g):
-        if m.bit_length() > 3 * limit and m >= 10 ** limit:
-            raise DomainError(f"{field} has a {m.bit_length():,}-bit integer, past "
-                              f"Python's limit of {limit:,} digits for printing one")
-
-
-def _check_printable(field: str, *numbers) -> None:
-    """Measure ints, ``Fraction``s and ``QuadraticNumber``s by the integers ``str`` writes.
-
-    A ``QuadraticNumber`` writes ``A/D``, ``B/D`` and ``d`` of its stored form.
-    """
-    for x in numbers:
-        if isinstance(x, QuadraticNumber):
-            _check_ratio(field, x.A, x.D)
-            _check_ratio(field, x.B, x.D)
-            _check_ratio(field, x.d)
-        else:
-            _check_ratio(field, x.numerator, x.denominator)
-
-
-def _check_character_printable(x: ChernCharacter, prefix: str = "") -> None:
-    """Measure the fields ``character_to_json`` prints for ``x``."""
-    r, c, chi = x.r, x.c1, x.chi
-    limit = int_digit_limit()
-    # each field of an integral character is below 2**(2b + 3), b the bits of the largest
-    if not limit or (type(r) is int and type(c) is int and type(chi) is int
-                     and max(abs(r), abs(c), abs(chi)).bit_length() * 2 + 3 <= 3 * limit):
-        return
-    fields = [("r", r), ("c1", c), ("chi", chi), ("ch2", x.ch2)]
-    if r != 0:
-        fields += [("mu", x.slope()), ("delta", x.discriminant())]
-    for field, value in fields:
-        _check_printable(prefix + field, value)
-
-
-def _check_slope_printable(s: exceptional.ExceptionalSlope, prefix: str = "") -> None:
-    """Measure the fields ``_slope_dict`` prints for ``s``, in its order.
-
-    ``lr_translation`` is the floor of the slope, so it fits when the slope
-    does; the interval is built only once the rank is known to fit.
-    """
-    r = s.r
-    _check_ratio(prefix + "slope", s.c1, r)
-    _check_ratio(prefix + "rank", r)
-    _check_ratio(prefix + "discriminant", r * r - 1, 2 * r * r)
-    _check_ratio(prefix + "dyadic", s.dyadic.p)
-    _check_printable(prefix + "interval", *s.interval())
-
-
-def _check_edge_printable(edge: cone.PrimaryEdge, prefix: str) -> None:
-    """Measure the fields ``_primary_dict`` prints for ``edge``.
-
-    The invariants are the extremal character's slope and discriminant,
-    and the triad's slopes and the bundles in the shape are read off the
-    triad characters, so those are measured once.
-    """
-    _check_slope_printable(edge.invariants.corresponding_slope,
-                           prefix + "invariants.corresponding_slope.")
-    _check_character_printable(edge.extremal_character, prefix + "extremal_character.")
-    if edge.basis_coords is not None:
-        _check_printable(prefix + "extremal_ray_coordinates", *edge.basis_coords)
-    res = edge.resolution
-    if res is not None:
-        for z in res.triad:
-            _check_character_printable(z, prefix + "resolution.triad_characters.")
-        _check_printable(prefix + "resolution.multiplicities",
-                         *(m for m in (res.m1, res.m2, res.m3) if m is not None))
-    kron = edge.kronecker
-    if kron is not None:
-        _check_printable(prefix + "kronecker", kron.hom_count, *kron.dim_vector,
-                         kron.expected_dimension)
-    wall = edge.wall
-    _check_printable(prefix + "wall", wall.center_s, wall.radius, wall.radius_squared)
-
-
-def _check_report_printable(report: cone.ConeReport) -> None:
-    """Measure every integer ``report_to_dict`` prints, before it renders any.
-
-    Bit lengths come first: an integer of at most ``3 * limit`` bits fits,
-    so only a longer one is reduced and compared with ``10**limit``.
-    """
-    _check_character_printable(report.input)
-    for field, value in (("mu0+", report.mu0_plus), ("mu0-", report.mu0_minus),
-                         ("dimension", report.dimension)):
-        if value is not None:
-            _check_printable(field, value)
-    if report.natural is not None:
-        for name, z in zip(("zeta0", "zeta1"), report.natural):
-            _check_character_printable(z, f"natural_classes.{name}.")
-    if report.primary is not None:
-        _check_edge_printable(report.primary, "primary.")
-    sec = report.secondary
-    if sec is not None:
-        if sec.corresponding_slope is not None:
-            _check_slope_printable(sec.corresponding_slope, "secondary.corresponding_slope.")
-        if sec.extremal_character is not None:
-            _check_character_printable(sec.extremal_character, "secondary.extremal_character.")
-            _check_printable("secondary.extremal_ray_coordinates", *sec.basis_coords)
-        if sec.dual_primary is not None:
-            _check_edge_printable(sec.dual_primary, "secondary.serre_dual_pipeline.")
-
-
-def _qn_str(x: Optional[QuadraticNumber]) -> Optional[str]:
-    return None if x is None else str(x)
-
-
 def _approx(value, digits: Optional[int]) -> Optional[str]:
     if digits is None or value is None:
         return None
@@ -237,6 +122,65 @@ def _text_lines(value, prefix: str) -> list[str]:
     return lines
 
 
+# -- writing within the digit limit ---------------------------------------------
+
+
+def _refuse(path: str, *numbers) -> None:
+    """Raise ``DomainError`` for the first integer ``str`` writes of ``numbers`` past the limit.
+
+    ``numbers`` are ints, ``Fraction``s and ``QuadraticNumber``s; the last are
+    written as ``A/D``, ``B/D`` and ``d`` of their stored form.  Each quotient
+    is reduced; an integer of at most ``3 * limit`` bits fits, since
+    ``2**(3 * limit) < 10**limit``, and only a longer one is compared with
+    ``10**limit``.  Returns when every integer fits.
+    """
+    limit = int_digit_limit()
+    for x in numbers:
+        if isinstance(x, QuadraticNumber):
+            ratios = (x.A, x.D), (x.B, x.D), (x.d, 1)
+        else:
+            ratios = ((x.numerator, x.denominator),)
+        for n, d in ratios:
+            g = math.gcd(n, d)
+            for m in (abs(n) // g, abs(d) // g):
+                if limit and m.bit_length() > 3 * limit and m >= 10 ** limit:
+                    raise DomainError(f"{path} has a {m.bit_length():,}-bit integer, past "
+                                      f"Python's limit of {limit:,} digits for printing one")
+
+
+def _ratio(path: str, n: int, d: int = 1) -> str:
+    """``ratio_str(n, d)``; past Python's digit limit, a ``DomainError`` naming ``path``."""
+    try:
+        return ratio_str(n, d)
+    except ValueError:
+        _refuse(path, Fraction(n, d))
+        raise
+
+
+def _str(path: str, x, *numbers) -> str:
+    """``str(x)``; past Python's digit limit, a ``DomainError`` naming ``path``.
+
+    ``numbers`` are the values whose integers ``str`` writes, ``x`` itself by default.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        _refuse(path, *(numbers or (x,)))
+        raise
+
+
+# Python refuses no int of fewer digits than 640, its least limit, so none of
+# 3 * 640 bits or fewer (2**1920 < 10**640)
+_ALWAYS_PRINTED_BITS = 1920
+
+
+def _int(path: str, n: Optional[int]) -> Optional[int]:
+    """``n`` as a JSON field, refused where ``str(n)`` would be: most pass one bit-length test."""
+    if n is not None and n.bit_length() > _ALWAYS_PRINTED_BITS:
+        _refuse(path, n)
+    return n
+
+
 # -- report rendering ---------------------------------------------------------
 
 
@@ -245,82 +189,105 @@ def _text_lines(value, prefix: str) -> list[str]:
 _RENDER_CACHE_SIZE = 1024
 
 
-def _slope_dict(s: exceptional.ExceptionalSlope) -> dict:
-    """``s`` rendered once per slope; each call gets its own copy, ``interval`` too."""
-    out = _slope_fields(s).copy()
+def _character_dict(x: ChernCharacter, prefix: str = "", cached: bool = False) -> dict:
+    """``character_to_json(x)``; a triad character (``cached``) is rendered once per digit limit.
+
+    Past the limit, the ``DomainError`` names the first of the character's
+    ``r``, ``c1``, ``chi``, ``ch2``, ``mu`` and ``delta`` that does not fit.
+    """
+    try:
+        if cached:
+            return _triad_character_fields(x, int_digit_limit()).copy()
+        return character_to_json(x)
+    except ValueError:
+        values = [("r", x.r), ("c1", x.c1), ("chi", x.chi), ("ch2", x.ch2)]
+        if x.r != 0:
+            values += [("mu", x.slope()), ("delta", x.discriminant())]
+        for name, value in values:
+            _refuse(prefix + name, value)
+        raise
+
+
+@lru_cache(maxsize=_RENDER_CACHE_SIZE)
+def _triad_character_fields(z: ChernCharacter, limit: int) -> dict:
+    return character_to_json(z)  # ``limit`` keys the cache: a lower one renders again
+
+
+def _slope_dict(s: exceptional.ExceptionalSlope, prefix: str = "") -> dict:
+    """``s`` rendered once per slope, path and digit limit; each call gets its own copy."""
+    out = _slope_fields(s, prefix, int_digit_limit()).copy()
     out["interval"] = out["interval"].copy()
     return out
 
 
 @lru_cache(maxsize=_RENDER_CACHE_SIZE)
-def _slope_fields(s: exceptional.ExceptionalSlope) -> dict:
+def _slope_fields(s: exceptional.ExceptionalSlope, prefix: str, limit: int) -> dict:
+    # ``limit`` keys the cache, as for the triad characters
     r = s.r
-    left, right = s.interval()
     shift, word = cfrac.slope_to_lr(s)
-    return {
-        "slope": ratio_str(s.c1, r),
-        "rank": r,
-        "discriminant": ratio_str(r * r - 1, 2 * r * r),
-        "order": s.order,
-        "dyadic": str(s.dyadic),
-        "lr_word": word,
-        "lr_translation": shift,
-        "interval": {"left": str(left), "right": str(right)},
-    }
-
-
-_triad_character_fields = lru_cache(maxsize=_RENDER_CACHE_SIZE)(character_to_json)
-
-
-def _triad_character_dict(z: ChernCharacter) -> dict:
-    """A triad character rendered once per character; each call gets its own copy."""
-    return _triad_character_fields(z).copy()
-
-
-def _invariants_dict(inv: cone.OrthogonalInvariants, digits: Optional[int]) -> dict:
-    mu, delta = slope_disc_text(inv.ray)
     out = {
-        "mu": mu,
-        "delta": delta,
-        "case_sign": inv.case_sign.value,
-        "on_delta_curve": inv.on_delta_curve,
-        "corresponding_slope": _slope_dict(inv.corresponding_slope),
+        "slope": _ratio(prefix + "slope", s.c1, r),
+        "rank": _int(prefix + "rank", r),
+        "discriminant": _ratio(prefix + "discriminant", r * r - 1, 2 * r * r),
+        "order": _int(prefix + "order", s.order),
+        "dyadic": _str(prefix + "dyadic", s.dyadic, s.dyadic.p),
+        "lr_word": word,
+        "lr_translation": _int(prefix + "lr_translation", shift),
     }
-    if digits is not None:
-        out["approx_mu"] = _approx(inv.point.mu, digits)
+    left, right = s.interval()  # built once the rank is known to fit
+    path = prefix + "interval"
+    out["interval"] = {"left": _str(path, left), "right": _str(path, right)}
     return out
 
 
-def _primary_dict(edge: cone.PrimaryEdge, digits: Optional[int]) -> dict:
-    out: dict = {"invariants": _invariants_dict(edge.invariants, digits)}
-    out["extremal_character"] = character_to_json(edge.extremal_character)
+def _coords_dict(coords: tuple[Fraction, Fraction], path: str) -> dict:
+    return {"zeta0": _str(path, coords[0]), "zeta1": _str(path, coords[1])}
+
+
+def _primary_dict(edge: cone.PrimaryEdge, digits: Optional[int], prefix: str) -> dict:
+    """The invariants' ``mu`` and ``delta`` are the extremal character's, so written once."""
+    inv = edge.invariants
+    slope = _slope_dict(inv.corresponding_slope, prefix + "invariants.corresponding_slope.")
+    character = _character_dict(edge.extremal_character, prefix + "extremal_character.")
+    invariants = {
+        "mu": character["mu"],
+        "delta": character["delta"],
+        "case_sign": inv.case_sign.value,
+        "on_delta_curve": inv.on_delta_curve,
+        "corresponding_slope": slope,
+    }
+    if digits is not None:
+        invariants["approx_mu"] = _approx(inv.point.mu, digits)
+    out: dict = {"invariants": invariants, "extremal_character": character}
     if edge.basis_coords is not None:
-        out["extremal_ray_coordinates"] = {
-            "zeta0": format_rational(edge.basis_coords[0]),
-            "zeta1": format_rational(edge.basis_coords[1]),
-        }
-    if edge.resolution is not None:
-        res = edge.resolution
+        out["extremal_ray_coordinates"] = _coords_dict(edge.basis_coords,
+                                                       prefix + "extremal_ray_coordinates")
+    res = edge.resolution
+    if res is not None:  # the triad's slopes are its characters' mu
+        path = prefix + "resolution.triad_characters."
+        triad = [_character_dict(z, path, cached=True) for z in res.triad]
+        path = prefix + "resolution.multiplicities"
         out["resolution"] = {
             "case_sign": res.case_sign.value,
-            "triad": [ratio_str(s.c1, s.r) for s in res.triad_slopes],
-            "triad_characters": [_triad_character_dict(c) for c in res.triad],
-            "multiplicities": [m for m in (res.m1, res.m2, res.m3) if m is not None],
+            "triad": [z["mu"] for z in triad],
+            "triad_characters": triad,
+            "multiplicities": [_int(path, m) for m in (res.m1, res.m2, res.m3) if m is not None],
             "shape": res.shape,
         }
-    if edge.kronecker is not None:
-        kron = edge.kronecker
+    kron = edge.kronecker
+    if kron is not None:
+        path = prefix + "kronecker"
         out["kronecker"] = {
-            "N": kron.hom_count,
-            "dim_vector": list(kron.dim_vector),
-            "expected_dimension": kron.expected_dimension,
+            "N": _int(path, kron.hom_count),
+            "dim_vector": [_int(path, n) for n in kron.dim_vector],
+            "expected_dimension": _int(path, kron.expected_dimension),
             "fibration": kron.fibration.value,
         }
-    wall = edge.wall
+    wall, path = edge.wall, prefix + "wall"
     out["wall"] = {
-        "center_s": format_rational(wall.center_s),
-        "radius": str(wall.radius),
-        "radius_squared": format_rational(wall.radius_squared),
+        "center_s": _str(path, wall.center_s),
+        "radius": _str(path, wall.radius),
+        "radius_squared": _str(path, wall.radius_squared),
         "exceeds_collapse_bound": wall.exceeds_collapse_bound,
     }
     if digits is not None:
@@ -330,46 +297,49 @@ def _primary_dict(edge: cone.PrimaryEdge, digits: Optional[int]) -> dict:
 
 
 def report_to_dict(report: cone.ConeReport, digits: Optional[int] = None) -> dict:
+    """The report as JSON fields, each integer measured against the digit limit as it is written."""
     out: dict = {
-        "input": character_to_json(report.input),
+        "input": _character_dict(report.input),
         "classification": {
             "kind": report.classification.kind.value,
             "reasons": list(report.classification.reasons),
         },
-        "dimension": report.dimension,
+        "dimension": _int("dimension", report.dimension),
     }
     if report.natural is not None:
         out["natural_classes"] = {
-            "zeta0": character_to_json(report.natural[0]),
-            "zeta1": character_to_json(report.natural[1]),
+            "zeta0": _character_dict(report.natural[0], "natural_classes.zeta0."),
+            "zeta1": _character_dict(report.natural[1], "natural_classes.zeta1."),
         }
-    if report.mu0_plus is not None:
+    plus, minus = report.mu0_plus, report.mu0_minus
+    if plus is not None:
         out["mu0"] = {
-            "plus": _qn_str(report.mu0_plus),
-            "minus": _qn_str(report.mu0_minus),
+            "plus": _str("mu0+", plus),
+            "minus": None if minus is None else _str("mu0-", minus),
         }
         if digits is not None:
-            out["mu0"]["approx_plus"] = _approx(report.mu0_plus, digits)
-            if report.mu0_minus is not None:
-                out["mu0"]["approx_minus"] = _approx(report.mu0_minus, digits)
+            out["mu0"]["approx_plus"] = _approx(plus, digits)
+            if minus is not None:
+                out["mu0"]["approx_minus"] = _approx(minus, digits)
     if report.primary is not None:
-        out["primary"] = _primary_dict(report.primary, digits)
-    if report.secondary is not None:
-        sec = report.secondary
+        out["primary"] = _primary_dict(report.primary, digits, "primary.")
+    sec = report.secondary
+    if sec is not None:
         sec_out: dict = {"mode": sec.mode.value, "descriptor": sec.descriptor}
         if sec.extremal_character is not None:
-            sec_out["mu"], sec_out["delta"] = slope_disc_text(sec.extremal_character)
+            character = _character_dict(sec.extremal_character, "secondary.extremal_character.")
+            sec_out["mu"], sec_out["delta"] = character["mu"], character["delta"]
         if sec.corresponding_slope is not None:
-            sec_out["corresponding_slope"] = _slope_dict(sec.corresponding_slope)
+            sec_out["corresponding_slope"] = _slope_dict(sec.corresponding_slope,
+                                                         "secondary.corresponding_slope.")
         if sec.extremal_character is not None:
-            sec_out["extremal_character"] = character_to_json(sec.extremal_character)
+            sec_out["extremal_character"] = character
         if sec.basis_coords is not None:
-            sec_out["extremal_ray_coordinates"] = {
-                "zeta0": format_rational(sec.basis_coords[0]),
-                "zeta1": format_rational(sec.basis_coords[1]),
-            }
+            sec_out["extremal_ray_coordinates"] = _coords_dict(
+                sec.basis_coords, "secondary.extremal_ray_coordinates")
         if sec.dual_primary is not None:
-            sec_out["serre_dual_pipeline"] = _primary_dict(sec.dual_primary, digits)
+            sec_out["serre_dual_pipeline"] = _primary_dict(sec.dual_primary, digits,
+                                                           "secondary.serre_dual_pipeline.")
         out["secondary"] = sec_out
     if report.note is not None:
         out["note"] = report.note
@@ -436,7 +406,6 @@ def _slope_from_args(args) -> exceptional.ExceptionalSlope:
 def _cmd_cone(args) -> int:
     x = _character_from_args(args)
     report = cone.cone_report(x, args.multiplier, args.max_order)
-    _check_report_printable(report)
     _emit(report_to_dict(report, args.approx), args.format)
     if report.classification.kind is cone.Kind.INVALID:
         return EXIT_BAD_INPUT
@@ -447,43 +416,29 @@ def _cmd_cone(args) -> int:
 
 def _cmd_classify(args) -> int:
     x = _character_from_args(args)
-    _check_character_printable(x)
+    out = {"input": _character_dict(x)}  # refused past the digit limit before classifying
     cls = cone.classify(x, args.max_order)
-    _emit(
-        {
-            "input": character_to_json(x),
-            "classification": {"kind": cls.kind.value, "reasons": list(cls.reasons)},
-        },
-        args.format,
-    )
+    out["classification"] = {"kind": cls.kind.value, "reasons": list(cls.reasons)}
+    _emit(out, args.format)
     return EXIT_OK
 
 
 def _cmd_slope(args) -> int:
     s = _slope_from_args(args)
-    _check_slope_printable(s)
     _emit(_slope_dict(s), args.format)
     return EXIT_OK
 
 
 def _cmd_cfrac(args) -> int:
     s = _slope_from_args(args)
-    _check_printable("slope", s.slope)
+    out = {"slope": _ratio("slope", s.c1, s.r)}
     _, shift, negated = cfrac.normalize_slope(s.slope)
     # normalized = shift - mu if negated else mu - shift
     normalized = exceptional.affine_image(s, negated, shift if negated else -shift)
-    _check_printable("normalized_slope", normalized.slope)
+    out["normalized_slope"] = _ratio("normalized_slope", normalized.c1, normalized.r)
     even = cfrac.even_expansion(normalized)
-    odd = cfrac.parity_convert(even) if even else None
-    out = {
-        "slope": format_rational(s.slope),
-        "normalized_slope": format_rational(normalized.slope),
-        "translation": shift,
-        "negated": negated,
-        "even": even,
-        "odd": odd,
-        "palindrome": even == even[::-1],
-    }
+    out.update(translation=_int("translation", shift), negated=negated, even=even,
+               odd=cfrac.parity_convert(even) if even else None, palindrome=even == even[::-1])
     if args.period:
         _, word = cfrac.slope_to_lr(normalized)
         try:
@@ -506,31 +461,27 @@ def _cmd_curve(args) -> int:
     if args.samples < 2:
         raise DomainError("--samples must be at least 2")
     step = (hi - lo) / (args.samples - 1)
-    rows = []
+    rows = []  # (mu's text, delta, delta's text, the descent's error); delta None on an error
     for i in range(args.samples):
         mu = lo + i * step
+        mu_text = _str("samples.mu", mu)  # refused before its descent
         try:
             value = exceptional.delta_curve(mu, args.max_order)
-            rows.append((mu, value, None))
+            rows.append((mu_text, value, _str("samples.delta", value), None))
         except DescentError as exc:
-            rows.append((mu, None, str(exc)))
-    intervals = []
-    for s in exceptional.enumerate_slopes(lo, hi, args.interval_order):
-        left, right = s.interval()
-        intervals.append({"slope": format_rational(s.slope), "order": s.order,
-                          "left": str(left), "right": str(right)})
+            rows.append((mu_text, None, None, str(exc)))
     overlay = None
     if getattr(args, "chern", None) or getattr(args, "rmd", None):
         x = _character_from_args(args)
         if x.r != 0:
             overlay = {
-                "vertex_mu": format_rational(-Fraction(3, 2) - x.slope()),
-                "vertex_delta": format_rational(-Fraction(1, 8) - x.discriminant()),
-                "translation_mu": format_rational(-x.slope()),
-                "translation_delta": format_rational(-x.discriminant()),
+                "vertex_mu": _str("parabola.vertex_mu", -Fraction(3, 2) - x.slope()),
+                "vertex_delta": _str("parabola.vertex_delta", -Fraction(1, 8) - x.discriminant()),
+                "translation_mu": _str("parabola.translation_mu", -x.slope()),
+                "translation_delta": _str("parabola.translation_delta", -x.discriminant()),
             }
         elif x.c1 != 0:
-            overlay = {"line_mu": format_rational(Fraction(-x.chi, x.c1))}
+            overlay = {"line_mu": _str("parabola.line_mu", Fraction(-x.chi, x.c1))}
         else:
             raise DomainError("the parabola overlay needs a nonzero rank or first Chern class")
 
@@ -541,24 +492,24 @@ def _cmd_curve(args) -> int:
         writer = csv.writer(buf, lineterminator="\n")
         header = ["mu", "delta"] + (["approx_delta"] if args.approx is not None else [])
         writer.writerow(header)
-        for mu, value, err in rows:
-            if err is not None:
-                record = [format_rational(mu), "ERROR"]
-            else:
-                record = [format_rational(mu), format_rational(value)]
+        for mu_text, value, delta_text, err in rows:
+            record = [mu_text, "ERROR" if err is not None else delta_text]
             if args.approx is not None:
                 record.append("" if err else _approx(value, args.approx))
             writer.writerow(record)
         sys.stdout.write(buf.getvalue())
     else:
+        intervals = []  # only the JSON output has the interval table
+        for s in exceptional.enumerate_slopes(lo, hi, args.interval_order):
+            left, right = s.interval()
+            intervals.append({"slope": _ratio("intervals.slope", s.c1, s.r),
+                              "order": _int("intervals.order", s.order),
+                              "left": _str("intervals.left", left),
+                              "right": _str("intervals.right", right)})
         payload = {
             "samples": [
-                {
-                    "mu": format_rational(mu),
-                    "delta": None if err else format_rational(value),
-                    **({"error": err} if err else {}),
-                }
-                for mu, value, err in rows
+                {"mu": mu_text, "delta": delta_text, **({"error": err} if err else {})}
+                for mu_text, _, delta_text, err in rows
             ],
             "intervals": intervals,
         }
@@ -590,7 +541,6 @@ def _cmd_batch(args) -> int:
                         "error": "; ".join(report.classification.reasons),
                     }
                 else:
-                    _check_report_printable(report)
                     record = report_to_dict(report, args.approx)
             except (UnicodeDecodeError, RecursionError, DomainError, DescentError,
                     ConsistencyError, ValueError) as exc:

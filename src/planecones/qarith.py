@@ -484,9 +484,9 @@ def format_rational(x: RationalLike) -> str:
     return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
-def int_digit_limit() -> int:
-    """Python's limit on the digits of an int read or written as text; 0 is none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+# Python's limit on the digits of an int read or written as text; 0 is none,
+# and there is none before Python 3.10.7
+int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def parse_rational(text: str) -> Fraction:

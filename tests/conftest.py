@@ -25,7 +25,9 @@ from planecones.exceptional import (
     interval_contains,
     slope_and_parents,
 )
-from planecones.qarith import TRIAL_DIVISION_BOUND, QuadraticNumber, qn_compare_cross, sqrt_exact
+from planecones.qarith import (
+    TRIAL_DIVISION_BOUND, QuadraticNumber, int_digit_limit, qn_compare_cross, sqrt_exact,
+)
 from planecones.record import Record
 
 settings.register_profile(
@@ -711,3 +713,95 @@ CASE_1_PRIME_FAMILY = [
 
 # mu0+ lies inside the interval of the order-4 slope 47/34 (address 17/2^4).
 ORDER_FOUR = character_from_json({"r": 2677938, "c1": 7598734, "chi": -17278349})
+
+
+# -- the field-by-field printability check, kept as an oracle ---------------------
+#
+# The renderer once had a second walk over a report that mirrored it field by
+# field and measured every integer it would print.  The renderer now measures
+# as it writes; this walk lists every field past Python's int-to-string digit
+# limit, as ``(path, bits)`` in its own order, where the walk stopped at the first.
+
+
+def _oracle_ratio(found: list, field: str, n: int, d: int = 1) -> None:
+    limit = int_digit_limit()
+    if not limit or max(abs(n), abs(d)).bit_length() <= 3 * limit:
+        return
+    g = math.gcd(n, d)
+    for m in (abs(n) // g, abs(d) // g):
+        if m.bit_length() > 3 * limit and m >= 10 ** limit:
+            found.append((field, m.bit_length()))
+
+
+def _oracle_numbers(found: list, field: str, *numbers) -> None:
+    """Ints, ``Fraction``s and ``QuadraticNumber``s by the integers ``str`` writes."""
+    for x in numbers:
+        if isinstance(x, QuadraticNumber):
+            _oracle_ratio(found, field, x.A, x.D)
+            _oracle_ratio(found, field, x.B, x.D)
+            _oracle_ratio(found, field, x.d)
+        else:
+            _oracle_ratio(found, field, x.numerator, x.denominator)
+
+
+def _oracle_character(found: list, x: ChernCharacter, prefix: str = "") -> None:
+    fields = [("r", x.r), ("c1", x.c1), ("chi", x.chi), ("ch2", x.ch2)]
+    if x.r != 0:
+        fields += [("mu", x.slope()), ("delta", x.discriminant())]
+    for field, value in fields:
+        _oracle_numbers(found, prefix + field, value)
+
+
+def _oracle_slope(found: list, s: ExceptionalSlope, prefix: str = "") -> None:
+    r = s.r
+    _oracle_ratio(found, prefix + "slope", s.c1, r)
+    _oracle_ratio(found, prefix + "rank", r)
+    _oracle_ratio(found, prefix + "discriminant", r * r - 1, 2 * r * r)
+    _oracle_ratio(found, prefix + "dyadic", s.dyadic.p)
+    _oracle_numbers(found, prefix + "interval", *s.interval())
+
+
+def _oracle_edge(found: list, edge, prefix: str) -> None:
+    """The invariants and the triad's slopes are read off the characters measured here."""
+    _oracle_slope(found, edge.invariants.corresponding_slope,
+                  prefix + "invariants.corresponding_slope.")
+    _oracle_character(found, edge.extremal_character, prefix + "extremal_character.")
+    if edge.basis_coords is not None:
+        _oracle_numbers(found, prefix + "extremal_ray_coordinates", *edge.basis_coords)
+    res = edge.resolution
+    if res is not None:
+        for z in res.triad:
+            _oracle_character(found, z, prefix + "resolution.triad_characters.")
+        _oracle_numbers(found, prefix + "resolution.multiplicities",
+                        *(m for m in (res.m1, res.m2, res.m3) if m is not None))
+    kron = edge.kronecker
+    if kron is not None:
+        _oracle_numbers(found, prefix + "kronecker", kron.hom_count, *kron.dim_vector,
+                        kron.expected_dimension)
+    wall = edge.wall
+    _oracle_numbers(found, prefix + "wall", wall.center_s, wall.radius, wall.radius_squared)
+
+
+def printability_oracle(report) -> list[tuple[str, int]]:
+    """Each ``(path, bits)`` of an integer ``report_to_dict`` would print past the digit limit."""
+    found: list = []
+    _oracle_character(found, report.input)
+    for field, value in (("mu0+", report.mu0_plus), ("mu0-", report.mu0_minus),
+                         ("dimension", report.dimension)):
+        if value is not None:
+            _oracle_numbers(found, field, value)
+    if report.natural is not None:
+        for name, z in zip(("zeta0", "zeta1"), report.natural):
+            _oracle_character(found, z, f"natural_classes.{name}.")
+    if report.primary is not None:
+        _oracle_edge(found, report.primary, "primary.")
+    sec = report.secondary
+    if sec is not None:
+        if sec.corresponding_slope is not None:
+            _oracle_slope(found, sec.corresponding_slope, "secondary.corresponding_slope.")
+        if sec.extremal_character is not None:
+            _oracle_character(found, sec.extremal_character, "secondary.extremal_character.")
+            _oracle_numbers(found, "secondary.extremal_ray_coordinates", *sec.basis_coords)
+        if sec.dual_primary is not None:
+            _oracle_edge(found, sec.dual_primary, "secondary.serre_dual_pipeline.")
+    return found

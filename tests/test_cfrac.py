@@ -149,24 +149,16 @@ class TestExpansion:
 
     @pytest.mark.parametrize("r, c1", [(7, 3), (41, 3), (103, 10), (1000, 7)])
     def test_records_with_quotients_past_two(self, r, c1):
-        """Records that are no exceptional slopes keep the character-wise text.
+        """A record whose slope has a quotient above 2 is no exceptional slope: refused.
 
-        Past 9 a quotient's text does not read back, and its "0" makes the
-        odd expansion fail, as it did character by character.
+        3/7 = [0; 2, 3] is one, by its last quotient.  These records once
+        took a text fork that wrote each quotient as its decimal digits, so
+        3/41 = [0; 13, 1, 2] came out as "1312", which is 11/14.
         """
-        def outcome(expand):
-            try:
-                return expand()
-            except DomainError as exc:
-                return str(exc)
-
         record = ExceptionalSlope(r, c1, 0, DyadicRational(1, 1))
-        even = even_expansion(record)
-        assert even == charwise_even_expansion(record)
-        assert outcome(lambda: odd_expansion(record)) == outcome(
-            lambda: charwise_parity_convert(even))
-        if r == 7:
-            assert even == "23" and cf_eval(even) == F(3, 7)
+        for expand in (even_expansion, odd_expansion):
+            with pytest.raises(ConsistencyError, match=rf"^\(r, c1\) = \({r}, {c1}\) has a "):
+                expand(record)
 
     def test_recursion_against_oracle_order_eight(self):
         for s in enumerate_slopes(0, F(1, 2), 8):

@@ -391,6 +391,18 @@ class TestCurveCommand:
         assert "error" in data["samples"][0]
         assert data["samples"][1]["delta"] == "1"
 
+    # the samples' denominators have about 8,600 digits: one error line, no traceback
+    @pytest.mark.skipif(not 4299 <= INT_DIGITS < 8000,
+                        reason="needs a digit limit in [4,299, 8,000)")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_past_the_digit_limit_is_a_one_line_error(self, capsys, fmt):
+        a, b = "3" * 4299, "7" * 4299
+        code, out, err = run(capsys, "curve", "--lo", f"1/{b}", "--hi", f"1/{a}", "--samples", "3",
+                             "--interval-order", "0", "--format", fmt)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("error: samples.") and err.count("\n") == 1
+        assert f"limit of {INT_DIGITS:,} digits for printing" in err
+
 
 class TestBatchCommand:
     LINES = [
@@ -511,6 +523,172 @@ class TestReportPastTheDigitLimit:
         assert records[0]["error"].startswith("delta has a ")
         assert records[1]["error"].startswith("mu0+ has a ")
         assert records[2]["dimension"] == 26
+
+
+def _hilbert(mu: Fraction) -> Fraction:
+    return (mu * mu + 3 * mu + 2) / 2
+
+
+def _near(rng, gamma, rank: int) -> dict:
+    """``(r, c1, chi)`` of rank ``rank`` whose ``mu0+`` lies close to ``gamma``'s slope.
+
+    ``mu0+`` is aimed at a seeded point within 0.4 of the interval's
+    halfwidth, ``1/(3 r^2)`` to first order, and the slope at a seeded
+    ``(5 + 8 delta)^(1/2)``; rounding ``c1`` and ``chi`` moves it by about ``1/rank``.
+    """
+    t = gamma.slope + F(rng.randrange(-40, 41), 100) / (3 * gamma.r ** 2)
+    s0 = F(rng.randrange(400, 1200), 100)
+    c1 = round(rank * ((s0 - 3) / 2 - t))
+    mu = F(c1, rank)
+    s = 2 * t + 3 + 2 * mu
+    return {"r": rank, "c1": c1, "chi": round(rank * (_hilbert(mu) - (s * s - 5) / 8))}
+
+
+def _random_character(rng, digits: int) -> dict:
+    """A character of Picard rank 2: rank of ``digits`` digits, ``1 <= delta - 1 < 10``."""
+    r = rng.randrange(10 ** (digits - 1), 10 ** digits)
+    c1 = rng.randrange(-5 * r, 5 * r)
+    chi = (r * _hilbert(F(c1, r)) - rng.randrange(2, 11) * r).__floor__()
+    return {"r": r, "c1": c1, "chi": chi}
+
+
+def _limit_characters() -> list[dict]:
+    """Seeded characters whose integers have 100-700 digits.
+
+    Between them, each family of printed fields passes a 640-digit limit at
+    least once: the input, ``mu0+-``, the dimension and the natural classes;
+    on both sides the extremal characters, their coordinates, the
+    multiplicities, the Kronecker data and the wall; and, for a gamma of
+    rank 10^333 (the address LLLRLRLRLRLRLR), the corresponding slopes, their
+    intervals and the triad characters, primary and (through the Serre
+    dual) secondary.  Near the order-6 slope of LRLRLR the wall is the
+    first field past the limit.
+    """
+    import random
+
+    from planecones.cfrac import lr_to_slope
+    from planecones.chern import character_from_json
+
+    rng = random.Random(1401_1613)
+    chars = [_random_character(rng, d) for d in (100, 200, 280, 330, 500, 640, 700)]
+    for word, factors in (("LRLRLR", (10 ** 150,)), ("LRLRLRLRLRLR", (10, 10 ** 50, 10 ** 150)),
+                          ("LLLRLRLRLRLRLR", (1,))):
+        gamma = lr_to_slope(word)
+        chars += [_near(rng, gamma, 100 * gamma.r ** 2 * f) for f in factors]
+    deep = character_from_json(chars[-1]).dual()  # its secondary side is the deep gamma
+    return chars + [{"r": deep.r, "c1": deep.c1, "chi": deep.chi}]
+
+
+def _has_path(value, keys: list) -> bool:
+    """Whether the rendered ``value`` has the key path ``keys``, through any list item."""
+    if not keys:
+        return True
+    if isinstance(value, list):
+        return any(_has_path(item, keys) for item in value)
+    return isinstance(value, dict) and keys[0] in value and _has_path(value[keys[0]], keys[1:])
+
+
+@pytest.mark.skipif(not 640 < INT_DIGITS, reason="needs a default digit limit above 640")
+class TestRendererAgainstTheOracle:
+    """The renderer measures as it writes; the old field-by-field check is the oracle."""
+
+    LIMIT = 640
+
+    def test_refuses_where_the_oracle_does(self, capsys, tmp_path):
+        from conftest import printability_oracle
+        from planecones import cli
+        from planecones.chern import character_from_json
+        from planecones.errors import DomainError
+
+        chars = _limit_characters()
+        reports = [cone.cone_report(character_from_json(c)) for c in chars]
+        # characters the command line can read back at the lower limit
+        readable = [i for i, c in enumerate(chars)
+                    if all(len(str(abs(v))) <= self.LIMIT for v in c.values())]
+        path = tmp_path / "batch.jsonl"
+        path.write_text("".join(json.dumps(chars[i]) + "\n" for i in readable))
+        refusals, found, cone_runs = [], [], []
+        sys.set_int_max_str_digits(self.LIMIT)
+        try:
+            for report in reports:
+                found.append(printability_oracle(report))
+                try:
+                    cli.report_to_dict(report)
+                    refusals.append(None)
+                except DomainError as exc:
+                    refusals.append(str(exc))
+            for i in readable:
+                c = chars[i]
+                cone_runs.append(run(capsys, "cone", "--chern", f"{c['r']},{c['c1']},"
+                                     f"{F(2 * (c['chi'] - c['r']) - 3 * c['c1'], 2)}"))
+            batch = run(capsys, "batch", str(path))
+        finally:
+            sys.set_int_max_str_digits(INT_DIGITS)
+
+        families = ("delta", "mu0+", "mu0-", "dimension", "natural_classes.",
+                    "primary.invariants.corresponding_slope.discriminant",
+                    "primary.invariants.corresponding_slope.interval",
+                    "primary.extremal_character.", "primary.extremal_ray_coordinates",
+                    "primary.resolution.triad_characters.", "primary.resolution.multiplicities",
+                    "primary.kronecker", "primary.wall", "secondary.corresponding_slope.",
+                    "secondary.extremal_character.", "secondary.extremal_ray_coordinates",
+                    "secondary.serre_dual_pipeline.")
+        seen = {p for paths in found for p, _ in paths}
+        assert all(any(p.startswith(family) for p in seen) for family in families)
+        for report, message, paths in zip(reports, refusals, found):
+            assert (message is None) == (not paths)
+            if message is None:
+                continue
+            field, bits = message.split(" has a ")[0], message.split(" has a ")[1].split("-bit")[0]
+            assert (field, int(bits.replace(",", ""))) in paths
+            assert message.endswith(f"past Python's limit of {self.LIMIT} digits for printing one")
+            # the input's fields are named bare, as they were
+            keys = {"mu0+": "mu0.plus", "mu0-": "mu0.minus", "dimension": "dimension"}.get(
+                field, field if "." in field else "input." + field).split(".")
+            assert _has_path(cli.report_to_dict(report), keys)
+        # past the input and mu0+-, a JSON int and a derived field are each refused first
+        assert {"dimension", "primary.wall"} <= {m.split(" has a ")[0] for m in refusals if m}
+        code, out, err = batch
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and err == "" and len(records) == len(readable)
+        for i, (code, out, err), record in zip(readable, cone_runs, records):
+            if refusals[i] is None:
+                assert code == 0 and err == "" and json.loads(out) == record
+            else:
+                assert (code, out, err) == (1, "", f"error: {refusals[i]}\n")
+                assert record == {"line": readable.index(i) + 1, "error": refusals[i]}
+
+    def test_lowered_limit_is_not_served_from_the_render_caches(self, capsys):
+        """What rendered at the default limit is refused below it, with the same message."""
+        chern = "1,0," + str(-(625 * 10 ** 497 + 1250 * 10 ** 247))  # a 750-digit ray chi
+        word = "LR" * 7  # a 384-digit rank: a 768-digit discriminant
+        for argv in (("slope", "--lr", word), ("cone", "--chern", chern)):
+            assert run(capsys, *argv)[0] == 0
+        sys.set_int_max_str_digits(self.LIMIT)
+        try:
+            slope = run(capsys, "slope", "--lr", word)
+            report = run(capsys, "cone", "--chern", chern)
+        finally:
+            sys.set_int_max_str_digits(INT_DIGITS)
+        assert slope[:2] == (1, "") and slope[2].startswith("error: discriminant has a 2,5")
+        assert report[:2] == (1, "")
+        assert report[2].startswith("error: primary.extremal_character.chi has a ")
+        for _, _, err in (slope, report):
+            assert err.endswith(f"past Python's limit of {self.LIMIT} digits for printing one\n")
+
+    def test_triad_character_cache_is_keyed_on_the_limit(self):
+        from planecones import cli
+        from planecones.cfrac import lr_to_slope
+        from planecones.errors import DomainError
+
+        bundle = lr_to_slope("LR" * 7).character()  # delta over 2 r^2, with 768 digits
+        assert cli._character_dict(bundle, "triad.", cached=True)["r"] == str(bundle.r)
+        sys.set_int_max_str_digits(self.LIMIT)
+        try:
+            with pytest.raises(DomainError, match=r"^triad\.delta has a 2,5[0-9]{2}-bit integer"):
+                cli._character_dict(bundle, "triad.", cached=True)
+        finally:
+            sys.set_int_max_str_digits(INT_DIGITS)
 
 
 class TestInternalError:

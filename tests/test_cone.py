@@ -607,7 +607,7 @@ def test_triad_and_render_caches_evict():
     def fill(left, gamma, right):
         triad = cone._triad(left, gamma, right)
         cli._slope_dict(gamma)
-        cli._triad_character_dict(triad.image_chars[2])
+        cli._character_dict(triad.image_chars[2], cached=True)
 
     for triple in triples:
         fill(*triple)

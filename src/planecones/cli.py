@@ -51,7 +51,7 @@ def _load_config() -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:  # bad UTF-8, JSON or a too-long int
         raise DomainError(f"unreadable config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"config file {path} must hold a JSON object")

@@ -18,10 +18,10 @@ bounded cache, and each report runs only the checks that involve its character
 (multiplicities, rebuild, dimension, orthogonality, half-plane, double
 orthogonality and boundary).  For rank >= 3 the same steps on the Serre dual
 (``mu0+ = -mu0-``) give the secondary ray, the negated dual of the dual's
-primary ray; rank 2 takes one more cross product.  The wall and the check that
-each invariant point lies on or above gamma's arc are integer expressions in
-the ray (``bridgeland_wall``, ``_below_arc``), and a report holds no text built
-from its integers: the resolution's ``shape`` is written when it is read.
+primary ray; rank 2 takes one more cross product.  The wall and the side of
+the boundary curve a class lies on are integer expressions
+(``bridgeland_wall``, ``_arc_side``), and a report holds no text built from
+its integers: the resolution's ``shape`` is written when it is read.
 Public stage functions are views of the analysis.
 """
 
@@ -47,7 +47,7 @@ from .chern import (
     natural_classes,
 )
 from .errors import ConsistencyError, DomainError
-from .exceptional import DEFAULT_MAX_ORDER, ExceptionalSlope, delta_curve
+from .exceptional import DEFAULT_MAX_ORDER, ExceptionalSlope
 from .qarith import QuadraticNumber, integer_form, sqrt_ratio
 from .record import Record
 
@@ -218,21 +218,17 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
     if discriminant_form(x.r, x.c1, x.chi)[0] > 2 * x.r * x.r:
         return _ABOVE_BOUNDARY
     mu = x.slope()
-    delta = x.discriminant()
-    enclosing, boundary = exceptional.boundary_at(mu, max_order)
-    if delta > boundary:
+    enclosing = exceptional.boundary_at(mu, max_order)[0]
+    side = _arc_side(x, enclosing)
+    if side > 0:
         return _ABOVE_BOUNDARY
-    if delta == boundary:
+    if side == 0:
         return Classification(
             Kind.HEIGHT_ZERO, ("discriminant sits exactly on the boundary curve",)
         )
-    # an exceptional multiple has the slope and discriminant of its enclosing
-    # exceptional slope, and a rank divisible by that slope's rank
-    if (
-        x.c1 * enclosing.r == enclosing.c1 * x.r
-        and delta == enclosing.discriminant
-        and x.r % enclosing.r == 0
-    ):
+    # an exceptional multiple is k times its enclosing exceptional slope's bundle
+    k, rest = divmod(x.r, enclosing.r)
+    if rest == 0 and x.c1 == k * enclosing.c1 and x.chi == k * enclosing.chi:
         return Classification(
             Kind.EXCEPTIONAL,
             (f"positive multiple of the exceptional character of slope {mu}",),
@@ -430,26 +426,24 @@ def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
         # endpoints are irrational, so a rational mu in gamma's closed
         # interval lies in no other and gamma's arc is the boundary there
         ray, gamma = inv.ray, inv.corresponding_slope
-        if exceptional._locate(gamma.r, gamma.c1, ray.c1, 0, 0, ray.r)[1] >= 0:
-            below = _below_arc(ray, gamma)
-        else:
-            point = inv.point
-            below = point.delta < delta_curve(point.mu, max_order)
-        if below:
+        if exceptional._locate(gamma.r, gamma.c1, ray.c1, 0, 0, ray.r)[1] < 0:
+            gamma = exceptional.boundary_at(ray.slope(), max_order)[0]
+        if _arc_side(ray, gamma) < 0:
             raise ConsistencyError(f"orthogonal invariants {inv.point} below the boundary curve")
     return inv.ray.scale(multiplier)
 
 
-def _below_arc(ray: ChernCharacter, gamma: ExceptionalSlope) -> bool:
-    """Whether the ray's ``(mu, delta)`` lies strictly below gamma's arc.
+def _arc_side(x: ChernCharacter, a: ExceptionalSlope) -> int:
+    """The sign of ``delta(x)`` minus ``a``'s arc at ``mu(x)``, for ``r(x) > 0``.
 
-    Both sides over ``2 r^2 r_a^2``, for the ray ``(r, c, chi)`` and gamma's
-    rank ``r_a``: the discriminant gives ``r_a^2 (c^2 + 3rc + 2r^2 - 2r chi)``
+    Both over ``2 r^2 r_a^2``, for ``x = (r, c, chi)`` and ``a``'s rank
+    ``r_a``: the discriminant gives ``r_a^2 (c^2 + 3rc + 2r^2 - 2r chi)``
     and the arc :func:`exceptional._arc_form`, the integer numerator that
     ``arc_value`` divides once.  No ``Fraction`` is built.
     """
-    r, c, ra = ray.r, ray.c1, gamma.r
-    return ra * ra * discriminant_form(r, c, ray.chi)[0] < exceptional._arc_form(gamma, r, c)
+    r, c, ra = x.r, x.c1, a.r
+    t = ra * ra * discriminant_form(r, c, x.chi)[0] - exceptional._arc_form(a, r, c)
+    return (t > 0) - (t < 0)
 
 
 # -- resolutions ----------------------------------------------------------------

@@ -5,7 +5,7 @@ order-preserving correspondence: integers map to themselves and the slope at
 the dyadic midpoint of two neighbours is their mediant.  Each slope carries
 its exceptional bundle's lattice character ``(r, c1, chi)``, the one source of
 its slope ``c1/r``, rank and discriminant ``(r^2 - 1)/(2 r^2)``.  A walk
-down the tree mutates these integers (``_mutation``), one level at a time
+down the tree mutates these integers (from ``_start``), one level at a time
 where its address bits alternate; a run of equal bits, along which one end
 of the bracket stays fixed, is one closed-form jump (``_jump``).  Nothing
 is kept between walks, and a walk can be bounded by the digits of its
@@ -168,17 +168,16 @@ def _line(n: int) -> tuple[int, int, int]:
     return 1, n, (n + 1) * (n + 2) // 2
 
 
-def _mutation(left: tuple, right: tuple, g: tuple) -> tuple[int, int, int]:
-    """The character ``3 r(coarse) v(fin) - v(g)`` at the midpoint of ``[left, right]``.
+def _start(n: int) -> tuple[tuple, tuple, tuple, tuple, int]:
+    """``(left, right, fin, g, s)`` of the bracket ``[n, n + 1]`` before a walk's first step.
 
-    ``fin`` is the end that is the last mediant, of the larger rank (the left
-    end of ``[b, b + 1]``, where both are line bundles), ``coarse`` the other
-    end and ``g`` the end dropped the step before (``O(b - 1)`` at first).
-    On ranks this is the Markov move ``3xy - z``.
+    Each step takes the midpoint ``s v(fin) - v(g)``, ``s = 3 r(coarse)``,
+    the Markov move ``3xy - z`` on ranks: ``fin`` is the end the last step
+    put in, ``coarse`` the other and ``g`` the end it replaced.  The first
+    midpoint is ``3 O(n) - O(n - 1)``, as ``n = (n - 1).(n + 1)``.
     """
-    fin, coarse = (left, right) if left[0] >= right[0] else (right, left)
-    s = 3 * coarse[0]
-    return s * fin[0] - g[0], s * fin[1] - g[1], s * fin[2] - g[2]
+    left = _line(n)
+    return left, _line(n + 1), left, _line(n - 1), 3
 
 
 def epsilon(d: DyadicRational) -> Fraction:
@@ -190,13 +189,11 @@ def _walk(d: DyadicRational,
           max_rank_digits: int = 0) -> tuple[ExceptionalSlope, ExceptionalSlope, ExceptionalSlope]:
     """``(left parent, slope, right parent)`` of ``d = p / 2**q`` with ``q >= 1``.
 
-    Descends from the integer bracket: the bracket at level ``k`` is
-    ``[b, b + 1] / 2**k`` with ``b = p >> (q - k)``, and its midpoint is the
-    mutation ``3 r(coarse) v(fin) - v(g)`` of :func:`_mutation`, taken
-    inline: ``fin`` is the end the last step put in, ``coarse`` the other
-    and ``g`` the end it replaced.  Bit ``q - k`` of ``p`` puts the midpoint
-    in as the left (1) or the right (0) end.  Along a run of equal bits the
-    coarse end stays, so the run's midpoints obey
+    Descends from the integer bracket of :func:`_start`: the bracket at
+    level ``k`` is ``[b, b + 1] / 2**k`` with ``b = p >> (q - k)``, and its
+    midpoint is the mutation ``s v(fin) - v(g)``.  Bit ``q - k`` of ``p``
+    puts the midpoint in as the left (1) or the right (0) end.  Along a run
+    of equal bits the coarse end stays, so the run's midpoints obey
     ``v' = 3 r(coarse) v - v_prev``: the walk jumps the rest of a run in one
     step (``_jump``), its length read off the bits of ``p``.  An alternating
     address takes one step per level.
@@ -210,10 +207,7 @@ def _walk(d: DyadicRational,
     the work stays bounded by the cap, not by the run's length.
     """
     p, q = d.p, d.q
-    b = p >> q
-    left, right = _line(b), _line(b + 1)
-    # the first midpoint is 3 O(b) - O(b - 1), as n = (n - 1).(n + 1)
-    fin, g, s = left, _line(b - 1), 3
+    left, right, fin, g, s = _start(p >> q)
     cap = 10 ** max_rank_digits if max_rank_digits > 0 else 0
     jumps = True
     k, bit = 1, (p >> (q - 1)) & 1
@@ -339,7 +333,7 @@ def from_slope_value(mu: RationalLike, max_order: int = DEFAULT_MAX_ORDER) -> Ex
 
     Exact lookup, with no interval descent: from the integer bracket around
     ``mu = a/b`` the walk takes each level's mutation inline, as ``_walk``
-    does, and compares ``mu`` with the mediant ``c1/r`` by one
+    and ``_descend`` do, and compares ``mu`` with the mediant ``c1/r`` by one
     cross-multiplication, ``a r - c1 b``, whose sign also picks the half
     bracket to go on in.  An exceptional slope's rank is its reduced
     denominator (``c1^2 = -1 mod r``) and ranks grow along a walk, so the
@@ -352,9 +346,7 @@ def from_slope_value(mu: RationalLike, max_order: int = DEFAULT_MAX_ORDER) -> Ex
     n = a // b
     if b == 1:
         return from_integer(n)
-    left, right = _line(n), _line(n + 1)
-    # the first midpoint is 3 O(n) - O(n - 1), as in ``_walk``
-    fin, g, s = left, _line(n - 1), 3
+    left, right, fin, g, s = _start(n)
     p, q = n, 0
     while q < max_order:
         p, q = 2 * p + 1, q + 1
@@ -493,20 +485,21 @@ def _descend(x, max_order: int) -> tuple[ExceptionalSlope, ExceptionalSlope, Exc
     n = floor_of_form(A, B, d, D)
     for m in (n, n + 1):
         if _locate(1, m, A, B, d, D)[1] >= 0:
-            return from_integer(m - 1), from_integer(m), from_integer(m + 1)
+            return slope_and_parents(_dyadic(m, 0))
+    left, right, fin, g, s = _start(n)
     p, q = n, 0
-    left, right, g = _line(n), _line(n + 1), _line(n - 1)
     while q < max_order:
         p, q = 2 * p + 1, q + 1
-        mid = _mutation(left, right, g)
+        mid = (s * fin[0] - g[0], s * fin[1] - g[1], s * fin[2] - g[2])
         side, inside = _locate(mid[0], mid[1], A, B, d, D)
         if inside >= 0:
             return _with_parents(left, _slope(*mid, _dyadic(p, q)), right, p, q)
         # narrow to [p - 1, p] or [p, p + 1] over 2**q; p keeps the left end
         if side < 0:
-            p, right, g = p - 1, mid, right
+            p, right, g, s = p - 1, mid, right, 3 * left[0]
         else:
-            left, g = mid, left
+            left, g, s = mid, left, 3 * right[0]
+        fin = mid
     raise DescentError(
         f"no enclosing interval of order <= {max_order}: "
         f"input is a Cantor-set point or the budget is too small"

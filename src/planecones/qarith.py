@@ -30,6 +30,7 @@ from functools import total_ordering
 from typing import Union
 
 from .errors import DomainError
+from .record import Record
 
 RationalLike = Union[Fraction, int]
 
@@ -227,8 +228,8 @@ class QuadraticNumber:
     rational part; ``a`` and ``b`` read back as :class:`Fraction` values.
     Every stored ``d`` is a fixed point of :func:`squarefree_decompose`, so
     each operator is one integer formula that reuses its operands' radicand.
-    Instances are immutable and totally ordered, exactly across radicands,
-    and hash as equal values do.
+    Instances are immutable (a cache may share one), totally ordered,
+    exactly across radicands, and hash as equal values do.
     """
 
     __slots__ = ("A", "B", "d", "D")
@@ -268,10 +269,15 @@ class QuadraticNumber:
         g = math.gcd(A, B, D)
         if g > 1:
             A, B, D = A // g, B // g, D // g
-        self.A = A
-        self.B = B
-        self.d = d
-        self.D = D
+        _set_A(self, A)
+        _set_B(self, B)
+        _set_d(self, d)
+        _set_D(self, D)
+
+    __setattr__ = __delattr__ = Record.__setattr__  # each raises AttributeError
+
+    def __reduce__(self):
+        return QuadraticNumber._from_form, (self.A, self.B, self.d, self.D)
 
     @classmethod
     def parse(cls, text: str) -> "QuadraticNumber":
@@ -419,6 +425,11 @@ class QuadraticNumber:
         scaled = abs(scaled)
         whole, frac = divmod(scaled, 10 ** digits)
         return f"{sign}{whole}.{str(frac).zfill(digits)}"
+
+
+# _store writes through the slot descriptors, past the refusing __setattr__
+_set_A, _set_B, _set_d, _set_D = (getattr(QuadraticNumber, name).__set__
+                                  for name in QuadraticNumber.__slots__)
 
 
 def _check_digits(digits: int) -> None:

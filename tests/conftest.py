@@ -37,6 +37,8 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# the long hostile-input run: pytest tests/test_fuzz.py --hypothesis-profile=fuzz
+settings.register_profile("fuzz", settings.get_profile("ci"), max_examples=2000)
 settings.load_profile("ci")
 
 

@@ -276,6 +276,12 @@ class TestLrParents:
         assert lr_parents("R") == ("", None)
         assert lr_parents("RR") == ("R", None)
 
+    def test_empty_word_and_negative_depth_raise(self):
+        with pytest.raises(DomainError, match="the empty word has no parents"):
+            lr_parents("")
+        with pytest.raises(DomainError, match="negative depth"):
+            cantor_approx("L", -1)
+
 
 class TestPeriodStructure:
     def test_worked_example(self):

@@ -61,6 +61,10 @@ class TestSlopeDisc:
     def test_rank_zero_raises(self):
         with pytest.raises(RankZeroError):
             ChernCharacter.of(0, 3, 1).slope()
+        with pytest.raises(RankZeroError, match="discriminant of a rank-zero character"):
+            ChernCharacter.of(0, 3, 1).discriminant()
+        with pytest.raises(DomainError, match="natural classes need positive rank"):
+            natural_classes(ChernCharacter.of(0, 3, 1))
 
     def test_from_rmd_examples(self):
         assert ChernCharacter.from_rmd(1, 0, 4) == ChernCharacter.of(1, 0, -4)

@@ -118,6 +118,13 @@ class TestConeCommand:
         assert (gamma["slope"], gamma["order"]) == ("1118033988749894848204586834365", 0)
 
 
+@pytest.mark.parametrize("command", ["cone", "classify"])
+def test_a_character_is_required(capsys, command):
+    code, out, err = run(capsys, command)
+    assert code == 1 and out == ""
+    assert err == "error: provide --chern r,c1,ch2 or --rmd r,mu,delta\n"
+
+
 class TestClassifyCommand:
     def test_exceptional(self, capsys):
         code, out, _ = run(capsys, "classify", "--rmd", "5,2/5,12/25")
@@ -373,6 +380,15 @@ class TestCurveCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--lo", "1", "--hi", "1"), "--lo must be smaller than --hi"),
+        (("--lo", "0", "--hi", "1", "--samples", "1"), "--samples must be at least 2"),
+    ], ids=["empty_range", "one_sample"])
+    def test_bad_range_is_a_one_line_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "curve", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_sample_endpoints(self, capsys):
         _, out, _ = run(capsys, "curve", "--lo", "0", "--hi", "1/2", "--samples", "2")
         data = json.loads(out)
@@ -447,6 +463,16 @@ class TestBatchCommand:
         assert len(records) == 3
         assert records[0] == records[2] and records[0]["dimension"] == 26
         assert records[1]["line"] == 2 and message in records[1]["error"]
+
+    def test_blank_lines_make_no_record_but_count(self, tmp_path, capsys):
+        path = tmp_path / "batch.jsonl"
+        good = json.dumps(self.LINES[0])
+        path.write_text(f"\n{good}\n   \t\n\nnot json\n")
+        code, out, _ = run(capsys, "batch", str(path))
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 2 and records[0]["dimension"] == 26
+        assert records[1]["line"] == 5 and "error" in records[1]
 
     def test_empty_input(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
@@ -726,8 +752,12 @@ class TestConfig:
         code, _, err = run(capsys, "cone", "--rmd", "3,2/3,17/9")
         assert code == 1 and "config" in err
 
-    @pytest.mark.parametrize("content", [b"\xff", b"[" * 10 ** 5],
-                             ids=["invalid_utf8", "deep_nesting"])
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"\xff", id="invalid_utf8"),
+        pytest.param(b"[" * 10 ** 5, id="deep_nesting"),
+        pytest.param(b'{"max_order": ' + b"7" * (INT_DIGITS + 1) + b"}",
+                     id="int_past_the_digit_limit", marks=needs_digit_limit),
+    ])
     def test_undecodable_config_is_one_line(self, tmp_path, capsys, monkeypatch, content):
         config = tmp_path / "config.json"
         config.write_bytes(content)

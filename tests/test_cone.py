@@ -18,7 +18,7 @@ from planecones.cone import (
     Fibration,
     Kind,
     SecondaryMode,
-    _below_arc,
+    _arc_side,
     bridgeland_wall,
     classify,
     cone_report,
@@ -238,12 +238,12 @@ class TestOrthogonalCharacter:
                     on_arc = r * (hilbert_poly(mu) - arc_value(gamma, mu))
                     for chi in range(math.floor(on_arc) - 2, math.ceil(on_arc) + 3):
                         ray = character_from_json({"r": r, "c1": c, "chi": chi})
-                        below = _below_arc(ray, gamma)
+                        below = _arc_side(ray, gamma) < 0
                         assert below == arc_below(ray, gamma), (ray, gamma)
                         seen.add((below, chi == on_arc))
         assert seen == {(True, False), (False, False), (False, True)}
 
-    def test_below_arc_agrees_with_arc_value(self):
+    def test_arc_side_agrees_with_arc_value(self):
         # for each slope of order <= 4 in [-2, 2], at points in and out of its
         # interval: the ray on the arc at its least rank, and one unit of chi
         # either side of it (more chi is a smaller discriminant)
@@ -253,10 +253,11 @@ class TestOrthogonalCharacter:
                 chi_per_rank = hilbert_poly(mu) - arc_value(gamma, mu)
                 r = math.lcm(mu.denominator, chi_per_rank.denominator)
                 on = int(r * chi_per_rank)
-                for chi, below in ((on, False), (on - 1, False), (on + 1, True)):
+                for chi, side in ((on, 0), (on - 1, 1), (on + 1, -1)):
                     ray = character_from_json({"r": r, "c1": int(r * mu), "chi": chi})
-                    assert (ray.discriminant() < arc_value(gamma, ray.slope())) is below
-                    assert _below_arc(ray, gamma) is below, (ray, gamma)
+                    gap = ray.discriminant() - arc_value(gamma, ray.slope())
+                    assert (gap > 0) - (gap < 0) == side
+                    assert _arc_side(ray, gamma) == side, (ray, gamma)
 
     @pytest.mark.parametrize("mu, in_gamma", [(F(1, 4), True), (F(1), False)])
     def test_point_below_the_boundary_rejected(self, mu, in_gamma):

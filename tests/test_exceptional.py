@@ -57,6 +57,10 @@ class TestDyadic:
         assert d.value == F(3, 4)
         assert d.order == 2
 
+    def test_make_refuses_a_negative_exponent(self):
+        with pytest.raises(DomainError, match="negative dyadic exponent"):
+            DyadicRational.make(1, -1)
+
     def test_make_matches_halving_loop(self):
         def halving(p, q):
             while q > 0 and p % 2 == 0:

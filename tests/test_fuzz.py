@@ -1,0 +1,170 @@
+"""Hostile input to the command line ends in one line, in bounded time.
+
+Hypothesis draws ``argv`` from a small grammar of each subcommand's flags,
+``batch`` files of hostile lines, and config files, and calls ``main``
+in-process.  Nothing may escape but argparse's ``SystemExit(2)``; every exit
+code is 0, 1, 2 or 4, never the internal status 3; no case prints a
+traceback, an error exit with no output is one ``error:`` line, and no case
+takes a second.  The tier-1 run draws 50 cases a test; the ``fuzz`` profile
+(``pytest tests/test_fuzz.py --hypothesis-profile=fuzz``) draws its own
+2,000.  The size of what a valid request prints is not bounded here, so
+``--samples`` stays at most 64 and ``--interval-order`` at most 8.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planecones.cli import CONFIG_ENV, main
+
+LONG = "7" * 5000  # past Python's int-to-string digit limit
+HOSTILE = ["1e100000000", "nan", "inf", "-inf", "١٢", "1/0", "", " ", LONG, f"-{LONG}",
+           f"1/{LONG}", "0x10", "1.5", "-2.5e-3", "2/-3", "1,2"]
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# hostile values that no integer flag reads as an integer; ``١٢`` reads as 12
+NOT_INTS = [text for text in HOSTILE if not _is_int(text)]
+
+small = st.one_of(st.integers(-6, 6).map(str),
+                  st.fractions(-3, 3, max_denominator=9).map(str))
+value = st.one_of(st.sampled_from(HOSTILE), small)
+triple = st.one_of(st.lists(value, min_size=3, max_size=3).map(",".join), value)
+count = st.one_of(st.integers(-2, 80).map(str), st.sampled_from(HOSTILE))
+
+
+def bounded(most: int):
+    """An integer flag's text: at most ``most``, or a hostile value that is no integer."""
+    return st.one_of(st.integers(-2, most).map(str), st.sampled_from(NOT_INTS))
+
+
+def flags(*options) -> st.SearchStrategy:
+    """Each ``(flag, values)`` given or not, in a drawn order; ``values`` None for a switch."""
+    drawn = [st.one_of(st.just([]), st.just([flag]) if values is None
+                       else values.map(lambda text, flag=flag: [flag, text]))
+             for flag, values in options]
+    return st.tuples(*drawn).flatmap(st.permutations).map(lambda parts: sum(parts, []))
+
+
+CHARACTER = (("--chern", triple), ("--rmd", triple))
+FORMAT = (("--json", None), ("--text", None))
+word = st.text(alphabet="LRx ", max_size=40)
+dyadic = st.one_of(value, st.tuples(value, count).map("/2^".join))
+SLOPE = (("--dyadic", dyadic), ("--rational", value), ("--lr", word), ("--max-order", count))
+
+ARGV = st.one_of(
+    flags(*CHARACTER, ("--multiplier", count), ("--max-order", count),
+          ("--approx", count), *FORMAT).map(lambda rest: ["cone", *rest]),
+    flags(*CHARACTER, ("--max-order", count), *FORMAT).map(lambda rest: ["classify", *rest]),
+    flags(*SLOPE, *FORMAT).map(lambda rest: ["slope", *rest]),
+    flags(*SLOPE, ("--period", None), *FORMAT).map(lambda rest: ["cfrac", *rest]),
+    flags(("--lo", value), ("--hi", value), ("--samples", bounded(64)),
+          ("--interval-order", bounded(8)), ("--format", st.sampled_from(["csv", "json", "x"])),
+          *CHARACTER, ("--max-order", count), ("--approx", count))
+    .map(lambda rest: ["curve", *rest]),
+)
+
+# JSON values a batch line or a config file may hold where a number goes
+json_field = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(-10 ** 30, 10 ** 30), value,
+    st.sampled_from([[], [1], [[3, 2]], {}, {"r": 3}, {"r": [{"c1": None}]}]),
+)
+KEY_SHAPES = [("r", "c1", "chi"), ("r", "mu", "delta"), ("ch0", "ch1", "ch2")]
+character_line = st.tuples(
+    st.sampled_from(KEY_SHAPES), st.lists(json_field, min_size=2, max_size=3),
+).map(lambda drawn: json.dumps(dict(zip(*drawn))).encode())  # two fields leave a key out
+raw_line = st.one_of(
+    st.binary(max_size=12),
+    st.sampled_from([b"\xff\xfe", b"{", b"[" * 10 ** 4, b"[]", b"null", b"true", b"1.5",
+                     b'"r"', b"   \t", b"", f'{{"r": {LONG}, "c1": 0, "chi": 1}}'.encode()]),
+    st.text(max_size=12).map(str.encode),
+)
+batch_lines = st.lists(st.one_of(character_line, raw_line), max_size=4)
+
+config = st.one_of(
+    st.tuples(st.sampled_from(["max_order", "multiplier", "x"]), json_field)
+    .map(lambda item: json.dumps(dict([item])).encode()),
+    raw_line,
+)
+
+cases = settings() if settings.get_current_profile_name() == "fuzz" else settings(max_examples=50)
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)`` with its output captured, checked for what every case must meet."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error, and nothing else
+            assert exc.code == 2, (argv, exc.code)
+            code = 2
+    elapsed = time.perf_counter() - start
+    out, err = out.getvalue(), err.getvalue()
+    assert elapsed < 1, (argv, elapsed)
+    assert code in (0, 1, 2, 4), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 1 and not out:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    return code, out, err
+
+
+@cases
+@given(ARGV)
+def test_hostile_argv(argv):
+    _run(argv)
+
+
+@cases
+@given(batch_lines, flags(("--multiplier", count), ("--max-order", count), ("--approx", count)))
+def test_hostile_batch_lines(lines, rest):
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "batch.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(b"\n".join(lines) + b"\n")
+        code, out, err = _run(["batch", path, *rest])
+    if code == 0:  # one record per line that is not blank, whatever it holds
+        records = [json.loads(line) for line in out.splitlines()]
+        read = (b"\n".join(lines) + b"\n").split(b"\n")[:-1]  # the lines a file yields
+        assert len(records) == sum(not _blank(line) for line in read), lines
+        assert err == ""
+
+
+def _blank(line: bytes) -> bool:
+    """Whether ``batch`` skips the line: it decodes to nothing but whitespace."""
+    try:
+        return not line.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        return False
+
+
+@cases
+@given(config, st.sampled_from([["cone", "--rmd", "3,2/3,17/9"], ["slope", "--rational", "2/5"]]))
+def test_hostile_config(content, argv):
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "config.json")
+        with open(path, "wb") as handle:
+            handle.write(content)
+        before = os.environ.get(CONFIG_ENV)
+        os.environ[CONFIG_ENV] = path
+        try:
+            _run(argv)
+        finally:
+            if before is None:
+                del os.environ[CONFIG_ENV]
+            else:
+                os.environ[CONFIG_ENV] = before

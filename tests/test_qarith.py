@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -466,6 +467,49 @@ class TestSerialization:
     def test_str_matches_fraction_coefficients(self, a, b, d):
         x = qn(a, b, d)
         assert str(x) == fraction_qn_str(x)
+
+
+def test_domain_errors():
+    with pytest.raises(DomainError, match="not a rational value"):
+        qn(0, 1, 2).rational_value()
+    with pytest.raises(DomainError, match="negative radicand"):
+        squarefree_decompose(-1)
+
+
+class TestImmutable:
+    def test_assignment_and_deletion_raise(self):
+        x = qn(Fraction(1, 3), 2, 5)
+        fields = (x.A, x.B, x.d, x.D)
+        for name in ("A", "B", "d", "D"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(x, name, 0)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(x, name)
+        with pytest.raises(AttributeError):
+            x.extra = 0
+        assert (x.A, x.B, x.d, x.D) == fields and x == qn(Fraction(1, 3), 2, 5)
+
+    def test_a_cached_halfwidth_cannot_be_changed(self):
+        # the halfwidth cache hands one instance per rank to every slope of that rank
+        from planecones.exceptional import DyadicRational, from_dyadic
+
+        h = from_dyadic(DyadicRational(1, 2)).interval_halfwidth()
+        before = from_dyadic(DyadicRational(-1, 2)).interval()
+        digest = hash(h)
+        with pytest.raises(AttributeError):
+            h.B = 0
+        with pytest.raises(AttributeError):
+            del h.A
+        assert from_dyadic(DyadicRational(-1, 2)).interval_halfwidth() is h
+        assert from_dyadic(DyadicRational(-1, 2)).interval() == before
+        assert not before[0].is_rational and hash(h) == digest
+
+    @given(rationals, rationals, raw_radicands)
+    def test_pickle_round_trip(self, a, b, d):
+        x = qn(a, b, d)
+        y = pickle.loads(pickle.dumps(x))
+        assert type(y) is QuadraticNumber and y is not x
+        assert (y.A, y.B, y.d, y.D) == (x.A, x.B, x.d, x.D) and hash(y) == hash(x)
 
 
 some_integers = st.one_of(st.integers(min_value=-60, max_value=60), hundred_digits)

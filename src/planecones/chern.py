@@ -158,6 +158,8 @@ class ChernCharacter(Record):
         return _lattice(-self.r, -self.c1, -self.chi)
 
     def scale(self, k: RationalLike) -> "ChernCharacter":
+        if k == 1:  # a record is immutable, so the class itself is its own multiple
+            return self
         if type(k) is not int:
             k = Fraction(k)
         return _lattice(k * self.r, k * self.c1, k * self.chi)

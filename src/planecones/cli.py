@@ -10,9 +10,12 @@ the whole output is rendered.  ``slope`` and ``cfrac`` stop their walk at
 the first rank past that limit.  A slope's fields and a triad character
 depend on nothing but the slope or the character, so each is rendered once
 per digit limit into a bounded cache and every report gets its own copy of
-the cached dict.  Decimal columns only appear under ``--approx`` and are
-labeled non-authoritative.  Output is deterministic: fixed field order, no
-ambient state.
+the cached dict.  The caches key on integers (a slope's bundle and address,
+a character's ``(r, c1, chi)``), never on records.  A report reads the digit
+limit once and writes enums from ``_value_`` and quotients from integers.
+Decimal columns only appear under ``--approx`` and are labeled
+non-authoritative.  Output is deterministic: fixed field order, no ambient
+state.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import cfrac, cone, exceptional
-from .chern import ChernCharacter, character_from_json, character_to_json
+from .chern import ChernCharacter, _lattice, character_from_json, character_to_json
 from .errors import ConsistencyError, DescentError, DomainError
 from .exceptional import DEFAULT_MAX_ORDER, DyadicRational
 from .qarith import (
@@ -42,6 +45,10 @@ EXIT_BAD_INPUT = 1
 # 2 is argparse's status for a usage error
 EXIT_INTERNAL = 3
 EXIT_CLASSIFICATION_ONLY = 4
+
+# ``curve``'s caps on samples and on interval-table rows, each a few seconds of work
+MAX_CURVE_SAMPLES = 1 << 16
+MAX_CURVE_ROWS = 1 << 16
 
 
 def _load_config() -> dict:
@@ -189,15 +196,18 @@ def _int(path: str, n: Optional[int]) -> Optional[int]:
 _RENDER_CACHE_SIZE = 1024
 
 
-def _character_dict(x: ChernCharacter, prefix: str = "", cached: bool = False) -> dict:
+def _character_dict(x: ChernCharacter, prefix: str = "", cached: bool = False,
+                    limit: Optional[int] = None) -> dict:
     """``character_to_json(x)``; a triad character (``cached``) is rendered once per digit limit.
 
-    Past the limit, the ``DomainError`` names the first of the character's
-    ``r``, ``c1``, ``chi``, ``ch2``, ``mu`` and ``delta`` that does not fit.
+    Past the digit limit (``limit``, read here if not given), the
+    ``DomainError`` names the first of the character's ``r``, ``c1``,
+    ``chi``, ``ch2``, ``mu`` and ``delta`` that does not fit.
     """
     try:
         if cached:
-            return _triad_character_fields(x, int_digit_limit()).copy()
+            limit = int_digit_limit() if limit is None else limit
+            return _triad_character_fields(x.r, x.c1, x.chi, limit).copy()
         return character_to_json(x)
     except ValueError:
         values = [("r", x.r), ("c1", x.c1), ("chi", x.chi), ("ch2", x.ch2)]
@@ -209,28 +219,32 @@ def _character_dict(x: ChernCharacter, prefix: str = "", cached: bool = False) -
 
 
 @lru_cache(maxsize=_RENDER_CACHE_SIZE)
-def _triad_character_fields(z: ChernCharacter, limit: int) -> dict:
-    return character_to_json(z)  # ``limit`` keys the cache: a lower one renders again
+def _triad_character_fields(r: int, c1: int, chi: int, limit: int) -> dict:
+    # ``limit`` keys the cache: a lower one renders again
+    return character_to_json(_lattice(r, c1, chi))
 
 
-def _slope_dict(s: exceptional.ExceptionalSlope, prefix: str = "") -> dict:
+def _slope_dict(s: exceptional.ExceptionalSlope, prefix: str = "",
+                limit: Optional[int] = None) -> dict:
     """``s`` rendered once per slope, path and digit limit; each call gets its own copy."""
-    out = _slope_fields(s, prefix, int_digit_limit()).copy()
+    d = s.dyadic
+    out = _slope_fields(s.r, s.c1, s.chi, d.p, d.q, prefix,
+                        int_digit_limit() if limit is None else limit).copy()
     out["interval"] = out["interval"].copy()
     return out
 
 
 @lru_cache(maxsize=_RENDER_CACHE_SIZE)
-def _slope_fields(s: exceptional.ExceptionalSlope, prefix: str, limit: int) -> dict:
+def _slope_fields(r: int, c1: int, chi: int, p: int, q: int, prefix: str, limit: int) -> dict:
     # ``limit`` keys the cache, as for the triad characters
-    r = s.r
+    s = exceptional._slope(r, c1, chi, exceptional._dyadic(p, q))
     shift, word = cfrac.slope_to_lr(s)
     out = {
-        "slope": _ratio(prefix + "slope", s.c1, r),
+        "slope": _ratio(prefix + "slope", c1, r),
         "rank": _int(prefix + "rank", r),
         "discriminant": _ratio(prefix + "discriminant", r * r - 1, 2 * r * r),
-        "order": _int(prefix + "order", s.order),
-        "dyadic": _str(prefix + "dyadic", s.dyadic, s.dyadic.p),
+        "order": _int(prefix + "order", q),
+        "dyadic": _str(prefix + "dyadic", s.dyadic, p),
         "lr_word": word,
         "lr_translation": _int(prefix + "lr_translation", shift),
     }
@@ -240,35 +254,38 @@ def _slope_fields(s: exceptional.ExceptionalSlope, prefix: str, limit: int) -> d
     return out
 
 
-def _coords_dict(coords: tuple[Fraction, Fraction], path: str) -> dict:
-    return {"zeta0": _str(path, coords[0]), "zeta1": _str(path, coords[1])}
+def _coords_dict(ray: ChernCharacter, r: int, path: str) -> dict:
+    """The ray's natural-basis coordinates ``(R/r, C/r)``, written from its integers."""
+    return {"zeta0": _ratio(path, ray.r, r), "zeta1": _ratio(path, ray.c1, r)}
 
 
-def _primary_dict(edge: cone.PrimaryEdge, digits: Optional[int], prefix: str) -> dict:
+def _primary_dict(edge: cone.PrimaryEdge, digits: Optional[int], prefix: str,
+                  limit: int) -> dict:
     """The invariants' ``mu`` and ``delta`` are the extremal character's, so written once."""
     inv = edge.invariants
-    slope = _slope_dict(inv.corresponding_slope, prefix + "invariants.corresponding_slope.")
+    slope = _slope_dict(inv.corresponding_slope, prefix + "invariants.corresponding_slope.",
+                        limit)
     character = _character_dict(edge.extremal_character, prefix + "extremal_character.")
     invariants = {
         "mu": character["mu"],
         "delta": character["delta"],
-        "case_sign": inv.case_sign.value,
+        "case_sign": inv.case_sign._value_,
         "on_delta_curve": inv.on_delta_curve,
         "corresponding_slope": slope,
     }
     if digits is not None:
         invariants["approx_mu"] = _approx(inv.point.mu, digits)
     out: dict = {"invariants": invariants, "extremal_character": character}
-    if edge.basis_coords is not None:
-        out["extremal_ray_coordinates"] = _coords_dict(edge.basis_coords,
-                                                       prefix + "extremal_ray_coordinates")
+    if edge.coords_denominator is not None:
+        out["extremal_ray_coordinates"] = _coords_dict(
+            edge.extremal_character, edge.coords_denominator, prefix + "extremal_ray_coordinates")
     res = edge.resolution
     if res is not None:  # the triad's slopes are its characters' mu
         path = prefix + "resolution.triad_characters."
-        triad = [_character_dict(z, path, cached=True) for z in res.triad]
+        triad = [_character_dict(z, path, True, limit) for z in res.triad]
         path = prefix + "resolution.multiplicities"
         out["resolution"] = {
-            "case_sign": res.case_sign.value,
+            "case_sign": res.case_sign._value_,
             "triad": [z["mu"] for z in triad],
             "triad_characters": triad,
             "multiplicities": [_int(path, m) for m in (res.m1, res.m2, res.m3) if m is not None],
@@ -281,13 +298,13 @@ def _primary_dict(edge: cone.PrimaryEdge, digits: Optional[int], prefix: str) ->
             "N": _int(path, kron.hom_count),
             "dim_vector": [_int(path, n) for n in kron.dim_vector],
             "expected_dimension": _int(path, kron.expected_dimension),
-            "fibration": kron.fibration.value,
+            "fibration": kron.fibration._value_,
         }
     wall, path = edge.wall, prefix + "wall"
     out["wall"] = {
-        "center_s": _str(path, wall.center_s),
+        "center_s": _ratio(path, wall.center_num, wall.center_den),
         "radius": _str(path, wall.radius),
-        "radius_squared": _str(path, wall.radius_squared),
+        "radius_squared": _ratio(path, wall.radius_squared_num, wall.radius_squared_den),
         "exceeds_collapse_bound": wall.exceeds_collapse_bound,
     }
     if digits is not None:
@@ -298,12 +315,11 @@ def _primary_dict(edge: cone.PrimaryEdge, digits: Optional[int], prefix: str) ->
 
 def report_to_dict(report: cone.ConeReport, digits: Optional[int] = None) -> dict:
     """The report as JSON fields, each integer measured against the digit limit as it is written."""
+    limit = int_digit_limit()
+    cls = report.classification
     out: dict = {
         "input": _character_dict(report.input),
-        "classification": {
-            "kind": report.classification.kind.value,
-            "reasons": list(report.classification.reasons),
-        },
+        "classification": {"kind": cls.kind._value_, "reasons": list(cls.reasons)},
         "dimension": _int("dimension", report.dimension),
     }
     if report.natural is not None:
@@ -322,24 +338,25 @@ def report_to_dict(report: cone.ConeReport, digits: Optional[int] = None) -> dic
             if minus is not None:
                 out["mu0"]["approx_minus"] = _approx(minus, digits)
     if report.primary is not None:
-        out["primary"] = _primary_dict(report.primary, digits, "primary.")
+        out["primary"] = _primary_dict(report.primary, digits, "primary.", limit)
     sec = report.secondary
     if sec is not None:
-        sec_out: dict = {"mode": sec.mode.value, "descriptor": sec.descriptor}
-        if sec.extremal_character is not None:
-            character = _character_dict(sec.extremal_character, "secondary.extremal_character.")
+        sec_out: dict = {"mode": sec.mode._value_, "descriptor": sec.descriptor}
+        ray = sec.extremal_character
+        if ray is not None:
+            character = _character_dict(ray, "secondary.extremal_character.")
             sec_out["mu"], sec_out["delta"] = character["mu"], character["delta"]
         if sec.corresponding_slope is not None:
             sec_out["corresponding_slope"] = _slope_dict(sec.corresponding_slope,
-                                                         "secondary.corresponding_slope.")
-        if sec.extremal_character is not None:
+                                                         "secondary.corresponding_slope.", limit)
+        if ray is not None:
             sec_out["extremal_character"] = character
-        if sec.basis_coords is not None:
             sec_out["extremal_ray_coordinates"] = _coords_dict(
-                sec.basis_coords, "secondary.extremal_ray_coordinates")
+                ray, sec.coords_denominator, "secondary.extremal_ray_coordinates")
         if sec.dual_primary is not None:
             sec_out["serre_dual_pipeline"] = _primary_dict(sec.dual_primary, digits,
-                                                           "secondary.serre_dual_pipeline.")
+                                                           "secondary.serre_dual_pipeline.",
+                                                           limit)
         out["secondary"] = sec_out
     if report.note is not None:
         out["note"] = report.note
@@ -460,6 +477,14 @@ def _cmd_curve(args) -> int:
         raise DomainError("--lo must be smaller than --hi")
     if args.samples < 2:
         raise DomainError("--samples must be at least 2")
+    if args.samples > MAX_CURVE_SAMPLES:
+        raise DomainError(f"--samples must be at most {MAX_CURVE_SAMPLES:,}")
+    order = args.interval_order
+    # [lo, hi] holds at most (floor(hi) - ceil(lo) + 2) * 2**order slopes of order <= order;
+    # the factor is at least 1, so a large order is refused without the shift
+    if args.output_format == "json" and (order >= MAX_CURVE_ROWS.bit_length() or (
+            math.floor(hi) - math.ceil(lo) + 2) << order > MAX_CURVE_ROWS):
+        raise DomainError(f"--interval-order {order} over --lo/--hi passes {MAX_CURVE_ROWS:,} rows")
     step = (hi - lo) / (args.samples - 1)
     rows = []  # (mu's text, delta, delta's text, the descent's error); delta None on an error
     for i in range(args.samples):
@@ -499,7 +524,7 @@ def _cmd_curve(args) -> int:
             writer.writerow(record)
         sys.stdout.write(buf.getvalue())
     else:
-        intervals = []  # only the JSON output has the interval table
+        intervals = []
         for s in exceptional.enumerate_slopes(lo, hi, args.interval_order):
             left, right = s.interval()
             intervals.append({"slope": _ratio("intervals.slope", s.c1, s.r),
@@ -526,14 +551,18 @@ def _cmd_batch(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    status = EXIT_OK
     with source as stream:
         for number, line in enumerate(stream, start=1):
-            try:
+            try:  # only reading the line can fail on bad input
                 line = line.decode("utf-8").strip()
                 if not line:
                     continue
-                data = json.loads(line)
-                x = character_from_json(data)
+                x = character_from_json(json.loads(line))
+            except (UnicodeDecodeError, RecursionError, ValueError) as exc:
+                print(json.dumps({"line": number, "error": str(exc)}))
+                continue
+            try:
                 report = cone.cone_report(x, args.multiplier, args.max_order)
                 if report.classification.kind is cone.Kind.INVALID:
                     record = {
@@ -542,11 +571,13 @@ def _cmd_batch(args) -> int:
                     }
                 else:
                     record = report_to_dict(report, args.approx)
-            except (UnicodeDecodeError, RecursionError, DomainError, DescentError,
-                    ConsistencyError, ValueError) as exc:
+            except (DomainError, DescentError) as exc:
                 record = {"line": number, "error": str(exc)}
+            except (ConsistencyError, ValueError) as exc:  # a fault of the library, not the line
+                record = {"line": number, "error": f"internal check failed: {exc}"}
+                status = EXIT_INTERNAL
             print(json.dumps(record))
-    return EXIT_OK
+    return status
 
 
 # -- argument wiring -------------------------------------------------------------

@@ -4,25 +4,34 @@ Kronecker data and the extremal rays of the effective cone.
 One private analysis per character classifies it, takes ``sqrt(5 + 8 delta)``
 once for both ``mu0+-`` (``sqrt_ratio`` on the character's integers) and
 descends once to the corresponding exceptional slope gamma, whose interval
-encloses ``mu0+``; the descent hands back gamma's parents too.  Classification
-descends only when ``delta <= 1``: the boundary curve never rises above 1, so a
-larger discriminant, read off the character's integers, is Picard rank two at
-once.  The primary ray is a lattice vector: gamma's bundle when the character
-pairs to zero with it, else the primitive class orthogonal to the character and
-to ``E_{-gamma}`` (positive pairing) or ``E_{-gamma-3}`` (negative), one
-integer cross product (``_ray``); the invariants ``(mu+, delta+)`` are its
-slope and discriminant.  The resolving triad is read off the addresses of gamma
-and its parents by ``affine_image``, with no walk; it and the Kronecker arrow
-count depend on gamma alone, so ``_triad`` works them out once per gamma in a
-bounded cache, and each report runs only the checks that involve its character
-(multiplicities, rebuild, dimension, orthogonality, half-plane, double
+encloses ``mu0+``; the descent (``exceptional._bracket``) runs on the integer
+form of ``mu0+`` and hands back gamma's and its parents' ``(r, c1, chi)`` and
+gamma's address.  Classification descends only when ``delta <= 1``: the
+boundary curve never rises above 1, so a larger discriminant, read off the
+character's integers, is Picard rank two at once.  The primary ray is a
+lattice vector: gamma's bundle when the character pairs to zero with it, else
+the primitive class orthogonal to the character and to ``E_{-gamma}``
+(positive pairing) or ``E_{-gamma-3}`` (negative), one integer cross product
+(``_ray``); the invariants ``(mu+, delta+)`` are its slope and discriminant.
+The resolving triad is read off the addresses of gamma and its parents by
+``affine_image``, with no walk; it and the Kronecker arrow count depend on
+gamma alone, so ``_triad`` works them out once per gamma in a bounded cache
+keyed on the descent's integers, which hashes no record, and each report runs
+only the checks that involve its character (multiplicities, rebuild as three
+integer dot products, dimension, orthogonality, half-plane, double
 orthogonality and boundary).  For rank >= 3 the same steps on the Serre dual
-(``mu0+ = -mu0-``) give the secondary ray, the negated dual of the dual's
-primary ray; rank 2 takes one more cross product.  The wall and the side of
+give the secondary ray, the negated dual of the dual's primary ray: the dual
+descends on ``-mu0-``'s integer form, read off the stored ``mu0-``, and builds
+no number.  Rank 2 takes one more cross product.  The wall and the side of
 the boundary curve a class lies on are integer expressions
-(``bridgeland_wall``, ``_arc_side``), and a report holds no text built from
-its integers: the resolution's ``shape`` is written when it is read.
-Public stage functions are views of the analysis.
+(``bridgeland_wall``, ``_arc_side``); the wall's center and squared radius and
+the rays' natural-basis coordinates are kept as integer numerators and
+denominators, read as ``Fraction``s only by their properties.  A report holds
+no text built from its integers: the resolution's ``shape`` is written when it
+is read.  Every record a report builds comes from a trusted constructor, one
+slot setter per field (``_new_report``, ``_new_primary`` and the other
+``_new_*``); the checked ``Record.__init__`` stays the public path.  Public
+stage functions are views of the analysis.
 """
 
 from __future__ import annotations
@@ -130,34 +139,65 @@ class KroneckerData(Record):
 
 
 class Wall(Record):
-    __slots__ = ("center_s", "radius", "radius_squared", "exceeds_collapse_bound")
-    center_s: Fraction
+    """A numerical wall: center ``-mu - 3/2`` and squared radius ``2 delta + 1/4``.
+
+    Both rationals are kept as the integer numerator and denominator they are
+    written from; ``center_s`` and ``radius_squared`` read them as ``Fraction``s.
+    """
+
+    __slots__ = ("center_num", "center_den", "radius", "radius_squared_num",
+                 "radius_squared_den", "exceeds_collapse_bound")
+    center_num: int
+    center_den: int
     radius: QuadraticNumber
-    radius_squared: Fraction
+    radius_squared_num: int
+    radius_squared_den: int
     exceeds_collapse_bound: bool  # radius > sqrt(5)/2, automatic when delta+ > 1/2
+
+    @property
+    def center_s(self) -> Fraction:
+        return Fraction(self.center_num, self.center_den)
+
+    @property
+    def radius_squared(self) -> Fraction:
+        return Fraction(self.radius_squared_num, self.radius_squared_den)
+
+
+def _coords(ray: Optional[ChernCharacter],
+            r: Optional[int]) -> Optional[tuple[Fraction, Fraction]]:
+    """The ray ``(R, C, X)``'s natural-basis coordinates ``(R/r, C/r)``, over the input's rank."""
+    return None if r is None else (Fraction(ray.r, r), Fraction(ray.c1, r))
 
 
 class PrimaryEdge(Record):
-    __slots__ = ("invariants", "extremal_character", "basis_coords", "resolution", "kronecker",
-                 "wall", "movable_edge_coincides")
+    __slots__ = ("invariants", "extremal_character", "coords_denominator", "resolution",
+                 "kronecker", "wall", "movable_edge_coincides")
     invariants: OrthogonalInvariants
     extremal_character: ChernCharacter
-    basis_coords: Optional[tuple[Fraction, Fraction]]
+    coords_denominator: Optional[int]  # the input's rank; None for rank zero
     resolution: Optional[ResolutionData]
     kronecker: Optional[KroneckerData]
     wall: Wall
     movable_edge_coincides: bool
 
+    @property
+    def basis_coords(self) -> Optional[tuple[Fraction, Fraction]]:
+        return _coords(self.extremal_character, self.coords_denominator)
+
 
 class SecondaryEdge(Record):
-    __slots__ = ("mode", "corresponding_slope", "extremal_character", "basis_coords",
+    __slots__ = ("mode", "corresponding_slope", "extremal_character", "coords_denominator",
                  "descriptor", "dual_primary")
     mode: SecondaryMode
     corresponding_slope: Optional[ExceptionalSlope]
     extremal_character: Optional[ChernCharacter]
-    basis_coords: Optional[tuple[Fraction, Fraction]]
+    coords_denominator: Optional[int]  # the input's rank, where there is a ray
     descriptor: str
     dual_primary: Optional[PrimaryEdge]  # full pipeline on the Serre dual
+
+    @property
+    def basis_coords(self) -> Optional[tuple[Fraction, Fraction]]:
+        return _coords(self.extremal_character, self.coords_denominator)
 
     @property
     def invariants(self) -> Optional[SlopeDisc]:
@@ -180,6 +220,116 @@ class ConeReport(Record):
     note: Optional[str]
 
 
+# -- trusted constructors ----------------------------------------------------
+#
+# A report builds its records here, one slot setter per field, past the
+# field-count check of ``Record.__init__``, which stays the checked public
+# path: its loop over the setters costs about twice as much.
+
+_new = object.__new__
+
+
+def _new_classification(kind: Kind, reasons: tuple[str, ...]) -> Classification:
+    cls = _new(Classification)
+    set_kind, set_reasons = Classification._setters
+    set_kind(cls, kind)
+    set_reasons(cls, reasons)
+    return cls
+
+
+def _new_invariants(ray: ChernCharacter, case: CaseSign, on_curve: bool,
+                    gamma: ExceptionalSlope) -> OrthogonalInvariants:
+    inv = _new(OrthogonalInvariants)
+    set_ray, set_case, set_on_curve, set_gamma = OrthogonalInvariants._setters
+    set_ray(inv, ray)
+    set_case(inv, case)
+    set_on_curve(inv, on_curve)
+    set_gamma(inv, gamma)
+    return inv
+
+
+def _new_resolution(case: CaseSign, slopes: tuple, chars: tuple, m1: int, m2: int,
+                    m3: Optional[int]) -> ResolutionData:
+    res = _new(ResolutionData)
+    set_case, set_slopes, set_chars, set_m1, set_m2, set_m3 = ResolutionData._setters
+    set_case(res, case)
+    set_slopes(res, slopes)
+    set_chars(res, chars)
+    set_m1(res, m1)
+    set_m2(res, m2)
+    set_m3(res, m3)
+    return res
+
+
+def _new_kronecker(n: int, dim_vector: tuple[int, int], edim: int,
+                   fibration: Fibration) -> KroneckerData:
+    kron = _new(KroneckerData)
+    set_n, set_dim_vector, set_edim, set_fibration = KroneckerData._setters
+    set_n(kron, n)
+    set_dim_vector(kron, dim_vector)
+    set_edim(kron, edim)
+    set_fibration(kron, fibration)
+    return kron
+
+
+def _new_wall(center_num: int, center_den: int, radius: QuadraticNumber, radius_squared_num: int,
+              radius_squared_den: int, exceeds: bool) -> Wall:
+    wall = _new(Wall)
+    set_cn, set_cd, set_radius, set_rn, set_rd, set_exceeds = Wall._setters
+    set_cn(wall, center_num)
+    set_cd(wall, center_den)
+    set_radius(wall, radius)
+    set_rn(wall, radius_squared_num)
+    set_rd(wall, radius_squared_den)
+    set_exceeds(wall, exceeds)
+    return wall
+
+
+def _new_primary(inv: OrthogonalInvariants, ray: ChernCharacter, coords_denominator, res,
+                 kron, wall: Wall, coincides: bool) -> PrimaryEdge:
+    edge = _new(PrimaryEdge)
+    set_inv, set_ray, set_coords, set_res, set_kron, set_wall, set_coincides = \
+        PrimaryEdge._setters
+    set_inv(edge, inv)
+    set_ray(edge, ray)
+    set_coords(edge, coords_denominator)
+    set_res(edge, res)
+    set_kron(edge, kron)
+    set_wall(edge, wall)
+    set_coincides(edge, coincides)
+    return edge
+
+
+def _new_secondary(mode: SecondaryMode, slope, ray, coords_denominator, descriptor: str,
+                   dual) -> SecondaryEdge:
+    edge = _new(SecondaryEdge)
+    set_mode, set_slope, set_ray, set_coords, set_descriptor, set_dual = SecondaryEdge._setters
+    set_mode(edge, mode)
+    set_slope(edge, slope)
+    set_ray(edge, ray)
+    set_coords(edge, coords_denominator)
+    set_descriptor(edge, descriptor)
+    set_dual(edge, dual)
+    return edge
+
+
+def _new_report(x: ChernCharacter, cls: Classification, dim, natural, mu0_plus=None,
+                mu0_minus=None, primary=None, secondary=None, note=None) -> ConeReport:
+    report = _new(ConeReport)
+    (set_input, set_cls, set_dim, set_natural, set_plus, set_minus, set_primary, set_secondary,
+     set_note) = ConeReport._setters
+    set_input(report, x)
+    set_cls(report, cls)
+    set_dim(report, dim)
+    set_natural(report, natural)
+    set_plus(report, mu0_plus)
+    set_minus(report, mu0_minus)
+    set_primary(report, primary)
+    set_secondary(report, secondary)
+    set_note(report, note)
+    return report
+
+
 # -- classification ----------------------------------------------------------
 
 
@@ -193,22 +343,22 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
     Euler characteristic), then position relative to the boundary curve.
     """
     if x.r.denominator != 1:
-        return Classification(Kind.INVALID, ("rank is not an integer",))
+        return _new_classification(Kind.INVALID, ("rank is not an integer",))
     if x.c1.denominator != 1:
-        return Classification(Kind.INVALID, ("first Chern class is not an integer",))
+        return _new_classification(Kind.INVALID, ("first Chern class is not an integer",))
     if x.chi.denominator != 1:
-        return Classification(Kind.INVALID, ("Euler characteristic is not an integer",))
+        return _new_classification(Kind.INVALID, ("Euler characteristic is not an integer",))
     if x.r < 0:
-        return Classification(Kind.INVALID, ("negative rank",))
+        return _new_classification(Kind.INVALID, ("negative rank",))
 
     if x.r == 0:
         d = x.c1
         if d < 3:
-            return Classification(
+            return _new_classification(
                 Kind.INVALID,
                 (f"rank zero needs first Chern class d >= 3, got {d}",),
             )
-        return Classification(
+        return _new_classification(
             Kind.RANK_ZERO_PICARD_RANK_2,
             (f"pure one-dimensional sheaves of degree {d}",),
         )
@@ -223,17 +373,17 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
     if side > 0:
         return _ABOVE_BOUNDARY
     if side == 0:
-        return Classification(
+        return _new_classification(
             Kind.HEIGHT_ZERO, ("discriminant sits exactly on the boundary curve",)
         )
     # an exceptional multiple is k times its enclosing exceptional slope's bundle
     k, rest = divmod(x.r, enclosing.r)
     if rest == 0 and x.c1 == k * enclosing.c1 and x.chi == k * enclosing.chi:
-        return Classification(
+        return _new_classification(
             Kind.EXCEPTIONAL,
             (f"positive multiple of the exceptional character of slope {mu}",),
         )
-    return Classification(
+    return _new_classification(
         Kind.INVALID, ("discriminant below the boundary curve and not an exceptional multiple",)
     )
 
@@ -244,14 +394,15 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
 class _Triad(Record):
     """What the resolution owes to gamma alone, whatever the character.
 
-    ``alpha``, ``gamma`` and ``beta`` are the characters of gamma and its
-    parents ``alpha < gamma < beta``; ``images`` are ``E_{-alpha-3}``,
-    ``E_{-beta}``, ``E_{-gamma}`` and ``E_{-gamma-3}``, and ``image_chars``
-    their characters.  ``hom_count`` is the Kronecker arrow count
-    ``N = chi(E_{-alpha-3}, E_{-beta})``, the same pair in every case.
+    ``slope`` is gamma; ``alpha``, ``gamma`` and ``beta`` are the characters
+    of gamma and its parents ``alpha < gamma < beta``; ``images`` are
+    ``E_{-alpha-3}``, ``E_{-beta}``, ``E_{-gamma}`` and ``E_{-gamma-3}``, and
+    ``image_chars`` their characters.  ``hom_count`` is the Kronecker arrow
+    count ``N = chi(E_{-alpha-3}, E_{-beta})``, the same pair in every case.
     """
 
-    __slots__ = ("alpha", "gamma", "beta", "images", "image_chars", "hom_count")
+    __slots__ = ("slope", "alpha", "gamma", "beta", "images", "image_chars", "hom_count")
+    slope: ExceptionalSlope
     alpha: ChernCharacter
     gamma: ChernCharacter
     beta: ChernCharacter
@@ -265,9 +416,14 @@ _TRIAD_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_TRIAD_CACHE_SIZE)
-def _triad(left: ExceptionalSlope, gamma: ExceptionalSlope,
-           right: ExceptionalSlope) -> _Triad:
-    """The triad of ``gamma`` between its parents, worked out once per gamma."""
+def _triad(left: tuple, mid: tuple, right: tuple, p: int, q: int) -> _Triad:
+    """The triad of gamma at ``p/2**q`` between its parents, worked out once per gamma.
+
+    The key is what ``exceptional._bracket`` hands back: the bundles'
+    ``(r, c1, chi)`` and gamma's address, all integers, so a lookup hashes
+    no record and a hit builds no slope.
+    """
+    left, gamma, right = exceptional._slopes(left, mid, right, p, q)
     image = exceptional.affine_image
     images = (image(left, True, -3), image(right, True, 0),
               image(gamma, True, 0), image(gamma, True, -3))
@@ -275,14 +431,16 @@ def _triad(left: ExceptionalSlope, gamma: ExceptionalSlope,
     n = euler_chi_pair(chars[0], chars[1])
     if n <= 0:
         raise ConsistencyError(f"hom count {n} is not positive")
-    return _Triad(left.character(), gamma.character(), right.character(), images, chars, n)
+    return _Triad(gamma, left.character(), gamma.character(), right.character(), images, chars,
+                  n)
 
 
 class _Analysis(Record):
     """Every fact the primary half of the cone derives from one character.
 
     Fields after ``classification`` are set for Picard rank two only,
-    ``resolution`` and ``kronecker`` for positive rank only.
+    ``resolution`` and ``kronecker`` for positive rank only; the Serre dual's
+    analysis leaves ``mu0_plus`` and ``mu0_minus`` unset.
     """
 
     __slots__ = ("classification", "mu0_plus", "mu0_minus", "invariants", "resolution",
@@ -301,11 +459,25 @@ class _Analysis(Record):
                         kronecker, triad)
 
 
+def _new_analysis(cls: Classification, mu0_plus=None, mu0_minus=None, inv=None, res=None,
+                  kron=None, triad=None) -> _Analysis:
+    side = _new(_Analysis)
+    set_cls, set_plus, set_minus, set_inv, set_res, set_kron, set_triad = _Analysis._setters
+    set_cls(side, cls)
+    set_plus(side, mu0_plus)
+    set_minus(side, mu0_minus)
+    set_inv(side, inv)
+    set_res(side, res)
+    set_kron(side, kron)
+    set_triad(side, triad)
+    return side
+
+
 def _analyze(x: ChernCharacter, max_order: int) -> _Analysis:
     cls = classify(x, max_order)
     if cls.kind is Kind.RANK_ZERO_PICARD_RANK_2:
         # the orthogonal locus is the vertical line mu = -chi/d
-        mu0_plus, mu0_minus = QuadraticNumber(Fraction(-x.chi, x.c1)), None
+        mu0_plus, mu0_minus = QuadraticNumber._from_form(-x.chi, 0, 0, x.c1), None
     elif cls.kind is Kind.PICARD_RANK_2:
         # 5 + 8 delta = (5 r^2 + 4 F)/r^2 for delta = F/(2 r^2); with its root
         # (A + B sqrt(d))/D, mu0+- = (-(3r + 2c) D +- r A +- r B sqrt(d))/(2 r D)
@@ -318,25 +490,26 @@ def _analyze(x: ChernCharacter, max_order: int) -> _Analysis:
         make = QuadraticNumber._from_form
         mu0_plus, mu0_minus = make(base + rA, rB, d, N), make(base - rA, -rB, d, N)
     else:
-        return _Analysis(cls)
-    return _side(x, cls, mu0_plus, mu0_minus, max_order)
+        return _new_analysis(cls)
+    form = mu0_plus.A, mu0_plus.B, mu0_plus.d, mu0_plus.D
+    return _side(x, cls, form, max_order, mu0_plus, mu0_minus)
 
 
-def _side(x: ChernCharacter, cls: Classification, mu0_plus: QuadraticNumber,
-          mu0_minus: Optional[QuadraticNumber], max_order: int) -> _Analysis:
-    """Descent to gamma and its parents, then invariants, resolution and Kronecker data."""
-    left, gamma, right = exceptional._descend(mu0_plus, max_order)
-    triad = _triad(left, gamma, right)
+def _side(x: ChernCharacter, cls: Classification, form: tuple[int, int, int, int],
+          max_order: int, mu0_plus: Optional[QuadraticNumber] = None,
+          mu0_minus: Optional[QuadraticNumber] = None) -> _Analysis:
+    """Descent from ``mu0+``'s integer form to gamma; invariants, resolution, Kronecker data."""
+    triad = _triad(*exceptional._bracket(*form, max_order))
     pairing = euler_pairing(x, triad.gamma)
     case = (
         CaseSign.POSITIVE if pairing > 0 else CaseSign.NEGATIVE if pairing < 0 else CaseSign.ZERO
     )
-    inv = _invariants(x, gamma, triad, case)
+    inv = _invariants(x, triad, case)
     if x.r == 0:
-        return _Analysis(cls, mu0_plus, mu0_minus, inv, triad=triad)
+        return _new_analysis(cls, mu0_plus, mu0_minus, inv, triad=triad)
     res = _resolution(x, triad, case, pairing)
-    return _Analysis(cls, mu0_plus, mu0_minus, inv, res,
-                     _kronecker(x, res, triad.hom_count), triad)
+    return _new_analysis(cls, mu0_plus, mu0_minus, inv, res, _kronecker(x, res, triad.hom_count),
+                         triad)
 
 
 def _intersecting(x: ChernCharacter, max_order: int) -> _Analysis:
@@ -395,15 +568,15 @@ def _ray(x: ChernCharacter, z: ChernCharacter) -> ChernCharacter:
     return _lattice(r // g, c // g, chi // g)
 
 
-def _invariants(x: ChernCharacter, gamma: ExceptionalSlope, triad: _Triad,
-                case: CaseSign) -> OrthogonalInvariants:
+def _invariants(x: ChernCharacter, triad: _Triad, case: CaseSign) -> OrthogonalInvariants:
+    gamma = triad.gamma
     if case is CaseSign.ZERO:
-        ray = triad.gamma
+        ray = gamma
     else:  # orthogonal also to E_{-gamma} or E_{-gamma-3}
         ray = _ray(x, triad.image_chars[2 if case is CaseSign.POSITIVE else 3])
     # mu+ <= gamma's slope, cross-multiplied by the two positive ranks
     on_curve = case is not CaseSign.POSITIVE or ray.c1 * gamma.r <= gamma.c1 * ray.r
-    return OrthogonalInvariants(ray, case, on_curve, gamma)
+    return _new_invariants(ray, case, on_curve, triad.slope)
 
 
 def orthogonal_invariants(x: ChernCharacter,
@@ -488,12 +661,13 @@ def _resolution(x: ChernCharacter, triad: _Triad, case: CaseSign,
     for m in (m1, m2, m3):
         if m is not None and m < 0:
             raise ConsistencyError(f"multiplicity {m} is negative for {x}")
-    recon = chars[0].scale(coefficients[0])
-    for char, k in zip(chars[1:], coefficients[1:]):
-        recon = recon + char.scale(k)
-    if recon != x:
-        raise ConsistencyError(f"resolution of {x} rebuilds {recon}")
-    return ResolutionData(case, slopes, chars, m1, m2, m3)
+    # the signed combination of the triad, one integer dot product per field
+    r = c1 = chi = 0
+    for char, k in zip(chars, coefficients):
+        r, c1, chi = r + k * char.r, c1 + k * char.c1, chi + k * char.chi
+    if r != x.r or c1 != x.c1 or chi != x.chi:
+        raise ConsistencyError(f"resolution of {x} rebuilds {_lattice(r, c1, chi)}")
+    return _new_resolution(case, slopes, chars, m1, m2, m3)
 
 
 def resolution_multiplicities(x: ChernCharacter,
@@ -524,7 +698,7 @@ def _kronecker(x: ChernCharacter, res: ResolutionData, n: int) -> KroneckerData:
         raise ConsistencyError(
             f"fibration with positive-dimensional fibers needs dim {dim} > expected {edim}"
         )
-    return KroneckerData(n, (b, a), edim, fibration)
+    return _new_kronecker(n, (b, a), edim, fibration)
 
 
 def kronecker_data(x: ChernCharacter,
@@ -544,7 +718,7 @@ def bridgeland_wall(inv: OrthogonalInvariants) -> Wall:
 
     The center ``-mu - 3/2`` and the squared radius ``2 delta + 1/4`` are
     read off the primitive ray ``(r, c, chi)`` as ``(-2c - 3r)/(2r)`` and
-    ``((2c + 3r)^2 - 8 r chi)/(4 r^2)``.
+    ``((2c + 3r)^2 - 8 r chi)/(4 r^2)``, and kept as those integers.
     """
     ray = inv.ray
     r, c = ray.r, ray.c1
@@ -552,15 +726,15 @@ def bridgeland_wall(inv: OrthogonalInvariants) -> Wall:
     n = s * s - 8 * r * ray.chi
     if n < 0:
         raise DomainError("negative squared radius")
-    return Wall(Fraction(-s, 2 * r), sqrt_ratio(n, 4 * r * r), Fraction(n, 4 * r * r),
-                n > 5 * r * r)
+    den = 4 * r * r
+    return _new_wall(-s, 2 * r, sqrt_ratio(n, den), n, den, n > 5 * r * r)
 
 
 # -- cone assembly ---------------------------------------------------------------
 
 
-def _basis_coords(x: ChernCharacter, ray: ChernCharacter) -> tuple[Fraction, Fraction]:
-    """Coordinates of an orthogonal class in the natural-class basis.
+def _coords_denominator(x: ChernCharacter, ray: ChernCharacter) -> int:
+    """The denominator ``r`` of an orthogonal class's coordinates in the natural-class basis.
 
     With ``zeta0 = (r, 0, r - chi)`` and ``zeta1 = (0, r, -c)`` the ray
     ``(R, C, X)`` has coordinates ``(R/r, C/r)``; the rebuilt Euler
@@ -569,7 +743,7 @@ def _basis_coords(x: ChernCharacter, ray: ChernCharacter) -> tuple[Fraction, Fra
     r, c, chi = x.r, x.c1, x.chi
     if ray.r * (r - chi) - ray.c1 * c != ray.chi * r:
         raise ConsistencyError(f"{ray} does not lie in the orthogonal plane of {x}")
-    return Fraction(ray.r, r), Fraction(ray.c1, r)
+    return r
 
 
 def _primary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
@@ -583,16 +757,20 @@ def _primary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
     if inv.case_sign is CaseSign.POSITIVE:  # orthogonal also to E_{-gamma}
         if euler_pairing(ray, side.triad.image_chars[2]) != 0:
             raise ConsistencyError("positive-case double orthogonality failed")
-    return PrimaryEdge(inv, ray, _basis_coords(x, ray) if x.r > 0 else None, side.resolution,
-                       side.kronecker, bridgeland_wall(inv), inv.case_sign is not CaseSign.ZERO)
+    return _new_primary(inv, ray, _coords_denominator(x, ray) if x.r > 0 else None,
+                        side.resolution, side.kronecker, bridgeland_wall(inv),
+                        inv.case_sign is not CaseSign.ZERO)
 
 
 def _secondary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
                     max_order: int) -> SecondaryEdge:
     r = x.r
-    if r >= 3:  # Serre duality keeps the classification and maps mu0+ to -mu0-
-        xd = x.serre_dual()
-        dual_side = _side(xd, side.classification, -side.mu0_minus, -side.mu0_plus, max_order)
+    if r >= 3:
+        # Serre duality keeps the classification and maps mu0+ to -mu0-: the
+        # dual descends on mu0-'s integer form negated, and builds no number
+        xd, minus = x.serre_dual(), side.mu0_minus
+        dual_side = _side(xd, side.classification, (-minus.A, -minus.B, minus.d, minus.D),
+                          max_order)
         dual = _primary_edge(xd, dual_side, multiplier, max_order)
         ray = -dual.extremal_character.dual()
         slope = dual_side.triad.images[2]  # -gamma of the dual
@@ -611,8 +789,8 @@ def _secondary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
         mode = SecondaryMode.RANK0_SUPPORT_MAP
         descriptor = "pullback of O(1) under the support morphism"
     if r < 2:
-        return SecondaryEdge(mode, None, None, None, descriptor, None)
-    return SecondaryEdge(mode, slope, ray, _basis_coords(x, ray), descriptor, dual)
+        return _new_secondary(mode, None, None, None, descriptor, None)
+    return _new_secondary(mode, slope, ray, _coords_denominator(x, ray), descriptor, dual)
 
 
 def secondary_edge(x: ChernCharacter, multiplier: int = 1,
@@ -634,17 +812,15 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
     side = _analyze(x, max_order)
     cls = side.classification
     if cls.kind is Kind.INVALID:
-        return ConeReport(x, cls, None, None, None, None, None, None, None)
+        return _new_report(x, cls, None, None)
     # every kind left but the rank-zero one has positive rank
     positive = x.r > 0
     natural = natural_classes(x) if positive else None
     if cls.kind is Kind.EXCEPTIONAL:
-        return ConeReport(x, cls, 0, natural, None, None, None, None,
-                          "moduli space is a single point")
+        return _new_report(x, cls, 0, natural, note="moduli space is a single point")
     dim = moduli_dimension(x) if positive else None
     if cls.kind is Kind.HEIGHT_ZERO:
-        return ConeReport(x, cls, dim, natural, None, None, None, None,
-                          "moduli space has Picard rank one")
+        return _new_report(x, cls, dim, natural, note="moduli space has Picard rank one")
 
     primary = _primary_edge(x, side, multiplier, max_order)
     secondary = _secondary_edge(x, side, multiplier, max_order)
@@ -659,5 +835,5 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
             "invariants lie off the boundary curve: stable orthogonal slopes "
             "below mu+ exist but span non-effective rays"
         )
-    return ConeReport(x, cls, dim, natural, side.mu0_plus, side.mu0_minus,
-                      primary, secondary, note)
+    return _new_report(x, cls, dim, natural, side.mu0_plus, side.mu0_minus, primary, secondary,
+                       note)

@@ -15,16 +15,18 @@ Each slope ``a`` owns an open interval of halfwidth
 ``x_a = (3 - sqrt(5 + 8 delta_a)) / 2``, whose endpoints are integer forms
 read off the halfwidth's; the boundary curve of stable characters is a pair
 of parabolic arcs over every interval, and locating the interval containing
-a given number is a bracketing descent, which hands back the slope's two
-parents beside it (``_descend``).  A probe tests membership on the
-candidate's ``(r, c1)`` integers (``_locate``), so a descent builds slope
-objects for its hit and the hit's parents only; a walk likewise gives a
+a given number is a bracketing descent on integers (``_bracket``), which
+hands back the hit's and its two parents' ``(r, c1, chi)`` and the hit's
+address; ``_slopes`` makes slope objects of them.  A probe tests membership
+on the candidate's ``(r, c1)`` integers (``_locate``), so a descent builds
+no object until its caller asks for the slopes; a walk likewise gives a
 slope with both parents (``slope_and_parents``, of which ``parents`` is a
 view).  A rational is looked up, not located: ``from_slope_value`` compares
 it with each mediant down its walk by one cross-multiplication, and no
 probe tests membership.  An arc's value at a rational is one integer
-numerator (``_arc_form``) over one denominator.  Slopes built by a walk, a descent or an affine image come from the
-trusted constructors ``_slope`` and ``_dyadic``.
+numerator (``_arc_form``) over one denominator.  Slopes built by a walk, a
+descent or an affine image come from the trusted constructors ``_slope`` and
+``_dyadic``.
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ class ExceptionalSlope(Record):
     """An exceptional bundle, by its lattice character ``(r, c1, chi)``, and its dyadic address."""
 
     __slots__ = ("r", "c1", "chi", "dyadic")
-    _key = ("r", "c1", "chi")  # the bundle fixes its address: a cache key skips a nested call
     r: int
     c1: int
     chi: int
@@ -475,17 +476,28 @@ def _descend(x, max_order: int) -> tuple[ExceptionalSlope, ExceptionalSlope, Exc
     """``(left parent, slope, right parent)`` of :func:`find_interval`'s slope.
 
     The parents are the ends of the bracket the hit was found in, which the
-    descent holds already: ``(p >> 1)/2**(q - 1)`` and one step right of it
-    for a mediant ``p/2**q``, and ``n - 1``, ``n + 1`` for an integer ``n``,
-    as :func:`parents` gives them.  So a caller that needs both never walks.
-    A probe reads the candidate's ``(r, c1)`` integers; slope objects are
-    built for the hit and its parents only.
+    descent holds already (:func:`_bracket`), as :func:`parents` gives them.
+    So a caller that needs both never walks.  Slope objects are built for
+    the hit and its parents only.
     """
-    A, B, d, D = integer_form(x)
+    return _slopes(*_bracket(*integer_form(x), max_order))
+
+
+def _bracket(A: int, B: int, d: int, D: int,
+             max_order: int) -> tuple[tuple, tuple, tuple, int, int]:
+    """The descent to ``(A + B*sqrt(d))/D``, ``D > 0``, on integers alone.
+
+    Returns ``(left, mid, right, p, q)``: the hit's bundle ``mid`` at the
+    address ``p/2**q`` and its parents' bundles, each as its ``(r, c1, chi)``.
+    The parents are ``(p >> 1)/2**(q - 1)`` and one step right of it for a
+    mediant, and ``p - 1``, ``p + 1`` for an integer ``p`` (``q == 0``).  A
+    probe reads the candidate's ``(r, c1)``; the form need not be reduced.
+    No object but the tuples is built, so a caller may key a cache on them.
+    """
     n = floor_of_form(A, B, d, D)
     for m in (n, n + 1):
         if _locate(1, m, A, B, d, D)[1] >= 0:
-            return slope_and_parents(_dyadic(m, 0))
+            return _line(m - 1), _line(m), _line(m + 1), m, 0
     left, right, fin, g, s = _start(n)
     p, q = n, 0
     while q < max_order:
@@ -493,7 +505,7 @@ def _descend(x, max_order: int) -> tuple[ExceptionalSlope, ExceptionalSlope, Exc
         mid = (s * fin[0] - g[0], s * fin[1] - g[1], s * fin[2] - g[2])
         side, inside = _locate(mid[0], mid[1], A, B, d, D)
         if inside >= 0:
-            return _with_parents(left, _slope(*mid, _dyadic(p, q)), right, p, q)
+            return left, mid, right, p, q
         # narrow to [p - 1, p] or [p, p + 1] over 2**q; p keeps the left end
         if side < 0:
             p, right, g, s = p - 1, mid, right, 3 * left[0]
@@ -504,6 +516,15 @@ def _descend(x, max_order: int) -> tuple[ExceptionalSlope, ExceptionalSlope, Exc
         f"no enclosing interval of order <= {max_order}: "
         f"input is a Cantor-set point or the budget is too small"
     )
+
+
+def _slopes(left: tuple, mid: tuple, right: tuple, p: int,
+            q: int) -> tuple[ExceptionalSlope, ExceptionalSlope, ExceptionalSlope]:
+    """The slopes of a :func:`_bracket`: the hit at ``p/2**q`` between its parents."""
+    if q == 0:  # the bundles are O(p - 1), O(p) and O(p + 1)
+        return from_integer(p - 1), from_integer(p), from_integer(p + 1)
+    return _with_parents(left, _slope(*mid, _dyadic(p, q)), right, p, q)
+
 
 # Distinct slopes whose enclosing slope and boundary value are kept; a long
 # batch evicts the oldest.

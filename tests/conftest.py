@@ -56,6 +56,12 @@ def replace(record, **changes):
     return type(record)(*(changes.get(name, getattr(record, name)) for name in record.__slots__))
 
 
+def triad_key(left, gamma, right) -> tuple:
+    """``cone._triad``'s integer key for ``gamma`` between its parents, as a descent gives it."""
+    bundles = tuple((s.r, s.c1, s.chi) for s in (left, gamma, right))
+    return (*bundles, gamma.dyadic.p, gamma.dyadic.q)
+
+
 def picard_rank2_grid() -> list[ChernCharacter]:
     """Deterministic grid of valid Picard-rank-2 characters, r in 1..6, |c1| <= 8."""
     grid = []

@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 import planecones
-from planecones import cone, exceptional
+from planecones import cli, cone, exceptional
 from planecones.cli import main
-from planecones.errors import ConsistencyError
+from planecones.errors import ConsistencyError, DescentError, DomainError
 from planecones.exceptional import delta_curve
 from planecones.qarith import parse_rational
 
@@ -389,6 +389,35 @@ class TestCurveCommand:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--lo=-1e30", "--hi", "1e30", "--samples", "2", "--interval-order", "0"),
+         "--interval-order 0 over --lo/--hi passes 65,536 rows"),
+        (("--lo", "0", "--hi", "1", "--interval-order", "10" * 300),
+         f"--interval-order {'10' * 300} over --lo/--hi passes 65,536 rows"),
+        (("--lo", "0", "--hi", "1", "--samples", "1000000", "--interval-order", "0"),
+         "--samples must be at most 65,536"),
+    ], ids=["wide_range", "huge_order", "many_samples"])
+    def test_past_a_cap_is_refused_at_once(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "curve", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_caps_bound_the_sample_count_and_the_table_rows(self, capsys, monkeypatch):
+        # [0, 1] has at most (1 - 0 + 2) * 2**order slopes of order <= order
+        monkeypatch.setattr(cli, "MAX_CURVE_ROWS", 6)
+        monkeypatch.setattr(cli, "MAX_CURVE_SAMPLES", 4)
+        base = ("curve", "--lo", "0", "--hi", "1")
+        code, out, _ = run(capsys, *base, "--samples", "4", "--interval-order", "1")
+        assert code == 0 and len(json.loads(out)["intervals"]) == 3
+        assert run(capsys, *base, "--samples", "5", "--interval-order", "1")[0] == 1
+        assert run(capsys, *base, "--samples", "4", "--interval-order", "2")[0] == 1
+        # the CSV output has no interval table to refuse
+        code, out, _ = run(capsys, *base, "--samples", "4", "--interval-order", "2",
+                           "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 5
+
     def test_sample_endpoints(self, capsys):
         _, out, _ = run(capsys, "curve", "--lo", "0", "--hi", "1/2", "--samples", "2")
         data = json.loads(out)
@@ -485,20 +514,47 @@ class TestBatchCommand:
         assert code == 1 and "error" in err
 
     def test_internal_error_record_continues(self, tmp_path, capsys, monkeypatch):
+        """A library fault in one report of three is an internal record; batch exits 3 at the end."""
         report = cone.cone_report
 
         def failing(x, *args):
-            if x.ch0 == 3:
+            if x.ch0 == 1:  # the second line
                 raise ConsistencyError("resolution rebuilds the wrong character")
             return report(x, *args)
 
         monkeypatch.setattr(cone, "cone_report", failing)
         path = tmp_path / "batch.jsonl"
-        path.write_text("\n".join(json.dumps(line) for line in self.LINES[:2]) + "\n")
+        path.write_text("\n".join(json.dumps(line) for line in self.LINES[:3]) + "\n")
         code, out, err = run(capsys, "batch", str(path))
-        assert code == 0 and err == ""
+        assert code == 3 and err == ""
         records = [json.loads(line) for line in out.splitlines()]
-        assert records[0] == {"line": 1, "error": "resolution rebuilds the wrong character"}
+        assert len(records) == 3 and records[0]["dimension"] == 26
+        assert records[1] == {"line": 2, "error": "internal check failed: resolution rebuilds "
+                                                  "the wrong character"}
+        assert records[2] == {"line": 3, "error": "rank zero needs first Chern class d >= 3, got 2"}
+
+    @pytest.mark.parametrize("fault, error, code", [
+        (ValueError("math domain error"), "internal check failed: math domain error", 3),
+        (DomainError("slope past the limit"), "slope past the limit", 0),
+        (DescentError("no enclosing interval"), "no enclosing interval", 0),
+    ], ids=["value_error", "domain_error", "descent_error"])
+    def test_only_a_library_fault_is_internal(self, tmp_path, capsys, monkeypatch, fault, error,
+                                              code):
+        """Bad input in the report stays an error record; any other ``ValueError`` is a fault."""
+        report = cone.cone_report
+
+        def failing(x, *args):
+            if x.ch0 == 3:  # the first line
+                raise fault
+            return report(x, *args)
+
+        monkeypatch.setattr(cone, "cone_report", failing)
+        path = tmp_path / "batch.jsonl"
+        path.write_text("\n".join(json.dumps(line) for line in self.LINES[:2]) + "\n")
+        got, out, err = run(capsys, "batch", str(path))
+        records = [json.loads(line) for line in out.splitlines()]
+        assert got == code and err == ""
+        assert records[0] == {"line": 1, "error": error}
         assert records[1]["classification"]["kind"] == "PICARD_RANK_2"
 
 

@@ -36,7 +36,7 @@ from planecones.exceptional import (
 )
 from planecones.qarith import QuadraticNumber, qn_compare_cross, sqrt_exact
 
-from conftest import ORDER_FOUR, arc_below, ray_at, replace
+from conftest import ORDER_FOUR, arc_below, ray_at, replace, triad_key
 
 F = Fraction
 
@@ -606,7 +606,7 @@ def test_triad_and_render_caches_evict():
     triples = [exceptional.slope_and_parents(DyadicRational(p, 11)) for p in range(1, 2249, 2)]
 
     def fill(left, gamma, right):
-        triad = cone._triad(left, gamma, right)
+        triad = cone._triad(*triad_key(left, gamma, right))
         cli._slope_dict(gamma)
         cli._character_dict(triad.image_chars[2], cached=True)
 
@@ -667,7 +667,8 @@ def test_triad_record_matches_the_affine_images():
     for g in slopes:
         left, gamma, right = exceptional.slope_and_parents(g.dyadic)
         assert gamma == g
-        triad = cone._triad(left, gamma, right)
+        triad = cone._triad(*triad_key(left, gamma, right))
+        assert triad.slope == gamma and triad.slope.dyadic == g.dyadic
         images = (image(left, True, -3), image(right, True, 0),
                   image(gamma, True, 0), image(gamma, True, -3))
         assert triad.images == images
@@ -715,3 +716,98 @@ def test_a_report_dict_shares_nothing_with_the_caches():
             edge["resolution"]["triad_characters"][0]["chi"] = "0"
         first["secondary"]["corresponding_slope"]["interval"]["right"] = "0"
         assert json.dumps(cli.report_to_dict(cone_report(x))) == expected
+
+
+class TestChecksFireOnCorruptedInput:
+    """Each cross-check a report runs raises ``ConsistencyError`` on a corrupted stage.
+
+    The stages are handed a record with one field changed, as a bug upstream
+    would hand it over; each uncorrupted call passes.
+    """
+
+    @staticmethod
+    def side(x):
+        from planecones import cone
+        from planecones.exceptional import DEFAULT_MAX_ORDER
+
+        return cone._analyze(x, DEFAULT_MAX_ORDER)
+
+    @pytest.mark.parametrize("field", ["r", "c1", "chi"])
+    @pytest.mark.parametrize("x", [GOLDEN, NEGATIVE_CASE, GOLDEN_DUAL],
+                             ids=["positive", "negative", "zero"])
+    def test_rebuild(self, x, field):
+        from planecones import cone
+        from planecones.chern import _lattice
+
+        side = self.side(x)
+        triad, res = side.triad, side.resolution
+        pairing = euler_pairing(x, triad.gamma)
+        assert cone._resolution(x, triad, res.case_sign, pairing) == res
+        # one field of E_{-beta}, which every case resolves by m2 > 0 copies, moved by 1
+        chars = list(triad.image_chars)
+        fields = {name: getattr(chars[1], name) for name in ("r", "c1", "chi")}
+        fields[field] += 1
+        chars[1] = _lattice(**fields)
+        assert res.m2 > 0
+        with pytest.raises(ConsistencyError, match=r"^resolution of .* rebuilds "):
+            cone._resolution(x, replace(triad, image_chars=tuple(chars)), res.case_sign, pairing)
+
+    def test_multiplicities(self):
+        from planecones import cone
+
+        triad = self.side(GOLDEN).triad
+        with pytest.raises(ConsistencyError, match=r"^multiplicity -1 is negative"):
+            cone._resolution(GOLDEN, triad, CaseSign.POSITIVE, -1)
+
+    def _primary(self, x, side):
+        from planecones import cone
+        from planecones.exceptional import DEFAULT_MAX_ORDER
+
+        return cone._primary_edge(x, side, 1, DEFAULT_MAX_ORDER)
+
+    def test_orthogonality(self):
+        side = self.side(GOLDEN)
+        assert self._primary(GOLDEN, side) == cone_report(GOLDEN).primary
+        with pytest.raises(ConsistencyError, match="^primary ray is not orthogonal"):
+            self._primary(NEGATIVE_CASE, side)  # another character's ray
+
+    def test_half_plane(self):
+        side = self.side(GOLDEN_DUAL)
+        inv = side.invariants
+        assert inv.case_sign is CaseSign.ZERO
+        flipped = replace(side, invariants=replace(inv, ray=-inv.ray))
+        with pytest.raises(ConsistencyError, match="^primary ray fell outside the primary"):
+            self._primary(GOLDEN_DUAL, flipped)
+
+    def test_double_orthogonality(self):
+        side = self.side(GOLDEN)
+        assert side.invariants.case_sign is CaseSign.POSITIVE
+        chars = side.triad.image_chars
+        wrong = replace(side.triad, image_chars=(chars[0], chars[1], chars[3], chars[3]))
+        with pytest.raises(ConsistencyError, match="^positive-case double orthogonality"):
+            self._primary(GOLDEN, replace(side, triad=wrong))
+
+    def test_boundary(self):
+        side = self.side(GOLDEN)
+        mu = F(1, 4)  # in gamma's interval, where gamma's arc is the boundary
+        below = ray_at(SlopeDisc(mu, delta_curve(mu) - F(1, 10 ** 6)))
+        invariants = replace(side.invariants, ray=below)
+        with pytest.raises(ConsistencyError, match="below the boundary curve"):
+            self._primary(GOLDEN, replace(side, invariants=invariants))
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda ray: ray + ChernCharacter.of(1, 0, 0), "^secondary ray is not orthogonal"),
+        (lambda ray: -ray, "^secondary ray fell outside the secondary half-plane"),
+    ], ids=["orthogonality", "half_plane"])
+    def test_secondary_ray(self, monkeypatch, corrupt, message):
+        from planecones import cone
+
+        edge = cone._secondary_edge
+
+        def corrupted(*args):
+            sec = edge(*args)
+            return replace(sec, extremal_character=corrupt(sec.extremal_character))
+
+        monkeypatch.setattr(cone, "_secondary_edge", corrupted)
+        with pytest.raises(ConsistencyError, match=message):
+            cone_report(GOLDEN)

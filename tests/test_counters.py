@@ -11,8 +11,17 @@ the Serre dual shares both, since it has the same classification and its
 ``delta <= 1``, since the boundary curve never rises above 1.  Each side of
 the cone makes one descent to its corresponding slope, which hands back
 gamma's parents too, and no slope whose dyadic address is already known goes
-back through a descent or a walk.  A descent builds slope objects for its
-hit and the hit's parents only.
+back through a descent or a walk.  A descent runs on integers
+(``exceptional._bracket``); the slope objects of its hit and the hit's
+parents are built only when gamma's triad is not cached yet.
+
+A warm report, rendered as the benchmark renders it, has exact budgets of
+objects and cache lookups.  Its records come from trusted constructors, not
+the checked ``Record.__init__``; every cache it looks up is keyed on
+integers (and a path or a ``Fraction`` slope), so no record is hashed or
+compared; walls, natural-basis coordinates and rendering build no
+``Fraction``; and the Serre dual descends on ``-mu0-``'s integer form
+without building it.
 
 A rational handed in as a slope is looked up by exact comparison with the
 mediants down its walk, so it makes no descent and no membership probe.
@@ -42,7 +51,7 @@ GOLDEN = ChernCharacter.from_rmd(3, Fraction(2, 3), Fraction(17, 9))
 @pytest.fixture
 def counts(monkeypatch):
     tally = {name: 0 for name in (
-        "squarefree_decompose", "sqrt_ratio", "classify", "_descend", "from_slope_value",
+        "squarefree_decompose", "sqrt_ratio", "classify", "_bracket", "from_slope_value",
     )}
     radicands = []
 
@@ -59,7 +68,7 @@ def counts(monkeypatch):
         counted("squarefree_decompose", qarith.squarefree_decompose),
     )
     for name, home in (("sqrt_ratio", qarith), ("classify", cone),
-                       ("_descend", exceptional), ("from_slope_value", exceptional)):
+                       ("_bracket", exceptional), ("from_slope_value", exceptional)):
         wrapper = counted(name, getattr(home, name))
         for module in (qarith, exceptional, cone, planecones):
             if hasattr(module, name):
@@ -92,7 +101,7 @@ def test_one_analysis_per_side(counts, x, order, descents):
     assert report.primary.invariants.corresponding_slope.order == order
     assert counts["classify"] == 1
     assert counts["from_slope_value"] == 0
-    assert counts["_descend"] == descents
+    assert counts["_bracket"] == descents
     radicand = 5 + 8 * x.discriminant()
     assert counts["radicands"].count(radicand) == 1
 
@@ -129,6 +138,69 @@ def test_rendering_is_written_from_integers(monkeypatch, x, order, descents):
     assert built == [] and evaluated == []
 
 
+# What one warm report builds and looks up, rendered as the benchmark renders
+# it.  The rank-3 worked example's primary point lies off gamma's interval, so
+# its boundary check looks the point's slope up, one ``Fraction``; the order-4
+# character's lies inside.  The five ``QuadraticNumber``s are the root
+# ``sqrt(5 + 8 delta)``, ``mu0+``, ``mu0-`` and the two wall radii; the Serre
+# dual's ``mu0+ = -mu0-`` is descended on as integers.  Each cache is looked
+# up once per slope, triad character or gamma a report renders or resolves.
+BUDGETS = pytest.mark.parametrize("x, order, budget", [
+    (GOLDEN, 0, {"Fraction": 1, "QuadraticNumber": 5, "_triad": 2,
+                 "_triad_character_fields": 5, "_slope_fields": 3, "boundary_at": 1}),
+    (ORDER_FOUR, 4, {"Fraction": 0, "QuadraticNumber": 5, "_triad": 2,
+                     "_triad_character_fields": 6, "_slope_fields": 3, "boundary_at": 0}),
+], ids=["golden", "order4"])
+
+
+@BUDGETS
+def test_report_budget(monkeypatch, x, order, budget):
+    from planecones import cli
+    from planecones.record import Record
+
+    caches = {"_triad": cone._triad, "_triad_character_fields": cli._triad_character_fields,
+              "_slope_fields": cli._slope_fields, "boundary_at": exceptional.boundary_at,
+              "_interval_halfwidth": exceptional._interval_halfwidth}
+
+    def lookups():
+        return {name: cache.cache_info().hits + cache.cache_info().misses
+                for name, cache in caches.items()}
+
+    def render():
+        report = cone.cone_report(x)
+        json.dumps(report_to_dict(report))
+        return report
+
+    assert render().primary.invariants.corresponding_slope.order == order  # warm the caches
+    tally = dict.fromkeys(("Record.__init__", "Record.__hash__", "Record.__eq__", "Fraction",
+                           "QuadraticNumber"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            tally[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for method in ("__init__", "__hash__", "__eq__"):
+        monkeypatch.setattr(Record, method, counted(f"Record.{method}", getattr(Record, method)))
+    monkeypatch.setattr(Fraction, "__new__", counted("Fraction", Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 builds results past __new__
+        original = Fraction._from_coprime_ints
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(counted("Fraction", lambda cls, *args: original(*args))))
+    QN = qarith.QuadraticNumber
+    monkeypatch.setattr(QN, "__init__", counted("QuadraticNumber", QN.__init__))
+    make = QN._from_form
+    monkeypatch.setattr(QN, "_from_form",
+                        classmethod(counted("QuadraticNumber", lambda cls, *args: make(*args))))
+    before = lookups()
+    render()
+    looked_up = {name: n - before[name] for name, n in lookups().items()}
+    assert tally == {"Record.__init__": 0, "Record.__hash__": 0, "Record.__eq__": 0,
+                     "Fraction": budget["Fraction"], "QuadraticNumber": budget["QuadraticNumber"]}
+    assert looked_up == {name: budget.get(name, 0) for name in caches}
+
+
 # The boundary value and the enclosing slope come from one cached descent, so
 # an exceptional character is recognised without descending a second time.
 @pytest.mark.parametrize(
@@ -139,7 +211,7 @@ def test_rendering_is_written_from_integers(monkeypatch, x, order, descents):
 def test_classify_descends_once(counts, r, c1, chi, kind, descents):
     exceptional.delta_curve.cache_clear()
     assert cone.classify(character_from_json({"r": r, "c1": c1, "chi": chi})).kind is kind
-    assert counts["_descend"] == descents
+    assert counts["_bracket"] == descents
 
 
 @CASES

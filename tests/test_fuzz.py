@@ -7,8 +7,12 @@ code is 0, 1, 2 or 4, never the internal status 3; no case prints a
 traceback, an error exit with no output is one ``error:`` line, and no case
 takes a second.  The tier-1 run draws 50 cases a test; the ``fuzz`` profile
 (``pytest tests/test_fuzz.py --hypothesis-profile=fuzz``) draws its own
-2,000.  The size of what a valid request prints is not bounded here, so
-``--samples`` stays at most 64 and ``--interval-order`` at most 8.
+2,000.  ``curve`` refuses, at once, more samples than ``MAX_CURVE_SAMPLES``
+and an interval table past ``MAX_CURVE_ROWS`` rows, so its bounds are drawn
+up to 10^30 and its counts far past the caps.  What an accepted request
+prints still takes time to write, so below the caps ``--samples`` stays at
+most 64 and ``--interval-order`` at most 8, and a range is either a few units
+wide or at least 10^9: no accepted table comes near the cap.
 """
 
 import contextlib
@@ -21,7 +25,7 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecones.cli import CONFIG_ENV, main
+from planecones.cli import CONFIG_ENV, MAX_CURVE_SAMPLES, main
 
 LONG = "7" * 5000  # past Python's int-to-string digit limit
 HOSTILE = ["1e100000000", "nan", "inf", "-inf", "١٢", "1/0", "", " ", LONG, f"-{LONG}",
@@ -46,9 +50,24 @@ triple = st.one_of(st.lists(value, min_size=3, max_size=3).map(",".join), value)
 count = st.one_of(st.integers(-2, 80).map(str), st.sampled_from(HOSTILE))
 
 
-def bounded(most: int):
-    """An integer flag's text: at most ``most``, or a hostile value that is no integer."""
-    return st.one_of(st.integers(-2, most).map(str), st.sampled_from(NOT_INTS))
+def bounded(most: int, past: int = 0):
+    """An integer flag's text: at most ``most``, or a hostile value that is no integer.
+
+    A positive ``past`` adds values from ``past`` up to 10^7.
+    """
+    drawn = [st.integers(-2, most).map(str), st.sampled_from(NOT_INTS)]
+    if past:
+        drawn.append(st.integers(past, 10 ** 7).map(str))
+    return st.one_of(*drawn)
+
+
+# a curve bound 10^9 to 10^30 from zero, or past it in exponent form: far from
+# the small values and from each other, unless equal
+far = st.tuples(st.sampled_from(["", "-"]), st.integers(9, 30)).map(
+    lambda drawn: f"{drawn[0]}1{'0' * drawn[1]}")
+far_exponent = st.tuples(st.sampled_from(["", "-"]), st.integers(9, 30)).map(
+    lambda drawn: f"{drawn[0]}1e{drawn[1]}")
+bound = st.one_of(value, far, far_exponent)
 
 
 def flags(*options) -> st.SearchStrategy:
@@ -71,8 +90,8 @@ ARGV = st.one_of(
     flags(*CHARACTER, ("--max-order", count), *FORMAT).map(lambda rest: ["classify", *rest]),
     flags(*SLOPE, *FORMAT).map(lambda rest: ["slope", *rest]),
     flags(*SLOPE, ("--period", None), *FORMAT).map(lambda rest: ["cfrac", *rest]),
-    flags(("--lo", value), ("--hi", value), ("--samples", bounded(64)),
-          ("--interval-order", bounded(8)), ("--format", st.sampled_from(["csv", "json", "x"])),
+    flags(("--lo", bound), ("--hi", bound), ("--samples", bounded(64, MAX_CURVE_SAMPLES + 1)),
+          ("--interval-order", bounded(8, 17)), ("--format", st.sampled_from(["csv", "json", "x"])),
           *CHARACTER, ("--max-order", count), ("--approx", count))
     .map(lambda rest: ["curve", *rest]),
 )

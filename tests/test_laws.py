@@ -1,0 +1,131 @@
+"""The twist law over the whole report: ``M(xi)`` and ``M(xi tensor O(n))`` agree.
+
+Twisting by ``O(n)`` is the paper's first reduction.  A character ``x`` and
+its twist ``x(n)`` have the same classification and dimension; ``mu0+-``
+move by ``-n`` and so does the corresponding slope gamma, read off its
+address; a class is orthogonal to ``x(n)`` exactly when its twist by
+``O(n)`` is orthogonal to ``x``, so both extremal rays are the untwisted
+rays twisted by ``O(-n)``; and the resolution keeps its case and
+multiplicities.  The rendered reports agree on the same fields.
+
+Characters are drawn per ``Kind``, so every kind occurs, with ranks and
+first Chern classes up to 10^30.  The tier-1 run draws 25 cases a kind; the
+``fuzz`` profile (``pytest tests/test_laws.py --hypothesis-profile=fuzz``)
+draws its own 2,000.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planecones import cli, exceptional
+from planecones.chern import character_from_json
+from planecones.cone import Kind, classify, cone_report
+from planecones.errors import DescentError
+from planecones.exceptional import DyadicRational
+
+BIG = 10 ** 30
+rank = st.integers(1, BIG)
+wide = st.integers(-BIG, BIG)
+positive = st.integers(1, BIG)
+shift = st.one_of(st.integers(-5, 5), st.integers(-10 ** 6, 10 ** 6))
+
+
+def lattice(r, c1, chi):
+    return character_from_json({"r": r, "c1": c1, "chi": chi})
+
+
+def _above_one(r, c, k):
+    """Discriminant above 1, over every arc of the boundary curve: ``F > 2 r^2``."""
+    return lattice(r, c, c * (c + 3 * r) // (2 * r) - k)
+
+
+def _below_zero(r, c, k):
+    """Discriminant below 0, so below the curve and no exceptional multiple: ``F < 0``."""
+    return lattice(r, c, (c * (c + 3 * r) + 2 * r * r) // (2 * r) + k)
+
+
+def _height_zero(r, n):
+    """Slope ``n`` and discriminant 1, the top of the arc over ``O(n)``."""
+    return lattice(r, r * n, r * ((n + 1) * (n + 2) // 2 - 1))
+
+
+def _exceptional(p, q, k):
+    p = p if q == 0 else 2 * p + 1
+    return exceptional.from_dyadic(DyadicRational(p, q)).character().scale(k)
+
+
+small = st.builds(lattice, st.integers(0, 8), st.integers(-20, 20), st.integers(-40, 40))
+
+CHARACTERS = {
+    Kind.PICARD_RANK_2: st.one_of(
+        st.builds(_above_one, rank, wide, positive),
+        small.filter(lambda x: classify(x).kind is Kind.PICARD_RANK_2),
+    ),
+    Kind.HEIGHT_ZERO: st.builds(_height_zero, rank, st.integers(-10 ** 6, 10 ** 6)),
+    Kind.EXCEPTIONAL: st.builds(_exceptional, st.integers(-20, 20), st.integers(0, 8),
+                                st.integers(1, BIG)),
+    Kind.RANK_ZERO_PICARD_RANK_2: st.builds(lattice, st.just(0), st.integers(3, BIG), wide),
+    Kind.INVALID: st.one_of(
+        st.builds(lattice, st.integers(-BIG, -1), wide, wide),
+        st.builds(lattice, st.just(0), st.integers(-BIG, 2), wide),
+        st.builds(_below_zero, rank, wide, positive),
+    ),
+}
+
+cases = settings() if settings.get_current_profile_name() == "fuzz" else settings(max_examples=25)
+
+
+def _outcome(x):
+    """The report of ``x``, or the class of what it raised."""
+    try:
+        return cone_report(x)
+    except DescentError as exc:  # a Cantor-set neighbour past the order budget
+        return type(exc)
+
+
+def _assert_twist_law(x, n):
+    report, twisted = _outcome(x), _outcome(x.twist(n))
+    if not hasattr(report, "classification"):
+        assert twisted is report
+        return
+    assert twisted.classification.kind is report.classification.kind
+    assert twisted.dimension == report.dimension
+    rendered, rendered_twist = (cli.report_to_dict(r) for r in (report, twisted))
+    assert rendered_twist["classification"]["kind"] == rendered["classification"]["kind"]
+    assert rendered_twist["dimension"] == rendered["dimension"]
+    edge, shifted = report.primary, twisted.primary
+    if edge is None:
+        assert shifted is None and twisted.mu0_plus is None
+        return
+    assert twisted.mu0_plus == report.mu0_plus - n
+    if report.mu0_minus is not None:
+        assert twisted.mu0_minus == report.mu0_minus - n
+    gamma, gamma_twisted = (e.invariants.corresponding_slope for e in (edge, shifted))
+    image = exceptional.affine_image(gamma, False, -n)
+    assert gamma_twisted == image and gamma_twisted.dyadic == image.dyadic
+    assert shifted.invariants.case_sign is edge.invariants.case_sign
+    assert shifted.extremal_character == edge.extremal_character.twist(-n)
+    res, res_twisted = edge.resolution, shifted.resolution
+    if res is None:
+        assert res_twisted is None
+    else:
+        assert (res_twisted.case_sign, res_twisted.m1, res_twisted.m2, res_twisted.m3) == \
+            (res.case_sign, res.m1, res.m2, res.m3)
+        assert rendered_twist["primary"]["resolution"]["multiplicities"] == \
+            rendered["primary"]["resolution"]["multiplicities"]
+    sec, sec_twisted = report.secondary, twisted.secondary
+    assert sec_twisted.mode is sec.mode
+    if sec.extremal_character is None:
+        assert sec_twisted.extremal_character is None
+    else:
+        assert sec_twisted.extremal_character == sec.extremal_character.twist(-n)
+
+
+@pytest.mark.parametrize("kind", list(Kind), ids=[kind.name.lower() for kind in Kind])
+@cases
+@given(data=st.data(), n=shift)
+def test_twist_law(kind, data, n):
+    x = data.draw(CHARACTERS[kind], label="x")
+    assert classify(x).kind is kind
+    _assert_twist_law(x, n)

@@ -17,7 +17,7 @@ from planecones.chern import ChernCharacter, SlopeDisc
 from planecones.exceptional import DEFAULT_MAX_ORDER, DyadicRational
 from planecones.record import Record
 
-from conftest import record_fields, replace
+from conftest import record_fields, replace, triad_key
 
 GOLDEN = ChernCharacter.from_rmd(3, Fraction(2, 3), Fraction(17, 9))
 
@@ -101,10 +101,12 @@ def test_analysis_defaults_and_dyadic_check():
 
 
 def test_equal_slopes_share_a_triad():
-    # ExceptionalSlope and DyadicRational are the keys of the triad cache
+    # the triad cache is keyed on the integers of gamma, its parents and its
+    # address, so equal slopes built apart share one triad and no record is hashed
     left, gamma, right = (replace(s) for s in cone.exceptional.slope_and_parents(
         DyadicRational(5, 3)))
     cone._triad.cache_clear()
-    first = cone._triad(left, gamma, right)
-    again = cone._triad(*(replace(s) for s in (left, gamma, right)))
+    first = cone._triad(*triad_key(left, gamma, right))
+    again = cone._triad(*triad_key(*(replace(s) for s in (left, gamma, right))))
     assert again is first and cone._triad.cache_info().hits == 1
+    assert first.slope == gamma and first.gamma == gamma.character()

@@ -16,7 +16,10 @@ is another spelling of a slope's dyadic address: ``word_to_dyadic`` reads it
 in binary and the slope takes one tree walk, which mutates the bundle's
 character once per letter where the letters alternate and jumps each run of
 equal letters in one closed-form step; the same walk gives the slope's
-parents, which Cantor enclosures and period blocks read.  Eventually-constant
+parents.  Cantor enclosures and period blocks read the walk's integers
+``(r, c1, chi)`` and build no slope: an enclosure's ends are
+``Fraction(c1, r)`` and each expansion is Euclid on ``(c1, r)``.  A word
+is checked once, by one ``str.strip``.  Eventually-constant
 infinite words name exactly the interval endpoints.  ``cf_eval`` is the
 brute-force evaluator that serves as the independent oracle for all of this.
 """
@@ -35,7 +38,7 @@ Word = str  # finite words over {L, R}
 
 
 def _check_word(word: Word) -> None:
-    if any(ch not in "LR" for ch in word):
+    if word.strip("LR"):  # any other character stops the strip short of it
         raise DomainError(f"not an LR word: {word!r}")
 
 
@@ -83,18 +86,18 @@ def parity_convert(word: str) -> str:
     return "".join(map(str, digits))
 
 
-def _expansion(slope: ExceptionalSlope, odd: bool) -> str:
-    """The odd- or even-length expansion of a slope in [0, 1/2], from its ``(c1, r)``.
+def _expansion(c1: int, r: int, odd: bool) -> str:
+    """The odd- or even-length expansion of the slope ``c1/r`` in [0, 1/2], from its bundle.
 
     Euclid's algorithm on the integers gives the regular continued
     fraction's quotients, whose list is flipped when its length has the
     other parity; no ``Fraction`` is built.  Each quotient of an exceptional
-    slope is 1 or 2, so a step takes one or two subtractions; a record
-    whose slope has a larger quotient is no exceptional slope.
+    slope is 1 or 2, so a step takes one or two subtractions; a bundle
+    whose slope has a larger quotient is no exceptional bundle.
     """
-    n, m = slope.c1, slope.r
+    n, m = c1, r
     if n < 0 or 2 * n > m:
-        raise DomainError(f"slope {slope.slope} outside [0, 1/2]; normalize first")
+        raise DomainError(f"slope {Fraction(c1, r)} outside [0, 1/2]; normalize first")
     digits = []
     append = digits.append
     while n:
@@ -104,7 +107,7 @@ def _expansion(slope: ExceptionalSlope, odd: bool) -> str:
         else:
             m -= n
             if m >= n:
-                raise ConsistencyError(f"(r, c1) = ({slope.r}, {slope.c1}) has a continued-"
+                raise ConsistencyError(f"(r, c1) = ({r}, {c1}) has a continued-"
                                        "fraction quotient above 2: no exceptional slope")
             append(2)
         m, n = n, m
@@ -125,14 +128,14 @@ def even_expansion(slope) -> str:
     """
     if not isinstance(slope, ExceptionalSlope):
         slope = exceptional.from_slope_value(slope)
-    return _expansion(slope, False)
+    return _expansion(slope.c1, slope.r, False)
 
 
 def odd_expansion(slope) -> str:
     """Odd-length expansion; undefined for slope 0 (the empty expansion)."""
     if not isinstance(slope, ExceptionalSlope):
         slope = exceptional.from_slope_value(slope)
-    return _expansion(slope, True)
+    return _expansion(slope.c1, slope.r, True)
 
 
 def normalize_slope(mu: RationalLike) -> tuple[Fraction, int, bool]:
@@ -233,9 +236,13 @@ def period_structure(word: Word) -> PeriodStructure:
     When the right parent is 1/2 the whole expansion is a run of twos and is
     reported as block "2" (its true smallest period); the only word ending
     in L with that shape, RL, is handled the same way.  The decomposition is
-    validated against the expansion before it is returned.
+    validated against the expansion before it is returned.  It reads the
+    bundles of two walks, to the word's slope and to its parents, and
+    builds no slope.
     """
-    expansion = _expansion(lr_to_slope(word), False)  # the one check of the word
+    _check_word(word)
+    _, (r, c1, _), _ = exceptional._walk(_address(word))
+    expansion = _expansion(c1, r, False)
     if word.endswith("L"):
         if set(expansion) != {"2"}:
             raise DomainError("period decomposition needs a word ending in R")
@@ -245,12 +252,12 @@ def period_structure(word: Word) -> PeriodStructure:
     head = word[:-n]
     if not head or not head.endswith("L"):
         raise DomainError("period decomposition needs a word of shape head+L+R^n")
-    alpha, beta, _ = exceptional.slope_and_parents(_address(head[:-1]))
-    if beta.c1 == 1 and beta.r == 2:  # beta is 1/2
+    alpha, beta, _ = exceptional._walk(_address(head[:-1]))
+    if beta[:2] == (2, 1):  # beta is 1/2
         result = PeriodStructure("2", len(expansion), "", True)
         return _validated(result, expansion)
-    block = _expansion(beta, True) + "2"
-    tail = _expansion(alpha, False)
+    block = _expansion(beta[1], beta[0], True) + "2"
+    tail = _expansion(alpha[1], alpha[0], False)
     result = PeriodStructure(block, n + 1, tail, False)
     result = _validated(result, expansion)
     if smallest_period(expansion) != len(block):
@@ -278,13 +285,14 @@ def cantor_approx(prefix: Word, depth: int) -> tuple[Fraction, Fraction]:
     Truncates the prefix at ``depth`` and returns the parent slopes of the
     reached tree node: the open bracket between them contains the component
     holding all points whose words extend the truncated prefix, and the
-    enclosures shrink as the depth grows.
+    enclosures shrink as the depth grows.  The ends are read off the
+    bundles of one walk; no slope is built.
     """
     _check_word(prefix)
     if depth < 0:
         raise DomainError("negative depth")
-    left, _, right = exceptional.slope_and_parents(word_to_dyadic(prefix[:depth]))
-    return left.slope, right.slope
+    (r, c1, _), _, (s, c2, _) = exceptional._walk(_address(prefix[:depth]))
+    return Fraction(c1, r), Fraction(c2, s)
 
 
 def is_endpoint_word(prefix: Word, tail: Word) -> Optional[tuple[ExceptionalSlope, str]]:

@@ -7,15 +7,15 @@ measures every integer as it writes it: a string past Python's
 int-to-string digit limit, or a JSON int of that size, becomes a
 ``DomainError`` naming the field by its path, and nothing is printed until
 the whole output is rendered.  ``slope`` and ``cfrac`` stop their walk at
-the first rank past that limit.  A slope's fields and a triad character
-depend on nothing but the slope or the character, so each is rendered once
-per digit limit into a bounded cache and every report gets its own copy of
-the cached dict.  The caches key on integers (a slope's bundle and address,
-a character's ``(r, c1, chi)``), never on records.  A report reads the digit
-limit once and writes enums from ``_value_`` and quotients from integers.
-Decimal columns only appear under ``--approx`` and are labeled
-non-authoritative.  Output is deterministic: fixed field order, no ambient
-state.
+the first rank past that limit.  A slope's fields and a resolution's triad
+characters depend on nothing but the slope or the triad, so each is
+rendered once per digit limit into a bounded cache and every report gets
+its own copy of the cached dicts.  The caches key on integers (a slope's
+bundle and address, the triad's ``(r, c1, chi)`` triples), never on
+records.  A report reads the digit limit once and writes enums from
+``_value_`` and quotients from integers.  Decimal columns only appear
+under ``--approx`` and are labeled non-authoritative.  Output is
+deterministic: fixed field order, no ambient state.
 """
 
 from __future__ import annotations
@@ -196,18 +196,14 @@ def _int(path: str, n: Optional[int]) -> Optional[int]:
 _RENDER_CACHE_SIZE = 1024
 
 
-def _character_dict(x: ChernCharacter, prefix: str = "", cached: bool = False,
-                    limit: Optional[int] = None) -> dict:
-    """``character_to_json(x)``; a triad character (``cached``) is rendered once per digit limit.
+def _character_dict(x: ChernCharacter, prefix: str = "") -> dict:
+    """``character_to_json(x)``.
 
-    Past the digit limit (``limit``, read here if not given), the
-    ``DomainError`` names the first of the character's ``r``, ``c1``,
-    ``chi``, ``ch2``, ``mu`` and ``delta`` that does not fit.
+    Past the digit limit, the ``DomainError`` names the first of the
+    character's ``r``, ``c1``, ``chi``, ``ch2``, ``mu`` and ``delta`` that
+    does not fit.
     """
     try:
-        if cached:
-            limit = int_digit_limit() if limit is None else limit
-            return _triad_character_fields(x.r, x.c1, x.chi, limit).copy()
         return character_to_json(x)
     except ValueError:
         values = [("r", x.r), ("c1", x.c1), ("chi", x.chi), ("ch2", x.ch2)]
@@ -218,10 +214,27 @@ def _character_dict(x: ChernCharacter, prefix: str = "", cached: bool = False,
         raise
 
 
+def _triad_dicts(triad: tuple[ChernCharacter, ...], prefix: str, limit: int) -> list[dict]:
+    """A resolution's triad characters, rendered once per triad and digit limit.
+
+    One cache lookup per triad; each call gets its own copy of each dict.
+    Past the digit limit, the ``DomainError`` is :func:`_character_dict`'s
+    for the first character that does not fit.
+    """
+    try:
+        fields = _triad_character_fields(tuple([(x.r, x.c1, x.chi) for x in triad]), limit)
+    except ValueError:
+        for x in triad:
+            _character_dict(x, prefix)
+        raise
+    return list(map(dict.copy, fields))
+
+
 @lru_cache(maxsize=_RENDER_CACHE_SIZE)
-def _triad_character_fields(r: int, c1: int, chi: int, limit: int) -> dict:
+def _triad_character_fields(triad: tuple[tuple[int, int, int], ...],
+                            limit: int) -> tuple[dict, ...]:
     # ``limit`` keys the cache: a lower one renders again
-    return character_to_json(_lattice(r, c1, chi))
+    return tuple(character_to_json(_lattice(*x)) for x in triad)
 
 
 def _slope_dict(s: exceptional.ExceptionalSlope, prefix: str = "",
@@ -282,7 +295,7 @@ def _primary_dict(edge: cone.PrimaryEdge, digits: Optional[int], prefix: str,
     res = edge.resolution
     if res is not None:  # the triad's slopes are its characters' mu
         path = prefix + "resolution.triad_characters."
-        triad = [_character_dict(z, path, True, limit) for z in res.triad]
+        triad = _triad_dicts(res.triad, path, limit)
         path = prefix + "resolution.multiplicities"
         out["resolution"] = {
             "case_sign": res.case_sign._value_,

@@ -423,7 +423,7 @@ def _triad(left: tuple, mid: tuple, right: tuple, p: int, q: int) -> _Triad:
     ``(r, c1, chi)`` and gamma's address, all integers, so a lookup hashes
     no record and a hit builds no slope.
     """
-    left, gamma, right = exceptional._slopes(left, mid, right, p, q)
+    left, gamma, right = exceptional._slopes(left, mid, right, exceptional._dyadic(p, q))
     image = exceptional.affine_image
     images = (image(left, True, -3), image(right, True, 0),
               image(gamma, True, 0), image(gamma, True, -3))

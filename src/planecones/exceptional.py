@@ -17,16 +17,18 @@ read off the halfwidth's; the boundary curve of stable characters is a pair
 of parabolic arcs over every interval, and locating the interval containing
 a given number is a bracketing descent on integers (``_bracket``), which
 hands back the hit's and its two parents' ``(r, c1, chi)`` and the hit's
-address; ``_slopes`` makes slope objects of them.  A probe tests membership
-on the candidate's ``(r, c1)`` integers (``_locate``), so a descent builds
-no object until its caller asks for the slopes; a walk likewise gives a
-slope with both parents (``slope_and_parents``, of which ``parents`` is a
-view).  A rational is looked up, not located: ``from_slope_value`` compares
-it with each mediant down its walk by one cross-multiplication, and no
-probe tests membership.  An arc's value at a rational is one integer
-numerator (``_arc_form``) over one denominator.  Slopes built by a walk, a
-descent or an affine image come from the trusted constructors ``_slope`` and
-``_dyadic``.
+address.  A probe tests membership on the candidate's ``(r, c1)`` integers
+(``_locate``), so a descent builds no object; a walk (``_walk``) likewise
+hands back the bundles of the slope and its two parents and builds
+nothing.  A public function builds only the slopes it returns:
+``from_dyadic``, ``epsilon`` and ``find_interval`` the hit alone,
+``slope_and_parents`` (of which ``parents`` is a view) all three
+(``_slopes``).  A rational is looked up, not located: ``from_slope_value``
+compares it with each mediant down its walk by one cross-multiplication,
+and no probe tests membership.  An arc's value at a rational is one
+integer numerator (``_arc_form``) over one denominator.  Slopes built by a
+walk, a descent or an affine image come from the trusted constructors
+``_slope`` and ``_dyadic``, which set each slot through its descriptor.
 """
 
 from __future__ import annotations
@@ -132,17 +134,18 @@ class ExceptionalSlope(Record):
         return str(self.c1) if self.r == 1 else f"{self.c1}/{self.r}"
 
 
-# Trusted constructors set the slots directly, past the records' immutability
-# and ``DyadicRational``'s check.
+# Trusted constructors set each slot through its descriptor (``cls._setters``),
+# past the records' immutability and ``DyadicRational``'s check.
 _new = object.__new__
-_set = object.__setattr__
+_set_p, _set_q = DyadicRational._setters
+_set_r, _set_c1, _set_chi, _set_dyadic = ExceptionalSlope._setters
 
 
 def _dyadic(p: int, q: int) -> DyadicRational:
     """``p / 2**q``, trusted to be in lowest terms: the walk's addresses skip the check."""
     d = _new(DyadicRational)
-    _set(d, "p", p)
-    _set(d, "q", q)
+    _set_p(d, p)
+    _set_q(d, q)
     return d
 
 
@@ -157,10 +160,10 @@ def _reduced(p: int, q: int) -> DyadicRational:
 def _slope(r: int, c1: int, chi: int, dyadic: DyadicRational) -> ExceptionalSlope:
     """The slope of the bundle ``(r, c1, chi)`` at ``dyadic``, trusted as a walk's result."""
     s = _new(ExceptionalSlope)
-    _set(s, "r", r)
-    _set(s, "c1", c1)
-    _set(s, "chi", chi)
-    _set(s, "dyadic", dyadic)
+    _set_r(s, r)
+    _set_c1(s, c1)
+    _set_chi(s, chi)
+    _set_dyadic(s, dyadic)
     return s
 
 
@@ -186,11 +189,13 @@ def epsilon(d: DyadicRational) -> Fraction:
     return from_dyadic(d).slope
 
 
-def _walk(d: DyadicRational,
-          max_rank_digits: int = 0) -> tuple[ExceptionalSlope, ExceptionalSlope, ExceptionalSlope]:
-    """``(left parent, slope, right parent)`` of ``d = p / 2**q`` with ``q >= 1``.
+def _walk(d: DyadicRational, max_rank_digits: int = 0) -> tuple[tuple, tuple, tuple]:
+    """The bundles ``(r, c1, chi)`` of the left parent, the slope and the right parent at ``d``.
 
-    Descends from the integer bracket of :func:`_start`: the bracket at
+    The walk builds no object but these triples: a caller makes slopes of
+    the ones it returns.  An integer ``d = p`` takes no step and has the
+    parents ``p - 1`` and ``p + 1``.  For ``d = p / 2**q``, ``q >= 1``, the
+    walk descends from the integer bracket of :func:`_start`: the bracket at
     level ``k`` is ``[b, b + 1] / 2**k`` with ``b = p >> (q - k)``, and its
     midpoint is the mutation ``s v(fin) - v(g)``.  Bit ``q - k`` of ``p``
     puts the midpoint in as the left (1) or the right (0) end.  Along a run
@@ -208,6 +213,8 @@ def _walk(d: DyadicRational,
     the work stays bounded by the cap, not by the run's length.
     """
     p, q = d.p, d.q
+    if q == 0:
+        return _line(p - 1), _line(p), _line(p + 1)
     left, right, fin, g, s = _start(p >> q)
     cap = 10 ** max_rank_digits if max_rank_digits > 0 else 0
     jumps = True
@@ -249,7 +256,7 @@ def _walk(d: DyadicRational,
                     right = fin
                 k, after = k + n, bit ^ 1
         bit = after
-    return _with_parents(left, _slope(*mid, d), right, p, q)
+    return left, mid, right
 
 
 def _jump(fin: tuple, g: tuple, s: int, n: int) -> tuple[tuple, tuple]:
@@ -274,17 +281,6 @@ def _jump(fin: tuple, g: tuple, s: int, n: int) -> tuple[tuple, tuple]:
             (y * fin[0] - z * g[0], y * fin[1] - z * g[1], y * fin[2] - z * g[2]))
 
 
-def _with_parents(left: tuple, child: ExceptionalSlope, right: tuple,
-                  p: int, q: int) -> tuple[ExceptionalSlope, ExceptionalSlope, ExceptionalSlope]:
-    """``child`` at ``p / 2**q`` between the ends of its bracket, as slopes.
-
-    The bracket is ``[p >> 1, (p >> 1) + 1] / 2**(q - 1)`` for odd ``p``;
-    ``left`` and ``right`` are its ends' characters.
-    """
-    b = p >> 1
-    return _slope(*left, _reduced(b, q - 1)), child, _slope(*right, _reduced(b + 1, q - 1))
-
-
 # Distinct ranks whose halfwidth is kept: every rank of order <= 10 fits.
 _INTERVAL_HALFWIDTH_CACHE_SIZE = 1024
 
@@ -303,7 +299,7 @@ def from_dyadic(d: DyadicRational, max_rank_digits: int = 0) -> ExceptionalSlope
     A positive ``max_rank_digits`` refuses, with ``DomainError`` and before
     the walk ends, a slope whose rank the walk shows to have more digits.
     """
-    return from_integer(d.p) if d.q == 0 else _walk(d, max_rank_digits)[1]
+    return _slope(*_walk(d, max_rank_digits)[1], d)
 
 
 def from_integer(n: int) -> ExceptionalSlope:
@@ -334,7 +330,7 @@ def from_slope_value(mu: RationalLike, max_order: int = DEFAULT_MAX_ORDER) -> Ex
 
     Exact lookup, with no interval descent: from the integer bracket around
     ``mu = a/b`` the walk takes each level's mutation inline, as ``_walk``
-    and ``_descend`` do, and compares ``mu`` with the mediant ``c1/r`` by one
+    and ``_bracket`` do, and compares ``mu`` with the mediant ``c1/r`` by one
     cross-multiplication, ``a r - c1 b``, whose sign also picks the half
     bracket to go on in.  An exceptional slope's rank is its reduced
     denominator (``c1^2 = -1 mod r``) and ranks grow along a walk, so the
@@ -404,9 +400,7 @@ def slope_and_parents(d: DyadicRational) -> tuple[ExceptionalSlope, ExceptionalS
     the bracket the walk's last mutation splits; an integer ``n`` has
     ``(n - 1, n + 1)`` and takes no walk.
     """
-    if d.q == 0:
-        return from_integer(d.p - 1), from_integer(d.p), from_integer(d.p + 1)
-    return _walk(d)
+    return _slopes(*_walk(d), d)
 
 
 def parents(g: ExceptionalSlope) -> tuple[ExceptionalSlope, ExceptionalSlope]:
@@ -467,20 +461,11 @@ def find_interval(x, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
     :class:`QuadraticNumber` and no ``Fraction``.
     Termination within ``max_order`` holds for every rational and for the
     quadratic irrationals arising from characters; genuine Cantor-set points
-    would descend forever and trip the budget instead.
+    would descend forever and trip the budget instead.  Only the hit is
+    built, from the integers :func:`_bracket` hands back.
     """
-    return _descend(x, max_order)[1]
-
-
-def _descend(x, max_order: int) -> tuple[ExceptionalSlope, ExceptionalSlope, ExceptionalSlope]:
-    """``(left parent, slope, right parent)`` of :func:`find_interval`'s slope.
-
-    The parents are the ends of the bracket the hit was found in, which the
-    descent holds already (:func:`_bracket`), as :func:`parents` gives them.
-    So a caller that needs both never walks.  Slope objects are built for
-    the hit and its parents only.
-    """
-    return _slopes(*_bracket(*integer_form(x), max_order))
+    _, mid, _, p, q = _bracket(*integer_form(x), max_order)
+    return _slope(*mid, _dyadic(p, q))
 
 
 def _bracket(A: int, B: int, d: int, D: int,
@@ -518,12 +503,15 @@ def _bracket(A: int, B: int, d: int, D: int,
     )
 
 
-def _slopes(left: tuple, mid: tuple, right: tuple, p: int,
-            q: int) -> tuple[ExceptionalSlope, ExceptionalSlope, ExceptionalSlope]:
-    """The slopes of a :func:`_bracket`: the hit at ``p/2**q`` between its parents."""
-    if q == 0:  # the bundles are O(p - 1), O(p) and O(p + 1)
-        return from_integer(p - 1), from_integer(p), from_integer(p + 1)
-    return _with_parents(left, _slope(*mid, _dyadic(p, q)), right, p, q)
+def _slopes(left: tuple, mid: tuple, right: tuple,
+            d: DyadicRational) -> tuple[ExceptionalSlope, ExceptionalSlope, ExceptionalSlope]:
+    """The slopes of a :func:`_bracket` or :func:`_walk`: the hit at ``d`` and its parents."""
+    p, q = d.p, d.q
+    if q == 0:  # an integer's parents are p - 1 and p + 1
+        at_left, at_right = _dyadic(p - 1, 0), _dyadic(p + 1, 0)
+    else:  # a mediant's are (p >> 1)/2**(q - 1) and one step right of it
+        at_left, at_right = _reduced(p >> 1, q - 1), _reduced((p >> 1) + 1, q - 1)
+    return _slope(*left, at_left), _slope(*mid, d), _slope(*right, at_right)
 
 
 # Distinct slopes whose enclosing slope and boundary value are kept; a long

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from planecones import CaseSign, Kind, classify
+from planecones import CaseSign, Kind, classify, exceptional
 from planecones.cfrac import PeriodStructure, _validated, lr_to_slope, smallest_period, word_to_dyadic
 from planecones.cone import Classification
 from planecones.chern import (
@@ -26,7 +26,8 @@ from planecones.exceptional import (
     slope_and_parents,
 )
 from planecones.qarith import (
-    TRIAL_DIVISION_BOUND, QuadraticNumber, int_digit_limit, qn_compare_cross, sqrt_exact,
+    TRIAL_DIVISION_BOUND, QuadraticNumber, int_digit_limit, integer_form, qn_compare_cross,
+    sqrt_exact,
 )
 from planecones.record import Record
 
@@ -416,6 +417,12 @@ def stepwise_walk(d: DyadicRational, max_rank_digits: int = 0):
             ExceptionalSlope(*right, DyadicRational.make(half + 1, q - 1)))
 
 
+def descent_slopes(x, max_order: int = DEFAULT_MAX_ORDER):
+    """``(left parent, slope, right parent)`` of ``find_interval(x)``, from one descent."""
+    left, mid, right, p, q = exceptional._bracket(*integer_form(x), max_order)
+    return exceptional._slopes(left, mid, right, exceptional._dyadic(p, q))
+
+
 def fraction_character(mu: Fraction) -> ChernCharacter:
     """The exceptional character ``(r, c, (c^2 + 3cr + r^2 + 1)/2r)`` of the slope ``c/r``."""
     c, r = mu.numerator, mu.denominator
@@ -619,6 +626,27 @@ def charwise_period_structure(word: str) -> PeriodStructure:
             f"block length {len(block)} is not the smallest period of {expansion}"
         )
     return result
+
+
+def charwise_cantor_approx(prefix: str, depth: int, memo: dict) -> tuple[Fraction, Fraction]:
+    """The parent slopes of the truncated prefix's address by the ``Fraction`` walk.
+
+    The oracle for ``cantor_approx``, which reads the parents' bundles off
+    one integer walk: the address is read letter by letter and the parents
+    come from ``fraction_walk`` (``slope_dot`` on ``Fraction``s, ``memo``
+    passed in); the empty word addresses 0, between -1 and 1.
+    """
+    if any(ch not in "LR" for ch in prefix):
+        raise DomainError(f"not an LR word: {prefix!r}")
+    if depth < 0:
+        raise DomainError("negative depth")
+    word = prefix[:depth]
+    q = len(word)
+    if q == 0:
+        return Fraction(-1), Fraction(1)
+    bits = sum(1 << (q - 1 - i) for i, ch in enumerate(word) if ch == "R")
+    left, _, right = fraction_walk(2 * bits - (1 << q) + 1, q, memo)
+    return left, right
 
 
 def minimal_orthogonal_rank(point: SlopeDisc) -> int:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from planecones.cfrac import (
+    PeriodStructure,
     cantor_approx,
     cf_eval,
     dyadic_to_word,
@@ -25,17 +26,21 @@ from planecones.exceptional import (
     DyadicRational,
     ExceptionalSlope,
     enumerate_slopes,
+    from_dyadic,
     from_integer,
     from_slope_value,
     interval_contains,
+    slope_and_parents,
 )
 from planecones.qarith import QuadraticNumber, qn_compare_cross
 
 from conftest import (
+    charwise_cantor_approx,
     charwise_even_expansion,
     charwise_parity_convert,
     charwise_period_structure,
     slope_dot,
+    stepwise_walk,
 )
 
 F = Fraction
@@ -401,6 +406,42 @@ class TestCantor:
                 lo1, hi1 = cantor_approx(word, depth)
                 lo2, hi2 = cantor_approx(word, depth + 1)
                 assert lo1 <= lo2 < hi2 <= hi1
+
+
+def _outcome(call, *args):
+    """What ``call`` returns, or the class and text of the error it raises."""
+    try:
+        return call(*args)
+    except (ConsistencyError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+class TestWordsAgainstOracles:
+    """Every word of length <= 10: the integer walks against the character-wise oracles."""
+
+    def test_every_word_to_length_ten(self):
+        words = ["".join(w) for n in range(11) for w in itertools.product("LR", repeat=n)]
+        assert len(words) == 2047
+        memo, decomposed, refused = {}, 0, 0
+        assert [s.slope for s in slope_and_parents(word_to_dyadic(""))] == [-1, 0, 1]
+        for word in words:
+            d = word_to_dyadic(word)
+            assert from_dyadic(d) == slope_and_parents(d)[1] == lr_to_slope(word), word
+            if word:
+                assert slope_and_parents(d) == stepwise_walk(d), word
+            period = _outcome(period_structure, word)
+            assert period == _outcome(charwise_period_structure, word), word
+            decomposed += isinstance(period, PeriodStructure)
+            refused += period[0] is DomainError
+            for depth in range(len(word) + 2):  # past the word's end too
+                assert cantor_approx(word, depth) == charwise_cantor_approx(word, depth, memo), \
+                    (word, depth)
+        assert decomposed > 100 and decomposed + refused == len(words)
+        for word in ("LRX", "RLR ", "r"):
+            assert _outcome(period_structure, word) == \
+                _outcome(charwise_period_structure, word) == \
+                (DomainError, f"not an LR word: {word!r}")
+            assert _outcome(cantor_approx, word, 1) == _outcome(charwise_cantor_approx, word, 1, {})
 
 
 class TestEndpointWords:

@@ -762,13 +762,16 @@ class TestRendererAgainstTheOracle:
         from planecones import cli
         from planecones.cfrac import lr_to_slope
         from planecones.errors import DomainError
+        from planecones.qarith import int_digit_limit
 
         bundle = lr_to_slope("LR" * 7).character()  # delta over 2 r^2, with 768 digits
-        assert cli._character_dict(bundle, "triad.", cached=True)["r"] == str(bundle.r)
+        triad = (cli._lattice(1, 0, 1), bundle)
+        fields = cli._triad_dicts(triad, "triad.", int_digit_limit())
+        assert fields[1]["r"] == str(bundle.r)
         sys.set_int_max_str_digits(self.LIMIT)
         try:
             with pytest.raises(DomainError, match=r"^triad\.delta has a 2,5[0-9]{2}-bit integer"):
-                cli._character_dict(bundle, "triad.", cached=True)
+                cli._triad_dicts(triad, "triad.", int_digit_limit())
         finally:
             sys.set_int_max_str_digits(INT_DIGITS)
 

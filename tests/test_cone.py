@@ -34,7 +34,7 @@ from planecones.errors import ConsistencyError, DomainError
 from planecones.exceptional import (
     arc_value, delta_curve, enumerate_slopes, from_slope_value, interval_contains,
 )
-from planecones.qarith import QuadraticNumber, qn_compare_cross, sqrt_exact
+from planecones.qarith import QuadraticNumber, int_digit_limit, qn_compare_cross, sqrt_exact
 
 from conftest import ORDER_FOUR, arc_below, ray_at, replace, triad_key
 
@@ -608,7 +608,7 @@ def test_triad_and_render_caches_evict():
     def fill(left, gamma, right):
         triad = cone._triad(*triad_key(left, gamma, right))
         cli._slope_dict(gamma)
-        cli._character_dict(triad.image_chars[2], cached=True)
+        cli._triad_dicts(triad.image_chars[2:], "", int_digit_limit())
 
     for triple in triples:
         fill(*triple)

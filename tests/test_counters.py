@@ -43,7 +43,7 @@ from planecones.chern import ChernCharacter, character_from_json
 from planecones.cli import main, report_to_dict
 from planecones.cone import Kind
 
-from conftest import ORDER_FOUR
+from conftest import ORDER_FOUR, descent_slopes
 
 GOLDEN = ChernCharacter.from_rmd(3, Fraction(2, 3), Fraction(17, 9))
 
@@ -144,12 +144,13 @@ def test_rendering_is_written_from_integers(monkeypatch, x, order, descents):
 # character's lies inside.  The five ``QuadraticNumber``s are the root
 # ``sqrt(5 + 8 delta)``, ``mu0+``, ``mu0-`` and the two wall radii; the Serre
 # dual's ``mu0+ = -mu0-`` is descended on as integers.  Each cache is looked
-# up once per slope, triad character or gamma a report renders or resolves.
+# up once per slope, resolution or gamma a report renders or resolves: a
+# resolution's triad characters are rendered by one lookup, not one each.
 BUDGETS = pytest.mark.parametrize("x, order, budget", [
     (GOLDEN, 0, {"Fraction": 1, "QuadraticNumber": 5, "_triad": 2,
-                 "_triad_character_fields": 5, "_slope_fields": 3, "boundary_at": 1}),
+                 "_triad_character_fields": 2, "_slope_fields": 3, "boundary_at": 1}),
     (ORDER_FOUR, 4, {"Fraction": 0, "QuadraticNumber": 5, "_triad": 2,
-                     "_triad_character_fields": 6, "_slope_fields": 3, "boundary_at": 0}),
+                     "_triad_character_fields": 2, "_slope_fields": 3, "boundary_at": 0}),
 ], ids=["golden", "order4"])
 
 
@@ -322,7 +323,7 @@ def test_one_membership_call_per_probe(monkeypatch, built_slopes, x):
     monkeypatch.setattr(exceptional, "_locate", counted_locate)
     monkeypatch.setattr(exceptional, "from_dyadic", lambda d: looked_up.append(d) or from_dyadic(d))
     monkeypatch.setattr(qarith.QuadraticNumber, "__init__", counted_init)
-    left, found, right = exceptional._descend(x, exceptional.DEFAULT_MAX_ORDER)
+    left, found, right = descent_slopes(x)
     assert found.order >= 3
     assert built == [] and looked_up == []
     assert sorted(built_slopes, key=lambda s: s.slope) == [left, found, right]
@@ -340,20 +341,61 @@ def test_integer_hit_builds_the_hit_and_its_parents(monkeypatch, built_slopes):
     probes = []
     locate = exceptional._locate
     monkeypatch.setattr(exceptional, "_locate", lambda *args: probes.append(args) or locate(*args))
-    triple = exceptional._descend(Fraction(6, 5), exceptional.DEFAULT_MAX_ORDER)
+    triple = descent_slopes(Fraction(6, 5))
     assert [s.slope for s in triple] == [0, 1, 2]
     assert len(probes) == 1 and built_slopes == list(triple)
 
 
 def test_a_rational_is_looked_up_without_a_descent(monkeypatch, capsys):
-    """``from_slope_value`` compares with mediants: no ``_locate`` probe and no ``_descend``."""
+    """``from_slope_value`` compares with mediants: no ``_locate`` probe and no ``_bracket``."""
     probes, descents = [], []
-    locate, descend = exceptional._locate, exceptional._descend
+    locate, descend = exceptional._locate, exceptional._bracket
     monkeypatch.setattr(exceptional, "_locate", lambda *args: probes.append(args) or locate(*args))
-    monkeypatch.setattr(exceptional, "_descend",
+    monkeypatch.setattr(exceptional, "_bracket",
                         lambda *args: descents.append(args) or descend(*args))
     assert cfrac.even_expansion(Fraction(75, 194)) == "21122112"
     assert exceptional.from_slope_value(Fraction(13, 34)).order == 4
     assert main(["cfrac", "--rational", "75/194", "--period"]) == 0
     assert json.loads(capsys.readouterr().out)["period_block"] == "2112"
     assert probes == [] and descents == []
+
+
+# What one toolkit call builds: a public function that returns a slope builds
+# that slope and its address, and nothing else; one that returns numbers or
+# words reads the walk's integers and builds no slope.  The addresses counted
+# are the ones the call makes, not the one handed in.
+D = exceptional.DyadicRational(1117, 11)
+TOOLKIT = pytest.mark.parametrize("call, slopes, addresses", [
+    (lambda: exceptional.from_dyadic(D), 1, 0),
+    (lambda: exceptional.epsilon(D), 1, 0),
+    (lambda: exceptional.from_dyadic(D).interval(), 1, 0),
+    (lambda: cfrac.lr_to_slope("RLLRLRRL"), 1, 1),
+    (lambda: exceptional.delta_curve.cache_clear() or exceptional.delta_curve(Fraction(7, 19)),
+     1, 1),
+    (lambda: exceptional.find_interval(MU0_PLUS_ORDER_FOUR), 1, 1),
+    (lambda: cfrac.cantor_approx("LRLRLR", 6), 0, 1),
+    (lambda: cfrac.period_structure("RLLLRR"), 0, 2),
+    (lambda: cfrac.even_expansion(Fraction(75, 194)), 1, 1),
+    (lambda: exceptional.slope_and_parents(D), 3, 2),
+], ids=["from_dyadic", "epsilon", "interval", "lr_to_slope", "cold_delta_curve",
+        "find_interval", "cantor_approx", "period_structure", "even_expansion",
+        "slope_and_parents"])
+
+
+@TOOLKIT
+def test_toolkit_budget(monkeypatch, call, slopes, addresses):
+    made = {exceptional.ExceptionalSlope: 0, exceptional.DyadicRational: 0}
+    new = exceptional._new
+
+    def counted_new(cls):
+        made[cls] += 1
+        return new(cls)
+
+    monkeypatch.setattr(exceptional, "_new", counted_new)
+    for cls in made:  # the checked constructors too
+        def counted_init(obj, *args, cls=cls, init=cls.__init__):
+            made[cls] += 1
+            init(obj, *args)
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    call()
+    assert made == {exceptional.ExceptionalSlope: slopes, exceptional.DyadicRational: addresses}

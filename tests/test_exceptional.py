@@ -23,6 +23,7 @@ from planecones.exceptional import (
     from_slope_value,
     interval_contains,
     parents,
+    slope_and_parents,
 )
 from planecones.qarith import (
     QuadraticNumber, _sign_int_radical, integer_form, qn_compare_cross, sqrt_exact,
@@ -32,6 +33,7 @@ from conftest import (
     ORDER_FOUR,
     delta_curve_at,
     descent_from_slope_value,
+    descent_slopes,
     enclosure_radical_sign,
     fraction_arc_value,
     fraction_character,
@@ -196,7 +198,7 @@ class TestMutationWalk:
         memo, count = {}, 0
         for q in range(1, 13):
             for p in range(1 - (3 << q), 3 << q, 2):
-                left, g, right = exceptional._walk(dy(p, q))
+                left, g, right = slope_and_parents(dy(p, q))
                 expected = fraction_walk(p, q, memo)
                 assert (left.slope, g.slope, right.slope) == expected, (p, q)
                 assert g.rank == expected[1].denominator
@@ -211,7 +213,7 @@ class TestMutationWalk:
         # chi(v, v) = 1 and chi(right, v) = chi(v, left) = 0, as dot checks
         for q in range(1, 11):
             for p in range(1 - (2 << q), 2 << q, 2):
-                left, g, right = (s.character() for s in exceptional._walk(dy(p, q)))
+                left, g, right = (s.character() for s in slope_and_parents(dy(p, q)))
                 assert euler_chi_pair(g, g) == 1
                 assert euler_chi_pair(right, g) == euler_chi_pair(g, left) == 0
 
@@ -240,12 +242,12 @@ class TestMutationWalk:
 
 
 def walked(d, max_rank_digits=0):
-    """The walk's three slopes with their addresses; the slopes compare by bundle only."""
-    return [(s.r, s.c1, s.chi, s.dyadic) for s in exceptional._walk(d, max_rank_digits)]
+    """The bundles ``(r, c1, chi)`` of the walk's left parent, slope and right parent."""
+    return list(exceptional._walk(d, max_rank_digits))
 
 
 def stepped(d, max_rank_digits=0):
-    return [(s.r, s.c1, s.chi, s.dyadic) for s in stepwise_walk(d, max_rank_digits)]
+    return [(s.r, s.c1, s.chi) for s in stepwise_walk(d, max_rank_digits)]
 
 
 def jumped_orders(d):
@@ -271,6 +273,8 @@ class TestRunJumps:
         for q in range(1, 13):
             for p in range(1 - (3 << q), 3 << q, 2):
                 assert walked(dy(p, q)) == stepped(dy(p, q)), (p, q)
+                # the slopes, with the parents' addresses
+                assert slope_and_parents(dy(p, q)) == stepwise_walk(dy(p, q)), (p, q)
                 count += 1
         assert count == 24_570
 
@@ -558,14 +562,14 @@ class TestAffineImage:
 
 
 class TestDescentParents:
-    """The parents ``_descend`` hands back against a walk to gamma's address."""
+    """The parents a descent hands back (``_bracket``) against a walk to gamma's address."""
 
     def test_matches_parents_order_ten(self):
         checked = 0
         for g in enumerate_slopes(-2, 2, 10):
             expected = parents(g)
             for x in (g.slope, *g.interval()):
-                left, gamma, right = exceptional._descend(x, exceptional.DEFAULT_MAX_ORDER)
+                left, gamma, right = descent_slopes(x)
                 assert gamma == g and (left, right) == expected, (g, x)
                 checked += 1
         assert checked == (4 * 1024 + 1) * 3

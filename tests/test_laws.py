@@ -1,4 +1,6 @@
-"""The twist law over the whole report: ``M(xi)`` and ``M(xi tensor O(n))`` agree.
+"""The twist and Serre-duality laws over the whole report.
+
+The twist law: ``M(xi)`` and ``M(xi tensor O(n))`` agree.
 
 Twisting by ``O(n)`` is the paper's first reduction.  A character ``x`` and
 its twist ``x(n)`` have the same classification and dimension; ``mu0+-``
@@ -8,8 +10,21 @@ address; a class is orthogonal to ``x(n)`` exactly when its twist by
 rays twisted by ``O(-n)``; and the resolution keeps its case and
 multiplicities.  The rendered reports agree on the same fields.
 
+The Serre-duality law: ``E -> E^v(-3)`` maps the locally free sheaves of
+``M(x)`` onto those of ``M(x^v(-3))``, where ``x^v(-3) = (r, -c1 - 3r, chi)``
+keeps the rank, the discriminant and chi.  Both characters have the same
+classification and dimension, and ``mu0+-`` go to ``-mu0-+``.  From rank 3
+on, the sheaves that are not locally free lie in codimension two, so the
+two cones are one: the two rays swap, each the other's ``-y^v`` (the map
+on classes orthogonal to ``x``), each corresponding slope is the other's
+negative, and each side's Serre-dual pipeline is the other's primary edge,
+rendered alike.  A sheaf of rank zero has the dual ``-x^v(-3) = (0, c1,
+-chi)``, which keeps its Brill-Noether edge: the primary ray goes to its
+dual.
+
 Characters are drawn per ``Kind``, so every kind occurs, with ranks and
-first Chern classes up to 10^30.  The tier-1 run draws 25 cases a kind; the
+first Chern classes up to 10^30.  The tier-1 run draws 25 cases a kind for
+each law; the
 ``fuzz`` profile (``pytest tests/test_laws.py --hypothesis-profile=fuzz``)
 draws its own 2,000.
 """
@@ -129,3 +144,53 @@ def test_twist_law(kind, data, n):
     x = data.draw(CHARACTERS[kind], label="x")
     assert classify(x).kind is kind
     _assert_twist_law(x, n)
+
+
+def serre_dual(x):
+    """``x^v(-3)``, and ``-x^v(-3) = (0, c1, -chi)`` in rank zero."""
+    return x.serre_dual() if x.r != 0 else lattice(0, x.c1, -x.chi)
+
+
+def _assert_serre_duality_law(x):
+    xd = serre_dual(x)
+    report, dual = _outcome(x), _outcome(xd)
+    if not hasattr(report, "classification") or not hasattr(dual, "classification"):
+        # each side descends on mu0+ and, from rank 3 on, on the other's -mu0-
+        assert x.r < 3 or dual is report
+        return
+    assert dual.classification.kind is report.classification.kind
+    assert dual.dimension == report.dimension
+    rendered, rendered_dual = cli.report_to_dict(report), cli.report_to_dict(dual)
+    assert rendered_dual["classification"]["kind"] == rendered["classification"]["kind"]
+    assert rendered_dual["dimension"] == rendered["dimension"]
+    if report.primary is None:
+        assert dual.primary is None and dual.mu0_plus is None
+        return
+    if x.r == 0:
+        assert dual.mu0_plus == -report.mu0_plus
+        assert dual.primary.extremal_character == report.primary.extremal_character.dual()
+        return
+    assert (dual.mu0_plus, dual.mu0_minus) == (-report.mu0_minus, -report.mu0_plus)
+    sec, sec_dual = report.secondary, dual.secondary
+    assert sec_dual.mode is sec.mode
+    if x.r < 3:
+        return
+    assert dual.primary.extremal_character == -sec.extremal_character.dual()
+    assert sec_dual.extremal_character == -report.primary.extremal_character.dual()
+    for edge, other in ((report, dual), (dual, report)):
+        gamma = edge.primary.invariants.corresponding_slope
+        image = exceptional.affine_image(gamma, True, 0)
+        assert other.secondary.corresponding_slope == image
+        assert other.secondary.corresponding_slope.dyadic == image.dyadic
+        assert other.secondary.dual_primary == edge.primary
+    assert rendered["secondary"]["serre_dual_pipeline"] == rendered_dual["primary"]
+    assert rendered_dual["secondary"]["serre_dual_pipeline"] == rendered["primary"]
+
+
+@pytest.mark.parametrize("kind", list(Kind), ids=[kind.name.lower() for kind in Kind])
+@cases
+@given(data=st.data())
+def test_serre_duality_law(kind, data):
+    x = data.draw(CHARACTERS[kind], label="x")
+    assert classify(x).kind is kind
+    _assert_serre_duality_law(x)

@@ -11,13 +11,13 @@ entire reports.  Every sign, comparison and floor reads that integer form,
 ``A + B*sqrt(d)`` takes at most one exact integer squaring
 ``A*A - B*B*d``; a comparison across two radicands is the sign of
 ``A + B*sqrt(m) + C*sqrt(n)``, which takes at most two, with no ``Fraction``
-products.  Radicands lose their small square factors by batch gcd against a
-product tree of the primes up to ``TRIAL_DIVISION_BOUND``; a perfect square
-exits at once, and numbers below ``2**16`` are split by a one-byte
-least-prime-factor table.  :func:`sqrt_ratio` takes the root of ``p/q``
-from two ints with one gcd and no ``Fraction``.  Output is written from
-integers: :func:`ratio_str` writes ``n/d`` as ``str(Fraction(n, d))`` does,
-with one gcd and no ``Fraction``.
+products.  Radicands lose their small square factors by a gcd chain that
+starts from the product of the primes up to ``TRIAL_DIVISION_BOUND``, one
+step per multiplicity; a perfect square exits at once, and numbers below
+``2**16`` are split by a one-byte least-prime-factor table.
+:func:`sqrt_ratio` takes the root of ``p/q`` from two ints with one gcd and
+no ``Fraction``.  Output is written from integers: :func:`ratio_str` writes
+``n/d`` as ``str(Fraction(n, d))`` does, with one gcd and no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -46,15 +46,6 @@ def _primes_up_to(n: int) -> list[int]:
     return [p for p in range(n + 1) if sieve[p]]
 
 
-def _product_tree(leaves: list[int]) -> list[list[int]]:
-    """Levels of a binary product tree, leaves first and the full product last."""
-    levels = [leaves]
-    while len(levels[-1]) > 1:
-        row = levels[-1]
-        levels.append([math.prod(row[i:i + 2]) for i in range(0, len(row), 2)])
-    return levels
-
-
 def _least_prime_factors(limit: int) -> bytearray:
     """Least prime factor of every composite below ``limit``; 0 for 0, 1 and the primes.
 
@@ -69,53 +60,28 @@ def _least_prime_factors(limit: int) -> bytearray:
 
 
 _SMALL_PRIMES = _primes_up_to(TRIAL_DIVISION_BOUND)
-_PRIME_TREE = _product_tree(_SMALL_PRIMES)
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
 _SPF_LIMIT = 1 << 16
 _SPF = _least_prime_factors(_SPF_LIMIT)
-
-
-def _small_prime_divisors(n: int) -> list[int]:
-    """The primes up to ``TRIAL_DIVISION_BOUND`` that divide ``n``, all of them for ``n < 2**16``.
-
-    One gcd with the product of all of them gives their product ``g``; it is
-    split down the product tree, one gcd per node, since the gcd of ``g``
-    with a node is the product of the gcds with its two children.  A node
-    below ``2**16`` is split by the least-prime-factor table instead, and so
-    is ``n`` itself when it is that small: its prime factors above the bound
-    occur once, as the cofactor would.
-    """
-    found = []
-    top = n if n < _SPF_LIMIT else math.gcd(n, _PRIME_TREE[-1][0])
-    stack = [(len(_PRIME_TREE) - 1, 0, top)]
-    while stack:
-        level, i, g = stack.pop()
-        if g < _SPF_LIMIT:
-            while g > 1:
-                p = _SPF[g]
-                if not p:  # g is prime
-                    found.append(g)
-                    break
-                found.append(p)
-                g //= p
-            continue
-        children = _PRIME_TREE[level - 1]
-        left = math.gcd(g, children[2 * i])
-        stack.append((level - 1, 2 * i + 1, g // left))
-        stack.append((level - 1, 2 * i, left))
-    return found
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = s*s * d`` with ``d`` squarefree up to ``TRIAL_DIVISION_BOUND``.
 
-    A perfect square gives ``(isqrt(n), 1)`` at once.  Otherwise every
-    prime up to the bound that divides ``n`` is divided out; the primes are
-    found by batch gcd with their product tree and a least-prime-factor
-    table, not by trial division.  The leftover cofactor is tested for being
-    a perfect square so radicands built from large squares still collapse.
-    A composite leftover with a hidden square factor stays unreduced.  That
-    only affects how canonical the representation is; comparisons stay exact
-    either way because they never assume the radicand is squarefree.
+    A perfect square gives ``(isqrt(n), 1)`` at once.  Below ``2**16`` the
+    least-prime-factor table splits ``n`` completely: each prime either
+    joins ``d`` or, met again, leaves it for ``s``.  Above it a gcd chain
+    finds the primes up to the bound, with no trial division:
+    ``g = gcd(n, _PRIMORIAL)``, then ``n //= g; g = gcd(n, g)`` until
+    ``g == 1``, so the k-th ``g`` is the product of the small primes of
+    multiplicity at least k.  The even-indexed ``g`` multiply into ``s``;
+    the odd-indexed ones, divided by the even-indexed ones, leave each prime
+    of odd multiplicity once, for ``d``.  The leftover cofactor is tested
+    for being a perfect square so radicands built from large squares still
+    collapse.  A composite leftover with a hidden square factor stays
+    unreduced.  That only affects how canonical the representation is;
+    comparisons stay exact either way because they never assume the
+    radicand is squarefree.
     """
     if n < 0:
         raise DomainError("negative radicand")
@@ -124,15 +90,26 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     s = math.isqrt(n)
     if s * s == n:
         return s, 1
-    s, d = 1, 1
-    for p in _small_prime_divisors(n):
-        e = 0
-        while n % p == 0:
+    s = d = 1
+    if n < _SPF_LIMIT:
+        while n > 1:
+            p = _SPF[n] or n  # 0 marks a prime
             n //= p
-            e += 1
-        s *= p ** (e // 2)
-        if e % 2:
-            d *= p
+            if d % p:
+                d *= p
+            else:
+                d //= p
+                s *= p
+        return s, d
+    g = math.gcd(n, _PRIMORIAL)
+    while g > 1:
+        n //= g
+        d *= g
+        g = math.gcd(n, g)
+        n //= g
+        s *= g
+        g = math.gcd(n, g)
+    d //= s
     if n > 1:
         r = math.isqrt(n)
         if r * r == n:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from planecones import CaseSign, Kind, classify, exceptional
+from planecones import CaseSign, Kind, classify, exceptional, qarith
 from planecones.cfrac import PeriodStructure, _validated, lr_to_slope, smallest_period, word_to_dyadic
 from planecones.cone import Classification
 from planecones.chern import (
@@ -91,7 +91,7 @@ def slopes_to_order_12() -> list[ExceptionalSlope]:
 def trial_division_decompose(n: int) -> tuple[int, int]:
     """``n = s*s * d`` by trial division up to ``TRIAL_DIVISION_BOUND``.
 
-    The oracle for the batch-gcd ``squarefree_decompose``: odd trial
+    The oracle for the gcd-chain ``squarefree_decompose``: odd trial
     divisors up to the bound (or up to the square root of what is left),
     then a perfect-square test on the cofactor.
     """
@@ -134,6 +134,29 @@ def fraction_sqrt(x) -> QuadraticNumber:
 def least_prime_factor(n: int) -> int:
     """The least prime factor of a composite ``n`` by trial division; 0 for 0, 1 and primes."""
     return next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), 0) if n > 3 else 0
+
+
+class PrimorialGcds:
+    """``math`` as ``qarith`` sees it, with each ``gcd`` against ``qarith._PRIMORIAL`` kept.
+
+    Patched in as ``qarith.math``, it sees the first step of the gcd chain,
+    taken once for each radicand ``squarefree_decompose`` factors above its
+    least-prime-factor table; with ``refuse`` that step fails the test.
+    """
+
+    def __init__(self, refuse: bool = False):
+        self.calls: list[tuple] = []
+        self.refuse = refuse
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def gcd(self, *args):
+        if any(a is qarith._PRIMORIAL for a in args):
+            if self.refuse:
+                pytest.fail(f"gcd with the primorial: {args[0]}")
+            self.calls.append(args)
+        return math.gcd(*args)
 
 
 def enclosure_radical_sign(A: int, B: int, d: int) -> int:

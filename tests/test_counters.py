@@ -23,6 +23,11 @@ compared; walls, natural-basis coordinates and rendering build no
 ``Fraction``; and the Serre dual descends on ``-mu0-``'s integer form
 without building it.
 
+Each radicand at or above ``2**16`` that is not a perfect square costs one
+gcd with the product of the primes up to the trial-division bound, the
+first step of ``squarefree_decompose``'s gcd chain; smaller and square
+radicands cost none.
+
 A rational handed in as a slope is looked up by exact comparison with the
 mediants down its walk, so it makes no descent and no membership probe.
 
@@ -33,6 +38,7 @@ step, whose matrix power takes one product per bit of the run's length.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -43,7 +49,7 @@ from planecones.chern import ChernCharacter, character_from_json
 from planecones.cli import main, report_to_dict
 from planecones.cone import Kind
 
-from conftest import ORDER_FOUR, descent_slopes
+from conftest import ORDER_FOUR, PrimorialGcds, descent_slopes
 
 GOLDEN = ChernCharacter.from_rmd(3, Fraction(2, 3), Fraction(17, 9))
 
@@ -136,6 +142,40 @@ def test_rendering_is_written_from_integers(monkeypatch, x, order, descents):
             monkeypatch.setattr(module, "hilbert_poly", lambda m: evaluated.append(m) or hilbert(m))
     report_to_dict(report)
     assert built == [] and evaluated == []
+
+
+# Radicands a rendered report factors, cold and warm, and the gcds with the
+# primorial among them: the root sqrt(5 + 8 delta) and the two wall radii, and
+# cold, gamma's two halfwidths.  The worked example's radicands are all below
+# 2**16; the order-4 and deep characters each have one square among theirs.
+DEEP = character_from_json({"r": 68599058066, "c1": 118099389305, "chi": -777521919538})
+
+
+@pytest.mark.parametrize("x, cold, warm", [
+    (GOLDEN, (5, 0), (3, 0)), (ORDER_FOUR, (5, 3), (3, 2)), (DEEP, (5, 3), (3, 2)),
+], ids=["golden", "order4", "deep"])
+def test_one_primorial_gcd_per_large_radicand(monkeypatch, x, cold, warm):
+    from planecones import cli
+
+    caches = (cone._triad, cli._slope_fields, cli._triad_character_fields,
+              exceptional._interval_halfwidth, exceptional.delta_curve)
+    decompose = qarith.squarefree_decompose
+
+    def factored():
+        radicands, gcds = [], PrimorialGcds()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qarith, "squarefree_decompose",
+                          lambda n: radicands.append(n) or decompose(n))
+            patch.setattr(qarith, "math", gcds)
+            json.dumps(report_to_dict(cone.cone_report(x)))
+        large = [n for n in radicands if n >= 1 << 16 and math.isqrt(n) ** 2 != n]
+        assert [args[0] for args in gcds.calls] == large
+        return len(radicands), len(gcds.calls)
+
+    for cache in caches:
+        cache.cache_clear()
+    assert factored() == cold
+    assert factored() == warm
 
 
 # What one warm report builds and looks up, rendered as the benchmark renders

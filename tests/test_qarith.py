@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from planecones import qarith
 from planecones.errors import DomainError
+from planecones.exceptional import enumerate_slopes
 from planecones.qarith import (
     TRIAL_DIVISION_BOUND,
     QuadraticNumber,
@@ -25,6 +26,7 @@ from planecones.qarith import (
 
 from conftest import (
     FractionQuadratic,
+    PrimorialGcds,
     fraction_qn_str,
     fraction_sqrt,
     fraction_two_radical_sign,
@@ -145,15 +147,24 @@ class TestSquarefree:
         assert (s, d) == (p, 1)
 
 
+class RefusingTable:
+    """Stands in for ``qarith._SPF``: a lookup fails the test."""
+
+    def __getitem__(self, n):
+        pytest.fail(f"table lookup for {n}")
+
+
 class TestBatchGcdFactoring:
-    """The product-tree ``squarefree_decompose`` against the trial-division oracle."""
+    """The gcd-chain ``squarefree_decompose`` against the trial-division oracle."""
 
     PRIMES_NEAR_BOUND = [9941, 9949, 9967, 9973, 10007, 10009, 10037, 10039]
+    # both sides of TRIAL_DIVISION_BOUND, and of the table's 2**8 and 2**16
+    PRIMES_ACROSS = [2, 3, 251, 257, 9967, 9973, 10007, 10009, 65521, 65537]
 
     def test_small_primes_are_the_primes_up_to_the_bound(self):
         primes = qarith._SMALL_PRIMES
         assert len(primes) == 1229 and primes[-1] == 9973
-        assert qarith._PRIME_TREE[-1] == [math.prod(primes)]
+        assert qarith._PRIMORIAL == math.prod(primes)
 
     @given(st.integers(min_value=0, max_value=10 ** 60))
     def test_matches_trial_division(self, n):
@@ -168,11 +179,33 @@ class TestBatchGcdFactoring:
         n = math.prod(factors) * cofactor * root * root
         assert squarefree_decompose(n) == trial_division_decompose(n)
 
+    @pytest.mark.parametrize("p", PRIMES_ACROSS)
+    def test_prime_powers(self, p):
+        # the chain takes one step per multiplicity level, so p**e takes e of them
+        for e in range(1, 65):
+            for n in (p ** e, 6 * p ** e, 10007 * p ** e):
+                assert squarefree_decompose(n) == trial_division_decompose(n), (p, e)
+
+    @given(st.lists(st.tuples(st.sampled_from(PRIMES_ACROSS), st.integers(1, 12)),
+                    min_size=1, max_size=6))
+    def test_products_of_prime_powers(self, powers):
+        n = math.prod(p ** e for p, e in powers)
+        assert squarefree_decompose(n) == trial_division_decompose(n)
+
+    @given(st.integers(min_value=1, max_value=1 << 16), st.integers(min_value=1, max_value=1 << 8))
+    def test_both_sides_of_the_table_limit(self, base, root):
+        # base * root**2 runs from the table's range to 2**32, square factors included
+        for n in (base, base * root, base * root * root):
+            assert squarefree_decompose(n) == trial_division_decompose(n), n
+
     def test_interval_radicands(self):
-        # 9 r^2 - 4 is the radicand of every interval halfwidth of rank r
-        for r in range(1, 3000):
-            n = 9 * r * r - 4
-            assert squarefree_decompose(n) == trial_division_decompose(n), r
+        # the halfwidth of a slope of rank r takes sqrt_ratio(9 r^2 - 4, r^2),
+        # which factors (9 r^2 - 4) * r^2; r = 294685 = 5 * 58937 keeps 58937^2
+        # in its radicand, since 58937 is past the trial-division bound
+        ranks = {s.r for s in enumerate_slopes(0, 1, 10)} | {294685}
+        for r in sorted(ranks):
+            p, q = 9 * r * r - 4, r * r
+            assert sqrt_outcome(sqrt_ratio, p, q) == sqrt_outcome(fraction_sqrt, Fraction(p, q)), r
 
     @pytest.mark.parametrize("n, expected", [
         (HIDDEN_SQUARE, (1, HIDDEN_SQUARE)),
@@ -191,7 +224,7 @@ class TestBatchGcdFactoring:
 
     def test_every_integer_across_the_table_edge(self):
         # below 2**16 the least-prime-factor table factors n itself; above it
-        # the batch gcd runs and splits its nodes below 2**16 by the table
+        # the gcd chain runs from the product of the small primes
         assert qarith._SPF_LIMIT == 1 << 16
         for n in range(1 << 17):
             assert squarefree_decompose(n) == trial_division_decompose(n), n
@@ -203,7 +236,9 @@ class TestBatchGcdFactoring:
         assert max(table) == 251  # the largest prime below 2**8
 
     def test_perfect_squares_exit_at_once(self, monkeypatch):
-        monkeypatch.setattr(qarith, "_small_prime_divisors", lambda n: pytest.fail(f"split {n}"))
+        # neither the table nor the gcd with the primorial is reached
+        monkeypatch.setattr(qarith, "_SPF", RefusingTable())
+        monkeypatch.setattr(qarith, "math", PrimorialGcds(refuse=True))
         for root in (2, 97, 9973 * 10007, 3 ** 40, 10 ** 30 + 57):
             assert squarefree_decompose(root * root) == (root, 1)
 

@@ -209,6 +209,11 @@ class HalfPlane(Enum):
     ON_BOUNDARY = "ON_BOUNDARY"
 
 
+# Bound once: on Python 3.11 ``HalfPlane.PRIMARY`` is looked up through
+# ``EnumType.__getattr__``, about ten times the cost of a module global.
+_PRIMARY, _SECONDARY, _ON_BOUNDARY = HalfPlane.PRIMARY, HalfPlane.SECONDARY, HalfPlane.ON_BOUNDARY
+
+
 def half_plane(x: ChernCharacter, z: ChernCharacter) -> HalfPlane:
     """Which half of the orthogonal plane of ``x`` the class ``z`` lies in.
 
@@ -217,10 +222,10 @@ def half_plane(x: ChernCharacter, z: ChernCharacter) -> HalfPlane:
     if euler_pairing(x, z) != 0:
         raise DomainError("class is not orthogonal to the character")
     if z.r > 0:
-        return HalfPlane.PRIMARY
+        return _PRIMARY
     if z.r < 0:
-        return HalfPlane.SECONDARY
-    return HalfPlane.ON_BOUNDARY
+        return _SECONDARY
+    return _ON_BOUNDARY
 
 
 def moduli_dimension(x: ChernCharacter) -> int:

@@ -12,8 +12,9 @@ characters depend on nothing but the slope or the triad, so each is
 rendered once per digit limit into a bounded cache and every report gets
 its own copy of the cached dicts.  The caches key on integers (a slope's
 bundle and address, the triad's ``(r, c1, chi)`` triples), never on
-records.  A report reads the digit limit once and writes enums from
-``_value_`` and quotients from integers.  Decimal columns only appear
+records nor on a field's path: a refusal is rendered again with its path.
+A report reads the digit limit once and writes enums from ``_value_`` and
+quotients from integers.  Decimal columns only appear
 under ``--approx`` and are labeled non-authoritative.  Output is
 deterministic: fixed field order, no ambient state.
 """
@@ -239,17 +240,30 @@ def _triad_character_fields(triad: tuple[tuple[int, int, int], ...],
 
 def _slope_dict(s: exceptional.ExceptionalSlope, prefix: str = "",
                 limit: Optional[int] = None) -> dict:
-    """``s`` rendered once per slope, path and digit limit; each call gets its own copy."""
+    """``s`` rendered once per slope and digit limit, whatever its path; each call gets a copy.
+
+    Past the digit limit, the slope is rendered again with its path, so the
+    ``DomainError`` names the field under ``prefix``.
+    """
     d = s.dyadic
-    out = _slope_fields(s.r, s.c1, s.chi, d.p, d.q, prefix,
-                        int_digit_limit() if limit is None else limit).copy()
+    key = s.r, s.c1, s.chi, d.p, d.q
+    try:
+        out = _slope_fields(*key, int_digit_limit() if limit is None else limit).copy()
+    except DomainError:
+        _render_slope(*key, prefix)
+        raise
     out["interval"] = out["interval"].copy()
     return out
 
 
 @lru_cache(maxsize=_RENDER_CACHE_SIZE)
-def _slope_fields(r: int, c1: int, chi: int, p: int, q: int, prefix: str, limit: int) -> dict:
+def _slope_fields(r: int, c1: int, chi: int, p: int, q: int, limit: int) -> dict:
     # ``limit`` keys the cache, as for the triad characters
+    return _render_slope(r, c1, chi, p, q, "")
+
+
+def _render_slope(r: int, c1: int, chi: int, p: int, q: int, prefix: str) -> dict:
+    """The fields of the slope ``(r, c1, chi)`` at ``p/2**q``, each named under ``prefix``."""
     s = exceptional._slope(r, c1, chi, exceptional._dyadic(p, q))
     shift, word = cfrac.slope_to_lr(s)
     out = {

@@ -30,8 +30,17 @@ denominators, read as ``Fraction``s only by their properties.  A report holds
 no text built from its integers: the resolution's ``shape`` is written when it
 is read.  Every record a report builds comes from a trusted constructor, one
 slot setter per field (``_new_report``, ``_new_primary`` and the other
-``_new_*``); the checked ``Record.__init__`` stays the public path.  Public
-stage functions are views of the analysis.
+``_new_*``); the checked ``Record.__init__`` stays the public path.  The
+setters are unpacked once, at import, and so are the enum members a report
+compares against (``_POSITIVE``, ``_INVALID`` and the rest): on Python 3.11
+a member read off its class goes through the metaclass hook
+``EnumType.__getattr__``, about ten times the cost of a module global.
+Classification and a ray's boundary check look the boundary up in
+``exceptional._boundary``'s cache by their slope's integers
+``(c1/g, r/g)``, ``g = gcd(c1, r)``, and build no ``Fraction``.  The
+moduli dimension is worked out once per report and shared with the Serre
+dual, whose dimension is the same.  Public stage functions are views of
+the analysis.
 """
 
 from __future__ import annotations
@@ -45,19 +54,17 @@ from typing import Optional
 from . import exceptional
 from .chern import (
     ChernCharacter,
-    HalfPlane,
     SlopeDisc,
     _lattice,
     discriminant_form,
     euler_chi_pair,
     euler_pairing,
-    half_plane,
     moduli_dimension,
     natural_classes,
 )
 from .errors import ConsistencyError, DomainError
 from .exceptional import DEFAULT_MAX_ORDER, ExceptionalSlope
-from .qarith import QuadraticNumber, integer_form, sqrt_ratio
+from .qarith import QuadraticNumber, integer_form, ratio_str, sqrt_ratio
 from .record import Record
 
 
@@ -85,6 +92,18 @@ class SecondaryMode(Enum):
     RANK2_SINGULAR_LOCUS = "RANK2_SINGULAR_LOCUS"
     RANK1_HILBERT_CHOW = "RANK1_HILBERT_CHOW"
     RANK0_SUPPORT_MAP = "RANK0_SUPPORT_MAP"
+
+
+# The members a report compares against, bound once.  On Python 3.11 a member
+# read off its class, ``CaseSign.POSITIVE``, goes through the metaclass hook
+# ``EnumType.__getattr__``: about 200 ns, against 18 ns for a module global.
+_EXCEPTIONAL, _HEIGHT_ZERO, _PICARD_RANK_2 = Kind.EXCEPTIONAL, Kind.HEIGHT_ZERO, Kind.PICARD_RANK_2
+_RANK_ZERO, _INVALID = Kind.RANK_ZERO_PICARD_RANK_2, Kind.INVALID
+_POSITIVE, _ZERO, _NEGATIVE = CaseSign.POSITIVE, CaseSign.ZERO, CaseSign.NEGATIVE
+_BIRATIONAL, _POSITIVE_DIM_FIBERS = Fibration.BIRATIONAL, Fibration.POSITIVE_DIM_FIBERS
+_SERRE_DUAL, _RANK2_SINGULAR_LOCUS = SecondaryMode.SERRE_DUAL, SecondaryMode.RANK2_SINGULAR_LOCUS
+_RANK1_HILBERT_CHOW, _RANK0_SUPPORT_MAP = (SecondaryMode.RANK1_HILBERT_CHOW,
+                                          SecondaryMode.RANK0_SUPPORT_MAP)
 
 
 class Classification(Record):
@@ -120,10 +139,10 @@ class ResolutionData(Record):
         """The resolution written out; only rendering writes its integers."""
         names = [_bundle_name(s) for s in self.triad_slopes]
         m1, m2, m3 = self.m1, self.m2, self.m3
-        if self.case_sign is CaseSign.POSITIVE:
+        if self.case_sign is _POSITIVE:
             a, b, c = names
             return f"0 -> {a}^{m1} -> {b}^{m2} (+) {c}^{m3} -> U -> 0"
-        if self.case_sign is CaseSign.NEGATIVE:
+        if self.case_sign is _NEGATIVE:
             a, b, c = names
             return f"triangle W -> U -> {a}^{m3}[1], with 0 -> {b}^{m1} -> {c}^{m2} -> W -> 0"
         a, b = names
@@ -227,113 +246,118 @@ class ConeReport(Record):
 # path: its loop over the setters costs about twice as much.
 
 _new = object.__new__
+# each record's setters, unpacked once at import, as ``exceptional._set_*`` are
+_set_cls_kind, _set_cls_reasons = Classification._setters
+_set_inv_ray, _set_inv_case, _set_inv_on_curve, _set_inv_gamma = OrthogonalInvariants._setters
+(_set_res_case, _set_res_slopes, _set_res_chars, _set_res_m1, _set_res_m2,
+ _set_res_m3) = ResolutionData._setters
+_set_kron_n, _set_kron_dims, _set_kron_edim, _set_kron_fibration = KroneckerData._setters
+(_set_wall_cn, _set_wall_cd, _set_wall_radius, _set_wall_rn, _set_wall_rd,
+ _set_wall_exceeds) = Wall._setters
+(_set_primary_inv, _set_primary_ray, _set_primary_coords, _set_primary_res, _set_primary_kron,
+ _set_primary_wall, _set_primary_coincides) = PrimaryEdge._setters
+(_set_secondary_mode, _set_secondary_slope, _set_secondary_ray, _set_secondary_coords,
+ _set_secondary_descriptor, _set_secondary_dual) = SecondaryEdge._setters
+(_set_report_input, _set_report_cls, _set_report_dim, _set_report_natural, _set_report_plus,
+ _set_report_minus, _set_report_primary, _set_report_secondary,
+ _set_report_note) = ConeReport._setters
 
 
 def _new_classification(kind: Kind, reasons: tuple[str, ...]) -> Classification:
     cls = _new(Classification)
-    set_kind, set_reasons = Classification._setters
-    set_kind(cls, kind)
-    set_reasons(cls, reasons)
+    _set_cls_kind(cls, kind)
+    _set_cls_reasons(cls, reasons)
     return cls
 
 
 def _new_invariants(ray: ChernCharacter, case: CaseSign, on_curve: bool,
                     gamma: ExceptionalSlope) -> OrthogonalInvariants:
     inv = _new(OrthogonalInvariants)
-    set_ray, set_case, set_on_curve, set_gamma = OrthogonalInvariants._setters
-    set_ray(inv, ray)
-    set_case(inv, case)
-    set_on_curve(inv, on_curve)
-    set_gamma(inv, gamma)
+    _set_inv_ray(inv, ray)
+    _set_inv_case(inv, case)
+    _set_inv_on_curve(inv, on_curve)
+    _set_inv_gamma(inv, gamma)
     return inv
 
 
 def _new_resolution(case: CaseSign, slopes: tuple, chars: tuple, m1: int, m2: int,
                     m3: Optional[int]) -> ResolutionData:
     res = _new(ResolutionData)
-    set_case, set_slopes, set_chars, set_m1, set_m2, set_m3 = ResolutionData._setters
-    set_case(res, case)
-    set_slopes(res, slopes)
-    set_chars(res, chars)
-    set_m1(res, m1)
-    set_m2(res, m2)
-    set_m3(res, m3)
+    _set_res_case(res, case)
+    _set_res_slopes(res, slopes)
+    _set_res_chars(res, chars)
+    _set_res_m1(res, m1)
+    _set_res_m2(res, m2)
+    _set_res_m3(res, m3)
     return res
 
 
 def _new_kronecker(n: int, dim_vector: tuple[int, int], edim: int,
                    fibration: Fibration) -> KroneckerData:
     kron = _new(KroneckerData)
-    set_n, set_dim_vector, set_edim, set_fibration = KroneckerData._setters
-    set_n(kron, n)
-    set_dim_vector(kron, dim_vector)
-    set_edim(kron, edim)
-    set_fibration(kron, fibration)
+    _set_kron_n(kron, n)
+    _set_kron_dims(kron, dim_vector)
+    _set_kron_edim(kron, edim)
+    _set_kron_fibration(kron, fibration)
     return kron
 
 
 def _new_wall(center_num: int, center_den: int, radius: QuadraticNumber, radius_squared_num: int,
               radius_squared_den: int, exceeds: bool) -> Wall:
     wall = _new(Wall)
-    set_cn, set_cd, set_radius, set_rn, set_rd, set_exceeds = Wall._setters
-    set_cn(wall, center_num)
-    set_cd(wall, center_den)
-    set_radius(wall, radius)
-    set_rn(wall, radius_squared_num)
-    set_rd(wall, radius_squared_den)
-    set_exceeds(wall, exceeds)
+    _set_wall_cn(wall, center_num)
+    _set_wall_cd(wall, center_den)
+    _set_wall_radius(wall, radius)
+    _set_wall_rn(wall, radius_squared_num)
+    _set_wall_rd(wall, radius_squared_den)
+    _set_wall_exceeds(wall, exceeds)
     return wall
 
 
 def _new_primary(inv: OrthogonalInvariants, ray: ChernCharacter, coords_denominator, res,
                  kron, wall: Wall, coincides: bool) -> PrimaryEdge:
     edge = _new(PrimaryEdge)
-    set_inv, set_ray, set_coords, set_res, set_kron, set_wall, set_coincides = \
-        PrimaryEdge._setters
-    set_inv(edge, inv)
-    set_ray(edge, ray)
-    set_coords(edge, coords_denominator)
-    set_res(edge, res)
-    set_kron(edge, kron)
-    set_wall(edge, wall)
-    set_coincides(edge, coincides)
+    _set_primary_inv(edge, inv)
+    _set_primary_ray(edge, ray)
+    _set_primary_coords(edge, coords_denominator)
+    _set_primary_res(edge, res)
+    _set_primary_kron(edge, kron)
+    _set_primary_wall(edge, wall)
+    _set_primary_coincides(edge, coincides)
     return edge
 
 
 def _new_secondary(mode: SecondaryMode, slope, ray, coords_denominator, descriptor: str,
                    dual) -> SecondaryEdge:
     edge = _new(SecondaryEdge)
-    set_mode, set_slope, set_ray, set_coords, set_descriptor, set_dual = SecondaryEdge._setters
-    set_mode(edge, mode)
-    set_slope(edge, slope)
-    set_ray(edge, ray)
-    set_coords(edge, coords_denominator)
-    set_descriptor(edge, descriptor)
-    set_dual(edge, dual)
+    _set_secondary_mode(edge, mode)
+    _set_secondary_slope(edge, slope)
+    _set_secondary_ray(edge, ray)
+    _set_secondary_coords(edge, coords_denominator)
+    _set_secondary_descriptor(edge, descriptor)
+    _set_secondary_dual(edge, dual)
     return edge
 
 
 def _new_report(x: ChernCharacter, cls: Classification, dim, natural, mu0_plus=None,
                 mu0_minus=None, primary=None, secondary=None, note=None) -> ConeReport:
     report = _new(ConeReport)
-    (set_input, set_cls, set_dim, set_natural, set_plus, set_minus, set_primary, set_secondary,
-     set_note) = ConeReport._setters
-    set_input(report, x)
-    set_cls(report, cls)
-    set_dim(report, dim)
-    set_natural(report, natural)
-    set_plus(report, mu0_plus)
-    set_minus(report, mu0_minus)
-    set_primary(report, primary)
-    set_secondary(report, secondary)
-    set_note(report, note)
+    _set_report_input(report, x)
+    _set_report_cls(report, cls)
+    _set_report_dim(report, dim)
+    _set_report_natural(report, natural)
+    _set_report_plus(report, mu0_plus)
+    _set_report_minus(report, mu0_minus)
+    _set_report_primary(report, primary)
+    _set_report_secondary(report, secondary)
+    _set_report_note(report, note)
     return report
 
 
 # -- classification ----------------------------------------------------------
 
 
-_ABOVE_BOUNDARY = Classification(Kind.PICARD_RANK_2, ("discriminant exceeds the boundary curve",))
+_ABOVE_BOUNDARY = Classification(_PICARD_RANK_2, ("discriminant exceeds the boundary curve",))
 
 
 def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classification:
@@ -342,49 +366,49 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
     Integrality gates first (integer rank and first Chern class, integer
     Euler characteristic), then position relative to the boundary curve.
     """
-    if x.r.denominator != 1:
-        return _new_classification(Kind.INVALID, ("rank is not an integer",))
-    if x.c1.denominator != 1:
-        return _new_classification(Kind.INVALID, ("first Chern class is not an integer",))
+    r, c = x.r, x.c1
+    if r.denominator != 1:
+        return _new_classification(_INVALID, ("rank is not an integer",))
+    if c.denominator != 1:
+        return _new_classification(_INVALID, ("first Chern class is not an integer",))
     if x.chi.denominator != 1:
-        return _new_classification(Kind.INVALID, ("Euler characteristic is not an integer",))
-    if x.r < 0:
-        return _new_classification(Kind.INVALID, ("negative rank",))
+        return _new_classification(_INVALID, ("Euler characteristic is not an integer",))
+    if r < 0:
+        return _new_classification(_INVALID, ("negative rank",))
 
-    if x.r == 0:
-        d = x.c1
-        if d < 3:
+    if r == 0:
+        if c < 3:
             return _new_classification(
-                Kind.INVALID,
-                (f"rank zero needs first Chern class d >= 3, got {d}",),
+                _INVALID,
+                (f"rank zero needs first Chern class d >= 3, got {c}",),
             )
         return _new_classification(
-            Kind.RANK_ZERO_PICARD_RANK_2,
-            (f"pure one-dimensional sheaves of degree {d}",),
+            _RANK_ZERO,
+            (f"pure one-dimensional sheaves of degree {c}",),
         )
 
     # delta = F/(2r^2), and the boundary curve never rises above 1: each arc
     # P(-|mu - a|) - delta_a is at most P(0) = 1, so delta > 1 needs no descent
-    if discriminant_form(x.r, x.c1, x.chi)[0] > 2 * x.r * x.r:
+    if discriminant_form(r, c, x.chi)[0] > 2 * r * r:
         return _ABOVE_BOUNDARY
-    mu = x.slope()
-    enclosing = exceptional.boundary_at(mu, max_order)[0]
+    g = math.gcd(c, r)  # the boundary cache is keyed on mu = c/r in lowest terms
+    enclosing = exceptional._boundary(c // g, r // g, max_order)[0]
     side = _arc_side(x, enclosing)
     if side > 0:
         return _ABOVE_BOUNDARY
     if side == 0:
         return _new_classification(
-            Kind.HEIGHT_ZERO, ("discriminant sits exactly on the boundary curve",)
+            _HEIGHT_ZERO, ("discriminant sits exactly on the boundary curve",)
         )
     # an exceptional multiple is k times its enclosing exceptional slope's bundle
-    k, rest = divmod(x.r, enclosing.r)
-    if rest == 0 and x.c1 == k * enclosing.c1 and x.chi == k * enclosing.chi:
+    k, rest = divmod(r, enclosing.r)
+    if rest == 0 and c == k * enclosing.c1 and x.chi == k * enclosing.chi:
         return _new_classification(
-            Kind.EXCEPTIONAL,
-            (f"positive multiple of the exceptional character of slope {mu}",),
+            _EXCEPTIONAL,
+            (f"positive multiple of the exceptional character of slope {ratio_str(c, r)}",),
         )
     return _new_classification(
-        Kind.INVALID, ("discriminant below the boundary curve and not an exceptional multiple",)
+        _INVALID, ("discriminant below the boundary curve and not an exceptional multiple",)
     )
 
 
@@ -439,12 +463,13 @@ class _Analysis(Record):
     """Every fact the primary half of the cone derives from one character.
 
     Fields after ``classification`` are set for Picard rank two only,
-    ``resolution`` and ``kronecker`` for positive rank only; the Serre dual's
-    analysis leaves ``mu0_plus`` and ``mu0_minus`` unset.
+    ``resolution``, ``kronecker`` and the moduli ``dimension`` for positive
+    rank only; the Serre dual's analysis leaves ``mu0_plus`` and
+    ``mu0_minus`` unset and shares the character's dimension.
     """
 
     __slots__ = ("classification", "mu0_plus", "mu0_minus", "invariants", "resolution",
-                 "kronecker", "triad")
+                 "kronecker", "triad", "dimension")
     classification: Classification
     mu0_plus: Optional[QuadraticNumber]
     mu0_minus: Optional[QuadraticNumber]
@@ -452,33 +477,38 @@ class _Analysis(Record):
     resolution: Optional[ResolutionData]
     kronecker: Optional[KroneckerData]
     triad: Optional[_Triad]
+    dimension: Optional[int]
 
     def __init__(self, classification, mu0_plus=None, mu0_minus=None, invariants=None,
-                 resolution=None, kronecker=None, triad=None):
+                 resolution=None, kronecker=None, triad=None, dimension=None):
         Record.__init__(self, classification, mu0_plus, mu0_minus, invariants, resolution,
-                        kronecker, triad)
+                        kronecker, triad, dimension)
+
+
+(_set_side_cls, _set_side_plus, _set_side_minus, _set_side_inv, _set_side_res, _set_side_kron,
+ _set_side_triad, _set_side_dim) = _Analysis._setters
 
 
 def _new_analysis(cls: Classification, mu0_plus=None, mu0_minus=None, inv=None, res=None,
-                  kron=None, triad=None) -> _Analysis:
+                  kron=None, triad=None, dim=None) -> _Analysis:
     side = _new(_Analysis)
-    set_cls, set_plus, set_minus, set_inv, set_res, set_kron, set_triad = _Analysis._setters
-    set_cls(side, cls)
-    set_plus(side, mu0_plus)
-    set_minus(side, mu0_minus)
-    set_inv(side, inv)
-    set_res(side, res)
-    set_kron(side, kron)
-    set_triad(side, triad)
+    _set_side_cls(side, cls)
+    _set_side_plus(side, mu0_plus)
+    _set_side_minus(side, mu0_minus)
+    _set_side_inv(side, inv)
+    _set_side_res(side, res)
+    _set_side_kron(side, kron)
+    _set_side_triad(side, triad)
+    _set_side_dim(side, dim)
     return side
 
 
 def _analyze(x: ChernCharacter, max_order: int) -> _Analysis:
     cls = classify(x, max_order)
-    if cls.kind is Kind.RANK_ZERO_PICARD_RANK_2:
+    if cls.kind is _RANK_ZERO:
         # the orthogonal locus is the vertical line mu = -chi/d
         mu0_plus, mu0_minus = QuadraticNumber._from_form(-x.chi, 0, 0, x.c1), None
-    elif cls.kind is Kind.PICARD_RANK_2:
+    elif cls.kind is _PICARD_RANK_2:
         # 5 + 8 delta = (5 r^2 + 4 F)/r^2 for delta = F/(2 r^2); with its root
         # (A + B sqrt(d))/D, mu0+- = (-(3r + 2c) D +- r A +- r B sqrt(d))/(2 r D)
         r, c = x.r, x.c1
@@ -492,24 +522,26 @@ def _analyze(x: ChernCharacter, max_order: int) -> _Analysis:
     else:
         return _new_analysis(cls)
     form = mu0_plus.A, mu0_plus.B, mu0_plus.d, mu0_plus.D
-    return _side(x, cls, form, max_order, mu0_plus, mu0_minus)
+    dim = moduli_dimension(x) if x.r > 0 else None
+    return _side(x, cls, form, max_order, dim, mu0_plus, mu0_minus)
 
 
 def _side(x: ChernCharacter, cls: Classification, form: tuple[int, int, int, int],
-          max_order: int, mu0_plus: Optional[QuadraticNumber] = None,
+          max_order: int, dim: Optional[int], mu0_plus: Optional[QuadraticNumber] = None,
           mu0_minus: Optional[QuadraticNumber] = None) -> _Analysis:
-    """Descent from ``mu0+``'s integer form to gamma; invariants, resolution, Kronecker data."""
+    """Descent from ``mu0+``'s integer form to gamma; invariants, resolution, Kronecker data.
+
+    ``dim`` is the moduli dimension of ``x``, worked out once by the caller.
+    """
     triad = _triad(*exceptional._bracket(*form, max_order))
     pairing = euler_pairing(x, triad.gamma)
-    case = (
-        CaseSign.POSITIVE if pairing > 0 else CaseSign.NEGATIVE if pairing < 0 else CaseSign.ZERO
-    )
+    case = _POSITIVE if pairing > 0 else _NEGATIVE if pairing < 0 else _ZERO
     inv = _invariants(x, triad, case)
     if x.r == 0:
         return _new_analysis(cls, mu0_plus, mu0_minus, inv, triad=triad)
     res = _resolution(x, triad, case, pairing)
-    return _new_analysis(cls, mu0_plus, mu0_minus, inv, res, _kronecker(x, res, triad.hom_count),
-                         triad)
+    return _new_analysis(cls, mu0_plus, mu0_minus, inv, res,
+                         _kronecker(res, triad.hom_count, dim), triad, dim)
 
 
 def _intersecting(x: ChernCharacter, max_order: int) -> _Analysis:
@@ -570,12 +602,12 @@ def _ray(x: ChernCharacter, z: ChernCharacter) -> ChernCharacter:
 
 def _invariants(x: ChernCharacter, triad: _Triad, case: CaseSign) -> OrthogonalInvariants:
     gamma = triad.gamma
-    if case is CaseSign.ZERO:
+    if case is _ZERO:
         ray = gamma
     else:  # orthogonal also to E_{-gamma} or E_{-gamma-3}
-        ray = _ray(x, triad.image_chars[2 if case is CaseSign.POSITIVE else 3])
+        ray = _ray(x, triad.image_chars[2 if case is _POSITIVE else 3])
     # mu+ <= gamma's slope, cross-multiplied by the two positive ranks
-    on_curve = case is not CaseSign.POSITIVE or ray.c1 * gamma.r <= gamma.c1 * ray.r
+    on_curve = case is not _POSITIVE or ray.c1 * gamma.r <= gamma.c1 * ray.r
     return _new_invariants(ray, case, on_curve, triad.slope)
 
 
@@ -595,12 +627,14 @@ def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
     """Integral character on the primary ray, at the minimal rank times a multiplier."""
     if multiplier < 1:
         raise DomainError("multiplier must be a positive integer")
-    if inv.case_sign is not CaseSign.ZERO:
+    if inv.case_sign is not _ZERO:
         # endpoints are irrational, so a rational mu in gamma's closed
         # interval lies in no other and gamma's arc is the boundary there
         ray, gamma = inv.ray, inv.corresponding_slope
-        if exceptional._locate(gamma.r, gamma.c1, ray.c1, 0, 0, ray.r)[1] < 0:
-            gamma = exceptional.boundary_at(ray.slope(), max_order)[0]
+        r, c = ray.r, ray.c1
+        if exceptional._locate(gamma.r, gamma.c1, c, 0, 0, r)[1] < 0:
+            g = math.gcd(c, r)  # the boundary cache is keyed on mu = c/r in lowest terms
+            gamma = exceptional._boundary(c // g, r // g, max_order)[0]
         if _arc_side(ray, gamma) < 0:
             raise ConsistencyError(f"orthogonal invariants {inv.point} below the boundary curve")
     return inv.ray.scale(multiplier)
@@ -637,13 +671,13 @@ def _resolution(x: ChernCharacter, triad: _Triad, case: CaseSign,
     # mutations 3 r(alpha) gamma - beta of (alpha, gamma) and
     # 3 r(beta) gamma - alpha of (gamma, beta): their pairings are linear.
     alpha, beta = triad.alpha, triad.beta
-    if case is CaseSign.POSITIVE:
+    if case is _POSITIVE:
         m1 = -euler_pairing(x, alpha)
         m2 = euler_pairing(x, beta) - 3 * alpha.r * pairing
         m3 = pairing
         slopes, chars = triad.images[:3], triad.image_chars[:3]
         coefficients = (-m1, m2, m3)
-    elif case is CaseSign.NEGATIVE:
+    elif case is _NEGATIVE:
         m1 = 3 * beta.r * pairing - euler_pairing(x, alpha)
         m2 = euler_pairing(x, beta)
         m3 = -pairing
@@ -682,16 +716,15 @@ def resolution_multiplicities(x: ChernCharacter,
     return _resolved(x, max_order).resolution
 
 
-def _kronecker(x: ChernCharacter, res: ResolutionData, n: int) -> KroneckerData:
-    """Kronecker data of the resolution's two-term complex, with gamma's arrow count ``n``."""
+def _kronecker(res: ResolutionData, n: int, dim: int) -> KroneckerData:
+    """Kronecker data of the resolution's two-term complex, with gamma's arrow count ``n``.
+
+    ``dim`` is the moduli dimension of the resolved character.
+    """
     b, a = res.m1, res.m2
     edim = a * b * n - a * a - b * b + 1
-    fibration = (
-        Fibration.BIRATIONAL if res.case_sign is CaseSign.ZERO
-        else Fibration.POSITIVE_DIM_FIBERS
-    )
-    dim = moduli_dimension(x)
-    if fibration is Fibration.BIRATIONAL:
+    fibration = _BIRATIONAL if res.case_sign is _ZERO else _POSITIVE_DIM_FIBERS
+    if fibration is _BIRATIONAL:
         if dim != edim:
             raise ConsistencyError(f"birational fibration but dim {dim} != expected {edim}")
     elif dim <= edim:
@@ -752,41 +785,43 @@ def _primary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
     ray = orthogonal_character(inv, multiplier, max_order)
     if euler_pairing(x, ray) != 0:
         raise ConsistencyError("primary ray is not orthogonal to the input")
-    if half_plane(x, ray) is not HalfPlane.PRIMARY:
+    # an orthogonal class's half-plane is its rank's sign (``chern.half_plane``)
+    if ray.r <= 0:
         raise ConsistencyError("primary ray fell outside the primary half-plane")
-    if inv.case_sign is CaseSign.POSITIVE:  # orthogonal also to E_{-gamma}
+    if inv.case_sign is _POSITIVE:  # orthogonal also to E_{-gamma}
         if euler_pairing(ray, side.triad.image_chars[2]) != 0:
             raise ConsistencyError("positive-case double orthogonality failed")
     return _new_primary(inv, ray, _coords_denominator(x, ray) if x.r > 0 else None,
                         side.resolution, side.kronecker, bridgeland_wall(inv),
-                        inv.case_sign is not CaseSign.ZERO)
+                        inv.case_sign is not _ZERO)
 
 
 def _secondary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
                     max_order: int) -> SecondaryEdge:
     r = x.r
     if r >= 3:
-        # Serre duality keeps the classification and maps mu0+ to -mu0-: the
-        # dual descends on mu0-'s integer form negated, and builds no number
+        # Serre duality keeps the classification, the dimension and maps mu0+
+        # to -mu0-: the dual descends on mu0-'s integer form negated, and
+        # builds no number
         xd, minus = x.serre_dual(), side.mu0_minus
         dual_side = _side(xd, side.classification, (-minus.A, -minus.B, minus.d, minus.D),
-                          max_order)
+                          max_order, side.dimension)
         dual = _primary_edge(xd, dual_side, multiplier, max_order)
         ray = -dual.extremal_character.dual()
         slope = dual_side.triad.images[2]  # -gamma of the dual
-        mode = SecondaryMode.SERRE_DUAL
+        mode = _SERRE_DUAL
         descriptor = "h2-cohomology jumping divisor, from the dual pipeline"
     elif r == 2:
         # tensor slope -3/2 with x: orthogonal to the rank-zero class (0, 2r, 3r + 2c)
         ray = -_ray(x, _lattice(0, 2 * r, 3 * r + 2 * x.c1))
         slope = dual = None
-        mode = SecondaryMode.RANK2_SINGULAR_LOCUS
+        mode = _RANK2_SINGULAR_LOCUS
         descriptor = "divisor of singular (non-locally-free) sheaves"
     elif r == 1:
-        mode = SecondaryMode.RANK1_HILBERT_CHOW
+        mode = _RANK1_HILBERT_CHOW
         descriptor = "exceptional divisor of the Hilbert-Chow morphism"
     else:
-        mode = SecondaryMode.RANK0_SUPPORT_MAP
+        mode = _RANK0_SUPPORT_MAP
         descriptor = "pullback of O(1) under the support morphism"
     if r < 2:
         return _new_secondary(mode, None, None, None, descriptor, None)
@@ -811,29 +846,31 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
     """Full report for a character; classification-only when no rays exist."""
     side = _analyze(x, max_order)
     cls = side.classification
-    if cls.kind is Kind.INVALID:
+    kind = cls.kind
+    if kind is _INVALID:
         return _new_report(x, cls, None, None)
     # every kind left but the rank-zero one has positive rank
-    positive = x.r > 0
-    natural = natural_classes(x) if positive else None
-    if cls.kind is Kind.EXCEPTIONAL:
+    natural = natural_classes(x) if x.r > 0 else None
+    if kind is _EXCEPTIONAL:
         return _new_report(x, cls, 0, natural, note="moduli space is a single point")
-    dim = moduli_dimension(x) if positive else None
-    if cls.kind is Kind.HEIGHT_ZERO:
-        return _new_report(x, cls, dim, natural, note="moduli space has Picard rank one")
+    if kind is _HEIGHT_ZERO:
+        return _new_report(x, cls, moduli_dimension(x), natural,
+                           note="moduli space has Picard rank one")
 
     primary = _primary_edge(x, side, multiplier, max_order)
     secondary = _secondary_edge(x, side, multiplier, max_order)
-    if secondary.extremal_character is not None:
-        if euler_pairing(x, secondary.extremal_character) != 0:
+    ray = secondary.extremal_character
+    if ray is not None:
+        if euler_pairing(x, ray) != 0:
             raise ConsistencyError("secondary ray is not orthogonal to the input")
-        if half_plane(x, secondary.extremal_character) is not HalfPlane.SECONDARY:
+        # an orthogonal class's half-plane is its rank's sign (``chern.half_plane``)
+        if ray.r >= 0:
             raise ConsistencyError("secondary ray fell outside the secondary half-plane")
     note = None
-    if primary.invariants.case_sign is CaseSign.POSITIVE and not primary.invariants.on_delta_curve:
+    if primary.invariants.case_sign is _POSITIVE and not primary.invariants.on_delta_curve:
         note = (
             "invariants lie off the boundary curve: stable orthogonal slopes "
             "below mu+ exist but span non-effective rays"
         )
-    return _new_report(x, cls, dim, natural, side.mu0_plus, side.mu0_minus, primary, secondary,
-                       note)
+    return _new_report(x, cls, side.dimension, natural, side.mu0_plus, side.mu0_minus, primary,
+                       secondary, note)

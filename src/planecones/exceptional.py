@@ -17,10 +17,12 @@ read off the halfwidth's; the boundary curve of stable characters is a pair
 of parabolic arcs over every interval, and locating the interval containing
 a given number is a bracketing descent on integers (``_bracket``), which
 hands back the hit's and its two parents' ``(r, c1, chi)`` and the hit's
-address.  A probe tests membership on the candidate's ``(r, c1)`` integers
-(``_locate``), so a descent builds no object; a walk (``_walk``) likewise
-hands back the bundles of the slope and its two parents and builds
-nothing.  A public function builds only the slopes it returns:
+address.  A descent makes one integer probe, on the integer nearer the
+number (an integer's interval is narrower than 1/2 either side), then one
+per mediant.  A probe tests membership on the candidate's ``(r, c1)``
+integers (``_locate``), so a descent builds no object; a walk
+(``_walk``) likewise hands back the bundles of the slope and its two
+parents and builds nothing.  A public function builds only the slopes it returns:
 ``from_dyadic``, ``epsilon`` and ``find_interval`` the hit alone,
 ``slope_and_parents`` (of which ``parents`` is a view) all three
 (``_slopes``).  A rational is looked up, not located: ``from_slope_value``
@@ -28,7 +30,12 @@ compares it with each mediant down its walk by one cross-multiplication,
 and no probe tests membership.  An arc's value at a rational is one
 integer numerator (``_arc_form``) over one denominator.  Slopes built by a
 walk, a descent or an affine image come from the trusted constructors
-``_slope`` and ``_dyadic``, which set each slot through its descriptor.
+``_slope`` and ``_dyadic``, which set each slot through its descriptor;
+the setters are unpacked once, at import (``_set_*``).  The boundary
+curve's cache (``_boundary``) is keyed on a rational's numerator and
+denominator in lowest terms and the order budget, so a caller that holds a
+slope as integers looks it up without building or hashing a ``Fraction``;
+``boundary_at`` and ``delta_curve`` are views of it.
 """
 
 from __future__ import annotations
@@ -424,7 +431,8 @@ def interval_contains(a: ExceptionalSlope, x, closed: bool) -> bool:
     return inside >= 0 if closed else inside > 0
 
 
-def _locate(r: int, c1: int, A: int, B: int, d: int, D: int) -> tuple[int, int]:
+def _locate(r: int, c1: int, A: int, B: int, d: int, D: int,
+            near: bool = False) -> tuple[int, int]:
     """``(side, inside)`` for ``x = (A + B*sqrt(d))/D``, ``D > 0``, against an interval.
 
     The interval is that of the exceptional slope ``a = c1/r`` of rank
@@ -432,6 +440,8 @@ def _locate(r: int, c1: int, A: int, B: int, d: int, D: int) -> tuple[int, int]:
     object.  ``side`` is the sign of ``x - a``; ``inside`` is 1 in the open
     interval, 0 at an endpoint and -1 outside.  The form need not be
     reduced: every sign taken is that of a homogeneous expression in it.
+    A caller that knows ``|x - a| <= 1``, as a descent inside a unit
+    bracket does, passes ``near``: then ``u >= 1`` and its sign is not taken.
     """
     # Over N = D*r: |x - a| = (t + w sqrt(d))/N, u = (ua + ub sqrt(d))/N
     # and, as N/r = D, N^2 (u^2 - 9 + 4/r^2) = va + vb sqrt(d).
@@ -442,7 +452,7 @@ def _locate(r: int, c1: int, A: int, B: int, d: int, D: int) -> tuple[int, int]:
     if side < 0:
         t, w = -t, -w
     ua, ub = 3 * N - 2 * t, -2 * w
-    if _sign_int_radical(ua, ub, d) <= 0:  # u <= 0 fails even the closed test
+    if not near and _sign_int_radical(ua, ub, d) <= 0:  # u <= 0 fails even the closed test
         return side, -1
     return side, _sign_int_radical(ua * ua + ub * ub * d - 9 * N * N + 4 * D * D, 2 * ua * ub, d)
 
@@ -475,20 +485,25 @@ def _bracket(A: int, B: int, d: int, D: int,
     Returns ``(left, mid, right, p, q)``: the hit's bundle ``mid`` at the
     address ``p/2**q`` and its parents' bundles, each as its ``(r, c1, chi)``.
     The parents are ``(p >> 1)/2**(q - 1)`` and one step right of it for a
-    mediant, and ``p - 1``, ``p + 1`` for an integer ``p`` (``q == 0``).  A
+    mediant, and ``p - 1``, ``p + 1`` for an integer ``p`` (``q == 0``).
+    One integer is probed, the nearer of the two around ``x``, then one
+    mediant per level, so a hit of order ``q`` takes ``1 + q`` probes.  A
     probe reads the candidate's ``(r, c1)``; the form need not be reduced.
     No object but the tuples is built, so a caller may key a cache on them.
     """
     n = floor_of_form(A, B, d, D)
-    for m in (n, n + 1):
-        if _locate(1, m, A, B, d, D)[1] >= 0:
-            return _line(m - 1), _line(m), _line(m + 1), m, 0
+    # an integer's interval has halfwidth (3 - sqrt(5))/2 < 1/2, so of n and
+    # n + 1 only the one nearer x can hold it: n + 1 when x - (n + 1/2) >= 0
+    m = n + 1 if _sign_int_radical(2 * A - (2 * n + 1) * D, 2 * B, d) >= 0 else n
+    # x lies in [n, n + 1], within 1 of m and of every mediant below
+    if _locate(1, m, A, B, d, D, True)[1] >= 0:
+        return _line(m - 1), _line(m), _line(m + 1), m, 0
     left, right, fin, g, s = _start(n)
     p, q = n, 0
     while q < max_order:
         p, q = 2 * p + 1, q + 1
         mid = (s * fin[0] - g[0], s * fin[1] - g[1], s * fin[2] - g[2])
-        side, inside = _locate(mid[0], mid[1], A, B, d, D)
+        side, inside = _locate(mid[0], mid[1], A, B, d, D, True)
         if inside >= 0:
             return left, mid, right, p, q
         # narrow to [p - 1, p] or [p, p + 1] over 2**q; p keeps the left end
@@ -547,26 +562,38 @@ def arc_value(a: ExceptionalSlope, mu: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=_DELTA_CURVE_CACHE_SIZE)
-def boundary_at(mu: Fraction,
+def _boundary(num: int, den: int, max_order: int) -> tuple[ExceptionalSlope, Fraction]:
+    """:func:`boundary_at` at ``num/den`` in lowest terms, ``den > 0``, keyed on the integers.
+
+    A caller holding a slope as integers (classification, the boundary
+    check of a ray) looks it up by them, and builds and hashes no
+    ``Fraction``; a miss descends through :func:`find_interval`.
+    """
+    mu = Fraction(num, den)
+    a = find_interval(mu, max_order)
+    return a, arc_value(a, mu)
+
+
+def boundary_at(mu: RationalLike,
                 max_order: int = DEFAULT_MAX_ORDER) -> tuple[ExceptionalSlope, Fraction]:
     """The slope whose closed interval holds the rational ``mu``, and the boundary there.
 
     One descent per slope: the enclosing slope is kept beside the boundary
     value, so a caller that needs both (classification) never descends again.
     """
-    mu = Fraction(mu)
-    a = find_interval(mu, max_order)
-    return a, arc_value(a, mu)
+    if not isinstance(mu, (int, Fraction)):
+        mu = Fraction(mu)
+    return _boundary(mu.numerator, mu.denominator, max_order)
 
 
-def delta_curve(mu: Fraction, max_order: int = DEFAULT_MAX_ORDER) -> Fraction:
+def delta_curve(mu: RationalLike, max_order: int = DEFAULT_MAX_ORDER) -> Fraction:
     """Exact value of the classification boundary at a rational slope."""
     return boundary_at(mu, max_order)[1]
 
 
-# delta_curve reads boundary_at's cache, so it reports and clears that cache
-delta_curve.cache_info = boundary_at.cache_info
-delta_curve.cache_clear = boundary_at.cache_clear
+# boundary_at and delta_curve read _boundary's cache, so they report and clear it
+boundary_at.cache_info = delta_curve.cache_info = _boundary.cache_info
+boundary_at.cache_clear = delta_curve.cache_clear = _boundary.cache_clear
 
 
 def enumerate_slopes(lo: RationalLike, hi: RationalLike,

@@ -775,6 +775,32 @@ class TestRendererAgainstTheOracle:
         finally:
             sys.set_int_max_str_digits(INT_DIGITS)
 
+    def test_slope_cache_is_keyed_on_the_slope_not_its_path(self):
+        """One slope under two paths is one render; a refusal still names the caller's path."""
+        from planecones import cli
+        from planecones.cfrac import lr_to_slope
+        from planecones.errors import DomainError
+        from planecones.qarith import int_digit_limit
+
+        s = lr_to_slope("LR" * 7)  # a 384-digit rank: a 768-digit discriminant
+        cli._slope_fields.cache_clear()
+        primary = cli._slope_dict(s, "primary.invariants.corresponding_slope.")
+        secondary = cli._slope_dict(s, "secondary.serre_dual_pipeline.invariants."
+                                       "corresponding_slope.")
+        assert primary == secondary and primary is not secondary
+        assert primary["interval"] is not secondary["interval"]
+        info = cli._slope_fields.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        sys.set_int_max_str_digits(self.LIMIT)
+        try:
+            for prefix in ("primary.invariants.corresponding_slope.",
+                           "secondary.corresponding_slope.", ""):
+                with pytest.raises(DomainError) as refused:
+                    cli._slope_dict(s, prefix, int_digit_limit())
+                assert str(refused.value).startswith(f"{prefix}discriminant has a 2,5")
+        finally:
+            sys.set_int_max_str_digits(INT_DIGITS)
+
 
 class TestInternalError:
     def test_cone_exits_with_internal_status(self, capsys, monkeypatch):

@@ -759,6 +759,21 @@ class TestChecksFireOnCorruptedInput:
         with pytest.raises(ConsistencyError, match=r"^multiplicity -1 is negative"):
             cone._resolution(GOLDEN, triad, CaseSign.POSITIVE, -1)
 
+    @pytest.mark.parametrize("x, message", [
+        (GOLDEN_DUAL, "^birational fibration but dim"),
+        (GOLDEN, "^fibration with positive-dimensional fibers needs dim"),
+    ], ids=["birational", "fibers"])
+    def test_kronecker_dimension(self, x, message):
+        """The dimension is worked out once and handed in; a wrong one is caught."""
+        from planecones import cone
+
+        side = self.side(x)
+        assert side.dimension == moduli_dimension(x) == moduli_dimension(x.serre_dual())
+        res, n, kron = side.resolution, side.triad.hom_count, side.kronecker
+        assert cone._kronecker(res, n, side.dimension) == kron
+        with pytest.raises(ConsistencyError, match=message):
+            cone._kronecker(res, n, kron.expected_dimension - 1)
+
     def _primary(self, x, side):
         from planecones import cone
         from planecones.exceptional import DEFAULT_MAX_ORDER

@@ -5,9 +5,10 @@ factors its radicand once; every other ``QuadraticNumber`` operation reuses
 the radicand of its operands.  A report that factors more often than it
 takes square roots is re-factoring reduced radicands on its hot path.
 
-A report makes one classification and takes one root ``sqrt(5 + 8 delta)``:
-the Serre dual shares both, since it has the same classification and its
-``mu0+`` is the character's ``-mu0-``.  Classification descends only when
+A report makes one classification, takes one root ``sqrt(5 + 8 delta)``
+and works out the moduli dimension once: the Serre dual shares all three,
+since it has the same classification and discriminant and its ``mu0+`` is
+the character's ``-mu0-``.  Classification descends only when
 ``delta <= 1``, since the boundary curve never rises above 1.  Each side of
 the cone makes one descent to its corresponding slope, which hands back
 gamma's parents too, and no slope whose dyadic address is already known goes
@@ -18,10 +19,15 @@ parents are built only when gamma's triad is not cached yet.
 A warm report, rendered as the benchmark renders it, has exact budgets of
 objects and cache lookups.  Its records come from trusted constructors, not
 the checked ``Record.__init__``; every cache it looks up is keyed on
-integers (and a path or a ``Fraction`` slope), so no record is hashed or
-compared; walls, natural-basis coordinates and rendering build no
-``Fraction``; and the Serre dual descends on ``-mu0-``'s integer form
-without building it.
+integers alone (the boundary curve's on a slope's numerator and
+denominator), so no record is hashed or compared; walls, natural-basis
+coordinates, the boundary lookups and rendering build no ``Fraction``; and
+the Serre dual descends on ``-mu0-``'s integer form without building it.
+No enum member is read off its class: the members a report compares
+against are module constants, bound at import.
+
+A descent probes one integer, the one nearer its point, then one mediant
+per level.
 
 Each radicand at or above ``2**16`` that is not a perfect square costs one
 gcd with the product of the primes up to the trial-division bound, the
@@ -39,6 +45,7 @@ step, whose matrix power takes one product per bit of the run's length.
 
 import json
 import math
+from enum import EnumMeta
 from fractions import Fraction
 
 import pytest
@@ -113,6 +120,18 @@ def test_one_analysis_per_side(counts, x, order, descents):
 
 
 @CASES
+def test_one_dimension_per_report(monkeypatch, x, order, descents):
+    """The moduli dimension is worked out once, and shared with the Serre dual."""
+    calls = []
+    dimension = chern.moduli_dimension
+    monkeypatch.setattr(cone, "moduli_dimension", lambda y: calls.append(y) or dimension(y))
+    report = cone.cone_report(x)
+    assert report.primary.invariants.corresponding_slope.order == order
+    assert report.secondary.dual_primary is not None
+    assert calls == [x] and report.dimension == dimension(x.serre_dual())
+
+
+@CASES
 def test_rays_are_lattice_vectors(monkeypatch, x, order, descents):
     """No ray is rebuilt from a slope and a discriminant."""
     calls = []
@@ -180,17 +199,17 @@ def test_one_primorial_gcd_per_large_radicand(monkeypatch, x, cold, warm):
 
 # What one warm report builds and looks up, rendered as the benchmark renders
 # it.  The rank-3 worked example's primary point lies off gamma's interval, so
-# its boundary check looks the point's slope up, one ``Fraction``; the order-4
+# its boundary check looks the point's slope up, by its integers; the order-4
 # character's lies inside.  The five ``QuadraticNumber``s are the root
 # ``sqrt(5 + 8 delta)``, ``mu0+``, ``mu0-`` and the two wall radii; the Serre
 # dual's ``mu0+ = -mu0-`` is descended on as integers.  Each cache is looked
 # up once per slope, resolution or gamma a report renders or resolves: a
 # resolution's triad characters are rendered by one lookup, not one each.
 BUDGETS = pytest.mark.parametrize("x, order, budget", [
-    (GOLDEN, 0, {"Fraction": 1, "QuadraticNumber": 5, "_triad": 2,
-                 "_triad_character_fields": 2, "_slope_fields": 3, "boundary_at": 1}),
+    (GOLDEN, 0, {"Fraction": 0, "QuadraticNumber": 5, "_triad": 2,
+                 "_triad_character_fields": 2, "_slope_fields": 3, "_boundary": 1}),
     (ORDER_FOUR, 4, {"Fraction": 0, "QuadraticNumber": 5, "_triad": 2,
-                     "_triad_character_fields": 2, "_slope_fields": 3, "boundary_at": 0}),
+                     "_triad_character_fields": 2, "_slope_fields": 3, "_boundary": 0}),
 ], ids=["golden", "order4"])
 
 
@@ -200,7 +219,7 @@ def test_report_budget(monkeypatch, x, order, budget):
     from planecones.record import Record
 
     caches = {"_triad": cone._triad, "_triad_character_fields": cli._triad_character_fields,
-              "_slope_fields": cli._slope_fields, "boundary_at": exceptional.boundary_at,
+              "_slope_fields": cli._slope_fields, "_boundary": exceptional._boundary,
               "_interval_halfwidth": exceptional._interval_halfwidth}
 
     def lookups():
@@ -240,6 +259,44 @@ def test_report_budget(monkeypatch, x, order, budget):
     assert tally == {"Record.__init__": 0, "Record.__hash__": 0, "Record.__eq__": 0,
                      "Fraction": budget["Fraction"], "QuadraticNumber": budget["QuadraticNumber"]}
     assert looked_up == {name: budget.get(name, 0) for name in caches}
+
+
+# Every character of rank <= 4 in a small box, twisted so that each kind and
+# each case sign occurs.
+BOX = [character_from_json({"r": r, "c1": c1, "chi": chi})
+       for r in range(5) for c1 in range(-2, 4) for chi in range(-6, 7)]
+
+
+def test_no_enum_member_is_read_off_its_class(monkeypatch):
+    """A warm report compares against enum members bound at import, never ``Kind.X``.
+
+    Each ``Kind.X``, ``CaseSign.X`` and the like is one call of the enum
+    metaclass's ``__getattribute__``, counted here; on Python 3.11 it also
+    goes through ``EnumType.__getattr__``.  The last lookup is a control,
+    made in the test, that the counter sees one.
+    """
+    def render(x):
+        json.dumps(report_to_dict(cone.cone_report(x)))
+
+    for x in BOX:  # warm the caches
+        render(x)
+    reports = [cone.cone_report(x) for x in BOX]
+    assert {r.classification.kind for r in reports} == set(Kind)
+    assert {r.primary.invariants.case_sign for r in reports if r.primary} == set(cone.CaseSign)
+    assert {r.secondary.mode for r in reports if r.secondary} == set(cone.SecondaryMode)
+    looked_up = []
+    lookup = EnumMeta.__getattribute__
+
+    def counted(cls, name):
+        looked_up.append(name)
+        return lookup(cls, name)
+
+    monkeypatch.setattr(EnumMeta, "__getattribute__", counted)
+    for x in BOX:
+        render(x)
+    assert cone.Kind.INVALID
+    monkeypatch.undo()
+    assert looked_up == ["INVALID"]
 
 
 # The boundary value and the enclosing slope come from one cached descent, so
@@ -367,11 +424,11 @@ def test_one_membership_call_per_probe(monkeypatch, built_slopes, x):
     assert found.order >= 3
     assert built == [] and looked_up == []
     assert sorted(built_slopes, key=lambda s: s.slope) == [left, found, right]
-    # the two integers around x, then one mediant per level down to found,
-    # each of larger rank than the last
-    assert len(probes) == 2 + found.order
-    assert [r for r, _ in probes[:2]] == [1, 1]
-    ranks = [r for r, _ in probes[2:]]
+    # the integer nearer x, then one mediant per level down to found, each of
+    # larger rank than the last
+    assert len(probes) == 1 + found.order
+    assert probes[0][0] == 1
+    ranks = [r for r, _ in probes[1:]]
     assert ranks == sorted(set(ranks))
     assert probes[-1] == (found.r, found.c1)
     assert (left, right) == exceptional.parents(found)

@@ -1,4 +1,4 @@
-"""The twist and Serre-duality laws over the whole report.
+"""The twist, Serre-duality and scaling laws over the whole report.
 
 The twist law: ``M(xi)`` and ``M(xi tensor O(n))`` agree.
 
@@ -22,6 +22,16 @@ rendered alike.  A sheaf of rank zero has the dual ``-x^v(-3) = (0, c1,
 -chi)``, which keeps its Brill-Noether edge: the primary ray goes to its
 dual.
 
+The scaling law: ``k x`` for an integer ``k >= 2`` has the slope and
+discriminant of ``x``, so the same kind, ``mu0+-``, corresponding slope
+gamma, primitive primary ray, case sign and wall; from rank 3 on, the
+secondary and Serre-dual rays are the same too.  The resolution's
+multiplicities, Euler characteristics of ``x`` twisted by exceptional
+bundles, scale by ``k``.  Two exceptions follow from the rank and degree
+scaling with ``x``: a character of rank 1 or 2 has a multiple of higher
+rank, whose secondary edge is of that rank's mode, and a rank-zero class of
+degree ``d < 3`` is invalid while ``k d >= 3`` may not be.
+
 Characters are drawn per ``Kind``, so every kind occurs, with ranks and
 first Chern classes up to 10^30.  The tier-1 run draws 25 cases a kind for
 each law; the
@@ -35,7 +45,7 @@ from hypothesis import strategies as st
 
 from planecones import cli, exceptional
 from planecones.chern import character_from_json
-from planecones.cone import Kind, classify, cone_report
+from planecones.cone import Kind, SecondaryMode, classify, cone_report
 from planecones.errors import DescentError
 from planecones.exceptional import DyadicRational
 
@@ -194,3 +204,57 @@ def test_serre_duality_law(kind, data):
     x = data.draw(CHARACTERS[kind], label="x")
     assert classify(x).kind is kind
     _assert_serre_duality_law(x)
+
+
+def _assert_scaling_law(x, k):
+    report, scaled = _outcome(x), _outcome(x.scale(k))
+    if not hasattr(report, "classification"):
+        assert scaled is report
+        return
+    if not hasattr(scaled, "classification"):
+        # of the two, only k x of rank >= 3 descends on -mu0- as well
+        assert 0 < x.r < 3
+        return
+    kind = report.classification.kind
+    if kind is Kind.INVALID and x.r == 0 and k * x.c1 >= 3:
+        # exception: degree d < 3 admits no sheaf, but k d >= 3 does
+        assert scaled.classification.kind is Kind.RANK_ZERO_PICARD_RANK_2
+        return
+    assert scaled.classification.kind is kind
+    assert (scaled.mu0_plus, scaled.mu0_minus) == (report.mu0_plus, report.mu0_minus)
+    edge, other = report.primary, scaled.primary
+    if edge is None:
+        assert other is None
+        return
+    gamma, gamma_scaled = (e.invariants.corresponding_slope for e in (edge, other))
+    assert gamma_scaled == gamma and gamma_scaled.dyadic == gamma.dyadic
+    assert other.invariants.case_sign is edge.invariants.case_sign
+    assert other.extremal_character == edge.extremal_character
+    assert other.wall == edge.wall
+    res, res_scaled = edge.resolution, other.resolution
+    if res is None:
+        assert res_scaled is None
+    else:
+        assert (res_scaled.m1, res_scaled.m2, res_scaled.m3) == \
+            (k * res.m1, k * res.m2, None if res.m3 is None else k * res.m3)
+    sec, sec_scaled = report.secondary, scaled.secondary
+    if 0 < x.r < 3:
+        # exception: k x has rank k r >= 2, and its secondary edge that rank's mode
+        mode = SecondaryMode.SERRE_DUAL if k * x.r >= 3 else SecondaryMode.RANK2_SINGULAR_LOCUS
+        assert sec_scaled.mode is mode
+        return
+    assert sec_scaled.mode is sec.mode
+    assert sec_scaled.extremal_character == sec.extremal_character
+    if x.r >= 3:
+        assert sec_scaled.corresponding_slope == sec.corresponding_slope
+        assert sec_scaled.dual_primary.extremal_character == \
+            sec.dual_primary.extremal_character
+
+
+@pytest.mark.parametrize("kind", list(Kind), ids=[kind.name.lower() for kind in Kind])
+@cases
+@given(data=st.data(), k=st.integers(2, 5))
+def test_scaling_law(kind, data, k):
+    x = data.draw(CHARACTERS[kind], label="x")
+    assert classify(x).kind is kind
+    _assert_scaling_law(x, k)

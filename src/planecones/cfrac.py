@@ -1,29 +1,25 @@
 """Left-right words and {1,2} continued-fraction expansions of exceptional slopes.
 
 Every slope strictly between 0 and 1/2 in the tree has two continued-fraction
-expansions built from ones and twos: its own regular continued fraction,
-computed here by Euclid's algorithm on the bundle's integers ``(c1, r)``, and
-the parity-converted partner, which differs in the last one or two digits.
-Both are flipped on the list of quotients and written as text once.  A
-rational handed in for its expansion is found in the tree by exact
-comparison with each mediant down the walk from its integer bracket
-(``exceptional.from_slope_value``), with no interval descent.  The
-even-length expansion is a palindrome and obeys the concatenation rule
-``child_even = right_odd + "2" + left_even`` over the parent pair; that rule
-is checked (by ``period_structure`` and the acceptance tests), not used to
-compute.  A finite word over {L, R} (the choices of the bracketing descent)
-is another spelling of a slope's dyadic address: ``word_to_dyadic`` reads it
-in binary and the slope takes one tree walk, which mutates the bundle's
-character once per letter where the letters alternate and jumps each run of
-equal letters in one closed-form step; the same walk gives the slope's
-parents.  Cantor enclosures and period blocks read the walk's integers
-``(r, c1, chi)`` and build no slope: an enclosure's ends are
-``Fraction(c1, r)`` and each expansion is Euclid on ``(c1, r)``.  A word
-is checked once, by one ``str.strip``.  Eventually-constant
-infinite words name exactly the interval endpoints.  ``cf_eval`` is the
-brute-force evaluator that serves as the independent oracle for all of this.
+expansions built from ones and twos, of even and of odd length, which differ
+in the last one or two digits.  Both come from the concatenation rule over
+the parent pair, ``child_even = right_odd + "2" + left_even``, in one pass
+along the slope's dyadic address that joins strings, with no big integer
+(``_descend``); Euclid on ``(c1, r)`` is the tests' reference.  A rational
+handed in for its expansion is found in the tree by exact comparison with
+each mediant down the walk from its integer bracket
+(``exceptional.from_slope_value``).  A finite word over {L, R} (the
+choices of the bracketing descent) spells a slope's dyadic address:
+``word_to_dyadic`` reads it in binary and the slope takes one tree walk,
+which mutates the bundle's character once per letter where the letters
+alternate and jumps each run of equal letters in one closed-form step; the
+same walk gives the slope's parents.  Cantor enclosures read the walk's
+integers ``(r, c1, chi)`` and build no slope; period blocks take the rule's
+pass and no walk.  A word is checked once, by one ``str.strip``.
+Eventually-constant infinite words name exactly the interval endpoints.
+``cf_eval`` is the brute-force evaluator that serves as the independent
+oracle for all of this.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
@@ -61,10 +57,6 @@ def cf_eval(word) -> Fraction:
     return value
 
 
-# writes a list of quotients 0-9 as their digits in one pass over its bytes
-_DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
-
-
 def _flip(digits: list[int]) -> None:
     """Turn a list of quotients into the other expansion of its rational, in place."""
     if not digits:
@@ -86,56 +78,64 @@ def parity_convert(word: str) -> str:
     return "".join(map(str, digits))
 
 
-def _expansion(c1: int, r: int, odd: bool) -> str:
-    """The odd- or even-length expansion of the slope ``c1/r`` in [0, 1/2], from its bundle.
+# the rule's state at 1/2, the word "R": the left end 0, no right end, "11" and "2"
+_HALF = ("2", "11", None, "11", "2")
 
-    Euclid's algorithm on the integers gives the regular continued
-    fraction's quotients, whose list is flipped when its length has the
-    other parity; no ``Fraction`` is built.  Each quotient of an exceptional
-    slope is 1 or 2, so a step takes one or two subtractions; a bundle
-    whose slope has a larger quotient is no exceptional bundle.
+
+def _descend(letters: Word, state: tuple) -> tuple:
+    """The rule's state after ``letters``: two string joins after an L, four after an R.
+
+    A state ``(left_even, left_odd, right, even, odd)`` holds a node's two
+    expansions, its right parent's odd one and its left parent's two with "2"
+    in front; the left end 0 has "2" and "11", as a child of 0 has
+    ``right + "2"`` and ``right + "11"``.  An L makes the node the right end, an R the left.
     """
-    n, m = c1, r
-    if n < 0 or 2 * n > m:
-        raise DomainError(f"slope {Fraction(c1, r)} outside [0, 1/2]; normalize first")
-    digits = []
-    append = digits.append
-    while n:
-        m -= n
-        if m < n:
-            append(1)
+    left_even, left_odd, right, even, odd = state
+    for letter in letters:
+        if letter == "L":
+            right = odd
         else:
-            m -= n
-            if m >= n:
-                raise ConsistencyError(f"(r, c1) = ({r}, {c1}) has a continued-"
-                                       "fraction quotient above 2: no exceptional slope")
-            append(2)
-        m, n = n, m
-    if len(digits) % 2 != odd:
-        _flip(digits)
-    return bytes(digits).translate(_DIGIT_TEXT).decode()
+            left_even, left_odd = "2" + even, "2" + odd
+        even, odd = right + left_even, right + left_odd
+    return left_even, left_odd, right, even, odd
+
+
+def _outside(c1: int, r: int) -> DomainError:
+    return DomainError(f"slope {Fraction(c1, r)} outside [0, 1/2]; normalize first")
+
+
+def _expansions(slope) -> tuple[str, str]:
+    """``(even, odd)`` by the rule; a record handed in is checked by a walk."""
+    trusted = not isinstance(slope, ExceptionalSlope)
+    if trusted:
+        slope = exceptional.from_slope_value(slope)
+    r, c1, d = slope.r, slope.c1, slope.dyadic
+    if c1 < 0 or 2 * c1 > r:
+        raise _outside(c1, r)
+    walked = None if trusted else exceptional._walk(d)[1][:2]
+    if walked and walked != (r, c1):
+        raise ConsistencyError(f"(r, c1) = ({r}, {c1}) has a dyadic address {d} whose "
+                               f"bundle has (r, c1) = {walked}: no exceptional slope")
+    if not c1:
+        return "", ""
+    return _descend(dyadic_to_word(d)[1][1:], _HALF)[3:]
 
 
 def even_expansion(slope) -> str:
     """Even-length expansion of an exceptional slope in [0, 1/2].
 
-    Callers normalize arbitrary slopes into this window by integer
-    translation and negation first.  The expansion is the slope's regular
-    continued fraction, found by Euclid's algorithm on its bundle's
-    integers and parity-converted when its length is odd.  A rational is
-    first found in the tree by exact lookup (``from_slope_value``), which
-    refuses one that is not an exceptional slope.
+    Callers normalize arbitrary slopes into this window by integer translation
+    and negation first.  A rational is looked up, which refuses a non-slope.
     """
-    if not isinstance(slope, ExceptionalSlope):
-        slope = exceptional.from_slope_value(slope)
-    return _expansion(slope.c1, slope.r, False)
+    return _expansions(slope)[0]
 
 
 def odd_expansion(slope) -> str:
     """Odd-length expansion; undefined for slope 0 (the empty expansion)."""
-    if not isinstance(slope, ExceptionalSlope):
-        slope = exceptional.from_slope_value(slope)
-    return _expansion(slope.c1, slope.r, True)
+    odd = _expansions(slope)[1]
+    if not odd:
+        raise DomainError("cannot convert the empty expansion")
+    return odd
 
 
 def normalize_slope(mu: RationalLike) -> tuple[Fraction, int, bool]:
@@ -219,12 +219,17 @@ class PeriodStructure(NamedTuple):
 
 
 def smallest_period(word: str) -> int:
-    """Least p > 0 with word[i] == word[i+p] for all valid i."""
+    """Least p > 0 with word[i] == word[i+p] for all valid i.
+
+    A period up to k - k//2 starts a copy of the first k//2 letters; find skips to those.
+    """
     k = len(word)
-    for p in range(1, k + 1):
-        if word[p:] == word[:k - p]:
-            return p
-    return k
+    head = word[:k // 2]
+    p = word.find(head, 1)
+    while p > 0 and not word.startswith(word[p:]):
+        p = word.find(head, p + 1)
+    rest = range(k - len(head) + 1, k)
+    return p if p > 0 else next((p for p in rest if word.startswith(word[p:])), k)
 
 
 def period_structure(word: Word) -> PeriodStructure:
@@ -236,43 +241,36 @@ def period_structure(word: Word) -> PeriodStructure:
     When the right parent is 1/2 the whole expansion is a run of twos and is
     reported as block "2" (its true smallest period); the only word ending
     in L with that shape, RL, is handled the same way.  The decomposition is
-    validated against the expansion before it is returned.  It reads the
-    bundles of two walks, to the word's slope and to its parents, and
-    builds no slope.
+    validated against the expansion before it is returned.  One pass of the
+    rule gives all three; only a word outside [0, 1/2] walks.
     """
     _check_word(word)
-    _, (r, c1, _), _ = exceptional._walk(_address(word))
-    expansion = _expansion(c1, r, False)
-    if word.endswith("L"):
-        if set(expansion) != {"2"}:
-            raise DomainError("period decomposition needs a word ending in R")
-        result = PeriodStructure("2", len(expansion), "", True)
-        return _validated(result, expansion)
-    n = len(word) - len(word.rstrip("R"))
-    head = word[:-n]
-    if not head or not head.endswith("L"):
+    if word.startswith(("L", "RR")):
+        _, (r, c1, _), _ = exceptional._walk(_address(word))
+        raise _outside(c1, r)
+    head = word.rstrip("R")
+    if not head:
         raise DomainError("period decomposition needs a word of shape head+L+R^n")
-    alpha, beta, _ = exceptional._walk(_address(head[:-1]))
-    if beta[:2] == (2, 1):  # beta is 1/2
-        result = PeriodStructure("2", len(expansion), "", True)
-        return _validated(result, expansion)
-    block = _expansion(beta[1], beta[0], True) + "2"
-    tail = _expansion(alpha[1], alpha[0], False)
-    result = PeriodStructure(block, n + 1, tail, False)
-    result = _validated(result, expansion)
+    n = len(word) - len(head)
+    if not n and word != "RL":
+        raise DomainError("period decomposition needs a word ending in R")
+    state = _descend(head[1:-1], _HALF)  # at the right parent
+    expansion = _descend("L" + "R" * n, state)[3]
+    if head == "RL":  # the right parent is 1/2
+        return _validated(word, PeriodStructure("2", len(expansion), "", True), expansion)
+    block = state[4] + "2"  # its odd expansion and a 2; state[0] is "2" + the tail
+    result = _validated(word, PeriodStructure(block, n + 1, state[0][1:], False), expansion)
     if smallest_period(expansion) != len(block):
-        raise ConsistencyError(
-            f"block length {len(block)} is not the smallest period of {expansion}"
-        )
+        raise ConsistencyError(f"block length {len(block)} is not the smallest period of "
+                               f"{expansion}, the expansion of {word!r}")
     return result
 
 
-def _validated(result: PeriodStructure, expansion: str) -> PeriodStructure:
+def _validated(word: Word, result: PeriodStructure, expansion: str) -> PeriodStructure:
     rebuilt = result.block * result.exponent + result.tail
     if rebuilt != expansion:
-        raise ConsistencyError(
-            f"period decomposition {result} rebuilds {rebuilt!r}, expected {expansion!r}"
-        )
+        raise ConsistencyError(f"period decomposition {result} of {word!r} rebuilds "
+                               f"{rebuilt!r}, expected {expansion!r}")
     return result
 
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from planecones import CaseSign, Kind, classify, exceptional, qarith
-from planecones.cfrac import PeriodStructure, _validated, lr_to_slope, smallest_period, word_to_dyadic
+from planecones.cfrac import (
+    PeriodStructure, _flip, _validated, lr_to_slope, smallest_period, word_to_dyadic,
+)
 from planecones.cone import Classification
 from planecones.chern import (
     ChernCharacter, SlopeDisc, character_from_json, euler_pairing, hilbert_poly,
@@ -586,6 +588,36 @@ def descent_from_slope_value(mu, max_order: int = DEFAULT_MAX_ORDER) -> Exceptio
     return found
 
 
+def euclid_expansion(c1: int, r: int, odd: bool) -> str:
+    """The odd- or even-length expansion of the slope ``c1/r`` in [0, 1/2], by Euclid.
+
+    The reference for the parent rule that ``cfrac`` computes with: Euclid's
+    algorithm on the bundle's integers gives the regular continued
+    fraction's quotients, whose list is flipped when its length has the
+    other parity.  Each quotient of an exceptional slope is 1 or 2, so a
+    step takes one or two subtractions; a bundle whose slope has a larger
+    quotient is no exceptional bundle.
+    """
+    n, m = c1, r
+    if n < 0 or 2 * n > m:
+        raise DomainError(f"slope {Fraction(c1, r)} outside [0, 1/2]; normalize first")
+    digits = []
+    while n:
+        m -= n
+        if m < n:
+            digits.append(1)
+        else:
+            m -= n
+            if m >= n:
+                raise ConsistencyError(f"(r, c1) = ({r}, {c1}) has a continued-"
+                                       "fraction quotient above 2: no exceptional slope")
+            digits.append(2)
+        m, n = n, m
+    if len(digits) % 2 != odd:
+        _flip(digits)
+    return "".join(map(str, digits))
+
+
 def charwise_parity_convert(word: str) -> str:
     """The other expansion of the same rational, on a list of ints read off the characters."""
     digits = [int(a) for a in word]
@@ -608,7 +640,7 @@ def charwise_even_expansion(slope) -> str:
     """The even expansion by a descent, a ``Fraction`` and Euclid one character at a time.
 
     The oracle for ``even_expansion``, which looks a rational up exactly and
-    runs Euclid on the bundle's integers into a list of quotients.
+    joins the parents' expansions along its address.
     """
     if not isinstance(slope, ExceptionalSlope):
         slope = descent_from_slope_value(Fraction(slope))
@@ -633,21 +665,20 @@ def charwise_period_structure(word: str) -> PeriodStructure:
     if word.endswith("L"):
         if set(expansion) != {"2"}:
             raise DomainError("period decomposition needs a word ending in R")
-        return _validated(PeriodStructure("2", len(expansion), "", True), expansion)
+        return _validated(word, PeriodStructure("2", len(expansion), "", True), expansion)
     n = len(word) - len(word.rstrip("R"))
     head = word[:-n]
     if not head or not head.endswith("L"):
         raise DomainError("period decomposition needs a word of shape head+L+R^n")
     alpha, beta, _ = slope_and_parents(word_to_dyadic(head[:-1]))
     if beta.slope == Fraction(1, 2):
-        return _validated(PeriodStructure("2", len(expansion), "", True), expansion)
+        return _validated(word, PeriodStructure("2", len(expansion), "", True), expansion)
     block = charwise_parity_convert(charwise_even_expansion(beta)) + "2"
     tail = charwise_even_expansion(alpha)
-    result = _validated(PeriodStructure(block, n + 1, tail, False), expansion)
+    result = _validated(word, PeriodStructure(block, n + 1, tail, False), expansion)
     if smallest_period(expansion) != len(block):
-        raise ConsistencyError(
-            f"block length {len(block)} is not the smallest period of {expansion}"
-        )
+        raise ConsistencyError(f"block length {len(block)} is not the smallest period of "
+                               f"{expansion}, the expansion of {word!r}")
     return result
 
 

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from planecones import cfrac
 from planecones.cfrac import (
     PeriodStructure,
     cantor_approx,
@@ -39,6 +42,7 @@ from conftest import (
     charwise_even_expansion,
     charwise_parity_convert,
     charwise_period_structure,
+    euclid_expansion,
     slope_dot,
     stepwise_walk,
 )
@@ -164,6 +168,49 @@ class TestExpansion:
         for expand in (even_expansion, odd_expansion):
             with pytest.raises(ConsistencyError, match=rf"^\(r, c1\) = \({r}, {c1}\) has a "):
                 expand(record)
+
+    @pytest.mark.parametrize("r, c1, address", [(13, 5, (1, 1)), (5, 2, (3, 3)), (29, 12, (3, 2))])
+    def test_records_off_their_address(self, r, c1, address):
+        """A record of an exceptional bundle at another slope's address is refused by its walk.
+
+        Each slope's quotients are ones and twos, so only the walk tells.
+        """
+        record = ExceptionalSlope(r, c1, 0, DyadicRational(*address))
+        for expand in (even_expansion, odd_expansion):
+            with pytest.raises(ConsistencyError, match=rf"^\(r, c1\) = \({r}, {c1}\) has a "):
+                expand(record)
+
+    def test_records_outside_the_window_keep_the_window_error(self):
+        record = ExceptionalSlope(5, 3, 0, DyadicRational(1, 1))
+        with pytest.raises(DomainError, match=r"^slope 3/5 outside \[0, 1/2\]; normalize first$"):
+            even_expansion(record)
+
+    def test_every_word_to_length_fourteen_against_euclid(self):
+        """The parent rule against Euclid, on all 8,192 words R and RL... of length <= 14.
+
+        Both expansions match the reference and have quotients 1 and 2 only;
+        ``cf_eval`` gives the slope back up to order 10.
+        """
+        words = ["R"] + ["RL" + "".join(w) for n in range(13)
+                         for w in itertools.product("LR", repeat=n)]
+        assert len(words) == 8192
+        for word in words:
+            s = lr_to_slope(word)
+            even, odd = even_expansion(s), odd_expansion(s)
+            assert even == euclid_expansion(s.c1, s.r, False), word
+            assert odd == euclid_expansion(s.c1, s.r, True), word
+            assert set(even + odd) <= {"1", "2"}
+            if len(word) <= 10:
+                assert cf_eval(even) == cf_eval(odd) == s.slope, word
+
+    @given(st.integers(min_value=13, max_value=16).flatmap(
+        lambda n: st.text(alphabet="LR", min_size=n, max_size=n)))
+    def test_long_words_against_euclid(self, rest):
+        """Words RL... of length 15-18; the CI fuzz step runs 2,000 of them."""
+        s = lr_to_slope("RL" + rest)
+        assert even_expansion(s) == euclid_expansion(s.c1, s.r, False)
+        assert odd_expansion(s) == euclid_expansion(s.c1, s.r, True)
+        assert even_expansion(s.slope) == even_expansion(s)
 
     def test_recursion_against_oracle_order_eight(self):
         for s in enumerate_slopes(0, F(1, 2), 8):
@@ -326,6 +373,25 @@ class TestPeriodStructure:
             found += not isinstance(result[0], type)
         assert len(words) == 2 ** 13 - 1 and found == 2 ** 10
 
+    def test_a_rebuild_that_misses_names_the_word(self, monkeypatch):
+        made = PeriodStructure
+
+        def off_by_one(block, exponent, tail, beta_is_half):
+            return made(block, exponent + 1, tail, beta_is_half)
+
+        monkeypatch.setattr(cfrac, "PeriodStructure", off_by_one)
+        for word in ("RLLLRR", "RLR", "RL"):
+            with pytest.raises(ConsistencyError,
+                               match=rf"^period decomposition .* of '{word}' rebuilds "):
+                period_structure(word)
+
+    def test_a_block_past_the_smallest_period_names_the_word(self, monkeypatch):
+        monkeypatch.setattr(cfrac, "smallest_period", lambda expansion: 0)
+        with pytest.raises(ConsistencyError, match=r"^block length 6 is not the smallest period "
+                                                   r"of 211112211112211112, the expansion of "
+                                                   r"'RLLLRR'$"):
+            period_structure("RLLLRR")
+
     def test_l_ending_words_rejected(self):
         with pytest.raises(DomainError):
             period_structure("RLL")
@@ -351,6 +417,13 @@ class TestPeriodStructure:
                 assert set(expansion) == {"2"}
 
 
+def period_by_definition(word: str) -> int:
+    """The least p > 0 with word[i] == word[i + p] wherever both exist."""
+    k = len(word)
+    return next((p for p in range(1, k + 1)
+                 if all(word[i] == word[i + p] for i in range(k - p))), k)
+
+
 class TestSmallPeriods:
     def test_second_periods_are_multiples_of_smallest(self):
         # any second period p' with p + p' within the length is a multiple of
@@ -364,20 +437,25 @@ class TestSmallPeriods:
                     assert q % p == 0
 
     def test_matches_the_definition_up_to_length_twelve(self):
-        # the least p > 0 with word[i] == word[i + p] wherever both exist,
-        # against the slice comparison, on all 8,191 words over {1, 2}
-        def by_definition(word):
-            k = len(word)
-            return next((p for p in range(1, k + 1)
-                         if all(word[i] == word[i + p] for i in range(k - p))), k)
-
+        # against the definition on all 8,191 words over {1, 2}
         words = [""]
         for length in range(1, 13):
             words += [format(n, f"0{length}b").translate({48: "1", 49: "2"})
                       for n in range(1 << length)]
         assert len(words) == 8191
         for word in words:
-            assert smallest_period(word) == by_definition(word), word
+            assert smallest_period(word) == period_by_definition(word), word
+
+    def test_matches_the_definition_on_long_words(self):
+        # 3,000 words of up to 160 letters: a block repeated, cut short, one letter changed
+        rng = random.Random(17)
+        for _ in range(3000):
+            block = "".join(rng.choice("12") for _ in range(rng.randint(1, 40)))
+            word = (block * rng.randint(1, 6))[:rng.randint(0, 160)]
+            if word and rng.random() < 0.3:
+                i = rng.randrange(len(word))
+                word = word[:i] + rng.choice("12") + word[i + 1:]
+            assert smallest_period(word) == period_by_definition(word), word
 
 
 class TestCantor:

@@ -41,6 +41,9 @@ An LR word is a spelling of a dyadic address, so the slope it names takes
 one walk, on every call, since no walk is kept.  The walk steps once per
 level of an alternating word, and jumps each run of equal letters in one
 step, whose matrix power takes one product per bit of the run's length.
+An expansion or a period block is joined from the parents' expansions
+along the address, with no walk; a record handed in for its expansion
+takes one walk, which checks its bundle.
 """
 
 import json
@@ -370,15 +373,30 @@ def test_one_run_of_order_512_is_a_few_products():
 
 @pytest.mark.parametrize("call, walks", [
     (lambda: cfrac.cantor_approx("LRLRLR", 6), 1),
-    (lambda: cfrac.period_structure("RLLRR"), 2),
+    (lambda: cfrac.period_structure("RLLRR"), 0),
 ], ids=["cantor_approx", "period_structure"])
 def test_parents_come_from_the_walk_to_the_slope(monkeypatch, call, walks):
-    """A slope and its parents take one walk: ``parents`` is a view of it."""
+    """A slope and its parents take one walk: ``parents`` is a view of it.
+
+    A period block takes none: the parent rule reads the word's letters.
+    """
     calls = []
     walk = exceptional._walk
     monkeypatch.setattr(exceptional, "_walk", lambda *args: calls.append(args) or walk(*args))
     call()
     assert len(calls) == walks
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["rational", "record"])
+def test_an_expansion_walks_a_record_once_and_a_rational_never(monkeypatch, record):
+    """A rational's lookup is trusted; a record handed in is checked by one walk of its address."""
+    slope = exceptional.from_slope_value(Fraction(75, 194)) if record else Fraction(75, 194)
+    calls = []
+    walk = exceptional._walk
+    monkeypatch.setattr(exceptional, "_walk", lambda *args: calls.append(args) or walk(*args))
+    assert cfrac.even_expansion(slope) == "21122112"
+    assert cfrac.odd_expansion(slope) == "211221111"
+    assert len(calls) == 2 * record
 
 
 MU0_PLUS_ORDER_FOUR = cone.intersection_slope_zero(ORDER_FOUR)
@@ -459,8 +477,8 @@ def test_a_rational_is_looked_up_without_a_descent(monkeypatch, capsys):
 
 # What one toolkit call builds: a public function that returns a slope builds
 # that slope and its address, and nothing else; one that returns numbers or
-# words reads the walk's integers and builds no slope.  The addresses counted
-# are the ones the call makes, not the one handed in.
+# words reads the walk's integers, or the word, and builds no slope.  The
+# addresses counted are the ones the call makes, not the one handed in.
 D = exceptional.DyadicRational(1117, 11)
 TOOLKIT = pytest.mark.parametrize("call, slopes, addresses", [
     (lambda: exceptional.from_dyadic(D), 1, 0),
@@ -471,7 +489,7 @@ TOOLKIT = pytest.mark.parametrize("call, slopes, addresses", [
      1, 1),
     (lambda: exceptional.find_interval(MU0_PLUS_ORDER_FOUR), 1, 1),
     (lambda: cfrac.cantor_approx("LRLRLR", 6), 0, 1),
-    (lambda: cfrac.period_structure("RLLLRR"), 0, 2),
+    (lambda: cfrac.period_structure("RLLLRR"), 0, 0),
     (lambda: cfrac.even_expansion(Fraction(75, 194)), 1, 1),
     (lambda: exceptional.slope_and_parents(D), 3, 2),
 ], ids=["from_dyadic", "epsilon", "interval", "lr_to_slope", "cold_delta_curve",

@@ -14,11 +14,9 @@ from .cfrac import (
 )
 from .chern import (
     ChernCharacter,
-    HalfPlane,
     SlopeDisc,
     euler_chi_pair,
     euler_pairing,
-    half_plane,
     hilbert_poly,
     line_bundle,
     moduli_dimension,
@@ -65,9 +63,7 @@ from .exceptional import (
 )
 from .qarith import (
     QuadraticNumber,
-    format_rational,
     parse_rational,
-    qn_compare_cross,
     sqrt_exact,
 )
 

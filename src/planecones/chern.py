@@ -19,14 +19,13 @@ lattice basis, so an integral character never builds a ``Fraction``:
 
 The Chern-character view ``(ch0, ch1, ch2)`` and, for positive rank, the
 ``(r, mu, delta)`` view with slope ``mu = c1/r`` are read off as ``Fraction``
-values; ``ChernCharacter(ch0, ch1, ch2)``, ``of`` and ``from_rmd`` take them.
+values; ``ChernCharacter(ch0, ch1, ch2)`` and ``from_rmd`` take them.
 A quotient of lattice fields is always taken as ``Fraction(a, b)``, never
 ``a / b``, which is a float for two ints.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, RankZeroError
@@ -77,10 +76,6 @@ class ChernCharacter(Record):
                         _integral(ch0 + Fraction(3, 2) * ch1 + ch2))
 
     @staticmethod
-    def of(ch0: RationalLike, ch1: RationalLike, ch2: RationalLike) -> "ChernCharacter":
-        return ChernCharacter(ch0, ch1, ch2)
-
-    @staticmethod
     def from_rmd(r: RationalLike, mu: RationalLike, delta: RationalLike) -> "ChernCharacter":
         """Character with the given rank, slope and discriminant (rank nonzero)."""
         r, mu, delta = Fraction(r), Fraction(mu), Fraction(delta)
@@ -120,9 +115,6 @@ class ChernCharacter(Record):
 
     def slope_disc(self) -> SlopeDisc:
         return SlopeDisc(self.slope(), self.discriminant())
-
-    def euler_chi(self) -> Fraction:
-        return Fraction(self.chi)
 
     # -- K-theory operations ---------------------------------------------
 
@@ -201,31 +193,6 @@ def euler_pairing(x: ChernCharacter, z: ChernCharacter):
 def euler_chi_pair(x: ChernCharacter, z: ChernCharacter):
     """Sheaf-pair Euler characteristic chi(X, Z) = chi(X^v tensor Z)."""
     return euler_pairing(x.dual(), z)
-
-
-class HalfPlane(Enum):
-    PRIMARY = "PRIMARY"
-    SECONDARY = "SECONDARY"
-    ON_BOUNDARY = "ON_BOUNDARY"
-
-
-# Bound once: on Python 3.11 ``HalfPlane.PRIMARY`` is looked up through
-# ``EnumType.__getattr__``, about ten times the cost of a module global.
-_PRIMARY, _SECONDARY, _ON_BOUNDARY = HalfPlane.PRIMARY, HalfPlane.SECONDARY, HalfPlane.ON_BOUNDARY
-
-
-def half_plane(x: ChernCharacter, z: ChernCharacter) -> HalfPlane:
-    """Which half of the orthogonal plane of ``x`` the class ``z`` lies in.
-
-    The rank-zero line splits the plane; positive rank is the primary side.
-    """
-    if euler_pairing(x, z) != 0:
-        raise DomainError("class is not orthogonal to the character")
-    if z.r > 0:
-        return _PRIMARY
-    if z.r < 0:
-        return _SECONDARY
-    return _ON_BOUNDARY
 
 
 def moduli_dimension(x: ChernCharacter) -> int:

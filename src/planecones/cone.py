@@ -785,7 +785,7 @@ def _primary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
     ray = orthogonal_character(inv, multiplier, max_order)
     if euler_pairing(x, ray) != 0:
         raise ConsistencyError("primary ray is not orthogonal to the input")
-    # an orthogonal class's half-plane is its rank's sign (``chern.half_plane``)
+    # the rank-zero line splits the orthogonal plane; positive rank is the primary half
     if ray.r <= 0:
         raise ConsistencyError("primary ray fell outside the primary half-plane")
     if inv.case_sign is _POSITIVE:  # orthogonal also to E_{-gamma}
@@ -863,7 +863,7 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
     if ray is not None:
         if euler_pairing(x, ray) != 0:
             raise ConsistencyError("secondary ray is not orthogonal to the input")
-        # an orthogonal class's half-plane is its rank's sign (``chern.half_plane``)
+        # the rank-zero line splits the orthogonal plane; negative rank is the secondary half
         if ray.r >= 0:
             raise ConsistencyError("secondary ray fell outside the secondary half-plane")
     note = None

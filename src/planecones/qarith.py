@@ -1,14 +1,14 @@
 """Exact arithmetic: arbitrary-precision rationals and real quadratic irrationals.
 
 Rationals are plain :class:`fractions.Fraction` values (always reduced,
-positive denominator).  :class:`QuadraticNumber` represents ``a + b*sqrt(d)``
-exactly and stores it as integers ``(A + B*sqrt(d))/D``, so each operator is
-one integer formula and nothing is cleared again.  Every sign and comparison
-is decided exactly, never by floating point: interval-membership tests
-downstream branch on these comparisons, and a wrong branch silently corrupts
-entire reports.  Every sign, comparison and floor reads that integer form,
-:func:`integer_form`, which a rational gives as ``(p, 0, 0, q)``.  The sign of
-``A + B*sqrt(d)`` takes at most one exact integer squaring
+positive denominator).  :class:`QuadraticNumber` represents
+``a + b*sqrt(d)`` exactly and stores it as integers ``(A + B*sqrt(d))/D``;
+it has no arithmetic operators.  Every sign and comparison is decided
+exactly, never by floating point: interval-membership tests downstream
+branch on these comparisons, and a wrong branch silently corrupts entire
+reports.  Every sign, comparison and floor reads that integer form,
+:func:`integer_form`, which a rational gives as ``(p, 0, 0, q)``.  The sign
+of ``A + B*sqrt(d)`` takes at most one exact integer squaring
 ``A*A - B*B*d``; a comparison across two radicands is the sign of
 ``A + B*sqrt(m) + C*sqrt(n)``, which takes at most two, with no ``Fraction``
 products.  Radicands lose their small square factors by a gcd chain that
@@ -171,13 +171,6 @@ def integer_form(x) -> tuple[int, int, int, int]:
     raise TypeError(f"cannot interpret {x!r} as a quadratic number")
 
 
-def _common_radicand(d: int, n: int, verb: str) -> int:
-    """The radicand shared by two integer forms; 0 means both are rational."""
-    if d and n and d != n:
-        raise DomainError(f"cannot {verb} quadratic numbers from different fields")
-    return d or n
-
-
 def floor_of_form(A: int, B: int, d: int, D: int) -> int:
     """Largest integer ``n <= (A + B*sqrt(d))/D`` for an :func:`integer_form`.
 
@@ -204,7 +197,7 @@ class QuadraticNumber:
     the square factors of ``d`` into ``b`` and ``d in {0, 1}`` into the
     rational part; ``a`` and ``b`` read back as :class:`Fraction` values.
     Every stored ``d`` is a fixed point of :func:`squarefree_decompose`, so
-    each operator is one integer formula that reuses its operands' radicand.
+    a closed form built from stored forms (by :meth:`_from_form`) reuses it.
     Instances are immutable (a cache may share one), totally ordered,
     exactly across radicands, and hash as equal values do.
     """
@@ -315,49 +308,6 @@ class QuadraticNumber:
         hi = Fraction(A * scale + B * (s + 1), D * scale)
         return (lo, hi) if B > 0 else (hi, lo)
 
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other) -> "QuadraticNumber":
-        A, B, d, D = self.A, self.B, self.d, self.D
-        C, E, n, F = integer_form(other)
-        d = _common_radicand(d, n, "add")
-        return QuadraticNumber._from_form(A * F + C * D, B * F + E * D, d, D * F)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QuadraticNumber":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "QuadraticNumber":
-        return _coerce(other) + (-self)
-
-    def __neg__(self) -> "QuadraticNumber":
-        return QuadraticNumber._from_form(-self.A, -self.B, self.d, self.D)
-
-    def __abs__(self) -> "QuadraticNumber":
-        return -self if self.sign() < 0 else self
-
-    def __mul__(self, other) -> "QuadraticNumber":
-        A, B, d, D = self.A, self.B, self.d, self.D
-        C, E, n, F = integer_form(other)
-        d = _common_radicand(d, n, "multiply")
-        return QuadraticNumber._from_form(A * C + B * E * d, A * E + B * C, d, D * F)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "QuadraticNumber":
-        """Times the conjugate over the norm, which is 0 only for a zero divisor."""
-        A, B, d, D = self.A, self.B, self.d, self.D
-        C, E, n, F = integer_form(other)
-        d = _common_radicand(d, n, "divide")
-        norm = C * C - E * E * d
-        if norm == 0:
-            raise DomainError("division by zero")
-        return QuadraticNumber._from_form(F * (A * C - B * E * d), F * (B * C - A * E), d, D * norm)
-
-    def __rtruediv__(self, other) -> "QuadraticNumber":
-        return _coerce(other) / self
-
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -414,12 +364,6 @@ def _check_digits(digits: int) -> None:
         raise DomainError(f"digit count must be nonnegative, got {digits}")
 
 
-def _coerce(x) -> QuadraticNumber:
-    if isinstance(x, QuadraticNumber):
-        return x
-    return QuadraticNumber._from_form(*integer_form(x))
-
-
 def sqrt_exact(x: RationalLike) -> QuadraticNumber:
     """Exact square root of a nonnegative rational.
 
@@ -450,11 +394,6 @@ def sqrt_ratio(p: int, q: int) -> QuadraticNumber:
     return QuadraticNumber._from_form(0, s, d, q)
 
 
-def qn_compare_cross(x, y) -> int:
-    """Exact ordering of two quadratic numbers from possibly different fields."""
-    return _coerce(x).compare(y)
-
-
 def ratio_str(n: int, d: int) -> str:
     """``str(Fraction(n, d))`` for ints ``n`` and ``d != 0``: one ``gcd``, no ``Fraction``."""
     g = math.gcd(n, d)
@@ -465,11 +404,6 @@ def ratio_str(n: int, d: int) -> str:
     if g != 1:
         n, d = n // g, d // g
     return str(n) if d == 1 else f"{n}/{d}"
-
-
-def format_rational(x: RationalLike) -> str:
-    """Render ``p/q`` (or plain ``p`` when the denominator is 1)."""
-    return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
 # Python's limit on the digits of an int read or written as text; 0 is none,

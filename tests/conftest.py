@@ -6,9 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from planecones import CaseSign, Kind, classify, exceptional, qarith
-from planecones.cfrac import (
-    PeriodStructure, _flip, _validated, lr_to_slope, smallest_period, word_to_dyadic,
-)
+from planecones.cfrac import PeriodStructure, lr_to_slope, word_to_dyadic
 from planecones.cone import Classification
 from planecones.chern import (
     ChernCharacter, SlopeDisc, character_from_json, euler_pairing, hilbert_poly,
@@ -28,8 +26,7 @@ from planecones.exceptional import (
     slope_and_parents,
 )
 from planecones.qarith import (
-    TRIAL_DIVISION_BOUND, QuadraticNumber, int_digit_limit, integer_form, qn_compare_cross,
-    sqrt_exact,
+    TRIAL_DIVISION_BOUND, QuadraticNumber, int_digit_limit, integer_form, sqrt_exact,
 )
 from planecones.record import Record
 
@@ -120,17 +117,23 @@ def trial_division_decompose(n: int) -> tuple[int, int]:
     return s, d
 
 
-def fraction_sqrt(x) -> QuadraticNumber:
-    """The ``Fraction`` square root, as ``sqrt_exact`` took it before ``sqrt_ratio``.
+def fraction_sqrt(x) -> tuple[int, int, int, int]:
+    """The integer form ``(A, B, d, D)`` of the ``Fraction`` square root.
 
     The oracle for ``sqrt_ratio``: ``x`` is reduced by ``Fraction`` and
-    ``p*q`` of its lowest terms is factored by trial division.
+    ``p*q`` of its lowest terms is factored by trial division.  A square
+    ``p*q`` is the rational ``s/q``; otherwise the root is ``(s/q)*sqrt(d)``
+    with ``s/q`` in lowest terms.
     """
     x = Fraction(x)
     if x < 0:
         raise DomainError("square root of a negative rational")
     s, d = trial_division_decompose(x.numerator * x.denominator)
-    return QuadraticNumber._from_form(0, s, d, x.denominator)
+    root = Fraction(s, x.denominator)
+    if d <= 1:
+        root *= d
+        return root.numerator, 0, 0, root.denominator
+    return 0, root.numerator, d, root.denominator
 
 
 def least_prime_factor(n: int) -> int:
@@ -252,7 +255,16 @@ class FractionQuadratic:
 
     @staticmethod
     def of(x):
-        return x if isinstance(x, FractionQuadratic) else FractionQuadratic(x)
+        """``x`` as a ``FractionQuadratic``; a ``QuadraticNumber`` by its coefficients."""
+        if isinstance(x, FractionQuadratic):
+            return x
+        if isinstance(x, QuadraticNumber):
+            return FractionQuadratic(x.a, x.b, x.d)
+        return FractionQuadratic(x)
+
+    def number(self) -> QuadraticNumber:
+        """The same value by the public ``QuadraticNumber`` constructor."""
+        return QuadraticNumber(self.a, self.b, self.d)
 
     def sign(self) -> int:
         return _fraction_one_radical_sign(self.a, self.b, self.d)
@@ -473,7 +485,7 @@ def reference_find_interval(x, max_order: int = DEFAULT_MAX_ORDER):
         child = from_dyadic(DyadicRational(2 * p + 1, q + 1))
         if interval_contains(child, x, closed=True):
             return child
-        if qn_compare_cross(x, QuadraticNumber(child.slope)) < 0:
+        if x.compare(child.slope) < 0:
             p, q = 2 * p, q + 1
         else:
             p, q = 2 * p + 1, q + 1
@@ -512,11 +524,23 @@ def boundary_classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> 
         Kind.INVALID, ("discriminant below the boundary curve and not an exceptional multiple",))
 
 
+def moved(q: QuadraticNumber, k) -> QuadraticNumber:
+    """``q + k`` for a rational ``k``, by the public constructor."""
+    return QuadraticNumber(q.a + k, q.b, q.d)
+
+
+def negated(q: QuadraticNumber) -> QuadraticNumber:
+    """``-q``, by the public constructor."""
+    return QuadraticNumber(-q.a, -q.b, q.d)
+
+
 def delta_curve_at(x: QuadraticNumber) -> QuadraticNumber:
-    """Boundary value at a quadratic point, computed symbolically."""
+    """Boundary value ``P(-|x - a|) - delta_a`` at a quadratic point, over ``Fraction``s."""
     a = find_interval(x)
-    u = -abs(x - QuadraticNumber(a.slope))
-    return (u * u + 3 * u + 2) / 2 - a.discriminant
+    u = FractionQuadratic.of(x) - a.slope
+    if u.sign() > 0:
+        u = -u
+    return ((u * u + 3 * u + 2) / 2 - a.discriminant).number()
 
 
 def fraction_qn_str(q: QuadraticNumber) -> str:
@@ -551,8 +575,8 @@ def quadratic_interval(s) -> tuple[QuadraticNumber, QuadraticNumber]:
 
     The oracle for the integer forms of ``interval()`` and of the cached halfwidth.
     """
-    w = (QuadraticNumber(3) - sqrt_exact(5 + 8 * s.discriminant)) / 2
-    return QuadraticNumber(s.slope) - w, QuadraticNumber(s.slope) + w
+    w = (3 - FractionQuadratic.of(sqrt_exact(5 + 8 * s.discriminant))) / 2
+    return (s.slope - w).number(), (s.slope + w).number()
 
 
 def fraction_arc_value(a: ExceptionalSlope, mu) -> Fraction:
@@ -613,9 +637,8 @@ def euclid_expansion(c1: int, r: int, odd: bool) -> str:
                                        "fraction quotient above 2: no exceptional slope")
             digits.append(2)
         m, n = n, m
-    if len(digits) % 2 != odd:
-        _flip(digits)
-    return "".join(map(str, digits))
+    word = "".join(map(str, digits))
+    return charwise_parity_convert(word) if len(digits) % 2 != odd else word
 
 
 def charwise_parity_convert(word: str) -> str:
@@ -654,6 +677,22 @@ def charwise_even_expansion(slope) -> str:
     return charwise_parity_convert(word) if len(word) % 2 else word
 
 
+def period_by_definition(word: str) -> int:
+    """The least p > 0 with word[i] == word[i + p] wherever both exist."""
+    k = len(word)
+    return next((p for p in range(1, k + 1)
+                 if all(word[i] == word[i + p] for i in range(k - p))), k)
+
+
+def _rebuilt(word: str, result: PeriodStructure, expansion: str) -> PeriodStructure:
+    """``result``, once its block, exponent and tail spell ``expansion`` again."""
+    rebuilt = result.block * result.exponent + result.tail
+    if rebuilt != expansion:
+        raise ConsistencyError(f"period decomposition {result} of {word!r} rebuilds "
+                               f"{rebuilt!r}, expected {expansion!r}")
+    return result
+
+
 def charwise_period_structure(word: str) -> PeriodStructure:
     """``period_structure`` over the character-wise expansions and a ``Fraction`` test of beta.
 
@@ -665,18 +704,18 @@ def charwise_period_structure(word: str) -> PeriodStructure:
     if word.endswith("L"):
         if set(expansion) != {"2"}:
             raise DomainError("period decomposition needs a word ending in R")
-        return _validated(word, PeriodStructure("2", len(expansion), "", True), expansion)
+        return _rebuilt(word, PeriodStructure("2", len(expansion), "", True), expansion)
     n = len(word) - len(word.rstrip("R"))
     head = word[:-n]
     if not head or not head.endswith("L"):
         raise DomainError("period decomposition needs a word of shape head+L+R^n")
     alpha, beta, _ = slope_and_parents(word_to_dyadic(head[:-1]))
     if beta.slope == Fraction(1, 2):
-        return _validated(word, PeriodStructure("2", len(expansion), "", True), expansion)
+        return _rebuilt(word, PeriodStructure("2", len(expansion), "", True), expansion)
     block = charwise_parity_convert(charwise_even_expansion(beta)) + "2"
     tail = charwise_even_expansion(alpha)
-    result = _validated(word, PeriodStructure(block, n + 1, tail, False), expansion)
-    if smallest_period(expansion) != len(block):
+    result = _rebuilt(word, PeriodStructure(block, n + 1, tail, False), expansion)
+    if period_by_definition(expansion) != len(block):
         raise ConsistencyError(f"block length {len(block)} is not the smallest period of "
                                f"{expansion}, the expansion of {word!r}")
     return result

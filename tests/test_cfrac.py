@@ -35,7 +35,6 @@ from planecones.exceptional import (
     interval_contains,
     slope_and_parents,
 )
-from planecones.qarith import QuadraticNumber, qn_compare_cross
 
 from conftest import (
     charwise_cantor_approx,
@@ -43,6 +42,7 @@ from conftest import (
     charwise_parity_convert,
     charwise_period_structure,
     euclid_expansion,
+    period_by_definition,
     slope_dot,
     stepwise_walk,
 )
@@ -417,13 +417,6 @@ class TestPeriodStructure:
                 assert set(expansion) == {"2"}
 
 
-def period_by_definition(word: str) -> int:
-    """The least p > 0 with word[i] == word[i + p] wherever both exist."""
-    k = len(word)
-    return next((p for p in range(1, k + 1)
-                 if all(word[i] == word[i + p] for i in range(k - p))), k)
-
-
 class TestSmallPeriods:
     def test_second_periods_are_multiples_of_smallest(self):
         # any second period p' with p + p' within the length is a multiple of
@@ -461,11 +454,11 @@ class TestSmallPeriods:
 class TestCantor:
     def test_right_run_brackets_left_endpoint_of_one(self):
         # constant-R words converge to the left endpoint of the interval at 1
-        target = QuadraticNumber(1) - from_integer(1).interval_halfwidth()
+        target, _ = from_integer(1).interval()
         for k in range(1, 9):
             lo, hi = cantor_approx("R" * k, k)
-            assert qn_compare_cross(QuadraticNumber(lo), target) < 0
-            assert qn_compare_cross(QuadraticNumber(hi), target) >= 0
+            assert target.compare(lo) > 0
+            assert target.compare(hi) <= 0
 
     def test_prefix_rl_brackets_gap_near_two_fifths(self):
         lo, hi = cantor_approx("RL", 2)
@@ -473,8 +466,8 @@ class TestCantor:
         gap = from_slope_value(F(2, 5))
         left, right = gap.interval()
         # the bracketed complement component straddles the whole interval at 2/5
-        assert qn_compare_cross(QuadraticNumber(lo), left) < 0
-        assert qn_compare_cross(QuadraticNumber(hi), right) > 0
+        assert left.compare(lo) > 0
+        assert right.compare(hi) < 0
 
     def test_nested_enclosures_random(self):
         rng = random.Random(9)

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from planecones.chern import (
     ChernCharacter,
-    HalfPlane,
     character_from_json,
     character_to_json,
     euler_chi_pair,
     euler_pairing,
-    half_plane,
     hilbert_poly,
     line_bundle,
     moduli_dimension,
@@ -31,7 +29,7 @@ positive_rank = st.builds(
     rationals,
 )
 
-GOLDEN = ChernCharacter.of(3, 2, -5)
+GOLDEN = ChernCharacter(3, 2, -5)
 
 
 class TestHilbertPoly:
@@ -47,7 +45,7 @@ class TestHilbertPoly:
 
 class TestSlopeDisc:
     def test_structure_sheaf(self):
-        sd = ChernCharacter.of(1, 0, 0).slope_disc()
+        sd = ChernCharacter(1, 0, 0).slope_disc()
         assert (sd.mu, sd.delta) == (0, 0)
 
     def test_golden(self):
@@ -55,21 +53,21 @@ class TestSlopeDisc:
         assert (sd.mu, sd.delta) == (Fraction(2, 3), Fraction(17, 9))
 
     def test_rank_two(self):
-        sd = ChernCharacter.of(2, 0, -11).slope_disc()
+        sd = ChernCharacter(2, 0, -11).slope_disc()
         assert (sd.mu, sd.delta) == (0, Fraction(11, 2))
 
     def test_rank_zero_raises(self):
         with pytest.raises(RankZeroError):
-            ChernCharacter.of(0, 3, 1).slope()
+            ChernCharacter(0, 3, 1).slope()
         with pytest.raises(RankZeroError, match="discriminant of a rank-zero character"):
-            ChernCharacter.of(0, 3, 1).discriminant()
+            ChernCharacter(0, 3, 1).discriminant()
         with pytest.raises(DomainError, match="natural classes need positive rank"):
-            natural_classes(ChernCharacter.of(0, 3, 1))
+            natural_classes(ChernCharacter(0, 3, 1))
 
     def test_from_rmd_examples(self):
-        assert ChernCharacter.from_rmd(1, 0, 4) == ChernCharacter.of(1, 0, -4)
+        assert ChernCharacter.from_rmd(1, 0, 4) == ChernCharacter(1, 0, -4)
         assert ChernCharacter.from_rmd(3, Fraction(2, 3), Fraction(17, 9)) == GOLDEN
-        assert ChernCharacter.from_rmd(2, 0, Fraction(11, 2)) == ChernCharacter.of(2, 0, -11)
+        assert ChernCharacter.from_rmd(2, 0, Fraction(11, 2)) == ChernCharacter(2, 0, -11)
         with pytest.raises(DomainError):
             ChernCharacter.from_rmd(0, 1, 1)
 
@@ -81,14 +79,14 @@ class TestSlopeDisc:
 
 class TestEulerChi:
     def test_examples(self):
-        assert ChernCharacter.of(1, 0, 0).euler_chi() == 1
-        assert GOLDEN.euler_chi() == 1
-        assert ChernCharacter.of(2, 0, -11).euler_chi() == -9
+        assert ChernCharacter(1, 0, 0).chi == 1
+        assert GOLDEN.chi == 1
+        assert ChernCharacter(2, 0, -11).chi == -9
 
     @given(positive_rank)
     def test_todd_form_matches_riemann_roch(self, x):
         sd = x.slope_disc()
-        assert x.euler_chi() == x.ch0 * (hilbert_poly(sd.mu) - sd.delta)
+        assert x.chi == x.ch0 * (hilbert_poly(sd.mu) - sd.delta)
 
 
 class TestTensorDual:
@@ -100,7 +98,7 @@ class TestTensorDual:
 
     def test_slope_discriminant_additive(self):
         prod = GOLDEN.tensor(line_bundle(-1))
-        assert prod == ChernCharacter.of(3, -1, Fraction(-11, 2))
+        assert prod == ChernCharacter(3, -1, Fraction(-11, 2))
         assert prod.slope() == Fraction(-1, 3)
         assert prod.discriminant() == Fraction(17, 9)
 
@@ -111,19 +109,19 @@ class TestTensorDual:
         assert prod.discriminant() == x.discriminant() + y.discriminant()
 
     def test_dual_examples(self):
-        assert ChernCharacter.of(1, 0, 0).dual() == ChernCharacter.of(1, 0, 0)
-        assert GOLDEN.dual() == ChernCharacter.of(3, -2, -5)
+        assert ChernCharacter(1, 0, 0).dual() == ChernCharacter(1, 0, 0)
+        assert GOLDEN.dual() == ChernCharacter(3, -2, -5)
 
     @given(characters)
     def test_dual_involution(self, x):
         assert x.dual().dual() == x
 
     def test_serre_dual_examples(self):
-        assert ChernCharacter.of(1, 0, 0).serre_dual() == ChernCharacter.of(
+        assert ChernCharacter(1, 0, 0).serre_dual() == ChernCharacter(
             1, -3, Fraction(9, 2)
         )
         sd = GOLDEN.serre_dual()
-        assert sd == ChernCharacter.of(3, -11, Fraction(29, 2))
+        assert sd == ChernCharacter(3, -11, Fraction(29, 2))
         assert sd.slope() == Fraction(-11, 3)
         assert sd.discriminant() == Fraction(17, 9)
 
@@ -140,9 +138,9 @@ class TestTensorDual:
 
 class TestEulerPairing:
     def test_examples(self):
-        o = ChernCharacter.of(1, 0, 0)
+        o = ChernCharacter(1, 0, 0)
         assert euler_pairing(o, o) == 1
-        assert euler_pairing(ChernCharacter.of(2, 0, -11), ChernCharacter.of(1, 2, 2)) == 1
+        assert euler_pairing(ChernCharacter(2, 0, -11), ChernCharacter(1, 2, 2)) == 1
         assert euler_pairing(GOLDEN, o) == 1
 
     @given(characters, characters)
@@ -183,36 +181,36 @@ class TestEulerPairing:
 class TestModuliDimension:
     def test_examples(self):
         assert moduli_dimension(GOLDEN) == 26
-        assert moduli_dimension(ChernCharacter.of(2, 0, -11)) == 41
+        assert moduli_dimension(ChernCharacter(2, 0, -11)) == 41
         for n in range(1, 8):
-            assert moduli_dimension(ChernCharacter.of(1, 0, -n)) == 2 * n
+            assert moduli_dimension(ChernCharacter(1, 0, -n)) == 2 * n
 
     def test_nonpositive_rank_rejected(self):
         with pytest.raises(DomainError):
-            moduli_dimension(ChernCharacter.of(0, 3, 0))
+            moduli_dimension(ChernCharacter(0, 3, 0))
 
     def test_non_integer_dimension_is_inconsistent(self):
         with pytest.raises(ConsistencyError):
-            moduli_dimension(ChernCharacter.of(1, 0, Fraction(1, 3)))
+            moduli_dimension(ChernCharacter(1, 0, Fraction(1, 3)))
 
 
 class TestNaturalClasses:
     def test_golden(self):
         z0, z1 = natural_classes(GOLDEN)
-        assert z0 == ChernCharacter.of(3, 0, -1)
-        assert z1 == ChernCharacter.of(0, 3, Fraction(-13, 2))
+        assert z0 == ChernCharacter(3, 0, -1)
+        assert z1 == ChernCharacter(0, 3, Fraction(-13, 2))
 
     def test_ideal_sheaves(self):
         for n in range(0, 5):
-            x = ChernCharacter.of(1, 0, -n)
+            x = ChernCharacter(1, 0, -n)
             z0, z1 = natural_classes(x)
-            assert z0 == ChernCharacter.of(1, 0, n - 1)
-            assert z1 == ChernCharacter.of(0, 1, Fraction(-3, 2))
+            assert z0 == ChernCharacter(1, 0, n - 1)
+            assert z1 == ChernCharacter(0, 1, Fraction(-3, 2))
 
     def test_orthogonality_random(self):
         rng = random.Random(7)
         for _ in range(100):
-            x = ChernCharacter.of(
+            x = ChernCharacter(
                 rng.randint(1, 6), rng.randint(-9, 9), Fraction(rng.randint(-40, 10), 2)
             )
             z0, z1 = natural_classes(x)
@@ -221,15 +219,13 @@ class TestNaturalClasses:
 
 
 class TestHalfPlane:
+    """The rank-zero line splits the orthogonal plane; positive rank is the primary half."""
+
     def test_examples(self):
         z0, z1 = natural_classes(GOLDEN)
-        assert half_plane(GOLDEN, z1) is HalfPlane.ON_BOUNDARY
-        assert half_plane(GOLDEN, z0) is HalfPlane.PRIMARY
-        assert half_plane(GOLDEN, -z0) is HalfPlane.SECONDARY
-
-    def test_non_orthogonal_rejected(self):
-        with pytest.raises(DomainError):
-            half_plane(GOLDEN, GOLDEN)
+        for z, side in ((z1, 0), (z0, 1), (-z0, -1)):
+            assert euler_pairing(GOLDEN, z) == 0
+            assert (z.r > 0) - (z.r < 0) == side
 
 
 class TestJson:
@@ -258,7 +254,7 @@ class TestJson:
         assert character_to_json(x) == fraction_character_to_json(x)
 
     def test_rank_zero_view(self):
-        x = ChernCharacter.of(0, 4, Fraction(-5))
+        x = ChernCharacter(0, 4, Fraction(-5))
         data = character_to_json(x)
         assert data["mu"] is None and data["delta"] is None
         assert character_from_json(data) == x

@@ -277,7 +277,8 @@ class TestSlopeCommand:
         data = json.loads(out)
         left = QuadraticNumber.parse(data["interval"]["left"])
         right = QuadraticNumber.parse(data["interval"]["right"])
-        assert (left + right) / 2 == F(2, 5)
+        # the ends are 2/5 -+ one halfwidth
+        assert (left.a + right.a) / 2 == F(2, 5) and (left.b, left.d) == (-right.b, right.d)
 
 
 class TestCfracCommand:

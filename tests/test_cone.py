@@ -5,11 +5,9 @@ import pytest
 
 from planecones.chern import (
     ChernCharacter,
-    HalfPlane,
     SlopeDisc,
     character_from_json,
     euler_pairing,
-    half_plane,
     hilbert_poly,
     moduli_dimension,
 )
@@ -34,7 +32,7 @@ from planecones.errors import ConsistencyError, DomainError
 from planecones.exceptional import (
     arc_value, delta_curve, enumerate_slopes, from_slope_value, interval_contains,
 )
-from planecones.qarith import QuadraticNumber, int_digit_limit, qn_compare_cross, sqrt_exact
+from planecones.qarith import QuadraticNumber, int_digit_limit, sqrt_exact
 
 from conftest import ORDER_FOUR, arc_below, ray_at, replace, triad_key
 
@@ -59,52 +57,51 @@ class TestClassify:
         x = ChernCharacter.from_rmd(1, 0, 1)
         cls = classify(x)
         assert cls.kind is Kind.HEIGHT_ZERO
-        assert x.euler_chi() == 0
+        assert x.chi == 0
 
     def test_rank_zero(self):
-        ok = ChernCharacter.of(0, 4, F(-5))
+        ok = ChernCharacter(0, 4, F(-5))
         assert classify(ok).kind is Kind.RANK_ZERO_PICARD_RANK_2
-        low = ChernCharacter.of(0, 2, F(-2))
+        low = ChernCharacter(0, 2, F(-2))
         cls = classify(low)
         assert cls.kind is Kind.INVALID
         assert any("d >= 3" in reason for reason in cls.reasons)
 
     def test_integrality_failures(self):
-        assert classify(ChernCharacter.of(F(1, 2), 0, -5)).kind is Kind.INVALID
-        assert classify(ChernCharacter.of(1, F(1, 2), -5)).kind is Kind.INVALID
-        assert classify(ChernCharacter.of(1, 0, F(1, 3))).kind is Kind.INVALID
+        assert classify(ChernCharacter(F(1, 2), 0, -5)).kind is Kind.INVALID
+        assert classify(ChernCharacter(1, F(1, 2), -5)).kind is Kind.INVALID
+        assert classify(ChernCharacter(1, 0, F(1, 3))).kind is Kind.INVALID
 
     def test_negative_rank_invalid(self):
-        assert classify(ChernCharacter.of(-2, 3, 0)).kind is Kind.INVALID
+        assert classify(ChernCharacter(-2, 3, 0)).kind is Kind.INVALID
 
     def test_below_curve_not_exceptional_invalid(self):
         # slope 1/2 but the wrong discriminant for the rank-2 bundle there
-        cls = classify(ChernCharacter.of(4, 2, 0))
+        cls = classify(ChernCharacter(4, 2, 0))
         assert cls.kind is Kind.INVALID
         # the actual rank-2 bundle at slope 1/2 is exceptional
-        assert classify(ChernCharacter.of(2, 1, F(-1, 2))).kind is Kind.EXCEPTIONAL
+        assert classify(ChernCharacter(2, 1, F(-1, 2))).kind is Kind.EXCEPTIONAL
 
 
 class TestIntersectionSlope:
     def test_golden(self):
         mu0 = intersection_slope_zero(GOLDEN)
-        expected = (QuadraticNumber(-13) + sqrt_exact(181)) / 6
-        assert qn_compare_cross(mu0, expected) == 0
+        assert mu0.compare(QuadraticNumber(F(-13, 6), F(1, 6), 181)) == 0
 
     def test_remark_is_rational(self):
         mu0 = intersection_slope_zero(REMARK)
         assert mu0.is_rational and mu0.rational_value() == 2
 
     def test_rank_zero_vertical_line(self):
-        x = ChernCharacter.of(0, 4, -5)
-        assert x.euler_chi() == 1
+        x = ChernCharacter(0, 4, -5)
+        assert x.chi == 1
         mu0 = intersection_slope_zero(x)
         assert mu0.rational_value() == F(-1, 4)
         assert corresponding_slope(x).slope == 0
 
     def test_gated_by_classification(self):
         with pytest.raises(DomainError):
-            intersection_slope_zero(ChernCharacter.of(1, 0, 0))
+            intersection_slope_zero(ChernCharacter(1, 0, 0))
 
 
 class TestCorrespondingSlope:
@@ -128,7 +125,7 @@ class TestOrthogonalInvariants:
         assert inv.on_delta_curve
 
     def test_negative_case(self):
-        assert euler_pairing(NEGATIVE_CASE, ChernCharacter.of(1, 0, 0)) == -1
+        assert euler_pairing(NEGATIVE_CASE, ChernCharacter(1, 0, 0)) == -1
         inv = orthogonal_invariants(NEGATIVE_CASE)
         assert inv.case_sign is CaseSign.NEGATIVE
         assert (inv.point.mu, inv.point.delta) == (F(4, 11), F(63, 121))
@@ -139,7 +136,7 @@ class TestOrthogonalInvariants:
         assert euler_pairing(arc, point) == 0
 
     def test_rank_zero_invariants(self):
-        x = ChernCharacter.of(0, 4, -5)
+        x = ChernCharacter(0, 4, -5)
         inv = orthogonal_invariants(x)
         assert inv.case_sign is CaseSign.POSITIVE
         assert inv.point.mu == F(-1, 4)
@@ -148,23 +145,23 @@ class TestOrthogonalInvariants:
         assert euler_pairing(x, ray) == 0
 
     def test_rank_zero_zero_case(self):
-        x = ChernCharacter.of(0, 3, F(-15, 2))
+        x = ChernCharacter(0, 3, F(-15, 2))
         inv = orthogonal_invariants(x)
         assert inv.case_sign is CaseSign.ZERO
         assert (inv.point.mu, inv.point.delta) == (1, 0)
         ray = orthogonal_character(inv)
-        assert ray == ChernCharacter.of(1, 1, F(1, 2))
+        assert ray == ChernCharacter(1, 1, F(1, 2))
         assert euler_pairing(x, ray) == 0
 
     def test_rank_zero_negative_case(self):
-        x = ChernCharacter.of(0, 3, F(-17, 2))
-        assert x.euler_chi() == -4
+        x = ChernCharacter(0, 3, F(-17, 2))
+        assert x.chi == -4
         inv = orthogonal_invariants(x)
         assert inv.case_sign is CaseSign.NEGATIVE
         assert inv.corresponding_slope.slope == 1
         assert (inv.point.mu, inv.point.delta) == (F(4, 3), F(5, 9))
         ray = orthogonal_character(inv)
-        assert ray == ChernCharacter.of(3, 4, 1)
+        assert ray == ChernCharacter(3, 4, 1)
         assert euler_pairing(x, ray) == 0
 
     def test_off_curve_flag_for_remark_family(self):
@@ -197,7 +194,7 @@ class TestOrthogonalCharacter:
     def test_golden_minimal_rank_one(self):
         inv = orthogonal_invariants(GOLDEN)
         ray = orthogonal_character(inv)
-        assert ray == ChernCharacter.of(1, 1, F(-5, 2))
+        assert ray == ChernCharacter(1, 1, F(-5, 2))
         assert euler_pairing(GOLDEN, ray) == 0
 
     def test_zero_case_returns_exceptional_character(self):
@@ -305,13 +302,13 @@ class TestResolution:
         e1 = ChernCharacter.from_rmd(1, -1, 0)
         e3 = ChernCharacter.from_rmd(1, -3, 0)
         rebuilt = e2.scale(-3) + e1.scale(7) + e3.scale(-1)
-        assert rebuilt == NEGATIVE_CASE == ChernCharacter.of(3, 2, -7)
+        assert rebuilt == NEGATIVE_CASE == ChernCharacter(3, 2, -7)
 
     def test_gating(self):
         with pytest.raises(DomainError):
-            resolution_multiplicities(ChernCharacter.of(0, 4, -5))
+            resolution_multiplicities(ChernCharacter(0, 4, -5))
         with pytest.raises(DomainError):
-            resolution_multiplicities(ChernCharacter.of(1, 0, 0))
+            resolution_multiplicities(ChernCharacter(1, 0, 0))
 
 
 class TestKronecker:
@@ -366,9 +363,9 @@ class TestSecondary:
         assert sec.mode is SecondaryMode.SERRE_DUAL
         assert (sec.invariants.mu, sec.invariants.delta) == (F(-22, 5), F(12, 25))
         assert sec.corresponding_slope.slope == F(-22, 5)
-        assert sec.extremal_character == ChernCharacter.of(-5, 22, -46)
+        assert sec.extremal_character == ChernCharacter(-5, 22, -46)
         assert euler_pairing(GOLDEN, sec.extremal_character) == 0
-        assert half_plane(GOLDEN, sec.extremal_character) is HalfPlane.SECONDARY
+        assert sec.extremal_character.r < 0  # the secondary half-plane
         dual = sec.dual_primary
         assert (dual.resolution.m1, dual.resolution.m2) == (1, 2)
         assert dual.kronecker.hom_count == 15
@@ -376,32 +373,32 @@ class TestSecondary:
     def test_rank_two_singular_locus(self):
         sec = secondary_edge(REMARK)
         assert sec.mode is SecondaryMode.RANK2_SINGULAR_LOCUS
-        assert sec.extremal_character == ChernCharacter.of(-2, 3, F(-27, 2))
+        assert sec.extremal_character == ChernCharacter(-2, 3, F(-27, 2))
         assert (sec.invariants.mu, sec.invariants.delta) == (F(-3, 2), F(-45, 8))
         assert euler_pairing(REMARK, sec.extremal_character) == 0
-        assert half_plane(REMARK, sec.extremal_character) is HalfPlane.SECONDARY
+        assert sec.extremal_character.r < 0
         combined = REMARK.tensor(sec.extremal_character)
         assert combined.ch1 / combined.ch0 == F(-3, 2)
 
     def test_rank_one_descriptor_only(self):
-        sec = secondary_edge(ChernCharacter.of(1, 0, -4))
+        sec = secondary_edge(ChernCharacter(1, 0, -4))
         assert sec.mode is SecondaryMode.RANK1_HILBERT_CHOW
         assert sec.extremal_character is None
         assert "Hilbert-Chow" in sec.descriptor
 
     def test_rank_zero_descriptor_only(self):
-        sec = secondary_edge(ChernCharacter.of(0, 4, -5))
+        sec = secondary_edge(ChernCharacter(0, 4, -5))
         assert sec.mode is SecondaryMode.RANK0_SUPPORT_MAP
         assert sec.extremal_character is None
         assert "support" in sec.descriptor
 
     @pytest.mark.parametrize("x", [
-        ChernCharacter.of(-2, 1, 3),
-        ChernCharacter.of(F(5, 2), 0, 0),
-        ChernCharacter.of(1, F(1, 2), 0),
-        ChernCharacter.of(1, 0, 0),
-        ChernCharacter.of(3, 0, 0),
-        ChernCharacter.of(0, 2, 1),
+        ChernCharacter(-2, 1, 3),
+        ChernCharacter(F(5, 2), 0, 0),
+        ChernCharacter(1, F(1, 2), 0),
+        ChernCharacter(1, 0, 0),
+        ChernCharacter(3, 0, 0),
+        ChernCharacter(0, 2, 1),
     ], ids=str)
     def test_no_edge_where_the_report_has_none(self, x):
         assert cone_report(x).secondary is None
@@ -414,13 +411,12 @@ class TestConeReport:
         rep = cone_report(GOLDEN)
         assert rep.dimension == 26
         assert rep.primary.invariants.point.mu == 1
-        assert rep.primary.extremal_character == ChernCharacter.of(1, 1, F(-5, 2))
+        assert rep.primary.extremal_character == ChernCharacter(1, 1, F(-5, 2))
         assert rep.primary.basis_coords == (F(1, 3), F(1, 3))
         assert rep.primary.movable_edge_coincides
         assert rep.secondary.mode is SecondaryMode.SERRE_DUAL
-        mu0_expected = (QuadraticNumber(-13) + sqrt_exact(181)) / 6
-        assert qn_compare_cross(rep.mu0_plus, mu0_expected) == 0
-        assert qn_compare_cross(rep.mu0_minus, (QuadraticNumber(-13) - sqrt_exact(181)) / 6) == 0
+        assert rep.mu0_plus.compare(QuadraticNumber(F(-13, 6), F(1, 6), 181)) == 0
+        assert rep.mu0_minus.compare(QuadraticNumber(F(-13, 6), F(-1, 6), 181)) == 0
 
     def test_zero_case_movable_edge_differs(self):
         rep = cone_report(GOLDEN_DUAL)
@@ -442,7 +438,7 @@ class TestConeReport:
         assert "point" in rep.note
 
     def test_invalid_report(self):
-        rep = cone_report(ChernCharacter.of(1, 0, F(1, 3)))
+        rep = cone_report(ChernCharacter(1, 0, F(1, 3)))
         assert rep.classification.kind is Kind.INVALID
         assert rep.primary is None
 
@@ -454,7 +450,7 @@ class TestConeReport:
         assert rep.secondary.mode is SecondaryMode.SERRE_DUAL
 
     def test_rank_zero_report(self):
-        rep = cone_report(ChernCharacter.of(0, 4, -5))
+        rep = cone_report(ChernCharacter(0, 4, -5))
         assert rep.classification.kind is Kind.RANK_ZERO_PICARD_RANK_2
         assert rep.dimension is None
         assert rep.primary.resolution is None and rep.primary.kronecker is None
@@ -482,17 +478,17 @@ class TestNonPrimitiveAndDualCases:
         assert (res.m1, res.m2, res.m3) == (8, 12, 2)
 
     def test_secondary_with_dual_positive_case(self):
-        x = ChernCharacter.of(3, -8, 5)
+        x = ChernCharacter(3, -8, 5)
         sec = secondary_edge(x)
         assert sec.mode is SecondaryMode.SERRE_DUAL
         assert sec.dual_primary.invariants.case_sign is CaseSign.POSITIVE
         assert euler_pairing(x, sec.extremal_character) == 0
-        assert half_plane(x, sec.extremal_character) is HalfPlane.SECONDARY
+        assert sec.extremal_character.r < 0
         assert sec.invariants.mu == -sec.dual_primary.invariants.point.mu
         assert sec.invariants.delta == sec.dual_primary.invariants.point.delta
 
     def test_pairing_is_bilinear(self):
-        a, b, z = GOLDEN, NEGATIVE_CASE, ChernCharacter.of(2, -3, F(7, 2))
+        a, b, z = GOLDEN, NEGATIVE_CASE, ChernCharacter(2, -3, F(7, 2))
         assert euler_pairing(a + b, z) == euler_pairing(a, z) + euler_pairing(b, z)
         assert euler_pairing(a.scale(5), z) == 5 * euler_pairing(a, z)
 
@@ -532,11 +528,11 @@ class TestGridSanity:
             inv = rep.primary.invariants
             ray = rep.primary.extremal_character
             assert euler_pairing(x, ray) == 0
-            assert half_plane(x, ray) is HalfPlane.PRIMARY
+            assert ray.r > 0  # the primary half-plane
             assert rep.dimension >= 2
             if inv.case_sign is CaseSign.POSITIVE:
                 left, _ = inv.corresponding_slope.interval()
-                assert qn_compare_cross(QuadraticNumber(inv.point.mu), left) > 0
+                assert left.compare(inv.point.mu) < 0
 
 
 def _planecones_caches() -> list:
@@ -811,7 +807,7 @@ class TestChecksFireOnCorruptedInput:
             self._primary(GOLDEN, replace(side, invariants=invariants))
 
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda ray: ray + ChernCharacter.of(1, 0, 0), "^secondary ray is not orthogonal"),
+        (lambda ray: ray + ChernCharacter(1, 0, 0), "^secondary ray is not orthogonal"),
         (lambda ray: -ray, "^secondary ray fell outside the secondary half-plane"),
     ], ids=["orthogonality", "half_plane"])
     def test_secondary_ray(self, monkeypatch, corrupt, message):

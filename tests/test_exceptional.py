@@ -26,7 +26,7 @@ from planecones.exceptional import (
     slope_and_parents,
 )
 from planecones.qarith import (
-    QuadraticNumber, _sign_int_radical, integer_form, qn_compare_cross, sqrt_exact,
+    QuadraticNumber, _sign_int_radical, integer_form, sqrt_exact,
 )
 
 from conftest import (
@@ -38,6 +38,8 @@ from conftest import (
     fraction_arc_value,
     fraction_character,
     fraction_walk,
+    moved,
+    negated,
     quadratic_interval,
     reference_find_interval,
     replace,
@@ -353,15 +355,15 @@ class TestParents:
 class TestIntervals:
     def test_halfwidth_integers(self):
         x0 = from_integer(0).interval_halfwidth()
-        assert qn_compare_cross(x0, (QuadraticNumber(3) - sqrt_exact(5)) / 2) == 0
+        assert x0.compare(QuadraticNumber(F(3, 2), F(-1, 2), 5)) == 0
 
     def test_halfwidth_half(self):
         xh = from_dyadic(dy(1, 1)).interval_halfwidth()
-        assert qn_compare_cross(xh, (QuadraticNumber(3) - sqrt_exact(8)) / 2) == 0
+        assert xh.compare(QuadraticNumber(F(3, 2), F(-1, 2), 8)) == 0
 
     def test_halfwidth_two_fifths(self):
         x = from_slope_value(F(2, 5)).interval_halfwidth()
-        assert qn_compare_cross(x, (QuadraticNumber(15) - sqrt_exact(221)) / 10) == 0
+        assert x.compare(QuadraticNumber(F(3, 2), F(-1, 10), 221)) == 0
         assert 5 + 8 * from_slope_value(F(2, 5)).discriminant == F(221, 25)
 
     @pytest.mark.xfail(strict=True, reason="sqrt_ratio factors p*q, so the square of a prime "
@@ -380,12 +382,12 @@ class TestIntervals:
         assert interval_contains(two, QuadraticNumber(2), closed=True)
 
     def test_contains_golden_intersection(self):
-        mu0 = (QuadraticNumber(-13) + sqrt_exact(181)) / 6
+        mu0 = QuadraticNumber(F(-13, 6), F(1, 6), 181)
         assert interval_contains(from_integer(0), mu0, closed=False)
 
     def test_endpoint_only_in_closure(self):
         zero = from_integer(0)
-        endpoint = (QuadraticNumber(3) - sqrt_exact(5)) / 2
+        endpoint = QuadraticNumber(F(3, 2), F(-1, 2), 5)
         assert not interval_contains(zero, endpoint, closed=False)
         assert interval_contains(zero, endpoint, closed=True)
 
@@ -400,14 +402,20 @@ class TestIntervals:
         for a, b in zip(slopes, slopes[1:]):
             a_left, a_right = a.interval()
             b_left, b_right = b.interval()
-            assert qn_compare_cross(a_right, b_left) <= 0
+            assert a_right.compare(b_left) <= 0
+
+
+def mu0_pair(x) -> list[QuadraticNumber]:
+    """``mu0+`` and ``mu0-`` of ``x``, the roots ``(-3 - 2 mu -+ sqrt(5 + 8 delta)) / 2``."""
+    base, root = -3 - 2 * x.slope(), sqrt_exact(5 + 8 * x.discriminant())
+    return [QuadraticNumber((base + sign * root.a) / 2, sign * root.b / 2, root.d)
+            for sign in (1, -1)]
 
 
 def endpoint_contains(a, x, closed):
     """Membership by comparison with both exact endpoints (the reference)."""
     left, right = a.interval()
-    cl = qn_compare_cross(x, left)
-    cr = qn_compare_cross(x, right)
+    cl, cr = -left.compare(x), -right.compare(x)
     if closed:
         return cl >= 0 and cr <= 0
     return cl > 0 and cr < 0
@@ -453,17 +461,15 @@ class TestRationalMembership:
         slopes = enumerate_slopes(-4, 2, 3)
         points = []
         for x in grid[::8]:
-            base = QuadraticNumber(-3 - 2 * x.slope())
-            root = sqrt_exact(5 + 8 * x.discriminant())
-            points += [(base + root) / 2, (base - root) / 2]
+            points += mu0_pair(x)
         eps = F(1, 10 ** 25)
         for a in slopes:
             for end in a.interval():
-                points += [end, end - eps, end + eps]
+                points += [end, moved(end, -eps), moved(end, eps)]
         outcomes = []
         for x in points:
             for a in slopes:
-                if abs(x - QuadraticNumber(a.slope)) > 1:
+                if x.compare(a.slope - 1) < 0 or x.compare(a.slope + 1) > 0:
                     continue
                 for closed in (True, False):
                     expected = endpoint_contains(a, x, closed)
@@ -525,8 +531,8 @@ class TestRadicalSign:
     def test_sign_of_quadratic_numbers(self):
         for end in from_dyadic(dy(17, 4)).interval():
             for shift in (0, F(1, 10 ** 40), -F(1, 10 ** 40)):
-                x = end + shift
-                assert x.sign() == enclosure_radical_sign(*self.cleared(F(0), -x))
+                x = moved(end, shift)
+                assert x.sign() == enclosure_radical_sign(*self.cleared(F(0), negated(x)))
 
 
 class TestAffineImage:
@@ -580,15 +586,15 @@ class TestFindInterval:
         assert find_interval(F(2)).slope == 2
 
     def test_golden_intersection(self):
-        mu0 = (QuadraticNumber(-13) + sqrt_exact(181)) / 6
+        mu0 = QuadraticNumber(F(-13, 6), F(1, 6), 181)
         assert find_interval(mu0).slope == 0
 
     def test_dual_intersection(self):
-        mu0 = (QuadraticNumber(13) + sqrt_exact(181)) / 6
+        mu0 = QuadraticNumber(F(13, 6), F(1, 6), 181)
         assert find_interval(mu0).slope == F(22, 5)
 
     def test_negative_branch_descends_to_mirror(self):
-        mu0_minus = (QuadraticNumber(-13) - sqrt_exact(181)) / 6
+        mu0_minus = QuadraticNumber(F(-13, 6), F(-1, 6), 181)
         assert find_interval(mu0_minus).slope == F(-22, 5)
 
     def test_fixed_points_order_eight(self):
@@ -634,18 +640,14 @@ class TestDescentAgainstReference:
     def test_mu0_of_the_grid(self, grid):
         points = []
         for x in grid:
-            root = sqrt_exact(5 + 8 * x.discriminant())
-            base = QuadraticNumber(-3 - 2 * x.slope())
-            points += [(base + root) / 2, (base - root) / 2]
+            points += mu0_pair(x)
         assert len(points) == 2 * len(grid)
         self.assert_same(points)
 
     def test_mu0_of_order_four(self):
-        root = sqrt_exact(5 + 8 * ORDER_FOUR.discriminant())
-        base = QuadraticNumber(-3 - 2 * ORDER_FOUR.slope())
-        mu0_plus = (base + root) / 2
+        mu0_plus, mu0_minus = mu0_pair(ORDER_FOUR)
         assert find_interval(mu0_plus).order == 4
-        self.assert_same([mu0_plus, (base - root) / 2])
+        self.assert_same([mu0_plus, mu0_minus])
         self.assert_same([mu0_plus], max_order=3)
 
     def test_rationals_of_order_eight(self):
@@ -686,7 +688,7 @@ class TestDeltaCurve:
         for rank in range(1, info.maxsize + 100):
             halfwidth(rank)
         assert halfwidth.cache_info().currsize <= info.maxsize
-        assert from_dyadic(dy(1, 1)).interval_halfwidth() == (3 - sqrt_exact(8)) / 2
+        assert from_dyadic(dy(1, 1)).interval_halfwidth() == QuadraticNumber(F(3, 2), F(-1, 2), 8)
 
     def test_cache_is_bounded(self):
         info = delta_curve.cache_info()
@@ -702,7 +704,7 @@ class TestDeltaCurve:
             left, right = s.interval()
             for endpoint in (left, right):
                 value = delta_curve_at(endpoint)
-                assert qn_compare_cross(value, QuadraticNumber(F(1, 2))) == 0
+                assert value.compare(F(1, 2)) == 0
 
 
 class TestEnumerate:
@@ -738,17 +740,17 @@ class TestEnumerate:
 
 class TestCharacter:
     def test_structure_sheaf(self):
-        assert from_integer(0).character() == ChernCharacter.of(1, 0, 0)
+        assert from_integer(0).character() == ChernCharacter(1, 0, 0)
 
     def test_half_is_twisted_tangent(self):
         g = from_dyadic(dy(1, 1))
-        assert g.character() == ChernCharacter.of(2, 1, Fraction(-1, 2))
+        assert g.character() == ChernCharacter(2, 1, Fraction(-1, 2))
         assert g.discriminant == F(3, 8)
         assert g.character().discriminant() == F(3, 8)
 
     def test_two_fifths(self):
         g = from_slope_value(F(2, 5))
-        assert g.character() == ChernCharacter.of(5, 2, -2)
+        assert g.character() == ChernCharacter(5, 2, -2)
         assert g.discriminant == F(12, 25)
 
     def test_rank_and_c1_coprime_order_six(self):

@@ -10,6 +10,21 @@ address; a class is orthogonal to ``x(n)`` exactly when its twist by
 rays twisted by ``O(-n)``; and the resolution keeps its case and
 multiplicities.  The rendered reports agree on the same fields.
 
+The rendered twist law: ``report_to_dict`` of ``x(n)`` is one closed map of
+``report_to_dict`` of ``x``, field by field.  An edge moves with its ray:
+gamma, the ray, its ``mu`` and its coordinates move by ``-n`` on the primary
+side and on the secondary ray, and by ``+n`` in the Serre-dual pipeline,
+whose character ``x^v(-3)`` moves by ``-n``.  The triad bundles ``E_{-gamma}``
+and the wall's ``center_s`` belong to the edge's character and move the
+other way.  A move by ``k`` twists a character by ``O(k)``; adds ``k`` to a
+slope, ``mu``, ``lr_translation``, a bundle's name in the shape and the
+rational part of ``mu0+-`` and of an interval end; adds ``k 2^q`` to a
+dyadic numerator; and adds ``k R / r`` to the coordinate ``zeta1`` of a ray
+of rank ``R``.  Every other field (kinds, dimension, discriminants, ranks,
+orders, words, multiplicities, Kronecker data, radii) stays, but the slope
+an exceptional multiple names moves by ``+n`` and the natural classes are
+those of ``x(n)``.
+
 The Serre-duality law: ``E -> E^v(-3)`` maps the locally free sheaves of
 ``M(x)`` onto those of ``M(x^v(-3))``, where ``x^v(-3) = (r, -c1 - 3r, chi)``
 keeps the rank, the discriminant and chi.  Both characters have the same
@@ -39,15 +54,21 @@ each law; the
 draws its own 2,000.
 """
 
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecones import cli, exceptional
-from planecones.chern import character_from_json
+from planecones.chern import character_from_json, character_to_json, natural_classes
 from planecones.cone import Kind, SecondaryMode, classify, cone_report
 from planecones.errors import DescentError
 from planecones.exceptional import DyadicRational
+from planecones.qarith import QuadraticNumber
+
+from conftest import moved, negated
 
 BIG = 10 ** 30
 rank = st.integers(1, BIG)
@@ -123,9 +144,9 @@ def _assert_twist_law(x, n):
     if edge is None:
         assert shifted is None and twisted.mu0_plus is None
         return
-    assert twisted.mu0_plus == report.mu0_plus - n
+    assert twisted.mu0_plus == moved(report.mu0_plus, -n)
     if report.mu0_minus is not None:
-        assert twisted.mu0_minus == report.mu0_minus - n
+        assert twisted.mu0_minus == moved(report.mu0_minus, -n)
     gamma, gamma_twisted = (e.invariants.corresponding_slope for e in (edge, shifted))
     image = exceptional.affine_image(gamma, False, -n)
     assert gamma_twisted == image and gamma_twisted.dyadic == image.dyadic
@@ -156,6 +177,113 @@ def test_twist_law(kind, data, n):
     _assert_twist_law(x, n)
 
 
+def _moved(text, k):
+    return str(Fraction(text) + k)
+
+
+def _moved_quadratic(text, k):
+    """A printed ``(a + b*sqrt(d))`` whose rational part moves by ``k``."""
+    return str(moved(QuadraticNumber.parse(text), k))
+
+
+def _twisted(character, k):
+    return character_to_json(character_from_json(character).twist(k))
+
+
+# a bundle's name in a resolution's shape: O, O(c), T(m) or E(c/r)
+_BUNDLE = re.compile(r"\b([OTE])(?:\((-?\d+)(?:/(\d+))?\))?")
+
+
+def _moved_bundle(match, k):
+    letter, c, r = match[1], int(match[2] or 0), int(match[3] or 1)
+    if letter == "E":
+        return f"E({c + k * r}/{r})"
+    if letter == "T":
+        return f"T({c + k})"
+    return f"O({c + k})" if c + k else "O"
+
+
+def _moved_slope(slope, k):
+    p, _, q = slope["dyadic"].partition("/2^")
+    q = int(q or 0)
+    p = int(p) + (k << q)
+    return {**slope, "slope": _moved(slope["slope"], k),
+            "dyadic": f"{p}/2^{q}" if q else str(p),
+            "lr_translation": slope["lr_translation"] + k,
+            "interval": {end: _moved_quadratic(v, k) for end, v in slope["interval"].items()}}
+
+
+def _moved_ray(side, k, r):
+    """The ray of ``side`` twisted by ``O(k)``, with its coordinates over rank ``r``."""
+    out = dict(side)
+    if "extremal_character" in side:
+        ray = out["extremal_character"] = _twisted(side["extremal_character"], k)
+    if "extremal_ray_coordinates" in side:  # none over rank zero
+        coords = side["extremal_ray_coordinates"]
+        zeta1 = _moved(coords["zeta1"], Fraction(k * int(ray["r"]), r))
+        out["extremal_ray_coordinates"] = {"zeta0": coords["zeta0"], "zeta1": zeta1}
+    return out
+
+
+def _moved_edge(edge, k, r):
+    """An edge whose ray moves by ``k``: its triad and wall belong to the character, so ``-k``."""
+    out = _moved_ray(edge, k, r)
+    inv = edge["invariants"]
+    out["invariants"] = {**inv, "mu": _moved(inv["mu"], k),
+                         "corresponding_slope": _moved_slope(inv["corresponding_slope"], k)}
+    if "resolution" in edge:
+        res = edge["resolution"]
+        out["resolution"] = {
+            **res,
+            "triad": [_moved(mu, -k) for mu in res["triad"]],
+            "triad_characters": [_twisted(z, -k) for z in res["triad_characters"]],
+            "shape": _BUNDLE.sub(lambda match: _moved_bundle(match, -k), res["shape"]),
+        }
+    out["wall"] = {**edge["wall"], "center_s": _moved(edge["wall"]["center_s"], -k)}
+    return out
+
+
+def twisted_rendering(rendered, n):
+    """``report_to_dict(cone_report(x.twist(n)))`` from ``rendered``, that of ``x``."""
+    out = dict(rendered)
+    out["input"] = _twisted(rendered["input"], n)
+    cls = rendered["classification"]  # an exceptional multiple names its slope
+    out["classification"] = {**cls, "reasons": [
+        re.sub(r"(?<=of slope )\S+$", lambda match: _moved(match[0], n), reason)
+        for reason in cls["reasons"]]}
+    x = character_from_json(out["input"])
+    if "natural_classes" in rendered:
+        out["natural_classes"] = dict(zip(("zeta0", "zeta1"),
+                                          map(character_to_json, natural_classes(x))))
+    if "mu0" in rendered:
+        out["mu0"] = {key: value and _moved_quadratic(value, -n)
+                      for key, value in rendered["mu0"].items()}
+    if "primary" in rendered:
+        out["primary"] = _moved_edge(rendered["primary"], -n, x.r)
+    if "secondary" in rendered:
+        sec = rendered["secondary"]
+        out["secondary"] = moved = _moved_ray(sec, -n, x.r)
+        if "mu" in sec:
+            moved["mu"] = _moved(sec["mu"], -n)
+        if "corresponding_slope" in sec:
+            moved["corresponding_slope"] = _moved_slope(sec["corresponding_slope"], -n)
+        if "serre_dual_pipeline" in sec:
+            moved["serre_dual_pipeline"] = _moved_edge(sec["serre_dual_pipeline"], n, x.r)
+    return out
+
+
+@pytest.mark.parametrize("kind", list(Kind), ids=[kind.name.lower() for kind in Kind])
+@cases
+@given(data=st.data(), n=shift)
+def test_rendered_twist_law(kind, data, n):
+    x = data.draw(CHARACTERS[kind], label="x")
+    report, twisted = _outcome(x), _outcome(x.twist(n))
+    if not hasattr(report, "classification"):
+        assert twisted is report
+        return
+    assert cli.report_to_dict(twisted) == twisted_rendering(cli.report_to_dict(report), n)
+
+
 def serre_dual(x):
     """``x^v(-3)``, and ``-x^v(-3) = (0, c1, -chi)`` in rank zero."""
     return x.serre_dual() if x.r != 0 else lattice(0, x.c1, -x.chi)
@@ -177,10 +305,10 @@ def _assert_serre_duality_law(x):
         assert dual.primary is None and dual.mu0_plus is None
         return
     if x.r == 0:
-        assert dual.mu0_plus == -report.mu0_plus
+        assert dual.mu0_plus == negated(report.mu0_plus)
         assert dual.primary.extremal_character == report.primary.extremal_character.dual()
         return
-    assert (dual.mu0_plus, dual.mu0_minus) == (-report.mu0_minus, -report.mu0_plus)
+    assert (dual.mu0_plus, dual.mu0_minus) == (negated(report.mu0_minus), negated(report.mu0_plus))
     sec, sec_dual = report.secondary, dual.secondary
     assert sec_dual.mode is sec.mode
     if x.r < 3:

@@ -1,0 +1,76 @@
+"""What other code reaches in ``planecones`` by name, and imports nothing uses.
+
+The traced benchmark (``perfbench/tracer.py``) wraps layer functions by
+their module and name, counts ``QuadraticNumber.__init__`` by assigning a
+wrapper to the class, and reads ``delta_curve``'s cache statistics.  Its
+``LAYERS`` table is read here from the file, without importing or editing
+it, so a deletion or rename that would break a traced run fails tier-1
+first.
+
+Every module of ``src/planecones`` but the package's ``__init__`` (whose
+imports are the public surface) must use each name it imports; the check
+reads the source with ``ast`` alone.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+from planecones import exceptional
+from planecones.qarith import QuadraticNumber
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "planecones"
+
+
+def traced_layers() -> dict:
+    """The ``LAYERS`` literal of ``perfbench/tracer.py``."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py assigns no LAYERS")
+
+
+TRACED = [f"{module}.{name}" for module, names in traced_layers().items() for name in names]
+
+
+@pytest.mark.parametrize("span", TRACED)
+def test_traced_name_exists(span):
+    module, name = span.split(".")
+    assert callable(getattr(importlib.import_module(f"planecones.{module}"), name, None)), span
+
+
+def test_traced_hooks_exist():
+    # the tracer replaces the constructor on the class and reads the boundary cache
+    assert inspect.isfunction(vars(QuadraticNumber)["__init__"])
+    assert callable(getattr(exceptional.delta_curve, "cache_info", None))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Each name ``source`` imports at any depth and never reads, in order."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_unused_imports_are_found():
+    source = "import math\nimport os.path\nfrom enum import Enum\nfrom x import y as z\nmath.pi\n"
+    assert unused_imports(source) == ["os", "Enum", "z"]
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_no_unused_imports(path):
+    assert unused_imports((PACKAGE / path).read_text()) == []

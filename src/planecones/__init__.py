@@ -37,8 +37,6 @@ from .cone import (
     bridgeland_wall,
     classify,
     cone_report,
-    corresponding_slope,
-    intersection_slope_zero,
     kronecker_data,
     orthogonal_character,
     orthogonal_invariants,

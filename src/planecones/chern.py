@@ -2,8 +2,8 @@
 
 A character is stored in the lattice basis ``(r, c1, chi)``: rank, first
 Chern class and Euler characteristic ``chi = ch0 + (3/2) ch1 + ch2``.  Every
-sheaf has integral ``(r, c1, chi)``; the constructors store an integral field
-as a plain ``int``, and integer arithmetic keeps it one.  A
+sheaf has integral ``(r, c1, chi)``; the constructors and every operation
+store an integral field as a plain ``int``.  A
 :class:`~fractions.Fraction` field survives only for non-integral input,
 which classification rejects.  Every operation is one closed form in the
 lattice basis, so an integral character never builds a ``Fraction``:
@@ -120,41 +120,41 @@ class ChernCharacter(Record):
 
     def tensor(self, other: "ChernCharacter") -> "ChernCharacter":
         """Multiplicative product; slope and discriminant are additive."""
-        return _lattice(
+        return _closed(
             self.r * other.r, self.r * other.c1 + other.r * self.c1, euler_pairing(self, other)
         )
 
     def dual(self) -> "ChernCharacter":
-        return _lattice(self.r, -self.c1, self.chi - 3 * self.c1)
+        return _closed(self.r, -self.c1, self.chi - 3 * self.c1)
 
     def twist(self, n: int) -> "ChernCharacter":
         """Tensor with O(n)."""
         if type(n) is not int:
             raise DomainError(f"twist by O(n) needs an integer n, got {n!r}")
         r, c = self.r, self.c1
-        return _lattice(r, c + r * n, self.chi + c * n + r * (n * (n + 3) // 2))
+        return _closed(r, c + r * n, self.chi + c * n + r * (n * (n + 3) // 2))
 
     def serre_dual(self) -> "ChernCharacter":
         """Dual twisted by O(-3); fixes delta and sends mu to -mu - 3."""
-        return _lattice(self.r, -self.c1 - 3 * self.r, self.chi)
+        return _closed(self.r, -self.c1 - 3 * self.r, self.chi)
 
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other: "ChernCharacter") -> "ChernCharacter":
-        return _lattice(self.r + other.r, self.c1 + other.c1, self.chi + other.chi)
+        return _closed(self.r + other.r, self.c1 + other.c1, self.chi + other.chi)
 
     def __sub__(self, other: "ChernCharacter") -> "ChernCharacter":
-        return _lattice(self.r - other.r, self.c1 - other.c1, self.chi - other.chi)
+        return _closed(self.r - other.r, self.c1 - other.c1, self.chi - other.chi)
 
     def __neg__(self) -> "ChernCharacter":
-        return _lattice(-self.r, -self.c1, -self.chi)
+        return _closed(-self.r, -self.c1, -self.chi)
 
     def scale(self, k: RationalLike) -> "ChernCharacter":
         if k == 1:  # a record is immutable, so the class itself is its own multiple
             return self
         if type(k) is not int:
             k = Fraction(k)
-        return _lattice(k * self.r, k * self.c1, k * self.chi)
+        return _closed(k * self.r, k * self.c1, k * self.chi)
 
     def __str__(self) -> str:
         return f"({self.r}, {self.c1}, {self.ch2})"
@@ -173,6 +173,17 @@ def _lattice(r, c1, chi) -> ChernCharacter:
     _set_c1(x, c1)
     _set_chi(x, chi)
     return x
+
+
+def _closed(r, c1, chi) -> ChernCharacter:
+    """An operation's result ``(r, c1, chi)``, with each integral field an ``int``.
+
+    A ``Fraction`` operand can give an integral ``Fraction``, as twice a
+    half-integral ``chi`` does; all-int fields go to :func:`_lattice` as they are.
+    """
+    if type(r) is int and type(c1) is int and type(chi) is int:
+        return _lattice(r, c1, chi)
+    return _lattice(_integral(Fraction(r)), _integral(Fraction(c1)), _integral(Fraction(chi)))
 
 
 def line_bundle(n: RationalLike) -> ChernCharacter:

@@ -1,46 +1,18 @@
 """End-to-end pipeline: classification, orthogonal invariants, resolutions,
 Kronecker data and the extremal rays of the effective cone.
 
-One private analysis per character classifies it, takes ``sqrt(5 + 8 delta)``
-once for both ``mu0+-`` (``sqrt_ratio`` on the character's integers) and
-descends once to the corresponding exceptional slope gamma, whose interval
-encloses ``mu0+``; the descent (``exceptional._bracket``) runs on the integer
-form of ``mu0+`` and hands back gamma's and its parents' ``(r, c1, chi)`` and
-gamma's address.  Classification descends only when ``delta <= 1``: the
-boundary curve never rises above 1, so a larger discriminant, read off the
-character's integers, is Picard rank two at once.  The primary ray is a
-lattice vector: gamma's bundle when the character pairs to zero with it, else
-the primitive class orthogonal to the character and to ``E_{-gamma}``
-(positive pairing) or ``E_{-gamma-3}`` (negative), one integer cross product
-(``_ray``); the invariants ``(mu+, delta+)`` are its slope and discriminant.
-The resolving triad is read off the addresses of gamma and its parents by
-``affine_image``, with no walk; it and the Kronecker arrow count depend on
-gamma alone, so ``_triad`` works them out once per gamma in a bounded cache
-keyed on the descent's integers, which hashes no record, and each report runs
-only the checks that involve its character (multiplicities, rebuild as three
-integer dot products, dimension, orthogonality, half-plane, double
-orthogonality and boundary).  For rank >= 3 the same steps on the Serre dual
-give the secondary ray, the negated dual of the dual's primary ray: the dual
-descends on ``-mu0-``'s integer form, read off the stored ``mu0-``, and builds
-no number.  Rank 2 takes one more cross product.  The wall and the side of
-the boundary curve a class lies on are integer expressions
-(``bridgeland_wall``, ``_arc_side``); the wall's center and squared radius and
-the rays' natural-basis coordinates are kept as integer numerators and
-denominators, read as ``Fraction``s only by their properties.  A report holds
-no text built from its integers: the resolution's ``shape`` is written when it
-is read.  Every record a report builds comes from a trusted constructor, one
-slot setter per field (``_new_report``, ``_new_primary`` and the other
-``_new_*``); the checked ``Record.__init__`` stays the public path.  The
-setters are unpacked once, at import, and so are the enum members a report
-compares against (``_POSITIVE``, ``_INVALID`` and the rest): on Python 3.11
-a member read off its class goes through the metaclass hook
-``EnumType.__getattr__``, about ten times the cost of a module global.
-Classification and a ray's boundary check look the boundary up in
-``exceptional._boundary``'s cache by their slope's integers
-``(c1/g, r/g)``, ``g = gcd(c1, r)``, and build no ``Fraction``.  The
-moduli dimension is worked out once per report and shared with the Serre
-dual, whose dimension is the same.  Public stage functions are views of
-the analysis.
+``cone_report`` is the one pipeline.  It classifies the character and takes
+``mu0+-`` from one root ``sqrt(5 + 8 delta)``.  One descent on ``mu0+`` to
+the exceptional slope gamma whose interval encloses it gives the primary
+edge: the primitive ray orthogonal to the character, its invariants, the
+resolution by gamma's triad (cached per gamma), the Kronecker data and the
+wall.  For rank >= 3 the same steps on the Serre dual, descending on
+``-mu0-``, give the secondary ray.  Each step checks its result and raises
+``ConsistencyError`` when a check fails.  Rays are lattice vectors, and no
+float decides a branch.  Records come from the trusted ``_new_*``
+constructors; ``Record.__init__`` stays the checked public path.  The stage
+functions ``orthogonal_invariants``, ``resolution_multiplicities``,
+``kronecker_data`` and ``secondary_edge`` read one field of the report.
 """
 
 from __future__ import annotations
@@ -412,7 +384,7 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
     )
 
 
-# -- the analysis -----------------------------------------------------------------
+# -- gamma's triad ---------------------------------------------------------------
 
 
 class _Triad(Record):
@@ -459,125 +431,52 @@ def _triad(left: tuple, mid: tuple, right: tuple, p: int, q: int) -> _Triad:
                   n)
 
 
-class _Analysis(Record):
-    """Every fact the primary half of the cone derives from one character.
+def _mu0(x: ChernCharacter) -> tuple[QuadraticNumber, Optional[QuadraticNumber]]:
+    """``(mu0+, mu0-)``, where the orthogonal locus meets the half-height line.
 
-    Fields after ``classification`` are set for Picard rank two only,
-    ``resolution``, ``kronecker`` and the moduli ``dimension`` for positive
-    rank only; the Serre dual's analysis leaves ``mu0_plus`` and
-    ``mu0_minus`` unset and shares the character's dimension.
+    For positive rank ``mu0+- = (-3 - 2 mu +- sqrt(5 + 8 delta)) / 2``, from
+    one root; the rank-zero locus is the vertical line ``mu = -chi/d``, and
+    ``mu0-`` is ``None``.
     """
-
-    __slots__ = ("classification", "mu0_plus", "mu0_minus", "invariants", "resolution",
-                 "kronecker", "triad", "dimension")
-    classification: Classification
-    mu0_plus: Optional[QuadraticNumber]
-    mu0_minus: Optional[QuadraticNumber]
-    invariants: Optional[OrthogonalInvariants]
-    resolution: Optional[ResolutionData]
-    kronecker: Optional[KroneckerData]
-    triad: Optional[_Triad]
-    dimension: Optional[int]
-
-    def __init__(self, classification, mu0_plus=None, mu0_minus=None, invariants=None,
-                 resolution=None, kronecker=None, triad=None, dimension=None):
-        Record.__init__(self, classification, mu0_plus, mu0_minus, invariants, resolution,
-                        kronecker, triad, dimension)
+    if x.r == 0:
+        return QuadraticNumber._from_form(-x.chi, 0, 0, x.c1), None
+    # 5 + 8 delta = (5 r^2 + 4 F)/r^2 for delta = F/(2 r^2); with its root
+    # (A + B sqrt(d))/D, mu0+- = (-(3r + 2c) D +- r A +- r B sqrt(d))/(2 r D)
+    r, c = x.r, x.c1
+    radicand = 5 * r * r + 4 * discriminant_form(r, c, x.chi)[0]
+    if radicand < 0:
+        raise ConsistencyError("negative discriminant radicand under valid classification")
+    A, B, d, D = integer_form(sqrt_ratio(radicand, r * r))
+    base, rA, rB, N = -(3 * r + 2 * c) * D, r * A, r * B, 2 * r * D
+    make = QuadraticNumber._from_form
+    return make(base + rA, rB, d, N), make(base - rA, -rB, d, N)
 
 
-(_set_side_cls, _set_side_plus, _set_side_minus, _set_side_inv, _set_side_res, _set_side_kron,
- _set_side_triad, _set_side_dim) = _Analysis._setters
+def _side(x: ChernCharacter, form: tuple[int, int, int, int], multiplier: int, max_order: int,
+          dim: Optional[int]) -> tuple[PrimaryEdge, _Triad]:
+    """The primary edge of ``x`` and gamma's triad, from ``mu0+``'s integer form.
 
-
-def _new_analysis(cls: Classification, mu0_plus=None, mu0_minus=None, inv=None, res=None,
-                  kron=None, triad=None, dim=None) -> _Analysis:
-    side = _new(_Analysis)
-    _set_side_cls(side, cls)
-    _set_side_plus(side, mu0_plus)
-    _set_side_minus(side, mu0_minus)
-    _set_side_inv(side, inv)
-    _set_side_res(side, res)
-    _set_side_kron(side, kron)
-    _set_side_triad(side, triad)
-    _set_side_dim(side, dim)
-    return side
-
-
-def _analyze(x: ChernCharacter, max_order: int) -> _Analysis:
-    cls = classify(x, max_order)
-    if cls.kind is _RANK_ZERO:
-        # the orthogonal locus is the vertical line mu = -chi/d
-        mu0_plus, mu0_minus = QuadraticNumber._from_form(-x.chi, 0, 0, x.c1), None
-    elif cls.kind is _PICARD_RANK_2:
-        # 5 + 8 delta = (5 r^2 + 4 F)/r^2 for delta = F/(2 r^2); with its root
-        # (A + B sqrt(d))/D, mu0+- = (-(3r + 2c) D +- r A +- r B sqrt(d))/(2 r D)
-        r, c = x.r, x.c1
-        radicand = 5 * r * r + 4 * discriminant_form(r, c, x.chi)[0]
-        if radicand < 0:
-            raise ConsistencyError("negative discriminant radicand under valid classification")
-        A, B, d, D = integer_form(sqrt_ratio(radicand, r * r))
-        base, rA, rB, N = -(3 * r + 2 * c) * D, r * A, r * B, 2 * r * D
-        make = QuadraticNumber._from_form
-        mu0_plus, mu0_minus = make(base + rA, rB, d, N), make(base - rA, -rB, d, N)
-    else:
-        return _new_analysis(cls)
-    form = mu0_plus.A, mu0_plus.B, mu0_plus.d, mu0_plus.D
-    dim = moduli_dimension(x) if x.r > 0 else None
-    return _side(x, cls, form, max_order, dim, mu0_plus, mu0_minus)
-
-
-def _side(x: ChernCharacter, cls: Classification, form: tuple[int, int, int, int],
-          max_order: int, dim: Optional[int], mu0_plus: Optional[QuadraticNumber] = None,
-          mu0_minus: Optional[QuadraticNumber] = None) -> _Analysis:
-    """Descent from ``mu0+``'s integer form to gamma; invariants, resolution, Kronecker data.
-
-    ``dim`` is the moduli dimension of ``x``, worked out once by the caller.
+    One descent to gamma, then the invariants (the primitive primary ray, by
+    the sign of the pairing with ``E_gamma``), the resolution and the
+    Kronecker data; ``dim`` is the moduli dimension of ``x``, worked out once
+    by the caller (``None`` for rank zero, which has no resolution).
     """
     triad = _triad(*exceptional._bracket(*form, max_order))
-    pairing = euler_pairing(x, triad.gamma)
+    gamma = triad.gamma
+    pairing = euler_pairing(x, gamma)
     case = _POSITIVE if pairing > 0 else _NEGATIVE if pairing < 0 else _ZERO
-    inv = _invariants(x, triad, case)
-    if x.r == 0:
-        return _new_analysis(cls, mu0_plus, mu0_minus, inv, triad=triad)
-    res = _resolution(x, triad, case, pairing)
-    return _new_analysis(cls, mu0_plus, mu0_minus, inv, res,
-                         _kronecker(res, triad.hom_count, dim), triad, dim)
-
-
-def _intersecting(x: ChernCharacter, max_order: int) -> _Analysis:
-    side = _analyze(x, max_order)
-    if side.invariants is None:
-        raise DomainError(
-            f"no intersection slope for {side.classification.kind.value} characters"
-        )
-    return side
-
-
-def _resolved(x: ChernCharacter, max_order: int) -> _Analysis:
-    side = _analyze(x, max_order)
-    if side.resolution is None:
-        raise DomainError("resolutions are computed for positive-rank Picard-rank-2 characters")
-    return side
-
-
-# -- the corresponding slope ---------------------------------------------------
-
-
-def intersection_slope_zero(x: ChernCharacter,
-                            max_order: int = DEFAULT_MAX_ORDER) -> QuadraticNumber:
-    """Larger slope where the orthogonal locus meets the half-height line.
-
-    For positive rank this is ``(-3 - 2 mu + sqrt(5 + 8 delta)) / 2``; the
-    rank-zero locus is the vertical line ``mu = -chi/d`` so the intersection
-    is that rational itself.
-    """
-    return _intersecting(x, max_order).mu0_plus
-
-
-def corresponding_slope(x: ChernCharacter,
-                        max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
-    """The unique exceptional slope whose interval encloses the intersection."""
-    return _intersecting(x, max_order).invariants.corresponding_slope
+    if case is _ZERO:
+        ray = gamma
+    else:  # orthogonal also to E_{-gamma} or E_{-gamma-3}
+        ray = _ray(x, triad.image_chars[2 if case is _POSITIVE else 3])
+    # mu+ <= gamma's slope, cross-multiplied by the two positive ranks
+    on_curve = case is not _POSITIVE or ray.c1 * gamma.r <= gamma.c1 * ray.r
+    inv = _new_invariants(ray, case, on_curve, triad.slope)
+    res = kron = None
+    if x.r > 0:
+        res = _resolution(x, triad, case, pairing)
+        kron = _kronecker(res, triad.hom_count, dim)
+    return _primary_edge(x, inv, triad, res, kron, multiplier, max_order), triad
 
 
 # -- orthogonal invariants -----------------------------------------------------
@@ -600,33 +499,11 @@ def _ray(x: ChernCharacter, z: ChernCharacter) -> ChernCharacter:
     return _lattice(r // g, c // g, chi // g)
 
 
-def _invariants(x: ChernCharacter, triad: _Triad, case: CaseSign) -> OrthogonalInvariants:
-    gamma = triad.gamma
-    if case is _ZERO:
-        ray = gamma
-    else:  # orthogonal also to E_{-gamma} or E_{-gamma-3}
-        ray = _ray(x, triad.image_chars[2 if case is _POSITIVE else 3])
-    # mu+ <= gamma's slope, cross-multiplied by the two positive ranks
-    on_curve = case is not _POSITIVE or ray.c1 * gamma.r <= gamma.c1 * ray.r
-    return _new_invariants(ray, case, on_curve, triad.slope)
-
-
-def orthogonal_invariants(x: ChernCharacter,
-                          max_order: int = DEFAULT_MAX_ORDER) -> OrthogonalInvariants:
-    """The primitive primary ray and its invariants, by sign of the pairing with E_gamma.
-
-    Positive pairing gives the class orthogonal also to ``E_{-gamma}`` (the
-    left arc over gamma), negative to ``E_{-gamma-3}`` (the right arc), zero
-    the bundle ``E_gamma`` itself.
-    """
-    return _intersecting(x, max_order).invariants
-
-
 def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
                          max_order: int = DEFAULT_MAX_ORDER) -> ChernCharacter:
     """Integral character on the primary ray, at the minimal rank times a multiplier."""
-    if multiplier < 1:
-        raise DomainError("multiplier must be a positive integer")
+    if type(multiplier) is not int or multiplier < 1:
+        raise DomainError(f"multiplier must be a positive integer, got {multiplier!r}")
     if inv.case_sign is not _ZERO:
         # endpoints are irrational, so a rational mu in gamma's closed
         # interval lies in no other and gamma's arc is the boundary there
@@ -666,6 +543,11 @@ def _bundle_name(s: ExceptionalSlope) -> str:
 
 def _resolution(x: ChernCharacter, triad: _Triad, case: CaseSign,
                 pairing: int) -> ResolutionData:
+    """Multiplicities of the canonical resolution of the general sheaf of ``x``.
+
+    Each is an Euler characteristic of a twist by an exceptional bundle; each
+    must be nonnegative, and the signed combination of the triad must rebuild ``x``.
+    """
     # The triad bundles have slopes -s or -s - 3 for s among gamma and its
     # parents alpha < beta, kept in gamma's triad.  Gamma's children are the
     # mutations 3 r(alpha) gamma - beta of (alpha, gamma) and
@@ -704,22 +586,12 @@ def _resolution(x: ChernCharacter, triad: _Triad, case: CaseSign,
     return _new_resolution(case, slopes, chars, m1, m2, m3)
 
 
-def resolution_multiplicities(x: ChernCharacter,
-                              max_order: int = DEFAULT_MAX_ORDER) -> ResolutionData:
-    """Multiplicities of the canonical resolution of the general sheaf.
-
-    All three multiplicities are Euler characteristics of twists by
-    exceptional bundles; they must come out as nonnegative integers and the
-    signed combination of the resolving characters must reproduce the input,
-    both of which are verified before returning.
-    """
-    return _resolved(x, max_order).resolution
-
-
 def _kronecker(res: ResolutionData, n: int, dim: int) -> KroneckerData:
     """Kronecker data of the resolution's two-term complex, with gamma's arrow count ``n``.
 
-    ``dim`` is the moduli dimension of the resolved character.
+    ``dim`` is the moduli dimension of the resolved character; it must exceed
+    the expected dimension when the case is nonzero, and equal it when the
+    fibration is birational.
     """
     b, a = res.m1, res.m2
     edim = a * b * n - a * a - b * b + 1
@@ -732,18 +604,6 @@ def _kronecker(res: ResolutionData, n: int, dim: int) -> KroneckerData:
             f"fibration with positive-dimensional fibers needs dim {dim} > expected {edim}"
         )
     return _new_kronecker(n, (b, a), edim, fibration)
-
-
-def kronecker_data(x: ChernCharacter,
-                   max_order: int = DEFAULT_MAX_ORDER) -> KroneckerData:
-    """Invariants of the induced fibration over a space of Kronecker modules.
-
-    The module pair is the two-term complex of the resolution; the arrow
-    count is the hom space between its bundles.  The moduli dimension must
-    exceed the expected Kronecker dimension exactly when the pairing case is
-    nonzero, and match it when the fibration is birational.
-    """
-    return _resolved(x, max_order).kronecker
 
 
 def bridgeland_wall(inv: OrthogonalInvariants) -> Wall:
@@ -779,9 +639,14 @@ def _coords_denominator(x: ChernCharacter, ray: ChernCharacter) -> int:
     return r
 
 
-def _primary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
+def _primary_edge(x: ChernCharacter, inv: OrthogonalInvariants, triad: _Triad,
+                  res: Optional[ResolutionData], kron: Optional[KroneckerData], multiplier: int,
                   max_order: int) -> PrimaryEdge:
-    inv = side.invariants
+    """The primary edge on ``inv``'s ray, once its checks pass.
+
+    Orthogonality, half-plane and double orthogonality are checked here, the
+    boundary in :func:`orthogonal_character`.
+    """
     ray = orthogonal_character(inv, multiplier, max_order)
     if euler_pairing(x, ray) != 0:
         raise ConsistencyError("primary ray is not orthogonal to the input")
@@ -789,26 +654,32 @@ def _primary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
     if ray.r <= 0:
         raise ConsistencyError("primary ray fell outside the primary half-plane")
     if inv.case_sign is _POSITIVE:  # orthogonal also to E_{-gamma}
-        if euler_pairing(ray, side.triad.image_chars[2]) != 0:
+        if euler_pairing(ray, triad.image_chars[2]) != 0:
             raise ConsistencyError("positive-case double orthogonality failed")
-    return _new_primary(inv, ray, _coords_denominator(x, ray) if x.r > 0 else None,
-                        side.resolution, side.kronecker, bridgeland_wall(inv),
-                        inv.case_sign is not _ZERO)
+    return _new_primary(inv, ray, _coords_denominator(x, ray) if x.r > 0 else None, res, kron,
+                        bridgeland_wall(inv), inv.case_sign is not _ZERO)
 
 
-def _secondary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
-                    max_order: int) -> SecondaryEdge:
+def _secondary_edge(x: ChernCharacter, mu0_minus: Optional[QuadraticNumber], multiplier: int,
+                    max_order: int, dim: Optional[int]) -> SecondaryEdge:
+    """Second extremal ray: dual pipeline for rank >= 3, known classes below.
+
+    Rank 2 uses the divisor of singular sheaves (a negative-rank orthogonal
+    class of tensor slope -3/2); ranks 1 and 0 carry named divisor classes
+    with no canonical character, so only descriptors are emitted.
+    ``multiplier`` scales the rank >= 3 ray (the Serre dual's); the rank-2
+    class stays primitive.
+    """
     r = x.r
     if r >= 3:
         # Serre duality keeps the classification, the dimension and maps mu0+
         # to -mu0-: the dual descends on mu0-'s integer form negated, and
         # builds no number
-        xd, minus = x.serre_dual(), side.mu0_minus
-        dual_side = _side(xd, side.classification, (-minus.A, -minus.B, minus.d, minus.D),
-                          max_order, side.dimension)
-        dual = _primary_edge(xd, dual_side, multiplier, max_order)
+        xd, minus = x.serre_dual(), mu0_minus
+        dual, triad = _side(xd, (-minus.A, -minus.B, minus.d, minus.D), multiplier, max_order,
+                            dim)
         ray = -dual.extremal_character.dual()
-        slope = dual_side.triad.images[2]  # -gamma of the dual
+        slope = triad.images[2]  # -gamma of the dual
         mode = _SERRE_DUAL
         descriptor = "h2-cohomology jumping divisor, from the dual pipeline"
     elif r == 2:
@@ -828,37 +699,32 @@ def _secondary_edge(x: ChernCharacter, side: _Analysis, multiplier: int,
     return _new_secondary(mode, slope, ray, _coords_denominator(x, ray), descriptor, dual)
 
 
-def secondary_edge(x: ChernCharacter, multiplier: int = 1,
-                   max_order: int = DEFAULT_MAX_ORDER) -> SecondaryEdge:
-    """Second extremal ray: dual pipeline for rank >= 3, known classes below.
-
-    Rank 2 uses the divisor of singular sheaves (a negative-rank orthogonal
-    class of tensor slope -3/2); ranks 1 and 0 carry named divisor classes
-    with no canonical character, so only descriptors are emitted.  Raises
-    ``DomainError`` wherever ``cone_report`` has no secondary edge.  ``multiplier``
-    scales the rank >= 3 ray (the Serre dual's); the rank-2 class stays primitive.
-    """
-    return _secondary_edge(x, _intersecting(x, max_order), multiplier, max_order)
-
-
 def cone_report(x: ChernCharacter, multiplier: int = 1,
                 max_order: int = DEFAULT_MAX_ORDER) -> ConeReport:
-    """Full report for a character; classification-only when no rays exist."""
-    side = _analyze(x, max_order)
-    cls = side.classification
+    """Full report for a character; classification-only when no rays exist.
+
+    ``multiplier``, an ``int`` of at least 1, scales the primary ray and the
+    Serre dual's.
+    """
+    if type(multiplier) is not int or multiplier < 1:
+        raise DomainError(f"multiplier must be a positive integer, got {multiplier!r}")
+    cls = classify(x, max_order)
     kind = cls.kind
     if kind is _INVALID:
         return _new_report(x, cls, None, None)
-    # every kind left but the rank-zero one has positive rank
-    natural = natural_classes(x) if x.r > 0 else None
-    if kind is _EXCEPTIONAL:
-        return _new_report(x, cls, 0, natural, note="moduli space is a single point")
-    if kind is _HEIGHT_ZERO:
-        return _new_report(x, cls, moduli_dimension(x), natural,
-                           note="moduli space has Picard rank one")
+    natural = dim = None
+    if kind is not _RANK_ZERO:  # every kind left but the rank-zero one has positive rank
+        natural = natural_classes(x)
+        if kind is _EXCEPTIONAL:
+            return _new_report(x, cls, 0, natural, note="moduli space is a single point")
+        dim = moduli_dimension(x)
+        if kind is _HEIGHT_ZERO:
+            return _new_report(x, cls, dim, natural, note="moduli space has Picard rank one")
 
-    primary = _primary_edge(x, side, multiplier, max_order)
-    secondary = _secondary_edge(x, side, multiplier, max_order)
+    mu0_plus, mu0_minus = _mu0(x)
+    primary = _side(x, (mu0_plus.A, mu0_plus.B, mu0_plus.d, mu0_plus.D), multiplier, max_order,
+                    dim)[0]
+    secondary = _secondary_edge(x, mu0_minus, multiplier, max_order, dim)
     ray = secondary.extremal_character
     if ray is not None:
         if euler_pairing(x, ray) != 0:
@@ -872,5 +738,47 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
             "invariants lie off the boundary curve: stable orthogonal slopes "
             "below mu+ exist but span non-effective rays"
         )
-    return _new_report(x, cls, side.dimension, natural, side.mu0_plus, side.mu0_minus, primary,
-                       secondary, note)
+    return _new_report(x, cls, dim, natural, mu0_plus, mu0_minus, primary, secondary, note)
+
+
+# -- stage views -----------------------------------------------------------------
+#
+# Each reads one field of ``cone_report``; the traced benchmark wraps them by name.
+
+
+def orthogonal_invariants(x: ChernCharacter,
+                          max_order: int = DEFAULT_MAX_ORDER) -> OrthogonalInvariants:
+    """The report's primary invariants; ``DomainError`` where it has no primary edge."""
+    report = cone_report(x, 1, max_order)
+    if report.primary is None:
+        kind = report.classification.kind.value
+        raise DomainError(f"no intersection slope for {kind} characters")
+    return report.primary.invariants
+
+
+def resolution_multiplicities(x: ChernCharacter,
+                              max_order: int = DEFAULT_MAX_ORDER) -> ResolutionData:
+    """The report's resolution of the general sheaf; ``DomainError`` where it has none."""
+    primary = cone_report(x, 1, max_order).primary
+    if primary is None or primary.resolution is None:
+        raise DomainError("resolutions are computed for positive-rank Picard-rank-2 characters")
+    return primary.resolution
+
+
+def kronecker_data(x: ChernCharacter,
+                   max_order: int = DEFAULT_MAX_ORDER) -> KroneckerData:
+    """The report's Kronecker data of the resolution; ``DomainError`` where it has none."""
+    primary = cone_report(x, 1, max_order).primary
+    if primary is None or primary.kronecker is None:
+        raise DomainError("resolutions are computed for positive-rank Picard-rank-2 characters")
+    return primary.kronecker
+
+
+def secondary_edge(x: ChernCharacter, multiplier: int = 1,
+                   max_order: int = DEFAULT_MAX_ORDER) -> SecondaryEdge:
+    """The report's second extremal ray; ``DomainError`` where it has none."""
+    report = cone_report(x, multiplier, max_order)
+    if report.secondary is None:
+        kind = report.classification.kind.value
+        raise DomainError(f"no intersection slope for {kind} characters")
+    return report.secondary

@@ -337,30 +337,35 @@ def from_slope_value(mu: RationalLike, max_order: int = DEFAULT_MAX_ORDER) -> Ex
 
     Exact lookup, with no interval descent: from the integer bracket around
     ``mu = a/b`` the walk takes each level's mutation inline, as ``_walk``
-    and ``_bracket`` do, and compares ``mu`` with the mediant ``c1/r`` by one
-    cross-multiplication, ``a r - c1 b``, whose sign also picks the half
-    bracket to go on in.  An exceptional slope's rank is its reduced
-    denominator (``c1^2 = -1 mod r``) and ranks grow along a walk, so the
-    walk refuses, with ``DomainError``, at the first mediant of rank
-    ``>= b`` that is not ``mu``, or past ``max_order`` levels.  No probe
-    tests interval membership.
+    and ``_bracket`` do, on ``(r, c1)`` alone, and compares ``mu`` with the
+    mediant ``c1/r`` by one cross-multiplication, ``a r - c1 b``, whose sign
+    also picks the half bracket to go on in.  The hit's ``chi`` comes once,
+    by Riemann-Roch for an exceptional bundle:
+    ``chi = ((c1 + r)(c1 + 2r) - r^2 + 1) / (2r)``.  An exceptional slope's
+    rank is its reduced denominator (``c1^2 = -1 mod r``) and ranks grow
+    along a walk, so the walk refuses, with ``DomainError``, at the first
+    mediant of rank ``>= b`` that is not ``mu``, or past ``max_order``
+    levels.  No probe tests interval membership.
     """
     mu = Fraction(mu)
     a, b = mu.numerator, mu.denominator
     n = a // b
     if b == 1:
         return from_integer(n)
-    left, right, fin, g, s = _start(n)
+    # the bracket [n, n + 1] of _start, on (r, c1)
+    left = fin = (1, n)
+    right, g, s = (1, n + 1), (1, n - 1), 3
     p, q = n, 0
     while q < max_order:
         p, q = 2 * p + 1, q + 1
-        mid = (s * fin[0] - g[0], s * fin[1] - g[1], s * fin[2] - g[2])
-        r = mid[0]
-        side = a * r - mid[1] * b
+        r, c1 = s * fin[0] - g[0], s * fin[1] - g[1]
+        side = a * r - c1 * b
         if side == 0:
-            return _slope(*mid, _dyadic(p, q))
+            chi = ((c1 + r) * (c1 + 2 * r) - r * r + 1) // (2 * r)
+            return _slope(r, c1, chi, _dyadic(p, q))
         if r >= b:
             break
+        mid = r, c1
         # narrow to [p - 1, p] or [p, p + 1] over 2**q; p keeps the left end
         if side < 0:
             p, right, g, s = p - 1, mid, right, 3 * left[0]

@@ -136,6 +136,52 @@ class TestTensorDual:
         assert sd.discriminant() == x.discriminant()
 
 
+# (4, 1, -7) in the Chern-character view has chi = -3/2: every operation below
+# lands on an integral character, given by its lattice fields.
+HALF = ChernCharacter(4, 1, -7)
+INTEGRAL_RESULTS = [
+    (lambda: HALF.scale(2), (8, 2, -3)),
+    (lambda: HALF + HALF, (8, 2, -3)),
+    (lambda: HALF.scale(3) - HALF, (8, 2, -3)),
+    (lambda: (HALF + HALF).twist(1), (8, 10, 15)),
+    (lambda: (HALF + HALF).dual(), (8, -2, -9)),
+    (lambda: (HALF + HALF).serre_dual(), (8, -26, -3)),
+    (lambda: -(HALF + HALF), (-8, -2, 3)),
+    (lambda: HALF.tensor(HALF), (16, 8, -27)),
+    (lambda: character_from_json({"r": 8, "c1": 2, "chi": -3}).scale(Fraction(1, 2)),
+     (4, 1, Fraction(-3, 2))),
+]
+
+
+class TestOperationsKeepIntFields:
+    """An operation stores each integral field as an ``int``, whatever its operands hold."""
+
+    @pytest.mark.parametrize("operation, fields", INTEGRAL_RESULTS,
+                             ids=["scale", "add", "sub", "twist", "dual", "serre_dual", "neg",
+                                  "tensor", "scale_by_half"])
+    def test_result_is_the_int_built_character(self, operation, fields):
+        import json
+
+        from planecones.cli import report_to_dict
+        from planecones.cone import cone_report
+
+        result = operation()
+        expected = character_from_json(dict(zip(("r", "c1", "chi"), fields)))
+        assert result == expected
+        for got, want in zip((result.r, result.c1, result.chi), fields):
+            assert type(got) is type(want)
+        assert (json.dumps(report_to_dict(cone_report(result)))
+                == json.dumps(report_to_dict(cone_report(expected))))
+
+    @given(characters, characters, st.integers(-3, 3))
+    def test_no_integral_fraction_field(self, x, y, n):
+        results = [x + y, x - y, -x, x.tensor(y), x.dual(), x.serre_dual(), x.twist(n),
+                   x.scale(Fraction(n, 2)) if n else x]
+        for z in results:
+            for value in (z.r, z.c1, z.chi):
+                assert type(value) is int or value.denominator != 1, z
+
+
 class TestEulerPairing:
     def test_examples(self):
         o = ChernCharacter(1, 0, 0)

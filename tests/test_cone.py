@@ -20,8 +20,6 @@ from planecones.cone import (
     bridgeland_wall,
     classify,
     cone_report,
-    corresponding_slope,
-    intersection_slope_zero,
     kronecker_data,
     orthogonal_character,
     orthogonal_invariants,
@@ -83,25 +81,29 @@ class TestClassify:
         assert classify(ChernCharacter(2, 1, F(-1, 2))).kind is Kind.EXCEPTIONAL
 
 
+def corresponding_slope(x):
+    return cone_report(x).primary.invariants.corresponding_slope
+
+
 class TestIntersectionSlope:
     def test_golden(self):
-        mu0 = intersection_slope_zero(GOLDEN)
+        mu0 = cone_report(GOLDEN).mu0_plus
         assert mu0.compare(QuadraticNumber(F(-13, 6), F(1, 6), 181)) == 0
 
     def test_remark_is_rational(self):
-        mu0 = intersection_slope_zero(REMARK)
+        mu0 = cone_report(REMARK).mu0_plus
         assert mu0.is_rational and mu0.rational_value() == 2
 
     def test_rank_zero_vertical_line(self):
         x = ChernCharacter(0, 4, -5)
         assert x.chi == 1
-        mu0 = intersection_slope_zero(x)
-        assert mu0.rational_value() == F(-1, 4)
+        report = cone_report(x)
+        assert report.mu0_plus.rational_value() == F(-1, 4) and report.mu0_minus is None
         assert corresponding_slope(x).slope == 0
 
     def test_gated_by_classification(self):
-        with pytest.raises(DomainError):
-            intersection_slope_zero(ChernCharacter(1, 0, 0))
+        report = cone_report(ChernCharacter(1, 0, 0))
+        assert report.mu0_plus is report.mu0_minus is report.primary is None
 
 
 class TestCorrespondingSlope:
@@ -467,6 +469,53 @@ class TestConeReport:
         assert euler_pairing(GOLDEN, rep.primary.extremal_character) == 0
 
 
+# One character of each kind, with each secondary mode among them.
+EVERY_KIND = [GOLDEN, REMARK, ChernCharacter(1, 0, -4), ChernCharacter(0, 4, -5),
+              ChernCharacter(2, 1, F(-1, 2)), ChernCharacter.from_rmd(1, 0, 1),
+              ChernCharacter(-2, 1, 3)]
+NO_EDGE = "^no intersection slope for {} characters$"
+NO_RESOLUTION = "^resolutions are computed for positive-rank Picard-rank-2 characters$"
+
+
+def test_every_kind_and_mode_is_covered():
+    reports = [cone_report(x) for x in EVERY_KIND]
+    assert {r.classification.kind for r in reports} == set(Kind)
+    assert {r.secondary.mode for r in reports if r.secondary} == set(SecondaryMode)
+
+
+@pytest.mark.parametrize("x", EVERY_KIND, ids=str)
+def test_stage_views_read_the_report(x):
+    """Each traced stage view is one field of the report, or ``DomainError`` where it has none."""
+    report = cone_report(x)
+    primary, no_edge = report.primary, NO_EDGE.format(report.classification.kind.value)
+    views = [(orthogonal_invariants, primary and primary.invariants, no_edge),
+             (resolution_multiplicities, primary and primary.resolution, NO_RESOLUTION),
+             (kronecker_data, primary and primary.kronecker, NO_RESOLUTION),
+             (secondary_edge, report.secondary, no_edge)]
+    for view, field, message in views:
+        if field is None:
+            with pytest.raises(DomainError, match=message):
+                view(x)
+        else:
+            assert view(x) == field
+
+
+@pytest.mark.parametrize("m", [0, -1, 1.5, F(3, 2), 2.0, F(2), True, "2", None], ids=repr)
+@pytest.mark.parametrize("x", EVERY_KIND, ids=str)
+def test_multiplier_must_be_a_positive_int(x, m):
+    """Refused before any work, whatever the kind; an ``int`` of at least 1 passes."""
+    with pytest.raises(DomainError, match="^multiplier must be a positive integer, got "):
+        cone_report(x, m)
+    assert cone_report(x, 2).input is x
+
+
+@pytest.mark.parametrize("m", [0, 2.5, F(2), 2.0, True], ids=repr)
+def test_orthogonal_character_refuses_a_non_int_multiplier(m):
+    inv = cone_report(NEGATIVE_CASE).primary.invariants
+    with pytest.raises(DomainError, match="^multiplier must be a positive integer, got "):
+        orthogonal_character(inv, m)
+
+
 class TestNonPrimitiveAndDualCases:
     def test_doubled_character_scales_consistently(self):
         doubled = GOLDEN.scale(2)
@@ -722,11 +771,17 @@ class TestChecksFireOnCorruptedInput:
     """
 
     @staticmethod
-    def side(x):
+    def stages(x):
+        """The invariants, gamma's triad, resolution and Kronecker data of ``x``'s primary side."""
         from planecones import cone
-        from planecones.exceptional import DEFAULT_MAX_ORDER
+        from planecones.exceptional import parents
 
-        return cone._analyze(x, DEFAULT_MAX_ORDER)
+        inv = cone_report(x).primary.invariants
+        gamma = inv.corresponding_slope
+        left, right = parents(gamma)
+        triad = cone._triad(*triad_key(left, gamma, right))
+        res = cone._resolution(x, triad, inv.case_sign, euler_pairing(x, triad.gamma))
+        return inv, triad, res, cone._kronecker(res, triad.hom_count, moduli_dimension(x))
 
     @pytest.mark.parametrize("field", ["r", "c1", "chi"])
     @pytest.mark.parametrize("x", [GOLDEN, NEGATIVE_CASE, GOLDEN_DUAL],
@@ -735,10 +790,9 @@ class TestChecksFireOnCorruptedInput:
         from planecones import cone
         from planecones.chern import _lattice
 
-        side = self.side(x)
-        triad, res = side.triad, side.resolution
+        _, triad, res, _ = self.stages(x)
+        assert res == cone_report(x).primary.resolution
         pairing = euler_pairing(x, triad.gamma)
-        assert cone._resolution(x, triad, res.case_sign, pairing) == res
         # one field of E_{-beta}, which every case resolves by m2 > 0 copies, moved by 1
         chars = list(triad.image_chars)
         fields = {name: getattr(chars[1], name) for name in ("r", "c1", "chi")}
@@ -751,7 +805,7 @@ class TestChecksFireOnCorruptedInput:
     def test_multiplicities(self):
         from planecones import cone
 
-        triad = self.side(GOLDEN).triad
+        triad = self.stages(GOLDEN)[1]
         with pytest.raises(ConsistencyError, match=r"^multiplicity -1 is negative"):
             cone._resolution(GOLDEN, triad, CaseSign.POSITIVE, -1)
 
@@ -763,48 +817,46 @@ class TestChecksFireOnCorruptedInput:
         """The dimension is worked out once and handed in; a wrong one is caught."""
         from planecones import cone
 
-        side = self.side(x)
-        assert side.dimension == moduli_dimension(x) == moduli_dimension(x.serre_dual())
-        res, n, kron = side.resolution, side.triad.hom_count, side.kronecker
-        assert cone._kronecker(res, n, side.dimension) == kron
+        _, triad, res, kron = self.stages(x)
+        report = cone_report(x)
+        assert report.dimension == moduli_dimension(x) == moduli_dimension(x.serre_dual())
+        assert kron == report.primary.kronecker
         with pytest.raises(ConsistencyError, match=message):
-            cone._kronecker(res, n, kron.expected_dimension - 1)
+            cone._kronecker(res, triad.hom_count, kron.expected_dimension - 1)
 
-    def _primary(self, x, side):
+    @staticmethod
+    def _primary(x, inv, triad, res, kron):
         from planecones import cone
         from planecones.exceptional import DEFAULT_MAX_ORDER
 
-        return cone._primary_edge(x, side, 1, DEFAULT_MAX_ORDER)
+        return cone._primary_edge(x, inv, triad, res, kron, 1, DEFAULT_MAX_ORDER)
 
     def test_orthogonality(self):
-        side = self.side(GOLDEN)
-        assert self._primary(GOLDEN, side) == cone_report(GOLDEN).primary
+        stages = self.stages(GOLDEN)
+        assert self._primary(GOLDEN, *stages) == cone_report(GOLDEN).primary
         with pytest.raises(ConsistencyError, match="^primary ray is not orthogonal"):
-            self._primary(NEGATIVE_CASE, side)  # another character's ray
+            self._primary(NEGATIVE_CASE, *stages)  # another character's ray
 
     def test_half_plane(self):
-        side = self.side(GOLDEN_DUAL)
-        inv = side.invariants
+        inv, *rest = self.stages(GOLDEN_DUAL)
         assert inv.case_sign is CaseSign.ZERO
-        flipped = replace(side, invariants=replace(inv, ray=-inv.ray))
         with pytest.raises(ConsistencyError, match="^primary ray fell outside the primary"):
-            self._primary(GOLDEN_DUAL, flipped)
+            self._primary(GOLDEN_DUAL, replace(inv, ray=-inv.ray), *rest)
 
     def test_double_orthogonality(self):
-        side = self.side(GOLDEN)
-        assert side.invariants.case_sign is CaseSign.POSITIVE
-        chars = side.triad.image_chars
-        wrong = replace(side.triad, image_chars=(chars[0], chars[1], chars[3], chars[3]))
+        inv, triad, res, kron = self.stages(GOLDEN)
+        assert inv.case_sign is CaseSign.POSITIVE
+        chars = triad.image_chars
+        wrong = replace(triad, image_chars=(chars[0], chars[1], chars[3], chars[3]))
         with pytest.raises(ConsistencyError, match="^positive-case double orthogonality"):
-            self._primary(GOLDEN, replace(side, triad=wrong))
+            self._primary(GOLDEN, inv, wrong, res, kron)
 
     def test_boundary(self):
-        side = self.side(GOLDEN)
+        inv, *rest = self.stages(GOLDEN)
         mu = F(1, 4)  # in gamma's interval, where gamma's arc is the boundary
         below = ray_at(SlopeDisc(mu, delta_curve(mu) - F(1, 10 ** 6)))
-        invariants = replace(side.invariants, ray=below)
         with pytest.raises(ConsistencyError, match="below the boundary curve"):
-            self._primary(GOLDEN, replace(side, invariants=invariants))
+            self._primary(GOLDEN, replace(inv, ray=below), *rest)
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda ray: ray + ChernCharacter(1, 0, 0), "^secondary ray is not orthogonal"),

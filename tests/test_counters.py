@@ -264,6 +264,36 @@ def test_report_budget(monkeypatch, x, order, budget):
     assert looked_up == {name: budget.get(name, 0) for name in caches}
 
 
+# The records one warm report builds, by class.  A Picard-rank-two character
+# of rank >= 3 builds one primary edge for itself and one for its Serre dual,
+# each with its invariants, resolution, Kronecker data and wall; a
+# discriminant above 1 takes the shared classification, built at import.
+EDGE = {"OrthogonalInvariants": 1, "ResolutionData": 1, "KroneckerData": 1, "Wall": 1,
+        "PrimaryEdge": 1}
+
+
+@pytest.mark.parametrize("x, built", [
+    (GOLDEN, {**{name: 2 for name in EDGE}, "SecondaryEdge": 1, "ConeReport": 1}),
+    (ORDER_FOUR, {**{name: 2 for name in EDGE}, "SecondaryEdge": 1, "ConeReport": 1}),
+    (ChernCharacter(2, 0, -13), {**EDGE, "SecondaryEdge": 1, "ConeReport": 1}),
+    (ChernCharacter(0, 4, -5), {"Classification": 1, "OrthogonalInvariants": 1, "Wall": 1,
+                                "PrimaryEdge": 1, "SecondaryEdge": 1, "ConeReport": 1}),
+    (ChernCharacter(2, 1, Fraction(-1, 2)), {"Classification": 1, "ConeReport": 1}),
+], ids=["golden", "order4", "rank2", "rank0", "exceptional"])
+def test_report_records(monkeypatch, x, built):
+    cone.cone_report(x)  # warm the caches
+    made = {}
+    new = cone._new
+
+    def counted(cls):
+        made[cls.__name__] = made.get(cls.__name__, 0) + 1
+        return new(cls)
+
+    monkeypatch.setattr(cone, "_new", counted)
+    cone.cone_report(x)
+    assert made == built
+
+
 # Every character of rank <= 4 in a small box, twisted so that each kind and
 # each case sign occurs.
 BOX = [character_from_json({"r": r, "c1": c1, "chi": chi})
@@ -399,7 +429,7 @@ def test_an_expansion_walks_a_record_once_and_a_rational_never(monkeypatch, reco
     assert len(calls) == 2 * record
 
 
-MU0_PLUS_ORDER_FOUR = cone.intersection_slope_zero(ORDER_FOUR)
+MU0_PLUS_ORDER_FOUR = cone.cone_report(ORDER_FOUR).mu0_plus
 
 
 @pytest.fixture

@@ -812,6 +812,17 @@ class TestExactLookup:
                 with pytest.raises(DomainError, match="not an exceptional slope of order <= "):
                     from_slope_value(s.slope, s.order - 1)
 
+    def test_riemann_roch_chi_against_the_walk(self):
+        """The lookup carries ``(r, c1)``; its hit's ``chi`` is the walk's, at the hit's address."""
+        slopes = enumerate_slopes(-2, 2, 10)
+        assert len(slopes) == 4097
+        for s in slopes:
+            hit = from_slope_value(s.slope)
+            walked = from_dyadic(hit.dyadic)
+            assert (hit.r, hit.c1, hit.chi, hit.dyadic) == (walked.r, walked.c1, walked.chi,
+                                                            walked.dyadic)
+            assert type(hit.chi) is int
+
     def test_refusal_keeps_its_text(self):
         for mu, max_order in ((F(1, 3), 64), (F(13, 34), 3), (F(7, 2), 0), (F(5, 13), -1)):
             with pytest.raises(DomainError) as info:

@@ -182,7 +182,7 @@ near_boundary = st.builds(
 def _assume_near_boundary(x):
     assume(cone.classify(x).kind is Kind.PICARD_RANK_2)
     assert F(1, 2) < x.discriminant() < 2
-    assert cone.corresponding_slope(x).order > 6
+    assert cone.cone_report(x).primary.invariants.corresponding_slope.order > 6
 
 
 def _assert_twist_shifts(x, n):

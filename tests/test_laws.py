@@ -47,6 +47,14 @@ scaling with ``x``: a character of rank 1 or 2 has a multiple of higher
 rank, whose secondary edge is of that rank's mode, and a rank-zero class of
 degree ``d < 3`` is invalid while ``k d >= 3`` may not be.
 
+The rendered scaling law: ``report_to_dict`` of ``k x`` is one closed map of
+``report_to_dict`` of ``x``.  The rendered input and natural classes, the
+multiplicities and the exponents of the shape, and the Kronecker
+``dim_vector`` scale by ``k``; ray coordinates, over a rank ``k`` times as
+large, divide by ``k``; a dimension ``d`` goes to ``k^2 (d - 1) + 1``, but an
+exceptional character's stays 0; a rank-zero reason names the degree, which
+scales.  Every other field stays.  The record law's exceptions carry over.
+
 Characters are drawn per ``Kind``, so every kind occurs, with ranks and
 first Chern classes up to 10^30.  The tier-1 run draws 25 cases a kind for
 each law; the
@@ -386,3 +394,83 @@ def test_scaling_law(kind, data, k):
     x = data.draw(CHARACTERS[kind], label="x")
     assert classify(x).kind is kind
     _assert_scaling_law(x, k)
+
+
+def _scaled_character(character, k):
+    """A rendered character times ``k``: its slope and discriminant stay."""
+    return {key: value if key in ("mu", "delta") else str(k * Fraction(value))
+            for key, value in character.items()}
+
+
+def _scaled_dimension(d, k):
+    """``r^2 (2 delta - 1) + 1`` with the rank times ``k``."""
+    return k * k * (d - 1) + 1
+
+
+def _scaled_edge(edge, k):
+    """An edge of ``k x``: the ray stays, over ``k`` times the rank, and the resolution scales."""
+    out = dict(edge)
+    if "extremal_ray_coordinates" in edge:
+        coords = edge["extremal_ray_coordinates"]
+        out["extremal_ray_coordinates"] = {key: str(Fraction(v) / k) for key, v in coords.items()}
+    if "resolution" in edge:
+        res = edge["resolution"]
+        out["resolution"] = {
+            **res, "multiplicities": [k * m for m in res["multiplicities"]],
+            "shape": re.sub(r"(?<=\^)\d+", lambda match: str(k * int(match[0])), res["shape"])}
+    if "kronecker" in edge:
+        kron = edge["kronecker"]
+        out["kronecker"] = {
+            **kron, "dim_vector": [k * n for n in kron["dim_vector"]],
+            "expected_dimension": _scaled_dimension(kron["expected_dimension"], k)}
+    return out
+
+
+def scaled_rendering(rendered, k):
+    """``report_to_dict(cone_report(x.scale(k)))`` from ``rendered``, that of ``x``.
+
+    Where the rank is 1 or 2 the secondary edge changes mode, and is left out.
+    """
+    out = dict(rendered)
+    out["input"] = _scaled_character(rendered["input"], k)
+    cls = rendered["classification"]  # a rank-zero reason names the degree
+    out["classification"] = {**cls, "reasons": [
+        re.sub(r"(?:(?<=degree )|(?<=, got ))-?\d+$", lambda match: str(k * int(match[0])), reason)
+        for reason in cls["reasons"]]}
+    if rendered["dimension"] and cls["kind"] != "EXCEPTIONAL":
+        out["dimension"] = _scaled_dimension(rendered["dimension"], k)
+    if "natural_classes" in rendered:
+        out["natural_classes"] = {key: _scaled_character(value, k)
+                                  for key, value in rendered["natural_classes"].items()}
+    if "primary" in rendered:
+        out["primary"] = _scaled_edge(rendered["primary"], k)
+    if "secondary" in rendered:
+        if rendered["input"]["r"] in ("1", "2"):
+            del out["secondary"]
+        else:
+            sec = out["secondary"] = _scaled_edge(rendered["secondary"], k)
+            if "serre_dual_pipeline" in sec:
+                sec["serre_dual_pipeline"] = _scaled_edge(sec["serre_dual_pipeline"], k)
+    return out
+
+
+@pytest.mark.parametrize("kind", list(Kind), ids=[kind.name.lower() for kind in Kind])
+@cases
+@given(data=st.data(), k=st.integers(2, 5))
+def test_rendered_scaling_law(kind, data, k):
+    x = data.draw(CHARACTERS[kind], label="x")
+    report, scaled = _outcome(x), _outcome(x.scale(k))
+    if not hasattr(report, "classification"):
+        assert scaled is report
+        return
+    if not hasattr(scaled, "classification"):
+        assert 0 < x.r < 3  # of the two, only k x of rank >= 3 descends on -mu0- as well
+        return
+    if kind is Kind.INVALID and x.r == 0 and k * x.c1 >= 3:
+        assert scaled.classification.kind is Kind.RANK_ZERO_PICARD_RANK_2
+        return
+    rendered = cli.report_to_dict(scaled)
+    if 0 < x.r < 3 and "secondary" in rendered:
+        mode = "SERRE_DUAL" if k * x.r >= 3 else "RANK2_SINGULAR_LOCUS"
+        assert rendered.pop("secondary")["mode"] == mode
+    assert rendered == scaled_rendering(cli.report_to_dict(report), k)

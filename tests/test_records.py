@@ -1,6 +1,6 @@
 """The result types are immutable slots records with value semantics.
 
-Every record a report, a descent or the analysis builds is checked for what
+Every record a report or a descent builds is checked for what
 callers rely on: positional construction, equality and hashing by value,
 a ``repr`` naming each field, refused assignment and deletion, and a
 ``pickle`` round trip.  A record holding a ``QuadraticNumber`` hashes too,
@@ -14,7 +14,7 @@ import pytest
 
 from planecones import cone
 from planecones.chern import ChernCharacter, SlopeDisc
-from planecones.exceptional import DEFAULT_MAX_ORDER, DyadicRational
+from planecones.exceptional import DyadicRational, parents
 from planecones.record import Record
 
 from conftest import record_fields, replace, triad_key
@@ -23,11 +23,12 @@ GOLDEN = ChernCharacter.from_rmd(3, Fraction(2, 3), Fraction(17, 9))
 
 
 def _records() -> dict:
-    """One record of each type, from the golden character's report and analysis."""
+    """One record of each type, from the golden character's report and its gamma's triad."""
     report = cone.cone_report(GOLDEN)
     primary = report.primary
     inv = primary.invariants
-    side = cone._analyze(GOLDEN, DEFAULT_MAX_ORDER)
+    gamma = inv.corresponding_slope
+    left, right = parents(gamma)
     return {
         "SlopeDisc": inv.point,
         "DyadicRational": report.secondary.corresponding_slope.dyadic,
@@ -40,8 +41,7 @@ def _records() -> dict:
         "PrimaryEdge": primary,
         "SecondaryEdge": report.secondary,
         "ConeReport": report,
-        "_Triad": side.triad,
-        "_Analysis": side,
+        "_Triad": cone._triad(*triad_key(left, gamma, right)),
     }
 
 
@@ -89,11 +89,7 @@ def test_positional_construction_checks_the_field_count():
         DyadicRational(1, 2, 3)
 
 
-def test_analysis_defaults_and_dyadic_check():
-    cls = cone.Classification(cone.Kind.INVALID, ("negative rank",))
-    side = cone._Analysis(cls)
-    assert side == cone._Analysis(cls, None, None, None, None, None, None)
-    assert pickle.loads(pickle.dumps(side)) == side
+def test_dyadic_check():
     assert DyadicRational(3, 2) == DyadicRational(3, 2) != DyadicRational(1, 2)
     for p, q in ((4, 1), (1, -1)):
         with pytest.raises(ValueError):

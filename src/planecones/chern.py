@@ -150,10 +150,10 @@ class ChernCharacter(Record):
         return _closed(-self.r, -self.c1, -self.chi)
 
     def scale(self, k: RationalLike) -> "ChernCharacter":
+        if type(k) is not int and not isinstance(k, Fraction):
+            raise DomainError(f"scale needs an int or a Fraction, got {k!r}")
         if k == 1:  # a record is immutable, so the class itself is its own multiple
             return self
-        if type(k) is not int:
-            k = Fraction(k)
         return _closed(k * self.r, k * self.c1, k * self.chi)
 
     def __str__(self) -> str:

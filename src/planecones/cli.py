@@ -12,7 +12,9 @@ characters depend on nothing but the slope or the triad, so each is
 rendered once per digit limit into a bounded cache and every report gets
 its own copy of the cached dicts.  The caches key on integers (a slope's
 bundle and address, the triad's ``(r, c1, chi)`` triples), never on
-records nor on a field's path: a refusal is rendered again with its path.
+records nor on a field's path: a cached fragment names a refused field
+from the fragment (``slope``, ``interval``, ``chi``, ...), and the caller
+puts its path in front of the ``DomainError``'s message.
 A report reads the digit limit once and writes enums from ``_value_`` and
 quotients from integers.  Decimal columns only appear
 under ``--approx`` and are labeled non-authoritative.  Output is
@@ -220,14 +222,12 @@ def _triad_dicts(triad: tuple[ChernCharacter, ...], prefix: str, limit: int) -> 
 
     One cache lookup per triad; each call gets its own copy of each dict.
     Past the digit limit, the ``DomainError`` is :func:`_character_dict`'s
-    for the first character that does not fit.
+    for the first character that does not fit, named under ``prefix``.
     """
     try:
         fields = _triad_character_fields(tuple([(x.r, x.c1, x.chi) for x in triad]), limit)
-    except ValueError:
-        for x in triad:
-            _character_dict(x, prefix)
-        raise
+    except DomainError as exc:
+        raise DomainError(prefix + str(exc)) from None
     return list(map(dict.copy, fields))
 
 
@@ -235,49 +235,41 @@ def _triad_dicts(triad: tuple[ChernCharacter, ...], prefix: str, limit: int) -> 
 def _triad_character_fields(triad: tuple[tuple[int, int, int], ...],
                             limit: int) -> tuple[dict, ...]:
     # ``limit`` keys the cache: a lower one renders again
-    return tuple(character_to_json(_lattice(*x)) for x in triad)
+    return tuple(_character_dict(_lattice(*x)) for x in triad)
 
 
 def _slope_dict(s: exceptional.ExceptionalSlope, prefix: str = "",
                 limit: Optional[int] = None) -> dict:
     """``s`` rendered once per slope and digit limit, whatever its path; each call gets a copy.
 
-    Past the digit limit, the slope is rendered again with its path, so the
-    ``DomainError`` names the field under ``prefix``.
+    Past the digit limit, the ``DomainError`` names the field under ``prefix``.
     """
     d = s.dyadic
-    key = s.r, s.c1, s.chi, d.p, d.q
     try:
-        out = _slope_fields(*key, int_digit_limit() if limit is None else limit).copy()
-    except DomainError:
-        _render_slope(*key, prefix)
-        raise
+        out = _slope_fields(s.r, s.c1, s.chi, d.p, d.q,
+                            int_digit_limit() if limit is None else limit).copy()
+    except DomainError as exc:
+        raise DomainError(prefix + str(exc)) from None
     out["interval"] = out["interval"].copy()
     return out
 
 
 @lru_cache(maxsize=_RENDER_CACHE_SIZE)
 def _slope_fields(r: int, c1: int, chi: int, p: int, q: int, limit: int) -> dict:
-    # ``limit`` keys the cache, as for the triad characters
-    return _render_slope(r, c1, chi, p, q, "")
-
-
-def _render_slope(r: int, c1: int, chi: int, p: int, q: int, prefix: str) -> dict:
-    """The fields of the slope ``(r, c1, chi)`` at ``p/2**q``, each named under ``prefix``."""
+    """The fields of the slope ``(r, c1, chi)`` at ``p/2**q``; ``limit`` keys the cache."""
     s = exceptional._slope(r, c1, chi, exceptional._dyadic(p, q))
     shift, word = cfrac.slope_to_lr(s)
     out = {
-        "slope": _ratio(prefix + "slope", c1, r),
-        "rank": _int(prefix + "rank", r),
-        "discriminant": _ratio(prefix + "discriminant", r * r - 1, 2 * r * r),
-        "order": _int(prefix + "order", q),
-        "dyadic": _str(prefix + "dyadic", s.dyadic, p),
+        "slope": _ratio("slope", c1, r),
+        "rank": _int("rank", r),
+        "discriminant": _ratio("discriminant", r * r - 1, 2 * r * r),
+        "order": _int("order", q),
+        "dyadic": _str("dyadic", s.dyadic, p),
         "lr_word": word,
-        "lr_translation": _int(prefix + "lr_translation", shift),
+        "lr_translation": _int("lr_translation", shift),
     }
     left, right = s.interval()  # built once the rank is known to fit
-    path = prefix + "interval"
-    out["interval"] = {"left": _str(path, left), "right": _str(path, right)}
+    out["interval"] = {"left": _str("interval", left), "right": _str("interval", right)}
     return out
 
 

@@ -337,7 +337,10 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
 
     Integrality gates first (integer rank and first Chern class, integer
     Euler characteristic), then position relative to the boundary curve.
+    ``max_order`` must be an ``int`` of at least 0.
     """
+    if type(max_order) is not int or max_order < 0:
+        raise DomainError(f"max_order must be a non-negative integer, got {max_order!r}")
     r, c = x.r, x.c1
     if r.denominator != 1:
         return _new_classification(_INVALID, ("rank is not an integer",))
@@ -704,7 +707,7 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
     """Full report for a character; classification-only when no rays exist.
 
     ``multiplier``, an ``int`` of at least 1, scales the primary ray and the
-    Serre dual's.
+    Serre dual's; ``max_order`` is checked by :func:`classify`, before any work.
     """
     if type(multiplier) is not int or multiplier < 1:
         raise DomainError(f"multiplier must be a positive integer, got {multiplier!r}")

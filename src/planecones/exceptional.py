@@ -603,16 +603,15 @@ boundary_at.cache_clear = delta_curve.cache_clear = _boundary.cache_clear
 
 def enumerate_slopes(lo: RationalLike, hi: RationalLike,
                      max_order: int) -> list[ExceptionalSlope]:
-    """All exceptional slopes of order <= max_order inside [lo, hi], sorted."""
+    """All exceptional slopes of order <= max_order inside [lo, hi], in address order.
+
+    Address order is slope order, since the correspondence is order-preserving.
+    """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise DomainError("empty slope range")
-    found = []
-    for q in range(max_order + 1):
-        for p in range(math.floor(lo) << q, (math.ceil(hi) << q) + 1):
-            if q == 0 or p & 1:
-                s = from_dyadic(DyadicRational(p, q))
-                if lo <= s.slope <= hi:
-                    found.append(s)
-    found.sort(key=lambda s: s.slope)
-    return found
+    if max_order < 0:  # no address has a negative order
+        return []
+    walk = range(math.floor(lo) << max_order, (math.ceil(hi) << max_order) + 1)
+    slopes = (from_dyadic(DyadicRational.make(m, max_order)) for m in walk)
+    return [s for s in slopes if lo <= s.slope <= hi]

@@ -492,6 +492,24 @@ def reference_find_interval(x, max_order: int = DEFAULT_MAX_ORDER):
     raise DescentError(f"no enclosing interval of order <= {max_order}")
 
 
+def reference_enumerate_slopes(lo, hi, max_order: int) -> list[ExceptionalSlope]:
+    """Every address of each order up to ``max_order`` walked, filtered, then sorted by slope.
+
+    The reference for ``enumerate_slopes``, which walks the addresses of
+    order ``max_order`` up and relies on address order being slope order.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    found = []
+    for q in range(max_order + 1):
+        for p in range(math.floor(lo) << q, (math.ceil(hi) << q) + 1):
+            if q == 0 or p & 1:
+                s = from_dyadic(DyadicRational(p, q))
+                if lo <= s.slope <= hi:
+                    found.append(s)
+    found.sort(key=lambda s: s.slope)
+    return found
+
+
 def boundary_classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classification:
     """``classify`` by the boundary value at every slope, with no shortcut above delta = 1.
 

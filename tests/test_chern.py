@@ -173,6 +173,15 @@ class TestOperationsKeepIntFields:
         assert (json.dumps(report_to_dict(cone_report(result)))
                 == json.dumps(report_to_dict(cone_report(expected))))
 
+    @pytest.mark.parametrize("k", [1.5, float("nan"), "a", 1.0, True, None], ids=repr)
+    def test_scale_takes_an_int_or_a_fraction(self, k):
+        """Refused as ``twist`` refuses a non-integer; an ``int`` or a ``Fraction`` scales."""
+        with pytest.raises(DomainError, match="^scale needs an int or a Fraction, got "):
+            HALF.scale(k)
+        assert HALF.scale(2) == ChernCharacter(8, 2, -14)
+        assert HALF.scale(Fraction(3, 2)) == ChernCharacter(6, Fraction(3, 2), Fraction(-21, 2))
+        assert HALF.scale(1) is HALF and HALF.scale(Fraction(1)) is HALF
+
     @given(characters, characters, st.integers(-3, 3))
     def test_no_integral_fraction_field(self, x, y, n):
         results = [x + y, x - y, -x, x.tensor(y), x.dual(), x.serre_dual(), x.twist(n),

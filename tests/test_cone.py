@@ -26,7 +26,7 @@ from planecones.cone import (
     resolution_multiplicities,
     secondary_edge,
 )
-from planecones.errors import ConsistencyError, DomainError
+from planecones.errors import ConsistencyError, DescentError, DomainError
 from planecones.exceptional import (
     arc_value, delta_curve, enumerate_slopes, from_slope_value, interval_contains,
 )
@@ -507,6 +507,22 @@ def test_multiplier_must_be_a_positive_int(x, m):
     with pytest.raises(DomainError, match="^multiplier must be a positive integer, got "):
         cone_report(x, m)
     assert cone_report(x, 2).input is x
+
+
+@pytest.mark.parametrize("m", [-1, 1.5, F(3), 2.0, True, "3", None], ids=repr)
+@pytest.mark.parametrize("x", EVERY_KIND, ids=str)
+def test_max_order_must_be_a_non_negative_int(x, m):
+    """Refused by ``cone_report`` and ``classify`` before any work, whatever the kind."""
+    refused = "^max_order must be a non-negative integer, got "
+    with pytest.raises(DomainError, match=refused):
+        cone_report(x, 1, m)
+    with pytest.raises(DomainError, match=refused):
+        classify(x, m)
+    for budget in (0, 12):
+        try:
+            assert cone_report(x, 1, budget).input is x
+        except DescentError:  # a budget of 0 can be too small, but it is not refused
+            assert budget == 0
 
 
 @pytest.mark.parametrize("m", [0, 2.5, F(2), 2.0, True], ids=repr)

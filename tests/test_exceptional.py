@@ -41,6 +41,7 @@ from conftest import (
     moved,
     negated,
     quadratic_interval,
+    reference_enumerate_slopes,
     reference_find_interval,
     replace,
     slope_dot,
@@ -736,6 +737,14 @@ class TestEnumerate:
     def test_empty_range_rejected(self):
         with pytest.raises(DomainError):
             enumerate_slopes(1, 0, 3)
+
+    @pytest.mark.parametrize("lo, hi, max_order", [
+        (-3, 3, 8), (F(1, 3), F(5, 7), 10), (0, F(1, 2), 8), (0, 1, 0), (F(-5, 2), F(-7, 3), 6),
+        (0, 1, -1),
+    ], ids=str)
+    def test_address_order_is_slope_order(self, lo, hi, max_order):
+        """The ordered walk equals every order's addresses walked, filtered and sorted."""
+        assert enumerate_slopes(lo, hi, max_order) == reference_enumerate_slopes(lo, hi, max_order)
 
 
 class TestCharacter:

@@ -37,6 +37,18 @@ rendered alike.  A sheaf of rank zero has the dual ``-x^v(-3) = (0, c1,
 -chi)``, which keeps its Brill-Noether edge: the primary ray goes to its
 dual.
 
+The rendered Serre-duality law: from rank 3 on, ``report_to_dict`` of
+``x^v(-3)`` is one closed map of ``report_to_dict`` of ``x``.  The input is
+``(r, -c1 - 3r, chi)``, and an exceptional multiple names the slope
+``-mu - 3``; ``mu0+`` and ``mu0-`` swap and change sign; the primary edge
+and the Serre-dual pipeline swap; the secondary ray is the other report's
+primary ray ``(R, C, X)`` sent to ``(-R, C, 3C - X)``, with ``mu``,
+``delta`` and the coordinate ``zeta0`` following it; and the secondary
+corresponding slope is the other primary's gamma negated, whose interval
+ends change sign and swap and whose word and translation are read off the
+negated address.  The note on invariants off the boundary curve follows
+the primary edge.  Every other field stays.
+
 The scaling law: ``k x`` for an integer ``k >= 2`` has the slope and
 discriminant of ``x``, so the same kind, ``mu0+-``, corresponding slope
 gamma, primitive primary ray, case sign and wall; from rank 3 on, the
@@ -69,7 +81,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecones import cli, exceptional
+from planecones import cfrac, cli, exceptional
 from planecones.chern import character_from_json, character_to_json, natural_classes
 from planecones.cone import Kind, SecondaryMode, classify, cone_report
 from planecones.errors import DescentError
@@ -309,6 +321,8 @@ def _assert_serre_duality_law(x):
     rendered, rendered_dual = cli.report_to_dict(report), cli.report_to_dict(dual)
     assert rendered_dual["classification"]["kind"] == rendered["classification"]["kind"]
     assert rendered_dual["dimension"] == rendered["dimension"]
+    if x.r >= 3:
+        assert rendered_dual == serre_rendering(rendered)
     if report.primary is None:
         assert dual.primary is None and dual.mu0_plus is None
         return
@@ -329,8 +343,64 @@ def _assert_serre_duality_law(x):
         assert other.secondary.corresponding_slope == image
         assert other.secondary.corresponding_slope.dyadic == image.dyadic
         assert other.secondary.dual_primary == edge.primary
-    assert rendered["secondary"]["serre_dual_pipeline"] == rendered_dual["primary"]
-    assert rendered_dual["secondary"]["serre_dual_pipeline"] == rendered["primary"]
+
+
+OFF_CURVE_NOTE = ("invariants lie off the boundary curve: stable orthogonal slopes below mu+ "
+                  "exist but span non-effective rays")
+
+
+def _negated_quadratic(text):
+    return text and str(negated(QuadraticNumber.parse(text)))
+
+
+def _negated_slope(slope):
+    """The rendered exceptional slope ``-gamma``: its address negated, its interval reflected."""
+    p, _, q = slope["dyadic"].partition("/2^")
+    p, q = -int(p), int(q or 0)
+    shift, word = cfrac.dyadic_to_word(DyadicRational(p, q))
+    interval = slope["interval"]
+    return {**slope, "slope": str(-Fraction(slope["slope"])),
+            "dyadic": f"{p}/2^{q}" if q else str(p), "lr_word": word, "lr_translation": shift,
+            "interval": {"left": _negated_quadratic(interval["right"]),
+                         "right": _negated_quadratic(interval["left"])}}
+
+
+def serre_rendering(rendered):
+    """``report_to_dict(cone_report(x.serre_dual()))`` from ``rendered``, that of ``x``.
+
+    For ``x`` of rank 3 or more.
+    """
+    out = dict(rendered)
+    x = character_from_json(rendered["input"]).serre_dual()
+    out["input"] = character_to_json(x)
+    cls = rendered["classification"]  # an exceptional multiple names its slope
+    out["classification"] = {**cls, "reasons": [
+        re.sub(r"(?<=of slope )\S+$", lambda match: str(-Fraction(match[0]) - 3), reason)
+        for reason in cls["reasons"]]}
+    if "natural_classes" in rendered:
+        out["natural_classes"] = dict(zip(("zeta0", "zeta1"),
+                                          map(character_to_json, natural_classes(x))))
+    if "mu0" in rendered:
+        mu0 = rendered["mu0"]
+        out["mu0"] = {"plus": _negated_quadratic(mu0["minus"]),
+                      "minus": _negated_quadratic(mu0["plus"])}
+    if "primary" in rendered:
+        primary, sec = rendered["primary"], rendered["secondary"]
+        out["primary"] = sec["serre_dual_pipeline"]
+        ray = character_to_json(-character_from_json(primary["extremal_character"]).dual())
+        coords = primary["extremal_ray_coordinates"]
+        out["secondary"] = {
+            **sec, "mu": ray["mu"], "delta": ray["delta"],
+            "corresponding_slope": _negated_slope(primary["invariants"]["corresponding_slope"]),
+            "extremal_character": ray,
+            "extremal_ray_coordinates": {**coords, "zeta0": str(-Fraction(coords["zeta0"]))},
+            "serre_dual_pipeline": primary,
+        }
+        out.pop("note", None)
+        inv = out["primary"]["invariants"]  # the note reads the primary edge
+        if inv["case_sign"] == "POSITIVE" and not inv["on_delta_curve"]:
+            out["note"] = OFF_CURVE_NOTE
+    return out
 
 
 @pytest.mark.parametrize("kind", list(Kind), ids=[kind.name.lower() for kind in Kind])
@@ -340,6 +410,14 @@ def test_serre_duality_law(kind, data):
     x = data.draw(CHARACTERS[kind], label="x")
     assert classify(x).kind is kind
     _assert_serre_duality_law(x)
+
+
+def test_rendered_serre_duality_on_the_grid(grid):
+    """The rendered law on every Picard-rank-2 character of the grid from rank 3 on."""
+    for x in grid:
+        if x.r >= 3:
+            rendered = cli.report_to_dict(cone_report(x))
+            assert cli.report_to_dict(cone_report(x.serre_dual())) == serre_rendering(rendered), x
 
 
 def _assert_scaling_law(x, k):

@@ -8,8 +8,10 @@ it, so a deletion or rename that would break a traced run fails tier-1
 first.
 
 Every module of ``src/planecones`` but the package's ``__init__`` (whose
-imports are the public surface) must use each name it imports; the check
-reads the source with ``ast`` alone.
+imports are the public surface) must use each name it imports, and each
+private name a module defines at its top level (a ``_``-prefixed function,
+class or assignment) must be read by some module of the package; the checks
+read the source with ``ast`` alone.
 """
 
 import ast
@@ -74,3 +76,44 @@ def test_unused_imports_are_found():
                                         if p.name != "__init__.py"))
 def test_no_unused_imports(path):
     assert unused_imports((PACKAGE / path).read_text()) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private top-level name of ``sources`` that none of them reads.
+
+    A name is read where it is loaded as a variable or an attribute, or imported by name.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [f"{module}.{name}" for name in names
+                     if name.startswith("_") and not name.startswith("__") and name not in read]
+    return dead
+
+
+def test_dead_private_names_are_found():
+    sources = {"a": "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\n"
+                    "_A = _B = 1\n(_c, _d) = 1, 2\n__all__ = []\n_B\n",
+               "b": "from .a import _used\n_used()\nx._c\nx._A = 2\n"}
+    assert dead_private_names(sources) == ["a._dead", "a._Gone", "a._A", "a._d"]
+
+
+def test_no_dead_private_names():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []

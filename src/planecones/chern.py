@@ -2,11 +2,12 @@
 
 A character is stored in the lattice basis ``(r, c1, chi)``: rank, first
 Chern class and Euler characteristic ``chi = ch0 + (3/2) ch1 + ch2``.  Every
-sheaf has integral ``(r, c1, chi)``; the constructors and every operation
-store an integral field as a plain ``int``.  A
-:class:`~fractions.Fraction` field survives only for non-integral input,
-which classification rejects.  Every operation is one closed form in the
-lattice basis, so an integral character never builds a ``Fraction``:
+sheaf has integral ``(r, c1, chi)``; the constructors and every operation,
+which build through ``_lattice`` (``ChernCharacter._trusted``), store an
+integral field as a plain ``int``.  A :class:`~fractions.Fraction` field
+survives only for non-integral input, which classification rejects.
+Every operation is one closed form in the lattice basis, so an integral
+character never builds a ``Fraction``:
 
 * Euler pairing ``(x, z) = chi(x tensor z) = r_x chi_z + r_z chi_x - r_x r_z + c_x c_z``;
 * ``tensor = (r_x r_z, r_x c_z + r_z c_x, (x, z))``;
@@ -160,19 +161,7 @@ class ChernCharacter(Record):
         return f"({self.r}, {self.c1}, {self.ch2})"
 
 
-_set_r = ChernCharacter.r.__set__
-_set_c1 = ChernCharacter.c1.__set__
-_set_chi = ChernCharacter.chi.__set__
-_new = object.__new__
-
-
-def _lattice(r, c1, chi) -> ChernCharacter:
-    """The character ``(r, c1, chi)``, trusting each field to be an int or a Fraction."""
-    x = _new(ChernCharacter)
-    _set_r(x, r)
-    _set_c1(x, c1)
-    _set_chi(x, chi)
-    return x
+_lattice = ChernCharacter._trusted  # each field trusted to be an int or a Fraction
 
 
 def _closed(r, c1, chi) -> ChernCharacter:

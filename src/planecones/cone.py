@@ -9,8 +9,9 @@ resolution by gamma's triad (cached per gamma), the Kronecker data and the
 wall.  For rank >= 3 the same steps on the Serre dual, descending on
 ``-mu0-``, give the secondary ray.  Each step checks its result and raises
 ``ConsistencyError`` when a check fails.  Rays are lattice vectors, and no
-float decides a branch.  Records come from the trusted ``_new_*``
-constructors; ``Record.__init__`` stays the checked public path.  The stage
+float decides a branch.  Records come from each class's trusted
+constructor ``_trusted``, which ``Record`` makes, given every field;
+``Record.__init__`` stays the checked public path.  The stage
 functions ``orthogonal_invariants``, ``resolution_multiplicities``,
 ``kronecker_data`` and ``secondary_edge`` read one field of the report.
 """
@@ -211,121 +212,6 @@ class ConeReport(Record):
     note: Optional[str]
 
 
-# -- trusted constructors ----------------------------------------------------
-#
-# A report builds its records here, one slot setter per field, past the
-# field-count check of ``Record.__init__``, which stays the checked public
-# path: its loop over the setters costs about twice as much.
-
-_new = object.__new__
-# each record's setters, unpacked once at import, as ``exceptional._set_*`` are
-_set_cls_kind, _set_cls_reasons = Classification._setters
-_set_inv_ray, _set_inv_case, _set_inv_on_curve, _set_inv_gamma = OrthogonalInvariants._setters
-(_set_res_case, _set_res_slopes, _set_res_chars, _set_res_m1, _set_res_m2,
- _set_res_m3) = ResolutionData._setters
-_set_kron_n, _set_kron_dims, _set_kron_edim, _set_kron_fibration = KroneckerData._setters
-(_set_wall_cn, _set_wall_cd, _set_wall_radius, _set_wall_rn, _set_wall_rd,
- _set_wall_exceeds) = Wall._setters
-(_set_primary_inv, _set_primary_ray, _set_primary_coords, _set_primary_res, _set_primary_kron,
- _set_primary_wall, _set_primary_coincides) = PrimaryEdge._setters
-(_set_secondary_mode, _set_secondary_slope, _set_secondary_ray, _set_secondary_coords,
- _set_secondary_descriptor, _set_secondary_dual) = SecondaryEdge._setters
-(_set_report_input, _set_report_cls, _set_report_dim, _set_report_natural, _set_report_plus,
- _set_report_minus, _set_report_primary, _set_report_secondary,
- _set_report_note) = ConeReport._setters
-
-
-def _new_classification(kind: Kind, reasons: tuple[str, ...]) -> Classification:
-    cls = _new(Classification)
-    _set_cls_kind(cls, kind)
-    _set_cls_reasons(cls, reasons)
-    return cls
-
-
-def _new_invariants(ray: ChernCharacter, case: CaseSign, on_curve: bool,
-                    gamma: ExceptionalSlope) -> OrthogonalInvariants:
-    inv = _new(OrthogonalInvariants)
-    _set_inv_ray(inv, ray)
-    _set_inv_case(inv, case)
-    _set_inv_on_curve(inv, on_curve)
-    _set_inv_gamma(inv, gamma)
-    return inv
-
-
-def _new_resolution(case: CaseSign, slopes: tuple, chars: tuple, m1: int, m2: int,
-                    m3: Optional[int]) -> ResolutionData:
-    res = _new(ResolutionData)
-    _set_res_case(res, case)
-    _set_res_slopes(res, slopes)
-    _set_res_chars(res, chars)
-    _set_res_m1(res, m1)
-    _set_res_m2(res, m2)
-    _set_res_m3(res, m3)
-    return res
-
-
-def _new_kronecker(n: int, dim_vector: tuple[int, int], edim: int,
-                   fibration: Fibration) -> KroneckerData:
-    kron = _new(KroneckerData)
-    _set_kron_n(kron, n)
-    _set_kron_dims(kron, dim_vector)
-    _set_kron_edim(kron, edim)
-    _set_kron_fibration(kron, fibration)
-    return kron
-
-
-def _new_wall(center_num: int, center_den: int, radius: QuadraticNumber, radius_squared_num: int,
-              radius_squared_den: int, exceeds: bool) -> Wall:
-    wall = _new(Wall)
-    _set_wall_cn(wall, center_num)
-    _set_wall_cd(wall, center_den)
-    _set_wall_radius(wall, radius)
-    _set_wall_rn(wall, radius_squared_num)
-    _set_wall_rd(wall, radius_squared_den)
-    _set_wall_exceeds(wall, exceeds)
-    return wall
-
-
-def _new_primary(inv: OrthogonalInvariants, ray: ChernCharacter, coords_denominator, res,
-                 kron, wall: Wall, coincides: bool) -> PrimaryEdge:
-    edge = _new(PrimaryEdge)
-    _set_primary_inv(edge, inv)
-    _set_primary_ray(edge, ray)
-    _set_primary_coords(edge, coords_denominator)
-    _set_primary_res(edge, res)
-    _set_primary_kron(edge, kron)
-    _set_primary_wall(edge, wall)
-    _set_primary_coincides(edge, coincides)
-    return edge
-
-
-def _new_secondary(mode: SecondaryMode, slope, ray, coords_denominator, descriptor: str,
-                   dual) -> SecondaryEdge:
-    edge = _new(SecondaryEdge)
-    _set_secondary_mode(edge, mode)
-    _set_secondary_slope(edge, slope)
-    _set_secondary_ray(edge, ray)
-    _set_secondary_coords(edge, coords_denominator)
-    _set_secondary_descriptor(edge, descriptor)
-    _set_secondary_dual(edge, dual)
-    return edge
-
-
-def _new_report(x: ChernCharacter, cls: Classification, dim, natural, mu0_plus=None,
-                mu0_minus=None, primary=None, secondary=None, note=None) -> ConeReport:
-    report = _new(ConeReport)
-    _set_report_input(report, x)
-    _set_report_cls(report, cls)
-    _set_report_dim(report, dim)
-    _set_report_natural(report, natural)
-    _set_report_plus(report, mu0_plus)
-    _set_report_minus(report, mu0_minus)
-    _set_report_primary(report, primary)
-    _set_report_secondary(report, secondary)
-    _set_report_note(report, note)
-    return report
-
-
 # -- classification ----------------------------------------------------------
 
 
@@ -339,25 +225,24 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
     Euler characteristic), then position relative to the boundary curve.
     ``max_order`` must be an ``int`` of at least 0.
     """
-    if type(max_order) is not int or max_order < 0:
-        raise DomainError(f"max_order must be a non-negative integer, got {max_order!r}")
+    exceptional._check_max_order(max_order)
     r, c = x.r, x.c1
     if r.denominator != 1:
-        return _new_classification(_INVALID, ("rank is not an integer",))
+        return Classification._trusted(_INVALID, ("rank is not an integer",))
     if c.denominator != 1:
-        return _new_classification(_INVALID, ("first Chern class is not an integer",))
+        return Classification._trusted(_INVALID, ("first Chern class is not an integer",))
     if x.chi.denominator != 1:
-        return _new_classification(_INVALID, ("Euler characteristic is not an integer",))
+        return Classification._trusted(_INVALID, ("Euler characteristic is not an integer",))
     if r < 0:
-        return _new_classification(_INVALID, ("negative rank",))
+        return Classification._trusted(_INVALID, ("negative rank",))
 
     if r == 0:
         if c < 3:
-            return _new_classification(
+            return Classification._trusted(
                 _INVALID,
                 (f"rank zero needs first Chern class d >= 3, got {c}",),
             )
-        return _new_classification(
+        return Classification._trusted(
             _RANK_ZERO,
             (f"pure one-dimensional sheaves of degree {c}",),
         )
@@ -372,17 +257,17 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
     if side > 0:
         return _ABOVE_BOUNDARY
     if side == 0:
-        return _new_classification(
+        return Classification._trusted(
             _HEIGHT_ZERO, ("discriminant sits exactly on the boundary curve",)
         )
     # an exceptional multiple is k times its enclosing exceptional slope's bundle
     k, rest = divmod(r, enclosing.r)
     if rest == 0 and c == k * enclosing.c1 and x.chi == k * enclosing.chi:
-        return _new_classification(
+        return Classification._trusted(
             _EXCEPTIONAL,
             (f"positive multiple of the exceptional character of slope {ratio_str(c, r)}",),
         )
-    return _new_classification(
+    return Classification._trusted(
         _INVALID, ("discriminant below the boundary curve and not an exceptional multiple",)
     )
 
@@ -430,8 +315,8 @@ def _triad(left: tuple, mid: tuple, right: tuple, p: int, q: int) -> _Triad:
     n = euler_chi_pair(chars[0], chars[1])
     if n <= 0:
         raise ConsistencyError(f"hom count {n} is not positive")
-    return _Triad(gamma, left.character(), gamma.character(), right.character(), images, chars,
-                  n)
+    return _Triad._trusted(gamma, left.character(), gamma.character(), right.character(),
+                           images, chars, n)
 
 
 def _mu0(x: ChernCharacter) -> tuple[QuadraticNumber, Optional[QuadraticNumber]]:
@@ -474,7 +359,7 @@ def _side(x: ChernCharacter, form: tuple[int, int, int, int], multiplier: int, m
         ray = _ray(x, triad.image_chars[2 if case is _POSITIVE else 3])
     # mu+ <= gamma's slope, cross-multiplied by the two positive ranks
     on_curve = case is not _POSITIVE or ray.c1 * gamma.r <= gamma.c1 * ray.r
-    inv = _new_invariants(ray, case, on_curve, triad.slope)
+    inv = OrthogonalInvariants._trusted(ray, case, on_curve, triad.slope)
     res = kron = None
     if x.r > 0:
         res = _resolution(x, triad, case, pairing)
@@ -507,6 +392,7 @@ def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
     """Integral character on the primary ray, at the minimal rank times a multiplier."""
     if type(multiplier) is not int or multiplier < 1:
         raise DomainError(f"multiplier must be a positive integer, got {multiplier!r}")
+    exceptional._check_max_order(max_order)
     if inv.case_sign is not _ZERO:
         # endpoints are irrational, so a rational mu in gamma's closed
         # interval lies in no other and gamma's arc is the boundary there
@@ -586,7 +472,7 @@ def _resolution(x: ChernCharacter, triad: _Triad, case: CaseSign,
         r, c1, chi = r + k * char.r, c1 + k * char.c1, chi + k * char.chi
     if r != x.r or c1 != x.c1 or chi != x.chi:
         raise ConsistencyError(f"resolution of {x} rebuilds {_lattice(r, c1, chi)}")
-    return _new_resolution(case, slopes, chars, m1, m2, m3)
+    return ResolutionData._trusted(case, slopes, chars, m1, m2, m3)
 
 
 def _kronecker(res: ResolutionData, n: int, dim: int) -> KroneckerData:
@@ -606,7 +492,7 @@ def _kronecker(res: ResolutionData, n: int, dim: int) -> KroneckerData:
         raise ConsistencyError(
             f"fibration with positive-dimensional fibers needs dim {dim} > expected {edim}"
         )
-    return _new_kronecker(n, (b, a), edim, fibration)
+    return KroneckerData._trusted(n, (b, a), edim, fibration)
 
 
 def bridgeland_wall(inv: OrthogonalInvariants) -> Wall:
@@ -623,23 +509,10 @@ def bridgeland_wall(inv: OrthogonalInvariants) -> Wall:
     if n < 0:
         raise DomainError("negative squared radius")
     den = 4 * r * r
-    return _new_wall(-s, 2 * r, sqrt_ratio(n, den), n, den, n > 5 * r * r)
+    return Wall._trusted(-s, 2 * r, sqrt_ratio(n, den), n, den, n > 5 * r * r)
 
 
 # -- cone assembly ---------------------------------------------------------------
-
-
-def _coords_denominator(x: ChernCharacter, ray: ChernCharacter) -> int:
-    """The denominator ``r`` of an orthogonal class's coordinates in the natural-class basis.
-
-    With ``zeta0 = (r, 0, r - chi)`` and ``zeta1 = (0, r, -c)`` the ray
-    ``(R, C, X)`` has coordinates ``(R/r, C/r)``; the rebuilt Euler
-    characteristic ``(R (r - chi) - C c)/r`` must equal ``X``.
-    """
-    r, c, chi = x.r, x.c1, x.chi
-    if ray.r * (r - chi) - ray.c1 * c != ray.chi * r:
-        raise ConsistencyError(f"{ray} does not lie in the orthogonal plane of {x}")
-    return r
 
 
 def _primary_edge(x: ChernCharacter, inv: OrthogonalInvariants, triad: _Triad,
@@ -659,8 +532,8 @@ def _primary_edge(x: ChernCharacter, inv: OrthogonalInvariants, triad: _Triad,
     if inv.case_sign is _POSITIVE:  # orthogonal also to E_{-gamma}
         if euler_pairing(ray, triad.image_chars[2]) != 0:
             raise ConsistencyError("positive-case double orthogonality failed")
-    return _new_primary(inv, ray, _coords_denominator(x, ray) if x.r > 0 else None, res, kron,
-                        bridgeland_wall(inv), inv.case_sign is not _ZERO)
+    return PrimaryEdge._trusted(inv, ray, x.r or None, res, kron, bridgeland_wall(inv),
+                                inv.case_sign is not _ZERO)
 
 
 def _secondary_edge(x: ChernCharacter, mu0_minus: Optional[QuadraticNumber], multiplier: int,
@@ -698,8 +571,8 @@ def _secondary_edge(x: ChernCharacter, mu0_minus: Optional[QuadraticNumber], mul
         mode = _RANK0_SUPPORT_MAP
         descriptor = "pullback of O(1) under the support morphism"
     if r < 2:
-        return _new_secondary(mode, None, None, None, descriptor, None)
-    return _new_secondary(mode, slope, ray, _coords_denominator(x, ray), descriptor, dual)
+        return SecondaryEdge._trusted(mode, None, None, None, descriptor, None)
+    return SecondaryEdge._trusted(mode, slope, ray, r, descriptor, dual)
 
 
 def cone_report(x: ChernCharacter, multiplier: int = 1,
@@ -714,15 +587,17 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
     cls = classify(x, max_order)
     kind = cls.kind
     if kind is _INVALID:
-        return _new_report(x, cls, None, None)
+        return ConeReport._trusted(x, cls, None, None, None, None, None, None, None)
     natural = dim = None
     if kind is not _RANK_ZERO:  # every kind left but the rank-zero one has positive rank
         natural = natural_classes(x)
         if kind is _EXCEPTIONAL:
-            return _new_report(x, cls, 0, natural, note="moduli space is a single point")
+            return ConeReport._trusted(x, cls, 0, natural, None, None, None, None,
+                                       "moduli space is a single point")
         dim = moduli_dimension(x)
         if kind is _HEIGHT_ZERO:
-            return _new_report(x, cls, dim, natural, note="moduli space has Picard rank one")
+            return ConeReport._trusted(x, cls, dim, natural, None, None, None, None,
+                                       "moduli space has Picard rank one")
 
     mu0_plus, mu0_minus = _mu0(x)
     primary = _side(x, (mu0_plus.A, mu0_plus.B, mu0_plus.d, mu0_plus.D), multiplier, max_order,
@@ -741,7 +616,7 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
             "invariants lie off the boundary curve: stable orthogonal slopes "
             "below mu+ exist but span non-effective rays"
         )
-    return _new_report(x, cls, dim, natural, mu0_plus, mu0_minus, primary, secondary, note)
+    return ConeReport._trusted(x, cls, dim, natural, mu0_plus, mu0_minus, primary, secondary, note)
 
 
 # -- stage views -----------------------------------------------------------------

@@ -29,13 +29,13 @@ parents and builds nothing.  A public function builds only the slopes it returns
 compares it with each mediant down its walk by one cross-multiplication,
 and no probe tests membership.  An arc's value at a rational is one
 integer numerator (``_arc_form``) over one denominator.  Slopes built by a
-walk, a descent or an affine image come from the trusted constructors
-``_slope`` and ``_dyadic``, which set each slot through its descriptor;
-the setters are unpacked once, at import (``_set_*``).  The boundary
-curve's cache (``_boundary``) is keyed on a rational's numerator and
-denominator in lowest terms and the order budget, so a caller that holds a
-slope as integers looks it up without building or hashing a ``Fraction``;
-``boundary_at`` and ``delta_curve`` are views of it.
+walk, a descent or an affine image come from the records' trusted
+constructors ``_slope`` and ``_dyadic``, past ``DyadicRational``'s check.
+A public function checks its order budget once (``_check_max_order``).
+The boundary curve's cache (``_boundary``) is keyed on a rational's
+numerator and denominator in lowest terms and the order budget, so a caller
+that holds a slope as integers looks it up without building or hashing a
+``Fraction``; ``boundary_at`` and ``delta_curve`` are views of it.
 """
 
 from __future__ import annotations
@@ -52,6 +52,12 @@ from .qarith import (
 from .record import Record
 
 DEFAULT_MAX_ORDER = 64
+
+
+def _check_max_order(max_order) -> None:
+    """Refuse an order budget that is not an ``int`` of at least 0, ``bool`` included."""
+    if type(max_order) is not int or max_order < 0:
+        raise DomainError(f"max_order must be a non-negative integer, got {max_order!r}")
 
 
 class DyadicRational(Record):
@@ -141,19 +147,9 @@ class ExceptionalSlope(Record):
         return str(self.c1) if self.r == 1 else f"{self.c1}/{self.r}"
 
 
-# Trusted constructors set each slot through its descriptor (``cls._setters``),
-# past the records' immutability and ``DyadicRational``'s check.
-_new = object.__new__
-_set_p, _set_q = DyadicRational._setters
-_set_r, _set_c1, _set_chi, _set_dyadic = ExceptionalSlope._setters
-
-
-def _dyadic(p: int, q: int) -> DyadicRational:
-    """``p / 2**q``, trusted to be in lowest terms: the walk's addresses skip the check."""
-    d = _new(DyadicRational)
-    _set_p(d, p)
-    _set_q(d, q)
-    return d
+# a walk's addresses are in lowest terms and its bundles exceptional: neither is checked again
+_dyadic = DyadicRational._trusted
+_slope = ExceptionalSlope._trusted
 
 
 def _reduced(p: int, q: int) -> DyadicRational:
@@ -162,16 +158,6 @@ def _reduced(p: int, q: int) -> DyadicRational:
         k = min(q, (p & -p).bit_length() - 1) if p else q
         p, q = p >> k, q - k
     return _dyadic(p, q)
-
-
-def _slope(r: int, c1: int, chi: int, dyadic: DyadicRational) -> ExceptionalSlope:
-    """The slope of the bundle ``(r, c1, chi)`` at ``dyadic``, trusted as a walk's result."""
-    s = _new(ExceptionalSlope)
-    _set_r(s, r)
-    _set_c1(s, c1)
-    _set_chi(s, chi)
-    _set_dyadic(s, dyadic)
-    return s
 
 
 def _line(n: int) -> tuple[int, int, int]:
@@ -347,6 +333,7 @@ def from_slope_value(mu: RationalLike, max_order: int = DEFAULT_MAX_ORDER) -> Ex
     mediant of rank ``>= b`` that is not ``mu``, or past ``max_order``
     levels.  No probe tests interval membership.
     """
+    _check_max_order(max_order)
     mu = Fraction(mu)
     a, b = mu.numerator, mu.denominator
     n = a // b
@@ -479,6 +466,7 @@ def find_interval(x, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
     would descend forever and trip the budget instead.  Only the hit is
     built, from the integers :func:`_bracket` hands back.
     """
+    _check_max_order(max_order)
     _, mid, _, p, q = _bracket(*integer_form(x), max_order)
     return _slope(*mid, _dyadic(p, q))
 
@@ -586,6 +574,7 @@ def boundary_at(mu: RationalLike,
     One descent per slope: the enclosing slope is kept beside the boundary
     value, so a caller that needs both (classification) never descends again.
     """
+    _check_max_order(max_order)
     if not isinstance(mu, (int, Fraction)):
         mu = Fraction(mu)
     return _boundary(mu.numerator, mu.denominator, max_order)
@@ -610,8 +599,9 @@ def enumerate_slopes(lo: RationalLike, hi: RationalLike,
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise DomainError("empty slope range")
-    if max_order < 0:  # no address has a negative order
+    if type(max_order) is int and max_order < 0:  # no address has a negative order
         return []
+    _check_max_order(max_order)
     walk = range(math.floor(lo) << max_order, (math.ceil(hi) << max_order) + 1)
     slopes = (from_dyadic(DyadicRational.make(m, max_order)) for m in walk)
     return [s for s in slopes if lo <= s.slope <= hi]

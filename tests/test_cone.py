@@ -532,6 +532,16 @@ def test_orthogonal_character_refuses_a_non_int_multiplier(m):
         orthogonal_character(inv, m)
 
 
+@pytest.mark.parametrize("m", [1.5, "3", None, True, F(3), -1], ids=repr)
+@pytest.mark.parametrize("x", [NEGATIVE_CASE, GOLDEN_DUAL], ids=["negative", "zero"])
+def test_orthogonal_character_refuses_a_bad_max_order(x, m):
+    """Refused as ``classify`` refuses it, whether or not the case checks the boundary."""
+    inv = cone_report(x).primary.invariants
+    with pytest.raises(DomainError, match="^max_order must be a non-negative integer, got "):
+        orthogonal_character(inv, 1, m)
+    assert orthogonal_character(inv, 1, 3) == inv.ray
+
+
 class TestNonPrimitiveAndDualCases:
     def test_doubled_character_scales_consistently(self):
         doubled = GOLDEN.scale(2)
@@ -804,7 +814,6 @@ class TestChecksFireOnCorruptedInput:
                              ids=["positive", "negative", "zero"])
     def test_rebuild(self, x, field):
         from planecones import cone
-        from planecones.chern import _lattice
 
         _, triad, res, _ = self.stages(x)
         assert res == cone_report(x).primary.resolution
@@ -813,7 +822,7 @@ class TestChecksFireOnCorruptedInput:
         chars = list(triad.image_chars)
         fields = {name: getattr(chars[1], name) for name in ("r", "c1", "chi")}
         fields[field] += 1
-        chars[1] = _lattice(**fields)
+        chars[1] = ChernCharacter._trusted(*fields.values())
         assert res.m2 > 0
         with pytest.raises(ConsistencyError, match=r"^resolution of .* rebuilds "):
             cone._resolution(x, replace(triad, image_chars=tuple(chars)), res.case_sign, pairing)

@@ -833,11 +833,40 @@ class TestExactLookup:
             assert type(hit.chi) is int
 
     def test_refusal_keeps_its_text(self):
-        for mu, max_order in ((F(1, 3), 64), (F(13, 34), 3), (F(7, 2), 0), (F(5, 13), -1)):
+        for mu, max_order in ((F(1, 3), 64), (F(13, 34), 3), (F(7, 2), 0)):
             with pytest.raises(DomainError) as info:
                 from_slope_value(mu, max_order)
             assert str(info.value) == f"{mu} is not an exceptional slope of order <= {max_order}"
         assert from_slope_value(3, 0) == from_integer(3)
+
+
+# Each public function that takes an order budget, on an input that needs no
+# descent past its first probe or no walk at all.
+BUDGETED = {
+    "find_interval": lambda m: find_interval(F(1, 3), m),
+    "boundary_at": lambda m: exceptional.boundary_at(F(1, 3), m),
+    "delta_curve": lambda m: delta_curve(F(1, 3), m),
+    "from_slope_value": lambda m: from_slope_value(F(2, 5), m),
+    "from_slope_value_integer": lambda m: from_slope_value(3, m),
+    "enumerate_slopes": lambda m: enumerate_slopes(0, 1, m),
+}
+
+
+@pytest.mark.parametrize("budget", [1.5, "3", None, True, F(3), -1], ids=repr)
+@pytest.mark.parametrize("name", BUDGETED)
+def test_max_order_must_be_a_non_negative_int(name, budget):
+    """Refused with ``classify``'s error before any lookup; an ``int`` of at least 0 passes.
+
+    No address has a negative order, so ``enumerate_slopes`` finds no slope
+    for a negative ``int``.
+    """
+    call = BUDGETED[name]
+    if name == "enumerate_slopes" and budget == -1:
+        assert call(budget) == []
+    else:
+        with pytest.raises(DomainError, match="^max_order must be a non-negative integer, got "):
+            call(budget)
+    call(3)
 
 
 ARC_SLOPES = enumerate_slopes(-3, 3, 8)

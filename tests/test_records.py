@@ -82,6 +82,26 @@ def test_record_semantics(name):
     assert other != record and record != tuple(getattr(record, f) for f in fields)
 
 
+@pytest.mark.parametrize("name", [*RECORDS, "ChernCharacter"])
+def test_trusted_constructor(name):
+    """``cls._trusted(*fields)`` builds the record that ``Record`` checks and pickles."""
+    record = GOLDEN if name == "ChernCharacter" else _records()[name]
+    cls = type(record)
+    made = cls._trusted(*(getattr(record, field) for field in record_fields(record)))
+    assert type(made) is cls and made is not record and made == record
+    assert hash(made) == hash(record) and repr(made) == repr(record)
+    copy = pickle.loads(pickle.dumps(made))
+    assert type(copy) is cls and copy == record
+    # pickle finds the constructor by reference, as chern.ChernCharacter._trusted and the like
+    assert pickle.loads(pickle.dumps(cls._trusted)) is cls._trusted
+
+
+def test_a_record_of_an_unrolled_field_count_only():
+    with pytest.raises(TypeError, match=r"^Five has 5 fields, not one of \[2, 3, 4, 6, 7, 9\]$"):
+        class Five(Record):
+            __slots__ = ("a", "b", "c", "d", "e")
+
+
 def test_positional_construction_checks_the_field_count():
     with pytest.raises(TypeError, match="SlopeDisc takes 2 fields, got 1"):
         SlopeDisc(Fraction(1))

@@ -11,7 +11,9 @@ Every module of ``src/planecones`` but the package's ``__init__`` (whose
 imports are the public surface) must use each name it imports, and each
 private name a module defines at its top level (a ``_``-prefixed function,
 class or assignment) must be read by some module of the package; the checks
-read the source with ``ast`` alone.
+read the source with ``ast`` alone.  A record is built past its checks only
+by the trusted constructor ``record.py`` makes, so no other module reads a
+record's slot setters (``_setters``).
 """
 
 import ast
@@ -117,3 +119,26 @@ def test_dead_private_names_are_found():
 def test_no_dead_private_names():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def setter_readers(sources: dict[str, str]) -> list[str]:
+    """Each module of ``sources`` but ``record`` that reads ``_setters``, by name or attribute."""
+    readers = []
+    for module, source in sources.items():
+        names = {node.attr if isinstance(node, ast.Attribute) else node.id
+                 for node in ast.walk(ast.parse(source))
+                 if isinstance(node, (ast.Attribute, ast.Name))}
+        if module != "record" and "_setters" in names:
+            readers.append(module)
+    return readers
+
+
+def test_setter_readers_are_found():
+    sources = {"record": "cls._setters = ()\n", "a": "put, = X._setters\n",
+               "b": "from .record import _setters\n_setters\n", "c": "X._trusted(1, 2)\n"}
+    assert setter_readers(sources) == ["a", "b"]
+
+
+def test_only_record_reads_the_setters():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert setter_readers(sources) == []

@@ -393,10 +393,12 @@ def _parse_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def _character_from_args(args) -> ChernCharacter:
-    if getattr(args, "chern", None):
+    if args.chern is not None and args.rmd is not None:
+        raise DomainError("provide one of --chern and --rmd, not both")
+    if args.chern:
         ch0, ch1, ch2 = _parse_triple(args.chern)
         return ChernCharacter(ch0, ch1, ch2)
-    if getattr(args, "rmd", None):
+    if args.rmd:
         r, mu, delta = _parse_triple(args.rmd)
         return ChernCharacter.from_rmd(r, mu, delta)
     raise DomainError("provide --chern r,c1,ch2 or --rmd r,mu,delta")
@@ -490,6 +492,12 @@ def _cmd_cfrac(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    csv_out = args.output_format == "csv"
+    overlaid = args.chern is not None or args.rmd is not None
+    if csv_out and overlaid:
+        raise DomainError("--chern and --rmd add a parabola, which --format csv does not write")
+    if not csv_out and args.approx is not None:
+        raise DomainError("--approx adds a CSV column, which --format json does not write")
     lo = parse_rational(args.lo)
     hi = parse_rational(args.hi)
     if not lo < hi:
@@ -501,21 +509,11 @@ def _cmd_curve(args) -> int:
     order = args.interval_order
     # [lo, hi] holds at most (floor(hi) - ceil(lo) + 2) * 2**order slopes of order <= order;
     # the factor is at least 1, so a large order is refused without the shift
-    if args.output_format == "json" and (order >= MAX_CURVE_ROWS.bit_length() or (
+    if not csv_out and (order >= MAX_CURVE_ROWS.bit_length() or (
             math.floor(hi) - math.ceil(lo) + 2) << order > MAX_CURVE_ROWS):
         raise DomainError(f"--interval-order {order} over --lo/--hi passes {MAX_CURVE_ROWS:,} rows")
-    step = (hi - lo) / (args.samples - 1)
-    rows = []  # (mu's text, delta, delta's text, the descent's error); delta None on an error
-    for i in range(args.samples):
-        mu = lo + i * step
-        mu_text = _str("samples.mu", mu)  # refused before its descent
-        try:
-            value = exceptional.delta_curve(mu, args.max_order)
-            rows.append((mu_text, value, _str("samples.delta", value), None))
-        except DescentError as exc:
-            rows.append((mu_text, None, None, str(exc)))
     overlay = None
-    if getattr(args, "chern", None) or getattr(args, "rmd", None):
+    if overlaid:
         x = _character_from_args(args)
         if x.r != 0:
             overlay = {
@@ -528,8 +526,17 @@ def _cmd_curve(args) -> int:
             overlay = {"line_mu": _str("parabola.line_mu", Fraction(-x.chi, x.c1))}
         else:
             raise DomainError("the parabola overlay needs a nonzero rank or first Chern class")
-
-    if args.output_format == "csv":
+    step = (hi - lo) / (args.samples - 1)
+    rows = []  # (mu's text, delta, delta's text, the descent's error); delta None on an error
+    for i in range(args.samples):
+        mu = lo + i * step
+        mu_text = _str("samples.mu", mu)  # refused before its descent
+        try:
+            value = exceptional.delta_curve(mu, args.max_order)
+            rows.append((mu_text, value, _str("samples.delta", value), None))
+        except DescentError as exc:
+            rows.append((mu_text, None, None, str(exc)))
+    if csv_out:
         import csv  # here, not at the top: only this command writes CSV
 
         buf = io.StringIO()

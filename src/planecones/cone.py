@@ -387,11 +387,16 @@ def _ray(x: ChernCharacter, z: ChernCharacter) -> ChernCharacter:
     return _lattice(r // g, c // g, chi // g)
 
 
+def _check_multiplier(multiplier) -> None:
+    """Refuse a rank multiplier that is not an ``int`` of at least 1, ``bool`` included."""
+    if type(multiplier) is not int or multiplier < 1:
+        raise DomainError(f"multiplier must be a positive integer, got {multiplier!r}")
+
+
 def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
                          max_order: int = DEFAULT_MAX_ORDER) -> ChernCharacter:
     """Integral character on the primary ray, at the minimal rank times a multiplier."""
-    if type(multiplier) is not int or multiplier < 1:
-        raise DomainError(f"multiplier must be a positive integer, got {multiplier!r}")
+    _check_multiplier(multiplier)
     exceptional._check_max_order(max_order)
     if inv.case_sign is not _ZERO:
         # endpoints are irrational, so a rational mu in gamma's closed
@@ -582,8 +587,7 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
     ``multiplier``, an ``int`` of at least 1, scales the primary ray and the
     Serre dual's; ``max_order`` is checked by :func:`classify`, before any work.
     """
-    if type(multiplier) is not int or multiplier < 1:
-        raise DomainError(f"multiplier must be a positive integer, got {multiplier!r}")
+    _check_multiplier(multiplier)
     cls = classify(x, max_order)
     kind = cls.kind
     if kind is _INVALID:

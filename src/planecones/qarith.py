@@ -183,13 +183,27 @@ def floor_of_form(A: int, B: int, d: int, D: int) -> int:
     return (A + t) // D if B > 0 else (A - t - 1) // D
 
 
+def _normal_form(A: int, B: int, d: int, D: int) -> tuple[int, int, int, int]:
+    """``(A, B, d, D)`` with ``D > 0``, the gcd divided out and ``B`` folded when ``d <= 1``."""
+    if d == 1:
+        A += B
+    if B == 0 or d <= 1:
+        B, d = 0, 0
+    if D < 0:
+        A, B, D = -A, -B, -D
+    g = math.gcd(A, B, D)
+    if g > 1:
+        A, B, D = A // g, B // g, D // g
+    return A, B, d, D
+
+
 _PARSE_RE = re.compile(
     r"^\(\s*(-?\d+(?:/\d+)?)\s*\+\s*(-?\d+(?:/\d+)?)\s*\*\s*sqrt\(\s*(\d+)\s*\)\s*\)$"
 )
 
 
 @total_ordering
-class QuadraticNumber:
+class QuadraticNumber(Record):
     """Exact value ``a + b*sqrt(d)``, stored as its integer form ``(A + B*sqrt(d))/D``.
 
     ``D > 0`` and ``gcd(A, B, D) == 1``; a rational has ``B == d == 0``.  The
@@ -198,8 +212,12 @@ class QuadraticNumber:
     rational part; ``a`` and ``b`` read back as :class:`Fraction` values.
     Every stored ``d`` is a fixed point of :func:`squarefree_decompose`, so
     a closed form built from stored forms (by :meth:`_from_form`) reuses it.
-    Instances are immutable (a cache may share one), totally ordered,
-    exactly across radicands, and hash as equal values do.
+    It is a :class:`Record` of the fields ``A``, ``B``, ``d`` and ``D``: both
+    constructors bring the form to :func:`_normal_form`, ``__init__`` through
+    ``Record.__init__`` and ``_from_form`` through the trusted ``_trusted``.
+    Instances are immutable (a cache may share one), pickle as their stored
+    form, are totally ordered, exactly across radicands, and hash as equal
+    values do, not as the tuple of their fields.
     """
 
     __slots__ = ("A", "B", "d", "D")
@@ -212,8 +230,9 @@ class QuadraticNumber:
         if b and d > 1:
             s, d = squarefree_decompose(d)
             b *= s
-        self._store(a.numerator * b.denominator, b.numerator * a.denominator, d,
-                    a.denominator * b.denominator)
+        Record.__init__(self, *_normal_form(a.numerator * b.denominator,
+                                            b.numerator * a.denominator, d,
+                                            a.denominator * b.denominator))
 
     # -- constructors -------------------------------------------------
 
@@ -224,30 +243,10 @@ class QuadraticNumber:
         ``d`` must be 0, 1 or a fixed point of :func:`squarefree_decompose`,
         such as the stored radicand of an instance.
         """
-        self = object.__new__(cls)
-        self._store(A, B, d, D)
-        return self
-
-    def _store(self, A: int, B: int, d: int, D: int) -> None:
-        """Fix the sign of ``D``, divide out the gcd and fold ``B`` when ``d <= 1``."""
-        if d == 1:
-            A += B
-        if B == 0 or d <= 1:
-            B, d = 0, 0
-        if D < 0:
-            A, B, D = -A, -B, -D
-        g = math.gcd(A, B, D)
-        if g > 1:
-            A, B, D = A // g, B // g, D // g
-        _set_A(self, A)
-        _set_B(self, B)
-        _set_d(self, d)
-        _set_D(self, D)
-
-    __setattr__ = __delattr__ = Record.__setattr__  # each raises AttributeError
+        return QuadraticNumber._trusted(*_normal_form(A, B, d, D))
 
     def __reduce__(self):
-        return QuadraticNumber._from_form, (self.A, self.B, self.d, self.D)
+        return QuadraticNumber._trusted, (self.A, self.B, self.d, self.D)
 
     @classmethod
     def parse(cls, text: str) -> "QuadraticNumber":
@@ -352,11 +351,6 @@ class QuadraticNumber:
         scaled = abs(scaled)
         whole, frac = divmod(scaled, 10 ** digits)
         return f"{sign}{whole}.{str(frac).zfill(digits)}"
-
-
-# _store writes through the slot descriptors, past the refusing __setattr__
-_set_A, _set_B, _set_d, _set_D = (getattr(QuadraticNumber, name).__set__
-                                  for name in QuadraticNumber.__slots__)
 
 
 def _check_digits(digits: int) -> None:

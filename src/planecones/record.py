@@ -1,94 +1,41 @@
-"""Immutable value records with fixed slots, built without generating code at import.
+"""Immutable value records with fixed slots, each with a trusted constructor.
 
 ``Record.__init__`` is the checked public constructor.  Code that builds a
 record from values it has checked itself calls ``cls._trusted(*fields)``,
-which ``Record`` makes for each subclass from one template per field count
-(``_TRUSTED``): it allocates through ``_new`` and calls each slot's setter,
-held in a closure cell, past the field-count check and the refusing
-``__setattr__``.  Equality and hashing read the fields generically and cost
-several times a tuple's, so the caches on the report path key on integers,
-never on records.
+which ``Record`` makes for each subclass from one source, ``_source``,
+compiled once per field count, as ``collections.namedtuple`` compiles its
+``__new__``.  The source holds numbered names only: it allocates through
+``_new`` and calls each slot's setter, held in a closure cell, past the
+field-count check and the refusing ``__setattr__``.  Equality and hashing
+read the fields generically and cost several times a tuple's, so the
+caches on the report path key on integers, never on records.
 """
 
+from functools import lru_cache
 from operator import attrgetter
 
 _new = object.__new__  # every trusted constructor allocates here, so a test can count records
 
 
-def _trusted2(cls, s0, s1):
-    def trusted(v0, v1):
-        self = _new(cls)
-        s0(self, v0)
-        s1(self, v1)
-        return self
-    return trusted
+def _source(count: int) -> str:
+    """``make(cls, s0, ...)``, which returns ``trusted(v0, ...)`` for ``count`` slot setters."""
+    setters = ", ".join(f"s{i}" for i in range(count))
+    values = ", ".join(f"v{i}" for i in range(count))
+    body = "".join(f"        s{i}(self, v{i})\n" for i in range(count))
+    return (f"def make(cls, {setters}):\n"
+            f"    def trusted({values}):\n"
+            f"        self = _new(cls)\n"
+            f"{body}"
+            f"        return self\n"
+            f"    return trusted\n")
 
 
-def _trusted3(cls, s0, s1, s2):
-    def trusted(v0, v1, v2):
-        self = _new(cls)
-        s0(self, v0)
-        s1(self, v1)
-        s2(self, v2)
-        return self
-    return trusted
-
-
-def _trusted4(cls, s0, s1, s2, s3):
-    def trusted(v0, v1, v2, v3):
-        self = _new(cls)
-        s0(self, v0)
-        s1(self, v1)
-        s2(self, v2)
-        s3(self, v3)
-        return self
-    return trusted
-
-
-def _trusted6(cls, s0, s1, s2, s3, s4, s5):
-    def trusted(v0, v1, v2, v3, v4, v5):
-        self = _new(cls)
-        s0(self, v0)
-        s1(self, v1)
-        s2(self, v2)
-        s3(self, v3)
-        s4(self, v4)
-        s5(self, v5)
-        return self
-    return trusted
-
-
-def _trusted7(cls, s0, s1, s2, s3, s4, s5, s6):
-    def trusted(v0, v1, v2, v3, v4, v5, v6):
-        self = _new(cls)
-        s0(self, v0)
-        s1(self, v1)
-        s2(self, v2)
-        s3(self, v3)
-        s4(self, v4)
-        s5(self, v5)
-        s6(self, v6)
-        return self
-    return trusted
-
-
-def _trusted9(cls, s0, s1, s2, s3, s4, s5, s6, s7, s8):
-    def trusted(v0, v1, v2, v3, v4, v5, v6, v7, v8):
-        self = _new(cls)
-        s0(self, v0)
-        s1(self, v1)
-        s2(self, v2)
-        s3(self, v3)
-        s4(self, v4)
-        s5(self, v5)
-        s6(self, v6)
-        s7(self, v7)
-        s8(self, v8)
-        return self
-    return trusted
-
-
-_TRUSTED = {2: _trusted2, 3: _trusted3, 4: _trusted4, 6: _trusted6, 7: _trusted7, 9: _trusted9}
+@lru_cache(maxsize=16)  # bounded, as every store is; the package uses six field counts
+def _maker(count: int):
+    """``make`` of ``_source(count)``, run in this module's globals, so it reads ``_new`` here."""
+    namespace = {}
+    exec(_source(count), globals(), namespace)
+    return namespace["make"]
 
 
 class Record:
@@ -96,19 +43,18 @@ class Record:
 
     Records are equal, and hash, as the tuple of their fields; assignment
     raises ``AttributeError``, and a record pickles as its class and fields.
-    A subclass has 2, 3, 4, 6, 7 or 9 fields, the counts ``_TRUSTED`` unrolls.
+    A subclass has at least two fields, so ``_fields`` reads a tuple.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
+        count = len(cls.__slots__)
+        if count < 2:
+            raise TypeError(f"{cls.__name__} has {count} fields; a record has at least 2")
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         cls._fields = attrgetter(*cls.__slots__)
-        template = _TRUSTED.get(len(cls._setters))
-        if template is None:
-            raise TypeError(f"{cls.__name__} has {len(cls._setters)} fields, "
-                            f"not one of {list(_TRUSTED)}")
-        trusted = template(cls, *cls._setters)
+        trusted = _maker(count)(cls, *cls._setters)
         # named where it is found, so pickle refers to it as cls._trusted
         trusted.__module__, trusted.__qualname__ = cls.__module__, f"{cls.__qualname__}._trusted"
         cls._trusted = staticmethod(trusted)

@@ -330,6 +330,10 @@ class TestCfracCommand:
             assert data[key] == reference[key]
 
 
+def _no_descent(*args):
+    raise AssertionError("sampled the curve before refusing the flags")
+
+
 class TestCurveCommand:
     def test_csv_round_trip(self, capsys):
         code, out, _ = run(
@@ -448,6 +452,30 @@ class TestCurveCommand:
         assert code == 1 and out == "" and "Traceback" not in err
         assert err.startswith("error: samples.") and err.count("\n") == 1
         assert f"limit of {INT_DIGITS:,} digits for printing" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--approx", "3"), "--approx adds a CSV column, which --format json does not write"),
+        (("--format", "csv", "--chern", "0,0,1"),
+         "--chern and --rmd add a parabola, which --format csv does not write"),
+        (("--format", "csv", "--rmd", "3,2/3,17/9"),
+         "--chern and --rmd add a parabola, which --format csv does not write"),
+    ], ids=["approx_json", "chern_csv", "rmd_csv"])
+    def test_a_flag_the_format_never_writes_is_refused_first(self, capsys, monkeypatch, argv,
+                                                             message):
+        monkeypatch.setattr(exceptional, "delta_curve", _no_descent)
+        code, out, err = run(capsys, "curve", "--lo", "0", "--hi", "1", "--samples", "3", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("cone",), ("classify",), ("curve", "--lo", "0", "--hi", "1", "--samples", "2"),
+], ids=["cone", "classify", "curve"])
+def test_chern_and_rmd_together_are_refused(capsys, monkeypatch, command):
+    monkeypatch.setattr(exceptional, "delta_curve", _no_descent)
+    code, out, err = run(capsys, *command, "--chern", "3,2,-5", "--rmd", "1,0,1")
+    assert code == 1 and out == ""
+    assert err == "error: provide one of --chern and --rmd, not both\n"
 
 
 class TestBatchCommand:

@@ -11,10 +11,13 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from planecones import cone
 from planecones.chern import ChernCharacter, SlopeDisc
 from planecones.exceptional import DyadicRational, parents
+from planecones.qarith import QuadraticNumber, squarefree_decompose
 from planecones.record import Record
 
 from conftest import record_fields, replace, triad_key
@@ -82,24 +85,65 @@ def test_record_semantics(name):
     assert other != record and record != tuple(getattr(record, f) for f in fields)
 
 
-@pytest.mark.parametrize("name", [*RECORDS, "ChernCharacter"])
+# values that are records but no report field's record type
+VALUES = {"ChernCharacter": GOLDEN, "QuadraticNumber": cone.cone_report(GOLDEN).mu0_plus}
+
+
+@pytest.mark.parametrize("name", [*RECORDS, *VALUES])
 def test_trusted_constructor(name):
     """``cls._trusted(*fields)`` builds the record that ``Record`` checks and pickles."""
-    record = GOLDEN if name == "ChernCharacter" else _records()[name]
+    record = VALUES[name] if name in VALUES else _records()[name]
     cls = type(record)
     made = cls._trusted(*(getattr(record, field) for field in record_fields(record)))
     assert type(made) is cls and made is not record and made == record
+    assert isinstance(made, Record)
     assert hash(made) == hash(record) and repr(made) == repr(record)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(made, record_fields(made)[0], None)
     copy = pickle.loads(pickle.dumps(made))
     assert type(copy) is cls and copy == record
     # pickle finds the constructor by reference, as chern.ChernCharacter._trusted and the like
     assert pickle.loads(pickle.dumps(cls._trusted)) is cls._trusted
 
 
-def test_a_record_of_an_unrolled_field_count_only():
-    with pytest.raises(TypeError, match=r"^Five has 5 fields, not one of \[2, 3, 4, 6, 7, 9\]$"):
-        class Five(Record):
-            __slots__ = ("a", "b", "c", "d", "e")
+@given(st.fractions(), st.fractions(), st.integers(min_value=0, max_value=10**9))
+def test_from_form_stores_what_init_stores(a, b, d):
+    """The trusted ``_from_form`` of an unreduced form keeps the fields ``__init__`` keeps."""
+    s, squarefree = squarefree_decompose(d)
+    made = QuadraticNumber._from_form(a.numerator * b.denominator,
+                                      s * b.numerator * a.denominator, squarefree,
+                                      a.denominator * b.denominator)
+    checked = QuadraticNumber(a, b, d)
+    assert type(made) is QuadraticNumber
+    assert record_fields(made) == ("A", "B", "d", "D")
+    assert made._fields(made) == checked._fields(checked)
+
+
+class Five(Record):
+    __slots__ = ("a", "b", "c", "d", "e")
+
+
+class Eight(Record):
+    __slots__ = ("a", "b", "c", "d", "e", "f", "g", "h")
+
+
+@pytest.mark.parametrize("cls", [Five, Eight], ids=["five", "eight"])
+def test_a_record_of_any_field_count(cls):
+    """A field count no result type has gets its trusted constructor too."""
+    values = tuple(Fraction(i, 7) for i in range(len(cls.__slots__)))
+    made, checked = cls._trusted(*values), cls(*values)
+    assert type(made) is cls and made is not checked and made == checked
+    assert hash(made) == hash(checked) and made._fields(made) == values
+    copy = pickle.loads(pickle.dumps(made))
+    assert type(copy) is cls and copy == checked
+    assert pickle.loads(pickle.dumps(cls._trusted)) is cls._trusted
+
+
+@pytest.mark.parametrize("slots", [(), ("a",)], ids=["none", "one"])
+def test_a_record_has_at_least_two_fields(slots):
+    # attrgetter of one name reads the bare value, not a 1-tuple
+    with pytest.raises(TypeError, match=rf"^Few has {len(slots)} fields; a record has at least 2$"):
+        type("Few", (Record,), {"__slots__": slots})
 
 
 def test_positional_construction_checks_the_field_count():

@@ -34,12 +34,18 @@ Word = str  # finite words over {L, R}
 
 
 def _check_word(word: Word) -> None:
-    if word.strip("LR"):  # any other character stops the strip short of it
+    if type(word) is not str or word.strip("LR"):  # any other character stops the strip
         raise DomainError(f"not an LR word: {word!r}")
 
 
 def _digits(word) -> list[int]:
-    digits = [int(a) for a in word]  # the characters of a string, or the items
+    """The quotients of a string of decimal digits, or of a list or tuple of ints."""
+    if type(word) is str and not word.strip("0123456789"):
+        digits = [int(a) for a in word]
+    elif type(word) in (list, tuple) and all(type(a) is int for a in word):
+        digits = list(word)
+    else:
+        raise DomainError(f"not a digit string or a list of int digits: {word!r}")
     if any(a <= 0 for a in digits):
         raise DomainError("continued-fraction digits must be positive")
     return digits
@@ -287,6 +293,8 @@ def cantor_approx(prefix: Word, depth: int) -> tuple[Fraction, Fraction]:
     bundles of one walk; no slope is built.
     """
     _check_word(prefix)
+    if type(depth) is not int:
+        raise DomainError(f"depth must be an int, got {depth!r}")
     if depth < 0:
         raise DomainError("negative depth")
     (r, c1, _), _, (s, c2, _) = exceptional._walk(_address(prefix[:depth]))

@@ -68,6 +68,8 @@ class DyadicRational(Record):
     q: int
 
     def __init__(self, p: int, q: int):
+        if type(p) is not int or type(q) is not int:
+            raise DomainError(f"a dyadic rational needs int p and q, got {p!r} and {q!r}")
         if q < 0:
             raise DomainError("negative dyadic exponent")
         if q > 0 and p % 2 == 0:
@@ -76,6 +78,8 @@ class DyadicRational(Record):
 
     @staticmethod
     def make(p: int, q: int) -> "DyadicRational":
+        if type(p) is not int or type(q) is not int:
+            raise DomainError(f"a dyadic rational needs int p and q, got {p!r} and {q!r}")
         if q < 0:
             raise DomainError("negative dyadic exponent")
         return _reduced(p, q)
@@ -296,6 +300,8 @@ def from_dyadic(d: DyadicRational, max_rank_digits: int = 0) -> ExceptionalSlope
 
 
 def from_integer(n: int) -> ExceptionalSlope:
+    if type(n) is not int:
+        raise DomainError(f"from_integer needs an int n, got {n!r}")
     return _slope(*_line(n), _dyadic(n, 0))
 
 

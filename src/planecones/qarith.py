@@ -223,6 +223,11 @@ class QuadraticNumber(Record):
     __slots__ = ("A", "B", "d", "D")
 
     def __init__(self, a: RationalLike, b: RationalLike = 0, d: int = 0):
+        for name, value in (("a", a), ("b", b)):
+            if type(value) is not int and not isinstance(value, Fraction):
+                raise DomainError(f"{name} must be an int or a Fraction, got {value!r}")
+        if type(d) is not int:
+            raise DomainError(f"radicand d must be an int, got {d!r}")
         a = Fraction(a)
         b = Fraction(b)
         if d < 0:
@@ -251,6 +256,8 @@ class QuadraticNumber(Record):
     @classmethod
     def parse(cls, text: str) -> "QuadraticNumber":
         """Inverse of ``str``; accepts exactly the ``(a + b*sqrt(d))`` form."""
+        if not isinstance(text, str):
+            raise DomainError(f"a quadratic number literal must be a str, got {text!r}")
         m = _PARSE_RE.match(text.strip())
         if not m:
             raise DomainError(f"not a quadratic number literal: {text!r}")
@@ -354,6 +361,8 @@ class QuadraticNumber(Record):
 
 
 def _check_digits(digits: int) -> None:
+    if type(digits) is not int:
+        raise DomainError(f"digit count must be an int, got {digits!r}")
     if digits < 0:
         raise DomainError(f"digit count must be nonnegative, got {digits}")
 

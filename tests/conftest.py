@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from planecones import CaseSign, Kind, classify, exceptional, qarith
 from planecones.cfrac import PeriodStructure, lr_to_slope, word_to_dyadic
@@ -62,7 +63,8 @@ def triad_key(left, gamma, right) -> tuple:
     return (*bundles, gamma.dyadic.p, gamma.dyadic.q)
 
 
-def picard_rank2_grid() -> list[ChernCharacter]:
+@pytest.fixture(scope="session")
+def grid() -> list[ChernCharacter]:
     """Deterministic grid of valid Picard-rank-2 characters, r in 1..6, |c1| <= 8."""
     grid = []
     for r in range(1, 7):
@@ -76,15 +78,30 @@ def picard_rank2_grid() -> list[ChernCharacter]:
     return grid
 
 
-@pytest.fixture(scope="session")
-def grid() -> list[ChernCharacter]:
-    return picard_rank2_grid()
+def _near_boundary(q, k, s, nudge):
+    """A character with discriminant about ``(s^2 - 5)/8`` whose ``mu0+`` is the slope at ``k``.
+
+    ``k`` picks an odd address ``p / 2**q`` in (0, 1) and ``mu0+`` is set to
+    its slope ``t``: the slope is ``(s - 3)/2 - t`` and ``sqrt(5 + 8 delta) = s``.
+    The rank clears every denominator, times 1000, and ``nudge`` moves chi, so
+    ``mu0+`` moves far less than ``t``'s halfwidth and stays in its interval.
+    """
+    t = exceptional.epsilon(DyadicRational(2 * (k % (1 << (q - 1))) + 1, q))
+    mu = (s - 3) / 2 - t
+    per_rank = hilbert_poly(mu) - (s * s - 5) / 8
+    r = 1000 * math.lcm(mu.denominator, per_rank.denominator)
+    return character_from_json({"r": r, "c1": int(r * mu), "chi": int(r * per_rank) + nudge})
 
 
-@pytest.fixture(scope="session")
-def slopes_to_order_12() -> list[ExceptionalSlope]:
-    """Every exceptional slope of order <= 12 in [-3, 3], walked from its address."""
-    return enumerate_slopes(-3, 3, 12)
+# Delta in (1/2, 2) (s in [3.05, 4.5]) with gamma of order 7-9, past the
+# order-6 reach of the report pools; most draws clear the boundary curve.
+near_boundary = st.builds(
+    _near_boundary,
+    st.integers(7, 9),
+    st.integers(0, 255),
+    st.fractions(Fraction(61, 20), Fraction(9, 2), max_denominator=40),
+    st.integers(-1, 1),
+)
 
 
 def trial_division_decompose(n: int) -> tuple[int, int]:
@@ -567,25 +584,6 @@ def fraction_qn_str(q: QuadraticNumber) -> str:
     The oracle for writing the stored integer form with ``ratio_str``.
     """
     return f"({q.a} + {q.b}*sqrt({q.d}))"
-
-
-def fraction_character_to_json(x: ChernCharacter) -> dict:
-    """``character_to_json`` over ``Fraction``s: ``ch2``, ``mu`` and ``delta`` from the Chern view.
-
-    The oracle for writing an integral character straight from ``(r, c1, chi)``.
-    """
-    ch2 = Fraction(x.chi) - x.r - Fraction(3, 2) * x.c1
-    out = {"ch0": str(x.r), "ch1": str(x.c1), "ch2": str(ch2), "r": str(x.r)}
-    if x.r != 0:
-        view = FractionCharacter(Fraction(x.r), Fraction(x.c1), ch2)
-        out["mu"] = str(view.slope())
-        out["delta"] = str(view.discriminant())
-    else:
-        out["mu"] = None
-        out["delta"] = None
-    out["c1"] = out["ch1"]
-    out["chi"] = str(x.chi)
-    return out
 
 
 def quadratic_interval(s) -> tuple[QuadraticNumber, QuadraticNumber]:

@@ -44,28 +44,14 @@ from conftest import (
     euclid_expansion,
     period_by_definition,
     slope_dot,
-    stepwise_walk,
 )
 
 F = Fraction
-
-# the worked table: word, left parent, right parent, even, odd
-GOLDEN_TABLE = [
-    ("", None, None, "", None),
-    ("R", "", None, "11", "2"),
-    ("RL", "", "R", "22", "211"),
-    ("RLL", "", "RL", "2112", "21111"),
-    ("RLLL", "", "RLL", "211112", "2111111"),
-    ("RLLLR", "RLLL", "RLL", "211112211112", "2111122111111"),
-    ("RLLLRR", "RLLLR", "RLL", "211112211112211112", "2111122111122111111"),
-]
-
 
 class TestCfEval:
     def test_examples(self):
         assert cf_eval("22") == F(2, 5)
         assert cf_eval("2112") == F(5, 13)
-        assert cf_eval("211112211112211112") == F(19760, 51641)
 
     def test_empty_is_zero(self):
         assert cf_eval("") == 0
@@ -105,21 +91,6 @@ class TestParityConvert:
 
 
 class TestExpansion:
-    def test_golden_table(self):
-        for word, _, _, even, odd in GOLDEN_TABLE:
-            slope = lr_to_slope(word)
-            assert even_expansion(slope) == even
-            if odd is None:
-                with pytest.raises(DomainError):
-                    odd_expansion(slope)
-            else:
-                assert odd_expansion(slope) == odd
-
-    def test_oracle_identity(self):
-        gamma = lr_to_slope("RLLLRR")
-        assert gamma.slope == F(19760, 51641)
-        assert cf_eval(even_expansion(gamma)) == gamma.slope
-
     def test_out_of_window_rejected(self):
         with pytest.raises(DomainError):
             even_expansion(F(3, 5))
@@ -127,28 +98,6 @@ class TestExpansion:
     def test_non_exceptional_rejected(self):
         with pytest.raises(DomainError):
             even_expansion(F(1, 3))
-
-    def test_digit_lists_against_the_charwise_oracle(self, slopes_to_order_12):
-        """Every slope of order <= 12 in [0, 1/2], as a slope and as a ``Fraction``.
-
-        Each expansion matches the character-wise oracle, has quotients 1
-        and 2 only and evaluates back to the slope; the odd one by
-        ``cf_eval`` up to order 10, past which the oracle match stands.
-        """
-        half = [s for s in slopes_to_order_12 if 0 <= s.c1 and 2 * s.c1 <= s.r]
-        assert len(half) == 2 ** 11 + 1
-        for s in half:
-            even = even_expansion(s)
-            assert even == even_expansion(s.slope) == charwise_even_expansion(s.slope)
-            assert set(even) <= {"1", "2"} and cf_eval(even) == s.slope
-            if not s.c1:
-                assert even == ""
-                continue
-            odd = odd_expansion(s)
-            assert odd == odd_expansion(s.slope) == charwise_parity_convert(even)
-            assert set(odd) <= {"1", "2"} and len(odd) % 2 == 1
-            if s.order <= 10:
-                assert cf_eval(odd) == s.slope
 
     def test_quotients_past_nine_are_written_whole(self):
         # no exceptional slope in [0, 1/2] has one; the text is str of each quotient
@@ -188,9 +137,15 @@ class TestExpansion:
     def test_every_word_to_length_fourteen_against_euclid(self):
         """The parent rule against Euclid, on all 8,192 words R and RL... of length <= 14.
 
-        Both expansions match the reference and have quotients 1 and 2 only;
-        ``cf_eval`` gives the slope back up to order 10.
+        Both expansions match the reference and have quotients 1 and 2 only,
+        the even one a palindrome; ``cf_eval`` gives the slope back up to
+        order 10.  Up to length 12, which with the slope 0 is every slope of
+        order <= 12 in [0, 1/2], the expansions of the slope's ``Fraction``
+        are the same and match the character-wise oracle.
         """
+        assert even_expansion(from_integer(0)) == charwise_even_expansion(F(0)) == ""
+        with pytest.raises(DomainError):  # 0 has no odd expansion
+            odd_expansion(from_integer(0))
         words = ["R"] + ["RL" + "".join(w) for n in range(13)
                          for w in itertools.product("LR", repeat=n)]
         assert len(words) == 8192
@@ -199,10 +154,14 @@ class TestExpansion:
             even, odd = even_expansion(s), odd_expansion(s)
             assert even == euclid_expansion(s.c1, s.r, False), word
             assert odd == euclid_expansion(s.c1, s.r, True), word
-            assert set(even + odd) <= {"1", "2"}
+            assert set(even + odd) <= {"1", "2"} and even == even[::-1], word
             if len(word) <= 10:
                 assert cf_eval(even) == cf_eval(odd) == s.slope, word
+            if len(word) <= 12:
+                assert even == even_expansion(s.slope) == charwise_even_expansion(s.slope), word
+                assert odd == odd_expansion(s.slope) == charwise_parity_convert(even), word
 
+    @pytest.mark.fuzz
     @given(st.integers(min_value=13, max_value=16).flatmap(
         lambda n: st.text(alphabet="LR", min_size=n, max_size=n)))
     def test_long_words_against_euclid(self, rest):
@@ -211,13 +170,6 @@ class TestExpansion:
         assert even_expansion(s) == euclid_expansion(s.c1, s.r, False)
         assert odd_expansion(s) == euclid_expansion(s.c1, s.r, True)
         assert even_expansion(s.slope) == even_expansion(s)
-
-    def test_recursion_against_oracle_order_eight(self):
-        for s in enumerate_slopes(0, F(1, 2), 8):
-            word = even_expansion(s)
-            assert cf_eval(word) == s.slope
-            assert word == word[::-1]
-            assert set(word) <= {"1", "2"}
 
 
 class TestNormalize:
@@ -243,7 +195,6 @@ class TestNormalize:
 class TestWords:
     def test_word_to_dyadic_examples(self):
         assert word_to_dyadic("RL").value == F(1, 4)
-        assert word_to_dyadic("RLLLRR").value == F(7, 64)
 
     def test_dyadic_round_trip_order_twelve(self):
         for q in range(0, 13):
@@ -257,7 +208,6 @@ class TestWords:
     def test_lr_to_slope_examples(self):
         assert lr_to_slope("RL").slope == F(2, 5)
         assert lr_to_slope("RLL").slope == F(5, 13)
-        assert lr_to_slope("RLLLRR").slope == F(19760, 51641)
 
     def test_action_matches_dyadic_walk(self):
         # Oracle: the tree action, letter by letter, on (left, slope, right)
@@ -296,12 +246,6 @@ def from_dyadic_pq(p, q):
 
 
 class TestLrParents:
-    def test_golden_table(self):
-        for word, left, right, _, _ in GOLDEN_TABLE:
-            if not word:
-                continue
-            assert lr_parents(word) == (left, right)
-
     def test_initial_segments(self):
         rng = random.Random(3)
         for _ in range(100):
@@ -401,21 +345,6 @@ class TestPeriodStructure:
             with pytest.raises(DomainError):
                 period_structure(word)
 
-    def test_reproduces_expansion_order_eight(self):
-        for s in enumerate_slopes(0, F(1, 2), 8):
-            if s.slope in (0, F(1, 2)):
-                continue
-            _, word = slope_to_lr(s)
-            if not word.endswith("R"):
-                continue
-            ps = period_structure(word)
-            expansion = even_expansion(s)
-            assert ps.block * ps.exponent + ps.tail == expansion
-            if not ps.beta_is_half:
-                assert smallest_period(expansion) == len(ps.block)
-            else:
-                assert set(expansion) == {"2"}
-
 
 class TestSmallPeriods:
     def test_second_periods_are_multiples_of_smallest(self):
@@ -488,26 +417,23 @@ def _outcome(call, *args):
 
 
 class TestWordsAgainstOracles:
-    """Every word of length <= 10: the integer walks against the character-wise oracles."""
+    """Every word of length <= 10: the walk by word and the Cantor brackets against their oracles.
+
+    ``period_structure`` meets its oracle on every word to length 12 in
+    ``TestPeriodStructure``; here only its refusal text.
+    """
 
     def test_every_word_to_length_ten(self):
         words = ["".join(w) for n in range(11) for w in itertools.product("LR", repeat=n)]
         assert len(words) == 2047
-        memo, decomposed, refused = {}, 0, 0
+        memo = {}
         assert [s.slope for s in slope_and_parents(word_to_dyadic(""))] == [-1, 0, 1]
         for word in words:
             d = word_to_dyadic(word)
             assert from_dyadic(d) == slope_and_parents(d)[1] == lr_to_slope(word), word
-            if word:
-                assert slope_and_parents(d) == stepwise_walk(d), word
-            period = _outcome(period_structure, word)
-            assert period == _outcome(charwise_period_structure, word), word
-            decomposed += isinstance(period, PeriodStructure)
-            refused += period[0] is DomainError
             for depth in range(len(word) + 2):  # past the word's end too
                 assert cantor_approx(word, depth) == charwise_cantor_approx(word, depth, memo), \
                     (word, depth)
-        assert decomposed > 100 and decomposed + refused == len(words)
         for word in ("LRX", "RLR ", "r"):
             assert _outcome(period_structure, word) == \
                 _outcome(charwise_period_structure, word) == \

@@ -2,8 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from planecones.chern import (
     ChernCharacter,
@@ -17,17 +15,6 @@ from planecones.chern import (
     natural_classes,
 )
 from planecones.errors import ConsistencyError, DomainError, RankZeroError
-
-from conftest import fraction_character_to_json
-
-rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-characters = st.builds(ChernCharacter, rationals, rationals, rationals)
-positive_rank = st.builds(
-    ChernCharacter,
-    st.fractions(min_value=1, max_value=12, max_denominator=1),
-    rationals,
-    rationals,
-)
 
 GOLDEN = ChernCharacter(3, 2, -5)
 
@@ -71,22 +58,12 @@ class TestSlopeDisc:
         with pytest.raises(DomainError):
             ChernCharacter.from_rmd(0, 1, 1)
 
-    @given(positive_rank)
-    def test_from_rmd_round_trip(self, x):
-        sd = x.slope_disc()
-        assert ChernCharacter.from_rmd(x.ch0, sd.mu, sd.delta) == x
-
 
 class TestEulerChi:
     def test_examples(self):
         assert ChernCharacter(1, 0, 0).chi == 1
         assert GOLDEN.chi == 1
         assert ChernCharacter(2, 0, -11).chi == -9
-
-    @given(positive_rank)
-    def test_todd_form_matches_riemann_roch(self, x):
-        sd = x.slope_disc()
-        assert x.chi == x.ch0 * (hilbert_poly(sd.mu) - sd.delta)
 
 
 class TestTensorDual:
@@ -102,19 +79,9 @@ class TestTensorDual:
         assert prod.slope() == Fraction(-1, 3)
         assert prod.discriminant() == Fraction(17, 9)
 
-    @given(positive_rank, positive_rank)
-    def test_additivity(self, x, y):
-        prod = x.tensor(y)
-        assert prod.slope() == x.slope() + y.slope()
-        assert prod.discriminant() == x.discriminant() + y.discriminant()
-
     def test_dual_examples(self):
         assert ChernCharacter(1, 0, 0).dual() == ChernCharacter(1, 0, 0)
         assert GOLDEN.dual() == ChernCharacter(3, -2, -5)
-
-    @given(characters)
-    def test_dual_involution(self, x):
-        assert x.dual().dual() == x
 
     def test_serre_dual_examples(self):
         assert ChernCharacter(1, 0, 0).serre_dual() == ChernCharacter(
@@ -124,16 +91,6 @@ class TestTensorDual:
         assert sd == ChernCharacter(3, -11, Fraction(29, 2))
         assert sd.slope() == Fraction(-11, 3)
         assert sd.discriminant() == Fraction(17, 9)
-
-    @given(characters)
-    def test_serre_dual_involution(self, x):
-        assert x.serre_dual().serre_dual() == x
-
-    @given(positive_rank)
-    def test_serre_dual_invariants(self, x):
-        sd = x.serre_dual()
-        assert sd.slope() == -x.slope() - 3
-        assert sd.discriminant() == x.discriminant()
 
 
 # (4, 1, -7) in the Chern-character view has chi = -3/2: every operation below
@@ -182,14 +139,6 @@ class TestOperationsKeepIntFields:
         assert HALF.scale(Fraction(3, 2)) == ChernCharacter(6, Fraction(3, 2), Fraction(-21, 2))
         assert HALF.scale(1) is HALF and HALF.scale(Fraction(1)) is HALF
 
-    @given(characters, characters, st.integers(-3, 3))
-    def test_no_integral_fraction_field(self, x, y, n):
-        results = [x + y, x - y, -x, x.tensor(y), x.dual(), x.serre_dual(), x.twist(n),
-                   x.scale(Fraction(n, 2)) if n else x]
-        for z in results:
-            for value in (z.r, z.c1, z.chi):
-                assert type(value) is int or value.denominator != 1, z
-
 
 class TestEulerPairing:
     def test_examples(self):
@@ -197,36 +146,6 @@ class TestEulerPairing:
         assert euler_pairing(o, o) == 1
         assert euler_pairing(ChernCharacter(2, 0, -11), ChernCharacter(1, 2, 2)) == 1
         assert euler_pairing(GOLDEN, o) == 1
-
-    @given(characters, characters)
-    def test_symmetry(self, x, z):
-        assert euler_pairing(x, z) == euler_pairing(z, x)
-
-    @given(positive_rank, positive_rank)
-    def test_closed_form(self, x, z):
-        expected = (
-            x.ch0
-            * z.ch0
-            * (
-                hilbert_poly(x.slope() + z.slope())
-                - x.discriminant()
-                - z.discriminant()
-            )
-        )
-        assert euler_pairing(x, z) == expected
-
-    @given(positive_rank, positive_rank)
-    def test_sheaf_pair_form(self, x, z):
-        expected = (
-            x.ch0
-            * z.ch0
-            * (
-                hilbert_poly(z.slope() - x.slope())
-                - x.discriminant()
-                - z.discriminant()
-            )
-        )
-        assert euler_chi_pair(x, z) == expected
 
     def test_hom_count_between_line_bundles(self):
         # maps O(-2) -> O(-1) are linear forms
@@ -296,23 +215,11 @@ class TestJson:
         assert data["chi"] == "1"
         assert character_from_json(data) == GOLDEN
 
-    def test_integer_path_matches_fraction_oracle_box(self):
-        # r <= 8 with rank zero, plus negative ranks
-        for r in range(-3, 9):
-            for c1 in range(-10, 11):
-                for chi in range(-8, 9):
-                    x = character_from_json({"r": r, "c1": c1, "chi": chi})
-                    assert character_to_json(x) == fraction_character_to_json(x), x
-
-    @given(characters)
-    def test_matches_fraction_oracle_with_non_integral_fields(self, x):
-        assert character_to_json(x) == fraction_character_to_json(x)
-
     def test_rank_zero_view(self):
-        x = ChernCharacter(0, 4, Fraction(-5))
-        data = character_to_json(x)
-        assert data["mu"] is None and data["delta"] is None
-        assert character_from_json(data) == x
+        for x in (ChernCharacter(0, 4, Fraction(-5)), ChernCharacter(0, Fraction(1, 2), 1)):
+            data = character_to_json(x)
+            assert data["mu"] is None and data["delta"] is None
+            assert character_from_json(data) == x
 
     def test_bad_objects_rejected(self):
         with pytest.raises(DomainError):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from planecones import cfrac, exceptional
-from planecones.chern import ChernCharacter, euler_chi_pair
+from planecones.chern import ChernCharacter
 from planecones.errors import ConsistencyError, DescentError, DomainError
 from planecones.exceptional import (
     DyadicRational,
@@ -31,7 +31,6 @@ from planecones.qarith import (
 
 from conftest import (
     ORDER_FOUR,
-    delta_curve_at,
     descent_from_slope_value,
     descent_slopes,
     enclosure_radical_sign,
@@ -143,22 +142,6 @@ class TestEpsilon:
         for (p, q), expected in self.TABLE.items():
             assert epsilon(dy(p, q)) == expected
 
-    def test_monotone_order_seven(self):
-        window = sorted(
-            (dy(p, 7) for p in range(0, 129)), key=lambda d: d.value
-        )
-        slopes = [epsilon(d) for d in window]
-        assert slopes == sorted(slopes)
-        assert len(set(slopes)) == len(slopes)
-
-    def test_translation_and_negation_order_six(self):
-        for q in range(0, 7):
-            for p in range(-(1 << q), (1 << q) + 1):
-                d = dy(p, q)
-                shifted = dy(p + (1 << q), q)
-                assert epsilon(shifted) == epsilon(d) + 1
-                assert epsilon(dy(-p, q)) == -epsilon(d)
-
     def test_cold_walk_order_two_thousand(self):
         g = from_dyadic(DyadicRational(1, 2000))
         left, right = parents(g)
@@ -192,33 +175,7 @@ class TestRankBound:
 
 
 class TestMutationWalk:
-    """The integer mutation walk against the ``Fraction`` walk by ``slope_dot``."""
-
-    def test_matches_fraction_walk_order_twelve(self):
-        for n in range(-3, 4):
-            assert from_integer(n).slope == n
-            assert from_integer(n).character() == fraction_character(F(n))
-        memo, count = {}, 0
-        for q in range(1, 13):
-            for p in range(1 - (3 << q), 3 << q, 2):
-                left, g, right = slope_and_parents(dy(p, q))
-                expected = fraction_walk(p, q, memo)
-                assert (left.slope, g.slope, right.slope) == expected, (p, q)
-                assert g.rank == expected[1].denominator
-                assert g.character() == fraction_character(expected[1])
-                assert left.character() == fraction_character(expected[0])
-                assert right.character() == fraction_character(expected[2])
-                assert (left.dyadic, right.dyadic) == (dy(p >> 1, q - 1), dy((p >> 1) + 1, q - 1))
-                count += 1
-        assert count == 24_570
-
-    def test_exceptional_pairs_order_ten(self):
-        # chi(v, v) = 1 and chi(right, v) = chi(v, left) = 0, as dot checks
-        for q in range(1, 11):
-            for p in range(1 - (2 << q), 2 << q, 2):
-                left, g, right = (s.character() for s in slope_and_parents(dy(p, q)))
-                assert euler_chi_pair(g, g) == 1
-                assert euler_chi_pair(right, g) == euler_chi_pair(g, left) == 0
+    """Each child of the walk is a mutation of its parents; a corrupted child is refused."""
 
     def test_children_are_mutations_order_ten(self):
         # the child of (left, g) is 3 r(left) g - right; of (g, right), 3 r(right) g - left
@@ -269,15 +226,34 @@ def first_refusal(walk, d, bound):
 
 
 class TestRunJumps:
-    """The walk that jumps each run of equal address bits against the stepwise oracle."""
+    """The walk that jumps each run of equal address bits against its oracles."""
 
     def test_every_address_of_order_twelve(self):
-        count = 0
+        """Every address in [-3, 3] of order <= 12, one walk against both oracles.
+
+        The jumping walk against the stepwise one, with the parents'
+        addresses; the slopes and characters against the ``Fraction`` walk by
+        ``slope_dot``; and each slope looked up by value, within order 12 and
+        refused one order short.
+        """
+        for n in range(-3, 4):
+            assert from_integer(n).character() == fraction_character(F(n))
+            assert from_slope_value(n, 12) == from_integer(n)
+        memo, count = {}, 0
         for q in range(1, 13):
             for p in range(1 - (3 << q), 3 << q, 2):
-                assert walked(dy(p, q)) == stepped(dy(p, q)), (p, q)
-                # the slopes, with the parents' addresses
-                assert slope_and_parents(dy(p, q)) == stepwise_walk(dy(p, q)), (p, q)
+                d = dy(p, q)
+                assert walked(d) == stepped(d), (p, q)
+                slopes = slope_and_parents(d)
+                assert slopes == stepwise_walk(d), (p, q)
+                expected = fraction_walk(p, q, memo)
+                assert tuple(s.slope for s in slopes) == expected, (p, q)
+                assert [s.character() for s in slopes] == list(map(fraction_character, expected))
+                g = slopes[1]
+                found = from_slope_value(g.slope, 12)
+                assert found == g and type(found.chi) is int, (p, q)
+                with pytest.raises(DomainError, match="not an exceptional slope of order <= "):
+                    from_slope_value(g.slope, q - 1)
                 count += 1
         assert count == 24_570
 
@@ -304,7 +280,7 @@ class TestRunJumps:
         d = cfrac.word_to_dyadic("L" * a + "R" * b + "L" * c)
         assert walked(d) == stepped(d)
 
-    @pytest.mark.parametrize("d", [dy(1, 2000), dy((1 << 30) + 1, 70)], ids=str)
+    @pytest.mark.parametrize("d", [dy(1, 2000), dy(-1, 2000), dy((1 << 30) + 1, 70)], ids=str)
     def test_refusal_inside_a_jumped_run(self, d):
         # each bound whose first rank past it lies in a jumped run: the walk
         # steps that run level by level and refuses at the oracle's order
@@ -700,30 +676,8 @@ class TestDeltaCurve:
         assert delta_curve.cache_info().currsize <= info.maxsize
         assert delta_curve(F(1, 2)) == F(5, 8)
 
-    def test_endpoints_symbolically_half_order_six(self):
-        for s in enumerate_slopes(0, 1, 6):
-            left, right = s.interval()
-            for endpoint in (left, right):
-                value = delta_curve_at(endpoint)
-                assert value.compare(F(1, 2)) == 0
-
 
 class TestEnumerate:
-    def test_published_table_with_orders(self):
-        table = enumerate_slopes(0, F(1, 2), 4)
-        got = [(s.slope, s.order) for s in table]
-        assert got == [
-            (F(0), 0),
-            (F(13, 34), 4),
-            (F(5, 13), 3),
-            (F(75, 194), 4),
-            (F(2, 5), 2),
-            (F(179, 433), 4),
-            (F(12, 29), 3),
-            (F(70, 169), 4),
-            (F(1, 2), 1),
-        ]
-
     def test_integers_only(self):
         assert [s.slope for s in enumerate_slopes(0, 1, 0)] == [0, 1]
 
@@ -811,26 +765,6 @@ class TestExactLookup:
                                f"{mu} is not an exceptional slope of order <= {max_order}")
                 changed.add(mu)
         assert changed == (PAST_BUDGET_THREE if max_order == 3 else set())
-
-    def test_every_slope_of_order_twelve(self, slopes_to_order_12):
-        assert len(slopes_to_order_12) == 6 * 2 ** 12 + 1
-        for s in slopes_to_order_12:
-            found = from_slope_value(s.slope, 12)
-            assert (found, found.dyadic) == (s, s.dyadic)
-            if s.order:
-                with pytest.raises(DomainError, match="not an exceptional slope of order <= "):
-                    from_slope_value(s.slope, s.order - 1)
-
-    def test_riemann_roch_chi_against_the_walk(self):
-        """The lookup carries ``(r, c1)``; its hit's ``chi`` is the walk's, at the hit's address."""
-        slopes = enumerate_slopes(-2, 2, 10)
-        assert len(slopes) == 4097
-        for s in slopes:
-            hit = from_slope_value(s.slope)
-            walked = from_dyadic(hit.dyadic)
-            assert (hit.r, hit.c1, hit.chi, hit.dyadic) == (walked.r, walked.c1, walked.chi,
-                                                            walked.dyadic)
-            assert type(hit.chi) is int
 
     def test_refusal_keeps_its_text(self):
         for mu, max_order in ((F(1, 3), 64), (F(13, 34), 3), (F(7, 2), 0)):

@@ -6,8 +6,7 @@ in-process.  Nothing may escape but argparse's ``SystemExit(2)``; every exit
 code is 0, 1, 2 or 4, never the internal status 3; no case prints a
 traceback, an error exit with no output is one ``error:`` line, and no case
 takes a second.  The tier-1 run draws 50 cases a test; the ``fuzz`` profile
-(``pytest tests/test_fuzz.py --hypothesis-profile=fuzz``) draws its own
-2,000.  ``curve`` refuses, at once, more samples than ``MAX_CURVE_SAMPLES``
+(``pytest -m fuzz --hypothesis-profile=fuzz``) draws its own 2,000.  ``curve`` refuses, at once, more samples than ``MAX_CURVE_SAMPLES``
 and an interval table past ``MAX_CURVE_ROWS`` rows, so its bounds are drawn
 up to 10^30 and its counts far past the caps.  What an accepted request
 prints still takes time to write, so below the caps ``--samples`` stays at
@@ -22,10 +21,17 @@ import os
 import tempfile
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planecones import cfrac
 from planecones.cli import CONFIG_ENV, MAX_CURVE_SAMPLES, main
+from planecones.errors import DomainError
+from planecones.exceptional import DyadicRational, from_integer
+from planecones.qarith import QuadraticNumber
+
+pytestmark = pytest.mark.fuzz
 
 LONG = "7" * 5000  # past Python's int-to-string digit limit
 HOSTILE = ["1e100000000", "nan", "inf", "-inf", "١٢", "1/0", "", " ", LONG, f"-{LONG}",
@@ -187,3 +193,31 @@ def test_hostile_config(content, argv):
                 del os.environ[CONFIG_ENV]
             else:
                 os.environ[CONFIG_ENV] = before
+
+
+# a library call handed a value of the wrong type: (call, args, what the refusal names)
+WRONG_TYPES = [
+    (QuadraticNumber, (1.5,), "a must be an int or a Fraction"),
+    (QuadraticNumber, (1, True), "b must be an int or a Fraction"),
+    (QuadraticNumber, (1, 0, 2.5), "radicand d must be an int"),
+    (QuadraticNumber, (1, 1, 2.5), "radicand d must be an int"),
+    (QuadraticNumber(1, 1, 2).decimal, (1.5,), "digit count must be an int"),
+    (QuadraticNumber.parse, (None,), "literal must be a str"),
+    (DyadicRational, (1.5, 2), "needs int p and q"),
+    (DyadicRational.make, (1, 2.0), "needs int p and q"),
+    (from_integer, (1.5,), "needs an int n"),
+    (cfrac.cantor_approx, ("RL", 1.5), "depth must be an int"),
+    (cfrac.cantor_approx, ("RL", None), "depth must be an int"),
+    (cfrac.lr_to_slope, (None,), "not an LR word"),
+    (cfrac.period_structure, (None,), "not an LR word"),
+    (cfrac.word_to_dyadic, (5,), "not an LR word"),
+    (cfrac.cf_eval, ("1a",), "not a digit string"),
+    (cfrac.parity_convert, ("1a",), "not a digit string"),
+]
+
+
+@pytest.mark.parametrize("call, args, named", WRONG_TYPES,
+                         ids=[f"{call.__qualname__}{args}" for call, args, _ in WRONG_TYPES])
+def test_a_wrong_type_is_a_domain_error(call, args, named):
+    with pytest.raises(DomainError, match=named):
+        call(*args)

@@ -3,14 +3,14 @@
 A character is stored as ``(r, c1, chi)`` and every operation is one closed
 integer form.  Each is checked against ``FractionCharacter``, the
 tensor-based ``Fraction`` formulas it replaced, on integral characters with
-fields up to 10^30, on characters with half-integral ``ch2`` and on
-non-integral input.  Reports of characters that large are checked under the
-theory's symmetries: twisting by ``O(n)`` and Serre duality.  The extremal
-rays, integer cross products, are checked against the ``Fraction`` solve they
-replaced.  And no report over the golden box holds a ``float`` anywhere.
+fields up to 10^30 and in a small box, on characters with half-integral
+``ch2`` and on non-integral input; an operation stores each integral field
+as an ``int``.  The twist and Serre-duality laws of whole reports are in
+``test_laws``.  The extremal rays, integer cross products, are checked
+against the ``Fraction`` solve they replaced.  And no report over the golden
+box holds a ``float`` anywhere.
 """
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -24,16 +24,17 @@ from planecones.chern import (
     character_to_json,
     euler_chi_pair,
     euler_pairing,
-    hilbert_poly,
     moduli_dimension,
     natural_classes,
 )
 from planecones.cone import Kind
 from planecones.errors import ConsistencyError, DomainError
-from planecones.exceptional import DyadicRational, enumerate_slopes, epsilon
+from planecones.exceptional import enumerate_slopes
 from planecones.qarith import QuadraticNumber
 
-from conftest import FractionCharacter, fraction_primary, fraction_secondary, moved, record_fields
+from conftest import (
+    FractionCharacter, fraction_primary, fraction_secondary, near_boundary, record_fields,
+)
 
 F = Fraction
 BIG = 10 ** 30
@@ -52,7 +53,12 @@ non_integral = st.builds(
     ChernCharacter,
     *[st.fractions(min_value=-BIG, max_value=BIG, max_denominator=10 ** 6)] * 3,
 )
-characters = st.one_of(integral, half_integral_ch2, non_integral)
+# small characters: an integral box with ranks 0 and -1, and rationals of small height
+box = st.builds(lattice, st.integers(-3, 8), st.integers(-10, 10), st.integers(-8, 8))
+small_rational = st.builds(
+    ChernCharacter, *[st.fractions(min_value=-20, max_value=20, max_denominator=12)] * 3
+)
+characters = st.one_of(integral, half_integral_ch2, non_integral, box, small_rational)
 multipliers = st.one_of(big, st.fractions(max_denominator=10 ** 6))
 
 
@@ -69,16 +75,20 @@ class TestKernelAgainstOracle:
     @given(characters, characters, big, multipliers)
     def test_operations(self, x, z, n, k):
         ox, oz = oracle(x), oracle(z)
-        assert oracle(x.tensor(z)) == ox.tensor(oz)
-        assert oracle(x.dual()) == ox.dual()
-        assert oracle(x.twist(n)) == ox.twist(n)
-        assert oracle(x.serre_dual()) == ox.serre_dual()
-        assert oracle(x + z) == FractionCharacter(ox.ch0 + oz.ch0, ox.ch1 + oz.ch1,
-                                                  ox.ch2 + oz.ch2)
-        assert oracle(x - z) == FractionCharacter(ox.ch0 - oz.ch0, ox.ch1 - oz.ch1,
-                                                  ox.ch2 - oz.ch2)
-        assert oracle(-x) == FractionCharacter(-ox.ch0, -ox.ch1, -ox.ch2)
-        assert oracle(x.scale(k)) == FractionCharacter(k * ox.ch0, k * ox.ch1, k * ox.ch2)
+        pairs = [
+            (x.tensor(z), ox.tensor(oz)),
+            (x.dual(), ox.dual()),
+            (x.twist(n), ox.twist(n)),
+            (x.serre_dual(), ox.serre_dual()),
+            (x + z, FractionCharacter(ox.ch0 + oz.ch0, ox.ch1 + oz.ch1, ox.ch2 + oz.ch2)),
+            (x - z, FractionCharacter(ox.ch0 - oz.ch0, ox.ch1 - oz.ch1, ox.ch2 - oz.ch2)),
+            (-x, FractionCharacter(-ox.ch0, -ox.ch1, -ox.ch2)),
+            (x.scale(k), FractionCharacter(k * ox.ch0, k * ox.ch1, k * ox.ch2)),
+        ]
+        for y, want in pairs:
+            assert oracle(y) == want
+            for value in (y.r, y.c1, y.chi):  # an integral field is stored as an int
+                assert type(value) is int or value.denominator != 1, y
 
     @given(characters)
     def test_invariants(self, x):
@@ -141,114 +151,10 @@ class TestKernelAgainstOracle:
             assert oracle(s.character()) == expected
 
 
-# -- reports under the symmetries ---------------------------------------------
-
-
-def _picard(r, c1, t):
-    """A character of rank ``r`` with discriminant at least 2, above the boundary curve."""
-    return lattice(r, c1, (c1 * c1 + 3 * r * c1 + 2 * r * r) // (2 * r) - 2 * r - t)
-
-
-picard = st.builds(_picard, st.integers(1, BIG), big, st.integers(0, BIG))
-picard_rank_three = st.builds(_picard, st.integers(3, BIG), big, st.integers(0, BIG))
-
-
-def _near_boundary(q, k, s, nudge):
-    """A character with discriminant about ``(s^2 - 5)/8`` whose ``mu0+`` is the slope at ``k``.
-
-    ``k`` picks an odd address ``p / 2**q`` in (0, 1) and ``mu0+`` is set to
-    its slope ``t``: the slope is ``(s - 3)/2 - t`` and ``sqrt(5 + 8 delta) = s``.
-    The rank clears every denominator, times 1000, and ``nudge`` moves chi, so
-    ``mu0+`` moves far less than ``t``'s halfwidth and stays in its interval.
-    """
-    t = epsilon(DyadicRational(2 * (k % (1 << (q - 1))) + 1, q))
-    mu = (s - 3) / 2 - t
-    per_rank = hilbert_poly(mu) - (s * s - 5) / 8
-    r = 1000 * math.lcm(mu.denominator, per_rank.denominator)
-    return lattice(r, int(r * mu), int(r * per_rank) + nudge)
-
-
-# Delta in (1/2, 2) (s in [3.05, 4.5]) with gamma of order 7-9, past the
-# order-6 reach of the report pools; most draws clear the boundary curve.
-near_boundary = st.builds(
-    _near_boundary,
-    st.integers(7, 9),
-    st.integers(0, 255),
-    st.fractions(F(61, 20), F(9, 2), max_denominator=40),
-    st.integers(-1, 1),
-)
-
-
 def _assume_near_boundary(x):
     assume(cone.classify(x).kind is Kind.PICARD_RANK_2)
     assert F(1, 2) < x.discriminant() < 2
     assert cone.cone_report(x).primary.invariants.corresponding_slope.order > 6
-
-
-def _assert_twist_shifts(x, n):
-    report, twisted = cone.cone_report(x), cone.cone_report(x.twist(n))
-    assert report.classification.kind is twisted.classification.kind is Kind.PICARD_RANK_2
-    assert twisted.dimension == report.dimension
-    assert twisted.mu0_plus == moved(report.mu0_plus, -n)
-    assert twisted.mu0_minus == moved(report.mu0_minus, -n)
-    edge, shifted = report.primary, twisted.primary
-    assert shifted.invariants.case_sign is edge.invariants.case_sign
-    assert shifted.invariants.point.mu == edge.invariants.point.mu - n
-    assert shifted.invariants.point.delta == edge.invariants.point.delta
-    assert shifted.invariants.corresponding_slope.slope == \
-        edge.invariants.corresponding_slope.slope - n
-    assert shifted.extremal_character == edge.extremal_character.twist(-n)
-    res, res_twisted = edge.resolution, shifted.resolution
-    assert (res_twisted.case_sign, res_twisted.m1, res_twisted.m2, res_twisted.m3) == \
-        (res.case_sign, res.m1, res.m2, res.m3)
-    assert res_twisted.triad == tuple(c.twist(n) for c in res.triad)
-    assert shifted.kronecker == edge.kronecker
-    if report.secondary.extremal_character is not None:
-        assert twisted.secondary.extremal_character == \
-            report.secondary.extremal_character.twist(-n)
-
-
-def _assert_rays_swap(x):
-    xd = x.serre_dual()
-    report, dual = cone.cone_report(x), cone.cone_report(xd)
-    assert dual.classification == report.classification
-    assert report.secondary.dual_primary == dual.primary
-    assert dual.secondary.dual_primary == report.primary
-    # the secondary ray is the negated dual of the Serre dual's primary ray
-    assert report.secondary.extremal_character == -dual.primary.extremal_character.dual()
-    assert dual.secondary.extremal_character == -report.primary.extremal_character.dual()
-
-
-class TestTwist:
-    @settings(max_examples=60)
-    @given(picard, big)
-    def test_report_shifts(self, x, n):
-        _assert_twist_shifts(x, n)
-
-    @settings(max_examples=40)
-    @given(near_boundary, big)
-    def test_report_shifts_near_the_boundary(self, x, n):
-        _assume_near_boundary(x)
-        _assert_twist_shifts(x, n)
-
-    @settings(max_examples=60)
-    @given(big, big, big, big)
-    def test_classification_kind(self, r, c1, chi, n):
-        x = lattice(r, c1, chi)
-        assert cone.classify(x.twist(n)).kind is cone.classify(x).kind
-
-
-class TestSerreDuality:
-    @settings(max_examples=40)
-    @given(picard_rank_three)
-    def test_rays_swap(self, x):
-        _assert_rays_swap(x)
-
-    @settings(max_examples=40)
-    @given(near_boundary)
-    def test_rays_swap_near_the_boundary(self, x):
-        _assume_near_boundary(x)
-        _assert_rays_swap(x)
 
 
 # -- rays against the Fraction solve --------------------------------------------

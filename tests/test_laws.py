@@ -68,10 +68,10 @@ exceptional character's stays 0; a rank-zero reason names the degree, which
 scales.  Every other field stays.  The record law's exceptions carry over.
 
 Characters are drawn per ``Kind``, so every kind occurs, with ranks and
-first Chern classes up to 10^30.  The tier-1 run draws 25 cases a kind for
-each law; the
-``fuzz`` profile (``pytest tests/test_laws.py --hypothesis-profile=fuzz``)
-draws its own 2,000.
+first Chern classes up to 10^30; the Picard-rank-2 draws include characters
+just above the boundary curve whose gamma has order 7-9, and twists go up
+to 10^30.  The tier-1 run draws 25 cases a kind for each law; the ``fuzz``
+profile (``pytest -m fuzz --hypothesis-profile=fuzz``) draws its own 2,000.
 """
 
 import re
@@ -88,13 +88,15 @@ from planecones.errors import DescentError
 from planecones.exceptional import DyadicRational
 from planecones.qarith import QuadraticNumber
 
-from conftest import moved, negated
+from conftest import ORDER_FOUR, moved, negated, near_boundary
+
+pytestmark = pytest.mark.fuzz
 
 BIG = 10 ** 30
 rank = st.integers(1, BIG)
 wide = st.integers(-BIG, BIG)
 positive = st.integers(1, BIG)
-shift = st.one_of(st.integers(-5, 5), st.integers(-10 ** 6, 10 ** 6))
+shift = st.one_of(st.integers(-5, 5), st.integers(-10 ** 6, 10 ** 6), wide)
 
 
 def lattice(r, c1, chi):
@@ -126,7 +128,7 @@ small = st.builds(lattice, st.integers(0, 8), st.integers(-20, 20), st.integers(
 CHARACTERS = {
     Kind.PICARD_RANK_2: st.one_of(
         st.builds(_above_one, rank, wide, positive),
-        small.filter(lambda x: classify(x).kind is Kind.PICARD_RANK_2),
+        st.one_of(small, near_boundary).filter(lambda x: classify(x).kind is Kind.PICARD_RANK_2),
     ),
     Kind.HEIGHT_ZERO: st.builds(_height_zero, rank, st.integers(-10 ** 6, 10 ** 6)),
     Kind.EXCEPTIONAL: st.builds(_exceptional, st.integers(-20, 20), st.integers(0, 8),
@@ -414,7 +416,7 @@ def test_serre_duality_law(kind, data):
 
 def test_rendered_serre_duality_on_the_grid(grid):
     """The rendered law on every Picard-rank-2 character of the grid from rank 3 on."""
-    for x in grid:
+    for x in grid + [ORDER_FOUR]:
         if x.r >= 3:
             rendered = cli.report_to_dict(cone_report(x))
             assert cli.report_to_dict(cone_report(x.serre_dual())) == serre_rendering(rendered), x

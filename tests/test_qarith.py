@@ -1,6 +1,5 @@
 import math
 import pickle
-import random
 import time
 from fractions import Fraction
 
@@ -70,17 +69,6 @@ class TestSqrtExact:
         with pytest.raises(DomainError):
             sqrt_exact(-1)
 
-    @given(small_nonneg)
-    def test_square_round_trip(self, x):
-        # a root is rational (B == 0) or a multiple of sqrt(d) (A == 0), so its square is rational
-        A, B, d, D = integer_form(sqrt_exact(x))
-        assert A * B == 0 and Fraction(A * A + B * B * d, D * D) == x
-
-    @given(small_nonneg, small_nonneg)
-    def test_scaling_by_squares(self, p, q):
-        root = sqrt_exact(q)
-        assert sqrt_exact(p * p * q).compare(qn(p * root.a, p * root.b, root.d)) == 0
-
 
 def sqrt_outcome(root, *args):
     """``root(*args)`` as its integer form ``(A, B, d, D)``, or the type of the error it raises."""
@@ -137,6 +125,7 @@ class TestSqrtRatio:
             sqrt_ratio(1, -4)
 
 
+@pytest.mark.fuzz
 class TestSquarefree:
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def test_decomposition_identity(self, n):
@@ -156,6 +145,7 @@ class RefusingTable:
         pytest.fail(f"table lookup for {n}")
 
 
+@pytest.mark.fuzz
 class TestBatchGcdFactoring:
     """The gcd-chain ``squarefree_decompose`` against the trial-division oracle."""
 
@@ -273,21 +263,6 @@ class TestCompare:
     def test_equal_rationals(self):
         assert qn(2).compare(qn(2)) == 0
 
-    @given(rationals, st.integers(min_value=2, max_value=200), rationals,
-           st.integers(min_value=2, max_value=200))
-    def test_consistent_with_decimal_enclosures(self, b1, d1, b2, d2):
-        x = qn(0, b1, d1)
-        y = qn(0, b2, d2)
-        cmp = x.compare(y)
-        xlo, xhi = x.bounds(40)
-        ylo, yhi = y.bounds(40)
-        if cmp == 0:
-            assert xlo <= yhi and ylo <= xhi
-        elif cmp < 0:
-            assert xlo < yhi
-        else:
-            assert xhi > ylo
-
     def test_ordering_dunders(self):
         values = [qn(0, 1, 2), qn(1), qn(0, 1, 3), Fraction(7, 5)]
         ordered = sorted(values[:3] + [QuadraticNumber(values[3])])
@@ -398,20 +373,11 @@ class TestArithmetic:
         assert n == math.isqrt(5 * b * b)
         assert QuadraticNumber(0, -b, 5).floor() == -n - 1
 
-    @given(st.fractions(), st.fractions(), radicands)
+    @given(st.fractions(), st.fractions(), st.one_of(radicands, st.integers(2, 10 ** 12)))
     def test_floor_agrees_with_compare(self, a, b, d):
         x = qn(a, b, d)
         n = x.floor()
-        assert x.compare(n) >= 0 and x.compare(n + 1) < 0
-
-    def test_floor_agrees_with_compare_large(self):
-        rng = random.Random(20140106)
-        for _ in range(2000):
-            a = Fraction(rng.randrange(-10 ** 30, 10 ** 30), rng.randrange(1, 10 ** 6))
-            b = Fraction(rng.randrange(-10 ** 30, 10 ** 30), rng.randrange(1, 10 ** 6))
-            x = qn(a, b, rng.randrange(2, 10 ** 12))
-            n = x.floor()
-            assert x.compare(n) >= 0 and x.compare(n + 1) < 0, x
+        assert x.compare(n) >= 0 and x.compare(n + 1) < 0, x
 
 
 class TestSerialization:

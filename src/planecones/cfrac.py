@@ -28,14 +28,14 @@ from typing import NamedTuple, Optional
 from . import exceptional
 from .errors import ConsistencyError, DomainError
 from .exceptional import DyadicRational, ExceptionalSlope
-from .qarith import RationalLike
+from .qarith import RationalLike, _shown, exact_int, exact_rational, exact_type
 
 Word = str  # finite words over {L, R}
 
 
 def _check_word(word: Word) -> None:
     if type(word) is not str or word.strip("LR"):  # any other character stops the strip
-        raise DomainError(f"not an LR word: {word!r}")
+        raise DomainError(f"not an LR word: {_shown(word)}")
 
 
 def _digits(word) -> list[int]:
@@ -45,7 +45,7 @@ def _digits(word) -> list[int]:
     elif type(word) in (list, tuple) and all(type(a) is int for a in word):
         digits = list(word)
     else:
-        raise DomainError(f"not a digit string or a list of int digits: {word!r}")
+        raise DomainError(f"not a digit string or a list of int digits: {_shown(word)}")
     if any(a <= 0 for a in digits):
         raise DomainError("continued-fraction digits must be positive")
     return digits
@@ -107,14 +107,14 @@ def _descend(letters: Word, state: tuple) -> tuple:
 
 
 def _outside(c1: int, r: int) -> DomainError:
-    return DomainError(f"slope {Fraction(c1, r)} outside [0, 1/2]; normalize first")
+    return DomainError(f"slope {_shown(Fraction(c1, r), str)} outside [0, 1/2]; normalize first")
 
 
 def _expansions(slope) -> tuple[str, str]:
     """``(even, odd)`` by the rule; a record handed in is checked by a walk."""
     trusted = not isinstance(slope, ExceptionalSlope)
     if trusted:
-        slope = exceptional.from_slope_value(slope)
+        slope = exceptional.from_slope_value(exact_rational(slope, "slope"))
     r, c1, d = slope.r, slope.c1, slope.dyadic
     if c1 < 0 or 2 * c1 > r:
         raise _outside(c1, r)
@@ -150,7 +150,7 @@ def normalize_slope(mu: RationalLike) -> tuple[Fraction, int, bool]:
     Returns ``(normalized, shift, negated)`` with
     ``mu = shift + (-normalized if negated else normalized)``.
     """
-    mu = Fraction(mu)
+    mu = Fraction(exact_rational(mu, "mu"))
     n = mu.__floor__()
     f = mu - n
     if f <= Fraction(1, 2):
@@ -193,7 +193,7 @@ def lr_to_slope(word: Word) -> ExceptionalSlope:
 
 def slope_to_lr(g: ExceptionalSlope) -> tuple[int, Word]:
     """Inverse of ``lr_to_slope`` up to integer translation."""
-    return dyadic_to_word(g.dyadic)
+    return dyadic_to_word(exact_type(g, ExceptionalSlope, "g").dyadic)
 
 
 def lr_parents(word: Word) -> tuple[Optional[Word], Optional[Word]]:
@@ -293,9 +293,7 @@ def cantor_approx(prefix: Word, depth: int) -> tuple[Fraction, Fraction]:
     bundles of one walk; no slope is built.
     """
     _check_word(prefix)
-    if type(depth) is not int:
-        raise DomainError(f"depth must be an int, got {depth!r}")
-    if depth < 0:
+    if exact_int(depth, "depth") < 0:
         raise DomainError("negative depth")
     (r, c1, _), _, (s, c2, _) = exceptional._walk(_address(prefix[:depth]))
     return Fraction(c1, r), Fraction(c2, s)

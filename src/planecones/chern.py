@@ -30,13 +30,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, RankZeroError
-from .qarith import RationalLike, parse_rational, ratio_str
+from .qarith import RationalLike, exact_int, exact_rational, exact_type, parse_rational, ratio_str
 from .record import Record
 
 
 def hilbert_poly(m: RationalLike) -> Fraction:
     """Euler characteristic of O(m): ``(m^2 + 3m + 2) / 2``."""
-    m = Fraction(m)
+    m = Fraction(exact_rational(m, "m"))
     return (m * m + 3 * m + 2) / 2
 
 
@@ -72,14 +72,16 @@ class ChernCharacter(Record):
     __slots__ = ("r", "c1", "chi")
 
     def __init__(self, ch0: RationalLike, ch1: RationalLike, ch2: RationalLike):
-        ch0, ch1, ch2 = Fraction(ch0), Fraction(ch1), Fraction(ch2)
+        ch0, ch1 = Fraction(exact_rational(ch0, "ch0")), Fraction(exact_rational(ch1, "ch1"))
+        ch2 = Fraction(exact_rational(ch2, "ch2"))
         Record.__init__(self, _integral(ch0), _integral(ch1),
                         _integral(ch0 + Fraction(3, 2) * ch1 + ch2))
 
     @staticmethod
     def from_rmd(r: RationalLike, mu: RationalLike, delta: RationalLike) -> "ChernCharacter":
         """Character with the given rank, slope and discriminant (rank nonzero)."""
-        r, mu, delta = Fraction(r), Fraction(mu), Fraction(delta)
+        r, mu = Fraction(exact_rational(r, "r")), Fraction(exact_rational(mu, "mu"))
+        delta = Fraction(exact_rational(delta, "delta"))
         if r == 0:
             raise DomainError("rank zero admits no (slope, discriminant) description")
         # chi = r (P(mu) - delta), Riemann-Roch
@@ -130,8 +132,7 @@ class ChernCharacter(Record):
 
     def twist(self, n: int) -> "ChernCharacter":
         """Tensor with O(n)."""
-        if type(n) is not int:
-            raise DomainError(f"twist by O(n) needs an integer n, got {n!r}")
+        exact_int(n, "n")
         r, c = self.r, self.c1
         return _closed(r, c + r * n, self.chi + c * n + r * (n * (n + 3) // 2))
 
@@ -151,9 +152,8 @@ class ChernCharacter(Record):
         return _closed(-self.r, -self.c1, -self.chi)
 
     def scale(self, k: RationalLike) -> "ChernCharacter":
-        if type(k) is not int and not isinstance(k, Fraction):
-            raise DomainError(f"scale needs an int or a Fraction, got {k!r}")
-        if k == 1:  # a record is immutable, so the class itself is its own multiple
+        # a record is immutable, so the class itself is its own multiple
+        if exact_rational(k, "k") == 1:
             return self
         return _closed(k * self.r, k * self.c1, k * self.chi)
 
@@ -177,7 +177,7 @@ def _closed(r, c1, chi) -> ChernCharacter:
 
 def line_bundle(n: RationalLike) -> ChernCharacter:
     """Character of O(n)."""
-    n = Fraction(n)
+    n = Fraction(exact_rational(n, "n"))
     return _lattice(1, _integral(n), _integral(hilbert_poly(n)))
 
 
@@ -187,17 +187,19 @@ def euler_pairing(x: ChernCharacter, z: ChernCharacter):
     For nonzero ranks this equals
     ``r(x) r(z) (P(mu(x) + mu(z)) - delta(x) - delta(z))``.
     """
+    exact_type(x, ChernCharacter, "x")
+    exact_type(z, ChernCharacter, "z")
     return x.r * z.chi + z.r * x.chi - x.r * z.r + x.c1 * z.c1
 
 
 def euler_chi_pair(x: ChernCharacter, z: ChernCharacter):
     """Sheaf-pair Euler characteristic chi(X, Z) = chi(X^v tensor Z)."""
-    return euler_pairing(x.dual(), z)
+    return euler_pairing(exact_type(x, ChernCharacter, "x").dual(), z)
 
 
 def moduli_dimension(x: ChernCharacter) -> int:
     """Dimension ``r^2 (2 delta - 1) + 1`` of a positive-dimensional moduli space."""
-    r, c = x.r, x.c1
+    r, c = exact_type(x, ChernCharacter, "x").r, x.c1
     if r <= 0:
         raise DomainError("dimension formula needs positive rank")
     value = c * (c + 3 * r) + r * (r - 2 * x.chi) + 1
@@ -212,7 +214,7 @@ def natural_classes(x: ChernCharacter) -> tuple[ChernCharacter, ChernCharacter]:
     The first has rank ``r(x)``; the second is the rank-zero class giving
     the morphism to the Donaldson-Uhlenbeck-Yau compactification.
     """
-    r = x.r
+    r = exact_type(x, ChernCharacter, "x").r
     if r <= 0:
         raise DomainError("natural classes need positive rank")
     return _lattice(r, 0, r - x.chi), _lattice(0, r, -x.c1)

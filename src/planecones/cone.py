@@ -37,7 +37,9 @@ from .chern import (
 )
 from .errors import ConsistencyError, DomainError
 from .exceptional import DEFAULT_MAX_ORDER, ExceptionalSlope
-from .qarith import QuadraticNumber, integer_form, ratio_str, sqrt_ratio
+from .qarith import (
+    QuadraticNumber, _shown, exact_int, exact_type, integer_form, ratio_str, sqrt_ratio,
+)
 from .record import Record
 
 
@@ -225,8 +227,8 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
     Euler characteristic), then position relative to the boundary curve.
     ``max_order`` must be an ``int`` of at least 0.
     """
-    exceptional._check_max_order(max_order)
-    r, c = x.r, x.c1
+    exact_int(max_order, "max_order", 0)
+    r, c = exact_type(x, ChernCharacter, "x").r, x.c1
     if r.denominator != 1:
         return Classification._trusted(_INVALID, ("rank is not an integer",))
     if c.denominator != 1:
@@ -240,7 +242,7 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
         if c < 3:
             return Classification._trusted(
                 _INVALID,
-                (f"rank zero needs first Chern class d >= 3, got {c}",),
+                (f"rank zero needs first Chern class d >= 3, got {_shown(c, str)}",),
             )
         return Classification._trusted(
             _RANK_ZERO,
@@ -387,18 +389,12 @@ def _ray(x: ChernCharacter, z: ChernCharacter) -> ChernCharacter:
     return _lattice(r // g, c // g, chi // g)
 
 
-def _check_multiplier(multiplier) -> None:
-    """Refuse a rank multiplier that is not an ``int`` of at least 1, ``bool`` included."""
-    if type(multiplier) is not int or multiplier < 1:
-        raise DomainError(f"multiplier must be a positive integer, got {multiplier!r}")
-
-
 def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
                          max_order: int = DEFAULT_MAX_ORDER) -> ChernCharacter:
     """Integral character on the primary ray, at the minimal rank times a multiplier."""
-    _check_multiplier(multiplier)
-    exceptional._check_max_order(max_order)
-    if inv.case_sign is not _ZERO:
+    exact_int(multiplier, "multiplier", 1)
+    exact_int(max_order, "max_order", 0)
+    if exact_type(inv, OrthogonalInvariants, "inv").case_sign is not _ZERO:
         # endpoints are irrational, so a rational mu in gamma's closed
         # interval lies in no other and gamma's arc is the boundary there
         ray, gamma = inv.ray, inv.corresponding_slope
@@ -507,7 +503,7 @@ def bridgeland_wall(inv: OrthogonalInvariants) -> Wall:
     read off the primitive ray ``(r, c, chi)`` as ``(-2c - 3r)/(2r)`` and
     ``((2c + 3r)^2 - 8 r chi)/(4 r^2)``, and kept as those integers.
     """
-    ray = inv.ray
+    ray = exact_type(inv, OrthogonalInvariants, "inv").ray
     r, c = ray.r, ray.c1
     s = 2 * c + 3 * r
     n = s * s - 8 * r * ray.chi
@@ -587,7 +583,7 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
     ``multiplier``, an ``int`` of at least 1, scales the primary ray and the
     Serre dual's; ``max_order`` is checked by :func:`classify`, before any work.
     """
-    _check_multiplier(multiplier)
+    exact_int(multiplier, "multiplier", 1)
     cls = classify(x, max_order)
     kind = cls.kind
     if kind is _INVALID:

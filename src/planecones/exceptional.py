@@ -31,7 +31,7 @@ and no probe tests membership.  An arc's value at a rational is one
 integer numerator (``_arc_form``) over one denominator.  Slopes built by a
 walk, a descent or an affine image come from the records' trusted
 constructors ``_slope`` and ``_dyadic``, past ``DyadicRational``'s check.
-A public function checks its order budget once (``_check_max_order``).
+A public function checks its order budget once, by ``qarith``'s gate.
 The boundary curve's cache (``_boundary``) is keyed on a rational's
 numerator and denominator in lowest terms and the order budget, so a caller
 that holds a slope as integers looks it up without building or hashing a
@@ -41,23 +41,19 @@ that holds a slope as integers looks it up without building or hashing a
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
 from .chern import ChernCharacter, _lattice, euler_chi_pair
 from .errors import ConsistencyError, DescentError, DomainError
 from .qarith import (
-    QuadraticNumber, RationalLike, _sign_int_radical, floor_of_form, integer_form, sqrt_ratio,
+    QuadraticNumber, RationalLike, _shown, _sign_int_radical, exact_int, exact_rational,
+    exact_type, floor_of_form, integer_form, sqrt_ratio,
 )
 from .record import Record
 
 DEFAULT_MAX_ORDER = 64
-
-
-def _check_max_order(max_order) -> None:
-    """Refuse an order budget that is not an ``int`` of at least 0, ``bool`` included."""
-    if type(max_order) is not int or max_order < 0:
-        raise DomainError(f"max_order must be a non-negative integer, got {max_order!r}")
 
 
 class DyadicRational(Record):
@@ -68,25 +64,17 @@ class DyadicRational(Record):
     q: int
 
     def __init__(self, p: int, q: int):
-        if type(p) is not int or type(q) is not int:
-            raise DomainError(f"a dyadic rational needs int p and q, got {p!r} and {q!r}")
-        if q < 0:
-            raise DomainError("negative dyadic exponent")
-        if q > 0 and p % 2 == 0:
-            raise DomainError(f"unreduced dyadic {p}/2^{q}")
+        if _exponent(p, q) > 0 and p % 2 == 0:
+            raise DomainError(f"unreduced dyadic {_shown(p)}/2^{_shown(q)}")
         Record.__init__(self, p, q)
 
     @staticmethod
     def make(p: int, q: int) -> "DyadicRational":
-        if type(p) is not int or type(q) is not int:
-            raise DomainError(f"a dyadic rational needs int p and q, got {p!r} and {q!r}")
-        if q < 0:
-            raise DomainError("negative dyadic exponent")
-        return _reduced(p, q)
+        return _reduced(p, _exponent(p, q))
 
     @staticmethod
     def from_fraction(x: RationalLike) -> "DyadicRational":
-        x = Fraction(x)
+        x = Fraction(exact_rational(x, "x"))
         q = x.denominator.bit_length() - 1
         if 1 << q != x.denominator:
             raise DomainError(f"{x} is not a dyadic rational")
@@ -151,6 +139,14 @@ class ExceptionalSlope(Record):
         return str(self.c1) if self.r == 1 else f"{self.c1}/{self.r}"
 
 
+def _exponent(p: int, q: int) -> int:
+    """``q``, once ``p`` and ``q`` are ints and ``q >= 0``: the check of a dyadic's fields."""
+    exact_int(p, "p")
+    if exact_int(q, "q") < 0:
+        raise DomainError("negative dyadic exponent")
+    return q
+
+
 # a walk's addresses are in lowest terms and its bundles exceptional: neither is checked again
 _dyadic = DyadicRational._trusted
 _slope = ExceptionalSlope._trusted
@@ -213,12 +209,12 @@ def _walk(d: DyadicRational, max_rank_digits: int = 0) -> tuple[tuple, tuple, tu
     if q == 0:
         return _line(p - 1), _line(p), _line(p + 1)
     left, right, fin, g, s = _start(p >> q)
-    cap = 10 ** max_rank_digits if max_rank_digits > 0 else 0
+    cap = max(max_rank_digits, 0)
     jumps = True
     k, bit = 1, (p >> (q - 1)) & 1
     while True:
         mid = (s * fin[0] - g[0], s * fin[1] - g[1], s * fin[2] - g[2])
-        if cap and mid[0] >= cap:
+        if cap and _past(mid[0], cap):
             raise DomainError(f"slope has a {mid[0].bit_length():,}-bit integer in its walk "
                               f"at order {k} of {q}, past the limit of {max_rank_digits:,} "
                               f"digits for printing one")
@@ -238,12 +234,13 @@ def _walk(d: DyadicRational, max_rank_digits: int = 0) -> tuple[tuple, tuple, tu
             rest = (p >> 1) & mask
             n = width - (rest ^ mask if bit else rest).bit_length()
             # each level of a run multiplies the rank by more than s - 1, so
-            # a run that this lower bound already carries past the cap is not
-            # jumped, and a jump builds no integer of many more bits than the cap
+            # a run that this lower bound already carries past 2**(4 cap) >
+            # 10**cap is not jumped, and a jump builds no integer of many more
+            # bits than the cap
             past = cap and (fin[0].bit_length() - 1 + n * ((s - 1).bit_length() - 1)
-                            >= cap.bit_length())
+                            >= 4 * cap)
             ahead = None if past else _jump(fin, g, s, n)
-            if past or cap and ahead[0][0] >= cap:
+            if past or cap and _past(ahead[0][0], cap):
                 jumps = False  # step this run to its first rank past the cap
             else:
                 fin, g = ahead
@@ -254,6 +251,17 @@ def _walk(d: DyadicRational, max_rank_digits: int = 0) -> tuple[tuple, tuple, tu
                 k, after = k + n, bit ^ 1
         bit = after
     return left, mid, right
+
+
+def _past(rank: int, digits: int) -> bool:
+    """Whether ``rank >= 10**digits``, for ``digits > 0``.
+
+    As ``2**(3 digits) < 10**digits < 2**(4 digits)``, the bit length
+    decides unless it lies between the two, and only then is the power
+    built, about as long as the rank: so a cap of any size costs nothing.
+    """
+    bits = rank.bit_length()
+    return bits > 4 * digits or bits > 3 * digits and rank >= 10 ** digits
 
 
 def _jump(fin: tuple, g: tuple, s: int, n: int) -> tuple[tuple, tuple]:
@@ -296,13 +304,12 @@ def from_dyadic(d: DyadicRational, max_rank_digits: int = 0) -> ExceptionalSlope
     A positive ``max_rank_digits`` refuses, with ``DomainError`` and before
     the walk ends, a slope whose rank the walk shows to have more digits.
     """
-    return _slope(*_walk(d, max_rank_digits)[1], d)
+    exact_type(d, DyadicRational, "d")
+    return _slope(*_walk(d, exact_int(max_rank_digits, "max_rank_digits"))[1], d)
 
 
 def from_integer(n: int) -> ExceptionalSlope:
-    if type(n) is not int:
-        raise DomainError(f"from_integer needs an int n, got {n!r}")
-    return _slope(*_line(n), _dyadic(n, 0))
+    return _slope(*_line(exact_int(n, "n")), _dyadic(n, 0))
 
 
 def affine_image(g: ExceptionalSlope, negate: bool, shift: int) -> ExceptionalSlope:
@@ -339,8 +346,8 @@ def from_slope_value(mu: RationalLike, max_order: int = DEFAULT_MAX_ORDER) -> Ex
     mediant of rank ``>= b`` that is not ``mu``, or past ``max_order``
     levels.  No probe tests interval membership.
     """
-    _check_max_order(max_order)
-    mu = Fraction(mu)
+    exact_int(max_order, "max_order", 0)
+    mu = Fraction(exact_rational(mu, "mu"))
     a, b = mu.numerator, mu.denominator
     n = a // b
     if b == 1:
@@ -378,7 +385,8 @@ def dot(alpha: ExceptionalSlope, beta: ExceptionalSlope) -> ExceptionalSlope:
     exceptional pairs with both: ``chi(v, v) = 1`` and
     ``chi(beta, v) = chi(v, alpha) = 0``.
     """
-    da, db = alpha.dyadic, beta.dyadic
+    da = exact_type(alpha, ExceptionalSlope, "alpha").dyadic
+    db = exact_type(beta, ExceptionalSlope, "beta").dyadic
     level = max(da.q, db.q)
     pa = da.p << (level - da.q)
     pb = db.p << (level - db.q)
@@ -405,12 +413,12 @@ def slope_and_parents(d: DyadicRational) -> tuple[ExceptionalSlope, ExceptionalS
     the bracket the walk's last mutation splits; an integer ``n`` has
     ``(n - 1, n + 1)`` and takes no walk.
     """
-    return _slopes(*_walk(d), d)
+    return _slopes(*_walk(exact_type(d, DyadicRational, "d")), d)
 
 
 def parents(g: ExceptionalSlope) -> tuple[ExceptionalSlope, ExceptionalSlope]:
     """Neighbouring slopes one dyadic level up; integers use ``(n-1, n+1)``."""
-    left, _, right = slope_and_parents(g.dyadic)
+    left, _, right = slope_and_parents(exact_type(g, ExceptionalSlope, "g").dyadic)
     return left, right
 
 
@@ -425,7 +433,7 @@ def interval_contains(a: ExceptionalSlope, x, closed: bool) -> bool:
     ``x``; over the integer form ``x = (A + B*sqrt(d))/D``, each is the sign
     of an integer ``A' + B'*sqrt(d)`` (:func:`_locate`).
     """
-    inside = _locate(a.r, a.c1, *integer_form(x))[1]
+    inside = _locate(exact_type(a, ExceptionalSlope, "a").r, a.c1, *integer_form(x))[1]
     return inside >= 0 if closed else inside > 0
 
 
@@ -472,7 +480,7 @@ def find_interval(x, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
     would descend forever and trip the budget instead.  Only the hit is
     built, from the integers :func:`_bracket` hands back.
     """
-    _check_max_order(max_order)
+    exact_int(max_order, "max_order", 0)
     _, mid, _, p, q = _bracket(*integer_form(x), max_order)
     return _slope(*mid, _dyadic(p, q))
 
@@ -580,9 +588,8 @@ def boundary_at(mu: RationalLike,
     One descent per slope: the enclosing slope is kept beside the boundary
     value, so a caller that needs both (classification) never descends again.
     """
-    _check_max_order(max_order)
-    if not isinstance(mu, (int, Fraction)):
-        mu = Fraction(mu)
+    exact_int(max_order, "max_order", 0)
+    mu = exact_rational(mu, "mu")
     return _boundary(mu.numerator, mu.denominator, max_order)
 
 
@@ -601,13 +608,17 @@ def enumerate_slopes(lo: RationalLike, hi: RationalLike,
     """All exceptional slopes of order <= max_order inside [lo, hi], in address order.
 
     Address order is slope order, since the correspondence is order-preserving.
+    The list holds fewer than ``sys.maxsize`` slopes, as a list must.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = Fraction(exact_rational(lo, "lo")), Fraction(exact_rational(hi, "hi"))
     if lo >= hi:
         raise DomainError("empty slope range")
-    if type(max_order) is int and max_order < 0:  # no address has a negative order
+    if exact_int(max_order, "max_order") < 0:  # no address has a negative order
         return []
-    _check_max_order(max_order)
+    # 2**max_order addresses per unit of [floor(lo), ceil(hi)], and one more
+    units = math.ceil(hi) - math.floor(lo)
+    if max_order >= sys.maxsize.bit_length() or units << max_order >= sys.maxsize:
+        raise DomainError("the slope range holds more addresses than a list can")
     walk = range(math.floor(lo) << max_order, (math.ceil(hi) << max_order) + 1)
     slopes = (from_dyadic(DyadicRational.make(m, max_order)) for m in walk)
     return [s for s in slopes if lo <= s.slope <= hi]

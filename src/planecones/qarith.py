@@ -18,6 +18,10 @@ step per multiplicity; a perfect square exits at once, and numbers below
 :func:`sqrt_ratio` takes the root of ``p/q`` from two ints with one gcd and
 no ``Fraction``.  Output is written from integers: :func:`ratio_str` writes
 ``n/d`` as ``str(Fraction(n, d))`` does, with one gcd and no ``Fraction``.
+Every value the library takes passes one gate here: :func:`exact_int` (an
+``int``, not a ``bool``), :func:`exact_rational` (an ``int`` or a
+``Fraction``) or :func:`exact_type` (a record of its exact class); anything
+else is a :class:`DomainError` that names the argument.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import total_ordering
-from typing import Union
+from typing import Optional, Union
 
 from .errors import DomainError
 from .record import Record
@@ -35,6 +39,37 @@ from .record import Record
 RationalLike = Union[Fraction, int]
 
 TRIAL_DIVISION_BOUND = 10_000
+
+
+def _shown(value, write=repr) -> str:
+    """``write(value)`` for a message; the type alone where it holds an int past the digit limit."""
+    try:
+        return write(value)
+    except ValueError:
+        return f"<{type(value).__name__} past Python's digit limit>"
+
+
+def exact_int(value, name: str, least: Optional[int] = None) -> int:
+    """``value`` if it is an ``int``, not a ``bool``, and at least ``least`` when that is given."""
+    if type(value) is not int or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise DomainError(f"{name} must be an int{bound}, got {_shown(value)}")
+    return value
+
+
+def exact_rational(value, name: str) -> RationalLike:
+    """``value`` if it is an ``int``, not a ``bool``, or a ``Fraction``."""
+    if type(value) is not int and type(value) is not Fraction:
+        raise DomainError(f"{name} must be an int or a Fraction, got {_shown(value)}")
+    return value
+
+
+def exact_type(value, cls: type, name: str):
+    """``value`` if its type is ``cls`` itself: a record, or a ``str``."""
+    if type(value) is not cls:
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{name} must be {article} {cls.__name__}, got {_shown(value)}")
+    return value
 
 
 def _primes_up_to(n: int) -> list[int]:
@@ -164,11 +199,10 @@ def integer_form(x) -> tuple[int, int, int, int]:
     without building a :class:`QuadraticNumber`.  Every exact sign and floor
     starts here.
     """
-    if isinstance(x, QuadraticNumber):
+    if type(x) is QuadraticNumber:
         return x.A, x.B, x.d, x.D
-    if isinstance(x, (int, Fraction)):
-        return x.numerator, 0, 0, x.denominator
-    raise TypeError(f"cannot interpret {x!r} as a quadratic number")
+    x = exact_rational(x, "x")
+    return x.numerator, 0, 0, x.denominator
 
 
 def floor_of_form(A: int, B: int, d: int, D: int) -> int:
@@ -184,13 +218,11 @@ def floor_of_form(A: int, B: int, d: int, D: int) -> int:
 
 
 def _normal_form(A: int, B: int, d: int, D: int) -> tuple[int, int, int, int]:
-    """``(A, B, d, D)`` with ``D > 0``, the gcd divided out and ``B`` folded when ``d <= 1``."""
+    """``(A, B, d, D)``, ``D > 0``, with the gcd divided out and ``B`` folded when ``d <= 1``."""
     if d == 1:
         A += B
     if B == 0 or d <= 1:
         B, d = 0, 0
-    if D < 0:
-        A, B, D = -A, -B, -D
     g = math.gcd(A, B, D)
     if g > 1:
         A, B, D = A // g, B // g, D // g
@@ -223,16 +255,8 @@ class QuadraticNumber(Record):
     __slots__ = ("A", "B", "d", "D")
 
     def __init__(self, a: RationalLike, b: RationalLike = 0, d: int = 0):
-        for name, value in (("a", a), ("b", b)):
-            if type(value) is not int and not isinstance(value, Fraction):
-                raise DomainError(f"{name} must be an int or a Fraction, got {value!r}")
-        if type(d) is not int:
-            raise DomainError(f"radicand d must be an int, got {d!r}")
-        a = Fraction(a)
-        b = Fraction(b)
-        if d < 0:
-            raise DomainError("negative radicand")
-        if b and d > 1:
+        a, b = Fraction(exact_rational(a, "a")), Fraction(exact_rational(b, "b"))
+        if exact_int(d, "d", 0) > 1 and b:
             s, d = squarefree_decompose(d)
             b *= s
         Record.__init__(self, *_normal_form(a.numerator * b.denominator,
@@ -243,7 +267,7 @@ class QuadraticNumber(Record):
 
     @classmethod
     def _from_form(cls, A: int, B: int, d: int, D: int) -> "QuadraticNumber":
-        """``(A + B*sqrt(d))/D`` for integers, ``D != 0``, without factoring ``d``.
+        """``(A + B*sqrt(d))/D`` for integers, ``D > 0``, without factoring ``d``.
 
         ``d`` must be 0, 1 or a fixed point of :func:`squarefree_decompose`,
         such as the stored radicand of an instance.
@@ -256,9 +280,7 @@ class QuadraticNumber(Record):
     @classmethod
     def parse(cls, text: str) -> "QuadraticNumber":
         """Inverse of ``str``; accepts exactly the ``(a + b*sqrt(d))`` form."""
-        if not isinstance(text, str):
-            raise DomainError(f"a quadratic number literal must be a str, got {text!r}")
-        m = _PARSE_RE.match(text.strip())
+        m = _PARSE_RE.match(exact_type(text, str, "text").strip())
         if not m:
             raise DomainError(f"not a quadratic number literal: {text!r}")
         return cls(Fraction(m.group(1)), Fraction(m.group(2)), int(m.group(3)))
@@ -304,7 +326,7 @@ class QuadraticNumber(Record):
 
     def bounds(self, digits: int) -> tuple[Fraction, Fraction]:
         """Rational enclosure ``lo <= self <= hi`` of width < ``2*|b| * 10**-digits``."""
-        _check_digits(digits)
+        exact_int(digits, "digits", 0)
         A, B, d, D = self.A, self.B, self.d, self.D
         if B == 0:
             return Fraction(A, D), Fraction(A, D)
@@ -317,12 +339,12 @@ class QuadraticNumber(Record):
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (QuadraticNumber, Fraction, int)):
+        if type(other) not in (QuadraticNumber, Fraction, int):  # a bool is no number
             return NotImplemented
         return self.compare(other) == 0
 
     def __lt__(self, other) -> bool:
-        if not isinstance(other, (QuadraticNumber, Fraction, int)):
+        if type(other) not in (QuadraticNumber, Fraction, int):  # a bool is no number
             return NotImplemented
         return self.compare(other) < 0
 
@@ -349,7 +371,7 @@ class QuadraticNumber(Record):
 
     def decimal(self, digits: int = 12) -> str:
         """Non-authoritative decimal rendering for display."""
-        _check_digits(digits)
+        exact_int(digits, "digits", 0)
         lo, hi = self.bounds(digits + 2)
         mid = (lo + hi) / 2
         # format from a scaled integer to avoid float rounding
@@ -360,13 +382,6 @@ class QuadraticNumber(Record):
         return f"{sign}{whole}.{str(frac).zfill(digits)}"
 
 
-def _check_digits(digits: int) -> None:
-    if type(digits) is not int:
-        raise DomainError(f"digit count must be an int, got {digits!r}")
-    if digits < 0:
-        raise DomainError(f"digit count must be nonnegative, got {digits}")
-
-
 def sqrt_exact(x: RationalLike) -> QuadraticNumber:
     """Exact square root of a nonnegative rational.
 
@@ -374,7 +389,7 @@ def sqrt_exact(x: RationalLike) -> QuadraticNumber:
     ``(s/q) * sqrt(d)`` with ``d`` the reduced radicand of ``p*q`` for
     ``x = p/q`` in lowest terms.
     """
-    x = Fraction(x)
+    x = Fraction(exact_rational(x, "x"))
     return sqrt_ratio(x.numerator, x.denominator)
 
 
@@ -415,6 +430,7 @@ int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def parse_rational(text: str) -> Fraction:
+    exact_type(text, str, "text")
     quoted = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text):,} characters)"
     limit, longest = int_digit_limit(), max(map(len, re.findall(r"[0-9]+", text)), default=0)
     if 0 < limit < longest:

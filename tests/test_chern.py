@@ -133,7 +133,7 @@ class TestOperationsKeepIntFields:
     @pytest.mark.parametrize("k", [1.5, float("nan"), "a", 1.0, True, None], ids=repr)
     def test_scale_takes_an_int_or_a_fraction(self, k):
         """Refused as ``twist`` refuses a non-integer; an ``int`` or a ``Fraction`` scales."""
-        with pytest.raises(DomainError, match="^scale needs an int or a Fraction, got "):
+        with pytest.raises(DomainError, match="^k must be an int or a Fraction, got "):
             HALF.scale(k)
         assert HALF.scale(2) == ChernCharacter(8, 2, -14)
         assert HALF.scale(Fraction(3, 2)) == ChernCharacter(6, Fraction(3, 2), Fraction(-21, 2))

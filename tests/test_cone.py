@@ -65,6 +65,11 @@ class TestClassify:
         cls = classify(low)
         assert cls.kind is Kind.INVALID
         assert any("d >= 3" in reason for reason in cls.reasons)
+        # a degree past Python's digit limit, where there is one, is named by its type
+        huge = classify(ChernCharacter(0, -10 ** 5000, 0)).reasons
+        if int_digit_limit():
+            assert huge == ("rank zero needs first Chern class d >= 3, "
+                            "got <int past Python's digit limit>",)
 
     def test_integrality_failures(self):
         assert classify(ChernCharacter(F(1, 2), 0, -5)).kind is Kind.INVALID
@@ -459,7 +464,7 @@ def test_stage_views_read_the_report(x):
 @pytest.mark.parametrize("x", EVERY_KIND, ids=str)
 def test_multiplier_must_be_a_positive_int(x, m):
     """Refused before any work, whatever the kind; an ``int`` of at least 1 passes."""
-    with pytest.raises(DomainError, match="^multiplier must be a positive integer, got "):
+    with pytest.raises(DomainError, match="^multiplier must be an int >= 1, got "):
         cone_report(x, m)
     assert cone_report(x, 2).input is x
 
@@ -468,7 +473,7 @@ def test_multiplier_must_be_a_positive_int(x, m):
 @pytest.mark.parametrize("x", EVERY_KIND, ids=str)
 def test_max_order_must_be_a_non_negative_int(x, m):
     """Refused by ``cone_report`` and ``classify`` before any work, whatever the kind."""
-    refused = "^max_order must be a non-negative integer, got "
+    refused = "^max_order must be an int >= 0, got "
     with pytest.raises(DomainError, match=refused):
         cone_report(x, 1, m)
     with pytest.raises(DomainError, match=refused):
@@ -483,7 +488,7 @@ def test_max_order_must_be_a_non_negative_int(x, m):
 @pytest.mark.parametrize("m", [0, 2.5, F(2), 2.0, True], ids=repr)
 def test_orthogonal_character_refuses_a_non_int_multiplier(m):
     inv = cone_report(NEGATIVE_CASE).primary.invariants
-    with pytest.raises(DomainError, match="^multiplier must be a positive integer, got "):
+    with pytest.raises(DomainError, match="^multiplier must be an int >= 1, got "):
         orthogonal_character(inv, m)
 
 
@@ -492,7 +497,7 @@ def test_orthogonal_character_refuses_a_non_int_multiplier(m):
 def test_orthogonal_character_refuses_a_bad_max_order(x, m):
     """Refused as ``classify`` refuses it, whether or not the case checks the boundary."""
     inv = cone_report(x).primary.invariants
-    with pytest.raises(DomainError, match="^max_order must be a non-negative integer, got "):
+    with pytest.raises(DomainError, match="^max_order must be an int >= 0, got "):
         orthogonal_character(inv, 1, m)
     assert orthogonal_character(inv, 1, 3) == inv.ray
 
@@ -712,7 +717,9 @@ class TestChecksFireOnCorruptedInput:
     """Each cross-check a report runs raises ``ConsistencyError`` on a corrupted stage.
 
     The stages are handed a record with one field changed, as a bug upstream
-    would hand it over; each uncorrupted call passes.
+    would hand it over; each uncorrupted call passes.  The public
+    ``bridgeland_wall`` refuses a ray with no real radius as bad input, with
+    ``DomainError``.
     """
 
     @staticmethod
@@ -781,10 +788,15 @@ class TestChecksFireOnCorruptedInput:
         return cone._primary_edge(x, inv, triad, res, kron, 1, DEFAULT_MAX_ORDER)
 
     def test_orthogonality(self):
+        from planecones import cone
+
         stages = self.stages(GOLDEN)
         assert self._primary(GOLDEN, *stages) == cone_report(GOLDEN).primary
         with pytest.raises(ConsistencyError, match="^primary ray is not orthogonal"):
             self._primary(NEGATIVE_CASE, *stages)  # another character's ray
+        # two classes of one slope leave only rank zero orthogonal to both
+        with pytest.raises(ConsistencyError, match="^the classes orthogonal to .* have rank zero"):
+            cone._ray(GOLDEN, GOLDEN.scale(2))
 
     def test_half_plane(self):
         inv, *rest = self.stages(GOLDEN_DUAL)
@@ -803,11 +815,19 @@ class TestChecksFireOnCorruptedInput:
             self._primary(GOLDEN, inv, wrong, res, kron)
 
     def test_boundary(self):
+        from planecones import cone
+
         inv, *rest = self.stages(GOLDEN)
         mu = F(1, 4)  # in gamma's interval, where gamma's arc is the boundary
         below = ray_at(SlopeDisc(mu, delta_curve(mu) - F(1, 10 ** 6)))
         with pytest.raises(ConsistencyError, match="below the boundary curve"):
             self._primary(GOLDEN, replace(inv, ray=below), *rest)
+        # (1, 0, 10) has delta = -9 < -5/8: no real mu0 and no real wall radius
+        far_below = ChernCharacter._trusted(1, 0, 10)
+        with pytest.raises(ConsistencyError, match="^negative discriminant radicand"):
+            cone._mu0(far_below)
+        with pytest.raises(DomainError, match="^negative squared radius$"):
+            bridgeland_wall(replace(inv, ray=far_below))
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda ray: ray + ChernCharacter(1, 0, 0), "^secondary ray is not orthogonal"),

@@ -259,10 +259,11 @@ class TestRunJumps:
 
     @pytest.mark.parametrize("q", [1, 2, 3, 7, 64, 513, 4096])
     def test_next_to_an_integer(self, q):
-        # n + 2^-q and n - 2^-q: one run of q - 1 equal bits
+        # n + 2^-q and n - 2^-q: one run of q - 1 equal bits; a cap of 10^30
+        # digits, which no rank reaches, changes nothing and builds no 10^(10^30)
         for n in (-3, 0, 2):
             for d in (dy((n << q) + 1, q), dy((n << q) - 1, q)):
-                assert walked(d) == stepped(d)
+                assert walked(d) == stepped(d) == walked(d, 10 ** 30)
 
     @pytest.mark.parametrize("a, q", [
         (1, 3), (1, 4096), (2, 700), (5, 6), (5, 2000), (64, 66), (64, 200),
@@ -461,7 +462,7 @@ class TestRationalMembership:
                 assert not interval_contains(from_integer(n), n + 1, closed)
 
     def test_non_number_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(DomainError, match="^x must be an int or a Fraction, got 0.25$"):
             interval_contains(from_integer(0), 0.25, closed=True)
 
 
@@ -693,6 +694,13 @@ class TestEnumerate:
             enumerate_slopes(1, 0, 3)
 
     @pytest.mark.parametrize("lo, hi, max_order", [
+        (0, 1, 63), (0, 1, 10 ** 30), (-10 ** 30, 10 ** 30, 0), (0, 2, 62),
+    ], ids=str)
+    def test_more_addresses_than_a_list_holds_are_refused(self, lo, hi, max_order):
+        with pytest.raises(DomainError, match="^the slope range holds more addresses than a list"):
+            enumerate_slopes(lo, hi, max_order)
+
+    @pytest.mark.parametrize("lo, hi, max_order", [
         (-3, 3, 8), (F(1, 3), F(5, 7), 10), (0, F(1, 2), 8), (0, 1, 0), (F(-5, 2), F(-7, 3), 6),
         (0, 1, -1),
     ], ids=str)
@@ -792,13 +800,14 @@ def test_max_order_must_be_a_non_negative_int(name, budget):
     """Refused with ``classify``'s error before any lookup; an ``int`` of at least 0 passes.
 
     No address has a negative order, so ``enumerate_slopes`` finds no slope
-    for a negative ``int``.
+    for a negative ``int``, and its refusal asks for an ``int`` alone.
     """
     call = BUDGETED[name]
+    bound = "" if name == "enumerate_slopes" else " >= 0"
     if name == "enumerate_slopes" and budget == -1:
         assert call(budget) == []
     else:
-        with pytest.raises(DomainError, match="^max_order must be a non-negative integer, got "):
+        with pytest.raises(DomainError, match=f"^max_order must be an int{bound}, got "):
             call(budget)
     call(3)
 

@@ -1,12 +1,16 @@
-"""Hostile input to the command line ends in one line, in bounded time.
+"""Hostile input to the command line ends in one line, and to the library in its own error.
 
 Hypothesis draws ``argv`` from a small grammar of each subcommand's flags,
 ``batch`` files of hostile lines, and config files, and calls ``main``
 in-process.  Nothing may escape but argparse's ``SystemExit(2)``; every exit
 code is 0, 1, 2 or 4, never the internal status 3; no case prints a
 traceback, an error exit with no output is one ``error:`` line, and no case
-takes a second.  The tier-1 run draws 50 cases a test; the ``fuzz`` profile
-(``pytest -m fuzz --hypothesis-profile=fuzz``) draws its own 2,000.  ``curve`` refuses, at once, more samples than ``MAX_CURVE_SAMPLES``
+takes a second.  Each public callable of the package is called, too, with
+arguments from a hostile pool, and nothing but ``DomainError`` or
+``DescentError`` may escape, within a second.  The tier-1 run draws 50
+cases a test; the ``fuzz`` profile (``pytest -m fuzz
+--hypothesis-profile=fuzz``) draws its own 2,000.  ``curve`` refuses, at
+once, more samples than ``MAX_CURVE_SAMPLES``
 and an interval table past ``MAX_CURVE_ROWS`` rows, so its bounds are drawn
 up to 10^30 and its counts far past the caps.  What an accepted request
 prints still takes time to write, so below the caps ``--samples`` stays at
@@ -15,21 +19,30 @@ wide or at least 10^9: no accepted table comes near the cap.
 """
 
 import contextlib
+import enum
+import inspect
 import io
 import json
+import math
 import os
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planecones
 from planecones import cfrac
+from planecones.chern import ChernCharacter
 from planecones.cli import CONFIG_ENV, MAX_CURVE_SAMPLES, main
-from planecones.errors import DomainError
-from planecones.exceptional import DyadicRational, from_integer
-from planecones.qarith import QuadraticNumber
+from planecones.cone import cone_report
+from planecones.errors import DescentError, DomainError
+from planecones.exceptional import (
+    DyadicRational, delta_curve, find_interval, from_integer, from_slope_value,
+)
+from planecones.qarith import QuadraticNumber, parse_rational
 
 pytestmark = pytest.mark.fuzz
 
@@ -199,13 +212,20 @@ def test_hostile_config(content, argv):
 WRONG_TYPES = [
     (QuadraticNumber, (1.5,), "a must be an int or a Fraction"),
     (QuadraticNumber, (1, True), "b must be an int or a Fraction"),
-    (QuadraticNumber, (1, 0, 2.5), "radicand d must be an int"),
-    (QuadraticNumber, (1, 1, 2.5), "radicand d must be an int"),
-    (QuadraticNumber(1, 1, 2).decimal, (1.5,), "digit count must be an int"),
-    (QuadraticNumber.parse, (None,), "literal must be a str"),
-    (DyadicRational, (1.5, 2), "needs int p and q"),
-    (DyadicRational.make, (1, 2.0), "needs int p and q"),
-    (from_integer, (1.5,), "needs an int n"),
+    (QuadraticNumber, (1, 0, 2.5), "d must be an int >= 0"),
+    (QuadraticNumber, (1, 1, 2.5), "d must be an int >= 0"),
+    (QuadraticNumber(1, 1, 2).decimal, (1.5,), "digits must be an int >= 0"),
+    (QuadraticNumber.parse, (None,), "text must be a str"),
+    (DyadicRational, (1.5, 2), "p must be an int"),
+    (DyadicRational.make, (1, 2.0), "q must be an int"),
+    (from_integer, (1.5,), "n must be an int"),
+    (ChernCharacter, (True, 0, 0), "ch0 must be an int or a Fraction"),
+    (cone_report, (None,), "x must be a ChernCharacter"),
+    (from_slope_value, (math.nan,), "mu must be an int or a Fraction"),
+    (delta_curve, (math.inf,), "mu must be an int or a Fraction"),
+    (delta_curve, (0.1,), "mu must be an int or a Fraction"),
+    (find_interval, (0.3,), "x must be an int or a Fraction"),
+    (parse_rational, (5,), "text must be a str"),
     (cfrac.cantor_approx, ("RL", 1.5), "depth must be an int"),
     (cfrac.cantor_approx, ("RL", None), "depth must be an int"),
     (cfrac.lr_to_slope, (None,), "not an LR word"),
@@ -219,5 +239,76 @@ WRONG_TYPES = [
 @pytest.mark.parametrize("call, args, named", WRONG_TYPES,
                          ids=[f"{call.__qualname__}{args}" for call, args, _ in WRONG_TYPES])
 def test_a_wrong_type_is_a_domain_error(call, args, named):
-    with pytest.raises(DomainError, match=named):
+    with pytest.raises(DomainError, match=f"^{named}"):
         call(*args)
+
+
+def _library() -> list[tuple]:
+    """``(name, call, fewest, most)`` for each public callable of the package.
+
+    That is each function and class ``planecones`` exports and each static or
+    class method of an exported class, called with ``fewest`` to ``most``
+    positional arguments, as ``inspect.signature`` reads them; a record
+    without a constructor of its own takes one per field.  An ``Enum`` class
+    is left out, as calling it looks a member up by value, by Python's
+    protocol, and so is an exception class, whose call raises nothing.
+    """
+    found = []
+    for name in dir(planecones):
+        value = getattr(planecones, name)
+        if name.startswith("_") or not callable(value):
+            continue
+        if isinstance(value, type) and issubclass(value, (enum.Enum, BaseException)):
+            continue
+        found.append((name, value))
+        if isinstance(value, type):
+            found += [(f"{name}.{method}", getattr(value, method))
+                      for method, member in vars(value).items() if not method.startswith("_")
+                      and isinstance(member, (staticmethod, classmethod))]
+    library = []
+    for name, call in found:
+        params = list(inspect.signature(call).parameters.values())
+        if any(p.kind is p.VAR_POSITIONAL for p in params):
+            library.append((name, call, len(call.__slots__), len(call.__slots__)))
+            continue
+        positional = [p for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        fewest = sum(p.default is p.empty for p in positional)
+        library.append((name, call, fewest, len(positional)))
+    return library
+
+
+LIBRARY = _library()
+GOLDEN = ChernCharacter.from_rmd(3, Fraction(2, 3), Fraction(17, 9))
+# None, bools, non-finite and other floats, strings, huge ints (the last past
+# Python's digit limit) and one record of each class a public call takes,
+# each of the wrong class for every argument but its own
+HOSTILE_ARGS = [
+    None, True, False, math.nan, math.inf, -math.inf, 0.5, -2.0, 1e300,
+    "", "2/5", "RL", "3", 10 ** 30, -10 ** 30, 10 ** 5000 + 1,
+    GOLDEN, cone_report(GOLDEN).primary.invariants, DyadicRational(1, 1), from_integer(0),
+    QuadraticNumber(1, 1, 2),
+]
+hostile_call = st.sampled_from(LIBRARY).flatmap(lambda entry: st.tuples(
+    st.just(entry), st.lists(st.sampled_from(HOSTILE_ARGS), min_size=entry[2],
+                             max_size=entry[3])))
+
+
+def test_the_library_is_read_whole():
+    names = {name for name, *_ in LIBRARY}
+    assert {"cone_report", "ChernCharacter", "ChernCharacter.from_rmd", "DyadicRational.make",
+            "QuadraticNumber.parse", "enumerate_slopes", "parse_rational"} <= names
+    assert "Kind" not in names and ("ExceptionalSlope", 4, 4) in {
+        (name, fewest, most) for name, _, fewest, most in LIBRARY}
+
+
+@cases
+@given(hostile_call)
+def test_hostile_library_calls(drawn):
+    (name, call, _, _), args = drawn
+    start = time.perf_counter()
+    try:
+        call(*args)
+    except (DomainError, DescentError):
+        pass
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1, (name, elapsed)

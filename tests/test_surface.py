@@ -14,7 +14,10 @@ class or assignment) must be read by some module of the package, or by the
 constructor source ``record.py`` compiles; the checks read the source with
 ``ast`` alone.  A record is built past its checks only
 by the trusted constructor ``record.py`` makes, so no other module reads a
-record's slot setters (``_setters``).
+record's slot setters (``_setters``).  A value of the wrong type is refused
+only by ``qarith``'s gates, so no other function raises ``DomainError`` under
+a type test of one of its arguments, but for the checks of a shape: an LR
+word, a list of digits and a JSON object.
 """
 
 import ast
@@ -148,3 +151,74 @@ def test_setter_readers_are_found():
 def test_only_record_reads_the_setters():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert setter_readers(sources) == []
+
+
+GATES = {"qarith.exact_int", "qarith.exact_rational", "qarith.exact_type"}
+# each tests the type of an argument as part of its shape
+SHAPE_CHECKS = {"cfrac._check_word", "cfrac._digits", "chern.character_from_json"}
+
+
+def _tests_a_type(test: ast.expr, arguments: set[str]) -> bool:
+    """Whether ``test`` holds ``type(a) is not``, ``type(a) not in`` or ``not isinstance(a, ...)``.
+
+    ``a`` is one of ``arguments``.
+    """
+    def called_on_argument(node, function):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == function and node.args
+                and isinstance(node.args[0], ast.Name) and node.args[0].id in arguments)
+
+    for node in ast.walk(test):
+        if isinstance(node, ast.Compare) and called_on_argument(node.left, "type") and any(
+                isinstance(op, (ast.IsNot, ast.NotIn)) for op in node.ops):
+            return True
+        if (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
+                and called_on_argument(node.operand, "isinstance")):
+            return True
+    return False
+
+
+def _raises_domain_error(body: list[ast.stmt]) -> bool:
+    return any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+               and getattr(node.exc.func, "id", None) == "DomainError"
+               for statement in body for node in ast.walk(statement))
+
+
+def scattered_type_checks(sources: dict[str, str]) -> list[str]:
+    """``module.function`` for each function of ``sources`` that refuses an argument by its type.
+
+    That is an ``if`` whose test is a type test of an argument and whose body
+    raises ``DomainError``.
+    """
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            arguments = {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+            if any(isinstance(branch, ast.If) and _tests_a_type(branch.test, arguments)
+                   and _raises_domain_error(branch.body) for branch in ast.walk(node)):
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_scattered_type_checks_are_found():
+    sources = {"a": "def by_type(x):\n    if type(x) is not int or x < 0:\n"
+                    "        raise DomainError('x')\n"
+                    "def by_membership(x):\n    if type(x) not in (int, str):\n"
+                    "        raise DomainError('x')\n"
+                    "def by_isinstance(self, y=1):\n    if y and not isinstance(y, str):\n"
+                    "        raise DomainError('y')\n",
+               "b": "def of_a_local(x):\n    y = x[0]\n    if type(y) is not int:\n"
+                    "        raise DomainError('y')\n"
+                    "def other_error(x):\n    if not isinstance(x, int):\n"
+                    "        raise TypeError('x')\n"
+                    "def accepting(x):\n    if type(x) is int:\n        return x\n"
+                    "    raise DomainError('x')\n"}
+    assert scattered_type_checks(sources) == ["a.by_type", "a.by_membership", "a.by_isinstance"]
+
+
+def test_wrong_types_are_refused_by_the_gates_alone():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    # the gates themselves are found, so the scan reads the way they refuse
+    assert set(scattered_type_checks(sources)) - SHAPE_CHECKS == GATES

@@ -123,6 +123,7 @@ class ChernCharacter(Record):
 
     def tensor(self, other: "ChernCharacter") -> "ChernCharacter":
         """Multiplicative product; slope and discriminant are additive."""
+        exact_type(other, ChernCharacter, "other")
         return _closed(
             self.r * other.r, self.r * other.c1 + other.r * self.c1, euler_pairing(self, other)
         )
@@ -143,9 +144,11 @@ class ChernCharacter(Record):
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other: "ChernCharacter") -> "ChernCharacter":
+        exact_type(other, ChernCharacter, "other")
         return _closed(self.r + other.r, self.c1 + other.c1, self.chi + other.chi)
 
     def __sub__(self, other: "ChernCharacter") -> "ChernCharacter":
+        exact_type(other, ChernCharacter, "other")
         return _closed(self.r - other.r, self.c1 - other.c1, self.chi - other.chi)
 
     def __neg__(self) -> "ChernCharacter":

@@ -27,7 +27,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -38,10 +37,8 @@ from .chern import ChernCharacter, _lattice, character_from_json, character_to_j
 from .errors import ConsistencyError, DescentError, DomainError
 from .exceptional import DEFAULT_MAX_ORDER, DyadicRational
 from .qarith import (
-    QuadraticNumber, int_digit_limit, parse_rational, ratio_str,
+    QuadraticNumber, int_digit_limit, more_digits, parse_rational, ratio_str,
 )
-
-CONFIG_ENV = "PLANECONES_CONFIG"
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -54,35 +51,8 @@ MAX_CURVE_SAMPLES = 1 << 16
 MAX_CURVE_ROWS = 1 << 16
 
 
-def _load_config() -> dict:
-    path = os.environ.get(CONFIG_ENV)
-    if not path:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, RecursionError, ValueError) as exc:  # bad UTF-8, JSON or a too-long int
-        raise DomainError(f"unreadable config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise DomainError(f"config file {path} must hold a JSON object")
-    config = {}
-    for key, least in (("max_order", 0), ("multiplier", 1)):
-        if key not in data:
-            continue
-        value = data[key]
-        if type(value) is not int or value < least:
-            raise DomainError(
-                f"config file {path}: {key} must be an integer >= {least}, got {value!r}"
-            )
-        config[key] = value
-    return config
-
-
 def _int_at_least(least: int, most: int = 0):
-    """argparse type for an integer flag bounded below, as in the config file.
-
-    A positive ``most`` bounds it above too.
-    """
+    """argparse type for an integer flag ``>= least``, and ``<= most`` if that is positive."""
     import argparse
 
     def parse(text: str) -> int:
@@ -140,9 +110,8 @@ def _refuse(path: str, *numbers) -> None:
 
     ``numbers`` are ints, ``Fraction``s and ``QuadraticNumber``s; the last are
     written as ``A/D``, ``B/D`` and ``d`` of their stored form.  Each quotient
-    is reduced; an integer of at most ``3 * limit`` bits fits, since
-    ``2**(3 * limit) < 10**limit``, and only a longer one is compared with
-    ``10**limit``.  Returns when every integer fits.
+    is reduced, and each of its integers is measured by ``more_digits``.
+    Returns when every integer fits.
     """
     limit = int_digit_limit()
     for x in numbers:
@@ -153,7 +122,7 @@ def _refuse(path: str, *numbers) -> None:
         for n, d in ratios:
             g = math.gcd(n, d)
             for m in (abs(n) // g, abs(d) // g):
-                if limit and m.bit_length() > 3 * limit and m >= 10 ** limit:
+                if limit and more_digits(m, limit):
                     raise DomainError(f"{path} has a {m.bit_length():,}-bit integer, past "
                                       f"Python's limit of {limit:,} digits for printing one")
 
@@ -614,12 +583,12 @@ def _add_character_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rmd", help="character as r,mu,delta (exact rationals)")
 
 
-def _add_max_order(parser: argparse.ArgumentParser, defaults: dict) -> None:
+def _add_max_order(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-order",
         dest="max_order",
         type=_int_at_least(0),
-        default=defaults.get("max_order", DEFAULT_MAX_ORDER),
+        default=DEFAULT_MAX_ORDER,
         help="interval-descent order budget",
     )
 
@@ -644,10 +613,9 @@ def _add_json_or_text(parser: argparse.ArgumentParser) -> None:
     fmt.add_argument("--text", dest="format", action="store_const", const="text")
 
 
-def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     import argparse  # here, not at the top: importing cli to render reports skips it
 
-    defaults = defaults or {}
     parser = argparse.ArgumentParser(
         prog="planecones",
         description="Exact effective-cone computations for moduli of sheaves on the plane",
@@ -657,17 +625,17 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p_cone = sub.add_parser("cone", help="full cone report for a character")
     _add_character_flags(p_cone)
     p_cone.add_argument(
-        "--multiplier", type=_int_at_least(1), default=defaults.get("multiplier", 1),
+        "--multiplier", type=_int_at_least(1), default=1,
         help="rank multiplier for the primary orthogonal character",
     )
-    _add_max_order(p_cone, defaults)
+    _add_max_order(p_cone)
     _add_approx(p_cone)
     _add_json_or_text(p_cone)
     p_cone.set_defaults(func=_cmd_cone)
 
     p_classify = sub.add_parser("classify", help="classification only")
     _add_character_flags(p_classify)
-    _add_max_order(p_classify, defaults)
+    _add_max_order(p_classify)
     _add_json_or_text(p_classify)
     p_classify.set_defaults(func=_cmd_classify)
 
@@ -680,7 +648,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
         if name == "cfrac":
             p_slope.add_argument("--period", action="store_true",
                                  help="include the period structure")
-        _add_max_order(p_slope, defaults)
+        _add_max_order(p_slope)
         _add_json_or_text(p_slope)
         p_slope.set_defaults(func=func)
 
@@ -696,16 +664,14 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
         "--format", dest="output_format", choices=("csv", "json"), default="json"
     )
     _add_character_flags(p_curve)
-    _add_max_order(p_curve, defaults)
+    _add_max_order(p_curve)
     _add_approx(p_curve)
     p_curve.set_defaults(func=_cmd_curve)
 
     p_batch = sub.add_parser("batch", help="one JSON character per line, one report per line")
     p_batch.add_argument("input", help="path to a JSONL file, or - for standard input")
-    p_batch.add_argument(
-        "--multiplier", type=_int_at_least(1), default=defaults.get("multiplier", 1)
-    )
-    _add_max_order(p_batch, defaults)
+    p_batch.add_argument("--multiplier", type=_int_at_least(1), default=1)
+    _add_max_order(p_batch)
     _add_approx(p_batch)
     p_batch.set_defaults(func=_cmd_batch)
 
@@ -713,13 +679,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    try:
-        defaults = _load_config()
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    parser = build_parser(defaults)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, DescentError) as exc:

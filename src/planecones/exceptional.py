@@ -49,7 +49,7 @@ from .chern import ChernCharacter, _lattice, euler_chi_pair
 from .errors import ConsistencyError, DescentError, DomainError
 from .qarith import (
     QuadraticNumber, RationalLike, _shown, _sign_int_radical, exact_int, exact_rational,
-    exact_type, floor_of_form, integer_form, sqrt_ratio,
+    exact_type, floor_of_form, integer_form, more_digits, sqrt_ratio,
 )
 from .record import Record
 
@@ -214,7 +214,7 @@ def _walk(d: DyadicRational, max_rank_digits: int = 0) -> tuple[tuple, tuple, tu
     k, bit = 1, (p >> (q - 1)) & 1
     while True:
         mid = (s * fin[0] - g[0], s * fin[1] - g[1], s * fin[2] - g[2])
-        if cap and _past(mid[0], cap):
+        if cap and more_digits(mid[0], cap):
             raise DomainError(f"slope has a {mid[0].bit_length():,}-bit integer in its walk "
                               f"at order {k} of {q}, past the limit of {max_rank_digits:,} "
                               f"digits for printing one")
@@ -240,7 +240,7 @@ def _walk(d: DyadicRational, max_rank_digits: int = 0) -> tuple[tuple, tuple, tu
             past = cap and (fin[0].bit_length() - 1 + n * ((s - 1).bit_length() - 1)
                             >= 4 * cap)
             ahead = None if past else _jump(fin, g, s, n)
-            if past or cap and _past(ahead[0][0], cap):
+            if past or cap and more_digits(ahead[0][0], cap):
                 jumps = False  # step this run to its first rank past the cap
             else:
                 fin, g = ahead
@@ -251,17 +251,6 @@ def _walk(d: DyadicRational, max_rank_digits: int = 0) -> tuple[tuple, tuple, tu
                 k, after = k + n, bit ^ 1
         bit = after
     return left, mid, right
-
-
-def _past(rank: int, digits: int) -> bool:
-    """Whether ``rank >= 10**digits``, for ``digits > 0``.
-
-    As ``2**(3 digits) < 10**digits < 2**(4 digits)``, the bit length
-    decides unless it lies between the two, and only then is the power
-    built, about as long as the rank: so a cap of any size costs nothing.
-    """
-    bits = rank.bit_length()
-    return bits > 4 * digits or bits > 3 * digits and rank >= 10 ** digits
 
 
 def _jump(fin: tuple, g: tuple, s: int, n: int) -> tuple[tuple, tuple]:

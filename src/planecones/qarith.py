@@ -326,7 +326,9 @@ class QuadraticNumber(Record):
 
     def bounds(self, digits: int) -> tuple[Fraction, Fraction]:
         """Rational enclosure ``lo <= self <= hi`` of width < ``2*|b| * 10**-digits``."""
-        exact_int(digits, "digits", 0)
+        return self._bounds(_digit_count(digits))
+
+    def _bounds(self, digits: int) -> tuple[Fraction, Fraction]:
         A, B, d, D = self.A, self.B, self.d, self.D
         if B == 0:
             return Fraction(A, D), Fraction(A, D)
@@ -370,9 +372,8 @@ class QuadraticNumber(Record):
         return f"QuadraticNumber({self.a!r}, {self.b!r}, {self.d})"
 
     def decimal(self, digits: int = 12) -> str:
-        """Non-authoritative decimal rendering for display."""
-        exact_int(digits, "digits", 0)
-        lo, hi = self.bounds(digits + 2)
+        """Non-authoritative decimal rendering for display, its digits written as one int."""
+        lo, hi = self._bounds(_digit_count(digits) + 2)
         mid = (lo + hi) / 2
         # format from a scaled integer to avoid float rounding
         scaled = round(mid * 10 ** digits)
@@ -427,6 +428,26 @@ def ratio_str(n: int, d: int) -> str:
 # Python's limit on the digits of an int read or written as text; 0 is none,
 # and there is none before Python 3.10.7
 int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _digit_count(digits: int) -> int:
+    """``digits`` if it is an ``int`` from 0 to Python's digit limit, when there is one."""
+    limit = int_digit_limit()
+    if 0 < limit < exact_int(digits, "digits", 0):
+        raise DomainError(f"digits must be at most Python's limit of {limit:,}, "
+                          f"got {_shown(digits)}")
+    return digits
+
+
+def more_digits(n: int, digits: int) -> bool:
+    """Whether ``n >= 0`` has more than ``digits > 0`` digits: ``n >= 10**digits``.
+
+    As ``2**(3 digits) < 10**digits < 2**(4 digits)``, the bit length
+    decides unless it lies between the two, and only then is the power
+    built, about as long as ``n``: so a bound of any size costs nothing.
+    """
+    bits = n.bit_length()
+    return bits > 4 * digits or bits > 3 * digits and n >= 10 ** digits
 
 
 def parse_rational(text: str) -> Fraction:

@@ -58,6 +58,7 @@ from planecones import cfrac, chern, cone, exceptional, qarith, record
 from planecones.chern import ChernCharacter, character_from_json
 from planecones.cli import main, report_to_dict
 from planecones.cone import Kind
+from planecones.errors import DomainError
 
 from conftest import ORDER_FOUR, PrimorialGcds, descent_slopes
 
@@ -364,24 +365,36 @@ def walk_work(call) -> tuple[int, int]:
 
     A step is one inline mutation in ``_walk`` or one call of ``_jump``; a
     jump of ``n`` levels stands for ``n`` inline steps and takes
-    ``n.bit_length() - 1`` doubling products.
+    ``n.bit_length() - 1`` doubling products.  A walk with no cap steps
+    through the ``d.q`` levels of its address less those its jumps take.  A
+    capped walk tests each rank it makes, inline or by a jump, against the
+    cap once and may stop before the end, so its steps are those tests.
     """
-    levels, runs = [], []
-    walk, jump = exceptional._walk, exceptional._jump
+    steps, runs, tests = [], [], []
+    walk, jump, more = exceptional._walk, exceptional._jump, exceptional.more_digits
 
-    def counted_walk(d, *args):
-        levels.append(d.q)
-        return walk(d, *args)
+    def counted_walk(d, cap=0):
+        first, tested = len(runs), len(tests)
+        try:
+            return walk(d, cap)
+        finally:
+            jumped = runs[first:]
+            steps.append(len(tests) - tested if cap > 0 else d.q - sum(jumped) + len(jumped))
 
     def counted_jump(fin, g, s, n):
         runs.append(n)
         return jump(fin, g, s, n)
 
+    def counted_test(n, digits):
+        tests.append(n)
+        return more(n, digits)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exceptional, "_walk", counted_walk)
         patch.setattr(exceptional, "_jump", counted_jump)
+        patch.setattr(exceptional, "more_digits", counted_test)
         call()
-    return sum(levels) - sum(runs) + len(runs), sum(n.bit_length() - 1 for n in runs)
+    return sum(steps), sum(n.bit_length() - 1 for n in runs)
 
 
 @pytest.mark.parametrize("word", ["RLLLRR", "LRLRLRLRLR"])
@@ -400,6 +413,33 @@ def test_one_walk_per_word(word):
 def test_one_run_of_order_512_is_a_few_products():
     steps, products = walk_work(lambda: exceptional.from_dyadic(exceptional.DyadicRational(1, 512)))
     assert steps + products <= 20
+
+
+@pytest.mark.parametrize("p, q, cap, work, refused", [
+    (1, 2000, 100, (240, 0), "at order 240 of 2000"),
+    (1, 401, 100, (240, 0), "at order 240 of 401"),
+    (5 * 2 ** 400 + 1, 400, 100, (241, 8), "at order 240 of 400"),
+    (1, 2000, 4300, (3, 10), None),
+    (1, 11000, 4300, (10290, 13), "at order 10289 of 11000"),
+], ids=["bound_refuses_the_jump", "bound_just_refuses", "bound_just_jumps",
+        "jump_under_the_cap", "jump_past_the_cap_is_stepped"])
+def test_a_capped_walk_costs_what_it_reaches(p, q, cap, work, refused):
+    """A run of ``p/2^q`` is jumped unless a lower bound on its growth reaches ``4 * cap`` bits.
+
+    A refused jump, or one that lands past the cap, is stepped to the first
+    rank past it: the work is bounded by the cap, not by the run's length.
+    With a 100-digit cap the bound on the one run of ``1/2^401`` is 400
+    bits, and on that of ``5 + 1/2^400`` 399, so each side of ``>=`` is
+    pinned; in ``[5, 6]`` a bundle's ``chi`` is longer than its rank, and
+    only the rank is read.
+    """
+    def call():
+        if refused is None:
+            return exceptional.from_dyadic(exceptional.DyadicRational(p, q), cap)
+        with pytest.raises(DomainError, match=refused):
+            exceptional.from_dyadic(exceptional.DyadicRational(p, q), cap)
+
+    assert walk_work(call) == work
 
 
 @pytest.mark.parametrize("call, walks", [

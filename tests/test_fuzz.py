@@ -1,11 +1,11 @@
 """Hostile input to the command line ends in one line, and to the library in its own error.
 
-Hypothesis draws ``argv`` from a small grammar of each subcommand's flags,
-``batch`` files of hostile lines, and config files, and calls ``main``
-in-process.  Nothing may escape but argparse's ``SystemExit(2)``; every exit
-code is 0, 1, 2 or 4, never the internal status 3; no case prints a
-traceback, an error exit with no output is one ``error:`` line, and no case
-takes a second.  Each public callable of the package is called, too, with
+Hypothesis draws ``argv`` from a small grammar of each subcommand's flags
+and ``batch`` files of hostile lines, and calls ``main`` in-process.
+Nothing may escape but argparse's ``SystemExit(2)``; every exit code is 0,
+1, 2 or 4, never the internal status 3; no case prints a traceback, an
+error exit with no output is one ``error:`` line, and no case takes a
+second.  Each public callable of the package is called, too, with
 arguments from a hostile pool, and nothing but ``DomainError`` or
 ``DescentError`` may escape, within a second.  The tier-1 run draws 50
 cases a test; the ``fuzz`` profile (``pytest -m fuzz
@@ -36,13 +36,13 @@ from hypothesis import strategies as st
 import planecones
 from planecones import cfrac
 from planecones.chern import ChernCharacter
-from planecones.cli import CONFIG_ENV, MAX_CURVE_SAMPLES, main
+from planecones.cli import MAX_CURVE_SAMPLES, main
 from planecones.cone import cone_report
 from planecones.errors import DescentError, DomainError
 from planecones.exceptional import (
     DyadicRational, delta_curve, find_interval, from_integer, from_slope_value,
 )
-from planecones.qarith import QuadraticNumber, parse_rational
+from planecones.qarith import QuadraticNumber, int_digit_limit, parse_rational
 
 pytestmark = pytest.mark.fuzz
 
@@ -115,7 +115,7 @@ ARGV = st.one_of(
     .map(lambda rest: ["curve", *rest]),
 )
 
-# JSON values a batch line or a config file may hold where a number goes
+# JSON values a batch line may hold where a number goes
 json_field = st.one_of(
     st.none(), st.booleans(), st.floats(), st.integers(-10 ** 30, 10 ** 30), value,
     st.sampled_from([[], [1], [[3, 2]], {}, {"r": 3}, {"r": [{"c1": None}]}]),
@@ -131,12 +131,6 @@ raw_line = st.one_of(
     st.text(max_size=12).map(str.encode),
 )
 batch_lines = st.lists(st.one_of(character_line, raw_line), max_size=4)
-
-config = st.one_of(
-    st.tuples(st.sampled_from(["max_order", "multiplier", "x"]), json_field)
-    .map(lambda item: json.dumps(dict([item])).encode()),
-    raw_line,
-)
 
 cases = settings() if settings.get_current_profile_name() == "fuzz" else settings(max_examples=50)
 
@@ -190,25 +184,8 @@ def _blank(line: bytes) -> bool:
         return False
 
 
-@cases
-@given(config, st.sampled_from([["cone", "--rmd", "3,2/3,17/9"], ["slope", "--rational", "2/5"]]))
-def test_hostile_config(content, argv):
-    with tempfile.TemporaryDirectory() as folder:
-        path = os.path.join(folder, "config.json")
-        with open(path, "wb") as handle:
-            handle.write(content)
-        before = os.environ.get(CONFIG_ENV)
-        os.environ[CONFIG_ENV] = path
-        try:
-            _run(argv)
-        finally:
-            if before is None:
-                del os.environ[CONFIG_ENV]
-            else:
-                os.environ[CONFIG_ENV] = before
-
-
-# a library call handed a value of the wrong type: (call, args, what the refusal names)
+# a library call handed a value of the wrong type, or a digit count past
+# Python's digit limit: (call, args, what the refusal names)
 WRONG_TYPES = [
     (QuadraticNumber, (1.5,), "a must be an int or a Fraction"),
     (QuadraticNumber, (1, True), "b must be an int or a Fraction"),
@@ -216,10 +193,16 @@ WRONG_TYPES = [
     (QuadraticNumber, (1, 1, 2.5), "d must be an int >= 0"),
     (QuadraticNumber(1, 1, 2).decimal, (1.5,), "digits must be an int >= 0"),
     (QuadraticNumber.parse, (None,), "text must be a str"),
+    *([(QuadraticNumber(1, 1, 2).decimal, (5000,), "digits must be at most Python's limit"),
+       (QuadraticNumber(1, 1, 2).bounds, (10 ** 30,), "digits must be at most Python's limit")]
+      if 0 < int_digit_limit() < 5000 else []),
     (DyadicRational, (1.5, 2), "p must be an int"),
     (DyadicRational.make, (1, 2.0), "q must be an int"),
     (from_integer, (1.5,), "n must be an int"),
     (ChernCharacter, (True, 0, 0), "ch0 must be an int or a Fraction"),
+    (ChernCharacter(1, 0, 0).tensor, (None,), "other must be a ChernCharacter"),
+    (ChernCharacter(1, 0, 0).__add__, (1,), "other must be a ChernCharacter"),
+    (ChernCharacter(1, 0, 0).__sub__, (None,), "other must be a ChernCharacter"),
     (cone_report, (None,), "x must be a ChernCharacter"),
     (from_slope_value, (math.nan,), "mu must be an int or a Fraction"),
     (delta_curve, (math.inf,), "mu must be an int or a Fraction"),

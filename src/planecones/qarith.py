@@ -433,7 +433,8 @@ int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 def _digit_count(digits: int) -> int:
     """``digits`` if it is an ``int`` from 0 to Python's digit limit, when there is one."""
     limit = int_digit_limit()
-    if 0 < limit < exact_int(digits, "digits", 0):
+    exact_int(digits, "digits", 0)
+    if 0 < limit < digits:
         raise DomainError(f"digits must be at most Python's limit of {limit:,}, "
                           f"got {_shown(digits)}")
     return digits

@@ -526,6 +526,15 @@ class TestDigitCount:
             with pytest.raises(DomainError):
                 x.decimal(-3)
 
+    def test_wrong_digits_rejected_with_no_digit_limit(self, monkeypatch):
+        # Python before 3.10.7, or after sys.set_int_max_str_digits(0), has no limit
+        monkeypatch.setattr(qarith, "int_digit_limit", lambda: 0)
+        for x in (sqrt_exact(2), qn(Fraction(1, 3))):
+            for digits in (-1, 1.5, True):
+                for call in (x.bounds, x.decimal):
+                    with pytest.raises(DomainError, match="^digits must be an int >= 0"):
+                        call(digits)
+
     def test_zero_digits_allowed(self):
         lo, hi = sqrt_exact(2).bounds(0)
         assert lo <= 1 < 2 <= hi

@@ -11,10 +11,10 @@ each mediant down the walk from its integer bracket
 (``exceptional.from_slope_value``).  A finite word over {L, R} (the
 choices of the bracketing descent) spells a slope's dyadic address:
 ``word_to_dyadic`` reads it in binary and the slope takes one tree walk,
-which mutates the bundle's character once per letter where the letters
+which mutates the bundle's ``(r, c1)`` once per letter where the letters
 alternate and jumps each run of equal letters in one closed-form step; the
 same walk gives the slope's parents.  Cantor enclosures read the walk's
-integers ``(r, c1, chi)`` and build no slope; period blocks take the rule's
+integers ``(r, c1)`` and build no slope; period blocks take the rule's
 pass and no walk.  A word is checked once, by one ``str.strip``.
 Eventually-constant infinite words name exactly the interval endpoints.
 ``cf_eval`` is the brute-force evaluator that serves as the independent
@@ -118,7 +118,7 @@ def _expansions(slope) -> tuple[str, str]:
     r, c1, d = slope.r, slope.c1, slope.dyadic
     if c1 < 0 or 2 * c1 > r:
         raise _outside(c1, r)
-    walked = None if trusted else exceptional._walk(d)[1][:2]
+    walked = None if trusted else exceptional._walk(d)[1]
     if walked and walked != (r, c1):
         raise ConsistencyError(f"(r, c1) = ({r}, {c1}) has a dyadic address {d} whose "
                                f"bundle has (r, c1) = {walked}: no exceptional slope")
@@ -252,7 +252,7 @@ def period_structure(word: Word) -> PeriodStructure:
     """
     _check_word(word)
     if word.startswith(("L", "RR")):
-        _, (r, c1, _), _ = exceptional._walk(_address(word))
+        _, (r, c1), _ = exceptional._walk(_address(word))
         raise _outside(c1, r)
     head = word.rstrip("R")
     if not head:
@@ -295,7 +295,7 @@ def cantor_approx(prefix: Word, depth: int) -> tuple[Fraction, Fraction]:
     _check_word(prefix)
     if exact_int(depth, "depth") < 0:
         raise DomainError("negative depth")
-    (r, c1, _), _, (s, c2, _) = exceptional._walk(_address(prefix[:depth]))
+    (r, c1), _, (s, c2) = exceptional._walk(_address(prefix[:depth]))
     return Fraction(c1, r), Fraction(c2, s)
 
 

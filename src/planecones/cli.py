@@ -11,7 +11,7 @@ the first rank past that limit.  A slope's fields and a resolution's triad
 characters depend on nothing but the slope or the triad, so each is
 rendered once per digit limit into a bounded cache and every report gets
 its own copy of the cached dicts.  The caches key on integers (a slope's
-bundle and address, the triad's ``(r, c1, chi)`` triples), never on
+``(r, c1)`` and address, the triad's ``(r, c1, chi)`` triples), never on
 records nor on a field's path: a cached fragment names a refused field
 from the fragment (``slope``, ``interval``, ``chi``, ...), and the caller
 puts its path in front of the ``DomainError``'s message.
@@ -37,7 +37,7 @@ from .chern import ChernCharacter, _lattice, character_from_json, character_to_j
 from .errors import ConsistencyError, DescentError, DomainError
 from .exceptional import DEFAULT_MAX_ORDER, DyadicRational
 from .qarith import (
-    QuadraticNumber, int_digit_limit, more_digits, parse_rational, ratio_str,
+    QuadraticNumber, _digit_bound, int_digit_limit, more_digits, parse_rational, ratio_str,
 )
 
 EXIT_OK = 0
@@ -215,7 +215,7 @@ def _slope_dict(s: exceptional.ExceptionalSlope, prefix: str = "",
     """
     d = s.dyadic
     try:
-        out = _slope_fields(s.r, s.c1, s.chi, d.p, d.q,
+        out = _slope_fields(s.r, s.c1, d.p, d.q,
                             int_digit_limit() if limit is None else limit).copy()
     except DomainError as exc:
         raise DomainError(prefix + str(exc)) from None
@@ -224,9 +224,9 @@ def _slope_dict(s: exceptional.ExceptionalSlope, prefix: str = "",
 
 
 @lru_cache(maxsize=_RENDER_CACHE_SIZE)
-def _slope_fields(r: int, c1: int, chi: int, p: int, q: int, limit: int) -> dict:
-    """The fields of the slope ``(r, c1, chi)`` at ``p/2**q``; ``limit`` keys the cache."""
-    s = exceptional._slope(r, c1, chi, exceptional._dyadic(p, q))
+def _slope_fields(r: int, c1: int, p: int, q: int, limit: int) -> dict:
+    """The fields of the slope ``(r, c1)`` at ``p/2**q``; ``limit`` keys the cache."""
+    s = exceptional._slope(r, c1, exceptional._dyadic(p, q))
     shift, word = cfrac.slope_to_lr(s)
     out = {
         "slope": _ratio("slope", c1, r),
@@ -403,8 +403,9 @@ def _slope_from_args(args) -> exceptional.ExceptionalSlope:
     else:
         address = cfrac.word_to_dyadic(args.lr.strip())
     _check_order(address.order, args.max_order)  # a word of length q is an address of order q
-    # a walk stops at a rank past the digit limit, which the slope could not print
-    return exceptional.from_dyadic(address, int_digit_limit())
+    # a walk stops at a rank past the digit limit, which the slope could not
+    # print, or past Python's default limit where there is none
+    return exceptional.from_dyadic(address, _digit_bound())
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -597,8 +598,8 @@ def _add_approx(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--approx",
         # decimal() prints the digits as one int, so at most Python's
-        # int-to-string limit (0, no limit, before Python 3.10.7)
-        type=_int_at_least(0, int_digit_limit()),
+        # int-to-string limit, or its default where there is none
+        type=_int_at_least(0, _digit_bound()),
         default=None,
         metavar="N",
         help="add non-authoritative N-digit decimal columns",

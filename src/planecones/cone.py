@@ -9,11 +9,17 @@ resolution by gamma's triad (cached per gamma), the Kronecker data and the
 wall.  For rank >= 3 the same steps on the Serre dual, descending on
 ``-mu0-``, give the secondary ray.  Each step checks its result and raises
 ``ConsistencyError`` when a check fails.  Rays are lattice vectors, and no
-float decides a branch.  Records come from each class's trusted
-constructor ``_trusted``, which ``Record`` makes, given every field;
-``Record.__init__`` stays the checked public path.  The stage
-functions ``orthogonal_invariants``, ``resolution_multiplicities``,
-``kronecker_data`` and ``secondary_edge`` read one field of the report.
+float decides a branch.  Gamma comes as its ``(r, c1)`` and address, and
+its characters by Riemann-Roch (``ExceptionalSlope.chi``); a slope enclosing
+a rational is read from the boundary cache through
+``exceptional._enclosing``, which owns the cache's key.
+``orthogonal_character`` and ``bridgeland_wall`` gate each field of the
+invariants they read, so hand-built invariants fail with ``DomainError``.
+Records come from each class's trusted constructor ``_trusted``, which
+``Record`` makes, given every field; ``Record.__init__`` stays the checked
+public path.  The stage functions ``orthogonal_invariants``,
+``resolution_multiplicities``, ``kronecker_data`` and ``secondary_edge``
+read one field of the report.
 """
 
 from __future__ import annotations
@@ -253,8 +259,7 @@ def classify(x: ChernCharacter, max_order: int = DEFAULT_MAX_ORDER) -> Classific
     # P(-|mu - a|) - delta_a is at most P(0) = 1, so delta > 1 needs no descent
     if discriminant_form(r, c, x.chi)[0] > 2 * r * r:
         return _ABOVE_BOUNDARY
-    g = math.gcd(c, r)  # the boundary cache is keyed on mu = c/r in lowest terms
-    enclosing = exceptional._boundary(c // g, r // g, max_order)[0]
+    enclosing = exceptional._enclosing(c, r, max_order)
     side = _arc_side(x, enclosing)
     if side > 0:
         return _ABOVE_BOUNDARY
@@ -306,8 +311,8 @@ def _triad(left: tuple, mid: tuple, right: tuple, p: int, q: int) -> _Triad:
     """The triad of gamma at ``p/2**q`` between its parents, worked out once per gamma.
 
     The key is what ``exceptional._bracket`` hands back: the bundles'
-    ``(r, c1, chi)`` and gamma's address, all integers, so a lookup hashes
-    no record and a hit builds no slope.
+    ``(r, c1)`` and gamma's address, all integers, so a lookup hashes no
+    record and a hit builds no slope.
     """
     left, gamma, right = exceptional._slopes(left, mid, right, exceptional._dyadic(p, q))
     image = exceptional.affine_image
@@ -394,17 +399,26 @@ def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
     """Integral character on the primary ray, at the minimal rank times a multiplier."""
     exact_int(multiplier, "multiplier", 1)
     exact_int(max_order, "max_order", 0)
-    if exact_type(inv, OrthogonalInvariants, "inv").case_sign is not _ZERO:
+    ray = _checked_ray(inv)
+    if exact_type(inv.case_sign, CaseSign, "inv.case_sign") is not _ZERO:
         # endpoints are irrational, so a rational mu in gamma's closed
         # interval lies in no other and gamma's arc is the boundary there
-        ray, gamma = inv.ray, inv.corresponding_slope
+        gamma = exact_type(inv.corresponding_slope, ExceptionalSlope, "inv.corresponding_slope")
         r, c = ray.r, ray.c1
         if exceptional._locate(gamma.r, gamma.c1, c, 0, 0, r)[1] < 0:
-            g = math.gcd(c, r)  # the boundary cache is keyed on mu = c/r in lowest terms
-            gamma = exceptional._boundary(c // g, r // g, max_order)[0]
+            gamma = exceptional._enclosing(c, r, max_order)
         if _arc_side(ray, gamma) < 0:
             raise ConsistencyError(f"orthogonal invariants {inv.point} below the boundary curve")
-    return inv.ray.scale(multiplier)
+    return ray.scale(multiplier)
+
+
+def _checked_ray(inv: OrthogonalInvariants) -> ChernCharacter:
+    """``inv.ray``, once it is a character of integral fields and positive rank, as a ray is."""
+    ray = exact_type(exact_type(inv, OrthogonalInvariants, "inv").ray, ChernCharacter, "inv.ray")
+    exact_int(ray.r, "inv.ray.r", 1)
+    exact_int(ray.c1, "inv.ray.c1")
+    exact_int(ray.chi, "inv.ray.chi")
+    return ray
 
 
 def _arc_side(x: ChernCharacter, a: ExceptionalSlope) -> int:
@@ -503,7 +517,7 @@ def bridgeland_wall(inv: OrthogonalInvariants) -> Wall:
     read off the primitive ray ``(r, c, chi)`` as ``(-2c - 3r)/(2r)`` and
     ``((2c + 3r)^2 - 8 r chi)/(4 r^2)``, and kept as those integers.
     """
-    ray = exact_type(inv, OrthogonalInvariants, "inv").ray
+    ray = _checked_ray(inv)
     r, c = ray.r, ray.c1
     s = 2 * c + 3 * r
     n = s * s - 8 * r * ray.chi
@@ -521,15 +535,15 @@ def _primary_edge(x: ChernCharacter, inv: OrthogonalInvariants, triad: _Triad,
                   max_order: int) -> PrimaryEdge:
     """The primary edge on ``inv``'s ray, once its checks pass.
 
-    Orthogonality, half-plane and double orthogonality are checked here, the
-    boundary in :func:`orthogonal_character`.
+    The half-plane, orthogonality and double orthogonality are checked here,
+    the boundary in :func:`orthogonal_character`.
     """
+    # the rank-zero line splits the orthogonal plane; positive rank is the primary half
+    if inv.ray.r <= 0:
+        raise ConsistencyError("primary ray fell outside the primary half-plane")
     ray = orthogonal_character(inv, multiplier, max_order)
     if euler_pairing(x, ray) != 0:
         raise ConsistencyError("primary ray is not orthogonal to the input")
-    # the rank-zero line splits the orthogonal plane; positive rank is the primary half
-    if ray.r <= 0:
-        raise ConsistencyError("primary ray fell outside the primary half-plane")
     if inv.case_sign is _POSITIVE:  # orthogonal also to E_{-gamma}
         if euler_pairing(ray, triad.image_chars[2]) != 0:
             raise ConsistencyError("positive-case double orthogonality failed")

@@ -3,20 +3,22 @@
 Exceptional slopes are addressed by dyadic rationals through an
 order-preserving correspondence: integers map to themselves and the slope at
 the dyadic midpoint of two neighbours is their mediant.  Each slope carries
-its exceptional bundle's lattice character ``(r, c1, chi)``, the one source of
-its slope ``c1/r``, rank and discriminant ``(r^2 - 1)/(2 r^2)``.  A walk
-down the tree mutates these integers (from ``_start``), one level at a time
-where its address bits alternate; a run of equal bits, along which one end
-of the bracket stays fixed, is one closed-form jump (``_jump``).  Nothing
-is kept between walks, and a walk can be bounded by the digits of its
-ranks.  Negation and integer translation map the tree to itself, and
-``affine_image`` reads them off an address in one closed integer formula.
+its exceptional bundle's rank and first Chern class ``(r, c1)``, the one
+source of its slope ``c1/r``, rank, discriminant ``(r^2 - 1)/(2 r^2)`` and,
+by Riemann-Roch, Euler characteristic (``ExceptionalSlope.chi``, the one
+place it is worked out).  A walk down the tree mutates these two integers
+(from ``_start``), one level at a time where its address bits alternate; a
+run of equal bits, along which one end of the bracket stays fixed, is one
+closed-form jump (``_jump``).  Nothing is kept between walks, and a walk
+can be bounded by the digits of its ranks.  Negation and integer
+translation map the tree to itself, and ``affine_image`` reads them off an
+address in one closed integer formula.
 Each slope ``a`` owns an open interval of halfwidth
 ``x_a = (3 - sqrt(5 + 8 delta_a)) / 2``, whose endpoints are integer forms
 read off the halfwidth's; the boundary curve of stable characters is a pair
 of parabolic arcs over every interval, and locating the interval containing
 a given number is a bracketing descent on integers (``_bracket``), which
-hands back the hit's and its two parents' ``(r, c1, chi)`` and the hit's
+hands back the hit's and its two parents' ``(r, c1)`` and the hit's
 address.  A descent makes one integer probe, on the integer nearer the
 number (an integer's interval is narrower than 1/2 either side), then one
 per mediant.  A probe tests membership on the candidate's ``(r, c1)``
@@ -26,15 +28,16 @@ parents and builds nothing.  A public function builds only the slopes it returns
 ``from_dyadic``, ``epsilon`` and ``find_interval`` the hit alone,
 ``slope_and_parents`` (of which ``parents`` is a view) all three
 (``_slopes``).  A rational is looked up, not located: ``from_slope_value``
-compares it with each mediant down its walk by one cross-multiplication,
-and no probe tests membership.  An arc's value at a rational is one
-integer numerator (``_arc_form``) over one denominator.  Slopes built by a
-walk, a descent or an affine image come from the records' trusted
-constructors ``_slope`` and ``_dyadic``, past ``DyadicRational``'s check.
-A public function checks its order budget once, by ``qarith``'s gate.
-The boundary curve's cache (``_boundary``) is keyed on a rational's
-numerator and denominator in lowest terms and the order budget, so a caller
-that holds a slope as integers looks it up without building or hashing a
+runs the descent's bracket loop (``_narrow``) but compares the rational with
+each mediant by one cross-multiplication, and no probe tests membership.
+An arc's value at a rational is one integer numerator (``_arc_form``) over
+one denominator.  Slopes built by a walk, a descent or an affine image come
+from the records' trusted constructors ``_slope`` and ``_dyadic``, past
+their checks.  A public function checks its order budget once, by
+``qarith``'s gate.  The boundary curve's cache (``_boundary``) is keyed on
+a rational's numerator and denominator in lowest terms and the order
+budget, so a caller that holds a slope as integers looks it up through
+``_enclosing``, which reduces them, without building or hashing a
 ``Fraction``; ``boundary_at`` and ``delta_curve`` are views of it.
 """
 
@@ -44,6 +47,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 from .chern import ChernCharacter, _lattice, euler_chi_pair
 from .errors import ConsistencyError, DescentError, DomainError
@@ -93,13 +97,26 @@ class DyadicRational(Record):
 
 
 class ExceptionalSlope(Record):
-    """An exceptional bundle, by its lattice character ``(r, c1, chi)``, and its dyadic address."""
+    """An exceptional bundle, by its rank and first Chern class ``(r, c1)``, and its address."""
 
-    __slots__ = ("r", "c1", "chi", "dyadic")
+    __slots__ = ("r", "c1", "dyadic")
     r: int
     c1: int
-    chi: int
     dyadic: DyadicRational
+
+    def __init__(self, r: int, c1: int, dyadic: DyadicRational):
+        Record.__init__(self, exact_int(r, "r", 1), exact_int(c1, "c1"),
+                        exact_type(dyadic, DyadicRational, "dyadic"))
+
+    @property
+    def chi(self) -> int:
+        """The Euler characteristic, by Riemann-Roch: ``((c1 + r)(c1 + 2r) - r^2 + 1)/(2r)``.
+
+        ``chi(E, E) = 1`` fixes an exceptional bundle's discriminant at
+        ``(r^2 - 1)/(2 r^2)``, so its rank and slope give the rest.
+        """
+        r, c = self.r, self.c1
+        return ((c + r) * (c + 2 * r) - r * r + 1) // (2 * r)
 
     @property
     def slope(self) -> Fraction:
@@ -160,21 +177,17 @@ def _reduced(p: int, q: int) -> DyadicRational:
     return _dyadic(p, q)
 
 
-def _line(n: int) -> tuple[int, int, int]:
-    """The lattice character ``(1, n, (n + 1)(n + 2)/2)`` of O(n)."""
-    return 1, n, (n + 1) * (n + 2) // 2
-
-
 def _start(n: int) -> tuple[tuple, tuple, tuple, tuple, int]:
     """``(left, right, fin, g, s)`` of the bracket ``[n, n + 1]`` before a walk's first step.
 
     Each step takes the midpoint ``s v(fin) - v(g)``, ``s = 3 r(coarse)``,
     the Markov move ``3xy - z`` on ranks: ``fin`` is the end the last step
     put in, ``coarse`` the other and ``g`` the end it replaced.  The first
-    midpoint is ``3 O(n) - O(n - 1)``, as ``n = (n - 1).(n + 1)``.
+    midpoint is ``3 O(n) - O(n - 1)``, as ``n = (n - 1).(n + 1)``; the
+    bundle ``(r, c1)`` of ``O(n)`` is ``(1, n)``.
     """
-    left = _line(n)
-    return left, _line(n + 1), left, _line(n - 1), 3
+    left = 1, n
+    return left, (1, n + 1), left, (1, n - 1), 3
 
 
 def epsilon(d: DyadicRational) -> Fraction:
@@ -183,9 +196,9 @@ def epsilon(d: DyadicRational) -> Fraction:
 
 
 def _walk(d: DyadicRational, max_rank_digits: int = 0) -> tuple[tuple, tuple, tuple]:
-    """The bundles ``(r, c1, chi)`` of the left parent, the slope and the right parent at ``d``.
+    """The bundles ``(r, c1)`` of the left parent, the slope and the right parent at ``d``.
 
-    The walk builds no object but these triples: a caller makes slopes of
+    The walk builds no object but these pairs: a caller makes slopes of
     the ones it returns.  An integer ``d = p`` takes no step and has the
     parents ``p - 1`` and ``p + 1``.  For ``d = p / 2**q``, ``q >= 1``, the
     walk descends from the integer bracket of :func:`_start`: the bracket at
@@ -207,13 +220,13 @@ def _walk(d: DyadicRational, max_rank_digits: int = 0) -> tuple[tuple, tuple, tu
     """
     p, q = d.p, d.q
     if q == 0:
-        return _line(p - 1), _line(p), _line(p + 1)
+        return (1, p - 1), (1, p), (1, p + 1)
     left, right, fin, g, s = _start(p >> q)
     cap = max(max_rank_digits, 0)
     jumps = True
     k, bit = 1, (p >> (q - 1)) & 1
     while True:
-        mid = (s * fin[0] - g[0], s * fin[1] - g[1], s * fin[2] - g[2])
+        mid = s * fin[0] - g[0], s * fin[1] - g[1]
         if cap and more_digits(mid[0], cap):
             raise DomainError(f"slope has a {mid[0].bit_length():,}-bit integer in its walk "
                               f"at order {k} of {q}, past the limit of {max_rank_digits:,} "
@@ -228,11 +241,16 @@ def _walk(d: DyadicRational, max_rank_digits: int = 0) -> tuple[tuple, tuple, tu
         after = (p >> (q - k)) & 1
         if after == bit and k < q and jumps:
             # the run of ``bit`` from level k on spans n levels, and level
-            # k + n is the run's last, stepped inline
+            # k + n is the run's last, stepped inline.  With the bits of
+            # ``p >> 1`` flipped where ``bit`` is 1, the run is the leading
+            # zeros of the low ``width`` bits, whose top one is 0: a ``rest``
+            # shorter than ``width`` bits is those bits as it stands, and a
+            # longer or negative one takes a mask no wider than ``p``
             width = q - k
-            mask = (1 << width) - 1
-            rest = (p >> 1) & mask
-            n = width - (rest ^ mask if bit else rest).bit_length()
+            rest = (p >> 1) ^ -bit
+            if rest.bit_length() >= width:
+                rest &= (1 << width) - 1
+            n = width - rest.bit_length()
             # each level of a run multiplies the rank by more than s - 1, so
             # a run that this lower bound already carries past 2**(4 cap) >
             # 10**cap is not jumped, and a jump builds no integer of many more
@@ -257,7 +275,7 @@ def _jump(fin: tuple, g: tuple, s: int, n: int) -> tuple[tuple, tuple]:
     """``(v_{n+1}, v_n)`` of ``v_{j+1} = s v_j - v_{j-1}`` from ``(v_1, v_0) = (fin, g)``, n >= 1.
 
     That is ``[[s, -1], [1, 0]]**n`` applied to the pair, on each of the
-    three components.  The power is ``[[U_n, -U_{n-1}], [U_{n-1}, -U_{n-2}]]``
+    two components.  The power is ``[[U_n, -U_{n-1}], [U_{n-1}, -U_{n-2}]]``
     with ``U_{m+1} = s U_m - U_{m-1}``, ``U_0 = 1``, ``U_{-1} = 0``, and
     ``(U_m, U_{m-1})`` doubles by ``U_{2m} = U_m^2 - U_{m-1}^2``,
     ``U_{2m-1} = U_{m-1} (2 U_m - s U_{m-1})`` and
@@ -271,8 +289,8 @@ def _jump(fin: tuple, g: tuple, s: int, n: int) -> tuple[tuple, tuple]:
         else:
             x, y = (x - y) * (x + y), y * (2 * x - s * y)
     z = s * y - x
-    return ((x * fin[0] - y * g[0], x * fin[1] - y * g[1], x * fin[2] - y * g[2]),
-            (y * fin[0] - z * g[0], y * fin[1] - z * g[1], y * fin[2] - z * g[2]))
+    return ((x * fin[0] - y * g[0], x * fin[1] - y * g[1]),
+            (y * fin[0] - z * g[0], y * fin[1] - z * g[1]))
 
 
 # Distinct ranks whose halfwidth is kept: every rank of order <= 10 fits.
@@ -298,7 +316,7 @@ def from_dyadic(d: DyadicRational, max_rank_digits: int = 0) -> ExceptionalSlope
 
 
 def from_integer(n: int) -> ExceptionalSlope:
-    return _slope(*_line(exact_int(n, "n")), _dyadic(n, 0))
+    return _slope(1, exact_int(n, "n"), _dyadic(n, 0))
 
 
 def affine_image(g: ExceptionalSlope, negate: bool, shift: int) -> ExceptionalSlope:
@@ -307,61 +325,38 @@ def affine_image(g: ExceptionalSlope, negate: bool, shift: int) -> ExceptionalSl
     The tree is symmetric under both maps: negating a dyadic address negates
     its slope, and adding ``n * 2**q`` to the numerator of ``p / 2**q``
     translates the slope by ``n``.  The bundle follows by the dual
-    ``(r, -c, chi - 3c)`` and the twist by ``O(n)``,
-    ``(r, c + r n, chi + c n + r n(n + 3)/2)``: one closed integer formula.
-    An odd numerator stays odd, so the address needs no reduction.  No
-    descent and no tree walk is made.
+    ``(r, -c)`` and the twist by ``O(n)``, ``(r, c + r n)``.  An odd
+    numerator stays odd, so the address needs no reduction.  No descent and
+    no tree walk is made.
     """
-    r, c, chi, d = g.r, g.c1, g.chi, g.dyadic
+    r, c, d = g.r, g.c1, g.dyadic
     p, q = d.p, d.q
     if negate:
-        p, c, chi = -p, -c, chi - 3 * c
-    n = shift
-    return _slope(r, c + r * n, chi + c * n + r * (n * (n + 3) // 2), _dyadic(p + (n << q), q))
+        p, c = -p, -c
+    return _slope(r, c + r * shift, _dyadic(p + (shift << q), q))
 
 
 def from_slope_value(mu: RationalLike, max_order: int = DEFAULT_MAX_ORDER) -> ExceptionalSlope:
     """Resolve a rational known to be an exceptional slope; raise if it is not.
 
     Exact lookup, with no interval descent: from the integer bracket around
-    ``mu = a/b`` the walk takes each level's mutation inline, as ``_walk``
-    and ``_bracket`` do, on ``(r, c1)`` alone, and compares ``mu`` with the
+    ``mu = a/b``, the loop of :func:`_narrow` compares ``mu`` with each
     mediant ``c1/r`` by one cross-multiplication, ``a r - c1 b``, whose sign
-    also picks the half bracket to go on in.  The hit's ``chi`` comes once,
-    by Riemann-Roch for an exceptional bundle:
-    ``chi = ((c1 + r)(c1 + 2r) - r^2 + 1) / (2r)``.  An exceptional slope's
-    rank is its reduced denominator (``c1^2 = -1 mod r``) and ranks grow
-    along a walk, so the walk refuses, with ``DomainError``, at the first
-    mediant of rank ``>= b`` that is not ``mu``, or past ``max_order``
-    levels.  No probe tests interval membership.
+    also picks the half bracket to go on in.  An exceptional slope's rank is
+    its reduced denominator (``c1^2 = -1 mod r``) and ranks grow along a
+    walk, so the walk refuses, with ``DomainError``, at the first mediant of
+    rank ``>= b`` that is not ``mu``, or past ``max_order`` levels.  No
+    probe tests interval membership.
     """
     exact_int(max_order, "max_order", 0)
     mu = Fraction(exact_rational(mu, "mu"))
     a, b = mu.numerator, mu.denominator
-    n = a // b
     if b == 1:
-        return from_integer(n)
-    # the bracket [n, n + 1] of _start, on (r, c1)
-    left = fin = (1, n)
-    right, g, s = (1, n + 1), (1, n - 1), 3
-    p, q = n, 0
-    while q < max_order:
-        p, q = 2 * p + 1, q + 1
-        r, c1 = s * fin[0] - g[0], s * fin[1] - g[1]
-        side = a * r - c1 * b
-        if side == 0:
-            chi = ((c1 + r) * (c1 + 2 * r) - r * r + 1) // (2 * r)
-            return _slope(r, c1, chi, _dyadic(p, q))
-        if r >= b:
-            break
-        mid = r, c1
-        # narrow to [p - 1, p] or [p, p + 1] over 2**q; p keeps the left end
-        if side < 0:
-            p, right, g, s = p - 1, mid, right, 3 * left[0]
-        else:
-            left, g, s = mid, left, 3 * right[0]
-        fin = mid
-    raise DomainError(f"{mu} is not an exceptional slope of order <= {max_order}")
+        return from_integer(a)
+    hit = _narrow(a // b, a, 0, 0, b, max_order, True)
+    if hit is None:
+        raise DomainError(f"{mu} is not an exceptional slope of order <= {max_order}")
+    return _slope(*hit[1], _dyadic(hit[3], hit[4]))
 
 
 def dot(alpha: ExceptionalSlope, beta: ExceptionalSlope) -> ExceptionalSlope:
@@ -479,12 +474,13 @@ def _bracket(A: int, B: int, d: int, D: int,
     """The descent to ``(A + B*sqrt(d))/D``, ``D > 0``, on integers alone.
 
     Returns ``(left, mid, right, p, q)``: the hit's bundle ``mid`` at the
-    address ``p/2**q`` and its parents' bundles, each as its ``(r, c1, chi)``.
+    address ``p/2**q`` and its parents' bundles, each as its ``(r, c1)``.
     The parents are ``(p >> 1)/2**(q - 1)`` and one step right of it for a
     mediant, and ``p - 1``, ``p + 1`` for an integer ``p`` (``q == 0``).
     One integer is probed, the nearer of the two around ``x``, then one
-    mediant per level, so a hit of order ``q`` takes ``1 + q`` probes.  A
-    probe reads the candidate's ``(r, c1)``; the form need not be reduced.
+    mediant per level in :func:`_narrow`, so a hit of order ``q`` takes
+    ``1 + q`` probes.  A probe reads the candidate's ``(r, c1)``; the form
+    need not be reduced.
     No object but the tuples is built, so a caller may key a cache on them.
     """
     n = floor_of_form(A, B, d, D)
@@ -493,25 +489,51 @@ def _bracket(A: int, B: int, d: int, D: int,
     m = n + 1 if _sign_int_radical(2 * A - (2 * n + 1) * D, 2 * B, d) >= 0 else n
     # x lies in [n, n + 1], within 1 of m and of every mediant below
     if _locate(1, m, A, B, d, D, True)[1] >= 0:
-        return _line(m - 1), _line(m), _line(m + 1), m, 0
+        return (1, m - 1), (1, m), (1, m + 1), m, 0
+    hit = _narrow(n, A, B, d, D, max_order, False)
+    if hit is None:
+        raise DescentError(
+            f"no enclosing interval of order <= {max_order}: "
+            f"input is a Cantor-set point or the budget is too small"
+        )
+    return hit
+
+
+def _narrow(n: int, A: int, B: int, d: int, D: int, max_order: int,
+            lookup: bool) -> Optional[tuple[tuple, tuple, tuple, int, int]]:
+    """The bracket loop from ``[n, n + 1]`` towards ``x = (A + B*sqrt(d))/D``, ``D > 0``.
+
+    Each level takes its mediant's ``(r, c1)`` by one mutation and tests it.
+    A descent hits where ``x`` lies in the mediant's closed interval
+    (:func:`_locate`); a lookup (``lookup``, ``x = A/D`` in lowest terms)
+    hits where ``x = c1/r``, by the sign of ``A r - c1 D``, and gives up at
+    the first mediant of rank ``>= D`` that misses.  A miss narrows the
+    bracket to the side of ``x`` that the test's sign picks.  Returns
+    ``(left, mid, right, p, q)`` as :func:`_bracket` does, or ``None`` when
+    the lookup gives up or ``max_order`` levels pass with no hit.
+    """
     left, right, fin, g, s = _start(n)
     p, q = n, 0
     while q < max_order:
         p, q = 2 * p + 1, q + 1
-        mid = (s * fin[0] - g[0], s * fin[1] - g[1], s * fin[2] - g[2])
-        side, inside = _locate(mid[0], mid[1], A, B, d, D, True)
-        if inside >= 0:
-            return left, mid, right, p, q
+        r, c1 = mid = s * fin[0] - g[0], s * fin[1] - g[1]
+        if lookup:
+            side = A * r - c1 * D
+            if side == 0:
+                return left, mid, right, p, q
+            if r >= D:
+                return None
+        else:
+            side, inside = _locate(r, c1, A, B, d, D, True)
+            if inside >= 0:
+                return left, mid, right, p, q
         # narrow to [p - 1, p] or [p, p + 1] over 2**q; p keeps the left end
         if side < 0:
             p, right, g, s = p - 1, mid, right, 3 * left[0]
         else:
             left, g, s = mid, left, 3 * right[0]
         fin = mid
-    raise DescentError(
-        f"no enclosing interval of order <= {max_order}: "
-        f"input is a Cantor-set point or the budget is too small"
-    )
+    return None
 
 
 def _slopes(left: tuple, mid: tuple, right: tuple,
@@ -562,12 +584,22 @@ def _boundary(num: int, den: int, max_order: int) -> tuple[ExceptionalSlope, Fra
     """:func:`boundary_at` at ``num/den`` in lowest terms, ``den > 0``, keyed on the integers.
 
     A caller holding a slope as integers (classification, the boundary
-    check of a ray) looks it up by them, and builds and hashes no
-    ``Fraction``; a miss descends through :func:`find_interval`.
+    check of a ray) looks it up by them through :func:`_enclosing`, and
+    builds and hashes no ``Fraction``; a miss descends through
+    :func:`find_interval`.
     """
     mu = Fraction(num, den)
     a = find_interval(mu, max_order)
     return a, arc_value(a, mu)
+
+
+def _enclosing(c: int, r: int, max_order: int) -> ExceptionalSlope:
+    """The slope whose closed interval holds ``c/r``, ``r > 0``, from :func:`_boundary`'s cache.
+
+    The one place that brings ``c/r`` to lowest terms, the cache's key.
+    """
+    g = math.gcd(c, r)
+    return _boundary(c // g, r // g, max_order)[0]
 
 
 def boundary_at(mu: RationalLike,

@@ -430,11 +430,21 @@ def ratio_str(n: int, d: int) -> str:
 int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
+def _digit_bound() -> int:
+    """The digit limit, or Python's default of 4,300 digits where there is none.
+
+    It bounds the work a guard lets through (a decimal's digits, a literal's
+    exponent, a walk's ranks), so no guard switches off with the limit;
+    what may be printed still follows the limit itself.
+    """
+    return int_digit_limit() or 4300
+
+
 def _digit_count(digits: int) -> int:
-    """``digits`` if it is an ``int`` from 0 to Python's digit limit, when there is one."""
-    limit = int_digit_limit()
+    """``digits`` if it is an ``int`` from 0 to :func:`_digit_bound`."""
+    limit = _digit_bound()
     exact_int(digits, "digits", 0)
-    if 0 < limit < digits:
+    if limit < digits:
         raise DomainError(f"digits must be at most Python's limit of {limit:,}, "
                           f"got {_shown(digits)}")
     return digits
@@ -459,11 +469,11 @@ def parse_rational(text: str) -> Fraction:
         raise DomainError(f"not a rational literal: {quoted} has {longest:,} digits in a row, "
                           f"past Python's limit of {limit:,} for reading an integer")
     # an exponent e adds |e| digits to the integer Fraction builds; read it off first
-    power = re.fullmatch(r"([^eE]*)[eE]([-+]?\d+(?:_\d+)*)\s*", text)
-    if limit and power and (len(power[2]) > limit  # too long to read, so past the limit
-                            or sum(map(str.isdigit, power[1])) + abs(int(power[2])) > limit):
+    power, bound = re.fullmatch(r"([^eE]*)[eE]([-+]?\d+(?:_\d+)*)\s*", text), _digit_bound()
+    if power and (len(power[2]) > bound  # too long to read, so past the bound
+                  or sum(map(str.isdigit, power[1])) + abs(int(power[2])) > bound):
         raise DomainError(f"not a rational literal: {quoted} has more digits with its exponent "
-                          f"than Python's limit of {limit:,} for reading an integer")
+                          f"than Python's limit of {bound:,} for reading an integer")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

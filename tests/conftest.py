@@ -59,7 +59,7 @@ def replace(record, **changes):
 
 def triad_key(left, gamma, right) -> tuple:
     """``cone._triad``'s integer key for ``gamma`` between its parents, as a descent gives it."""
-    bundles = tuple((s.r, s.c1, s.chi) for s in (left, gamma, right))
+    bundles = tuple((s.r, s.c1) for s in (left, gamma, right))
     return (*bundles, gamma.dyadic.p, gamma.dyadic.q)
 
 
@@ -444,6 +444,9 @@ def stepwise_walk(d: DyadicRational, max_rank_digits: int = 0):
     (``fin`` the end of the larger rank, the left one of ``[b, b + 1]``;
     ``g`` the end dropped the step before, ``O(b - 1)`` at first), and a
     positive ``max_rank_digits`` stops it at the first rank of more digits.
+    The mutation acts on the whole character ``(r, c1, chi)``, so it also
+    returns the three ``chi`` it carries, against which the slopes' ``chi``,
+    read off ``(r, c1)`` by Riemann-Roch, is checked: ``(slopes, chis)``.
     """
     def line(n):
         return 1, n, (n + 1) * (n + 2) // 2
@@ -466,9 +469,10 @@ def stepwise_walk(d: DyadicRational, max_rank_digits: int = 0):
             else:
                 right, g = mid, right
     half = p >> 1
-    return (ExceptionalSlope(*left, DyadicRational.make(half, q - 1)),
-            ExceptionalSlope(*mid, d),
-            ExceptionalSlope(*right, DyadicRational.make(half + 1, q - 1)))
+    slopes = (ExceptionalSlope(*left[:2], DyadicRational.make(half, q - 1)),
+              ExceptionalSlope(*mid[:2], d),
+              ExceptionalSlope(*right[:2], DyadicRational.make(half + 1, q - 1)))
+    return slopes, (left[2], mid[2], right[2])
 
 
 def descent_slopes(x, max_order: int = DEFAULT_MAX_ORDER):

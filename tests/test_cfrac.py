@@ -113,7 +113,7 @@ class TestExpansion:
         took a text fork that wrote each quotient as its decimal digits, so
         3/41 = [0; 13, 1, 2] came out as "1312", which is 11/14.
         """
-        record = ExceptionalSlope(r, c1, 0, DyadicRational(1, 1))
+        record = ExceptionalSlope(r, c1, DyadicRational(1, 1))
         for expand in (even_expansion, odd_expansion):
             with pytest.raises(ConsistencyError, match=rf"^\(r, c1\) = \({r}, {c1}\) has a "):
                 expand(record)
@@ -124,13 +124,13 @@ class TestExpansion:
 
         Each slope's quotients are ones and twos, so only the walk tells.
         """
-        record = ExceptionalSlope(r, c1, 0, DyadicRational(*address))
+        record = ExceptionalSlope(r, c1, DyadicRational(*address))
         for expand in (even_expansion, odd_expansion):
             with pytest.raises(ConsistencyError, match=rf"^\(r, c1\) = \({r}, {c1}\) has a "):
                 expand(record)
 
     def test_records_outside_the_window_keep_the_window_error(self):
-        record = ExceptionalSlope(5, 3, 0, DyadicRational(1, 1))
+        record = ExceptionalSlope(5, 3, DyadicRational(1, 1))
         with pytest.raises(DomainError, match=r"^slope 3/5 outside \[0, 1/2\]; normalize first$"):
             even_expansion(record)
 

@@ -207,10 +207,17 @@ class TestSlopeCommand:
             ("slope", "--dyadic", "1/2^300", "--max-order", "5"),
             ("slope", "--lr", "RLLLRR", "--max-order", "5"),
             ("cfrac", "--lr", "RLLLRR", "--max-order", "5"),
+            # one run of 10^10 and of 10^20 equal bits: the walk reads the
+            # run's length with no mask wider than the numerator and steps
+            # the run to its first rank past the cap
+            ("slope", "--dyadic", "1/2^10000000000", "--max-order", "10000000000"),
+            ("slope", "--dyadic", f"1/2^{10 ** 20}", "--max-order", str(10 ** 20)),
         ],
     )
     def test_bad_or_too_deep_address_is_a_one_line_error(self, capsys, argv):
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
@@ -697,6 +704,46 @@ def _has_path(value, keys: list) -> bool:
     if isinstance(value, list):
         return any(_has_path(item, keys) for item in value)
     return isinstance(value, dict) and keys[0] in value and _has_path(value[keys[0]], keys[1:])
+
+
+class TestNoDigitLimit:
+    """With no digit limit, each guard on work keeps Python's default of 4,300 digits.
+
+    That is Python before 3.10.7, or one run with ``PYTHONINTMAXSTRDIGITS=0``:
+    a literal's exponent, ``--approx`` and a walk's ranks stay bounded, and
+    each refusal is one line within a second.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_digit_limit(self):
+        if INT_DIGITS:
+            sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            if INT_DIGITS:
+                sys.set_int_max_str_digits(INT_DIGITS)
+
+    @pytest.mark.parametrize("argv, refusal", [
+        (("cone", "--chern", "1e100000000,0,0"), "has more digits with its exponent than "),
+        (("classify", "--rmd", "1,0,1e-5000"), "has more digits with its exponent than "),
+        (("slope", "--dyadic", "1/2^11000", "--max-order", "11000"), "at order 10289 of 11000"),
+    ], ids=["exponent", "negative_exponent", "walk"])
+    def test_a_guard_refuses_in_one_line(self, capsys, argv, refusal):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and refusal in err
+
+    def test_approx_keeps_the_default_bound(self, capsys):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["cone", "--rmd", "3,2/3,17/9", "--approx", "9" * 5000])
+        assert exc.value.code == 2 and time.perf_counter() - start < 1
+        assert "must be <= 4300" in capsys.readouterr().err
+        code, out, _ = run(capsys, "cone", "--rmd", "3,2/3,17/9", "--approx", "4300")
+        assert code == 0 and len(json.loads(out)["mu0"]["approx_plus"]) > 4300
 
 
 @pytest.mark.skipif(not 640 < INT_DIGITS, reason="needs a default digit limit above 640")

@@ -421,8 +421,11 @@ def test_one_run_of_order_512_is_a_few_products():
     (5 * 2 ** 400 + 1, 400, 100, (241, 8), "at order 240 of 400"),
     (1, 2000, 4300, (3, 10), None),
     (1, 11000, 4300, (10290, 13), "at order 10289 of 11000"),
+    (1, 10 ** 10, 4300, (10289, 0), "at order 10289 of 10000000000"),
+    (1, 10 ** 20, 4300, (10289, 0), f"at order 10289 of {10 ** 20}"),
 ], ids=["bound_refuses_the_jump", "bound_just_refuses", "bound_just_jumps",
-        "jump_under_the_cap", "jump_past_the_cap_is_stepped"])
+        "jump_under_the_cap", "jump_past_the_cap_is_stepped", "run_of_ten_billion",
+        "run_of_ten_to_the_twenty"])
 def test_a_capped_walk_costs_what_it_reaches(p, q, cap, work, refused):
     """A run of ``p/2^q`` is jumped unless a lower bound on its growth reaches ``4 * cap`` bits.
 
@@ -430,7 +433,7 @@ def test_a_capped_walk_costs_what_it_reaches(p, q, cap, work, refused):
     rank past it: the work is bounded by the cap, not by the run's length.
     With a 100-digit cap the bound on the one run of ``1/2^401`` is 400
     bits, and on that of ``5 + 1/2^400`` 399, so each side of ``>=`` is
-    pinned; in ``[5, 6]`` a bundle's ``chi`` is longer than its rank, and
+    pinned; in ``[5, 6]`` a bundle's ``c1`` is longer than its rank, and
     only the rank is read.
     """
     def call():

@@ -189,7 +189,7 @@ class TestMutationWalk:
 
     def test_corrupted_child_is_inconsistent(self, monkeypatch):
         walked = from_dyadic
-        for field in ("r", "c1", "chi"):
+        for field in ("r", "c1"):
             def corrupted(d, field=field):
                 child = walked(d)
                 return replace(child, **{field: getattr(child, field) + 1})
@@ -202,12 +202,12 @@ class TestMutationWalk:
 
 
 def walked(d, max_rank_digits=0):
-    """The bundles ``(r, c1, chi)`` of the walk's left parent, slope and right parent."""
+    """The bundles ``(r, c1)`` of the walk's left parent, slope and right parent."""
     return list(exceptional._walk(d, max_rank_digits))
 
 
 def stepped(d, max_rank_digits=0):
-    return [(s.r, s.c1, s.chi) for s in stepwise_walk(d, max_rank_digits)]
+    return [(s.r, s.c1) for s in stepwise_walk(d, max_rank_digits)[0]]
 
 
 def jumped_orders(d):
@@ -232,9 +232,10 @@ class TestRunJumps:
         """Every address in [-3, 3] of order <= 12, one walk against both oracles.
 
         The jumping walk against the stepwise one, with the parents'
-        addresses; the slopes and characters against the ``Fraction`` walk by
-        ``slope_dot``; and each slope looked up by value, within order 12 and
-        refused one order short.
+        addresses, and each slope's ``chi`` (Riemann-Roch on ``(r, c1)``)
+        against the one the stepwise mutation carries; the slopes and
+        characters against the ``Fraction`` walk by ``slope_dot``; and each
+        slope looked up by value, within order 12 and refused one order short.
         """
         for n in range(-3, 4):
             assert from_integer(n).character() == fraction_character(F(n))
@@ -245,7 +246,10 @@ class TestRunJumps:
                 d = dy(p, q)
                 assert walked(d) == stepped(d), (p, q)
                 slopes = slope_and_parents(d)
-                assert slopes == stepwise_walk(d), (p, q)
+                oracle, chis = stepwise_walk(d)
+                assert slopes == oracle, (p, q)
+                assert from_dyadic(d).chi == chis[1], (p, q)
+                assert (slopes[0].chi, slopes[2].chi) == (chis[0], chis[2]), (p, q)
                 expected = fraction_walk(p, q, memo)
                 assert tuple(s.slope for s in slopes) == expected, (p, q)
                 assert [s.character() for s in slopes] == list(map(fraction_character, expected))
@@ -286,7 +290,7 @@ class TestRunJumps:
         # each bound whose first rank past it lies in a jumped run: the walk
         # steps that run level by level and refuses at the oracle's order
         jumped, checked = jumped_orders(d), 0
-        for bound in range(1, len(str(stepwise_walk(d)[1].r))):
+        for bound in range(1, len(str(stepwise_walk(d)[0][1].r))):
             expected = first_refusal(stepwise_walk, d, bound)
             if int(expected.split("at order ")[1].split()[0]) in jumped:
                 assert first_refusal(exceptional._walk, d, bound) == expected

@@ -37,10 +37,12 @@ import planecones
 from planecones import cfrac
 from planecones.chern import ChernCharacter
 from planecones.cli import MAX_CURVE_SAMPLES, main
-from planecones.cone import cone_report
+from planecones.cone import (
+    CaseSign, OrthogonalInvariants, bridgeland_wall, cone_report, orthogonal_character,
+)
 from planecones.errors import DescentError, DomainError
 from planecones.exceptional import (
-    DyadicRational, delta_curve, find_interval, from_integer, from_slope_value,
+    DyadicRational, ExceptionalSlope, delta_curve, find_interval, from_integer, from_slope_value,
 )
 from planecones.qarith import QuadraticNumber, int_digit_limit, parse_rational
 
@@ -184,6 +186,11 @@ def _blank(line: bytes) -> bool:
         return False
 
 
+def _invariants(ray=ChernCharacter(1, 0, 0), case=CaseSign.POSITIVE, slope=from_integer(0)):
+    """Orthogonal invariants built by hand, with the given ray, case and slope."""
+    return OrthogonalInvariants(ray, case, True, slope)
+
+
 # a library call handed a value of the wrong type, or a digit count past
 # Python's digit limit: (call, args, what the refusal names)
 WRONG_TYPES = [
@@ -195,10 +202,21 @@ WRONG_TYPES = [
     (QuadraticNumber.parse, (None,), "text must be a str"),
     *([(QuadraticNumber(1, 1, 2).decimal, (5000,), "digits must be at most Python's limit"),
        (QuadraticNumber(1, 1, 2).bounds, (10 ** 30,), "digits must be at most Python's limit")]
-      if 0 < int_digit_limit() < 5000 else []),
+      if int_digit_limit() < 5000 else []),  # the bound is 4,300 with no limit
     (DyadicRational, (1.5, 2), "p must be an int"),
     (DyadicRational.make, (1, 2.0), "q must be an int"),
     (from_integer, (1.5,), "n must be an int"),
+    (ExceptionalSlope, (0, 1, DyadicRational(1, 0)), "r must be an int >= 1"),
+    (ExceptionalSlope, (None, 0, DyadicRational(0, 0)), "r must be an int >= 1"),
+    (ExceptionalSlope, (1, 0.5, DyadicRational(0, 0)), "c1 must be an int"),
+    (ExceptionalSlope, (1, 0, Fraction(0)), "dyadic must be a DyadicRational"),
+    (bridgeland_wall, (_invariants(ray=None),), "inv.ray must be a ChernCharacter"),
+    (bridgeland_wall, (_invariants(ray=ChernCharacter(0, 3, 0)),), "inv.ray.r must be an int >= 1"),
+    (orthogonal_character, (_invariants(ray=ChernCharacter(1, Fraction(1, 2), 0)),),
+     "inv.ray.c1 must be an int"),
+    (orthogonal_character, (_invariants(case="POSITIVE"),), "inv.case_sign must be a CaseSign"),
+    (orthogonal_character, (_invariants(slope=(1, 0)),),
+     "inv.corresponding_slope must be an ExceptionalSlope"),
     (ChernCharacter, (True, 0, 0), "ch0 must be an int or a Fraction"),
     (ChernCharacter(1, 0, 0).tensor, (None,), "other must be a ChernCharacter"),
     (ChernCharacter(1, 0, 0).__add__, (1,), "other must be a ChernCharacter"),
@@ -280,7 +298,7 @@ def test_the_library_is_read_whole():
     names = {name for name, *_ in LIBRARY}
     assert {"cone_report", "ChernCharacter", "ChernCharacter.from_rmd", "DyadicRational.make",
             "QuadraticNumber.parse", "enumerate_slopes", "parse_rational"} <= names
-    assert "Kind" not in names and ("ExceptionalSlope", 4, 4) in {
+    assert "Kind" not in names and {("ExceptionalSlope", 3, 3), ("Classification", 2, 2)} <= {
         (name, fewest, most) for name, _, fewest, most in LIBRARY}
 
 

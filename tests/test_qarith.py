@@ -534,6 +534,12 @@ class TestDigitCount:
                 for call in (x.bounds, x.decimal):
                     with pytest.raises(DomainError, match="^digits must be an int >= 0"):
                         call(digits)
+            # the bound stays Python's default, so no count builds 10**(10**30)
+            for call in (x.bounds, x.decimal):
+                assert call(4300) is not None
+                for digits in (4301, 10 ** 30):
+                    with pytest.raises(DomainError, match="^digits must be at most .* 4,300"):
+                        call(digits)
 
     def test_zero_digits_allowed(self):
         lo, hi = sqrt_exact(2).bounds(0)

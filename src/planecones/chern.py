@@ -226,41 +226,26 @@ def natural_classes(x: ChernCharacter) -> tuple[ChernCharacter, ChernCharacter]:
 # -- serialization ---------------------------------------------------------
 
 
-def slope_disc_text(x: ChernCharacter) -> tuple[str, str]:
-    """``(mu, delta)`` of an integral character of nonzero rank, written from its integers."""
-    r, c = x.r, x.c1
-    return ratio_str(c, r), ratio_str(*discriminant_form(r, c, x.chi))
+def _fraction_str(n, d) -> str:
+    """``str(Fraction(n, d))``: the quotient writer of a character with a ``Fraction`` field."""
+    return str(Fraction(n, d))
 
 
 def character_to_json(x: ChernCharacter) -> dict:
     """Canonical JSON object carrying both the chern and (r, mu, delta) views.
 
-    An integral character is written straight from ``(r, c1, chi)``:
+    Every field is written from ``(r, c1, chi)``:
     ``ch2 = (2 (chi - r) - 3 c1)/2``, ``mu = c1/r`` and the discriminant's
-    integer form, each by :func:`ratio_str`.
+    form, each a quotient written by :func:`ratio_str` for an integral
+    character and through ``Fraction`` otherwise.
     """
     r, c, chi = x.r, x.c1, x.chi
-    if type(r) is int and type(c) is int and type(chi) is int:
-        rs, cs = str(r), str(c)
-        out = {"ch0": rs, "ch1": cs, "ch2": ratio_str(2 * (chi - r) - 3 * c, 2), "r": rs}
-        if r:
-            out["mu"], out["delta"] = slope_disc_text(x)
-        else:
-            out["mu"] = None
-            out["delta"] = None
-        out["c1"] = cs
-        out["chi"] = str(chi)
-        return out
-    r = str(x.r)
-    out = {"ch0": r, "ch1": str(x.c1), "ch2": str(x.ch2), "r": r}
-    if x.r != 0:
-        out["mu"] = str(x.slope())
-        out["delta"] = str(x.discriminant())
-    else:
-        out["mu"] = None
-        out["delta"] = None
-    out["c1"] = out["ch1"]
-    out["chi"] = str(x.chi)
+    ratio = ratio_str if type(r) is int and type(c) is int and type(chi) is int else _fraction_str
+    rs, cs = str(r), str(c)
+    out = {"ch0": rs, "ch1": cs, "ch2": ratio(2 * (chi - r) - 3 * c, 2), "r": rs,
+           "mu": ratio(c, r) if r else None,
+           "delta": ratio(*discriminant_form(r, c, chi)) if r else None,
+           "c1": cs, "chi": str(chi)}
     return out
 
 

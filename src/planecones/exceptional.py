@@ -107,6 +107,10 @@ class ExceptionalSlope(Record):
     def __init__(self, r: int, c1: int, dyadic: DyadicRational):
         Record.__init__(self, exact_int(r, "r", 1), exact_int(c1, "c1"),
                         exact_type(dyadic, DyadicRational, "dyadic"))
+        # where ``chi`` would floor: no bundle of this (r, c1) has chi(E, E) = 1
+        if (c1 * (c1 + 3 * r) + r * r + 1) % (2 * r):
+            raise DomainError(f"(r, c1) = ({_shown(r)}, {_shown(c1)}) is no exceptional "
+                              f"bundle: its chi, by Riemann-Roch, is not an integer")
 
     @property
     def chi(self) -> int:

@@ -109,11 +109,15 @@ class TestExpansion:
     def test_records_with_quotients_past_two(self, r, c1):
         """A record whose slope has a quotient above 2 is no exceptional slope: refused.
 
-        3/7 = [0; 2, 3] is one, by its last quotient.  These records once
+        3/7 = [0; 2, 3] is one, by its last quotient.  No such ``(r, c1)``
+        has an integral chi, so the constructor refuses each; built past
+        that check, the expansions still refuse it.  These records once
         took a text fork that wrote each quotient as its decimal digits, so
         3/41 = [0; 13, 1, 2] came out as "1312", which is 11/14.
         """
-        record = ExceptionalSlope(r, c1, DyadicRational(1, 1))
+        with pytest.raises(DomainError, match=rf"^\(r, c1\) = \({r}, {c1}\) is no exceptional "):
+            ExceptionalSlope(r, c1, DyadicRational(1, 1))
+        record = ExceptionalSlope._trusted(r, c1, DyadicRational(1, 1))
         for expand in (even_expansion, odd_expansion):
             with pytest.raises(ConsistencyError, match=rf"^\(r, c1\) = \({r}, {c1}\) has a "):
                 expand(record)

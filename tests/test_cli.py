@@ -184,11 +184,14 @@ class TestSlopeCommand:
         assert code == 1 and "exactly one" in err
 
     def test_deep_dyadic_address(self, capsys):
-        code, out, err = run(capsys, "slope", "--dyadic", "1/2^1500", "--max-order", "1500")
-        assert code == 0 and not err
-        assert out.count("\n") == 1
-        data = json.loads(out)
-        assert data["order"] == 1500 and data["lr_word"] == "R" + "L" * 1499
+        # one run of order - 1 equal address bits: the walk jumps it at once
+        for order in (1500, 2000):
+            code, out, err = run(capsys, "slope", "--dyadic", f"1/2^{order}",
+                                 "--max-order", str(order))
+            assert code == 0 and not err
+            assert out.count("\n") == 1
+            data = json.loads(out)
+            assert data["order"] == order and data["lr_word"] == "R" + "L" * (order - 1)
 
     def test_zero_mantissa_reduces_at_once(self, capsys):
         start = time.perf_counter()
@@ -212,6 +215,8 @@ class TestSlopeCommand:
             # the run to its first rank past the cap
             ("slope", "--dyadic", "1/2^10000000000", "--max-order", "10000000000"),
             ("slope", "--dyadic", f"1/2^{10 ** 20}", "--max-order", str(10 ** 20)),
+            # a rational that is no exceptional slope
+            ("cfrac", "--rational", "1/3"),
         ],
     )
     def test_bad_or_too_deep_address_is_a_one_line_error(self, capsys, argv):

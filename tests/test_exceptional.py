@@ -42,7 +42,6 @@ from conftest import (
     quadratic_interval,
     reference_enumerate_slopes,
     reference_find_interval,
-    replace,
     slope_dot,
     stepwise_walk,
 )
@@ -189,10 +188,12 @@ class TestMutationWalk:
 
     def test_corrupted_child_is_inconsistent(self, monkeypatch):
         walked = from_dyadic
-        for field in ("r", "c1"):
-            def corrupted(d, field=field):
+        for dr, dc in ((1, 0), (0, 1)):
+            # built past the constructor, which refuses the non-integral chi
+            def corrupted(d, dr=dr, dc=dc):
                 child = walked(d)
-                return replace(child, **{field: getattr(child, field) + 1})
+                return exceptional.ExceptionalSlope._trusted(child.r + dr, child.c1 + dc,
+                                                             child.dyadic)
 
             monkeypatch.setattr(exceptional, "from_dyadic", corrupted)
             with pytest.raises(ConsistencyError):

@@ -191,8 +191,8 @@ def _invariants(ray=ChernCharacter(1, 0, 0), case=CaseSign.POSITIVE, slope=from_
     return OrthogonalInvariants(ray, case, True, slope)
 
 
-# a library call handed a value of the wrong type, or a digit count past
-# Python's digit limit: (call, args, what the refusal names)
+# a library call handed a value of the wrong type, a record of no exceptional
+# bundle, or a digit count past Python's digit limit: (call, args, what the refusal names)
 WRONG_TYPES = [
     (QuadraticNumber, (1.5,), "a must be an int or a Fraction"),
     (QuadraticNumber, (1, True), "b must be an int or a Fraction"),
@@ -210,6 +210,8 @@ WRONG_TYPES = [
     (ExceptionalSlope, (None, 0, DyadicRational(0, 0)), "r must be an int >= 1"),
     (ExceptionalSlope, (1, 0.5, DyadicRational(0, 0)), "c1 must be an int"),
     (ExceptionalSlope, (1, 0, Fraction(0)), "dyadic must be a DyadicRational"),
+    (ExceptionalSlope, (2, 0, DyadicRational(0, 0)),
+     r"\(r, c1\) = \(2, 0\) is no exceptional bundle"),
     (bridgeland_wall, (_invariants(ray=None),), "inv.ray must be a ChernCharacter"),
     (bridgeland_wall, (_invariants(ray=ChernCharacter(0, 3, 0)),), "inv.ray.r must be an int >= 1"),
     (orthogonal_character, (_invariants(ray=ChernCharacter(1, Fraction(1, 2), 0)),),

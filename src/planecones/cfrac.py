@@ -290,7 +290,8 @@ def cantor_approx(prefix: Word, depth: int) -> tuple[Fraction, Fraction]:
     reached tree node: the open bracket between them contains the component
     holding all points whose words extend the truncated prefix, and the
     enclosures shrink as the depth grows.  The ends are read off the
-    bundles of one walk; no slope is built.
+    bundles of one walk, which refuses a rank past its digit cap
+    (``exceptional._walk``); no slope is built.
     """
     _check_word(prefix)
     if exact_int(depth, "depth") < 0:

@@ -403,9 +403,7 @@ def _slope_from_args(args) -> exceptional.ExceptionalSlope:
     else:
         address = cfrac.word_to_dyadic(args.lr.strip())
     _check_order(address.order, args.max_order)  # a word of length q is an address of order q
-    # a walk stops at a rank past the digit limit, which the slope could not
-    # print, or past Python's default limit where there is none
-    return exceptional.from_dyadic(address, _digit_bound())
+    return exceptional.from_dyadic(address)
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -340,7 +340,8 @@ def _mu0(x: ChernCharacter) -> tuple[QuadraticNumber, Optional[QuadraticNumber]]
     r, c = x.r, x.c1
     radicand = 5 * r * r + 4 * discriminant_form(r, c, x.chi)[0]
     if radicand < 0:
-        raise ConsistencyError("negative discriminant radicand under valid classification")
+        raise ConsistencyError(f"negative discriminant radicand under valid classification: "
+                               f"{_shown(radicand, str)} for {_shown(x, str)}")
     A, B, d, D = integer_form(sqrt_ratio(radicand, r * r))
     base, rA, rB, N = -(3 * r + 2 * c) * D, r * A, r * B, 2 * r * D
     make = QuadraticNumber._from_form
@@ -530,6 +531,14 @@ def bridgeland_wall(inv: OrthogonalInvariants) -> Wall:
 # -- cone assembly ---------------------------------------------------------------
 
 
+def _orthogonal(x: ChernCharacter, a: ChernCharacter, b: ChernCharacter, failed: str) -> None:
+    """``ConsistencyError``, ``failed`` for the input ``x``, unless ``a`` and ``b`` pair to 0."""
+    pairing = euler_pairing(a, b)
+    if pairing != 0:
+        raise ConsistencyError(f"{failed} {_shown(x, str)}: pairing ({_shown(a, str)}, "
+                               f"{_shown(b, str)}) = {_shown(pairing, str)}")
+
+
 def _primary_edge(x: ChernCharacter, inv: OrthogonalInvariants, triad: _Triad,
                   res: Optional[ResolutionData], kron: Optional[KroneckerData], multiplier: int,
                   max_order: int) -> PrimaryEdge:
@@ -540,13 +549,12 @@ def _primary_edge(x: ChernCharacter, inv: OrthogonalInvariants, triad: _Triad,
     """
     # the rank-zero line splits the orthogonal plane; positive rank is the primary half
     if inv.ray.r <= 0:
-        raise ConsistencyError("primary ray fell outside the primary half-plane")
+        raise ConsistencyError(f"primary ray fell outside the primary half-plane: "
+                               f"{_shown(inv.ray, str)} for {_shown(x, str)}")
     ray = orthogonal_character(inv, multiplier, max_order)
-    if euler_pairing(x, ray) != 0:
-        raise ConsistencyError("primary ray is not orthogonal to the input")
+    _orthogonal(x, x, ray, "primary ray is not orthogonal to the input")
     if inv.case_sign is _POSITIVE:  # orthogonal also to E_{-gamma}
-        if euler_pairing(ray, triad.image_chars[2]) != 0:
-            raise ConsistencyError("positive-case double orthogonality failed")
+        _orthogonal(x, ray, triad.image_chars[2], "positive-case double orthogonality failed for")
     return PrimaryEdge._trusted(inv, ray, x.r or None, res, kron, bridgeland_wall(inv),
                                 inv.case_sign is not _ZERO)
 
@@ -619,11 +627,11 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
     secondary = _secondary_edge(x, mu0_minus, multiplier, max_order, dim)
     ray = secondary.extremal_character
     if ray is not None:
-        if euler_pairing(x, ray) != 0:
-            raise ConsistencyError("secondary ray is not orthogonal to the input")
+        _orthogonal(x, x, ray, "secondary ray is not orthogonal to the input")
         # the rank-zero line splits the orthogonal plane; negative rank is the secondary half
         if ray.r >= 0:
-            raise ConsistencyError("secondary ray fell outside the secondary half-plane")
+            raise ConsistencyError(f"secondary ray fell outside the secondary half-plane: "
+                                   f"{_shown(ray, str)} for {_shown(x, str)}")
     note = None
     if primary.invariants.case_sign is _POSITIVE and not primary.invariants.on_delta_curve:
         note = (

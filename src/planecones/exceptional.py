@@ -9,8 +9,8 @@ by Riemann-Roch, Euler characteristic (``ExceptionalSlope.chi``, the one
 place it is worked out).  A walk down the tree mutates these two integers
 (from ``_start``), one level at a time where its address bits alternate; a
 run of equal bits, along which one end of the bracket stays fixed, is one
-closed-form jump (``_jump``).  Nothing is kept between walks, and a walk
-can be bounded by the digits of its ranks.  Negation and integer
+closed-form jump (``_jump``).  Nothing is kept between walks, and every
+walk stops at a rank past the digit limit (``_walk``).  Negation and integer
 translation map the tree to itself, and ``affine_image`` reads them off an
 address in one closed integer formula.
 Each slope ``a`` owns an open interval of halfwidth
@@ -53,7 +53,7 @@ from .chern import ChernCharacter, _lattice, euler_chi_pair
 from .errors import ConsistencyError, DescentError, DomainError
 from .qarith import (
     QuadraticNumber, RationalLike, _shown, _sign_int_radical, exact_int, exact_rational,
-    exact_type, floor_of_form, integer_form, more_digits, sqrt_ratio,
+    _digit_bound, exact_type, floor_of_form, integer_form, more_digits, sqrt_ratio,
 )
 from .record import Record
 
@@ -199,7 +199,7 @@ def epsilon(d: DyadicRational) -> Fraction:
     return from_dyadic(d).slope
 
 
-def _walk(d: DyadicRational, max_rank_digits: int = 0) -> tuple[tuple, tuple, tuple]:
+def _walk(d: DyadicRational) -> tuple[tuple, tuple, tuple]:
     """The bundles ``(r, c1)`` of the left parent, the slope and the right parent at ``d``.
 
     The walk builds no object but these pairs: a caller makes slopes of
@@ -215,25 +215,28 @@ def _walk(d: DyadicRational, max_rank_digits: int = 0) -> tuple[tuple, tuple, tu
     address takes one step per level.
 
     Each mutation's rank exceeds both ends of its bracket, so ranks grow
-    along the walk; a positive ``max_rank_digits`` stops it with
-    ``DomainError`` at the first rank of more digits than that.  A jump is
-    checked on its last rank; past the cap, the walk steps through that run
-    level by level to the first rank past it.  A run that a lower bound on
-    its growth already carries past the cap is stepped without the jump, so
-    the work stays bounded by the cap, not by the run's length.
+    along the walk; it stops with ``DomainError`` at the first rank of more
+    digits than the cap, the digit limit or 4,300 where there is none
+    (``qarith._digit_bound``), measured by its bit length and, only near the
+    cap, by ``more_digits``.  A jump is checked on its last rank; past the
+    cap, the walk steps through that run level by level to the first rank
+    past it.  A run that a lower bound on its growth already carries past
+    the cap is stepped without the jump, so the work stays bounded by the
+    cap, not by the run's length.
     """
     p, q = d.p, d.q
     if q == 0:
         return (1, p - 1), (1, p), (1, p + 1)
     left, right, fin, g, s = _start(p >> q)
-    cap = max(max_rank_digits, 0)
+    cap = _digit_bound()
+    bits = 3 * cap  # a rank past the cap has more bits, as 2**(3 cap) < 10**cap
     jumps = True
     k, bit = 1, (p >> (q - 1)) & 1
     while True:
         mid = s * fin[0] - g[0], s * fin[1] - g[1]
-        if cap and more_digits(mid[0], cap):
+        if mid[0].bit_length() > bits and more_digits(mid[0], cap):
             raise DomainError(f"slope has a {mid[0].bit_length():,}-bit integer in its walk "
-                              f"at order {k} of {q}, past the limit of {max_rank_digits:,} "
+                              f"at order {k} of {q}, past the limit of {cap:,} "
                               f"digits for printing one")
         if k == q:
             break
@@ -259,10 +262,9 @@ def _walk(d: DyadicRational, max_rank_digits: int = 0) -> tuple[tuple, tuple, tu
             # a run that this lower bound already carries past 2**(4 cap) >
             # 10**cap is not jumped, and a jump builds no integer of many more
             # bits than the cap
-            past = cap and (fin[0].bit_length() - 1 + n * ((s - 1).bit_length() - 1)
-                            >= 4 * cap)
+            past = fin[0].bit_length() - 1 + n * ((s - 1).bit_length() - 1) >= 4 * cap
             ahead = None if past else _jump(fin, g, s, n)
-            if past or cap and more_digits(ahead[0][0], cap):
+            if past or ahead[0][0].bit_length() > bits and more_digits(ahead[0][0], cap):
                 jumps = False  # step this run to its first rank past the cap
             else:
                 fin, g = ahead
@@ -309,14 +311,13 @@ def _interval_halfwidth(rank: int) -> QuadraticNumber:
     return QuadraticNumber._from_form(3 * q, -s, d, 2 * q)
 
 
-def from_dyadic(d: DyadicRational, max_rank_digits: int = 0) -> ExceptionalSlope:
+def from_dyadic(d: DyadicRational) -> ExceptionalSlope:
     """The exceptional slope at the address ``d``: a walk of ``d.q`` levels.
 
-    A positive ``max_rank_digits`` refuses, with ``DomainError`` and before
-    the walk ends, a slope whose rank the walk shows to have more digits.
+    A rank past the walk's digit cap (:func:`_walk`) is refused, with
+    ``DomainError``, before the walk ends.
     """
-    exact_type(d, DyadicRational, "d")
-    return _slope(*_walk(d, exact_int(max_rank_digits, "max_rank_digits"))[1], d)
+    return _slope(*_walk(exact_type(d, DyadicRational, "d"))[1], d)
 
 
 def from_integer(n: int) -> ExceptionalSlope:

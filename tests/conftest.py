@@ -1,3 +1,4 @@
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,6 +62,14 @@ def triad_key(left, gamma, right) -> tuple:
     """``cone._triad``'s integer key for ``gamma`` between its parents, as a descent gives it."""
     bundles = tuple((s.r, s.c1) for s in (left, gamma, right))
     return (*bundles, gamma.dyadic.p, gamma.dyadic.q)
+
+
+@contextlib.contextmanager
+def capped(digits: int):
+    """Every walk down the slope tree stops past ``digits`` digits, not the digit limit's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exceptional, "_digit_bound", lambda: digits)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -719,7 +719,8 @@ class TestChecksFireOnCorruptedInput:
     The stages are handed a record with one field changed, as a bug upstream
     would hand it over; each uncorrupted call passes.  The public
     ``bridgeland_wall`` refuses a ray with no real radius as bad input, with
-    ``DomainError``.
+    ``DomainError``.  A message on a ray names the input and the values that
+    failed.
     """
 
     @staticmethod
@@ -792,8 +793,10 @@ class TestChecksFireOnCorruptedInput:
 
         stages = self.stages(GOLDEN)
         assert self._primary(GOLDEN, *stages) == cone_report(GOLDEN).primary
-        with pytest.raises(ConsistencyError, match="^primary ray is not orthogonal"):
+        with pytest.raises(ConsistencyError, match="^primary ray is not orthogonal") as error:
             self._primary(NEGATIVE_CASE, *stages)  # another character's ray
+        ray = cone_report(GOLDEN).primary.extremal_character
+        assert f"input {NEGATIVE_CASE}: pairing ({NEGATIVE_CASE}, {ray}) = " in str(error.value)
         # two classes of one slope leave only rank zero orthogonal to both
         with pytest.raises(ConsistencyError, match="^the classes orthogonal to .* have rank zero"):
             cone._ray(GOLDEN, GOLDEN.scale(2))
@@ -803,16 +806,21 @@ class TestChecksFireOnCorruptedInput:
         assert inv.case_sign is CaseSign.ZERO
         # a ray of negative rank, and the orthogonal class of rank zero
         for ray in (-inv.ray, natural_classes(GOLDEN_DUAL)[1]):
-            with pytest.raises(ConsistencyError, match="^primary ray fell outside the primary"):
+            with pytest.raises(ConsistencyError,
+                               match="^primary ray fell outside the primary") as error:
                 self._primary(GOLDEN_DUAL, replace(inv, ray=ray), *rest)
+            assert f": {ray} for {GOLDEN_DUAL}" in str(error.value)
 
     def test_double_orthogonality(self):
         inv, triad, res, kron = self.stages(GOLDEN)
         assert inv.case_sign is CaseSign.POSITIVE
         chars = triad.image_chars
         wrong = replace(triad, image_chars=(chars[0], chars[1], chars[3], chars[3]))
-        with pytest.raises(ConsistencyError, match="^positive-case double orthogonality"):
+        with pytest.raises(ConsistencyError,
+                           match="^positive-case double orthogonality") as error:
             self._primary(GOLDEN, inv, wrong, res, kron)
+        ray = cone_report(GOLDEN).primary.extremal_character
+        assert f"failed for {GOLDEN}: pairing ({ray}, {chars[3]}) = " in str(error.value)
 
     def test_boundary(self):
         from planecones import cone
@@ -824,8 +832,9 @@ class TestChecksFireOnCorruptedInput:
             self._primary(GOLDEN, replace(inv, ray=below), *rest)
         # (1, 0, 10) has delta = -9 < -5/8: no real mu0 and no real wall radius
         far_below = ChernCharacter._trusted(1, 0, 10)
-        with pytest.raises(ConsistencyError, match="^negative discriminant radicand"):
+        with pytest.raises(ConsistencyError, match="^negative discriminant radicand") as error:
             cone._mu0(far_below)
+        assert str(error.value).endswith(f": -67 for {far_below}")  # 5 r^2 + 8 r^2 delta
         with pytest.raises(DomainError, match="^negative squared radius$"):
             bridgeland_wall(replace(inv, ray=far_below))
 
@@ -843,5 +852,6 @@ class TestChecksFireOnCorruptedInput:
             return replace(sec, extremal_character=corrupt(sec.extremal_character))
 
         monkeypatch.setattr(cone, "_secondary_edge", corrupted)
-        with pytest.raises(ConsistencyError, match=message):
+        with pytest.raises(ConsistencyError, match=message) as error:
             cone_report(GOLDEN)
+        assert str(GOLDEN) in str(error.value)

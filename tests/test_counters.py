@@ -60,7 +60,7 @@ from planecones.cli import main, report_to_dict
 from planecones.cone import Kind
 from planecones.errors import DomainError
 
-from conftest import ORDER_FOUR, PrimorialGcds, descent_slopes
+from conftest import ORDER_FOUR, PrimorialGcds, capped, descent_slopes
 
 GOLDEN = ChernCharacter.from_rmd(3, Fraction(2, 3), Fraction(17, 9))
 
@@ -360,30 +360,38 @@ def test_no_walk_in_a_report(monkeypatch, x, order, descents):
     assert walks == [] and looked_up == []
 
 
-def walk_work(call) -> tuple[int, int]:
-    """``(steps, products)`` the tree walks of ``call`` take.
+def walk_work(call) -> tuple[int, int, int]:
+    """``(steps, products, tests)`` the tree walks of ``call`` take.
 
     A step is one inline mutation in ``_walk`` or one call of ``_jump``; a
-    jump of ``n`` levels stands for ``n`` inline steps and takes
-    ``n.bit_length() - 1`` doubling products.  A walk with no cap steps
-    through the ``d.q`` levels of its address less those its jumps take.  A
-    capped walk tests each rank it makes, inline or by a jump, against the
-    cap once and may stop before the end, so its steps are those tests.
+    jump of ``n`` levels takes ``n.bit_length() - 1`` doubling products and,
+    unless its last rank is past the cap, stands for ``n`` inline steps.  A
+    walk steps through the levels of its address to the last, or to the
+    first whose rank is past the cap, where it refuses: so its inline steps
+    are the levels it reaches less those its jumps take.  A rank is
+    measured by its bit length, and ``tests`` counts the ones near enough
+    to the cap to be measured by ``more_digits``.
     """
     steps, runs, tests = [], [], []
     walk, jump, more = exceptional._walk, exceptional._jump, exceptional.more_digits
 
-    def counted_walk(d, cap=0):
-        first, tested = len(runs), len(tests)
+    def counted_walk(d):
+        first, reached = len(runs), d.q
         try:
-            return walk(d, cap)
+            return walk(d)
+        except DomainError as refusal:
+            reached = int(str(refusal).split(" at order ")[1].split()[0])
+            raise
         finally:
+            cap = exceptional._digit_bound()
             jumped = runs[first:]
-            steps.append(len(tests) - tested if cap > 0 else d.q - sum(jumped) + len(jumped))
+            taken = sum(n for n, rank in jumped if not more(rank, cap))
+            steps.append(reached - taken + len(jumped))
 
     def counted_jump(fin, g, s, n):
-        runs.append(n)
-        return jump(fin, g, s, n)
+        ahead = jump(fin, g, s, n)
+        runs.append((n, ahead[0][0]))
+        return ahead
 
     def counted_test(n, digits):
         tests.append(n)
@@ -394,7 +402,7 @@ def walk_work(call) -> tuple[int, int]:
         patch.setattr(exceptional, "_jump", counted_jump)
         patch.setattr(exceptional, "more_digits", counted_test)
         call()
-    return sum(steps), sum(n.bit_length() - 1 for n in runs)
+    return sum(steps), sum(n.bit_length() - 1 for n, _ in runs), len(tests)
 
 
 @pytest.mark.parametrize("word", ["RLLLRR", "LRLRLRLRLR"])
@@ -405,27 +413,29 @@ def test_one_walk_per_word(word):
     assert walk_work(lambda: slopes.append(cfrac.lr_to_slope(word))) == first
     assert slopes[0] == slopes[1]
     if all(a != b for a, b in zip(word, word[1:])):
-        assert first == (len(word), 0)
+        assert first == (len(word), 0, 0)
     else:
         assert first[0] < len(word)
 
 
 def test_one_run_of_order_512_is_a_few_products():
-    steps, products = walk_work(lambda: exceptional.from_dyadic(exceptional.DyadicRational(1, 512)))
-    assert steps + products <= 20
+    steps, products, tests = walk_work(
+        lambda: exceptional.from_dyadic(exceptional.DyadicRational(1, 512)))
+    assert steps + products <= 20 and tests == 0
 
 
 @pytest.mark.parametrize("p, q, cap, work, refused", [
-    (1, 2000, 100, (240, 0), "at order 240 of 2000"),
-    (1, 401, 100, (240, 0), "at order 240 of 401"),
-    (5 * 2 ** 400 + 1, 400, 100, (241, 8), "at order 240 of 400"),
-    (1, 2000, 4300, (3, 10), None),
-    (1, 11000, 4300, (10290, 13), "at order 10289 of 11000"),
-    (1, 10 ** 10, 4300, (10289, 0), "at order 10289 of 10000000000"),
-    (1, 10 ** 20, 4300, (10289, 0), f"at order 10289 of {10 ** 20}"),
+    (1, 2000, 100, (240, 0, 24), "at order 240 of 2000"),
+    (1, 401, 100, (240, 0, 24), "at order 240 of 401"),
+    (5 * 2 ** 400 + 1, 400, 100, (241, 8, 25), "at order 240 of 400"),
+    (1, 2000, 4300, (3, 10, 0), None),
+    (1, 11000, 4300, (10290, 13, 999), "at order 10289 of 11000"),
+    (1, 10 ** 10, 4300, (10289, 0, 998), "at order 10289 of 10000000000"),
+    (1, 10 ** 20, 4300, (10289, 0, 998), f"at order 10289 of {10 ** 20}"),
+    (1, 239, 100, (3, 7, 2), None),
 ], ids=["bound_refuses_the_jump", "bound_just_refuses", "bound_just_jumps",
         "jump_under_the_cap", "jump_past_the_cap_is_stepped", "run_of_ten_billion",
-        "run_of_ten_to_the_twenty"])
+        "run_of_ten_to_the_twenty", "jump_lands_near_the_cap"])
 def test_a_capped_walk_costs_what_it_reaches(p, q, cap, work, refused):
     """A run of ``p/2^q`` is jumped unless a lower bound on its growth reaches ``4 * cap`` bits.
 
@@ -434,15 +444,18 @@ def test_a_capped_walk_costs_what_it_reaches(p, q, cap, work, refused):
     With a 100-digit cap the bound on the one run of ``1/2^401`` is 400
     bits, and on that of ``5 + 1/2^400`` 399, so each side of ``>=`` is
     pinned; in ``[5, 6]`` a bundle's ``c1`` is longer than its rank, and
-    only the rank is read.
+    only the rank is read.  Only a rank of more than ``3 * cap`` bits is
+    tested by ``more_digits``: at ``1/2^239`` the jump lands at 330 bits and
+    the last rank has 332 bits and 100 digits, which the walk keeps.
     """
     def call():
         if refused is None:
-            return exceptional.from_dyadic(exceptional.DyadicRational(p, q), cap)
+            return exceptional.from_dyadic(exceptional.DyadicRational(p, q))
         with pytest.raises(DomainError, match=refused):
-            exceptional.from_dyadic(exceptional.DyadicRational(p, q), cap)
+            exceptional.from_dyadic(exceptional.DyadicRational(p, q))
 
-    assert walk_work(call) == work
+    with capped(cap):
+        assert walk_work(call) == work
 
 
 @pytest.mark.parametrize("call, walks", [

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from planecones.qarith import (
 
 from conftest import (
     ORDER_FOUR,
+    capped,
     descent_from_slope_value,
     descent_slopes,
     enclosure_radical_sign,
@@ -150,27 +152,48 @@ class TestEpsilon:
 
 
 class TestRankBound:
-    """A bounded walk refuses exactly the ranks of more digits than the bound."""
+    """A walk refuses exactly the ranks of more digits than its cap, the digit limit's."""
 
     @pytest.mark.parametrize("p, q", [(1, 6), (5, 8), (171, 10), (-3, 9)])
     def test_bound_is_the_rank_digit_count(self, p, q):
         d = dy(p, q)
-        digits = len(str(from_dyadic(d).r))
-        assert from_dyadic(d, digits) == from_dyadic(d)
-        with pytest.raises(DomainError, match=f"limit of {digits - 1:,} digits"):
-            from_dyadic(d, digits - 1)
+        g = from_dyadic(d)
+        digits = len(str(g.r))
+        with capped(digits):
+            assert from_dyadic(d) == g
+        with capped(digits - 1), pytest.raises(DomainError,
+                                               match=f"limit of {digits - 1:,} digits"):
+            from_dyadic(d)
 
     def test_walk_stops_at_the_first_rank_past_the_bound(self):
         # along the alternating word to 341/2^10 the ranks have 21, 35 and 56
         # digits at orders 8, 9 and 10
         d = dy(341, 10)
         for bound, order in ((20, 8), (34, 9), (35, 10)):
-            with pytest.raises(DomainError, match=f"at order {order} of 10"):
-                from_dyadic(d, bound)
+            with capped(bound), pytest.raises(DomainError, match=f"at order {order} of 10"):
+                from_dyadic(d)
+        # with none patched in, the cap is Python's digit limit, or 4,300
+        # digits where there is none: next to 0 the ranks pass 4,300 digits
+        # at order 10289 and 5,000 at order 11963, so a limit of 5,000 lets
+        # the walk to 1/2^11000 end
+        if not hasattr(sys, "set_int_max_str_digits"):
+            return
+        default = sys.get_int_max_str_digits()
+        for limit, q, order in ((0, 11000, 10289), (5000, 11000, None), (5000, 13000, 11963)):
+            sys.set_int_max_str_digits(limit)
+            try:
+                if order is None:
+                    assert len(str(from_dyadic(dy(1, q)).r)) > 4300
+                else:
+                    with pytest.raises(DomainError, match=f"at order {order} of {q}, past the "
+                                                          f"limit of {limit or 4300:,} digits"):
+                        from_dyadic(dy(1, q))
+            finally:
+                sys.set_int_max_str_digits(default)
 
-    def test_integers_and_unbounded_calls_never_refuse(self):
-        assert from_dyadic(dy(7, 0), 1).r == 1
-        assert from_dyadic(dy(1, 40)).r.bit_length() > 0
+    def test_integers_never_refuse(self):
+        with capped(1):
+            assert from_dyadic(dy(7, 0)).r == 1
 
 
 class TestMutationWalk:
@@ -202,13 +225,13 @@ class TestMutationWalk:
         assert dot(from_integer(0), from_dyadic(dy(1, 1))).slope == F(2, 5)
 
 
-def walked(d, max_rank_digits=0):
+def walked(d):
     """The bundles ``(r, c1)`` of the walk's left parent, slope and right parent."""
-    return list(exceptional._walk(d, max_rank_digits))
+    return list(exceptional._walk(d))
 
 
-def stepped(d, max_rank_digits=0):
-    return [(s.r, s.c1) for s in stepwise_walk(d, max_rank_digits)[0]]
+def stepped(d):
+    return [(s.r, s.c1) for s in stepwise_walk(d)[0]]
 
 
 def jumped_orders(d):
@@ -217,10 +240,10 @@ def jumped_orders(d):
     return {k for k in range(2, q) if (p >> (q - k + 1)) & 1 == (p >> (q - k)) & 1}
 
 
-def first_refusal(walk, d, bound):
-    """The ``DomainError`` text of a walk bounded by ``bound`` digits; ``None`` if it ends."""
+def first_refusal(walk, d):
+    """The ``DomainError`` text of ``walk(d)``; ``None`` if it ends."""
     try:
-        walk(d, bound)
+        walk(d)
     except DomainError as error:
         return str(error)
     return None
@@ -268,23 +291,28 @@ class TestRunJumps:
         # digits, which no rank reaches, changes nothing and builds no 10^(10^30)
         for n in (-3, 0, 2):
             for d in (dy((n << q) + 1, q), dy((n << q) - 1, q)):
-                assert walked(d) == stepped(d) == walked(d, 10 ** 30)
+                expected = walked(d)
+                with capped(10 ** 30):
+                    assert expected == stepped(d) == walked(d)
 
     @pytest.mark.parametrize("a, q", [
         (1, 3), (1, 4096), (2, 700), (5, 6), (5, 2000), (64, 66), (64, 200),
     ])
     def test_two_runs(self, a, q):
-        # n + 2^-a + 2^-q: runs of a - 1 and q - a - 1 equal bits
+        # n + 2^-a + 2^-q: runs of a - 1 and q - a - 1 equal bits; some walk
+        # to ranks past the digit limit, so the cap is one no rank reaches
         for n in (-1, 1):
             d = dy((n << q) + (1 << (q - a)) + 1, q)
-            assert walked(d) == stepped(d)
+            with capped(10 ** 30):
+                assert walked(d) == stepped(d)
 
     @pytest.mark.parametrize("a, b, c", [
         (1, 1, 1), (3, 2, 5), (0, 9, 4), (6, 1, 0), (1, 4094, 1), (4000, 3, 2), (40, 60, 2),
     ])
     def test_words_of_three_runs(self, a, b, c):
         d = cfrac.word_to_dyadic("L" * a + "R" * b + "L" * c)
-        assert walked(d) == stepped(d)
+        with capped(10 ** 30):  # L^4000 R^3 L^2 walks past the digit limit
+            assert walked(d) == stepped(d)
 
     @pytest.mark.parametrize("d", [dy(1, 2000), dy(-1, 2000), dy((1 << 30) + 1, 70)], ids=str)
     def test_refusal_inside_a_jumped_run(self, d):
@@ -292,9 +320,10 @@ class TestRunJumps:
         # steps that run level by level and refuses at the oracle's order
         jumped, checked = jumped_orders(d), 0
         for bound in range(1, len(str(stepwise_walk(d)[0][1].r))):
-            expected = first_refusal(stepwise_walk, d, bound)
+            expected = first_refusal(lambda d: stepwise_walk(d, bound), d)
             if int(expected.split("at order ")[1].split()[0]) in jumped:
-                assert first_refusal(exceptional._walk, d, bound) == expected
+                with capped(bound):
+                    assert first_refusal(exceptional._walk, d) == expected
                 checked += 1
         assert checked > 100
 
@@ -306,9 +335,10 @@ class TestRunJumps:
         # whole run would build a rank of about 10^8 digits
         d = cfrac.word_to_dyadic("LR" * k + letter * 100_000)
         start = time.perf_counter()
-        refusal = first_refusal(exceptional._walk, d, 4300)
+        with capped(4300):
+            refusal = first_refusal(exceptional._walk, d)
         elapsed = time.perf_counter() - start
-        assert refusal == first_refusal(stepwise_walk, d, 4300) is not None
+        assert refusal == first_refusal(lambda d: stepwise_walk(d, 4300), d) is not None
         assert elapsed < 0.5
 
 

@@ -284,12 +284,13 @@ LIBRARY = _library()
 GOLDEN = ChernCharacter.from_rmd(3, Fraction(2, 3), Fraction(17, 9))
 # None, bools, non-finite and other floats, strings, huge ints (the last past
 # Python's digit limit) and one record of each class a public call takes,
-# each of the wrong class for every argument but its own
+# each of the wrong class for every argument but its own, and an address of
+# order 10^9, whose walk must stop at its digit cap
 HOSTILE_ARGS = [
     None, True, False, math.nan, math.inf, -math.inf, 0.5, -2.0, 1e300,
     "", "2/5", "RL", "3", 10 ** 30, -10 ** 30, 10 ** 5000 + 1,
     GOLDEN, cone_report(GOLDEN).primary.invariants, DyadicRational(1, 1), from_integer(0),
-    QuadraticNumber(1, 1, 2),
+    QuadraticNumber(1, 1, 2), DyadicRational(1, 10 ** 9),
 ]
 hostile_call = st.sampled_from(LIBRARY).flatmap(lambda entry: st.tuples(
     st.just(entry), st.lists(st.sampled_from(HOSTILE_ARGS), min_size=entry[2],

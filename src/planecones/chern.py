@@ -29,8 +29,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConsistencyError, DomainError, RankZeroError
-from .qarith import RationalLike, exact_int, exact_rational, exact_type, parse_rational, ratio_str
+from .errors import DomainError, RankZeroError
+from .qarith import (
+    RationalLike, _shown, exact_int, exact_rational, exact_type, parse_rational, ratio_str,
+)
 from .record import Record
 
 
@@ -155,9 +157,7 @@ class ChernCharacter(Record):
         return _closed(-self.r, -self.c1, -self.chi)
 
     def scale(self, k: RationalLike) -> "ChernCharacter":
-        # a record is immutable, so the class itself is its own multiple
-        if exact_rational(k, "k") == 1:
-            return self
+        exact_rational(k, "k")
         return _closed(k * self.r, k * self.c1, k * self.chi)
 
     def __str__(self) -> str:
@@ -207,7 +207,7 @@ def moduli_dimension(x: ChernCharacter) -> int:
         raise DomainError("dimension formula needs positive rank")
     value = c * (c + 3 * r) + r * (r - 2 * x.chi) + 1
     if value.denominator != 1:
-        raise ConsistencyError(f"non-integer moduli dimension {value} for {x}")
+        raise DomainError(f"non-integer moduli dimension {_shown(value, str)} for {_shown(x, str)}")
     return int(value)
 
 

@@ -24,7 +24,6 @@ deterministic: fixed field order, no ambient state.
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import math
 import sys
@@ -411,7 +410,7 @@ def _slope_from_args(args) -> exceptional.ExceptionalSlope:
 
 def _cmd_cone(args) -> int:
     x = _character_from_args(args)
-    report = cone.cone_report(x, args.multiplier, args.max_order)
+    report = cone.cone_report(x, max_order=args.max_order)
     _emit(report_to_dict(report, args.approx), args.format)
     if report.classification.kind is cone.Kind.INVALID:
         return EXIT_BAD_INPUT
@@ -504,19 +503,14 @@ def _cmd_curve(args) -> int:
             rows.append((mu_text, value, _str("samples.delta", value), None))
         except DescentError as exc:
             rows.append((mu_text, None, None, str(exc)))
-    if csv_out:
-        import csv  # here, not at the top: only this command writes CSV
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = ["mu", "delta"] + (["approx_delta"] if args.approx is not None else [])
-        writer.writerow(header)
+    if csv_out:  # no field holds a comma, a quote or a line break: none is quoted
+        lines = ["mu,delta" + (",approx_delta" if args.approx is not None else "")]
         for mu_text, value, delta_text, err in rows:
             record = [mu_text, "ERROR" if err is not None else delta_text]
             if args.approx is not None:
-                record.append("" if err else _approx(value, args.approx))
-            writer.writerow(record)
-        sys.stdout.write(buf.getvalue())
+                record.append("" if err is not None else _approx(value, args.approx))
+            lines.append(",".join(record))
+        sys.stdout.write("\n".join(lines) + "\n")
     else:
         intervals = []
         for s in exceptional.enumerate_slopes(lo, hi, args.interval_order):
@@ -557,7 +551,7 @@ def _cmd_batch(args) -> int:
                 print(json.dumps({"line": number, "error": str(exc)}))
                 continue
             try:
-                report = cone.cone_report(x, args.multiplier, args.max_order)
+                report = cone.cone_report(x, max_order=args.max_order)
                 if report.classification.kind is cone.Kind.INVALID:
                     record = {
                         "line": number,
@@ -623,10 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cone = sub.add_parser("cone", help="full cone report for a character")
     _add_character_flags(p_cone)
-    p_cone.add_argument(
-        "--multiplier", type=_int_at_least(1), default=1,
-        help="rank multiplier for the primary orthogonal character",
-    )
     _add_max_order(p_cone)
     _add_approx(p_cone)
     _add_json_or_text(p_cone)
@@ -669,7 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser("batch", help="one JSON character per line, one report per line")
     p_batch.add_argument("input", help="path to a JSONL file, or - for standard input")
-    p_batch.add_argument("--multiplier", type=_int_at_least(1), default=1)
     _add_max_order(p_batch)
     _add_approx(p_batch)
     p_batch.set_defaults(func=_cmd_batch)

@@ -348,7 +348,7 @@ def _mu0(x: ChernCharacter) -> tuple[QuadraticNumber, Optional[QuadraticNumber]]
     return make(base + rA, rB, d, N), make(base - rA, -rB, d, N)
 
 
-def _side(x: ChernCharacter, form: tuple[int, int, int, int], multiplier: int, max_order: int,
+def _side(x: ChernCharacter, form: tuple[int, int, int, int], max_order: int,
           dim: Optional[int]) -> tuple[PrimaryEdge, _Triad]:
     """The primary edge of ``x`` and gamma's triad, from ``mu0+``'s integer form.
 
@@ -372,7 +372,7 @@ def _side(x: ChernCharacter, form: tuple[int, int, int, int], multiplier: int, m
     if x.r > 0:
         res = _resolution(x, triad, case, pairing)
         kron = _kronecker(res, triad.hom_count, dim)
-    return _primary_edge(x, inv, triad, res, kron, multiplier, max_order), triad
+    return _primary_edge(x, inv, triad, res, kron, max_order), triad
 
 
 # -- orthogonal invariants -----------------------------------------------------
@@ -395,10 +395,9 @@ def _ray(x: ChernCharacter, z: ChernCharacter) -> ChernCharacter:
     return _lattice(r // g, c // g, chi // g)
 
 
-def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
+def orthogonal_character(inv: OrthogonalInvariants, *,
                          max_order: int = DEFAULT_MAX_ORDER) -> ChernCharacter:
-    """Integral character on the primary ray, at the minimal rank times a multiplier."""
-    exact_int(multiplier, "multiplier", 1)
+    """The primitive integral character on the primary ray, once it passes the boundary check."""
     exact_int(max_order, "max_order", 0)
     ray = _checked_ray(inv)
     if exact_type(inv.case_sign, CaseSign, "inv.case_sign") is not _ZERO:
@@ -410,7 +409,7 @@ def orthogonal_character(inv: OrthogonalInvariants, multiplier: int = 1,
             gamma = exceptional._enclosing(c, r, max_order)
         if _arc_side(ray, gamma) < 0:
             raise ConsistencyError(f"orthogonal invariants {inv.point} below the boundary curve")
-    return ray.scale(multiplier)
+    return ray
 
 
 def _checked_ray(inv: OrthogonalInvariants) -> ChernCharacter:
@@ -540,7 +539,7 @@ def _orthogonal(x: ChernCharacter, a: ChernCharacter, b: ChernCharacter, failed:
 
 
 def _primary_edge(x: ChernCharacter, inv: OrthogonalInvariants, triad: _Triad,
-                  res: Optional[ResolutionData], kron: Optional[KroneckerData], multiplier: int,
+                  res: Optional[ResolutionData], kron: Optional[KroneckerData],
                   max_order: int) -> PrimaryEdge:
     """The primary edge on ``inv``'s ray, once its checks pass.
 
@@ -551,7 +550,7 @@ def _primary_edge(x: ChernCharacter, inv: OrthogonalInvariants, triad: _Triad,
     if inv.ray.r <= 0:
         raise ConsistencyError(f"primary ray fell outside the primary half-plane: "
                                f"{_shown(inv.ray, str)} for {_shown(x, str)}")
-    ray = orthogonal_character(inv, multiplier, max_order)
+    ray = orthogonal_character(inv, max_order=max_order)
     _orthogonal(x, x, ray, "primary ray is not orthogonal to the input")
     if inv.case_sign is _POSITIVE:  # orthogonal also to E_{-gamma}
         _orthogonal(x, ray, triad.image_chars[2], "positive-case double orthogonality failed for")
@@ -559,15 +558,13 @@ def _primary_edge(x: ChernCharacter, inv: OrthogonalInvariants, triad: _Triad,
                                 inv.case_sign is not _ZERO)
 
 
-def _secondary_edge(x: ChernCharacter, mu0_minus: Optional[QuadraticNumber], multiplier: int,
-                    max_order: int, dim: Optional[int]) -> SecondaryEdge:
+def _secondary_edge(x: ChernCharacter, mu0_minus: Optional[QuadraticNumber], max_order: int,
+                    dim: Optional[int]) -> SecondaryEdge:
     """Second extremal ray: dual pipeline for rank >= 3, known classes below.
 
     Rank 2 uses the divisor of singular sheaves (a negative-rank orthogonal
     class of tensor slope -3/2); ranks 1 and 0 carry named divisor classes
     with no canonical character, so only descriptors are emitted.
-    ``multiplier`` scales the rank >= 3 ray (the Serre dual's); the rank-2
-    class stays primitive.
     """
     r = x.r
     if r >= 3:
@@ -575,8 +572,7 @@ def _secondary_edge(x: ChernCharacter, mu0_minus: Optional[QuadraticNumber], mul
         # to -mu0-: the dual descends on mu0-'s integer form negated, and
         # builds no number
         xd, minus = x.serre_dual(), mu0_minus
-        dual, triad = _side(xd, (-minus.A, -minus.B, minus.d, minus.D), multiplier, max_order,
-                            dim)
+        dual, triad = _side(xd, (-minus.A, -minus.B, minus.d, minus.D), max_order, dim)
         ray = -dual.extremal_character.dual()
         slope = triad.images[2]  # -gamma of the dual
         mode = _SERRE_DUAL
@@ -598,14 +594,12 @@ def _secondary_edge(x: ChernCharacter, mu0_minus: Optional[QuadraticNumber], mul
     return SecondaryEdge._trusted(mode, slope, ray, r, descriptor, dual)
 
 
-def cone_report(x: ChernCharacter, multiplier: int = 1,
-                max_order: int = DEFAULT_MAX_ORDER) -> ConeReport:
+def cone_report(x: ChernCharacter, *, max_order: int = DEFAULT_MAX_ORDER) -> ConeReport:
     """Full report for a character; classification-only when no rays exist.
 
-    ``multiplier``, an ``int`` of at least 1, scales the primary ray and the
-    Serre dual's; ``max_order`` is checked by :func:`classify`, before any work.
+    Every extremal character is primitive; ``max_order`` is checked by
+    :func:`classify`, before any work.
     """
-    exact_int(multiplier, "multiplier", 1)
     cls = classify(x, max_order)
     kind = cls.kind
     if kind is _INVALID:
@@ -622,9 +616,8 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
                                        "moduli space has Picard rank one")
 
     mu0_plus, mu0_minus = _mu0(x)
-    primary = _side(x, (mu0_plus.A, mu0_plus.B, mu0_plus.d, mu0_plus.D), multiplier, max_order,
-                    dim)[0]
-    secondary = _secondary_edge(x, mu0_minus, multiplier, max_order, dim)
+    primary = _side(x, (mu0_plus.A, mu0_plus.B, mu0_plus.d, mu0_plus.D), max_order, dim)[0]
+    secondary = _secondary_edge(x, mu0_minus, max_order, dim)
     ray = secondary.extremal_character
     if ray is not None:
         _orthogonal(x, x, ray, "secondary ray is not orthogonal to the input")
@@ -649,7 +642,7 @@ def cone_report(x: ChernCharacter, multiplier: int = 1,
 def orthogonal_invariants(x: ChernCharacter,
                           max_order: int = DEFAULT_MAX_ORDER) -> OrthogonalInvariants:
     """The report's primary invariants; ``DomainError`` where it has no primary edge."""
-    report = cone_report(x, 1, max_order)
+    report = cone_report(x, max_order=max_order)
     if report.primary is None:
         kind = report.classification.kind.value
         raise DomainError(f"no intersection slope for {kind} characters")
@@ -659,7 +652,7 @@ def orthogonal_invariants(x: ChernCharacter,
 def resolution_multiplicities(x: ChernCharacter,
                               max_order: int = DEFAULT_MAX_ORDER) -> ResolutionData:
     """The report's resolution of the general sheaf; ``DomainError`` where it has none."""
-    primary = cone_report(x, 1, max_order).primary
+    primary = cone_report(x, max_order=max_order).primary
     if primary is None or primary.resolution is None:
         raise DomainError("resolutions are computed for positive-rank Picard-rank-2 characters")
     return primary.resolution
@@ -668,16 +661,15 @@ def resolution_multiplicities(x: ChernCharacter,
 def kronecker_data(x: ChernCharacter,
                    max_order: int = DEFAULT_MAX_ORDER) -> KroneckerData:
     """The report's Kronecker data of the resolution; ``DomainError`` where it has none."""
-    primary = cone_report(x, 1, max_order).primary
+    primary = cone_report(x, max_order=max_order).primary
     if primary is None or primary.kronecker is None:
         raise DomainError("resolutions are computed for positive-rank Picard-rank-2 characters")
     return primary.kronecker
 
 
-def secondary_edge(x: ChernCharacter, multiplier: int = 1,
-                   max_order: int = DEFAULT_MAX_ORDER) -> SecondaryEdge:
+def secondary_edge(x: ChernCharacter, *, max_order: int = DEFAULT_MAX_ORDER) -> SecondaryEdge:
     """The report's second extremal ray; ``DomainError`` where it has none."""
-    report = cone_report(x, multiplier, max_order)
+    report = cone_report(x, max_order=max_order)
     if report.secondary is None:
         kind = report.classification.kind.value
         raise DomainError(f"no intersection slope for {kind} characters")

@@ -81,7 +81,7 @@ class DyadicRational(Record):
         x = Fraction(exact_rational(x, "x"))
         q = x.denominator.bit_length() - 1
         if 1 << q != x.denominator:
-            raise DomainError(f"{x} is not a dyadic rational")
+            raise DomainError(f"{_shown(x, str)} is not a dyadic rational")
         return DyadicRational(x.numerator, q)
 
     @property
@@ -212,7 +212,8 @@ def _walk(d: DyadicRational) -> tuple[tuple, tuple, tuple]:
     of equal bits the coarse end stays, so the run's midpoints obey
     ``v' = 3 r(coarse) v - v_prev``: the walk jumps the rest of a run in one
     step (``_jump``), its length read off the bits of ``p``.  An alternating
-    address takes one step per level.
+    address takes one step per level.  A negative ``p`` is walked as ``-p``,
+    whose walk is the mirror image, and the bundles are negated back.
 
     Each mutation's rank exceeds both ends of its bracket, so ranks grow
     along the walk; it stops with ``DomainError`` at the first rank of more
@@ -227,6 +228,11 @@ def _walk(d: DyadicRational) -> tuple[tuple, tuple, tuple]:
     p, q = d.p, d.q
     if q == 0:
         return (1, p - 1), (1, p), (1, p + 1)
+    # CPython copies a negative int whole on each right shift, so a negative
+    # address is walked as its mirror image ``-d``, read off ``-p`` once
+    mirror = p < 0
+    if mirror:
+        p = -p
     left, right, fin, g, s = _start(p >> q)
     cap = _digit_bound()
     bits = 3 * cap  # a rank past the cap has more bits, as 2**(3 cap) < 10**cap
@@ -236,7 +242,7 @@ def _walk(d: DyadicRational) -> tuple[tuple, tuple, tuple]:
         mid = s * fin[0] - g[0], s * fin[1] - g[1]
         if mid[0].bit_length() > bits and more_digits(mid[0], cap):
             raise DomainError(f"slope has a {mid[0].bit_length():,}-bit integer in its walk "
-                              f"at order {k} of {q}, past the limit of {cap:,} "
+                              f"at order {k} of {_shown(q, str)}, past the limit of {cap:,} "
                               f"digits for printing one")
         if k == q:
             break
@@ -274,6 +280,8 @@ def _walk(d: DyadicRational) -> tuple[tuple, tuple, tuple]:
                     right = fin
                 k, after = k + n, bit ^ 1
         bit = after
+    if mirror:  # negation maps the tree to itself, a bundle (r, c1) to (r, -c1)
+        return (right[0], -right[1]), (mid[0], -mid[1]), (left[0], -left[1])
     return left, mid, right
 
 
@@ -350,7 +358,8 @@ def from_slope_value(mu: RationalLike, max_order: int = DEFAULT_MAX_ORDER) -> Ex
     also picks the half bracket to go on in.  An exceptional slope's rank is
     its reduced denominator (``c1^2 = -1 mod r``) and ranks grow along a
     walk, so the walk refuses, with ``DomainError``, at the first mediant of
-    rank ``>= b`` that is not ``mu``, or past ``max_order`` levels.  No
+    rank ``>= b`` that is not ``mu``, or past ``max_order`` levels; a ``b``
+    past the digit cap of :func:`_walk` is refused before the walk.  No
     probe tests interval membership.
     """
     exact_int(max_order, "max_order", 0)
@@ -358,9 +367,14 @@ def from_slope_value(mu: RationalLike, max_order: int = DEFAULT_MAX_ORDER) -> Ex
     a, b = mu.numerator, mu.denominator
     if b == 1:
         return from_integer(a)
+    cap = _digit_bound()
+    if more_digits(b, cap):  # a rank that every walk refuses
+        raise DomainError(f"{_shown(mu, str)} has a denominator, an exceptional slope's rank, "
+                          f"past the limit of {cap:,} digits for printing one")
     hit = _narrow(a // b, a, 0, 0, b, max_order, True)
     if hit is None:
-        raise DomainError(f"{mu} is not an exceptional slope of order <= {max_order}")
+        raise DomainError(f"{_shown(mu, str)} is not an exceptional slope of order "
+                          f"<= {_shown(max_order, str)}")
     return _slope(*hit[1], _dyadic(hit[3], hit[4]))
 
 
@@ -384,7 +398,8 @@ def dot(alpha: ExceptionalSlope, beta: ExceptionalSlope) -> ExceptionalSlope:
     elif level == 0 and pb - pa == 2:
         child = DyadicRational(pa + 1, 0)
     else:
-        raise DomainError(f"{alpha} and {beta} are not neighbours in the slope tree")
+        raise DomainError(f"{_shown(alpha, str)} and {_shown(beta, str)} are not neighbours "
+                          f"in the slope tree")
     result = from_dyadic(child)
     v, a, b = result.character(), alpha.character(), beta.character()
     pairs = (euler_chi_pair(v, v), euler_chi_pair(b, v), euler_chi_pair(v, a))

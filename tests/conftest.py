@@ -777,13 +777,12 @@ def minimal_orthogonal_rank(point: SlopeDisc) -> int:
     return math.lcm(point.mu.denominator, chi_per_rank.denominator)
 
 
-def ray_at(point: SlopeDisc, multiplier: int = 1) -> ChernCharacter:
-    """The character at ``point`` of the minimal rank times ``multiplier``."""
-    rank = minimal_orthogonal_rank(point) * multiplier
-    return ChernCharacter.from_rmd(rank, point.mu, point.delta)
+def ray_at(point: SlopeDisc) -> ChernCharacter:
+    """The character at ``point`` of the minimal rank."""
+    return ChernCharacter.from_rmd(minimal_orthogonal_rank(point), point.mu, point.delta)
 
 
-def fraction_primary(x: ChernCharacter, gamma, multiplier: int = 1):
+def fraction_primary(x: ChernCharacter, gamma):
     """``(case_sign, point, on_delta_curve, ray)`` of the primary edge over ``Fraction``s.
 
     The oracle for the cross-product rays: the invariant point where the
@@ -796,7 +795,7 @@ def fraction_primary(x: ChernCharacter, gamma, multiplier: int = 1):
     pairing = euler_pairing(x, gamma.character())
     if pairing == 0:
         point = SlopeDisc(gamma.slope, gamma.discriminant)
-        return CaseSign.ZERO, point, True, ray_at(point, multiplier)
+        return CaseSign.ZERO, point, True, ray_at(point)
     case = CaseSign.POSITIVE if pairing > 0 else CaseSign.NEGATIVE
     ref_slope = -gamma.slope if case is CaseSign.POSITIVE else -gamma.slope - 3
     ref_delta = gamma.discriminant
@@ -808,16 +807,16 @@ def fraction_primary(x: ChernCharacter, gamma, multiplier: int = 1):
         mu = Fraction(-x.chi, x.c1)
         point = SlopeDisc(mu, hilbert_poly(ref_slope + mu) - ref_delta)
     on_curve = case is CaseSign.NEGATIVE or point.mu <= gamma.slope
-    return case, point, on_curve, ray_at(point, multiplier)
+    return case, point, on_curve, ray_at(point)
 
 
-def fraction_secondary(x: ChernCharacter, dual_gamma, multiplier: int = 1):
+def fraction_secondary(x: ChernCharacter, dual_gamma):
     """``(point, ray)`` of the secondary edge over ``Fraction``s, ``(None, None)`` below rank 2.
 
     Rank >= 3 negates the Serre dual's primary point to ``(-mu, delta)``
-    and takes the ray there at the minimal rank times ``multiplier``;
-    ``dual_gamma`` is the dual's corresponding slope.  Rank 2 takes the
-    orthogonal point of tensor slope ``-3/2`` at its minimal rank.
+    and takes the ray there at the minimal rank; ``dual_gamma`` is the
+    dual's corresponding slope.  Rank 2 takes the orthogonal point of
+    tensor slope ``-3/2`` at its minimal rank.
     """
     if x.r >= 3:
         _, dual, _, _ = fraction_primary(x.serre_dual(), dual_gamma)
@@ -825,10 +824,9 @@ def fraction_secondary(x: ChernCharacter, dual_gamma, multiplier: int = 1):
     elif x.r == 2:
         mu = -Fraction(3, 2) - x.slope()
         point = SlopeDisc(mu, hilbert_poly(x.slope() + mu) - x.discriminant())
-        multiplier = 1
     else:
         return None, None
-    return point, -ray_at(point, multiplier)
+    return point, -ray_at(point)
 
 
 def stable_orthogonal_slopes_below(x: ChernCharacter, mu_plus: Fraction,

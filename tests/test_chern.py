@@ -14,7 +14,7 @@ from planecones.chern import (
     moduli_dimension,
     natural_classes,
 )
-from planecones.errors import ConsistencyError, DomainError, RankZeroError
+from planecones.errors import DomainError, RankZeroError
 
 GOLDEN = ChernCharacter(3, 2, -5)
 
@@ -137,7 +137,7 @@ class TestOperationsKeepIntFields:
             HALF.scale(k)
         assert HALF.scale(2) == ChernCharacter(8, 2, -14)
         assert HALF.scale(Fraction(3, 2)) == ChernCharacter(6, Fraction(3, 2), Fraction(-21, 2))
-        assert HALF.scale(1) is HALF and HALF.scale(Fraction(1)) is HALF
+        assert HALF.scale(1) == HALF == HALF.scale(Fraction(1))
 
 
 class TestEulerPairing:
@@ -164,8 +164,13 @@ class TestModuliDimension:
             moduli_dimension(ChernCharacter(0, 3, 0))
 
     def test_non_integer_dimension_is_inconsistent(self):
-        with pytest.raises(ConsistencyError):
+        """The caller's non-integral character is bad input, not a library fault."""
+        message = r"^non-integer moduli dimension -2/3 for \(1, 0, 1/3\)$"
+        with pytest.raises(DomainError, match=message):
             moduli_dimension(ChernCharacter(1, 0, Fraction(1, 3)))
+        # a field past the digit limit is written by its type, where there is a limit
+        with pytest.raises(DomainError, match="^non-integer moduli dimension "):
+            moduli_dimension(ChernCharacter(1, Fraction(1, 10 ** 5000 + 1), 0))
 
 
 class TestNaturalClasses:

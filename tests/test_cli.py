@@ -558,10 +558,10 @@ class TestBatchCommand:
         """A library fault in one report of three is an internal record; batch exits 3 at the end."""
         report = cone.cone_report
 
-        def failing(x, *args):
+        def failing(x, **budget):
             if x.ch0 == 1:  # the second line
                 raise ConsistencyError("resolution rebuilds the wrong character")
-            return report(x, *args)
+            return report(x, **budget)
 
         monkeypatch.setattr(cone, "cone_report", failing)
         path = tmp_path / "batch.jsonl"
@@ -584,10 +584,10 @@ class TestBatchCommand:
         """Bad input in the report stays an error record; any other ``ValueError`` is a fault."""
         report = cone.cone_report
 
-        def failing(x, *args):
+        def failing(x, **budget):
             if x.ch0 == 3:  # the first line
                 raise fault
-            return report(x, *args)
+            return report(x, **budget)
 
         monkeypatch.setattr(cone, "cone_report", failing)
         path = tmp_path / "batch.jsonl"
@@ -885,7 +885,7 @@ class TestRendererAgainstTheOracle:
 
 class TestInternalError:
     def test_cone_exits_with_internal_status(self, capsys, monkeypatch):
-        def failing(*args):
+        def failing(x, **budget):
             raise ConsistencyError("secondary ray is not orthogonal to the input")
 
         monkeypatch.setattr(cone, "cone_report", failing)
@@ -919,9 +919,9 @@ class TestArgumentBoundaries:
                           "--approx", TOO_MANY_DIGITS), marks=needs_digit_limit),
             pytest.param(("batch", "-", "--approx", TOO_MANY_DIGITS), marks=needs_digit_limit),
             ("slope", "--rational", "2/5", "--max-order", "x"),
-            ("cone", "--chern", "1,0,0", "--multiplier", "-5"),
-            ("cone", "--rmd", "3,2/3,17/9", "--multiplier", "0"),
-            ("batch", "-", "--multiplier", "0"),
+            ("cone", "--chern", "1,0,0", "--multiplier", "1"),
+            ("cone", "--rmd", "3,2/3,17/9", "--multiplier", "2"),
+            ("batch", "-", "--multiplier", "2"),
             ("curve", "--lo", "0", "--hi", "1", "--interval-order", "-3"),
             # each subcommand takes only the flags it reads
             ("classify", "--rmd", "3,2/3,17/9", "--approx", "3"),

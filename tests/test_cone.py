@@ -206,10 +206,13 @@ class TestOrthogonalCharacter:
         assert ray.ch0 == expected_rank == 11
 
     def test_multiplier_scales_rank(self):
+        """No multiplier scales the ray: it stays primitive, and a second positional
+        argument is a ``TypeError``."""
         inv = orthogonal_invariants(GOLDEN)
-        assert orthogonal_character(inv, 7).ch0 == 7
-        with pytest.raises(DomainError):
-            orthogonal_character(inv, 0)
+        for m in (7, 0):
+            with pytest.raises(TypeError):
+                orthogonal_character(inv, m)
+        assert orthogonal_character(inv, max_order=7).ch0 == 1
 
     def test_integer_arc_check_matches_arc_value(self):
         # every ray of rank <= 12 with its slope in the closed interval of a
@@ -424,9 +427,13 @@ class TestConeReport:
         assert rep.note is not None and "non-effective" in rep.note
 
     def test_multiplier_threading(self):
-        rep = cone_report(GOLDEN, multiplier=3)
-        assert rep.primary.extremal_character.ch0 == 3
-        assert euler_pairing(GOLDEN, rep.primary.extremal_character) == 0
+        """No multiplier reaches a ray: ``max_order`` is keyword-only, so an old positional
+        multiplier is a ``TypeError``, never an order budget."""
+        for call in (lambda: cone_report(GOLDEN, multiplier=3), lambda: cone_report(GOLDEN, 3),
+                     lambda: secondary_edge(GOLDEN, 3), lambda: secondary_edge(GOLDEN, 1, 64)):
+            with pytest.raises(TypeError):
+                call()
+        assert cone_report(GOLDEN, max_order=3).primary.extremal_character.ch0 == 1
 
 
 # One character of each kind, with each secondary mode among them.
@@ -463,10 +470,13 @@ def test_stage_views_read_the_report(x):
 @pytest.mark.parametrize("m", [0, -1, 1.5, F(3, 2), 2.0, F(2), True, "2", None], ids=repr)
 @pytest.mark.parametrize("x", EVERY_KIND, ids=str)
 def test_multiplier_must_be_a_positive_int(x, m):
-    """Refused before any work, whatever the kind; an ``int`` of at least 1 passes."""
-    with pytest.raises(DomainError, match="^multiplier must be an int >= 1, got "):
+    """No multiplier is taken, whatever the kind: a second positional argument, a value the
+    old gate let through or refused, is a ``TypeError`` before any work."""
+    with pytest.raises(TypeError):
         cone_report(x, m)
-    assert cone_report(x, 2).input is x
+    with pytest.raises(TypeError):
+        cone_report(x, multiplier=m)
+    assert cone_report(x).input is x
 
 
 @pytest.mark.parametrize("m", [-1, 1.5, F(3), 2.0, True, "3", None], ids=repr)
@@ -475,20 +485,21 @@ def test_max_order_must_be_a_non_negative_int(x, m):
     """Refused by ``cone_report`` and ``classify`` before any work, whatever the kind."""
     refused = "^max_order must be an int >= 0, got "
     with pytest.raises(DomainError, match=refused):
-        cone_report(x, 1, m)
+        cone_report(x, max_order=m)
     with pytest.raises(DomainError, match=refused):
         classify(x, m)
     for budget in (0, 12):
         try:
-            assert cone_report(x, 1, budget).input is x
+            assert cone_report(x, max_order=budget).input is x
         except DescentError:  # a budget of 0 can be too small, but it is not refused
             assert budget == 0
 
 
 @pytest.mark.parametrize("m", [0, 2.5, F(2), 2.0, True], ids=repr)
 def test_orthogonal_character_refuses_a_non_int_multiplier(m):
+    """No multiplier is taken: a second positional argument is a ``TypeError``."""
     inv = cone_report(NEGATIVE_CASE).primary.invariants
-    with pytest.raises(DomainError, match="^multiplier must be an int >= 1, got "):
+    with pytest.raises(TypeError):
         orthogonal_character(inv, m)
 
 
@@ -498,8 +509,8 @@ def test_orthogonal_character_refuses_a_bad_max_order(x, m):
     """Refused as ``classify`` refuses it, whether or not the case checks the boundary."""
     inv = cone_report(x).primary.invariants
     with pytest.raises(DomainError, match="^max_order must be an int >= 0, got "):
-        orthogonal_character(inv, 1, m)
-    assert orthogonal_character(inv, 1, 3) == inv.ray
+        orthogonal_character(inv, max_order=m)
+    assert orthogonal_character(inv, max_order=3) == inv.ray
 
 
 class TestNonPrimitiveAndDualCases:
@@ -786,7 +797,7 @@ class TestChecksFireOnCorruptedInput:
         from planecones import cone
         from planecones.exceptional import DEFAULT_MAX_ORDER
 
-        return cone._primary_edge(x, inv, triad, res, kron, 1, DEFAULT_MAX_ORDER)
+        return cone._primary_edge(x, inv, triad, res, kron, DEFAULT_MAX_ORDER)
 
     def test_orthogonality(self):
         from planecones import cone

@@ -195,6 +195,17 @@ class TestRankBound:
         with capped(1):
             assert from_dyadic(dy(7, 0)).r == 1
 
+    @pytest.mark.parametrize("sign", [-1, 1], ids=["negative", "positive"])
+    def test_a_long_run_refuses_in_bounded_time(self, sign):
+        """``(1 - 2^q)/2^q`` and its mirror ``(2^q - 1)/2^q``, ``q = 10^8``: a run next to an
+        integer, whose negative numerator is negated once, not copied at every level."""
+        q = 10 ** 8
+        d = dy(sign * ((1 << q) - 1), q)
+        start = time.perf_counter()
+        with capped(4300), pytest.raises(DomainError, match=f"at order 10289 of {q:d}, past"):
+            from_dyadic(d)
+        assert time.perf_counter() - start < 1
+
 
 class TestMutationWalk:
     """Each child of the walk is a mutation of its parents; a corrupted child is refused."""
@@ -815,6 +826,37 @@ class TestExactLookup:
                 from_slope_value(mu, max_order)
             assert str(info.value) == f"{mu} is not an exceptional slope of order <= {max_order}"
         assert from_slope_value(3, 0) == from_integer(3)
+
+    def test_a_denominator_past_the_cap_is_refused_before_the_walk(self):
+        """An exceptional slope's rank is its denominator, which no walk takes past the cap."""
+        refused = "^5/13 has a denominator, an exceptional slope's rank, past the limit of 1 "
+        with capped(2):
+            assert from_slope_value(F(5, 13)).r == 13
+        with capped(1), pytest.raises(DomainError, match=refused):
+            from_slope_value(F(5, 13))
+
+
+HUGE = 10 ** 5000 + 1  # past Python's default digit limit
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DyadicRational.from_fraction(F(1, HUGE)),
+    lambda: from_dyadic(DyadicRational(1, HUGE)),
+    lambda: epsilon(DyadicRational(1, HUGE)),
+    lambda: from_slope_value(F(1, HUGE), 10 ** 30),
+    lambda: from_slope_value(F(1, 3), HUGE),
+    lambda: cfrac.even_expansion(F(1, HUGE)),
+    lambda: cfrac.odd_expansion(F(1, HUGE)),
+    lambda: dot(from_integer(HUGE), from_integer(0)),
+], ids=["from_fraction", "from_dyadic", "epsilon", "from_slope_value", "max_order",
+        "even_expansion", "odd_expansion", "dot"])
+def test_a_refusal_writes_no_number_past_the_limit(call):
+    """Each refusal is a ``DomainError``, not the ``ValueError`` of writing a huge int, and
+    comes at once: a denominator past the cap is refused before any lookup."""
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        call()
+    assert time.perf_counter() - start < 1
 
 
 # Each public function that takes an order budget, on an input that needs no

@@ -106,8 +106,8 @@ dyadic = st.one_of(value, st.tuples(value, count).map("/2^".join))
 SLOPE = (("--dyadic", dyadic), ("--rational", value), ("--lr", word), ("--max-order", count))
 
 ARGV = st.one_of(
-    flags(*CHARACTER, ("--multiplier", count), ("--max-order", count),
-          ("--approx", count), *FORMAT).map(lambda rest: ["cone", *rest]),
+    flags(*CHARACTER, ("--max-order", count), ("--approx", count), *FORMAT)
+    .map(lambda rest: ["cone", *rest]),
     flags(*CHARACTER, ("--max-order", count), *FORMAT).map(lambda rest: ["classify", *rest]),
     flags(*SLOPE, *FORMAT).map(lambda rest: ["slope", *rest]),
     flags(*SLOPE, ("--period", None), *FORMAT).map(lambda rest: ["cfrac", *rest]),
@@ -164,7 +164,7 @@ def test_hostile_argv(argv):
 
 
 @cases
-@given(batch_lines, flags(("--multiplier", count), ("--max-order", count), ("--approx", count)))
+@given(batch_lines, flags(("--max-order", count), ("--approx", count)))
 def test_hostile_batch_lines(lines, rest):
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "batch.jsonl")
@@ -285,12 +285,16 @@ GOLDEN = ChernCharacter.from_rmd(3, Fraction(2, 3), Fraction(17, 9))
 # None, bools, non-finite and other floats, strings, huge ints (the last past
 # Python's digit limit) and one record of each class a public call takes,
 # each of the wrong class for every argument but its own, and an address of
-# order 10^9, whose walk must stop at its digit cap
+# order 10^9, whose walk must stop at its digit cap; a Fraction, a slope and
+# an address holding an int past the digit limit, which no refusal may write
+# out, and a character of a non-integral field
 HOSTILE_ARGS = [
     None, True, False, math.nan, math.inf, -math.inf, 0.5, -2.0, 1e300,
     "", "2/5", "RL", "3", 10 ** 30, -10 ** 30, 10 ** 5000 + 1,
     GOLDEN, cone_report(GOLDEN).primary.invariants, DyadicRational(1, 1), from_integer(0),
     QuadraticNumber(1, 1, 2), DyadicRational(1, 10 ** 9),
+    Fraction(1, 10 ** 5000 + 1), from_integer(10 ** 5000 + 1), DyadicRational(1, 10 ** 5000 + 1),
+    ChernCharacter(1, Fraction(1, 2), 0),
 ]
 hostile_call = st.sampled_from(LIBRARY).flatmap(lambda entry: st.tuples(
     st.just(entry), st.lists(st.sampled_from(HOSTILE_ARGS), min_size=entry[2],

@@ -16,7 +16,7 @@ records nor on a field's path: a cached fragment names a refused field
 from the fragment (``slope``, ``interval``, ``chi``, ...), and the caller
 puts its path in front of the ``DomainError``'s message.
 A report reads the digit limit once and writes enums from ``_value_`` and
-quotients from integers.  Decimal columns only appear
+quotients from integers.  Decimal fields only appear
 under ``--approx`` and are labeled non-authoritative.  Output is
 deterministic: fixed field order, no ambient state.
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -44,6 +45,9 @@ EXIT_BAD_INPUT = 1
 # 2 is argparse's status for a usage error
 EXIT_INTERNAL = 3
 EXIT_CLASSIFICATION_ONLY = 4
+# 128 + SIGPIPE, as a shell reports a process the signal ended: the reader
+# closed standard output
+EXIT_BROKEN_PIPE = 141
 
 # ``curve``'s caps on samples and on interval-table rows, each a few seconds of work
 MAX_CURVE_SAMPLES = 1 << 16
@@ -74,31 +78,6 @@ def _approx(value, digits: Optional[int]) -> Optional[str]:
     if isinstance(value, QuadraticNumber):
         return value.decimal(digits)
     return QuadraticNumber(Fraction(value)).decimal(digits)
-
-
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "text":
-        for line in _text_lines(payload, ""):
-            print(line)
-    else:
-        print(json.dumps(payload))
-
-
-def _text_lines(value, prefix: str) -> list[str]:
-    """``key: value`` per dict entry and ``- value`` per list item, nesting two deeper."""
-    if not isinstance(value, (dict, list)):
-        return [f"{prefix}{value}"]
-    if isinstance(value, dict):
-        labelled = [(f"{key}:", sub) for key, sub in value.items()]
-    else:
-        labelled = [("-", sub) for sub in value]
-    lines = []
-    for label, sub in labelled:
-        if isinstance(sub, (dict, list)):
-            lines += [f"{prefix}{label}", *_text_lines(sub, prefix + "  ")]
-        else:
-            lines.append(f"{prefix}{label} {sub}")
-    return lines
 
 
 # -- writing within the digit limit ---------------------------------------------
@@ -411,7 +390,7 @@ def _slope_from_args(args) -> exceptional.ExceptionalSlope:
 def _cmd_cone(args) -> int:
     x = _character_from_args(args)
     report = cone.cone_report(x, max_order=args.max_order)
-    _emit(report_to_dict(report, args.approx), args.format)
+    print(json.dumps(report_to_dict(report, args.approx)))
     if report.classification.kind is cone.Kind.INVALID:
         return EXIT_BAD_INPUT
     if report.primary is None:
@@ -424,13 +403,13 @@ def _cmd_classify(args) -> int:
     out = {"input": _character_dict(x)}  # refused past the digit limit before classifying
     cls = cone.classify(x, args.max_order)
     out["classification"] = {"kind": cls.kind.value, "reasons": list(cls.reasons)}
-    _emit(out, args.format)
+    print(json.dumps(out))
     return EXIT_OK
 
 
 def _cmd_slope(args) -> int:
     s = _slope_from_args(args)
-    _emit(_slope_dict(s), args.format)
+    print(json.dumps(_slope_dict(s)))
     return EXIT_OK
 
 
@@ -454,33 +433,23 @@ def _cmd_cfrac(args) -> int:
             out["beta_is_half"] = period.beta_is_half
         except DomainError as exc:
             out["period_error"] = str(exc)
-    _emit(out, args.format)
+    print(json.dumps(out))
     return EXIT_OK
 
 
 def _cmd_curve(args) -> int:
-    csv_out = args.output_format == "csv"
-    overlaid = args.chern is not None or args.rmd is not None
-    if csv_out and overlaid:
-        raise DomainError("--chern and --rmd add a parabola, which --format csv does not write")
-    if not csv_out and args.approx is not None:
-        raise DomainError("--approx adds a CSV column, which --format json does not write")
     lo = parse_rational(args.lo)
     hi = parse_rational(args.hi)
     if not lo < hi:
         raise DomainError("--lo must be smaller than --hi")
-    if args.samples < 2:
-        raise DomainError("--samples must be at least 2")
-    if args.samples > MAX_CURVE_SAMPLES:
-        raise DomainError(f"--samples must be at most {MAX_CURVE_SAMPLES:,}")
     order = args.interval_order
     # [lo, hi] holds at most (floor(hi) - ceil(lo) + 2) * 2**order slopes of order <= order;
     # the factor is at least 1, so a large order is refused without the shift
-    if not csv_out and (order >= MAX_CURVE_ROWS.bit_length() or (
-            math.floor(hi) - math.ceil(lo) + 2) << order > MAX_CURVE_ROWS):
+    if order >= MAX_CURVE_ROWS.bit_length() or (
+            math.floor(hi) - math.ceil(lo) + 2) << order > MAX_CURVE_ROWS:
         raise DomainError(f"--interval-order {order} over --lo/--hi passes {MAX_CURVE_ROWS:,} rows")
     overlay = None
-    if overlaid:
+    if args.chern is not None or args.rmd is not None:
         x = _character_from_args(args)
         if x.r != 0:
             overlay = {
@@ -494,41 +463,30 @@ def _cmd_curve(args) -> int:
         else:
             raise DomainError("the parabola overlay needs a nonzero rank or first Chern class")
     step = (hi - lo) / (args.samples - 1)
-    rows = []  # (mu's text, delta, delta's text, the descent's error); delta None on an error
+    samples = []
     for i in range(args.samples):
         mu = lo + i * step
-        mu_text = _str("samples.mu", mu)  # refused before its descent
+        sample = {"mu": _str("samples.mu", mu)}  # refused before its descent
         try:
             value = exceptional.delta_curve(mu, args.max_order)
-            rows.append((mu_text, value, _str("samples.delta", value), None))
         except DescentError as exc:
-            rows.append((mu_text, None, None, str(exc)))
-    if csv_out:  # no field holds a comma, a quote or a line break: none is quoted
-        lines = ["mu,delta" + (",approx_delta" if args.approx is not None else "")]
-        for mu_text, value, delta_text, err in rows:
-            record = [mu_text, "ERROR" if err is not None else delta_text]
+            sample.update(delta=None, error=str(exc))
+        else:
+            sample["delta"] = _str("samples.delta", value)
             if args.approx is not None:
-                record.append("" if err is not None else _approx(value, args.approx))
-            lines.append(",".join(record))
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        intervals = []
-        for s in exceptional.enumerate_slopes(lo, hi, args.interval_order):
-            left, right = s.interval()
-            intervals.append({"slope": _ratio("intervals.slope", s.c1, s.r),
-                              "order": _int("intervals.order", s.order),
-                              "left": _str("intervals.left", left),
-                              "right": _str("intervals.right", right)})
-        payload = {
-            "samples": [
-                {"mu": mu_text, "delta": delta_text, **({"error": err} if err else {})}
-                for mu_text, _, delta_text, err in rows
-            ],
-            "intervals": intervals,
-        }
-        if overlay is not None:
-            payload["parabola"] = overlay
-        _emit(payload, "json")
+                sample["approx_delta"] = _approx(value, args.approx)
+        samples.append(sample)
+    intervals = []
+    for s in exceptional.enumerate_slopes(lo, hi, order):
+        left, right = s.interval()
+        intervals.append({"slope": _ratio("intervals.slope", s.c1, s.r),
+                          "order": _int("intervals.order", s.order),
+                          "left": _str("intervals.left", left),
+                          "right": _str("intervals.right", right)})
+    payload = {"samples": samples, "intervals": intervals}
+    if overlay is not None:
+        payload["parabola"] = overlay
+    print(json.dumps(payload))
     return EXIT_OK
 
 
@@ -594,16 +552,8 @@ def _add_approx(parser: argparse.ArgumentParser) -> None:
         type=_int_at_least(0, _digit_bound()),
         default=None,
         metavar="N",
-        help="add non-authoritative N-digit decimal columns",
+        help="add non-authoritative N-digit decimal fields",
     )
-
-
-def _add_json_or_text(parser: argparse.ArgumentParser) -> None:
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument(
-        "--json", dest="format", action="store_const", const="json", default="json"
-    )
-    fmt.add_argument("--text", dest="format", action="store_const", const="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -619,13 +569,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_character_flags(p_cone)
     _add_max_order(p_cone)
     _add_approx(p_cone)
-    _add_json_or_text(p_cone)
     p_cone.set_defaults(func=_cmd_cone)
 
     p_classify = sub.add_parser("classify", help="classification only")
     _add_character_flags(p_classify)
     _add_max_order(p_classify)
-    _add_json_or_text(p_classify)
     p_classify.set_defaults(func=_cmd_classify)
 
     for name, func, about in (("slope", _cmd_slope, "exceptional-slope lookup"),
@@ -638,19 +586,15 @@ def build_parser() -> argparse.ArgumentParser:
             p_slope.add_argument("--period", action="store_true",
                                  help="include the period structure")
         _add_max_order(p_slope)
-        _add_json_or_text(p_slope)
         p_slope.set_defaults(func=func)
 
     p_curve = sub.add_parser("curve", help="boundary-curve samples and interval table")
     p_curve.add_argument("--lo", required=True)
     p_curve.add_argument("--hi", required=True)
-    p_curve.add_argument("--samples", type=int, default=33)
+    p_curve.add_argument("--samples", type=_int_at_least(2, MAX_CURVE_SAMPLES), default=33)
     p_curve.add_argument(
         "--interval-order", dest="interval_order", type=_int_at_least(0), default=4,
         help="enumerate intervals up to this order",
-    )
-    p_curve.add_argument(
-        "--format", dest="output_format", choices=("csv", "json"), default="json"
     )
     _add_character_flags(p_curve)
     _add_max_order(p_curve)
@@ -669,7 +613,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at the interpreter's exit
+        return status
+    except BrokenPipeError:
+        # the interpreter flushes standard output at exit; what is left goes
+        # to the null device, so no second BrokenPipeError is reported there
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (DomainError, DescentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

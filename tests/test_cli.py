@@ -1,5 +1,3 @@
-import csv
-import io
 import json
 import os
 import subprocess
@@ -87,11 +85,6 @@ class TestConeCommand:
         _, out, _ = run(capsys, "cone", "--rmd", "3,2/3,17/9", "--approx", "4")
         data = json.loads(out)
         assert data["mu0"]["approx_plus"] == "0.0756"
-
-    def test_text_format(self, capsys):
-        code, out, _ = run(capsys, "cone", "--rmd", "3,2/3,17/9", "--text")
-        assert code == 0
-        assert "dimension: 26" in out
 
 
     @needs_digit_limit
@@ -347,19 +340,13 @@ def _no_descent(*args):
 
 
 class TestCurveCommand:
-    def test_csv_round_trip(self, capsys):
-        code, out, _ = run(
-            capsys, "curve", "--lo", "0", "--hi", "1/2", "--samples", "9",
-            "--format", "csv",
-        )
+    def test_samples_round_trip(self, capsys):
+        code, out, _ = run(capsys, "curve", "--lo", "0", "--hi", "1/2", "--samples", "9")
         assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert len(rows) == 9
-        for row in rows:
-            if row["delta"] == "ERROR":
-                continue
-            mu = parse_rational(row["mu"])
-            assert parse_rational(row["delta"]) == delta_curve(mu)
+        samples = json.loads(out)["samples"]
+        assert len(samples) == 9
+        for sample in samples:
+            assert parse_rational(sample["delta"]) == delta_curve(parse_rational(sample["mu"]))
 
     def test_json_intervals_table(self, capsys):
         _, out, _ = run(
@@ -399,8 +386,7 @@ class TestCurveCommand:
 
     @pytest.mark.parametrize("argv, message", [
         (("--lo", "1", "--hi", "1"), "--lo must be smaller than --hi"),
-        (("--lo", "0", "--hi", "1", "--samples", "1"), "--samples must be at least 2"),
-    ], ids=["empty_range", "one_sample"])
+    ], ids=["empty_range"])
     def test_bad_range_is_a_one_line_error(self, capsys, argv, message):
         code, out, err = run(capsys, "curve", *argv)
         assert code == 1 and out == ""
@@ -411,9 +397,7 @@ class TestCurveCommand:
          "--interval-order 0 over --lo/--hi passes 65,536 rows"),
         (("--lo", "0", "--hi", "1", "--interval-order", "10" * 300),
          f"--interval-order {'10' * 300} over --lo/--hi passes 65,536 rows"),
-        (("--lo", "0", "--hi", "1", "--samples", "1000000", "--interval-order", "0"),
-         "--samples must be at most 65,536"),
-    ], ids=["wide_range", "huge_order", "many_samples"])
+    ], ids=["wide_range", "huge_order"])
     def test_past_a_cap_is_refused_at_once(self, capsys, argv, message):
         start = time.perf_counter()
         code, out, err = run(capsys, "curve", *argv)
@@ -428,12 +412,10 @@ class TestCurveCommand:
         base = ("curve", "--lo", "0", "--hi", "1")
         code, out, _ = run(capsys, *base, "--samples", "4", "--interval-order", "1")
         assert code == 0 and len(json.loads(out)["intervals"]) == 3
-        assert run(capsys, *base, "--samples", "5", "--interval-order", "1")[0] == 1
         assert run(capsys, *base, "--samples", "4", "--interval-order", "2")[0] == 1
-        # the CSV output has no interval table to refuse
-        code, out, _ = run(capsys, *base, "--samples", "4", "--interval-order", "2",
-                           "--format", "csv")
-        assert code == 0 and len(out.splitlines()) == 5
+        with pytest.raises(SystemExit) as exc:  # the sample count is read with the flags
+            main([*base, "--samples", "5", "--interval-order", "1"])
+        assert exc.value.code == 2
 
     def test_sample_endpoints(self, capsys):
         _, out, _ = run(capsys, "curve", "--lo", "0", "--hi", "1/2", "--samples", "2")
@@ -456,28 +438,29 @@ class TestCurveCommand:
     # the samples' denominators have about 8,600 digits: one error line, no traceback
     @pytest.mark.skipif(not 4299 <= INT_DIGITS < 8000,
                         reason="needs a digit limit in [4,299, 8,000)")
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_past_the_digit_limit_is_a_one_line_error(self, capsys, fmt):
+    def test_past_the_digit_limit_is_a_one_line_error(self, capsys):
         a, b = "3" * 4299, "7" * 4299
         code, out, err = run(capsys, "curve", "--lo", f"1/{b}", "--hi", f"1/{a}", "--samples", "3",
-                             "--interval-order", "0", "--format", fmt)
+                             "--interval-order", "0")
         assert code == 1 and out == "" and "Traceback" not in err
         assert err.startswith("error: samples.") and err.count("\n") == 1
         assert f"limit of {INT_DIGITS:,} digits for printing" in err
 
-    @pytest.mark.parametrize("argv, message", [
-        (("--approx", "3"), "--approx adds a CSV column, which --format json does not write"),
-        (("--format", "csv", "--chern", "0,0,1"),
-         "--chern and --rmd add a parabola, which --format csv does not write"),
-        (("--format", "csv", "--rmd", "3,2/3,17/9"),
-         "--chern and --rmd add a parabola, which --format csv does not write"),
-    ], ids=["approx_json", "chern_csv", "rmd_csv"])
-    def test_a_flag_the_format_never_writes_is_refused_first(self, capsys, monkeypatch, argv,
-                                                             message):
-        monkeypatch.setattr(exceptional, "delta_curve", _no_descent)
-        code, out, err = run(capsys, "curve", "--lo", "0", "--hi", "1", "--samples", "3", *argv)
-        assert code == 1 and out == ""
-        assert err == f"error: {message}\n"
+    def test_approx_is_a_field_of_each_sample(self, capsys):
+        code, out, _ = run(capsys, "curve", "--lo", "0", "--hi", "1/2", "--samples", "3",
+                           "--approx", "4")
+        assert code == 0
+        assert json.loads(out)["samples"] == [
+            {"mu": "0", "delta": "1", "approx_delta": "1.0000"},
+            {"mu": "1/4", "delta": "21/32", "approx_delta": "0.6562"},
+            {"mu": "1/2", "delta": "5/8", "approx_delta": "0.6250"},
+        ]
+        # a sample whose descent fails has no decimal, as it has no delta
+        code, out, _ = run(capsys, "curve", "--lo", str(F(19760, 51641)), "--hi", "1",
+                           "--samples", "2", "--max-order", "3", "--approx", "3")
+        first, last = json.loads(out)["samples"]
+        assert code == 0 and list(first) == ["mu", "delta", "error"]
+        assert last["approx_delta"] == "1.000"
 
 
 @pytest.mark.parametrize("command", [
@@ -915,7 +898,7 @@ class TestArgumentBoundaries:
             ("curve", "--lo", "0", "--hi", "1", "--approx", "-1"),
             pytest.param(("cone", "--rmd", "3,2/3,17/9", "--approx", TOO_MANY_DIGITS),
                          marks=needs_digit_limit),
-            pytest.param(("curve", "--lo", "0", "--hi", "1", "--samples", "3", "--format", "csv",
+            pytest.param(("curve", "--lo", "0", "--hi", "1", "--samples", "3",
                           "--approx", TOO_MANY_DIGITS), marks=needs_digit_limit),
             pytest.param(("batch", "-", "--approx", TOO_MANY_DIGITS), marks=needs_digit_limit),
             ("slope", "--rational", "2/5", "--max-order", "x"),
@@ -931,6 +914,20 @@ class TestArgumentBoundaries:
             ("curve", "--lo", "0", "--hi", "1/2", "--samples", "3", "--json"),
             ("batch", "-", "--text"),
             ("batch", "-", "--json"),
+            # every command writes JSON and takes no flag to choose another layout
+            ("cone", "--rmd", "3,2/3,17/9", "--text"),
+            ("cone", "--rmd", "3,2/3,17/9", "--json"),
+            ("classify", "--rmd", "3,2/3,17/9", "--text"),
+            ("classify", "--rmd", "3,2/3,17/9", "--json"),
+            ("slope", "--dyadic", "1/2", "--text"),
+            ("slope", "--dyadic", "1/2", "--json"),
+            ("cfrac", "--dyadic", "1/2", "--text"),
+            ("cfrac", "--dyadic", "1/2", "--json"),
+            ("curve", "--lo", "0", "--hi", "1/2", "--samples", "3", "--format", "csv"),
+            ("curve", "--lo", "0", "--hi", "1/2", "--samples", "3", "--format", "json"),
+            # a sample count below 2 or past MAX_CURVE_SAMPLES
+            ("curve", "--lo", "0", "--hi", "1", "--samples", "1"),
+            ("curve", "--lo", "0", "--hi", "1", "--samples", "1000000", "--interval-order", "0"),
         ],
     )
     def test_rejected_by_argument_parsing(self, capsys, argv):
@@ -950,8 +947,9 @@ class TestArgumentBoundaries:
         assert code == 0
         assert len(json.loads(out)["mu0"]["approx_plus"].split(".")[1]) == INT_DIGITS
         code, out, _ = run(capsys, "curve", "--lo", "0", "--hi", "1", "--samples", "3",
-                           "--format", "csv", "--approx", limit)
-        assert code == 0 and len(out.splitlines()) == 4
+                           "--approx", limit)
+        assert code == 0
+        assert len(json.loads(out)["samples"][0]["approx_delta"].split(".")[1]) == INT_DIGITS
 
     def test_zero_is_accepted(self, capsys):
         code, out, _ = run(capsys, "cone", "--rmd", "3,2/3,17/9", "--approx", "0")
@@ -961,9 +959,9 @@ class TestArgumentBoundaries:
         assert code == 0 and json.loads(out)["order"] == 0
 
 
-# what only a command that parses flags or writes CSV needs, and the dataclass
-# machinery the result types no longer use
-CLI_ONLY_MODULES = ["argparse", "csv", "dataclasses", "inspect"]
+# what only a command that parses flags needs, and the dataclass machinery the
+# result types no longer use
+CLI_ONLY_MODULES = ["argparse", "dataclasses", "inspect"]
 FOOTPRINT = f"""
 import sys
 import planecones.cli, planecones.cone
@@ -981,3 +979,20 @@ def test_import_loads_no_cli_only_module():
     loaded, report = done.stdout.split("\n", 1)
     assert loaded == "[]"
     assert json.loads(report)["dimension"] == 26
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_ends_batch_quietly(tmp_path, unbuffered):
+    """A reader that stops after one record ends ``batch``: status 141, nothing on stderr."""
+    path = tmp_path / "grid.jsonl"
+    path.write_text("".join(json.dumps({"r": r, "c1": c1, "chi": chi}) + "\n"
+                            for r in range(7) for c1 in range(-8, 9) for chi in range(-6, 7)))
+    src = os.path.dirname(os.path.dirname(planecones.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    with subprocess.Popen([sys.executable, "-m", "planecones.cli", "batch", str(path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        status = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    assert (status, err) == (cli.EXIT_BROKEN_PIPE, b"")

@@ -100,20 +100,18 @@ def flags(*options) -> st.SearchStrategy:
 
 
 CHARACTER = (("--chern", triple), ("--rmd", triple))
-FORMAT = (("--json", None), ("--text", None))
 word = st.text(alphabet="LRx ", max_size=40)
 dyadic = st.one_of(value, st.tuples(value, count).map("/2^".join))
 SLOPE = (("--dyadic", dyadic), ("--rational", value), ("--lr", word), ("--max-order", count))
 
 ARGV = st.one_of(
-    flags(*CHARACTER, ("--max-order", count), ("--approx", count), *FORMAT)
+    flags(*CHARACTER, ("--max-order", count), ("--approx", count))
     .map(lambda rest: ["cone", *rest]),
-    flags(*CHARACTER, ("--max-order", count), *FORMAT).map(lambda rest: ["classify", *rest]),
-    flags(*SLOPE, *FORMAT).map(lambda rest: ["slope", *rest]),
-    flags(*SLOPE, ("--period", None), *FORMAT).map(lambda rest: ["cfrac", *rest]),
+    flags(*CHARACTER, ("--max-order", count)).map(lambda rest: ["classify", *rest]),
+    flags(*SLOPE).map(lambda rest: ["slope", *rest]),
+    flags(*SLOPE, ("--period", None)).map(lambda rest: ["cfrac", *rest]),
     flags(("--lo", bound), ("--hi", bound), ("--samples", bounded(64, MAX_CURVE_SAMPLES + 1)),
-          ("--interval-order", bounded(8, 17)), ("--format", st.sampled_from(["csv", "json", "x"])),
-          *CHARACTER, ("--max-order", count), ("--approx", count))
+          ("--interval-order", bounded(8, 17)), *CHARACTER, ("--max-order", count), ("--approx", count))
     .map(lambda rest: ["curve", *rest]),
 )
 
@@ -247,12 +245,13 @@ def test_a_wrong_type_is_a_domain_error(call, args, named):
 
 
 def _library() -> list[tuple]:
-    """``(name, call, fewest, most)`` for each public callable of the package.
+    """``(name, call, fewest, most, keywords)`` for each public callable of the package.
 
     That is each function and class ``planecones`` exports and each static or
     class method of an exported class, called with ``fewest`` to ``most``
-    positional arguments, as ``inspect.signature`` reads them; a record
-    without a constructor of its own takes one per field.  An ``Enum`` class
+    positional arguments and any of its ``keywords``, the names of its
+    keyword-only parameters, as ``inspect.signature`` reads them; a record
+    without a constructor of its own takes one positional argument per field.  An ``Enum`` class
     is left out, as calling it looks a member up by value, by Python's
     protocol, and so is an exception class, whose call raises nothing.
     """
@@ -272,11 +271,12 @@ def _library() -> list[tuple]:
     for name, call in found:
         params = list(inspect.signature(call).parameters.values())
         if any(p.kind is p.VAR_POSITIONAL for p in params):
-            library.append((name, call, len(call.__slots__), len(call.__slots__)))
+            library.append((name, call, len(call.__slots__), len(call.__slots__), ()))
             continue
         positional = [p for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
         fewest = sum(p.default is p.empty for p in positional)
-        library.append((name, call, fewest, len(positional)))
+        keywords = tuple(p.name for p in params if p.kind is p.KEYWORD_ONLY)
+        library.append((name, call, fewest, len(positional), keywords))
     return library
 
 
@@ -298,7 +298,8 @@ HOSTILE_ARGS = [
 ]
 hostile_call = st.sampled_from(LIBRARY).flatmap(lambda entry: st.tuples(
     st.just(entry), st.lists(st.sampled_from(HOSTILE_ARGS), min_size=entry[2],
-                             max_size=entry[3])))
+                             max_size=entry[3]),
+    st.fixed_dictionaries({}, optional=dict.fromkeys(entry[4], st.sampled_from(HOSTILE_ARGS)))))
 
 
 def test_the_library_is_read_whole():
@@ -306,16 +307,18 @@ def test_the_library_is_read_whole():
     assert {"cone_report", "ChernCharacter", "ChernCharacter.from_rmd", "DyadicRational.make",
             "QuadraticNumber.parse", "enumerate_slopes", "parse_rational"} <= names
     assert "Kind" not in names and {("ExceptionalSlope", 3, 3), ("Classification", 2, 2)} <= {
-        (name, fewest, most) for name, _, fewest, most in LIBRARY}
+        (name, fewest, most) for name, _, fewest, most, _ in LIBRARY}
+    assert {("cone_report", ("max_order",)), ("secondary_edge", ("max_order",))} <= {
+        (name, keywords) for name, *_, keywords in LIBRARY}
 
 
 @cases
 @given(hostile_call)
 def test_hostile_library_calls(drawn):
-    (name, call, _, _), args = drawn
+    (name, call, *_), args, keywords = drawn
     start = time.perf_counter()
     try:
-        call(*args)
+        call(*args, **keywords)
     except (DomainError, DescentError):
         pass
     elapsed = time.perf_counter() - start
